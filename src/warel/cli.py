@@ -4,8 +4,11 @@ Three commands: ``check`` classifies a structure file (optionally
 running the elementary-law suite), ``represent`` runs both
 representation pipelines with staged verification, and ``enumerate``
 generates all structures with a given atom count and classifies them.
-Reports are deterministic; the exit code is 0 exactly when every
-requested check passed.
+Reports are deterministic.  Exit codes: 0 when every requested check
+passed, 1 when some check failed, 2 for unreadable input, 3 when a
+budget ran out (a ``<command>.budget = fail`` line) and 4 when an
+internal consistency check broke (a ``<command>.internal = fail``
+line).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import time
 from typing import Optional
 
 from . import labelling, reduct
-from .core import AtomStructure, classify
+from .core import AtomStructure, GuardExceeded, classify
 from .cylindric import (
     check_complex_vs_relativized,
     check_functions,
@@ -43,18 +46,16 @@ def _classify_into(report: Report, A: AtomStructure, elements_mode: bool) -> boo
     return rep.is_wa
 
 
-def cmd_check(args: argparse.Namespace) -> Report:
-    report = Report()
+def cmd_check(args: argparse.Namespace, report: Report) -> None:
     A = parse_structure_file(args.file)
     report.add("check", "validate", True)
     is_wa = _classify_into(report, A, args.elements_mode)
     if args.laws:
         if not is_wa:
             report.add("laws", "precondition-wa", False, "law suite needs a WA input")
-            return report
+            return
         for res in elementary_law_suite(A):
             report.add("laws", res.name, res.holds, str(res.witness or ""))
-    return report
 
 
 def _represent_pipeline(
@@ -119,8 +120,7 @@ def _represent_pipeline(
         report.info(f"final.image.{A.atom_name(a)}", shown + more)
 
 
-def cmd_represent(args: argparse.Namespace) -> Report:
-    report = Report()
+def cmd_represent(args: argparse.Namespace, report: Report) -> None:
     A = parse_structure_file(args.file)
     rep = classify(A)
     if not rep.is_wa:
@@ -130,14 +130,12 @@ def cmd_represent(args: argparse.Namespace) -> Report:
             False,
             "not weakly associative; failed: " + ", ".join(rep.failed_names()),
         )
-        return report
+        return
     report.add("represent", "precondition-wa", True)
     _represent_pipeline(report, A, args.passes, args.depth, args.seed)
-    return report
 
 
-def cmd_enumerate(args: argparse.Namespace) -> Report:
-    report = Report()
+def cmd_enumerate(args: argparse.Namespace, report: Report) -> None:
     summary, wa_structures = summarize(args.atoms, mod_iso=args.mod_iso)
     report.info("enumerate.total", summary.total)
     report.info("enumerate.wa", summary.wa)
@@ -148,7 +146,7 @@ def cmd_enumerate(args: argparse.Namespace) -> Report:
     chain_ok = summary.ra <= summary.sa <= summary.wa
     report.add("enumerate", "classification-chain", chain_ok)
     if args.classify_only or not args.pipeline:
-        return report
+        return
     for i, A in enumerate(wa_structures):
         S = build_suitable(A)
         ok = all(c.holds for c in check_suitable(S))
@@ -157,7 +155,6 @@ def cmd_enumerate(args: argparse.Namespace) -> Report:
         ok = ok and all(c.holds for c in check_functions(S))
         ok = ok and all(c.holds for c in reduct.check_reduct_isomorphism(A, S))
         report.add("pipeline", f"wa-{i:04d}", ok)
-    return report
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -193,11 +190,20 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     started = time.monotonic()
+    report = Report()
     try:
-        report = args.func(args)
+        args.func(args, report)
     except (ParseError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except GuardExceeded as exc:
+        report.add(args.command, "budget", False, str(exc))
+        code = 3
+    except (labelling.ConsistencyError, reduct.LabelDisagreement) as exc:
+        report.add(args.command, "internal", False, str(exc))
+        code = 4
+    else:
+        code = 0 if report.ok else 1
     if args.timings:
         report.info("timing.total_seconds", f"{time.monotonic() - started:.3f}")
     text = report.render()
@@ -205,7 +211,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return 0 if report.ok else 1
+    return code
 
 
 if __name__ == "__main__":

@@ -14,11 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable, Iterator, Mapping, Optional
 
 from .core import AtomStructure, ClassReport, GuardExceeded, classify, validate_atom_structure
 
 BinRel = FrozenSet[tuple[int, int]]
+PairLabels = Mapping[tuple[int, int], int]
+Successors = dict[int, dict[int, int]]
+Triangle = tuple[int, int, int, int, int, int]
 
 MATERIALIZE_GUARD = 6
 CLOSURE_GUARD = 1 << 16
@@ -205,6 +208,48 @@ def generate_subalgebra(A: ConcreteAlgebra, gens: Iterable[BinRel]) -> ConcreteA
     return ConcreteAlgebra(A.universe, A.unit, frozenset(seen))
 
 
+# ---------------------------------------------------------------------------
+# Labelled point pairs
+
+
+def successors(label: PairLabels) -> Successors:
+    """Index a pair labelling by source point: ``succ[u][v]`` is the
+    label of ``(u, v)``.  Each row lists its targets in increasing
+    order, so a walk along ``succ[v]`` meets third points least first."""
+    succ: Successors = {}
+    for (u, v), a in sorted(label.items()):
+        succ.setdefault(u, {})[v] = a
+    return succ
+
+
+def triangles(label: PairLabels, succ: Successors) -> Iterator[Triangle]:
+    """Every triangle ``(u, v, w, a, b, c)`` of a pair labelling: the
+    pairs (u, v), (v, w) and (u, w) are labelled a, b and c.
+
+    Pairs (u, v) come in label order and, for each, third points w in
+    increasing order.  Exact: the walk follows adjacency, w ranging over
+    ``succ[v]``, so it costs one lookup per labelled path u -> v -> w.
+    """
+    for (u, v), a in label.items():
+        su = succ[u]
+        for w, b in succ.get(v, {}).items():
+            c = su.get(w)
+            if c is not None:
+                yield u, v, w, a, b, c
+
+
+def composition_violation(
+    label: PairLabels, succ: Successors, comp_atoms: tuple[tuple[int, ...], ...]
+) -> Optional[tuple[int, int, int]]:
+    """The first triangle ``(u, v, w)``, in :func:`triangles` order,
+    whose labels break ``c <= a ; b``; None when every triangle keeps
+    the bound."""
+    for u, v, w, a, b, c in triangles(label, succ):
+        if not (1 << c) & comp_atoms[a][b]:
+            return (u, v, w)
+    return None
+
+
 def image_atom_structure(
     A: AtomStructure, images: dict[int, BinRel], unit: BinRel
 ) -> AtomStructure:
@@ -214,8 +259,10 @@ def image_atom_structure(
     must partition the unit.  Composition facts of the rebuilt
     structure are read off the relations: (a, b, c) is a fact when the
     image of c meets the composition of the images of a and b inside
-    the unit.  When the map is an embedding this reproduces the
-    original structure exactly.
+    the unit, that is, when some triangle of the labelling carries the
+    labels (a, b, c).  Exact: every triangle is enumerated through
+    adjacency (:func:`triangles`).  When the map is an embedding this
+    reproduces the original structure exactly.
     """
     n = A.atom_count
     if set(images) != set(range(n)):
@@ -235,11 +282,6 @@ def image_atom_structure(
         if b is None:
             raise ValueError(f"converse image of atom {a} is not an atom image")
         conv[a] = b
-    facts = []
-    for a in range(n):
-        for b in range(n):
-            comp = rel_compose(images[a], images[b]) & unit
-            for c in range(n):
-                if images[c] & comp:
-                    facts.append((a, b, c))
+    label = {pr: a for a in range(n) for pr in images[a]}
+    facts = {(a, b, c) for _, _, _, a, b, c in triangles(label, successors(label))}
     return validate_atom_structure(n, ident, conv, facts, names=A.names or None)

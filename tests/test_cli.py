@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from warel import cli, labelling, reduct
+
 ROOT = Path(__file__).resolve().parents[1]
 STRUCTURES = ROOT / "structures"
 
@@ -96,3 +98,32 @@ def test_enumerate_pipeline_small():
     assert out.returncode == 0
     assert out.stdout.count("= fail") == 0
     assert "pipeline.wa-0000 = pass" in out.stdout
+
+
+def test_budget_exceeded_is_a_fail_line(tmp_path):
+    big = tmp_path / "big.alg"
+    names = " ".join(f"x{i}" for i in range(1, 25))
+    big.write_text(f"atoms: e {names}\nidentity: e\nfacts:\n  e <= e ; e\noptions: autoclose\n")
+    out = run_cli("check", str(big), "--elements-mode")
+    assert out.returncode == 3
+    assert "check.budget = fail" in out.stdout
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [
+        ("warel.labelling.saturate", labelling.ConsistencyError),
+        ("warel.reduct.build_pair_structure", reduct.LabelDisagreement),
+    ],
+)
+def test_internal_error_is_a_fail_line(monkeypatch, capsys, target, error):
+    def broken(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(target, broken)
+    code = cli.main(["represent", str(STRUCTURES / "a2.alg"), "--passes", "1", "--depth", "2"])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "represent.precondition-wa = pass" in out
+    assert out.endswith("represent.internal = fail\nwitness: forced\n")

@@ -1,0 +1,254 @@
+"""The adjacency-indexed composition checks against brute-force scans.
+
+The reference functions below scan every point for every labelled pair,
+or compose whole atom images, exactly as the checks did before they
+walked triangles through adjacency.  On small random label maps,
+consistent or deliberately corrupted, the indexed checks must return
+the same ``(name, holds, detail)``.
+"""
+
+import re
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from warel import labelling as lb
+from warel import reduct
+from warel.core import classify, validate_atom_structure
+from warel.relset import (
+    Universe,
+    atom_structure_of_relativization,
+    image_atom_structure,
+    rel_compose,
+    rel_inverse,
+)
+
+# ---------------------------------------------------------------------------
+# Reference scans: O(pairs x points) and O(atoms^2) relation compositions
+
+
+def ref_final_upper(A, label):
+    pts_in_unit = {u for u, _ in label} | {v for _, v in label}
+    comp = A.comp_atoms
+    bad = None
+    for (u, v), a in label.items():
+        for w in pts_in_unit:
+            b = label.get((v, w))
+            if b is None:
+                continue
+            c = label.get((u, w))
+            if c is None:
+                continue
+            if not (1 << c) & comp[a][b]:
+                bad = (u, v, w)
+                break
+        if bad:
+            break
+    return ("composition-upper-exact", bad is None, str(bad or ""))
+
+
+def ref_final_lower(A, label, bound, pair_min_length):
+    pts_in_unit = {u for u, _ in label} | {v for _, v in label}
+    checked = 0
+    excluded = 0
+    bad = None
+    for (u, v), c in sorted(label.items()):
+        if pair_min_length[(u, v)] + 1 > bound:
+            excluded += 1
+            continue
+        checked += 1
+        for b, cc in A.factor_pairs[c]:
+            hit = False
+            for w in pts_in_unit:
+                if label.get((u, w)) != b:
+                    continue
+                if label.get((w, v)) == cc:
+                    hit = True
+                    break
+            if not hit:
+                bad = (u, c, v, b, cc)
+                break
+        if bad:
+            break
+    return (
+        "composition-lower-nonfrontier",
+        bad is None,
+        f"checked={checked} excluded={excluded}" + ("" if bad is None else f" missing={bad}"),
+    )
+
+
+def ref_labelling_upper(ls):
+    A = ls.algebra
+    bad = None
+    for (u, w), a in ls.label.items():
+        for v in ls.points():
+            b = ls.label.get((w, v))
+            if b is None:
+                continue
+            cl = ls.label.get((u, v))
+            if cl is None:
+                continue
+            if not (1 << cl) & A.comp_atoms[a][b]:
+                bad = (u, w, v)
+                break
+        if bad:
+            break
+    return ("composition-upper", bad is None, "" if bad is None else f"triangle {bad}")
+
+
+def ref_element_composition(ls):
+    A = ls.algebra
+    rep = lb.build_representation(ls)
+    for x in A.elements():
+        fx = rep.pairs(x)
+        for y in A.elements():
+            fy = rep.pairs(y)
+            composed = frozenset((u, w2) for u, v in fx for v2, w2 in fy if v2 == v)
+            if not (composed & rep.unit) <= rep.pairs(A.compose(x, y)):
+                return False
+    return True
+
+
+def ref_image_atom_structure(A, images, unit):
+    n = A.atom_count
+    ident = [a for a in range(n) if all(u == v for u, v in images[a])]
+    inv_index = {rel_inverse(images[a]): a for a in range(n)}
+    conv = {}
+    for a in range(n):
+        b = inv_index.get(images[a])
+        if b is None:
+            raise ValueError(f"converse image of atom {a} is not an atom image")
+        conv[a] = b
+    facts = []
+    for a in range(n):
+        for b in range(n):
+            comp = rel_compose(images[a], images[b]) & unit
+            for c in range(n):
+                if images[c] & comp:
+                    facts.append((a, b, c))
+    return validate_atom_structure(n, ident, conv, facts, names=A.names or None)
+
+
+# ---------------------------------------------------------------------------
+# Random label maps over at most six points
+
+
+def _model_label(A, u, v):
+    """The a2 complete graph (e on the diagonal, d elsewhere) or the
+    pentagon's strict order (r upwards, s downwards)."""
+    if u == v:
+        return 0
+    if A.atom_count == 2:
+        return 1
+    return 1 if u < v else 2
+
+
+@st.composite
+def label_maps(draw, A):
+    n = draw(st.integers(1, 6))
+    square = [(u, v) for u in range(n) for v in range(n)]
+    atoms = st.integers(0, A.atom_count - 1)
+    if draw(st.booleans()):
+        label = {pr: draw(atoms) for pr in square if draw(st.booleans())}
+    else:
+        edges = [(u, v) for u, v in square if u < v]
+        dropped = draw(st.sets(st.sampled_from(edges))) if edges else set()
+        label = {
+            (u, v): _model_label(A, u, v)
+            for u, v in square
+            if (min(u, v), max(u, v)) not in dropped
+        }
+        for pr, a in draw(st.lists(st.tuples(st.sampled_from(square), atoms), max_size=3)):
+            label[pr] = a
+    order = draw(st.permutations(sorted(label)))
+    return {pr: label[pr] for pr in order}
+
+
+def _system(A, label, stages):
+    ls = lb.LabellingSystem(A)
+    ls.stage = dict(enumerate(stages))
+    ls.passes_done = 2
+    for (u, v), a in label.items():
+        ls.label[(u, v)] = a
+        ls.out_index.setdefault((u, a), []).append(v)
+        ls.in_index.setdefault((v, a), []).append(u)
+    return ls
+
+
+def _by_name(results):
+    return {r.name: (r.name, r.holds, r.detail) for r in results}
+
+
+@pytest.fixture(scope="module", params=["a2", "pentagon"])
+def algebra(request):
+    return request.getfixturevalue(request.param)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_final_representation_matches_reference(algebra, data):
+    A = algebra
+    label = data.draw(label_maps(A))
+    bound = data.draw(st.integers(1, 4))
+    min_length = {pr: data.draw(st.integers(1, 4)) for pr in sorted(label)}
+    universe = SimpleNamespace(bound=bound, pair_min_length=min_length)
+    _, checks = reduct.final_representation(A, SimpleNamespace(label=label, universe=universe))
+    got = _by_name(checks)
+    assert got["composition-upper-exact"] == ref_final_upper(A, label)
+    assert got["composition-lower-nonfrontier"] == ref_final_lower(A, label, bound, min_length)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_labelling_checks_match_reference(algebra, data):
+    A = algebra
+    label = data.draw(label_maps(A))
+    n = 1 + max(max(pr) for pr in label) if label else 1
+    stages = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    ls = _system(A, label, stages)
+    stage_bound = data.draw(st.integers(0, 2))
+    upper = ref_labelling_upper(ls)
+    certified = _by_name(lb.verify_representation(ls, stage_bound, mode="certified"))
+    assert certified["composition-upper"] == upper
+    full = _by_name(lb.verify_representation(ls, stage_bound, mode="full"))
+    holds = ref_element_composition(ls) and upper[1]
+    assert full["composition-upper"] == ("composition-upper", holds, "")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_image_atom_structure_matches_reference(algebra, data):
+    A = algebra
+    label = data.draw(label_maps(A))
+    images = {a: frozenset(pr for pr, b in label.items() if b == a) for a in range(A.atom_count)}
+    unit = frozenset(label)
+    try:
+        want = ref_image_atom_structure(A, images, unit)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
+            image_atom_structure(A, images, unit)
+        return
+    got = image_atom_structure(A, images, unit)
+    assert (got.identity, got.converse, got.cycles) == (want.identity, want.converse, want.cycles)
+
+
+@st.composite
+def relativizing_units(draw):
+    """Symmetric units on at most three points, reflexive on their field."""
+    n = draw(st.integers(1, 3))
+    field = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    edges = [(u, v) for u in field for v in field if u < v]
+    chosen = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    unit = {(p, p) for p in field} | chosen | {(v, u) for u, v in chosen}
+    return Universe(n), frozenset(unit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relativizing_units())
+def test_image_atom_structure_round_trips_relativizations(drawn):
+    universe, unit = drawn
+    A, pairs = atom_structure_of_relativization(universe, unit)
+    assert classify(A).is_wa
+    rebuilt = image_atom_structure(A, {i: frozenset({p}) for i, p in enumerate(pairs)}, unit)
+    assert (rebuilt.identity, rebuilt.converse, rebuilt.cycles) == (A.identity, A.converse, A.cycles)
