@@ -27,9 +27,10 @@ from .cylindric import (
     check_na3,
     check_orbit_partition,
 )
-from .enumerate import enumerate_structures, summarize
+from .enumerate import summarize
 from .fileformat import ParseError, Report, parse_structure_file
 from .laws import elementary_law_suite
+from .relset import Network, image_atom_structure
 from .suitable import build_suitable, check_suitable
 from .trails import build_universe
 
@@ -54,8 +55,14 @@ def cmd_check(args: argparse.Namespace, report: Report) -> None:
         if not is_wa:
             report.add("laws", "precondition-wa", False, "law suite needs a WA input")
             return
-        for res in elementary_law_suite(A):
-            report.add("laws", res.name, res.holds, str(res.witness or ""))
+        report.extend_results("laws", elementary_law_suite(A))
+
+
+def _report_images(report: Report, stage: str, net: Network) -> None:
+    for a, pairs in enumerate(net.images):
+        shown = " ".join(f"({u},{v})" for u, v in sorted(pairs)[:16])
+        more = "" if len(pairs) <= 16 else f" ... ({len(pairs)} total)"
+        report.info(f"{stage}.image.{net.algebra.atom_name(a)}", shown + more)
 
 
 def _represent_pipeline(
@@ -68,16 +75,9 @@ def _represent_pipeline(
     mode = "full" if len(ls.label) <= 5000 and A.atom_count <= 3 else "certified"
     for res in labelling.verify_representation(ls, stage_bound=passes, mode=mode):
         report.add("labelling", res.name, res.holds, res.detail if not res.holds else "")
-    rep = labelling.build_representation(ls)
-    report.add(
-        "labelling",
-        "unit-symmetric-reflexive",
-        labelling.unit_is_symmetric_reflexive(rep),
-    )
-    for a, pairs in sorted(rep.atom_images().items()):
-        shown = " ".join(f"({u},{v})" for u, v in sorted(pairs)[:16])
-        more = "" if len(pairs) <= 16 else f" ... ({len(pairs)} total)"
-        report.info(f"labelling.image.{A.atom_name(a)}", shown + more)
+    net = Network(A, ls.label)
+    report.add("labelling", "unit-symmetric-reflexive", net.is_symmetric_reflexive())
+    _report_images(report, "labelling", net)
 
     S = build_suitable(A)
     report.info("suitable.carrier", S.size)
@@ -105,7 +105,7 @@ def _represent_pipeline(
     report.extend_results("final", checks)
     report.extend_results("final", [reduct.check_chain_agreement(A, ps)])
     try:
-        rebuilt = reduct.rebuilt_structure(final)
+        rebuilt = image_atom_structure(final)
         same = (
             rebuilt.identity == A.identity
             and rebuilt.converse == A.converse
@@ -114,10 +114,7 @@ def _represent_pipeline(
         report.add("final", "image-structure-matches", same)
     except ValueError as exc:
         report.add("final", "image-structure-matches", False, str(exc))
-    for a, pairs in sorted(final.atom_images().items()):
-        shown = " ".join(f"({u},{v})" for u, v in sorted(pairs)[:16])
-        more = "" if len(pairs) <= 16 else f" ... ({len(pairs)} total)"
-        report.info(f"final.image.{A.atom_name(a)}", shown + more)
+    _report_images(report, "final", final)
 
 
 def cmd_represent(args: argparse.Namespace, report: Report) -> None:

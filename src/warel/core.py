@@ -398,7 +398,17 @@ def check_equation(
 
 
 # ---------------------------------------------------------------------------
-# Classification
+# Check results and classification
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One verdict: a named statement, whether it holds, and a detail
+    (the witness when it fails, a note when it holds)."""
+
+    name: str
+    holds: bool
+    detail: str = ""
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+from .core import CheckResult
 from .suitable import COORDS, SuitableStructure, third_coord
 from .trails import BoundedUniverse
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    holds: bool
-    detail: str = ""
 
 
 def _mask_bits(mask: int) -> Iterator[int]:
@@ -118,13 +112,16 @@ def check_na3(
     )
     out.append(CheckResult("cyl-increasing", bad is None, str(bad or "")))
 
+    # For a singleton x, x & cyl(k, y) is x or 0, so every term of the
+    # singleton instances is read off the singletons' cylindrifications.
+    single_cyl = [[cm.cyl(k, x) for x in singles] for k in COORDS]
     bad = next(
         (
             (k, x, y)
             for k in COORDS
-            for x in singles
-            for y in singles
-            if cm.cyl(k, x & cm.cyl(k, y)) != cm.cyl(k, x) & cm.cyl(k, y)
+            for x, cx in zip(singles, single_cyl[k])
+            for y, cy in zip(singles, single_cyl[k])
+            if (cx if x & cy else 0) != cx & cy
         ),
         None,
     )

@@ -50,6 +50,8 @@ def cycle_orbits(n: int, conv: tuple[int, ...]) -> list[frozenset]:
 
 def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructure]:
     """All validated structures with n atoms under the fixed labelling."""
+    if n < 1:
+        raise ValueError("atom_count must be at least 1")
     if n > ATOM_GUARD:
         raise ValueError(f"exhaustive enumeration capped at {ATOM_GUARD} atoms")
     emitted: set[tuple] = set()

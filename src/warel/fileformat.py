@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import AtomStructure, StructureError, validate_atom_structure
+from .core import AtomStructure, CheckResult, StructureError, validate_atom_structure
 
 SECTIONS = ("atoms", "identity", "converse", "facts", "options")
 
@@ -163,14 +163,11 @@ class Report:
     def info(self, key: str, value) -> None:
         self.lines.append(f"{key} = {value}")
 
-    def extend_results(self, stage: str, results: Iterable) -> None:
+    def extend_results(self, stage: str, results: Iterable[CheckResult]) -> None:
         for r in results:
-            detail = getattr(r, "detail", "") or (
-                "" if r.holds else str(getattr(r, "witness", ""))
-            )
-            self.add(stage, r.name, r.holds, "" if r.holds else detail)
-            if r.holds and detail:
-                self.lines.append(f"note: {detail}")
+            self.add(stage, r.name, r.holds, "" if r.holds else r.detail)
+            if r.holds and r.detail:
+                self.lines.append(f"note: {r.detail}")
 
     @property
     def ok(self) -> bool:

@@ -13,9 +13,10 @@ with atom labels on some ordered point pairs, subject to:
 A flaw is a labelled pair (u, v) with label a <= b ; c but no point w
 with (u, w) labelled b and (w, v) labelled c.  Repairing a flaw adds
 one fresh point and five labels; saturation runs repair passes in a
-fixed order.  The labels of a saturated system then define a map from
-algebra elements to relations over the points which is an embedding up
-to the staged guarantees checked by :func:`verify_representation`.
+fixed order.  The labels of a saturated system form a
+:class:`~warel.relset.Network`, a map from algebra elements to relations
+over the points which is an embedding up to the staged guarantees
+checked by :func:`verify_representation`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .core import AtomStructure, GuardExceeded, classify, iter_bits
-from .relset import Successors, composition_violation, successors
+from .core import AtomStructure, CheckResult, GuardExceeded, classify, iter_bits
+from .relset import Network, rel_inverse
 
 Flaw = tuple[int, int, int, int, int]  # (u, a, v, b, c)
 
@@ -206,162 +207,55 @@ def saturate(
 # The induced representation
 
 
-@dataclass(frozen=True)
-class Representation:
-    system: LabellingSystem
-
-    def pairs(self, element_mask: int) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            pair for pair, a in self.system.label.items() if (1 << a) & element_mask
-        )
-
-    @property
-    def unit(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.system.label)
-
-    def atom_images(self) -> dict[int, frozenset[tuple[int, int]]]:
-        out: dict[int, set[tuple[int, int]]] = {
-            a: set() for a in range(self.system.algebra.atom_count)
-        }
-        for pair, a in self.system.label.items():
-            out[a].add(pair)
-        return {a: frozenset(ps) for a, ps in out.items()}
-
-
-def build_representation(ls: LabellingSystem) -> Representation:
-    return Representation(ls)
+def _full_element_checks(net: Network) -> list[CheckResult]:
+    A = net.algebra
+    els = A.elements()
+    images = [net.pairs(x) for x in els]
+    return [
+        CheckResult(
+            "join-preserved",
+            all(images[x | y] == images[x] | images[y] for x in els for y in els),
+        ),
+        CheckResult(
+            "complement-preserved",
+            all(images[A.full & ~x] == net.unit - images[x] for x in els),
+        ),
+        CheckResult("injective", len(set(images)) == len(images)),
+        CheckResult("identity-to-diagonal", net.identity_is_diagonal()),
+        CheckResult(
+            "converse-preserved",
+            all(images[A.conv_el(x)] == rel_inverse(images[x]) for x in els),
+        ),
+    ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    holds: bool
-    detail: str = ""
-
-
-def _full_element_checks(rep: Representation) -> list[CheckResult]:
-    ls = rep.system
-    A = ls.algebra
-    out = []
-    unit = rep.unit
-    idrel = frozenset((p, p) for p in ls.points())
-
-    ok = all(
-        rep.pairs(x | y) == rep.pairs(x) | rep.pairs(y)
-        for x in A.elements()
-        for y in A.elements()
-    )
-    out.append(CheckResult("join-preserved", ok))
-
-    ok = all(rep.pairs(A.full & ~x) == unit - rep.pairs(x) for x in A.elements())
-    out.append(CheckResult("complement-preserved", ok))
-
-    images = [rep.pairs(x) for x in A.elements()]
-    ok = len(set(images)) == len(images)
-    out.append(CheckResult("injective", ok))
-
-    out.append(CheckResult("identity-to-diagonal", rep.pairs(A.identity) == idrel))
-
-    ok = all(
-        rep.pairs(A.conv_el(x)) == frozenset((v, u) for u, v in rep.pairs(x))
-        for x in A.elements()
-    )
-    out.append(CheckResult("converse-preserved", ok))
-    return out
-
-
-def _certified_element_checks(rep: Representation) -> list[CheckResult]:
+def _certified_element_checks(net: Network) -> list[CheckResult]:
     # Same five statements, decided through their atom-level certificates:
     # labels are functional and total on the unit by construction, so the
     # per-atom image family partitions the unit; each element image is the
     # union of its atoms' images, which settles the join/complement checks
     # for every element pair at once.
-    ls = rep.system
-    A = ls.algebra
-    out = []
-    images = rep.atom_images()
-    total = sum(len(p) for p in images.values())
-    partition_ok = total == len(ls.label)
-    out.append(CheckResult("join-preserved", partition_ok, "via atom partition"))
-    out.append(CheckResult("complement-preserved", partition_ok, "via atom partition"))
-    out.append(
-        CheckResult(
-            "injective",
-            all(images[a] for a in range(A.atom_count)),
-            "every atom image nonempty",
-        )
-    )
-    idrel = frozenset((p, p) for p in ls.points())
-    ident_image = frozenset().union(*(images[e] for e in iter_bits(A.identity)))
-    out.append(CheckResult("identity-to-diagonal", ident_image == idrel))
-    conv_ok = all(
-        images[A.converse[a]] == frozenset((v, u) for u, v in images[a])
-        for a in range(A.atom_count)
-    )
-    out.append(CheckResult("converse-preserved", conv_ok, "per-atom converse"))
-    return out
+    partition_ok = sum(map(len, net.images)) == len(net.unit)
+    return [
+        CheckResult("join-preserved", partition_ok, "via atom partition"),
+        CheckResult("complement-preserved", partition_ok, "via atom partition"),
+        CheckResult("injective", all(net.images), "every atom image nonempty"),
+        CheckResult("identity-to-diagonal", net.identity_is_diagonal()),
+        CheckResult("converse-preserved", net.converse_is_exact(), "per-atom converse"),
+    ]
 
 
-def _composition_checks(
-    rep: Representation, succ: Successors, stage_bound: int
-) -> list[CheckResult]:
-    # Containment of composed images in the image of the composition is
-    # property (v) pointwise; the reverse containment is flaw-freeness,
-    # guaranteed only for pairs whose points predate ``stage_bound``.
-    ls = rep.system
-    A = ls.algebra
-    out = []
-    bad = composition_violation(ls.label, succ, A.comp_atoms)
-    out.append(
-        CheckResult(
-            "composition-upper",
-            bad is None,
-            "" if bad is None else f"triangle {bad}",
-        )
-    )
-
-    checked = 0
-    excluded = 0
-    bad2 = None
-    for (u, v), a in ls.label.items():
-        if ls.stage[u] >= stage_bound or ls.stage[v] >= stage_bound:
-            excluded += 1
-            continue
-        checked += 1
-        for b, c in A.factor_pairs[a]:
-            if not ls.has_witness(u, b, c, v):
-                bad2 = (u, a, v, b, c)
-                break
-        if bad2:
-            break
-    out.append(
-        CheckResult(
-            "composition-lower-staged",
-            bad2 is None,
-            f"checked={checked} excluded={excluded}"
-            + ("" if bad2 is None else f" flaw={bad2}"),
-        )
-    )
-    return out
-
-
-def _element_composition_holds(rep: Representation, succ: Successors) -> bool:
+def _element_composition_holds(net: Network) -> bool:
     # f(x) ; f(y), cut to the unit, lies in f(x ; y) for every element
-    # pair (x, y); the pairs (u, w) of f(x) ; f(y) are reached from each
-    # (u, v) in f(x) along succ[v], keeping the steps labelled in y.
-    A = rep.system.algebra
+    # pair (x, y): the pairs of f(x) ; f(y) inside the unit are the third
+    # sides of triangles labelled (a, b, c) with a <= x and b <= y.
+    A = net.algebra
     for x in A.elements():
-        fx = rep.pairs(x)
         for y in A.elements():
             target = A.compose(x, y)
-            for u, v in fx:
-                su = succ[u]
-                for w, b in succ.get(v, {}).items():
-                    if not (1 << b) & y:
-                        continue
-                    c = su.get(w)
-                    if c is not None and not (1 << c) & target:
-                        return False
+            for a, b, c in net.facts:
+                if (1 << a) & x and (1 << b) & y and not (1 << c) & target:
+                    return False
     return True
 
 
@@ -373,40 +267,42 @@ def verify_representation(
     and the reverse composition containment on pairs whose points were
     created before ``stage_bound``.
 
-    Composition upper containment is exact in both modes: every
-    triangle is enumerated through adjacency, the third point ranging
-    over ``succ[v]``, one lookup per labelled path.  ``mode='full'``
-    also decides join and composition for each of the 4**atoms element
-    pairs, and complement, injectivity and converse for each element;
-    composition follows adjacency from every pair of f(x).
-    ``mode='certified'`` decides the same statements through their
-    per-atom certificates, one pass over the labels.  The reverse
-    containment looks up each pair's factor pairs in the system's
-    (point, atom) indices.
+    Composition upper containment is exact in both modes, decided on
+    the label triples of every triangle (``Network.facts``).
+    ``mode='full'`` also decides join and composition for each of the
+    4**atoms element pairs, and complement, injectivity and converse
+    for each element.  ``mode='certified'`` decides the same statements
+    through their per-atom certificates.  The reverse containment is
+    ``Network.lower_scan`` with the stage bound as exclusion.
     """
     if stage_bound > ls.passes_done:
         raise ValueError(
             f"stage bound {stage_bound} exceeds completed passes {ls.passes_done}"
         )
-    rep = build_representation(ls)
-    succ = successors(ls.label)
+    net = Network(ls.algebra, ls.label)
     if mode == "full":
-        out = _full_element_checks(rep)
-        ok = _element_composition_holds(rep, succ)
-        staged = _composition_checks(rep, succ, stage_bound)
-        out.append(CheckResult("composition-upper", ok and staged[0].holds))
-        out.append(staged[1])
+        out = _full_element_checks(net)
+        out.append(CheckResult("composition-upper", _element_composition_holds(net)))
     elif mode == "certified":
-        out = _certified_element_checks(rep)
-        out.extend(_composition_checks(rep, succ, stage_bound))
+        out = _certified_element_checks(net)
+        bad = net.upper_violation()
+        out.append(
+            CheckResult(
+                "composition-upper", bad is None, "" if bad is None else f"triangle {bad}"
+            )
+        )
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    stage = ls.stage
+    checked, excluded, flaw = net.lower_scan(
+        lambda u, v: stage[u] >= stage_bound or stage[v] >= stage_bound
+    )
+    out.append(
+        CheckResult(
+            "composition-lower-staged",
+            flaw is None,
+            f"checked={checked} excluded={excluded}"
+            + ("" if flaw is None else f" flaw={flaw}"),
+        )
+    )
     return tuple(out)
-
-
-def unit_is_symmetric_reflexive(rep: Representation) -> bool:
-    unit = rep.unit
-    pts = rep.system.points()
-    if frozenset((v, u) for u, v in unit) != unit:
-        return False
-    return all((p, p) in unit for p in pts)

@@ -13,10 +13,9 @@ suite is for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Optional
 
-from .core import AtomStructure, GuardExceeded, classify, iter_bits
+from .core import AtomStructure, CheckResult, GuardExceeded, classify, iter_bits
 
 SUBSET_GUARD = 12
 
@@ -393,14 +392,7 @@ LAWS: tuple[Law, ...] = (
 LAW_INDEX = {law.name: law for law in LAWS}
 
 
-@dataclass(frozen=True)
-class LawResult:
-    name: str
-    holds: bool
-    witness: Optional[dict[str, int]]
-
-
-def elementary_law_suite(A: AtomStructure, require_wa: bool = True) -> tuple[LawResult, ...]:
+def elementary_law_suite(A: AtomStructure, require_wa: bool = True) -> tuple[CheckResult, ...]:
     """Run every law; raises if the structure is not WA (the suite is
     only claimed for WA inputs) unless ``require_wa`` is off."""
     if require_wa:
@@ -413,5 +405,5 @@ def elementary_law_suite(A: AtomStructure, require_wa: bool = True) -> tuple[Law
     results = []
     for law in LAWS:
         w = law.check(A)
-        results.append(LawResult(law.name, w is None, w))
+        results.append(CheckResult(law.name, w is None, str(w or "")))
     return tuple(results)

@@ -9,21 +9,21 @@ last coordinate sits below it.
 Over a bounded trail universe, every ordered pair of points occurring
 in a reachable coordinate triple gets a well-defined atom label, the
 pair set splits into identity, descent and base pairs, and the label
-map turns algebra elements into relations over points.  The resulting
-map is checked to be a Boolean embedding respecting identity,
-converse, and composition up to the frontier, which is the bounded
-form of the full representation theorem.
+map, a :class:`~warel.relset.Network`, turns algebra elements into
+relations over points.  The resulting map is checked to be a Boolean
+embedding respecting identity, converse, and composition up to the
+frontier, which is the bounded form of the full representation
+theorem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
-from .core import AtomStructure, iter_bits
-from .cylindric import CheckResult, ComplexAlgebra
-from .relset import composition_violation, image_atom_structure, successors
+from .core import AtomStructure, CheckResult, iter_bits
+from .cylindric import ComplexAlgebra
+from .relset import Network
 from .suitable import COORDS, SuitableStructure
 from .trails import BoundedUniverse, Trail
 
@@ -426,109 +426,43 @@ def check_replacement_closure(ps: PairStructure) -> tuple[CheckResult, ...]:
 # The final representation over points
 
 
-@dataclass
-class FinalRepresentation:
-    A: AtomStructure
-    ps: PairStructure
-
-    @cached_property
-    def unit(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.ps.label)
-
-    def pairs(self, element_mask: int) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            pr for pr, a in self.ps.label.items() if (1 << a) & element_mask
-        )
-
-    def atom_images(self) -> dict[int, frozenset[tuple[int, int]]]:
-        out: dict[int, set[tuple[int, int]]] = {
-            a: set() for a in range(self.A.atom_count)
-        }
-        for pr, a in self.ps.label.items():
-            out[a].add(pr)
-        return {a: frozenset(v) for a, v in out.items()}
-
-
 def final_representation(
     A: AtomStructure, ps: PairStructure
-) -> tuple[FinalRepresentation, tuple[CheckResult, ...]]:
+) -> tuple[Network, tuple[CheckResult, ...]]:
     """Build the point representation and verify it.
 
     Exactly checked: the unit is symmetric and reflexive on its field,
-    atom images partition it, identity goes to the diagonal, and
-    converse to relational inverse.  Composition upper containment
-    (composed images stay below the image of the composition) is exact:
-    every triangle u -> v -> w with (u, w) labelled is enumerated
-    through adjacency, costing one lookup per labelled path.  The
-    reverse containment is checked for pairs whose shortest witness
-    leaves one step of headroom (the middle point comes from a one-step
-    trail extension): each such (u, v) walks its out-neighbours w once
-    to collect the label pairs realized through a middle point.
-    Exclusions are counted.
+    atom images partition it, identity goes to the diagonal, converse
+    to relational inverse, and composition upper containment (composed
+    images stay below the image of the composition) over every
+    triangle.  The reverse containment is checked for pairs whose
+    shortest witness leaves one step of headroom (the middle point
+    comes from a one-step trail extension); exclusions are counted.
     """
-    rep = FinalRepresentation(A, ps)
+    net = Network(A, ps.label)
     uni = ps.universe
-    out: list[CheckResult] = []
-
-    unit = rep.unit
-    sym = all((v, u) in unit for (u, v) in unit)
-    pts_in_unit = {u for u, _ in unit} | {v for _, v in unit}
-    refl = all((p, p) in unit for p in pts_in_unit)
-    out.append(CheckResult("unit-symmetric-reflexive", sym and refl, f"|unit|={len(unit)}"))
-
-    images = rep.atom_images()
-    nonempty = all(images[a] for a in range(A.atom_count))
-    total = sum(len(v) for v in images.values())
-    out.append(
+    total = sum(map(len, net.images))
+    bad = net.upper_violation()
+    checked, excluded, missing = net.lower_scan(
+        lambda u, v: uni.pair_min_length[(u, v)] + 1 > uni.bound
+    )
+    return net, (
         CheckResult(
-            "atom-images-partition", nonempty and total == len(unit), f"{total} pairs"
-        )
-    )
-
-    diag = frozenset((p, p) for p in pts_in_unit)
-    out.append(CheckResult("identity-to-diagonal", rep.pairs(A.identity) == diag))
-
-    conv_ok = all(
-        images[A.converse[a]] == frozenset((v, u) for u, v in images[a])
-        for a in range(A.atom_count)
-    )
-    out.append(CheckResult("converse-exact", conv_ok))
-
-    succ = successors(ps.label)
-    bad = composition_violation(ps.label, succ, A.comp_atoms)
-    out.append(CheckResult("composition-upper-exact", bad is None, str(bad or "")))
-
-    bound = uni.bound
-    checked = 0
-    excluded = 0
-    bad = None
-    for (u, v), c in sorted(ps.label.items()):
-        if uni.pair_min_length[(u, v)] + 1 > bound:
-            excluded += 1
-            continue
-        checked += 1
-        through = {(b, succ.get(w, {}).get(v)) for w, b in succ[u].items()}
-        for b, cc in A.factor_pairs[c]:
-            if (b, cc) not in through:
-                bad = (u, c, v, b, cc)
-                break
-        if bad:
-            break
-    out.append(
+            "unit-symmetric-reflexive", net.is_symmetric_reflexive(), f"|unit|={len(net.unit)}"
+        ),
+        CheckResult(
+            "atom-images-partition", all(net.images) and total == len(net.unit), f"{total} pairs"
+        ),
+        CheckResult("identity-to-diagonal", net.identity_is_diagonal()),
+        CheckResult("converse-exact", net.converse_is_exact()),
+        CheckResult("composition-upper-exact", bad is None, str(bad or "")),
         CheckResult(
             "composition-lower-nonfrontier",
-            bad is None,
+            missing is None,
             f"checked={checked} excluded={excluded}"
-            + ("" if bad is None else f" missing={bad}"),
-        )
+            + ("" if missing is None else f" missing={missing}"),
+        ),
     )
-    return rep, tuple(out)
-
-
-def rebuilt_structure(rep: FinalRepresentation) -> AtomStructure:
-    """Atom structure read back off the representation's atom images;
-    equal to the source structure when the representation embeds it."""
-    return image_atom_structure(rep.A, rep.atom_images(), rep.unit)
 
 
 def check_chain_agreement(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Optional, Sequence
 
-from .core import AtomStructure, Triple, classify
+from .core import AtomStructure, CheckResult, Triple, classify
 
 COORDS = (0, 1, 2)
 
@@ -118,19 +118,12 @@ def build_suitable(A: AtomStructure) -> SuitableStructure:
     )
 
 
-@dataclass(frozen=True)
-class SuitableCheck:
-    name: str
-    holds: bool
-    witness: str = ""
-
-
-def check_suitable(S: SuitableStructure) -> tuple[SuitableCheck, ...]:
+def check_suitable(S: SuitableStructure) -> tuple[CheckResult, ...]:
     """Exhaustive verification of the five suitable-structure axioms."""
-    out: list[SuitableCheck] = []
+    out: list[CheckResult] = []
 
     # (i) is structural for this representation: tkey/e_masks are total.
-    out.append(SuitableCheck("components-well-typed", True))
+    out.append(CheckResult("components-well-typed", True))
 
     # (ii) coordinate keys induce equivalences: structural as well, but
     # verified explicitly through block membership.
@@ -143,18 +136,18 @@ def check_suitable(S: SuitableStructure) -> tuple[SuitableCheck, ...]:
         for k in COORDS
         for i in range(S.size)
     )
-    out.append(SuitableCheck("coordinate-equivalences", ok))
+    out.append(CheckResult("coordinate-equivalences", ok))
 
-    witness = ""
+    detail = ""
     ok = True
     for k in COORDS:
         if S.e_masks[k][k] != S.full_mask:
             ok = False
-            witness = f"diagonal subset {k}{k} is not the whole carrier"
+            detail = f"diagonal subset {k}{k} is not the whole carrier"
             break
-    out.append(SuitableCheck("diagonal-subsets-full", ok, witness))
+    out.append(CheckResult("diagonal-subsets-full", ok, detail))
 
-    witness = ""
+    detail = ""
     ok = True
     for k in COORDS:
         for l in COORDS:
@@ -166,15 +159,15 @@ def check_suitable(S: SuitableStructure) -> tuple[SuitableCheck, ...]:
                 if lhs != rhs:
                     ok = False
                     diff = (lhs ^ rhs).bit_length() - 1
-                    witness = f"subset ({k},{l}) via {m}: differs at element {diff}"
+                    detail = f"subset ({k},{l}) via {m}: differs at element {diff}"
                     break
             if not ok:
                 break
         if not ok:
             break
-    out.append(SuitableCheck("saturation-identity", ok, witness))
+    out.append(CheckResult("saturation-identity", ok, detail))
 
-    witness = ""
+    detail = ""
     ok = True
     for k in COORDS:
         for l in COORDS:
@@ -187,7 +180,7 @@ def check_suitable(S: SuitableStructure) -> tuple[SuitableCheck, ...]:
                 for j in range(i + 1, S.size):
                     if (mask >> j) & 1 and S.related(k, i, j):
                         ok = False
-                        witness = f"elements {i},{j} both in subset ({k},{l}) and {k}-related"
+                        detail = f"elements {i},{j} both in subset ({k},{l}) and {k}-related"
                         break
                 if not ok:
                     break
@@ -195,7 +188,7 @@ def check_suitable(S: SuitableStructure) -> tuple[SuitableCheck, ...]:
                 break
         if not ok:
             break
-    out.append(SuitableCheck("subset-rigidity", ok, witness))
+    out.append(CheckResult("subset-rigidity", ok, detail))
     return tuple(out)
 
 

@@ -93,6 +93,13 @@ def test_enumerate_counts():
     assert "enumerate.classification-chain = pass" in out.stdout
 
 
+def test_enumerate_rejects_negative_atom_count():
+    out = run_cli("enumerate", "--atoms", "-1")
+    assert out.returncode == 2
+    assert "atom_count must be at least 1" in out.stderr
+    assert out.stdout == ""
+
+
 def test_enumerate_pipeline_small():
     out = run_cli("enumerate", "--atoms", "2", "--pipeline")
     assert out.returncode == 0

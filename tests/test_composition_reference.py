@@ -17,6 +17,7 @@ from warel import labelling as lb
 from warel import reduct
 from warel.core import classify, validate_atom_structure
 from warel.relset import (
+    Network,
     Universe,
     atom_structure_of_relativization,
     image_atom_structure,
@@ -97,9 +98,32 @@ def ref_labelling_upper(ls):
     return ("composition-upper", bad is None, "" if bad is None else f"triangle {bad}")
 
 
+def ref_labelling_lower(ls, stage_bound):
+    A = ls.algebra
+    checked = 0
+    excluded = 0
+    bad = None
+    for (u, v), a in sorted(ls.label.items()):
+        if ls.stage[u] >= stage_bound or ls.stage[v] >= stage_bound:
+            excluded += 1
+            continue
+        checked += 1
+        for b, c in A.factor_pairs[a]:
+            if not ls.has_witness(u, b, c, v):
+                bad = (u, a, v, b, c)
+                break
+        if bad:
+            break
+    return (
+        "composition-lower-staged",
+        bad is None,
+        f"checked={checked} excluded={excluded}" + ("" if bad is None else f" flaw={bad}"),
+    )
+
+
 def ref_element_composition(ls):
     A = ls.algebra
-    rep = lb.build_representation(ls)
+    rep = Network(A, ls.label)
     for x in A.elements():
         fx = rep.pairs(x)
         for y in A.elements():
@@ -209,11 +233,14 @@ def test_labelling_checks_match_reference(algebra, data):
     ls = _system(A, label, stages)
     stage_bound = data.draw(st.integers(0, 2))
     upper = ref_labelling_upper(ls)
+    lower = ref_labelling_lower(ls, stage_bound)
     certified = _by_name(lb.verify_representation(ls, stage_bound, mode="certified"))
     assert certified["composition-upper"] == upper
+    assert certified["composition-lower-staged"] == lower
     full = _by_name(lb.verify_representation(ls, stage_bound, mode="full"))
     holds = ref_element_composition(ls) and upper[1]
     assert full["composition-upper"] == ("composition-upper", holds, "")
+    assert full["composition-lower-staged"] == lower
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,9 +254,9 @@ def test_image_atom_structure_matches_reference(algebra, data):
         want = ref_image_atom_structure(A, images, unit)
     except ValueError as exc:
         with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
-            image_atom_structure(A, images, unit)
+            image_atom_structure(Network(A, label))
         return
-    got = image_atom_structure(A, images, unit)
+    got = image_atom_structure(Network(A, label))
     assert (got.identity, got.converse, got.cycles) == (want.identity, want.converse, want.cycles)
 
 
@@ -250,5 +277,5 @@ def test_image_atom_structure_round_trips_relativizations(drawn):
     universe, unit = drawn
     A, pairs = atom_structure_of_relativization(universe, unit)
     assert classify(A).is_wa
-    rebuilt = image_atom_structure(A, {i: frozenset({p}) for i, p in enumerate(pairs)}, unit)
+    rebuilt = image_atom_structure(Network(A, {p: i for i, p in enumerate(pairs)}))
     assert (rebuilt.identity, rebuilt.converse, rebuilt.cycles) == (A.identity, A.converse, A.cycles)

@@ -2,6 +2,7 @@ import pytest
 
 from warel import labelling as lb
 from warel.core import validate_atom_structure
+from warel.relset import Network
 
 
 def test_initial_system_sizes(a1, a2, two_identities):
@@ -123,26 +124,26 @@ def test_verify_modes_agree(a2, pentagon):
 
 def test_representation_images(a1, a2):
     ls = lb.saturate(lb.initial_system(a1), 1)
-    rep = lb.build_representation(ls)
+    rep = Network(a1, ls.label)
     assert rep.pairs(0) == frozenset()
     assert rep.pairs(a1.identity) == frozenset({(0, 0)})
     assert rep.unit == frozenset({(0, 0)})
 
     ls2 = lb.saturate(lb.initial_system(a2), 1)
-    rep2 = lb.build_representation(ls2)
+    rep2 = Network(a2, ls2.label)
     assert {(0, 1), (1, 0)} <= rep2.pairs(2)
-    assert lb.unit_is_symmetric_reflexive(rep2)
+    assert rep2.is_symmetric_reflexive()
     assert rep2.pairs(a2.identity) == frozenset((p, p) for p in ls2.points())
 
 
 def test_unit_symmetric_reflexive_after_saturation(pentagon):
     ls = lb.saturate(lb.initial_system(pentagon), 2)
-    assert lb.unit_is_symmetric_reflexive(lb.build_representation(ls))
+    assert Network(pentagon, ls.label).is_symmetric_reflexive()
 
 
 def test_every_nonzero_element_has_pairs_after_one_pass(a2, pentagon):
     for A in (a2, pentagon):
         ls = lb.saturate(lb.initial_system(A), 1)
-        rep = lb.build_representation(ls)
+        rep = Network(A, ls.label)
         for x in range(1, 1 << A.atom_count):
             assert rep.pairs(x), x

@@ -2,6 +2,7 @@ import pytest
 
 from warel import reduct
 from warel.core import mask_of
+from warel.relset import image_atom_structure
 from warel.suitable import build_suitable
 from warel.trails import build_universe
 
@@ -156,7 +157,7 @@ def test_rebuilt_structure_matches(a1, a2, pentagon):
         uni = build_universe(S, L)
         ps = reduct.build_pair_structure(A, uni)
         final, _ = reduct.final_representation(A, ps)
-        rb = reduct.rebuilt_structure(final)
+        rb = image_atom_structure(final)
         assert rb.cycles == A.cycles
         assert rb.identity == A.identity
         assert rb.converse == A.converse

@@ -3,6 +3,7 @@ import pytest
 from warel.core import GuardExceeded, classify
 from warel.relset import (
     ConcreteAlgebra,
+    Network,
     Universe,
     atom_structure_of_relativization,
     build_re,
@@ -121,15 +122,8 @@ def test_atom_structure_of_relativization_roundtrip():
     A, pairs = atom_structure_of_relativization(U, e)
     assert A.atom_count == 4
     assert classify(A).is_ra
-    images = {i: frozenset({p}) for i, p in enumerate(pairs)}
-    rebuilt = image_atom_structure(A, images, e)
+    rebuilt = image_atom_structure(Network(A, {p: i for i, p in enumerate(pairs)}))
     assert rebuilt.cycles == A.cycles
     assert rebuilt.identity == A.identity
     assert rebuilt.converse == A.converse
 
-
-def test_image_atom_structure_rejects_non_partition(a2):
-    with pytest.raises(ValueError, match="partition"):
-        image_atom_structure(
-            a2, {0: rel([(0, 0)]), 1: rel([(0, 0)])}, rel([(0, 0)])
-        )

@@ -62,7 +62,7 @@ def test_check_flags_asymmetric_subsets(a2):
     )
     names = {c.name: c for c in check_suitable(bad)}
     assert not names["saturation-identity"].holds
-    assert names["saturation-identity"].witness
+    assert names["saturation-identity"].detail
 
 
 def test_check_vacuous_on_empty_carrier():
