@@ -22,7 +22,7 @@ checked by :func:`verify_representation`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import AtomStructure, CheckResult, GuardExceeded, classify, iter_bits
 from .relset import Network, rel_inverse
@@ -50,10 +50,6 @@ class LabellingSystem:
 
     def point_count(self) -> int:
         return len(self.stage)
-
-    def triples(self) -> Iterator[tuple[int, int, int]]:
-        for (u, v), a in self.label.items():
-            yield (u, a, v)
 
     def _add_point(self, stage: int) -> int:
         pid = len(self.stage)
@@ -224,7 +220,7 @@ def _full_element_checks(net: Network) -> list[CheckResult]:
         CheckResult("identity-to-diagonal", net.identity_is_diagonal()),
         CheckResult(
             "converse-preserved",
-            all(images[A.conv_el(x)] == rel_inverse(images[x]) for x in els),
+            all(images[A.conv_table[x]] == rel_inverse(images[x]) for x in els),
         ),
     ]
 
@@ -250,9 +246,10 @@ def _element_composition_holds(net: Network) -> bool:
     # pair (x, y): the pairs of f(x) ; f(y) inside the unit are the third
     # sides of triangles labelled (a, b, c) with a <= x and b <= y.
     A = net.algebra
+    C = A.comp_table
     for x in A.elements():
         for y in A.elements():
-            target = A.compose(x, y)
+            target = C[x][y]
             for a, b, c in net.facts:
                 if (1 << a) & x and (1 << b) & y and not (1 << c) & target:
                     return False

@@ -3,11 +3,16 @@
 Thirty-three consequences of the defining axioms, each checked over the
 quantifier range on which it is stated: most range over all elements,
 the atom laws over atoms only, and the two complete-additivity laws
-over all subsets of the atom set (guarded, since that range is 2**n).
-The whole suite is expected to pass on any structure whose complex
-algebra classifies as WA; a failure therefore indicates either a
-non-WA input or an implementation bug, which is exactly what the
-suite is for.
+over all subsets of the atom set.  The whole suite is expected to pass
+on any structure whose complex algebra classifies as WA; a failure
+therefore indicates either a non-WA input or an implementation bug,
+which is exactly what the suite is for.
+
+Every law reads composition and converse off the structure's element
+tables (``AtomStructure.comp_table`` and ``conv_table``) instead of
+lifting them from atoms per call.  The one guard is the table's: above
+``core.TABLE_GUARD`` (10) atoms, :func:`elementary_law_suite` raises
+``GuardExceeded`` before its first sweep.
 """
 
 from __future__ import annotations
@@ -15,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import AtomStructure, CheckResult, GuardExceeded, classify, iter_bits
-
-SUBSET_GUARD = 12
+from .core import AtomStructure, CheckResult, classify, iter_bits
 
 Witness = Optional[dict[str, int]]
 
@@ -38,111 +41,137 @@ def _atoms(A: AtomStructure) -> list[int]:
     return [1 << a for a in range(A.atom_count)]
 
 
+def _dom_rng(A: AtomStructure) -> tuple[list[int], list[int]]:
+    """Per element x: dom x = x;x~.1' and rng x = x~;x.1'."""
+    C, V, ident = A.comp_table, A.conv_table, A.identity
+    dom = [C[x][V[x]] & ident for x in _els(A)]
+    rng = [C[V[x]][x] & ident for x in _els(A)]
+    return dom, rng
+
+
 def _law_conv_identity(A: AtomStructure) -> Witness:
-    return None if A.conv_el(A.identity) == A.identity else {}
+    return None if A.conv_table[A.identity] == A.identity else {}
 
 
 def _law_conv_top(A: AtomStructure) -> Witness:
-    return None if A.conv_el(A.full) == A.full else {}
+    return None if A.conv_table[A.full] == A.full else {}
 
 
 def _law_conv_zero(A: AtomStructure) -> Witness:
-    return None if A.conv_el(0) == 0 else {}
+    return None if A.conv_table[0] == 0 else {}
 
 
 def _law_conv_monotone(A: AtomStructure) -> Witness:
+    V = A.conv_table
     for x in _els(A):
+        vx = V[x]
         for y in _els(A):
-            if x | y == y and A.conv_el(x) | A.conv_el(y) != A.conv_el(y):
+            if x | y == y and vx | V[y] != V[y]:
                 return {"x": x, "y": y}
     return None
 
 
 def _law_comp_monotone_left(A: AtomStructure) -> Witness:
+    C = A.comp_table
     for x in _els(A):
+        cx = C[x]
         for y in _els(A):
             if x | y != y:
                 continue
+            cy = C[y]
             for z in _els(A):
-                if A.compose(x, z) | A.compose(y, z) != A.compose(y, z):
+                if cx[z] | cy[z] != cy[z]:
                     return {"x": x, "y": y, "z": z}
     return None
 
 
 def _law_comp_additive_right(A: AtomStructure) -> Witness:
+    C = A.comp_table
     for z in _els(A):
+        cz = C[z]
         for x in _els(A):
             for y in _els(A):
-                if A.compose(z, x | y) != A.compose(z, x) | A.compose(z, y):
+                if cz[x | y] != cz[x] | cz[y]:
                     return {"x": x, "y": y, "z": z}
     return None
 
 
 def _law_comp_monotone_right(A: AtomStructure) -> Witness:
+    C = A.comp_table
     for x in _els(A):
         for y in _els(A):
             if x | y != y:
                 continue
             for z in _els(A):
-                if A.compose(z, x) | A.compose(z, y) != A.compose(z, y):
+                cz = C[z]
+                if cz[x] | cz[y] != cz[y]:
                     return {"x": x, "y": y, "z": z}
     return None
 
 
 def _law_zero_right(A: AtomStructure) -> Witness:
+    C = A.comp_table
     for x in _els(A):
-        if A.compose(x, 0) != 0:
+        if C[x][0] != 0:
             return {"x": x}
     return None
 
 
 def _law_zero_left(A: AtomStructure) -> Witness:
+    c0 = A.comp_table[0]
     for x in _els(A):
-        if A.compose(0, x) != 0:
+        if c0[x] != 0:
             return {"x": x}
     return None
 
 
 def _law_identity_left(A: AtomStructure) -> Witness:
+    c1 = A.comp_table[A.identity]
     for x in _els(A):
-        if A.compose(A.identity, x) != x:
+        if c1[x] != x:
             return {"x": x}
     return None
 
 
 def _law_peirce_absorption(A: AtomStructure) -> Witness:
     # x;y . z  =  x;(y . x~;z) . z  =  (x . z;y~);y . z
+    C, V = A.comp_table, A.conv_table
     for x in _els(A):
-        xc = A.conv_el(x)
+        cx, cxc = C[x], C[V[x]]
         for y in _els(A):
+            xy, yc = cx[y], V[y]
             for z in _els(A):
-                base = A.compose(x, y) & z
-                mid = A.compose(x, y & A.compose(xc, z)) & z
-                left = A.compose(x & A.compose(z, A.conv_el(y)), y) & z
+                base = xy & z
+                mid = cx[y & cxc[z]] & z
+                left = C[x & C[z][yc]][y] & z
                 if base != mid or base != left:
                     return {"x": x, "y": y, "z": z}
     return None
 
 
 def _law_peirce_left_bound(A: AtomStructure) -> Witness:
+    C, V = A.comp_table, A.conv_table
     for x in _els(A):
-        xc = A.conv_el(x)
+        cx, cxc = C[x], C[V[x]]
         for y in _els(A):
+            xy = cx[y]
             for z in _els(A):
-                lhs = A.compose(x, y) & z
-                rhs = A.compose(x, y & A.compose(xc, z))
+                lhs = xy & z
+                rhs = cx[y & cxc[z]]
                 if lhs | rhs != rhs:
                     return {"x": x, "y": y, "z": z}
     return None
 
 
 def _law_peirce_right_bound(A: AtomStructure) -> Witness:
+    C, V = A.comp_table, A.conv_table
     for x in _els(A):
-        xc = A.conv_el(x)
+        xc = V[x]
         for y in _els(A):
+            yx = C[y][x]
             for z in _els(A):
-                lhs = A.compose(y, x) & z
-                rhs = A.compose(y & A.compose(z, xc), x)
+                lhs = yx & z
+                rhs = C[y & C[z][xc]][x]
                 if lhs | rhs != rhs:
                     return {"x": x, "y": y, "z": z}
     return None
@@ -150,22 +179,26 @@ def _law_peirce_right_bound(A: AtomStructure) -> Witness:
 
 def _law_cycle_shift_left(A: AtomStructure) -> Witness:
     # x;y . z != 0  implies  y . x~;z != 0
+    C, V = A.comp_table, A.conv_table
     for x in _els(A):
-        xc = A.conv_el(x)
+        cx, cxc = C[x], C[V[x]]
         for y in _els(A):
+            xy = cx[y]
             for z in _els(A):
-                if A.compose(x, y) & z and not (y & A.compose(xc, z)):
+                if xy & z and not (y & cxc[z]):
                     return {"x": x, "y": y, "z": z}
     return None
 
 
 def _law_cycle_shift_right(A: AtomStructure) -> Witness:
     # y;x . z != 0  implies  y . z;x~ != 0
+    C, V = A.comp_table, A.conv_table
     for x in _els(A):
-        xc = A.conv_el(x)
+        xc = V[x]
         for y in _els(A):
+            yx = C[y][x]
             for z in _els(A):
-                if A.compose(y, x) & z and not (y & A.compose(z, xc)):
+                if yx & z and not (y & C[z][xc]):
                     return {"x": x, "y": y, "z": z}
     return None
 
@@ -175,45 +208,50 @@ def _subidentities(A: AtomStructure) -> list[int]:
 
 
 def _law_subid_meet_compose(A: AtomStructure) -> Witness:
-    for u in _subidentities(A):
-        for v in _subidentities(A):
-            if u & v != A.compose(u, v):
+    C = A.comp_table
+    subs = _subidentities(A)
+    for u in subs:
+        for v in subs:
+            if u & v != C[u][v]:
                 return {"u": u, "v": v}
     return None
 
 
 def _law_subid_below_converse(A: AtomStructure) -> Witness:
+    V = A.conv_table
     for u in _subidentities(A):
-        if u | A.conv_el(u) != A.conv_el(u):
+        if u | V[u] != V[u]:
             return {"u": u}
     return None
 
 
 def _law_subid_self_converse(A: AtomStructure) -> Witness:
+    V = A.conv_table
     for u in _subidentities(A):
-        if A.conv_el(u) != u:
+        if V[u] != u:
             return {"u": u}
     return None
 
 
 def _law_subid_compose_meet(A: AtomStructure) -> Witness:
     # u <= 1'  implies  u;x = x . u;1
+    C = A.comp_table
     for u in _subidentities(A):
-        u1 = A.compose(u, A.full)
+        cu = C[u]
+        u1 = cu[A.full]
         for x in _els(A):
-            if A.compose(u, x) != x & u1:
+            if cu[x] != x & u1:
                 return {"u": u, "x": x}
     return None
 
 
 def _law_conv_completely_additive(A: AtomStructure) -> Witness:
-    if A.atom_count > SUBSET_GUARD:
-        raise GuardExceeded("subset law capped at 12 atoms")
+    V = A.conv_table
     for xm in _els(A):
         acc = 0
         for a in iter_bits(xm):
-            acc |= A.conv_el(1 << a)
-        if A.conv_el(xm) != acc:
+            acc |= V[1 << a]
+        if V[xm] != acc:
             return {"X": xm}
     return None
 
@@ -221,39 +259,41 @@ def _law_conv_completely_additive(A: AtomStructure) -> Witness:
 def _law_comp_completely_additive(A: AtomStructure) -> Witness:
     # z;(sum X) = sum of z;x over x in X, z ranging over atoms (both
     # sides are additive in z, so atoms decide the element law).
-    if A.atom_count > SUBSET_GUARD:
-        raise GuardExceeded("subset law capped at 12 atoms")
+    C = A.comp_table
     for z in _atoms(A):
+        cz = C[z]
         for xm in _els(A):
             acc = 0
             for a in iter_bits(xm):
-                acc |= A.compose(z, 1 << a)
-            if A.compose(z, xm) != acc:
+                acc |= cz[1 << a]
+            if cz[xm] != acc:
                 return {"z": z, "X": xm}
     return None
 
 
 def _law_atom_converse_atom(A: AtomStructure) -> Witness:
+    V = A.conv_table
     for x in _atoms(A):
-        if bin(A.conv_el(x)).count("1") != 1:
+        if bin(V[x]).count("1") != 1:
             return {"x": x}
     return None
 
 
 def _law_cycle_law(A: AtomStructure) -> Witness:
     # For atoms the six rotations of z <= x;y are equivalent.
+    C = A.comp_table
     for xi in range(A.atom_count):
         for yi in range(A.atom_count):
             for zi in range(A.atom_count):
                 x, y, z = 1 << xi, 1 << yi, 1 << zi
                 xc, yc, zc = (1 << A.converse[i] for i in (xi, yi, zi))
                 forms = [
-                    bool(A.compose(x, y) & z),
-                    bool(A.compose(xc, z) & y),
-                    bool(A.compose(y, zc) & xc),
-                    bool(A.compose(yc, xc) & zc),
-                    bool(A.compose(zc, x) & yc),
-                    bool(A.compose(z, yc) & x),
+                    bool(C[x][y] & z),
+                    bool(C[xc][z] & y),
+                    bool(C[y][zc] & xc),
+                    bool(C[yc][xc] & zc),
+                    bool(C[zc][x] & yc),
+                    bool(C[z][yc] & x),
                 ]
                 if len(set(forms)) != 1:
                     return {"x": x, "y": y, "z": z}
@@ -261,94 +301,113 @@ def _law_cycle_law(A: AtomStructure) -> Witness:
 
 
 def _law_dom_rng_definitions(A: AtomStructure) -> Witness:
+    dom, rng = _dom_rng(A)
     for x in _els(A):
-        if A.dom_el(x) != A.compose(x, A.conv_el(x)) & A.identity:
+        if A.dom_el(x) != dom[x]:
             return {"x": x}
-        if A.rng_el(x) != A.compose(A.conv_el(x), x) & A.identity:
+        if A.rng_el(x) != rng[x]:
             return {"x": x}
     return None
 
 
 def _law_dom_rng_converse_swap(A: AtomStructure) -> Witness:
+    V = A.conv_table
+    dom, rng = _dom_rng(A)
     for x in _els(A):
-        xc = A.conv_el(x)
-        if A.dom_el(xc) != A.rng_el(x) or A.rng_el(xc) != A.dom_el(x):
+        xc = V[x]
+        if dom[xc] != rng[x] or rng[xc] != dom[x]:
             return {"x": x}
     return None
 
 
 def _law_dom_rng_absorption(A: AtomStructure) -> Witness:
+    C = A.comp_table
+    dom, rng = _dom_rng(A)
     for x in _els(A):
-        if A.compose(A.dom_el(x), x) != x or A.compose(x, A.rng_el(x)) != x:
+        if C[dom[x]][x] != x or C[x][rng[x]] != x:
             return {"x": x}
     return None
 
 
 def _law_subid_own_domain(A: AtomStructure) -> Witness:
+    dom, rng = _dom_rng(A)
     for u in _subidentities(A):
-        if A.dom_el(u) != u or A.rng_el(u) != u:
+        if dom[u] != u or rng[u] != u:
             return {"u": u}
     return None
 
 
 def _law_subid_left_associates(A: AtomStructure) -> Witness:
+    C = A.comp_table
     for u in _subidentities(A):
+        cu = C[u]
         for x in _els(A):
-            ux = A.compose(u, x)
+            cux, cx = C[cu[x]], C[x]
             for y in _els(A):
-                if A.compose(ux, y) != A.compose(u, A.compose(x, y)):
+                if cux[y] != cu[cx[y]]:
                     return {"u": u, "x": x, "y": y}
     return None
 
 
 def _law_subid_middle_associates(A: AtomStructure) -> Witness:
+    C = A.comp_table
     for u in _subidentities(A):
+        cu = C[u]
         for x in _els(A):
-            xu = A.compose(x, u)
+            cx = C[x]
+            cxu = C[cx[u]]
             for y in _els(A):
-                lhs = A.compose(xu, y)
-                rhs = A.compose(x, A.compose(u, y))
+                lhs = cxu[y]
+                rhs = cx[cu[y]]
                 if lhs | rhs != rhs:
                     return {"u": u, "x": x, "y": y}
     return None
 
 
 def _law_subid_merge(A: AtomStructure) -> Witness:
-    for u in _subidentities(A):
-        for v in _subidentities(A):
-            uv = u & v
+    C = A.comp_table
+    subs = _subidentities(A)
+    for u in subs:
+        for v in subs:
+            cv, cuv = C[v], C[u & v]
             for x in _els(A):
-                xu = A.compose(x, u)
+                cx = C[x]
+                cxu = C[cx[u]]
                 for y in _els(A):
-                    lhs = A.compose(xu, A.compose(v, y))
-                    rhs = A.compose(x, A.compose(uv, y))
+                    lhs = cxu[cv[y]]
+                    rhs = cx[cuv[y]]
                     if lhs | rhs != rhs:
                         return {"u": u, "v": v, "x": x, "y": y}
     return None
 
 
 def _law_atom_dom_rng_atoms(A: AtomStructure) -> Witness:
+    dom, rng = _dom_rng(A)
     for x in _atoms(A):
-        if bin(A.dom_el(x)).count("1") != 1 or bin(A.rng_el(x)).count("1") != 1:
+        if bin(dom[x]).count("1") != 1 or bin(rng[x]).count("1") != 1:
             return {"x": x}
     return None
 
 
 def _law_range_meets_domain(A: AtomStructure) -> Witness:
     # atoms x, y with x;y != 0  imply  rng x = dom y
+    C = A.comp_table
+    dom, rng = _dom_rng(A)
     for x in _atoms(A):
         for y in _atoms(A):
-            if A.compose(x, y) and A.rng_el(x) != A.dom_el(y):
+            if C[x][y] and rng[x] != dom[y]:
                 return {"x": x, "y": y}
     return None
 
 
 def _law_subid_forces_domain(A: AtomStructure) -> Witness:
     # identity atom u and atom x with u;x != 0  imply  u = dom x
+    C = A.comp_table
+    dom, _ = _dom_rng(A)
     for ui in iter_bits(A.identity):
         u = 1 << ui
         for x in _atoms(A):
-            if A.compose(u, x) and u != A.dom_el(x):
+            if C[u][x] and u != dom[x]:
                 return {"u": u, "x": x}
     return None
 
@@ -402,6 +461,9 @@ def elementary_law_suite(A: AtomStructure, require_wa: bool = True) -> tuple[Che
                 "law suite requires a WA structure; failed axioms: "
                 + ", ".join(report.failed_names())
             )
+    # Every composition law reads A.comp_table; building it first applies
+    # its atom guard before any 4**n sweep starts.
+    A.comp_table
     results = []
     for law in LAWS:
         w = law.check(A)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,22 @@ def test_budget_exceeded_is_a_fail_line(tmp_path):
     assert out.returncode == 3
     assert "check.budget = fail" in out.stdout
     assert "Traceback" not in out.stderr
+
+
+def test_law_suite_above_table_guard_is_a_fail_line(tmp_path, capsys):
+    # 11 identity atoms, each only e;e = e: WA, but 4**11 element pairs
+    names = " ".join(f"e{i}" for i in range(11))
+    facts = "".join(f"  e{i} <= e{i} ; e{i}\n" for i in range(11))
+    big = tmp_path / "diag11.alg"
+    big.write_text(f"atoms: {names}\nidentity: {names}\nfacts:\n{facts}")
+    started = time.monotonic()
+    code = cli.main(["check", str(big), "--laws"])
+    elapsed = time.monotonic() - started
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "classify.isWA = yes" in out
+    assert "check.budget = fail" in out
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(

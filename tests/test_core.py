@@ -159,3 +159,25 @@ def test_composition_monotone_random(seed, n):
         assert A.compose(x, z) | A.compose(y, z) == A.compose(y, z)
         assert A.compose(z, x) | A.compose(z, y) == A.compose(z, y)
         assert A.conv_el(x) | A.conv_el(y) == A.conv_el(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=structure_seeds, n=st.integers(min_value=1, max_value=4))
+def test_element_tables_match_definitions(seed, n):
+    A = sample_structure(n, random.Random(seed))
+    C, V = A.comp_table, A.conv_table
+    assert len(C) == len(V) == 1 << n
+    for x in A.elements():
+        assert V[x] == A.conv_el(x)
+        for y in A.elements():
+            assert C[x][y] == A.compose(x, y), (x, y)
+
+
+def test_comp_table_guarded_above_ten_atoms():
+    from warel.core import TABLE_GUARD, GuardExceeded
+
+    assert TABLE_GUARD == 10
+    n = TABLE_GUARD + 1
+    A = validate_atom_structure(n, range(n), {}, [(e, e, e) for e in range(n)])
+    with pytest.raises(GuardExceeded):
+        A.comp_table

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warel.core import classify, mask_of, validate_atom_structure
-from warel.enumerate import sample_structure
+from warel.enumerate import enumerate_structures, sample_structure
 from warel.laws import LAW_INDEX, LAWS, elementary_law_suite
 
 
@@ -71,3 +72,24 @@ def test_suite_passes_on_sampled_wa(seed):
             for res in elementary_law_suite(A):
                 assert res.holds, res
             return
+
+
+# sha256 of repr((name, holds, detail)) over every law line of the suite,
+# recorded with the per-call compose/conv_el loops the tables replaced;
+# 508 of the lines fail and carry a witness.
+LAW_LINES_DIGEST = "9f85c608e53ccdfc971c99428cc64908a73b68823efcd8a64ee59bd757aadded"
+
+
+def test_law_verdicts_and_witnesses_golden():
+    rng = random.Random(7)
+    structures = list(enumerate_structures(2))
+    structures += [sample_structure(3, rng) for _ in range(30)]
+    assert len(structures) == 82
+    h = hashlib.sha256()
+    failing = 0
+    for A in structures:
+        for res in elementary_law_suite(A, require_wa=False):
+            h.update(repr((res.name, res.holds, res.detail)).encode())
+            failing += not res.holds
+    assert failing == 508
+    assert h.hexdigest() == LAW_LINES_DIGEST
