@@ -193,11 +193,21 @@ class AtomStructure:
     def rng_el(self, xm: int) -> int:
         return self.compose(self.conv_el(xm), xm) & self.identity
 
+    @cached_property
+    def atom_domains(self) -> tuple[int, ...]:
+        """atom_domains[a] == dom_el(1 << a) for every atom a."""
+        return tuple(self.dom_el(1 << a) for a in range(self.atom_count))
+
+    @cached_property
+    def atom_ranges(self) -> tuple[int, ...]:
+        """atom_ranges[a] == rng_el(1 << a) for every atom a."""
+        return tuple(self.rng_el(1 << a) for a in range(self.atom_count))
+
     def dom_atom(self, a: int) -> int:
-        return self.dom_el(1 << a)
+        return self.atom_domains[a]
 
     def rng_atom(self, a: int) -> int:
-        return self.rng_el(1 << a)
+        return self.atom_ranges[a]
 
     def elements(self) -> range:
         return range(1 << self.atom_count)

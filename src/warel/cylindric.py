@@ -126,13 +126,15 @@ def check_na3(
         None,
     )
     if bad is None:
+        sampled = subsets[len(singles) :]
+        sampled_cyl = [[cm.cyl(k, x) for x in sampled] for k in COORDS]
         bad = next(
             (
                 (k, x, y)
                 for k in COORDS
-                for x in subsets[len(singles) :]
-                for y in subsets[len(singles) :]
-                if cm.cyl(k, x & cm.cyl(k, y)) != cm.cyl(k, x) & cm.cyl(k, y)
+                for x, cx in zip(sampled, sampled_cyl[k])
+                for y, cy in zip(sampled, sampled_cyl[k])
+                if cm.cyl(k, x & cy) != cx & cy
             ),
             None,
         )
@@ -427,12 +429,17 @@ def check_complex_vs_relativized(
     frontier_mask = 0
     for trip in frontier:
         frontier_mask |= 1 << rc.index[trip]
+    # rc.cyl is a join over blocks, hence additive: rc.cyl(k, image(x))
+    # is the join of the cylindrified orbit masks of the bits of x
+    atom_cyl = [[rc.cyl(k, m) for m in atom_masks] for k in COORDS]
     bad = None
     excluded = 0
     for k in COORDS:
         for x in subsets:
             lhs = image(cm.cyl(k, x))
-            rhs = rc.cyl(k, image(x))
+            rhs = 0
+            for i in _mask_bits(x):
+                rhs |= atom_cyl[k][i]
             if rhs & ~lhs:
                 bad = ("inward", k, x)
                 break

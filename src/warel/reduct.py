@@ -25,7 +25,7 @@ from .core import AtomStructure, CheckResult, iter_bits
 from .cylindric import ComplexAlgebra
 from .relset import Network
 from .suitable import COORDS, SuitableStructure
-from .trails import BoundedUniverse, Trail
+from .trails import BoundedUniverse
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +168,16 @@ class PairStructure:
 
     @cached_property
     def xi_of(self) -> dict[int, frozenset[tuple[int, int]]]:
+        """Each point's pairs to the other repointings of its own trail,
+        read off the recorded triple of that trail's spine."""
         uni = self.universe
         out: dict[int, frozenset[tuple[int, int]]] = {}
-        for pt in uni.by_id:
+        for pt, trip in zip(uni.by_id, uni.own_triples):
             if pt.length == 1:
                 out[pt.pid] = frozenset()
                 continue
-            p = pt.trail
-            k = p.pointer
-            partners = set()
-            for l in COORDS:
-                if l != k:
-                    partners.add(uni.point_of(p.repoint(l)).pid)
-            out[pt.pid] = frozenset((pt.pid, q) for q in partners)
+            k = pt.trail.pointer
+            out[pt.pid] = frozenset((pt.pid, trip[l]) for l in COORDS if l != k)
         return out
 
 
@@ -230,9 +227,8 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> PairStructur
             ps.xi_pairs.add(pr)
             ps.xi_pairs.add((pr[1], pr[0]))
 
-    S = uni.S
     ident = A.identity
-    for i, t in enumerate(S.elements):
+    for t, base in zip(uni.S.elements, uni.base_triples):
         for k in COORDS:
             for l in COORDS:
                 if k == l:
@@ -240,10 +236,7 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> PairStructur
                 m = 3 - k - l
                 if (1 << t[m]) & ident:
                     continue
-                base = Trail((i,), (), 0)
-                pu = uni.point_of(base.repoint(k)).pid
-                pv = uni.point_of(base.repoint(l)).pid
-                ps.base_pairs.add((pu, pv))
+                ps.base_pairs.add((base[k], base[l]))
 
     for trip in sorted(uni.triples):
         ps.lem9_kind[trip] = _classify_triple_kind(ps, trip)

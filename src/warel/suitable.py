@@ -80,6 +80,40 @@ class SuitableStructure:
     def in_e(self, i: int, k: int, l: int) -> bool:
         return bool((self.e_masks[k][l] >> i) & 1)
 
+    def swaps(self, i: int, p: int) -> tuple[int, ...]:
+        """The indices l != p with i in E(l, p) or E(p, l): the pointer
+        swaps licensed at element i."""
+        return tuple(
+            l for l in COORDS if l != p and (self.in_e(i, l, p) or self.in_e(i, p, l))
+        )
+
+    @cached_property
+    def least_repoint(self) -> tuple[tuple[int, ...], ...]:
+        """least_repoint[i][p]: the least licensed swap of p at i, or -1."""
+        return tuple(
+            tuple(min(self.swaps(i, p), default=-1) for p in COORDS)
+            for i in range(self.size)
+        )
+
+    @cached_property
+    def least_reachable(self) -> tuple[tuple[int, ...], ...]:
+        """least_reachable[i][p]: the least index reachable from p by a
+        chain of swaps licensed at i."""
+        out = []
+        for i in range(self.size):
+            row = []
+            for p in COORDS:
+                reach = {p}
+                todo = [p]
+                while todo:
+                    for l in self.swaps(i, todo.pop()):
+                        if l not in reach:
+                            reach.add(l)
+                            todo.append(l)
+                row.append(min(reach))
+            out.append(tuple(row))
+        return tuple(out)
+
     def t_star(self, k: int, mask: int) -> int:
         out = 0
         for key, block in self.blocks[k].items():

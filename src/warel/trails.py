@@ -12,11 +12,14 @@ sequence.  Three rewrite moves generate an equivalence on trails:
       the distinguished subset for (l, p).
 
 Each class contains a unique fully reduced trail, computed here by a
-fixed deterministic strategy and cross-checked by randomized rule
-order in the tests.  Points of the represented universe are these
-classes; the bounded universe collects all points and all coordinate
-triples reachable by trails up to a length cap, marking data whose
-only witnesses sit at the cap as frontier.
+fixed deterministic strategy (round-trip deletion, then chopping and
+repointing read from per-element tables of the suitable structure) and
+cross-checked by randomized rule order in the tests.  Points of the
+represented universe are these classes; the bounded universe collects
+all points and all coordinate triples reachable by trails up to a
+length cap, marking data whose only witnesses sit at the cap as
+frontier.  Its walk covers only round-trip-free spines: a round trip
+repeats the classes of a shorter spine, so those spines add nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 from .core import GuardExceeded
 from .suitable import COORDS, SuitableStructure
@@ -91,17 +94,23 @@ def _delete_round_trips(nodes: list[int], steps: list[int]) -> None:
             i += 1
 
 
-def _min_reachable_pointer(S: SuitableStructure, node: int, pointer: int) -> int:
-    reach = {pointer}
-    changed = True
-    while changed:
-        changed = False
-        for p in tuple(reach):
-            for l in COORDS:
-                if l not in reach and (S.in_e(node, l, p) or S.in_e(node, p, l)):
-                    reach.add(l)
-                    changed = True
-    return min(reach)
+def _settle(
+    S: SuitableStructure, nodes: Sequence[int], steps: Sequence[int], pointer: int
+) -> Trail:
+    # chop and repoint a trail free of round trips until neither applies,
+    # then minimize the pointer of a length-one trail over all reachable
+    # indices; both moves read per-element tables of the structure
+    repoint = S.least_repoint
+    n = len(nodes)
+    while n > 1:
+        if steps[n - 2] != pointer:
+            n -= 1
+            continue
+        l = repoint[nodes[n - 1]][pointer]
+        if l < 0:
+            return Trail(tuple(nodes[:n]), tuple(steps[: n - 1]), pointer)
+        pointer = l
+    return Trail((nodes[0],), (), S.least_reachable[nodes[0]][pointer])
 
 
 def reduce_trail(S: SuitableStructure, p: Trail) -> Trail:
@@ -109,32 +118,14 @@ def reduce_trail(S: SuitableStructure, p: Trail) -> Trail:
 
     Strategy: round-trip deletions to a fixpoint, then alternately
     delete the last element (when its incoming index differs from the
-    pointer) and repoint (when the last element lies in a subset that
-    licenses it), and finally minimize the pointer of a length-one
-    trail over all reachable indices.
+    pointer) and repoint to the least index licensed at the last
+    element, and finally minimize the pointer of a length-one trail
+    over all reachable indices.
     """
     nodes = list(p.nodes)
     steps = list(p.steps)
-    pointer = p.pointer
     _delete_round_trips(nodes, steps)
-    while len(nodes) > 1:
-        if steps[-1] != pointer:
-            del nodes[-1]
-            del steps[-1]
-            continue
-        cands = [
-            l
-            for l in COORDS
-            if l != pointer
-            and (S.in_e(nodes[-1], l, pointer) or S.in_e(nodes[-1], pointer, l))
-        ]
-        if cands:
-            pointer = min(cands)
-            continue
-        break
-    if len(nodes) == 1:
-        pointer = _min_reachable_pointer(S, nodes[0], pointer)
-    return Trail(tuple(nodes), tuple(steps), pointer)
+    return _settle(S, nodes, steps, p.pointer)
 
 
 def is_reduced(S: SuitableStructure, p: Trail) -> bool:
@@ -263,6 +254,10 @@ class BoundedUniverse:
     by_id: list[Point] = field(default_factory=list)
     triples: dict[tuple[int, int, int], TripleInfo] = field(default_factory=dict)
     pair_min_length: dict[tuple[int, int], int] = field(default_factory=dict)
+    # own_triples[pid]: the triple of the spine of the point's reduced
+    # trail; base_triples[t]: the triple of the length-one spine at t
+    own_triples: list[tuple[int, int, int]] = field(default_factory=list)
+    base_triples: list[tuple[int, int, int]] = field(default_factory=list)
     spines_seen: int = 0
 
     def intern(self, reduced: Trail) -> Point:
@@ -279,12 +274,6 @@ class BoundedUniverse:
         if pt is None:
             raise GuardExceeded("trail reduces outside the bounded universe")
         return pt
-
-    def triple_of(self, nodes: tuple[int, ...], steps: tuple[int, ...]) -> tuple[int, int, int]:
-        return tuple(
-            self.intern(reduce_trail(self.S, Trail(nodes, steps, k))).pid
-            for k in COORDS
-        )  # type: ignore[return-value]
 
     @cached_property
     def orbit_sets(self) -> dict[int, frozenset[tuple[int, int, int]]]:
@@ -306,48 +295,66 @@ def build_universe(
     max_spines: int = 2_000_000,
     max_points: int = 500_000,
 ) -> BoundedUniverse:
-    """Breadth-first generation of every trail up to the length bound.
+    """Breadth-first generation of every round-trip-free trail up to the
+    length bound.
 
     Pointer choice never affects a trail's coordinate triple, so the
-    walk enumerates node/step spines and derives the three repointings
-    of each.  Triples record the shortest witnessing spine; ones seen
-    only at the cap are frontier data.
+    walk enumerates node/step spines and settles the three repointings
+    of each by chopping and repointing.  A spine containing a round trip
+    t -k- s -k- t has the classes of the spine without it, two steps
+    shorter and already walked, so it adds no point, triple or length;
+    the walk never steps straight back along the step it came by, and
+    ``spines_seen`` and ``max_spines`` count round-trip-free spines (a
+    layer that would pass the budget is refused before it is walked).
+    Every point is first met at the spine of its own reduced trail, so
+    the walk records that spine's triple per point, and the length-one
+    triple per carrier element.  Triples record the shortest witnessing
+    spine; ones seen only at the cap are frontier data.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     uni = BoundedUniverse(S, bound)
+    intern, own, pair_min = uni.intern, uni.own_triples, uni.pair_min_length
     layer: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
         ((t,), ()) for t in range(S.size)
     ]
     length = 1
     while layer:
+        uni.spines_seen += len(layer)
+        if uni.spines_seen > max_spines:
+            raise GuardExceeded(f"spine budget {max_spines} exceeded")
         for nodes, steps in layer:
-            uni.spines_seen += 1
-            if uni.spines_seen > max_spines:
-                raise GuardExceeded(f"spine budget {max_spines} exceeded")
-            trip = uni.triple_of(nodes, steps)
-            if len(uni.by_id) > max_points:
-                raise GuardExceeded(f"point budget {max_points} exceeded")
-            if trip not in uni.triples:
+            trip = (
+                intern(_settle(S, nodes, steps, 0)).pid,
+                intern(_settle(S, nodes, steps, 1)).pid,
+                intern(_settle(S, nodes, steps, 2)).pid,
+            )
+            if len(uni.by_id) > len(own):
+                if len(uni.by_id) > max_points:
+                    raise GuardExceeded(f"point budget {max_points} exceeded")
+                own.extend([trip] * (len(uni.by_id) - len(own)))
+            if length == 1:
+                uni.base_triples.append(trip)
+            info = uni.triples.get(trip)
+            if info is None:
                 uni.triples[trip] = TripleInfo(nodes[-1], length)
-            else:
-                info = uni.triples[trip]
-                if info.end != nodes[-1]:
-                    raise AssertionError(
-                        "one coordinate triple reached from two carrier elements"
-                    )
-            for i in trip:
-                for j in trip:
-                    if (i, j) not in uni.pair_min_length:
-                        uni.pair_min_length[(i, j)] = length
+                for i in trip:
+                    for j in trip:
+                        pair_min.setdefault((i, j), length)
+            elif info.end != nodes[-1]:
+                raise AssertionError(
+                    "one coordinate triple reached from two carrier elements"
+                )
         if length == bound:
             break
         nxt = []
         for nodes, steps in layer:
             last = nodes[-1]
+            back = (steps[-1], nodes[-2]) if steps else None
             for k in COORDS:
                 for j in S.neighbors[k][last]:
-                    nxt.append((nodes + (j,), steps + (k,)))
+                    if (k, j) != back:
+                        nxt.append((nodes + (j,), steps + (k,)))
         layer = nxt
         length += 1
     return uni

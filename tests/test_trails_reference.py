@@ -1,0 +1,170 @@
+"""The bounded universe against a walk over every spine.
+
+The reference walk below extends spines by every step, round trips
+included, and reduces each of the three repointings of every spine with
+``reduce_trail``; the pair structure's descent and base pairs are then
+computed through ``point_of``.  The reference reducer is the list-based
+one with scans over the distinguished subsets.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from warel import reduct
+from warel.core import classify
+from warel.enumerate import sample_structure
+from warel.suitable import COORDS, build_suitable
+from warel.trails import (
+    BoundedUniverse,
+    Trail,
+    TripleInfo,
+    build_universe,
+    random_trail,
+    reduce_trail,
+)
+
+
+def ref_reduce(S, p):
+    nodes = list(p.nodes)
+    steps = list(p.steps)
+    pointer = p.pointer
+    i = 0
+    while i <= len(nodes) - 3:
+        if nodes[i] == nodes[i + 2] and steps[i] == steps[i + 1]:
+            del nodes[i + 1 : i + 3]
+            del steps[i : i + 2]
+            i = max(i - 2, 0)
+        else:
+            i += 1
+    while len(nodes) > 1:
+        if steps[-1] != pointer:
+            del nodes[-1]
+            del steps[-1]
+            continue
+        cands = [
+            l
+            for l in COORDS
+            if l != pointer
+            and (S.in_e(nodes[-1], l, pointer) or S.in_e(nodes[-1], pointer, l))
+        ]
+        if cands:
+            pointer = min(cands)
+            continue
+        break
+    if len(nodes) == 1:
+        reach = {pointer}
+        changed = True
+        while changed:
+            changed = False
+            for q in tuple(reach):
+                for l in COORDS:
+                    if l not in reach and (S.in_e(nodes[0], l, q) or S.in_e(nodes[0], q, l)):
+                        reach.add(l)
+                        changed = True
+        pointer = min(reach)
+    return Trail(tuple(nodes), tuple(steps), pointer)
+
+
+def has_round_trip(nodes, steps):
+    return any(
+        nodes[i] == nodes[i + 2] and steps[i] == steps[i + 1]
+        for i in range(len(nodes) - 2)
+    )
+
+
+def ref_universe(S, bound):
+    """Every spine up to the bound; returns the universe and the number
+    of round-trip-free spines among those walked."""
+    uni = BoundedUniverse(S, bound)
+    free = 0
+    layer = [((t,), ()) for t in range(S.size)]
+    length = 1
+    while layer:
+        for nodes, steps in layer:
+            free += not has_round_trip(nodes, steps)
+            trip = tuple(
+                uni.intern(reduce_trail(S, Trail(nodes, steps, k))).pid for k in COORDS
+            )
+            if trip not in uni.triples:
+                uni.triples[trip] = TripleInfo(nodes[-1], length)
+            else:
+                assert uni.triples[trip].end == nodes[-1]
+            for i in trip:
+                for j in trip:
+                    if (i, j) not in uni.pair_min_length:
+                        uni.pair_min_length[(i, j)] = length
+        if length == bound:
+            break
+        layer = [
+            (nodes + (j,), steps + (k,))
+            for nodes, steps in layer
+            for k in COORDS
+            for j in S.neighbors[k][nodes[-1]]
+        ]
+        length += 1
+    return uni, free
+
+
+def ref_xi_of(uni):
+    out = {}
+    for pt in uni.by_id:
+        if pt.length == 1:
+            out[pt.pid] = frozenset()
+            continue
+        p = pt.trail
+        partners = {uni.point_of(p.repoint(l)).pid for l in COORDS if l != p.pointer}
+        out[pt.pid] = frozenset((pt.pid, q) for q in partners)
+    return out
+
+
+def ref_base_pairs(A, uni):
+    out = set()
+    for i, t in enumerate(uni.S.elements):
+        for k in COORDS:
+            for l in COORDS:
+                if k != l and not (1 << t[3 - k - l]) & A.identity:
+                    base = Trail((i,), (), 0)
+                    out.add((uni.point_of(base.repoint(k)).pid, uni.point_of(base.repoint(l)).pid))
+    return out
+
+
+def assert_matches_reference(A, bound):
+    S = build_suitable(A)
+    uni = build_universe(S, bound)
+    ref, free = ref_universe(S, bound)
+    assert uni.spines_seen == free
+    assert uni.by_id == ref.by_id
+    assert uni.triples == ref.triples
+    assert uni.pair_min_length == ref.pair_min_length
+    assert uni.frontier_triples() == ref.frontier_triples()
+    ps = reduct.build_pair_structure(A, uni)
+    assert ps.xi_of == ref_xi_of(ref)
+    assert ps.base_pairs == ref_base_pairs(A, ref)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    which=st.sampled_from(["a2", "pentagon", "sample"]),
+    atoms=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bound=st.integers(min_value=1, max_value=4),
+)
+def test_universe_matches_reference(a2, pentagon, which, atoms, seed, bound):
+    A = {"a2": a2, "pentagon": pentagon}.get(which) or sample_structure(
+        atoms, random.Random(seed)
+    )
+    if classify(A).is_wa:
+        assert_matches_reference(A, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_reduce_trail_matches_list_reducer(a2, pentagon, seed):
+    rng = random.Random(seed)
+    for A in (a2, pentagon):
+        S = build_suitable(A)
+        for _ in range(20):
+            p = random_trail(S, rng, 7)
+            assert reduce_trail(S, p) == ref_reduce(S, p)
