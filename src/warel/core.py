@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -66,6 +66,17 @@ def iter_bits(mask: int) -> Iterator[int]:
             yield i
         mask >>= 1
         i += 1
+
+
+def _join_row(row: Sequence[int], mask: int) -> int:
+    """The join of ``row[i]`` over the set bits i of ``mask``.  With an
+    atom's ``comp_atoms`` row this composes that atom with ``mask``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= row[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 def peirce_orbit(conv: tuple[int, ...], triple: Triple) -> frozenset[Triple]:
@@ -175,16 +186,24 @@ class AtomStructure:
     def compose(self, xm: int, ym: int) -> int:
         acc = 0
         table = self.comp_atoms
-        for x in iter_bits(xm):
-            row = table[x]
-            for y in iter_bits(ym):
-                acc |= row[y]
+        while xm:
+            low = xm & -xm
+            row = table[low.bit_length() - 1]
+            xm ^= low
+            m = ym
+            while m:
+                low = m & -m
+                acc |= row[low.bit_length() - 1]
+                m ^= low
         return acc
 
     def conv_el(self, xm: int) -> int:
         acc = 0
-        for x in iter_bits(xm):
-            acc |= 1 << self.converse[x]
+        conv = self.converse
+        while xm:
+            low = xm & -xm
+            acc |= 1 << conv[low.bit_length() - 1]
+            xm ^= low
         return acc
 
     def dom_el(self, xm: int) -> int:
@@ -211,6 +230,15 @@ class AtomStructure:
 
     def elements(self) -> range:
         return range(1 << self.atom_count)
+
+
+def _atoms_below(triples: list[Triple], atom_count: int) -> bool:
+    """Whether every atom in ``triples`` is an ``int`` in 0..atom_count-1.
+    Types are read before deduplication, since ``0.0 == 0``."""
+    if not set(map(type, chain.from_iterable(triples))) <= {int}:
+        return False
+    atoms = set(chain.from_iterable(triples))
+    return not atoms or (min(atoms) >= 0 and max(atoms) < atom_count)
 
 
 def validate_atom_structure(
@@ -268,24 +296,47 @@ def validate_atom_structure(
                 f"identity atom {e} must be self-converse, has converse {conv[e]}"
             )
 
-    raw = set()
-    for t in facts:
-        x, y, z = t
-        _chk(x, "fact atom")
-        _chk(y, "fact atom")
-        _chk(z, "fact atom")
-        raw.add((x, y, z))
+    # Range-check the distinct atoms the facts use; only when that fails
+    # (or a fact does not unpack) walk the facts in order to name the
+    # first bad one.
+    facts = list(facts)
+    try:
+        triples = [(x, y, z) for x, y, z in facts]
+    except (TypeError, ValueError):
+        triples = None
+    if triples is None or not _atoms_below(triples, atom_count):
+        triples = []
+        for t in facts:
+            x, y, z = t
+            _chk(x, "fact atom")
+            _chk(y, "fact atom")
+            _chk(z, "fact atom")
+            triples.append((x, y, z))
+    raw = set(triples)
 
     conv_t = tuple(conv)
-    closed = set(peircean_closure(conv_t, raw))
     if auto_close:
+        closed = set(peircean_closure(conv_t, raw))
         for e in iter_bits(ident):
             closed.add((e, e, e))
-    elif closed != raw:
-        missing = sorted(closed - raw)[0]
-        raise StructureError(
-            f"facts are not closed under the cycle transforms; missing {missing}"
-        )
+    else:
+        # The closure is the union of the facts' orbits, each a fact and
+        # its five transforms, so it equals raw exactly when every
+        # fact's five transforms lie in raw.
+        c = conv_t
+        if not all(
+            (c[x], z, y) in raw
+            and (y, c[z], c[x]) in raw
+            and (c[y], c[x], c[z]) in raw
+            and (c[z], x, c[y]) in raw
+            and (z, c[y], x) in raw
+            for x, y, z in raw
+        ):
+            missing = sorted(peircean_closure(conv_t, raw) - raw)[0]
+            raise StructureError(
+                f"facts are not closed under the cycle transforms; missing {missing}"
+            )
+        closed = raw
 
     name_t: tuple[str, ...] = ()
     if names is not None:
@@ -472,137 +523,119 @@ class ClassReport:
         return tuple(name for name, _ in self.failures)
 
 
-def _check_ra5_to_ra9(A: AtomStructure) -> list[tuple[str, dict[str, int]]]:
-    # Atom-level quantification; every term below is additive in each
-    # variable, so singleton assignments decide the element-level law.
-    fails: list[tuple[str, dict[str, int]]] = []
-    n = A.atom_count
-    atoms = [1 << a for a in range(n)]
+def _check_ra5_to_ra10(A: AtomStructure) -> list[tuple[str, dict[str, int]]]:
+    """The first failing assignment of each of ra5-ra10, in that order,
+    each law in increasing atom order.  Atom compositions come from
+    ``comp_atoms`` and converse atoms from ``converse``; ra5 and ra8 send
+    their left side through the lifted ``compose``/``conv_el`` of the
+    joined mask, so they test the lifting itself."""
+    rng = range(A.atom_count)
+    ca = A.comp_atoms
+    conv = A.converse
     one = A.full
-    ident = A.identity
-
-    for xa in atoms:
-        for ya in atoms:
-            for za in atoms:
-                if A.compose(xa | ya, za) != A.compose(xa, za) | A.compose(ya, za):
-                    fails.append(("ra5", {"x": xa, "y": ya, "z": za}))
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
-
-    for xa in atoms:
-        if A.compose(xa, ident) != xa:
-            fails.append(("ra6", {"x": xa}))
-            break
-
-    for xa in atoms:
-        if A.conv_el(A.conv_el(xa)) != xa:
-            fails.append(("ra7", {"x": xa}))
-            break
-
-    for xa in atoms:
-        for ya in atoms:
-            if A.conv_el(xa | ya) != A.conv_el(xa) | A.conv_el(ya):
-                fails.append(("ra8", {"x": xa, "y": ya}))
-                break
-        else:
-            continue
-        break
-
-    for xa in atoms:
-        for ya in atoms:
-            if A.conv_el(A.compose(xa, ya)) != A.compose(A.conv_el(ya), A.conv_el(xa)):
-                fails.append(("ra9", {"x": xa, "y": ya}))
-                break
-        else:
-            continue
-        break
-
-    # ra10 (x~ ; -(x;y) <= -y) reduces over atoms to: b <= a~ ; c and
-    # c not<= a ; b is impossible, i.e. closure of the fact set under
-    # the transform (a, b, c) -> (a~, c, b); singleton assignments decide
-    # it by the same reduction.
-    for xa_i in range(n):
-        xa = 1 << xa_i
-        for ya in atoms:
-            lhs = A.compose(1 << A.converse[xa_i], one & ~A.compose(xa, ya))
-            if lhs & ya:
-                fails.append(("ra10", {"x": xa, "y": ya}))
-                break
-        else:
-            continue
-        break
-
+    bit = [1 << a for a in rng]
+    conv_bit = [1 << c for c in conv]
+    conv_rows = [ca[c] for c in conv]
+    laws = (
+        ("ra5", ({"x": bit[x], "y": bit[y], "z": bit[z]}
+                 for x in rng for y in rng for z in rng
+                 if A.compose(bit[x] | bit[y], bit[z]) != ca[x][z] | ca[y][z])),
+        ("ra6", ({"x": bit[x]} for x in rng if _join_row(ca[x], A.identity) != bit[x])),
+        ("ra7", ({"x": bit[x]} for x in rng if conv[conv[x]] != x)),
+        ("ra8", ({"x": bit[x], "y": bit[y]} for x in rng for y in rng
+                 if A.conv_el(bit[x] | bit[y]) != conv_bit[x] | conv_bit[y])),
+        ("ra9", ({"x": bit[x], "y": bit[y]} for x in rng for y in rng
+                 if _join_row(conv_bit, ca[x][y]) != ca[conv[y]][conv[x]])),
+        ("ra10", ({"x": bit[x], "y": bit[y]} for x in rng for y in rng
+                  if _join_row(conv_rows[x], one & ~ca[x][y]) & bit[y])),
+    )
+    fails = []
+    for name, cases in laws:
+        witness = next(cases, None)
+        if witness is not None:
+            fails.append((name, witness))
     return fails
 
 
-def _ra4_identity_path(A: AtomStructure) -> Optional[dict[str, int]]:
-    one = A.full
-    for e in iter_bits(A.identity):
-        u = 1 << e
-        lhs = A.compose(A.compose(u, one), one)
-        if lhs != A.compose(u, one):
-            return {"x": u}
+def _first_unabsorbed(one_row: tuple[int, ...], atoms: Iterable[int]) -> Optional[dict[str, int]]:
+    """The first atom a of ``atoms`` with (a;1);1 != a;1, where
+    ``one_row[a]`` is a;1, so that (a;1);1 is ``one_row`` joined over a;1."""
+    for a in atoms:
+        x1 = one_row[a]
+        if _join_row(one_row, x1) != x1:
+            return {"x": 1 << a}
     return None
 
 
-def _ra4_elements(A: AtomStructure) -> Optional[dict[str, int]]:
+def _ra4_elements(A: AtomStructure, one_row: tuple[int, ...]) -> Optional[dict[str, int]]:
     if A.atom_count > ELEMENTS_GUARD:
         raise GuardExceeded("element-mode ra4 check capped at 16 atoms")
-    one = A.full
+    ident = A.identity
     for xm in range(1 << A.atom_count):
-        u = xm & A.identity
-        if A.compose(A.compose(u, one), one) != A.compose(u, one):
+        u1 = _join_row(one_row, xm & ident)
+        if _join_row(one_row, u1) != u1:
             return {"x": xm}
     return None
 
 
-def _sa_law(A: AtomStructure) -> Optional[dict[str, int]]:
-    one = A.full
-    for a in range(A.atom_count):
-        xa = 1 << a
-        x1 = A.compose(xa, one)
-        if A.compose(x1, one) != x1:
-            return {"x": xa}
-    return None
-
-
 def _associativity(A: AtomStructure) -> Optional[dict[str, int]]:
-    n = A.atom_count
-    for x in range(n):
-        for y in range(n):
-            xy = A.comp_atoms[x][y]
-            for z in range(n):
-                if A.compose(xy, 1 << z) != A.compose(1 << x, A.comp_atoms[y][z]):
-                    return {"x": 1 << x, "y": 1 << y, "z": 1 << z}
-    return None
+    """(x;y);z joins column z of ``comp_atoms`` over x;y, and x;(y;z)
+    joins row x over y;z."""
+    rng = range(A.atom_count)
+    ca = A.comp_atoms
+    cols = [tuple(row[z] for row in ca) for z in rng]
+    return next(
+        (
+            {"x": 1 << x, "y": 1 << y, "z": 1 << z}
+            for x in rng
+            for y in rng
+            for z in rng
+            if _join_row(cols[z], ca[x][y]) != _join_row(ca[x], ca[y][z])
+        ),
+        None,
+    )
 
 
 def classify(A: AtomStructure, ra4_elements: bool = False) -> ClassReport:
     """Classify the complex algebra of A as WA / SA / RA.
 
     The Boolean axioms hold by construction on a powerset, so only the
-    composition/converse axioms are tested.  The weak associative law
-    is decided on identity atoms (its term is additive, and diversity
-    atoms contribute the zero instance); ``ra4_elements`` switches to
-    the full element-mode cross-check.
+    composition and converse laws are tested, read off the atom tables
+    ``comp_atoms`` and ``converse``.  Each law is atom-decided: its
+    variables range over the atoms in increasing order, and the first
+    failing assignment is its witness.  That is sound by additivity,
+    since every term is additive in each variable, except ra10, which
+    over atoms reduces to closure of the facts under the transform
+    (a, b, c) -> (a~, c, b).
+
+    - ra4, ((x.1');1);1 = (x.1');1: x over the identity atoms (a
+      diversity atom gives the zero instance); with ``ra4_elements``, x
+      over all 2**n elements instead (capped at ``ELEMENTS_GUARD`` atoms).
+    - ra5, (x+y);z = x;z + y;z: atoms x, y, z.
+    - ra6, x;1' = x: atoms x.
+    - ra7, x~~ = x: atoms x.
+    - ra8, (x+y)~ = x~ + y~: atoms x, y.
+    - ra9, (x;y)~ = y~;x~: atoms x, y.
+    - ra10, x~;-(x;y) <= -y: atoms x, y.
+    - sa-law, (x;1);1 = x;1: atoms x.
+    - associativity, (x;y);z = x;(y;z): atoms x, y, z.
+
+    WA is ra4-ra10, SA ra5-ra10 with the sa-law, and RA ra5-ra10 with
+    associativity.
     """
-    fails = _check_ra5_to_ra9(A)
+    fails = _check_ra5_to_ra10(A)
+    one_row = tuple(_join_row(row, A.full) for row in A.comp_atoms)
 
     if ra4_elements:
-        w4 = _ra4_elements(A)
+        w4 = _ra4_elements(A, one_row)
     else:
-        w4 = _ra4_identity_path(A)
+        w4 = _first_unabsorbed(one_row, iter_bits(A.identity))
     if w4 is not None:
         fails_wa = fails + [("ra4", w4)]
     else:
         fails_wa = fails
 
-    wsa = _sa_law(A)
+    wsa = _first_unabsorbed(one_row, range(A.atom_count))
     wra = _associativity(A)
 
     base_ok = not fails

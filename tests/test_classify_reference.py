@@ -1,0 +1,250 @@
+"""``classify`` against the law loops it replaced.
+
+The reference below composes singleton masks through the lifted
+composition and converse, defined here from ``iter_bits``, exactly as
+``classify`` did before it read its laws from the per-structure atom
+tables.  Both must give the same ``ClassReport``: the same verdicts and
+the same witness dicts, key order included (compared through ``repr``).
+"""
+
+import hashlib
+import random
+from functools import cache
+from typing import Optional
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from warel.core import (
+    ELEMENTS_GUARD,
+    TABLE_GUARD,
+    AtomStructure,
+    ClassReport,
+    GuardExceeded,
+    classify,
+    iter_bits,
+    validate_atom_structure,
+)
+from warel.enumerate import enumerate_structures, sample_structure
+
+
+def ref_compose(A: AtomStructure, xm: int, ym: int) -> int:
+    acc = 0
+    table = A.comp_atoms
+    for x in iter_bits(xm):
+        row = table[x]
+        for y in iter_bits(ym):
+            acc |= row[y]
+    return acc
+
+
+def ref_conv_el(A: AtomStructure, xm: int) -> int:
+    acc = 0
+    for x in iter_bits(xm):
+        acc |= 1 << A.converse[x]
+    return acc
+
+
+def ref_ra5_to_ra10(A: AtomStructure) -> list[tuple[str, dict[str, int]]]:
+    fails: list[tuple[str, dict[str, int]]] = []
+    n = A.atom_count
+    atoms = [1 << a for a in range(n)]
+    one = A.full
+    ident = A.identity
+    compose = lambda x, y: ref_compose(A, x, y)
+    conv_el = lambda x: ref_conv_el(A, x)
+
+    for xa in atoms:
+        for ya in atoms:
+            for za in atoms:
+                if compose(xa | ya, za) != compose(xa, za) | compose(ya, za):
+                    fails.append(("ra5", {"x": xa, "y": ya, "z": za}))
+                    break
+            else:
+                continue
+            break
+        else:
+            continue
+        break
+
+    for xa in atoms:
+        if compose(xa, ident) != xa:
+            fails.append(("ra6", {"x": xa}))
+            break
+
+    for xa in atoms:
+        if conv_el(conv_el(xa)) != xa:
+            fails.append(("ra7", {"x": xa}))
+            break
+
+    for xa in atoms:
+        for ya in atoms:
+            if conv_el(xa | ya) != conv_el(xa) | conv_el(ya):
+                fails.append(("ra8", {"x": xa, "y": ya}))
+                break
+        else:
+            continue
+        break
+
+    for xa in atoms:
+        for ya in atoms:
+            if conv_el(compose(xa, ya)) != compose(conv_el(ya), conv_el(xa)):
+                fails.append(("ra9", {"x": xa, "y": ya}))
+                break
+        else:
+            continue
+        break
+
+    for xa_i in range(n):
+        xa = 1 << xa_i
+        for ya in atoms:
+            lhs = compose(1 << A.converse[xa_i], one & ~compose(xa, ya))
+            if lhs & ya:
+                fails.append(("ra10", {"x": xa, "y": ya}))
+                break
+        else:
+            continue
+        break
+
+    return fails
+
+
+def ref_ra4_identity_path(A: AtomStructure) -> Optional[dict[str, int]]:
+    one = A.full
+    for e in iter_bits(A.identity):
+        u = 1 << e
+        lhs = ref_compose(A, ref_compose(A, u, one), one)
+        if lhs != ref_compose(A, u, one):
+            return {"x": u}
+    return None
+
+
+def ref_ra4_elements(A: AtomStructure) -> Optional[dict[str, int]]:
+    if A.atom_count > ELEMENTS_GUARD:
+        raise GuardExceeded("element-mode ra4 check capped at 16 atoms")
+    one = A.full
+    for xm in range(1 << A.atom_count):
+        u = xm & A.identity
+        if ref_compose(A, ref_compose(A, u, one), one) != ref_compose(A, u, one):
+            return {"x": xm}
+    return None
+
+
+def ref_sa_law(A: AtomStructure) -> Optional[dict[str, int]]:
+    one = A.full
+    for a in range(A.atom_count):
+        xa = 1 << a
+        x1 = ref_compose(A, xa, one)
+        if ref_compose(A, x1, one) != x1:
+            return {"x": xa}
+    return None
+
+
+def ref_associativity(A: AtomStructure) -> Optional[dict[str, int]]:
+    n = A.atom_count
+    for x in range(n):
+        for y in range(n):
+            xy = A.comp_atoms[x][y]
+            for z in range(n):
+                if ref_compose(A, xy, 1 << z) != ref_compose(A, 1 << x, A.comp_atoms[y][z]):
+                    return {"x": 1 << x, "y": 1 << y, "z": 1 << z}
+    return None
+
+
+def ref_classify(A: AtomStructure, ra4_elements: bool = False) -> ClassReport:
+    fails = ref_ra5_to_ra10(A)
+    w4 = ref_ra4_elements(A) if ra4_elements else ref_ra4_identity_path(A)
+    fails_wa = fails + [("ra4", w4)] if w4 is not None else fails
+    wsa = ref_sa_law(A)
+    wra = ref_associativity(A)
+    base_ok = not fails
+    all_fails = list(fails_wa)
+    if wsa is not None:
+        all_fails.append(("sa-law", wsa))
+    if wra is not None:
+        all_fails.append(("associativity", wra))
+    return ClassReport(
+        base_ok and w4 is None, base_ok and wsa is None, base_ok and wra is None, tuple(all_fails)
+    )
+
+
+def assert_same_report(A: AtomStructure) -> None:
+    for ra4_elements in (False, True):
+        got = classify(A, ra4_elements=ra4_elements)
+        want = ref_classify(A, ra4_elements=ra4_elements)
+        assert repr(got) == repr(want), (A, ra4_elements)
+
+
+@cache
+def exhaustive(n: int) -> tuple[AtomStructure, ...]:
+    return tuple(enumerate_structures(n))
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=3), index=st.integers(min_value=0))
+def test_matches_reference_on_enumerated(n, index):
+    structures = exhaustive(n)
+    assert_same_report(structures[index % len(structures)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=6))
+def test_matches_reference_on_sampled(seed, n):
+    assert_same_report(sample_structure(n, random.Random(seed)))
+
+
+@st.composite
+def raw_structures(draw):
+    """Built directly, so the facts need not be closed and the converse
+    need not be an involution or fix the identity atoms."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    atom = st.integers(min_value=0, max_value=n - 1)
+    identity = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    converse = tuple(draw(st.lists(atom, min_size=n, max_size=n)))
+    cycles = frozenset(draw(st.lists(st.tuples(atom, atom, atom), max_size=3 * n * n)))
+    return AtomStructure(n, identity, converse, cycles)
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=raw_structures())
+def test_matches_reference_on_raw(A):
+    assert_same_report(A)
+
+
+def test_classify_above_table_guard():
+    n = TABLE_GUARD + 2
+    rng = random.Random(12)
+    disjoint = validate_atom_structure(n, range(n), {}, [(e, e, e) for e in range(n)])
+    rep = classify(disjoint, ra4_elements=True)
+    assert rep.is_ra and rep.failures == ()
+    for A in (disjoint, sample_structure(n, rng), sample_structure(n, rng)):
+        assert repr(classify(A)) == repr(ref_classify(A))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=12))
+def test_compose_and_conv_el_match_iter_bits_definition(seed, n):
+    rng = random.Random(seed)
+    A = sample_structure(n, rng)
+    for _ in range(30):
+        x = rng.randrange(1 << n)
+        y = rng.randrange(1 << n)
+        assert A.compose(x, y) == ref_compose(A, x, y), (x, y)
+        assert A.conv_el(x) == ref_conv_el(A, x), x
+
+
+# sha256 of repr(classify(A, ra4_elements=m)) + "\n" over
+# enumerate_structures(3), m = False then True per structure, recorded
+# from the reference loops above.
+GOLDEN_DIGEST = "e49dc9cbc0e6d9fb13b13eca86217594c17e1f704744e2e80595b2f6e4482916"
+
+
+def test_class_reports_golden():
+    h = hashlib.sha256()
+    for A in exhaustive(3):
+        for ra4_elements in (False, True):
+            h.update((repr(classify(A, ra4_elements=ra4_elements)) + "\n").encode())
+    assert h.hexdigest() == GOLDEN_DIGEST

@@ -2,6 +2,7 @@ import pytest
 
 from warel import reduct
 from warel.core import mask_of
+from warel.enumerate import summarize
 from warel.relset import image_atom_structure
 from warel.suitable import build_suitable
 from warel.trails import build_universe
@@ -101,6 +102,25 @@ def test_pair_partition(ps2):
 
 def test_key_property(a2, ps2):
     assert reduct.check_key_property(a2, ps2).holds
+
+
+def test_key_property_triangles_are_final_triangles(a2, pentagon):
+    """Every ordered pair of points of a reachable triple is an edge of
+    the final network, so each (x, y, z) that ``check_key_property``
+    tests is a triangle whose labels are among ``net.facts``: the check
+    re-decides part of ``composition-upper-exact``."""
+    _, census = summarize(3, mod_iso=True)
+    for A in (a2, pentagon, *census):
+        uni = build_universe(build_suitable(A), 3)
+        ps = reduct.build_pair_structure(A, uni)
+        net, _ = reduct.final_representation(A, ps)
+        for trip in uni.triples:
+            for x in trip:
+                assert all(y in net.succ[x] for y in trip), (trip, x)
+                for y in trip:
+                    for z in trip:
+                        abc = (net.label[(x, y)], net.label[(y, z)], net.label[(x, z)])
+                        assert abc in net.facts, (trip, x, y, z)
 
 
 def test_replacement_steps_table():
