@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -188,13 +188,8 @@ class AtomStructure:
         table = self.comp_atoms
         while xm:
             low = xm & -xm
-            row = table[low.bit_length() - 1]
+            acc |= _join_row(table[low.bit_length() - 1], ym)
             xm ^= low
-            m = ym
-            while m:
-                low = m & -m
-                acc |= row[low.bit_length() - 1]
-                m ^= low
         return acc
 
     def conv_el(self, xm: int) -> int:
@@ -230,15 +225,6 @@ class AtomStructure:
 
     def elements(self) -> range:
         return range(1 << self.atom_count)
-
-
-def _atoms_below(triples: list[Triple], atom_count: int) -> bool:
-    """Whether every atom in ``triples`` is an ``int`` in 0..atom_count-1.
-    Types are read before deduplication, since ``0.0 == 0``."""
-    if not set(map(type, chain.from_iterable(triples))) <= {int}:
-        return False
-    atoms = set(chain.from_iterable(triples))
-    return not atoms or (min(atoms) >= 0 and max(atoms) < atom_count)
 
 
 def validate_atom_structure(
@@ -296,47 +282,24 @@ def validate_atom_structure(
                 f"identity atom {e} must be self-converse, has converse {conv[e]}"
             )
 
-    # Range-check the distinct atoms the facts use; only when that fails
-    # (or a fact does not unpack) walk the facts in order to name the
-    # first bad one.
-    facts = list(facts)
-    try:
-        triples = [(x, y, z) for x, y, z in facts]
-    except (TypeError, ValueError):
-        triples = None
-    if triples is None or not _atoms_below(triples, atom_count):
-        triples = []
-        for t in facts:
-            x, y, z = t
-            _chk(x, "fact atom")
-            _chk(y, "fact atom")
-            _chk(z, "fact atom")
-            triples.append((x, y, z))
-    raw = set(triples)
+    raw = set()
+    for t in facts:
+        x, y, z = t
+        _chk(x, "fact atom")
+        _chk(y, "fact atom")
+        _chk(z, "fact atom")
+        raw.add((x, y, z))
 
     conv_t = tuple(conv)
+    closed = set(peircean_closure(conv_t, raw))
     if auto_close:
-        closed = set(peircean_closure(conv_t, raw))
         for e in iter_bits(ident):
             closed.add((e, e, e))
-    else:
-        # The closure is the union of the facts' orbits, each a fact and
-        # its five transforms, so it equals raw exactly when every
-        # fact's five transforms lie in raw.
-        c = conv_t
-        if not all(
-            (c[x], z, y) in raw
-            and (y, c[z], c[x]) in raw
-            and (c[y], c[x], c[z]) in raw
-            and (c[z], x, c[y]) in raw
-            and (z, c[y], x) in raw
-            for x, y, z in raw
-        ):
-            missing = sorted(peircean_closure(conv_t, raw) - raw)[0]
-            raise StructureError(
-                f"facts are not closed under the cycle transforms; missing {missing}"
-            )
-        closed = raw
+    elif closed != raw:
+        missing = sorted(closed - raw)[0]
+        raise StructureError(
+            f"facts are not closed under the cycle transforms; missing {missing}"
+        )
 
     name_t: tuple[str, ...] = ()
     if names is not None:
