@@ -21,10 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from typing import Iterator
 
 from .core import CheckResult
-from .suitable import COORDS, SuitableStructure, third_coord
+from .suitable import COORDS, SuitableStructure
 from .trails import BoundedUniverse
 
 
@@ -86,7 +87,8 @@ def check_na3(
 
     Quantification is over singletons plus random subsets: every axiom
     here is either additive in its set variables or, for the
-    disjointness axiom, decided by singletons outright.  The full
+    disjointness axiom, decided by singletons outright.  A failing
+    axiom names its first failing instance in loop order.  The full
     commutativity of cylindrifications is evaluated and reported as a
     verdict line but never asserted.
     """
@@ -143,39 +145,40 @@ def check_na3(
     ok = all(cm.diag(k, k) == cm.full for k in COORDS)
     out.append(CheckResult("diag-diagonal-full", ok))
 
-    bad = None
-    for k in COORDS:
-        for l in COORDS:
-            for m in COORDS:
-                if m == k or m == l:
-                    continue
-                if cm.diag(k, l) != cm.cyl(m, cm.diag(k, m) & cm.diag(m, l)):
-                    bad = (k, l, m)
+    bad = next(
+        (
+            (k, l, m)
+            for k in COORDS
+            for l in COORDS
+            for m in COORDS
+            if m != k
+            and m != l
+            and cm.diag(k, l) != cm.cyl(m, cm.diag(k, m) & cm.diag(m, l))
+        ),
+        None,
+    )
     out.append(CheckResult("diag-composition", bad is None, str(bad or "")))
 
-    bad = None
-    for k in COORDS:
-        for l in COORDS:
-            if k == l:
-                continue
-            for x in subsets:
-                d = cm.diag(k, l)
-                if cm.cyl(k, d & x) & cm.cyl(k, d & cm.compl(x)):
-                    bad = (k, l, x)
-                    break
+    bad = next(
+        (
+            (k, l, x)
+            for k, l, _ in permutations(COORDS)
+            for x in subsets
+            if cm.cyl(k, cm.diag(k, l) & x) & cm.cyl(k, cm.diag(k, l) & cm.compl(x))
+        ),
+        None,
+    )
     out.append(CheckResult("diag-rigidity", bad is None, str(bad or "")))
 
-    bad = None
-    for k in COORDS:
-        for l in COORDS:
-            if k == l:
-                continue
-            m = third_coord(k, l)
-            for x in subsets:
-                lhs = cm.cyl(l, cm.cyl(k, x)) & cm.diag(l, m)
-                if lhs & ~cm.cyl(k, cm.cyl(l, x)):
-                    bad = (k, l, x)
-                    break
+    bad = next(
+        (
+            (k, l, x)
+            for k, l, m in permutations(COORDS)
+            for x in subsets
+            if cm.cyl(l, cm.cyl(k, x)) & cm.diag(l, m) & ~cm.cyl(k, cm.cyl(l, x))
+        ),
+        None,
+    )
     out.append(CheckResult("guarded-commutativity", bad is None, str(bad or "")))
 
     commutes = all(
@@ -217,16 +220,15 @@ def check_mgr2(
     singles = [1 << i for i in range(S.size)]
     subsets = singles + _sample_subsets(cm.full, rng, samples)
     out: list[CheckResult] = []
-    bad = None
-    for k in COORDS:
-        for l in COORDS:
-            if l == k:
-                continue
-            m = third_coord(k, l)
-            for x in subsets:
-                if _mgr_side(cm, (k, l, m), x) != _mgr_side(cm, (k, m, l), x):
-                    bad = (k, l, m, x)
-                    break
+    bad = next(
+        (
+            (k, l, m, x)
+            for k, l, m in permutations(COORDS)
+            for x in subsets
+            if _mgr_side(cm, (k, l, m), x) != _mgr_side(cm, (k, m, l), x)
+        ),
+        None,
+    )
     out.append(CheckResult("mgr2", bad is None, str(bad or "")))
 
     if S.algebra is None:
@@ -418,11 +420,10 @@ def check_complex_vs_relativized(
     )
     out.append(CheckResult("boolean-exact", ok))
 
-    bad = None
-    for k in COORDS:
-        for l in COORDS:
-            if image(cm.diag(k, l)) != rc.diag(k, l):
-                bad = (k, l)
+    bad = next(
+        ((k, l) for k in COORDS for l in COORDS if image(cm.diag(k, l)) != rc.diag(k, l)),
+        None,
+    )
     out.append(CheckResult("diagonal-exact", bad is None, str(bad or "")))
 
     frontier = uni.frontier_triples()
@@ -448,6 +449,8 @@ def check_complex_vs_relativized(
                 bad = ("outward", k, x)
                 break
             excluded += bin(missing & frontier_mask).count("1")
+        if bad:
+            break
     out.append(
         CheckResult(
             "cylindrification-nonfrontier",

@@ -181,42 +181,53 @@ class PairStructure:
         return out
 
 
-def _assign(ps: PairStructure, u: int, v: int, a: int) -> None:
-    old = ps.label.get((u, v))
-    if old is None:
-        ps.label[(u, v)] = a
-    elif old != a:
-        raise LabelDisagreement(f"pair ({u},{v}) labelled {old} and {a}")
+def _label_entries(
+    A: AtomStructure, t: tuple[int, int, int]
+) -> tuple[tuple[tuple[int, int, int], ...], bool]:
+    """The ``(i, j, label)`` entries that a triple ending at the carrier
+    element with atoms t gives its pairs ``(trip[i], trip[j])``, in
+    assignment order, and whether the three diagonal labels agree.  When
+    one does not, the entries stop at the diagonal where it fails."""
+    conv = A.converse
+    t0, t1, t2 = t
+    entries = [
+        (0, 1, t2), (1, 0, conv[t2]), (1, 2, t0), (2, 1, conv[t0]), (0, 2, t1), (2, 0, conv[t1])
+    ]
+    for k, d, other in (
+        (0, A.dom_atom(t1), A.dom_atom(t2)),
+        (1, A.rng_atom(t2), A.dom_atom(t0)),
+        (2, A.rng_atom(t0), A.rng_atom(t1)),
+    ):
+        if d != other:
+            return tuple(entries), False
+        entries.append((k, k, d.bit_length() - 1))
+    return tuple(entries), True
 
 
 def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> PairStructure:
     """Labels for every occurring point pair, the three-way pair split,
-    and the six-type classification of every reachable triple."""
-    ps = PairStructure(uni)
-    conv = A.converse
-    bit = lambda m: m.bit_length() - 1
+    and the six-type classification of every reachable triple.
 
-    for trip, info in sorted(uni.triples.items()):
-        t0, t1, t2 = uni.S.elements[info.end]
-        u, v, w = trip
-        _assign(ps, u, v, t2)
-        _assign(ps, v, u, conv[t2])
-        _assign(ps, v, w, t0)
-        _assign(ps, w, v, conv[t0])
-        _assign(ps, u, w, t1)
-        _assign(ps, w, u, conv[t1])
-        du = A.dom_atom(t1)
-        if du != A.dom_atom(t2):
+    Exact over every reachable triple, in sorted order; the nine label
+    entries and three diagonal agreements are computed once per carrier
+    element of ``uni.orbit_sets``, and each triple only stores or
+    compares its pairs' labels.  A pair given two labels, or a triple
+    whose diagonal labels disagree, raises :class:`LabelDisagreement`.
+    """
+    ps = PairStructure(uni)
+    label = ps.label
+    rows = {t: _label_entries(A, uni.S.elements[t]) for t in uni.orbit_sets}
+    ordered = sorted(uni.triples.items())
+
+    for trip, info in ordered:
+        entries, agree = rows[info.end]
+        for i, j, a in entries:
+            u, v = trip[i], trip[j]
+            old = label.setdefault((u, v), a)
+            if old != a:
+                raise LabelDisagreement(f"pair ({u},{v}) labelled {old} and {a}")
+        if not agree:
             raise LabelDisagreement(f"diagonal label mismatch at {trip}")
-        _assign(ps, u, u, bit(du))
-        dv = A.rng_atom(t2)
-        if dv != A.dom_atom(t0):
-            raise LabelDisagreement(f"diagonal label mismatch at {trip}")
-        _assign(ps, v, v, bit(dv))
-        dw = A.rng_atom(t0)
-        if dw != A.rng_atom(t1):
-            raise LabelDisagreement(f"diagonal label mismatch at {trip}")
-        _assign(ps, w, w, bit(dw))
 
     for (u, v) in ps.label:
         if u == v:
@@ -238,7 +249,7 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> PairStructur
                     continue
                 ps.base_pairs.add((base[k], base[l]))
 
-    for trip in sorted(uni.triples):
+    for trip, _ in ordered:
         ps.lem9_kind[trip] = _classify_triple_kind(ps, trip)
     return ps
 
@@ -328,28 +339,62 @@ def check_pair_partition(ps: PairStructure) -> tuple[CheckResult, ...]:
         )
     )
     uni = ps.universe
-    bad = None
-    for pid, xs in ps.xi_of.items():
-        for (u, v) in xs:
-            if uni.by_id[v].length >= uni.by_id[u].length:
-                bad = (u, v)
-                break
+    bad = next(
+        (
+            (u, v)
+            for xs in ps.xi_of.values()
+            for (u, v) in xs
+            if uni.by_id[v].length >= uni.by_id[u].length
+        ),
+        None,
+    )
     out.append(CheckResult("descent-pairs-shorten", bad is None, str(bad or "")))
     return tuple(out)
 
 
+def _matrix_holds(comp: list[list[int]], m: tuple[int, ...]) -> bool:
+    # m[3 * i + j] labels (trip[i], trip[j]); every index choice (x, y, z)
+    # needs m[x][z] <= m[x][y] ; m[y][z]
+    return all(
+        (1 << m[3 * x + z]) & comp[m[3 * x + y]][m[3 * y + z]]
+        for x in COORDS
+        for y in COORDS
+        for z in COORDS
+    )
+
+
 def check_key_property(A: AtomStructure, ps: PairStructure) -> CheckResult:
     """label(x,y) ; label(y,z) covers label(x,z) on every permutation of
-    every reachable triple."""
+    every reachable triple.
+
+    Exact over every reachable triple, each reading its nine labels from
+    ``ps.label``; each distinct 3x3 label matrix is decided once over
+    its 27 index choices, which range over the same ordered (x, y, z)
+    as the triple's points.  The first failing triple, in
+    ``uni.triples`` order, is walked again over its points only to name
+    the witness."""
     comp = A.comp_atoms
+    label = ps.label
+    decided: dict[tuple[int, ...], bool] = {}
     for trip in ps.universe.triples:
+        u, v, w = trip
+        m = (
+            label[(u, u)], label[(u, v)], label[(u, w)],
+            label[(v, u)], label[(v, v)], label[(v, w)],
+            label[(w, u)], label[(w, v)], label[(w, w)],
+        )
+        ok = decided.get(m)
+        if ok is None:
+            ok = decided[m] = _matrix_holds(comp, m)
+        if ok:
+            continue
         pts = set(trip)
         for x in pts:
             for y in pts:
                 for z in pts:
-                    a = ps.label[(x, y)]
-                    b = ps.label[(y, z)]
-                    c = ps.label[(x, z)]
+                    a = label[(x, y)]
+                    b = label[(y, z)]
+                    c = label[(x, z)]
                     if not (1 << c) & comp[a][b]:
                         return CheckResult(
                             "label-composition-bound", False, f"{(x, y, z)}"

@@ -232,9 +232,9 @@ class Network:
     Both representation pipelines end in a network: the labelled pairs
     form the unit, and an element x is represented by the pairs whose
     label lies below x.  The index, unit, field, atom images and
-    ``facts`` are computed once and cached; ``facts`` comes from a
-    single walk over the triangles, shared by the composition checks
-    and by :func:`image_atom_structure`.
+    ``facts`` are computed once and cached; ``facts`` comes from one
+    key intersection per labelled pair, shared by the composition
+    checks and by :func:`image_atom_structure`.
     """
 
     algebra: AtomStructure
@@ -292,8 +292,19 @@ class Network:
     @cached_property
     def facts(self) -> frozenset[Triple]:
         """The label triples ``(a, b, c)`` seen on triangles: exactly
-        the atoms a, b, c with f(c) meeting f(a) ; f(b) inside the unit."""
-        return frozenset((a, b, c) for _, _, _, a, b, c in self.triangles())
+        the atoms a, b, c with f(c) meeting f(a) ; f(b) inside the unit.
+        Exact over every triangle: the third points w of a labelled pair
+        (u, v) are the key intersection of ``succ[u]`` and ``succ[v]``,
+        so the same triangles as :meth:`triangles`, found without its
+        walk along ``succ[v]``."""
+        succ = self.succ
+        out: set[Triple] = set()
+        for (u, v), a in self.label.items():
+            su = succ[u]
+            sv = succ.get(v, {})
+            for w in su.keys() & sv.keys():
+                out.add((a, sv[w], su[w]))
+        return frozenset(out)
 
     def is_symmetric_reflexive(self) -> bool:
         """Exact: every pair of the unit has its reverse in the unit, and
@@ -360,7 +371,7 @@ def image_atom_structure(net: Network) -> AtomStructure:
     converse of a is the atom whose image is the inverse of a's, and
     the composition facts are the network's ``facts``: (a, b, c) is a
     fact when some triangle carries the labels (a, b, c).  Exact, from
-    the one triangle walk the network caches.  When the map is an
+    the ``facts`` the network computes once and caches.  When the map is an
     embedding this reproduces the original structure exactly.
     """
     A, images = net.algebra, net.images

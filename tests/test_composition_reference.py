@@ -279,3 +279,10 @@ def test_image_atom_structure_round_trips_relativizations(drawn):
     assert classify(A).is_wa
     rebuilt = image_atom_structure(Network(A, {p: i for i, p in enumerate(pairs)}))
     assert (rebuilt.identity, rebuilt.converse, rebuilt.cycles) == (A.identity, A.converse, A.cycles)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_facts_are_the_triangle_labels(algebra, data):
+    net = Network(algebra, data.draw(label_maps(algebra)))
+    assert net.facts == {(a, b, c) for _, _, _, a, b, c in net.triangles()}

@@ -1,7 +1,9 @@
 import pytest
 
+from warel import cylindric
 from warel.cylindric import (
     ComplexAlgebra,
+    RelativizedSetAlgebra,
     check_complex_vs_relativized,
     check_functions,
     check_mgr2,
@@ -9,6 +11,7 @@ from warel.cylindric import (
     check_orbit_partition,
     rc_build,
 )
+from warel.enumerate import summarize
 from warel.suitable import build_suitable
 from warel.trails import build_universe
 
@@ -138,3 +141,80 @@ def test_complex_vs_relativized(a1, a2, pentagon):
         uni = build_universe(S, L)
         for c in check_complex_vs_relativized(S, uni):
             assert c.holds, (A.names, c)
+
+
+# Each check below stops at its first failing instance, in loop order.
+# A patched operation makes several instances fail; the report names the
+# first one, not a later one that used to overwrite it.
+
+
+def _result(results, name):
+    return next(c for c in results if c.name == name)
+
+
+def test_diag_composition_names_first_failure(s2, monkeypatch):
+    real = ComplexAlgebra.diag
+    # dropping the (0, 1) diagonal breaks (k, l, m) = (0, 1, 2) and (0, 2, 1)
+    monkeypatch.setattr(
+        ComplexAlgebra, "diag", lambda cm, k, l: 0 if (k, l) == (0, 1) else real(cm, k, l)
+    )
+    cm = ComplexAlgebra(s2)
+    failing = [
+        (k, l, m)
+        for k in range(3)
+        for l in range(3)
+        for m in range(3)
+        if m not in (k, l) and cm.diag(k, l) != cm.cyl(m, cm.diag(k, m) & cm.diag(m, l))
+    ]
+    assert len(failing) >= 2
+    c = _result(check_na3(s2), "diag-composition")
+    assert not c.holds and c.detail == str(failing[0])
+
+
+def test_diag_rigidity_names_first_failure(s2, monkeypatch):
+    monkeypatch.setattr(ComplexAlgebra, "diag", lambda cm, k, l: cm.full)
+    c = _result(check_na3(s2), "diag-rigidity")
+    # every (k, l) fails once the diagonals are full; the first is (0, 1)
+    assert not c.holds and c.detail.startswith("(0, 1, ")
+
+
+def test_guarded_commutativity_names_first_failure(monkeypatch):
+    # the first mod-iso WA 3-atom structure does not commute; with full
+    # diagonals the guard is void and its failing (k, l) show
+    _, census = summarize(3, mod_iso=True)
+    S = build_suitable(census[0])
+    assert _result(check_na3(S), "full-commutativity-verdict").detail == "does not commute"
+    monkeypatch.setattr(ComplexAlgebra, "diag", lambda cm, k, l: cm.full)
+    cm = ComplexAlgebra(S)
+    failing = {
+        (k, l)
+        for k in range(3)
+        for l in range(3)
+        if k != l
+        and any(cm.cyl(l, cm.cyl(k, 1 << i)) != cm.cyl(k, cm.cyl(l, 1 << i)) for i in range(S.size))
+    }
+    assert len(failing) >= 2
+    c = _result(check_na3(S), "guarded-commutativity")
+    first = min(failing)
+    assert not c.holds and c.detail.startswith(f"({first[0]}, {first[1]}, ")
+
+
+def test_mgr2_names_first_failure(s2, monkeypatch):
+    # the two chains read different middle indices, so every instance fails
+    monkeypatch.setattr(cylindric, "_mgr_side", lambda cm, order, x: order[1])
+    c = _result(check_mgr2(s2), "mgr2")
+    assert not c.holds and c.detail == "(0, 1, 2, 1)"
+
+
+def test_diagonal_exact_names_first_failure(s2, monkeypatch):
+    monkeypatch.setattr(RelativizedSetAlgebra, "diag", lambda rc, k, l: 0)
+    c = _result(check_complex_vs_relativized(s2, build_universe(s2, 3)), "diagonal-exact")
+    assert not c.holds and c.detail == "(0, 0)"
+
+
+def test_cylindrification_names_first_failure(s2, monkeypatch):
+    monkeypatch.setattr(RelativizedSetAlgebra, "cyl", lambda rc, k, x: 0)
+    c = _result(
+        check_complex_vs_relativized(s2, build_universe(s2, 3)), "cylindrification-nonfrontier"
+    )
+    assert not c.holds and c.detail == "('outward', 0, 1)"

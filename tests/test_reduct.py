@@ -189,3 +189,12 @@ def test_chain_agreement(a1, a2, pentagon):
         uni = build_universe(S, L)
         ps = reduct.build_pair_structure(A, uni)
         assert reduct.check_chain_agreement(A, ps).holds
+
+
+def test_descent_pairs_shorten_names_first_failure(ps2):
+    # two loops (p, p) as descent pairs both fail; the first is named
+    p, q = 0, 1
+    ps = reduct.PairStructure(ps2.universe, dict(ps2.label))
+    ps.__dict__["xi_of"] = {p: frozenset({(p, p)}), q: frozenset({(q, q)})}
+    c = next(c for c in reduct.check_pair_partition(ps) if c.name == "descent-pairs-shorten")
+    assert not c.holds and c.detail == str((p, p))
