@@ -95,10 +95,18 @@ def test_enumerate_counts():
 
 
 def test_enumerate_rejects_negative_atom_count():
-    out = run_cli("enumerate", "--atoms", "-1")
-    assert out.returncode == 2
-    assert "atom_count must be at least 1" in out.stderr
-    assert out.stdout == ""
+    for atoms in ("-1", "0"):
+        out = run_cli("enumerate", "--atoms", atoms)
+        assert out.returncode == 2
+        assert "atom_count must be at least 1" in out.stderr
+        assert out.stdout == ""
+
+
+def test_enumerate_above_atom_guard_is_a_budget_fail_line():
+    out = run_cli("enumerate", "--atoms", "5")
+    assert out.returncode == 3
+    assert "enumerate.budget = fail" in out.stdout
+    assert "Traceback" not in out.stderr
 
 
 def test_enumerate_pipeline_small():

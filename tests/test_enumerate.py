@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from warel.core import classify
+from test_enumerate_reference import canonical_key
+from warel.core import GuardExceeded, classify
 from warel.enumerate import (
     EnumerationSummary,
-    canonical_key,
     enumerate_structures,
     involutions,
     sample_structure,
@@ -61,8 +61,11 @@ def test_mod_iso_reduces():
 
 
 def test_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(GuardExceeded):
         list(enumerate_structures(5))
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            list(enumerate_structures(n))
 
 
 def test_sampler_produces_valid(two_identities):
