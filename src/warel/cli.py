@@ -118,6 +118,11 @@ def _represent_pipeline(
 
 
 def cmd_represent(args: argparse.Namespace, report: Report) -> None:
+    # the same refusals that build_universe and saturate raise, before any work
+    if args.depth < 1:
+        raise ValueError("bound must be at least 1")
+    if args.passes < 0:
+        raise ValueError("passes must be nonnegative")
     A = parse_structure_file(args.file)
     rep = classify(A)
     if not rep.is_wa:

@@ -2,13 +2,20 @@
 
 The complex algebra lives on the powerset of the carrier (bitmasks
 here): cylindrification along coordinate k saturates a set under the
-k-th equivalence, and the diagonal constants are the distinguished
+k-th equivalence (``SuitableStructure.t_star``, memoised per coordinate
+on the structure), and the diagonal constants are the distinguished
 subsets.  Over a carrier built from a WA atom structure this algebra
 satisfies the three-dimensional cylindric axioms with commutativity of
 cylindrifications weakened to its diagonal-guarded form, plus the
-binary merry-go-round substitution identities; both are checked here
-on singletons (every axiom is decided by them) and on random subsets
-as a cross-check.
+binary merry-go-round substitution identities.
+
+Each check states its quantifier range.  Cylindrification is a join
+over blocks, so an axiom whose sides are additive in a set variable is
+decided by the singletons of that variable; such axioms run over every
+singleton and then over seeded random subsets as a cross-check
+(singleton-decided).  Axioms in the diagonal constants alone are exact,
+as are the singleton identities of :func:`check_functions`, which range
+over the whole carrier.
 
 The bounded set-algebra form relativizes the full algebra on triples
 of universe points to the reachable triple set; the map sending a
@@ -22,20 +29,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Iterator
+from typing import Optional
 
-from .core import CheckResult
+from .core import CheckResult, iter_bits
 from .suitable import COORDS, SuitableStructure
 from .trails import BoundedUniverse
-
-
-def _mask_bits(mask: int) -> Iterator[int]:
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 @dataclass(frozen=True)
@@ -46,19 +44,8 @@ class ComplexAlgebra:
     def full(self) -> int:
         return self.S.full_mask
 
-    @cached_property
-    def _blocks(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for k in COORDS:
-            out.append(tuple(sorted(set(self.S.blocks[k].values()))))
-        return tuple(out)
-
     def cyl(self, k: int, x: int) -> int:
-        acc = 0
-        for block in self._blocks[k]:
-            if x & block:
-                acc |= block
-        return acc
+        return self.S.t_star(k, x)
 
     def diag(self, k: int, l: int) -> int:
         return self.S.e_masks[k][l]
@@ -80,17 +67,52 @@ def _sample_subsets(full: int, rng: random.Random, count: int) -> list[int]:
     return out
 
 
+def _first_meet_exchange_failure(
+    cm: ComplexAlgebra, sampled: list[int]
+) -> Optional[tuple[int, int, int]]:
+    """The first (k, x, y) in loop order, x and y over ``sampled``,
+    with c_k(x . c_k y) != c_k x . c_k y.  Each x is tested once per
+    distinct c_k y; the failing y reported is the first whose
+    cylinder value fails."""
+    for k in COORDS:
+        sampled_cyl = [cm.cyl(k, y) for y in sampled]
+        distinct = set(sampled_cyl)
+        for x in sampled:
+            cx = cm.cyl(k, x)
+            failing = {cy for cy in distinct if cm.cyl(k, x & cy) != cx & cy}
+            if failing:
+                y = next(y for y, cy in zip(sampled, sampled_cyl) if cy in failing)
+                return (k, x, y)
+    return None
+
+
 def check_na3(
     S: SuitableStructure, seed: int = 0, samples: int = 64
 ) -> tuple[CheckResult, ...]:
     """Cylindric axioms with guarded commutativity.
 
-    Quantification is over singletons plus random subsets: every axiom
-    here is either additive in its set variables or, for the
-    disjointness axiom, decided by singletons outright.  A failing
-    axiom names its first failing instance in loop order.  The full
-    commutativity of cylindrifications is evaluated and reported as a
-    verdict line but never asserted.
+    ``subsets`` is every singleton of the carrier, then 0, the full
+    set and ``samples`` seeded random subsets.  Quantifier ranges:
+
+    - ``boolean-part``: structural, the carrier's powerset.
+    - ``cyl-zero``: exact, c_k 0 = 0 for each k.
+    - ``cyl-increasing``: x over ``subsets``; singleton-decided, since
+      x <= c_k x is additive in x.
+    - ``cyl-meet-exchange``, c_k(x . c_k y) = c_k x . c_k y: x and y
+      over all singleton pairs, which decide it (both sides are
+      additive in x and in y), then over all pairs of the sampled
+      subsets.  A sampled instance depends on y only through c_k y,
+      so it is decided once per distinct value of c_k y; the witness
+      is still the first failing (k, x, y) in loop order.
+    - ``diag-diagonal-full`` and ``diag-composition``: exact, they
+      name only the diagonal constants.
+    - ``diag-rigidity``: x over ``subsets``; decided by singletons
+      outright (no two elements of d_kl share a k-block).
+    - ``guarded-commutativity``: x over ``subsets``; singleton-decided.
+
+    A failing axiom names its first failing instance in loop order.
+    The full commutativity of cylindrifications is evaluated over
+    ``subsets`` and reported as a verdict line but never asserted.
     """
     cm = ComplexAlgebra(S)
     rng = random.Random(seed)
@@ -128,18 +150,7 @@ def check_na3(
         None,
     )
     if bad is None:
-        sampled = subsets[len(singles) :]
-        sampled_cyl = [[cm.cyl(k, x) for x in sampled] for k in COORDS]
-        bad = next(
-            (
-                (k, x, y)
-                for k in COORDS
-                for x, cx in zip(sampled, sampled_cyl[k])
-                for y, cy in zip(sampled, sampled_cyl[k])
-                if cm.cyl(k, x & cy) != cx & cy
-            ),
-            None,
-        )
+        bad = _first_meet_exchange_failure(cm, subsets[len(singles) :])
     out.append(CheckResult("cyl-meet-exchange", bad is None, str(bad or "")))
 
     ok = all(cm.diag(k, k) == cm.full for k in COORDS)
@@ -211,9 +222,14 @@ def check_mgr2(
     """Binary merry-go-round identities over the complex algebra.
 
     For each arrangement (k, l, m) of the coordinates the two
-    substitution chains around the cylindrification agree; the ternary
-    variants need four distinct indices and are vacuous in dimension
-    three, so they are reported as skipped.
+    substitution chains around the cylindrification agree.  ``mgr2``
+    ranges x over every singleton, then 0, the full set and
+    ``samples`` seeded random subsets; each chain is a composite of
+    cylindrifications and meets with constants, hence additive, so the
+    singletons decide it and the samples cross-check.
+    ``mgr2-featured-instance`` is exact over the carrier's singletons.
+    The ternary variants need four distinct indices and are vacuous in
+    dimension three, so they are reported as skipped.
     """
     cm = ComplexAlgebra(S)
     rng = random.Random(seed)
@@ -260,7 +276,8 @@ def check_mgr2(
 def check_functions(S: SuitableStructure) -> tuple[CheckResult, ...]:
     """The six singleton identities: cutting the saturation of a single
     carrier element with the right diagonal picks out exactly one
-    forced triple."""
+    forced triple.  Exact: each identity is checked on every carrier
+    element."""
     if S.algebra is None:
         raise ValueError("needs the source algebra")
     A = S.algebra
@@ -331,14 +348,14 @@ class RelativizedSetAlgebra:
     @cached_property
     def _cyl_blocks(self) -> tuple[dict[tuple[int, int], int], ...]:
         # for coordinate k, group triples by the two off-k coordinates
-        out = []
-        for k in COORDS:
-            d: dict[tuple[int, int], int] = {}
-            for i, trip in enumerate(self.triples):
-                key = tuple(trip[c] for c in COORDS if c != k)
-                d[key] = d.get(key, 0) | (1 << i)  # type: ignore[index]
-            out.append(d)
-        return tuple(out)
+        out: tuple[dict[tuple[int, int], int], ...] = ({}, {}, {})
+        d0, d1, d2 = out
+        for i, (a, b, c) in enumerate(self.triples):
+            bit = 1 << i
+            d0[b, c] = d0.get((b, c), 0) | bit
+            d1[a, c] = d1.get((a, c), 0) | bit
+            d2[a, b] = d2.get((a, b), 0) | bit
+        return out
 
     def cyl(self, k: int, x: int) -> int:
         acc = 0
@@ -347,12 +364,22 @@ class RelativizedSetAlgebra:
                 acc |= block
         return acc
 
+    @cached_property
+    def _diags(self) -> tuple[tuple[int, int, int], ...]:
+        d01 = d02 = d12 = 0
+        for i, (a, b, c) in enumerate(self.triples):
+            bit = 1 << i
+            if a == b:
+                d01 |= bit
+            if a == c:
+                d02 |= bit
+            if b == c:
+                d12 |= bit
+        full = self.full
+        return ((full, d01, d02), (d01, full, d12), (d02, d12, full))
+
     def diag(self, k: int, l: int) -> int:
-        acc = 0
-        for i, trip in enumerate(self.triples):
-            if trip[k] == trip[l]:
-                acc |= 1 << i
-        return acc
+        return self._diags[k][l]
 
     def atom_mask(self, end: int) -> int:
         acc = 0
@@ -384,7 +411,22 @@ def check_complex_vs_relativized(
     """The carrier-subset-to-orbit-union map is injective on singletons,
     Boolean and diagonal exact, and commutes with cylindrification on
     non-frontier data (the inward direction is exact; the outward
-    witness needs one step of headroom)."""
+    witness needs one step of headroom).
+
+    ``subsets`` is every singleton, then 0, the full set and
+    ``samples`` seeded random subsets.  Quantifier ranges:
+
+    - ``orbit-atoms-disjoint-nonempty``: exact over the carrier.
+    - ``boolean-exact``: x over ``subsets``, but y only over
+      ``subsets[:3]``.  ``image`` is a join by construction, so it
+      preserves joins for every x and y, and complements exactly when
+      the orbit atoms partition the triples (the line above); this
+      line is a cross-check of that construction.
+    - ``diagonal-exact``: exact over the nine (k, l).
+    - ``cylindrification-nonfrontier``: x over ``subsets``;
+      singleton-decided, since both sides are joins over the bits of
+      x.  Outward misses at frontier triples are excluded and counted.
+    """
     rc = rc_build(uni)
     cm = ComplexAlgebra(S)
     rng = random.Random(seed)
@@ -406,7 +448,7 @@ def check_complex_vs_relativized(
 
     def image(xmask: int) -> int:
         m = 0
-        for i in _mask_bits(xmask):
+        for i in iter_bits(xmask):
             m |= atom_masks[i]
         return m
 
@@ -439,7 +481,7 @@ def check_complex_vs_relativized(
         for x in subsets:
             lhs = image(cm.cyl(k, x))
             rhs = 0
-            for i in _mask_bits(x):
+            for i in iter_bits(x):
                 rhs |= atom_cyl[k][i]
             if rhs & ~lhs:
                 bad = ("inward", k, x)

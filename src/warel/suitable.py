@@ -114,11 +114,24 @@ class SuitableStructure:
             out.append(tuple(row))
         return tuple(out)
 
+    @cached_property
+    def _t_star_memo(self) -> tuple[dict[int, int], ...]:
+        return tuple({} for _ in COORDS)
+
     def t_star(self, k: int, mask: int) -> int:
+        """The join of the k-blocks that ``mask`` meets: the k-th
+        cylindrification.  Memoised per coordinate, so every complex
+        algebra and reduct over this structure shares the results."""
+        memo = self._t_star_memo[k]
+        try:
+            return memo[mask]
+        except KeyError:
+            pass
         out = 0
-        for key, block in self.blocks[k].items():
+        for block in self.blocks[k].values():
             if mask & block:
                 out |= block
+        memo[mask] = out
         return out
 
 

@@ -159,3 +159,23 @@ def test_internal_error_is_a_fail_line(monkeypatch, capsys, target, error):
     assert code == 4
     assert "represent.precondition-wa = pass" in out
     assert out.endswith("represent.internal = fail\nwitness: forced\n")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--depth", "0"], "bound must be at least 1"),
+        (["--depth", "-2"], "bound must be at least 1"),
+        (["--passes", "-1"], "passes must be nonnegative"),
+    ],
+)
+def test_represent_rejects_bad_bounds_before_any_stage(monkeypatch, capsys, flags, message):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a pipeline stage ran")
+
+    monkeypatch.setattr("warel.labelling.initial_system", no_stage)
+    code = cli.main(["represent", str(STRUCTURES / "a2.alg"), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
