@@ -1,9 +1,13 @@
 """Command line driver.
 
-Three commands: ``check`` classifies a structure file (optionally
-running the elementary-law suite), ``represent`` runs both
+Three commands: ``check`` classifies a structure file as WA, SA and RA
+(optionally running the elementary-law suite), ``represent`` runs both
 representation pipelines with staged verification, and ``enumerate``
 generates all structures with a given atom count and classifies them.
+Every verdict has one decision path: ``check`` decides the laws over
+atoms (see :func:`warel.core.classify`), and ``represent`` verifies
+every labelling system through its per-atom certificates (see
+:func:`warel.labelling.verify_representation`), whatever its size.
 Reports are deterministic.  Exit codes: 0 when every requested check
 passed, 1 when some check failed, 2 for unreadable input, 3 when a
 budget ran out (a ``<command>.budget = fail`` line) and 4 when an
@@ -35,8 +39,8 @@ from .suitable import build_suitable, check_suitable
 from .trails import build_universe
 
 
-def _classify_into(report: Report, A: AtomStructure, elements_mode: bool) -> bool:
-    rep = classify(A, ra4_elements=elements_mode)
+def _classify_into(report: Report, A: AtomStructure) -> bool:
+    rep = classify(A)
     yn = lambda b: "yes" if b else "no"
     report.info("classify.summary", f"WA: {yn(rep.is_wa)}, SA: {yn(rep.is_sa)}, RA: {yn(rep.is_ra)}")
     report.info("classify.isWA", yn(rep.is_wa))
@@ -50,7 +54,7 @@ def _classify_into(report: Report, A: AtomStructure, elements_mode: bool) -> boo
 def cmd_check(args: argparse.Namespace, report: Report) -> None:
     A = parse_structure_file(args.file)
     report.add("check", "validate", True)
-    is_wa = _classify_into(report, A, args.elements_mode)
+    is_wa = _classify_into(report, A)
     if args.laws:
         if not is_wa:
             report.add("laws", "precondition-wa", False, "law suite needs a WA input")
@@ -72,8 +76,7 @@ def _represent_pipeline(
     labelling.saturate(ls, passes)
     report.info("labelling.points", ls.point_count())
     report.info("labelling.labels", len(ls.label))
-    mode = "full" if len(ls.label) <= 5000 and A.atom_count <= 3 else "certified"
-    for res in labelling.verify_representation(ls, stage_bound=passes, mode=mode):
+    for res in labelling.verify_representation(ls, stage_bound=passes):
         report.add("labelling", res.name, res.holds, res.detail if not res.holds else "")
     net = Network(A, ls.label)
     report.add("labelling", "unit-symmetric-reflexive", net.is_symmetric_reflexive())
@@ -171,9 +174,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="validate and classify a structure file")
+    p_check = sub.add_parser("check", help="validate a structure file and classify it as WA, SA and RA")
     p_check.add_argument("file")
-    p_check.add_argument("--elements-mode", action="store_true", help="full element-mode weak-associativity check")
     p_check.add_argument("--laws", action="store_true", help="also run the elementary-law suite")
     p_check.set_defaults(func=cmd_check)
 

@@ -486,17 +486,10 @@ class ClassReport:
         return tuple(name for name, _ in self.failures)
 
 
-def _check_ra5_to_ra10(A: AtomStructure) -> list[tuple[str, dict[str, int]]]:
-    """The first failing assignment of each of ra5-ra10, in that order,
-    each law in increasing atom order.  Atom compositions come from
-    ``comp_atoms`` and converse atoms from ``converse``; ra5 and ra8 send
-    their left side through the lifted ``compose``/``conv_el`` of the
-    joined mask, so they test the lifting itself.
-
-    ra5 is tested for x <= y only.  Both of its sides are symmetric in x
-    and y, so a failing (x, y, z) with x > y has the failing twin
-    (y, x, z), which comes earlier in the loop order: the first witness
-    is the same as over all (x, y, z)."""
+def _check_ra6_to_ra10(A: AtomStructure) -> list[tuple[str, dict[str, int]]]:
+    """The first failing assignment of each of ra6, ra7, ra9 and ra10, in
+    that order, each law in increasing atom order.  Atom compositions
+    come from ``comp_atoms`` and converse atoms from ``converse``."""
     rng = range(A.atom_count)
     ca = A.comp_atoms
     conv = A.converse
@@ -505,13 +498,8 @@ def _check_ra5_to_ra10(A: AtomStructure) -> list[tuple[str, dict[str, int]]]:
     conv_bit = [1 << c for c in conv]
     conv_rows = [ca[c] for c in conv]
     laws = (
-        ("ra5", ({"x": bit[x], "y": bit[y], "z": bit[z]}
-                 for x in rng for y in range(x, A.atom_count) for z in rng
-                 if A.compose(bit[x] | bit[y], bit[z]) != ca[x][z] | ca[y][z])),
         ("ra6", ({"x": bit[x]} for x in rng if _join_row(ca[x], A.identity) != bit[x])),
         ("ra7", ({"x": bit[x]} for x in rng if conv[conv[x]] != x)),
-        ("ra8", ({"x": bit[x], "y": bit[y]} for x in rng for y in rng
-                 if A.conv_el(bit[x] | bit[y]) != conv_bit[x] | conv_bit[y])),
         ("ra9", ({"x": bit[x], "y": bit[y]} for x in rng for y in rng
                  if _join_row(conv_bit, ca[x][y]) != ca[conv[y]][conv[x]])),
         ("ra10", ({"x": bit[x], "y": bit[y]} for x in rng for y in rng
@@ -535,17 +523,6 @@ def _first_unabsorbed(one_row: tuple[int, ...], atoms: Iterable[int]) -> Optiona
     return None
 
 
-def _ra4_elements(A: AtomStructure, one_row: tuple[int, ...]) -> Optional[dict[str, int]]:
-    if A.atom_count > ELEMENTS_GUARD:
-        raise GuardExceeded("element-mode ra4 check capped at 16 atoms")
-    ident = A.identity
-    for xm in range(1 << A.atom_count):
-        u1 = _join_row(one_row, xm & ident)
-        if _join_row(one_row, u1) != u1:
-            return {"x": xm}
-    return None
-
-
 def _associativity(A: AtomStructure) -> Optional[dict[str, int]]:
     """(x;y);z joins column z of ``comp_atoms`` over x;y, and x;(y;z)
     joins row x over y;z."""
@@ -564,10 +541,14 @@ def _associativity(A: AtomStructure) -> Optional[dict[str, int]]:
     )
 
 
-def classify(A: AtomStructure, ra4_elements: bool = False) -> ClassReport:
+def classify(A: AtomStructure) -> ClassReport:
     """Classify the complex algebra of A as WA / SA / RA.
 
-    The Boolean axioms hold by construction on a powerset, so only the
+    The Boolean axioms hold by construction on a powerset.  So do ra5,
+    (x+y);z = x;z + y;z, and ra8, (x+y)~ = x~ + y~: ``compose`` and
+    ``conv_el`` are joins over the set bits of their arguments, so both
+    laws hold on every ``AtomStructure``, even one built directly with
+    unclosed facts or a converse that is no involution.  The remaining
     composition and converse laws are tested, read off the atom tables
     ``comp_atoms`` and ``converse``.  Each law is atom-decided: its
     variables range over the atoms in increasing order, and the first
@@ -577,43 +558,29 @@ def classify(A: AtomStructure, ra4_elements: bool = False) -> ClassReport:
     (a, b, c) -> (a~, c, b).
 
     - ra4, ((x.1');1);1 = (x.1');1: x over the identity atoms (a
-      diversity atom gives the zero instance); with ``ra4_elements``, x
-      over all 2**n elements instead (capped at ``ELEMENTS_GUARD`` atoms).
-    - ra5, (x+y);z = x;z + y;z: atoms x <= y and z (symmetric in x, y).
+      diversity atom gives the zero instance).
     - ra6, x;1' = x: atoms x.
     - ra7, x~~ = x: atoms x.
-    - ra8, (x+y)~ = x~ + y~: atoms x, y.
     - ra9, (x;y)~ = y~;x~: atoms x, y.
     - ra10, x~;-(x;y) <= -y: atoms x, y.
     - sa-law, (x;1);1 = x;1: atoms x.
     - associativity, (x;y);z = x;(y;z): atoms x, y, z.
 
-    WA is ra4-ra10, SA ra5-ra10 with the sa-law, and RA ra5-ra10 with
-    associativity.
+    WA is decided as ra4, ra6, ra7, ra9 and ra10; SA as ra6, ra7, ra9,
+    ra10 and the sa-law; RA as ra6, ra7, ra9, ra10 and associativity.
     """
-    fails = _check_ra5_to_ra10(A)
+    fails = _check_ra6_to_ra10(A)
     one_row = tuple(_join_row(row, A.full) for row in A.comp_atoms)
 
-    if ra4_elements:
-        w4 = _ra4_elements(A, one_row)
-    else:
-        w4 = _first_unabsorbed(one_row, iter_bits(A.identity))
-    if w4 is not None:
-        fails_wa = fails + [("ra4", w4)]
-    else:
-        fails_wa = fails
-
+    w4 = _first_unabsorbed(one_row, iter_bits(A.identity))
     wsa = _first_unabsorbed(one_row, range(A.atom_count))
     wra = _associativity(A)
 
     base_ok = not fails
-    is_wa = base_ok and w4 is None
-    is_sa = base_ok and wsa is None
-    is_ra = base_ok and wra is None
-
-    all_fails = list(fails_wa)
-    if wsa is not None:
-        all_fails.append(("sa-law", wsa))
-    if wra is not None:
-        all_fails.append(("associativity", wra))
-    return ClassReport(is_wa, is_sa, is_ra, tuple(all_fails))
+    all_fails = list(fails)
+    for name, witness in (("ra4", w4), ("sa-law", wsa), ("associativity", wra)):
+        if witness is not None:
+            all_fails.append((name, witness))
+    return ClassReport(
+        base_ok and w4 is None, base_ok and wsa is None, base_ok and wra is None, tuple(all_fails)
+    )

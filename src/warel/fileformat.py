@@ -45,8 +45,8 @@ def parse_structure(text: str) -> AtomStructure:
     """Parse a structure file into a validated atom structure."""
     section: Optional[str] = None
     atoms: list[str] = []
-    identity: list[str] = []
-    converse_pairs: list[tuple[str, str]] = []
+    identity: list[tuple[str, int]] = []
+    converse_pairs: list[tuple[str, str, int]] = []
     facts: list[tuple[str, str, str, int]] = []
     options: set[str] = set()
 
@@ -56,7 +56,7 @@ def parse_structure(text: str) -> AtomStructure:
         if section_name == "atoms":
             atoms.extend(words)
         elif section_name == "identity":
-            identity.extend(words)
+            identity.extend((w, line_no) for w in words)
         elif section_name == "converse":
             for chunk in payload.split(","):
                 pair = chunk.split()
@@ -64,7 +64,7 @@ def parse_structure(text: str) -> AtomStructure:
                     continue
                 if len(pair) != 2:
                     raise ParseError(line_no, f"converse needs pairs, got {chunk.strip()!r}")
-                converse_pairs.append((pair[0], pair[1]))
+                converse_pairs.append((pair[0], pair[1], line_no))
         elif section_name == "facts":
             if not words:
                 return
@@ -102,10 +102,10 @@ def parse_structure(text: str) -> AtomStructure:
             raise ParseError(line_no, f"unknown atom {sym!r}")
         return index[sym]
 
-    ident_ids = [look(s, 0) for s in identity]
+    ident_ids = [look(s, ln) for s, ln in identity]
     conv = {}
-    for a, b in converse_pairs:
-        conv[look(a, 0)] = look(b, 0)
+    for a, b, ln in converse_pairs:
+        conv[look(a, ln)] = look(b, ln)
     triples = [(look(x, ln), look(y, ln), look(z, ln)) for x, y, z, ln in facts]
     try:
         return validate_atom_structure(

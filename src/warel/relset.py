@@ -1,12 +1,12 @@
-"""Concrete algebras of binary relations and their relativizations.
+"""Relations on a finite universe, relativizations and labelled networks.
 
 A relation is a frozenset of point pairs over a finite universe.  The
 full algebra on a universe has unit U x U; relativizing to a relation E
 intersects every operation (and the unit, and the identity) with E.
 Relativizations of full algebras to symmetric relations that are
 reflexive on their field are exactly where weakly associative algebras
-live, and the checker here converts such a relativization into an atom
-structure so the axiom classifier can be run on it.
+live, and :func:`atom_structure_of_relativization` presents such a
+relativization by atoms so the axiom classifier can be run on it.
 
 A :class:`Network` is the object both representation pipelines end in:
 atom labels on the pairs of a symmetric, reflexive unit.  It carries
@@ -18,41 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Callable, FrozenSet, Iterable, Iterator, Mapping, Optional
 
-from .core import (
-    AtomStructure,
-    ClassReport,
-    GuardExceeded,
-    Triple,
-    classify,
-    iter_bits,
-    validate_atom_structure,
-)
+from .core import AtomStructure, Triple, iter_bits, validate_atom_structure
 
 BinRel = FrozenSet[tuple[int, int]]
 PairLabels = Mapping[tuple[int, int], int]
 Successors = dict[int, dict[int, int]]
 Triangle = tuple[int, int, int, int, int, int]
-
-MATERIALIZE_GUARD = 6
-CLOSURE_GUARD = 1 << 16
-
-
-def rel(pairs: Iterable[tuple[int, int]]) -> BinRel:
-    return frozenset(pairs)
-
-
-def rel_compose(r: BinRel, s: BinRel) -> BinRel:
-    by_first: dict[int, set[int]] = {}
-    for u, v in s:
-        by_first.setdefault(u, set()).add(v)
-    out = set()
-    for u, v in r:
-        for w in by_first.get(v, ()):
-            out.add((u, w))
-    return frozenset(out)
 
 
 def rel_inverse(r: BinRel) -> BinRel:
@@ -71,17 +44,6 @@ def identity_on(points: Iterable[int]) -> BinRel:
     return frozenset((p, p) for p in points)
 
 
-def is_symmetric(r: BinRel) -> bool:
-    return rel_inverse(r) == r
-
-
-def is_reflexive_on_field(r: BinRel) -> bool:
-    """Id restricted to the field of r, cut to r|r^-1 union r^-1|r, sits in r."""
-    around = rel_compose(r, rel_inverse(r)) | rel_compose(rel_inverse(r), r)
-    wanted = identity_on(field_of(r)) & around
-    return wanted <= r
-
-
 @dataclass(frozen=True)
 class Universe:
     size: int
@@ -95,60 +57,6 @@ class Universe:
 
     def square(self) -> BinRel:
         return frozenset((u, v) for u in self.points() for v in self.points())
-
-
-@dataclass(frozen=True)
-class ConcreteAlgebra:
-    """An algebra of relations inside a fixed unit relation."""
-
-    universe: Universe
-    unit: BinRel
-    carrier: Optional[frozenset[BinRel]] = None
-
-    @cached_property
-    def identity(self) -> BinRel:
-        return identity_on(self.universe.points()) & self.unit
-
-    def join(self, r: BinRel, s: BinRel) -> BinRel:
-        return (r | s) & self.unit
-
-    def meet(self, r: BinRel, s: BinRel) -> BinRel:
-        return r & s
-
-    def complement(self, r: BinRel) -> BinRel:
-        return self.unit - r
-
-    def compose(self, r: BinRel, s: BinRel) -> BinRel:
-        return rel_compose(r, s) & self.unit
-
-    def converse(self, r: BinRel) -> BinRel:
-        return rel_inverse(r) & self.unit
-
-
-def build_re(universe: Universe, materialize: bool = False) -> ConcreteAlgebra:
-    """The algebra of all binary relations on the universe."""
-    carrier = None
-    if materialize:
-        if universe.size > MATERIALIZE_GUARD:
-            raise GuardExceeded(
-                f"carrier materialization capped at size {MATERIALIZE_GUARD}"
-            )
-        pairs = sorted(universe.square())
-        rels = []
-        for k in range(len(pairs) + 1):
-            for combo in combinations(pairs, k):
-                rels.append(frozenset(combo))
-        carrier = frozenset(rels)
-    return ConcreteAlgebra(universe, universe.square(), carrier)
-
-
-def relativize(A: ConcreteAlgebra, e: BinRel) -> ConcreteAlgebra:
-    if not e <= A.unit:
-        raise ValueError("relativizing relation must sit inside the unit")
-    carrier = None
-    if A.carrier is not None:
-        carrier = frozenset(r & e for r in A.carrier)
-    return ConcreteAlgebra(A.universe, e, carrier)
 
 
 def atom_structure_of_relativization(
@@ -173,52 +81,6 @@ def atom_structure_of_relativization(
     names = tuple(f"p{u}_{v}" for u, v in pairs)
     A = validate_atom_structure(len(pairs), ident, conv, facts, names=names)
     return A, pairs
-
-
-def check_relativized_wa(universe: Universe, e: BinRel) -> ClassReport:
-    """Classify the relativization of the full algebra on U to e.
-
-    Requires e symmetric and reflexive on its field; the relativized
-    algebra is then expected to classify as WA.
-    """
-    if not e <= universe.square():
-        raise ValueError("e must be a relation on the universe")
-    if not is_symmetric(e):
-        raise ValueError("e must be symmetric")
-    if not is_reflexive_on_field(e):
-        raise ValueError("e must be reflexive on its field")
-    if not e:
-        raise ValueError("e must be nonempty")
-    A, _ = atom_structure_of_relativization(universe, e)
-    return classify(A)
-
-
-def generate_subalgebra(A: ConcreteAlgebra, gens: Iterable[BinRel]) -> ConcreteAlgebra:
-    """Closure of the generators (plus constants) under all operations."""
-    gens = [g & A.unit for g in gens]
-    for g in gens:
-        if not g <= A.unit:
-            raise ValueError("generator outside the unit")
-    seen: set[BinRel] = {frozenset(), A.unit, A.identity, A.complement(A.identity)}
-    seen.update(gens)
-    frontier = list(seen)
-    while frontier:
-        if len(seen) > CLOSURE_GUARD:
-            raise GuardExceeded("subalgebra closure exceeded 2**16 relations")
-        work = sorted(seen, key=sorted)
-        new: set[BinRel] = set()
-        for r in work:
-            for cand in (A.complement(r), A.converse(r)):
-                if cand not in seen:
-                    new.add(cand)
-        for r in work:
-            for s in work:
-                for cand in (A.join(r, s), A.compose(r, s)):
-                    if cand not in seen:
-                        new.add(cand)
-        frontier = list(new)
-        seen |= new
-    return ConcreteAlgebra(A.universe, A.unit, frozenset(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Optional
 
 from .core import AtomStructure, CheckResult, Triple, classify
 

@@ -27,7 +27,7 @@ def test_check_a1():
 
 
 def test_check_a2_with_laws():
-    out = run_cli("check", str(STRUCTURES / "a2.alg"), "--laws", "--elements-mode")
+    out = run_cli("check", str(STRUCTURES / "a2.alg"), "--laws")
     assert out.returncode == 0
     assert "classify.isRA = yes" in out.stdout
     assert out.stdout.count("= fail") == 0
@@ -46,6 +46,28 @@ def test_check_parse_error(tmp_path):
     out = run_cli("check", str(bad))
     assert out.returncode == 2
     assert "line 4" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("atoms: e d\nidentity: e zz\nfacts:\n", 2),
+        ("atoms: e d\nidentity: e\n# converse pairs\nconverse: d qq\nfacts:\n", 4),
+    ],
+    ids=["identity", "converse"],
+)
+def test_parse_error_names_the_symbol_line(tmp_path, text, line_no):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text)
+    out = run_cli("check", str(bad))
+    assert out.returncode == 2
+    assert f"error: line {line_no}: unknown atom" in out.stderr
+
+
+def test_check_elements_mode_is_gone():
+    out = run_cli("check", str(STRUCTURES / "a2.alg"), "--elements-mode")
+    assert out.returncode == 2
+    assert "unrecognized arguments: --elements-mode" in out.stderr
 
 
 def test_represent_a1():
@@ -116,24 +138,26 @@ def test_enumerate_pipeline_small():
     assert "pipeline.wa-0000 = pass" in out.stdout
 
 
-def test_budget_exceeded_is_a_fail_line(tmp_path):
-    big = tmp_path / "big.alg"
-    names = " ".join(f"x{i}" for i in range(1, 25))
-    big.write_text(f"atoms: e {names}\nidentity: e\nfacts:\n  e <= e ; e\noptions: autoclose\n")
-    out = run_cli("check", str(big), "--elements-mode")
+@pytest.fixture
+def diag11(tmp_path):
+    """11 identity atoms, each only e;e = e: WA, but 4**11 element pairs."""
+    names = " ".join(f"e{i}" for i in range(11))
+    facts = "".join(f"  e{i} <= e{i} ; e{i}\n" for i in range(11))
+    big = tmp_path / "diag11.alg"
+    big.write_text(f"atoms: {names}\nidentity: {names}\nfacts:\n{facts}")
+    return big
+
+
+def test_budget_exceeded_is_a_fail_line(diag11):
+    out = run_cli("check", str(diag11), "--laws")
     assert out.returncode == 3
     assert "check.budget = fail" in out.stdout
     assert "Traceback" not in out.stderr
 
 
-def test_law_suite_above_table_guard_is_a_fail_line(tmp_path, capsys):
-    # 11 identity atoms, each only e;e = e: WA, but 4**11 element pairs
-    names = " ".join(f"e{i}" for i in range(11))
-    facts = "".join(f"  e{i} <= e{i} ; e{i}\n" for i in range(11))
-    big = tmp_path / "diag11.alg"
-    big.write_text(f"atoms: {names}\nidentity: {names}\nfacts:\n{facts}")
+def test_law_suite_above_table_guard_is_a_fail_line(diag11, capsys):
     started = time.monotonic()
-    code = cli.main(["check", str(big), "--laws"])
+    code = cli.main(["check", str(diag11), "--laws"])
     elapsed = time.monotonic() - started
     out = capsys.readouterr().out
     assert code == 3

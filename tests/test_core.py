@@ -9,6 +9,7 @@ from warel.core import (
     Const,
     Dom,
     EvalError,
+    Meet,
     StructureError,
     Var,
     check_equation,
@@ -112,8 +113,11 @@ def test_classify_no_identity_fails_ra6():
 
 
 def test_ra4_fast_path_agrees_with_elements(a1, a2, pentagon):
+    # ra4, ((x.1');1);1 = (x.1');1, with x over all elements
+    u = Meet(Var("x"), Const("1'"))
+    lhs, rhs = Comp(Comp(u, Const("1")), Const("1")), Comp(u, Const("1"))
     for A in (a1, a2, pentagon):
-        assert classify(A).is_wa == classify(A, ra4_elements=True).is_wa
+        assert classify(A).is_wa == (check_equation(A, lhs, rhs, mode="elements") is None)
 
 
 structure_seeds = st.integers(min_value=0, max_value=2**32 - 1)

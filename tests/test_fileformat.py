@@ -34,6 +34,21 @@ def test_unknown_atom_has_line_number():
         parse_structure("atoms: e d\nidentity: e\nfacts:\n  e <= q ; d\n")
 
 
+@pytest.mark.parametrize(
+    "text, line_no, symbol",
+    [
+        ("atoms: e d\nidentity: e zz\nfacts:\n", 2, "zz"),
+        ("atoms: e d\nidentity:\n  e\n  yy\nfacts:\n", 4, "yy"),
+        ("atoms: e d\nidentity: e\nconverse: d qq\nfacts:\n", 3, "qq"),
+        ("atoms: e r s\nidentity: e\nconverse:\n  r s,\n  pp s\nfacts:\n", 5, "pp"),
+    ],
+    ids=["identity-inline", "identity-block", "converse-inline", "converse-block"],
+)
+def test_unknown_identity_or_converse_atom_has_line_number(text, line_no, symbol):
+    with pytest.raises(ParseError, match=f"^line {line_no}: unknown atom '{symbol}'$"):
+        parse_structure(text)
+
+
 def test_bad_fact_syntax():
     with pytest.raises(ParseError, match="expected 'z <= x ; y'"):
         parse_structure("atoms: e\nidentity: e\nfacts:\n  e <= e\n")

@@ -1,8 +1,10 @@
 """Byte-for-byte pins of full ``represent`` reports.
 
-Each digest is the sha256 of everything ``warel represent FILE --passes 2
---depth 3`` prints.  A change that alters a report line on purpose must
-update the digest here and say why.
+Each digest in ``GOLDEN`` is the sha256 of everything ``warel represent
+FILE --passes 2 --depth 3`` prints, and each in ``GOLDEN_PASSES_0`` of
+``--passes 0 --depth 3``, where the unsaturated labelling fails
+``labelling.injective``.  A change that alters a report line on purpose
+must update the digest here and say why.
 """
 
 import hashlib
@@ -35,9 +37,14 @@ GOLDEN = {
     "wa-not-sa": (1, "37e25ddf4652757d9692e9ffc443d2b79146d70ba61c5e0cd0c3f7bf5a83f3ca"),
 }
 
+GOLDEN_PASSES_0 = {
+    "a2": (1, "71bd6da977e9ad4241d608c978bddfed858183b2e3447a063c16554ca33fe137"),
+    "pentagon": (1, "d8d3ac75a34caa445535dd33a64f381ee57960fe9ec597fd3dc6e7f9264758c3"),
+}
 
-def _represent(path, capsys):
-    code = main(["represent", str(path), "--passes", "2", "--depth", "3"])
+
+def _represent(path, capsys, passes="2"):
+    code = main(["represent", str(path), "--passes", passes, "--depth", "3"])
     return code, capsys.readouterr().out
 
 
@@ -52,6 +59,13 @@ def wa_not_sa_file(tmp_path):
 def test_sample_reports_are_pinned(name, capsys):
     code, out = _represent(STRUCTURES / f"{name}.alg", capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["a2", "pentagon"])
+def test_unsaturated_reports_are_pinned(name, capsys):
+    code, out = _represent(STRUCTURES / f"{name}.alg", capsys, passes="0")
+    assert "labelling.injective = fail\nlabelling.identity-to-diagonal" in out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_PASSES_0[name]
 
 
 def test_wa_not_sa_report_is_pinned(wa_not_sa_file, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from test_composition_reference import ref_element_checks
 from warel import labelling as lb
 from warel.core import validate_atom_structure
 from warel.relset import Network
@@ -110,16 +111,19 @@ def test_verify_stage_bound_contract(a2):
 def test_verify_full_passes(a1, a2, pentagon):
     for A in (a1, a2, pentagon):
         ls = lb.saturate(lb.initial_system(A), 2)
-        for res in lb.verify_representation(ls, 2, mode="full"):
+        for res in lb.verify_representation(ls, 2):
             assert res.holds, res
 
 
 def test_verify_modes_agree(a2, pentagon):
+    # the per-atom path against the element-level reference loops; with
+    # no pass the diversity atoms have empty images, so injective fails
     for A in (a2, pentagon):
-        ls = lb.saturate(lb.initial_system(A), 2)
-        full = {r.name: r.holds for r in lb.verify_representation(ls, 2, mode="full")}
-        cert = {r.name: r.holds for r in lb.verify_representation(ls, 2, mode="certified")}
-        assert full == cert
+        for passes in (0, 1, 2):
+            ls = lb.saturate(lb.initial_system(A), passes)
+            got = [(r.name, r.holds) for r in lb.verify_representation(ls, passes)]
+            assert got == list(ref_element_checks(ls, passes).items())
+            assert dict(got)["injective"] == (passes > 0)
 
 
 def test_representation_images(a1, a2):
