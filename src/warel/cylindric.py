@@ -387,6 +387,18 @@ class RelativizedSetAlgebra:
             acc |= 1 << self.index[trip]
         return acc
 
+    def orbit_cyl(self, k: int, end: int) -> int:
+        """``cyl(k, atom_mask(end))``: the k-blocks that the orbit of
+        carrier element ``end`` meets are the blocks of its own triples,
+        so their join is read from each triple's off-k coordinates
+        without walking every block of coordinate k."""
+        blocks = self._cyl_blocks[k]
+        i, j = (c for c in COORDS if c != k)
+        acc = 0
+        for trip in self.universe.orbit_sets.get(end, ()):
+            acc |= blocks[trip[i], trip[j]]
+        return acc
+
 
 def rc_build(uni: BoundedUniverse) -> RelativizedSetAlgebra:
     return RelativizedSetAlgebra(uni, tuple(sorted(uni.triples)))
@@ -474,7 +486,7 @@ def check_complex_vs_relativized(
         frontier_mask |= 1 << rc.index[trip]
     # rc.cyl is a join over blocks, hence additive: rc.cyl(k, image(x))
     # is the join of the cylindrified orbit masks of the bits of x
-    atom_cyl = [[rc.cyl(k, m) for m in atom_masks] for k in COORDS]
+    atom_cyl = [[rc.orbit_cyl(k, t) for t in range(S.size)] for k in COORDS]
     bad = None
     excluded = 0
     for k in COORDS:

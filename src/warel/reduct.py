@@ -249,8 +249,9 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> PairStructur
                     continue
                 ps.base_pairs.add((base[k], base[l]))
 
+    lengths = [len(pt.trail) for pt in uni.by_id]
     for trip, _ in ordered:
-        ps.lem9_kind[trip] = _classify_triple_kind(ps, trip)
+        ps.lem9_kind[trip] = _classify_triple_kind(ps, trip, lengths)
     return ps
 
 
@@ -266,37 +267,42 @@ def _pair_kind(ps: PairStructure, u: int, v: int) -> str:
     return "ambiguous"
 
 
-def _classify_triple_kind(ps: PairStructure, trip: tuple[int, int, int]) -> str:
-    uni = ps.universe
-    distinct = sorted(set(trip))
-    if len(distinct) == 1:
-        return "single-point"
-    if len(distinct) == 2:
-        p, q = distinct
-        kind = _pair_kind(ps, p, q)
-        if kind == "descent":
-            return "doubled-descent"
-        if kind == "base":
-            return "doubled-base"
-        return "unclassified"
-    x, y, z = distinct
-    kinds = {
-        (p, q): _pair_kind(ps, p, q)
-        for p in distinct
-        for q in distinct
-        if p < q
-    }
-    if all(k == "base" for k in kinds.values()):
+_DOUBLED = {"descent": "doubled-descent", "base": "doubled-base"}
+_THIRD = {"descent": "descent-descent", "base": "descent-base"}
+
+
+def _classify_triple_kind(
+    ps: PairStructure, trip: tuple[int, int, int], lengths: list[int]
+) -> str:
+    """The Lemma 9 type of a reachable triple.
+
+    A pair's kind is symmetric, since ``xi_pairs`` and ``base_pairs``
+    hold each pair in both directions, so the points are read in
+    coordinate order and never sorted.  Three distinct points are a
+    descent triple when the longest (ties broken by the larger pid;
+    ``lengths[pid]`` is the point's trail length) has exactly the other
+    two as its descent partners; the kind of the remaining pair then
+    names the type.
+    """
+    u, v, w = trip
+    if u == v or v == w or u == w:
+        if u == v == w:
+            return "single-point"
+        kind = _pair_kind(ps, u, w) if u == v else _pair_kind(ps, u, v)
+        return _DOUBLED.get(kind, "unclassified")
+    # kinds[i]: the pair of the two points other than trip[i]
+    kinds = (_pair_kind(ps, v, w), _pair_kind(ps, u, w), _pair_kind(ps, u, v))
+    if kinds[0] == kinds[1] == kinds[2] == "base":
         return "three-base"
-    lengths = {p: uni.by_id[p].length for p in distinct}
-    w = max(distinct, key=lambda p: (lengths[p], p))
-    others = [p for p in distinct if p != w]
-    if ps.xi_of.get(w) == frozenset({(w, others[0]), (w, others[1])}):
-        third = _pair_kind(ps, *sorted(others))
-        if third == "descent":
-            return "descent-descent"
-        if third == "base":
-            return "descent-base"
+    ku, kv, kw = (lengths[u], u), (lengths[v], v), (lengths[w], w)
+    if ku > kv and ku > kw:
+        top, a, b, third = u, v, w, kinds[0]
+    elif kv > kw:
+        top, a, b, third = v, u, w, kinds[1]
+    else:
+        top, a, b, third = w, u, v, kinds[2]
+    if ps.xi_of.get(top) == {(top, a), (top, b)}:
+        return _THIRD.get(third, "unclassified")
     return "unclassified"
 
 
@@ -440,18 +446,28 @@ def check_replacement_closure(ps: PairStructure) -> tuple[CheckResult, ...]:
     """Every non-permutation image of a reachable triple is reachable,
     given enough headroom: an image needing k replacements is demanded
     only of triples whose shortest witness leaves k steps below the
-    bound.  Exclusion counts are reported."""
+    bound.  Exclusion counts are reported.
+
+    The demanded replacements depend only on a triple's shortest
+    witness length h, so they are listed once per h, in
+    ``REPLACEMENT_STEPS`` order; a frontier triple demands none."""
     uni = ps.universe
     bound = uni.bound
+    total = len(REPLACEMENT_STEPS)
+    demanded: dict[int, list[tuple[int, int, int]]] = {}
     checked = 0
     excluded = 0
     bad = None
     for trip, info in uni.triples.items():
-        for f, steps in REPLACEMENT_STEPS.items():
-            if info.min_length + steps > bound:
-                excluded += 1
-                continue
-            image = tuple(trip[f[i]] for i in COORDS)
+        h = info.min_length
+        fs = demanded.get(h)
+        if fs is None:
+            fs = demanded[h] = [
+                f for f, steps in REPLACEMENT_STEPS.items() if h + steps <= bound
+            ]
+        excluded += total - len(fs)
+        for f in fs:
+            image = (trip[f[0]], trip[f[1]], trip[f[2]])
             checked += 1
             if image not in uni.triples:
                 bad = (trip, f, image)

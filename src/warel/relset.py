@@ -65,9 +65,18 @@ def atom_structure_of_relativization(
     """Present the relativization of the full algebra to e by atoms.
 
     Atoms are the single pairs of e; returns the structure together
-    with the pair order used for atom indices.
+    with the pair order used for atom indices.  A pair of e outside
+    U x U, or one whose reverse is missing from e, raises
+    ``ValueError`` naming the first such pair in sorted order.
     """
     pairs = tuple(sorted(e))
+    n = universe.size
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"unit pair {(u, v)} lies outside U x U for |U| = {n}")
+    for u, v in pairs:
+        if (v, u) not in e:
+            raise ValueError(f"unit is not symmetric: {(v, u)} is missing")
     index = {p: i for i, p in enumerate(pairs)}
     ident = [index[(u, v)] for u, v in pairs if u == v]
     conv = {index[(u, v)]: index[(v, u)] for u, v in pairs if (v, u) in index}

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import GuardExceeded
+from .core import GuardExceeded, Triple
 from .suitable import COORDS, SuitableStructure
 
 
@@ -299,62 +299,82 @@ def build_universe(
     length bound.
 
     Pointer choice never affects a trail's coordinate triple, so the
-    walk enumerates node/step spines and settles the three repointings
-    of each by chopping and repointing.  A spine containing a round trip
+    walk enumerates node/step spines and records the points of the
+    three repointings of each.  A spine containing a round trip
     t -k- s -k- t has the classes of the spine without it, two steps
     shorter and already walked, so it adds no point, triple or length;
     the walk never steps straight back along the step it came by, and
     ``spines_seen`` and ``max_spines`` count round-trip-free spines (a
     layer that would pass the budget is refused before it is walked).
-    Every point is first met at the spine of its own reduced trail, so
-    the walk records that spine's triple per point, and the length-one
-    triple per carrier element.  Triples record the shortest witnessing
-    spine; ones seen only at the cap are frontier data.
+
+    Each spine's triple is read off its parent's (the spine without its
+    last element), which the layer carries along.  Lemma: let the
+    spine's last step be k and its last element t.  For a pointer
+    p != k move (b) chops t, so the spine's point at p is the parent's
+    point at p.  For p = k, if l = ``S.least_repoint[t][k]`` is a
+    licensed swap, settling repoints to l != k and then chops, giving
+    the parent's point at l; otherwise the trail (spine, k) is already
+    reduced, and it is the only point the spine can add.  Only the
+    length-one spines are settled.  Every point is first met at the
+    spine of its own reduced trail, so the walk records that spine's
+    triple per point, and the length-one triple per carrier element.
+    Triples record the shortest witnessing spine; ones seen only at the
+    cap are frontier data.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     uni = BoundedUniverse(S, bound)
     intern, own, pair_min = uni.intern, uni.own_triples, uni.pair_min_length
-    layer: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
-        ((t,), ()) for t in range(S.size)
+    repoint = S.least_repoint
+    # (nodes, steps, the parent spine's triple; None at length one)
+    layer: list[tuple[tuple[int, ...], tuple[int, ...], Optional[Triple]]] = [
+        ((t,), (), None) for t in range(S.size)
     ]
     length = 1
     while layer:
         uni.spines_seen += len(layer)
         if uni.spines_seen > max_spines:
             raise GuardExceeded(f"spine budget {max_spines} exceeded")
-        for nodes, steps in layer:
-            trip = (
-                intern(_settle(S, nodes, steps, 0)).pid,
-                intern(_settle(S, nodes, steps, 1)).pid,
-                intern(_settle(S, nodes, steps, 2)).pid,
-            )
+        nxt = []
+        for nodes, steps, parent in layer:
+            last = nodes[-1]
+            if parent is None:
+                trip = (
+                    intern(_settle(S, nodes, steps, 0)).pid,
+                    intern(_settle(S, nodes, steps, 1)).pid,
+                    intern(_settle(S, nodes, steps, 2)).pid,
+                )
+                uni.base_triples.append(trip)
+            else:
+                k = steps[-1]
+                l = repoint[last][k]
+                at_k = parent[l] if l >= 0 else intern(Trail(nodes, steps, k)).pid
+                if k == 0:
+                    trip = (at_k, parent[1], parent[2])
+                elif k == 1:
+                    trip = (parent[0], at_k, parent[2])
+                else:
+                    trip = (parent[0], parent[1], at_k)
             if len(uni.by_id) > len(own):
                 if len(uni.by_id) > max_points:
                     raise GuardExceeded(f"point budget {max_points} exceeded")
                 own.extend([trip] * (len(uni.by_id) - len(own)))
-            if length == 1:
-                uni.base_triples.append(trip)
             info = uni.triples.get(trip)
             if info is None:
-                uni.triples[trip] = TripleInfo(nodes[-1], length)
+                uni.triples[trip] = TripleInfo(last, length)
                 for i in trip:
                     for j in trip:
                         pair_min.setdefault((i, j), length)
-            elif info.end != nodes[-1]:
+            elif info.end != last:
                 raise AssertionError(
                     "one coordinate triple reached from two carrier elements"
                 )
-        if length == bound:
-            break
-        nxt = []
-        for nodes, steps in layer:
-            last = nodes[-1]
-            back = (steps[-1], nodes[-2]) if steps else None
-            for k in COORDS:
-                for j in S.neighbors[k][last]:
-                    if (k, j) != back:
-                        nxt.append((nodes + (j,), steps + (k,)))
+            if length < bound:
+                back = (steps[-1], nodes[-2]) if steps else None
+                for k in COORDS:
+                    for j in S.neighbors[k][last]:
+                        if (k, j) != back:
+                            nxt.append((nodes + (j,), steps + (k,), trip))
         layer = nxt
         length += 1
     return uni

@@ -213,7 +213,7 @@ def test_diagonal_exact_names_first_failure(s2, monkeypatch):
 
 
 def test_cylindrification_names_first_failure(s2, monkeypatch):
-    monkeypatch.setattr(RelativizedSetAlgebra, "cyl", lambda rc, k, x: 0)
+    monkeypatch.setattr(RelativizedSetAlgebra, "orbit_cyl", lambda rc, k, end: 0)
     c = _result(
         check_complex_vs_relativized(s2, build_universe(s2, 3)), "cylindrification-nonfrontier"
     )

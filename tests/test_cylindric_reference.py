@@ -4,7 +4,8 @@ The references are the plain forms of the primitives: a cylindrification
 that joins the blocks a mask meets on every call, with no memo, for both
 ``SuitableStructure.t_star`` and ``ComplexAlgebra.cyl``; relativized
 cylindrifications that regroup the triples by their off-k coordinates on
-every call; diagonals recomputed per call; and the sampled half of
+every call, also for the cylinder of an orbit mask; diagonals recomputed
+per call; and the sampled half of
 ``cyl-meet-exchange`` walking all sampled (x, y) pairs.  Under them the
 checks must give the same results, witnesses and messages as under the
 memoised primitives.
@@ -25,6 +26,7 @@ from warel.cylindric import (
     check_functions,
     check_mgr2,
     check_na3,
+    rc_build,
 )
 from warel.enumerate import summarize
 from warel.suitable import COORDS, SuitableStructure, build_suitable, check_suitable
@@ -61,6 +63,10 @@ def ref_rc_cyl(rc, k, x):
     return acc
 
 
+def ref_rc_orbit_cyl(rc, k, end):
+    return ref_rc_cyl(rc, k, rc.atom_mask(end))
+
+
 def ref_rc_diag(rc, k, l):
     acc = 0
     for i, trip in enumerate(rc.triples):
@@ -92,6 +98,7 @@ def reference_primitives(cyl=ref_cyl):
         mp.setattr(SuitableStructure, "t_star", ref_t_star)
         mp.setattr(ComplexAlgebra, "cyl", cyl)
         mp.setattr(RelativizedSetAlgebra, "cyl", ref_rc_cyl)
+        mp.setattr(RelativizedSetAlgebra, "orbit_cyl", ref_rc_orbit_cyl)
         mp.setattr(RelativizedSetAlgebra, "diag", ref_rc_diag)
         mp.setattr(cylindric, "_first_meet_exchange_failure", ref_first_meet_exchange_failure)
         yield
@@ -170,6 +177,15 @@ def test_t_star_matches_uncached_join(a2, pentagon):
     for _ in range(300):
         k, mask = rng.choice(COORDS), rng.randrange(S.full_mask + 1)
         assert S.t_star(k, mask) == ref_t_star(S, k, mask)
+
+
+def test_orbit_cyl_matches_reference(a2, pentagon, census):
+    for A, depth in ((a2, 3), (pentagon, 3), *((B, 2) for B in census)):
+        S = build_suitable(A)
+        rc = rc_build(build_universe(S, depth))
+        for k in COORDS:
+            for t in range(S.size):
+                assert rc.orbit_cyl(k, t) == ref_rc_cyl(rc, k, rc.atom_mask(t)), (k, t)
 
 
 def test_complex_algebras_share_the_memo(a2):

@@ -1,22 +1,29 @@
-"""The pair structure and the key property against per-triple references.
+"""The pair structure and the reduct checks against per-triple references.
 
 ``ref_build_pair_structure`` assigns each reachable triple's nine labels
 one call at a time, recomputing the end element's labels and diagonal
-agreements for every triple; ``ref_key_property`` walks the 27 ordered
-choices over every triple's points.  The checks under test compute each
-end element's label entries once and decide each distinct label matrix
-once; they must agree with these on every result, witness and message.
+agreements for every triple, and types each triple by
+``ref_classify_triple_kind``, which sorts its points and builds its pair
+kinds and lengths per triple; ``ref_key_property`` walks the 27 ordered
+choices over every triple's points; ``ref_replacement_closure`` tests
+every replacement of every triple against its headroom.  The checks
+under test compute each end element's label entries once, type triples
+without sorting, decide each distinct label matrix once and list the
+demanded replacements once per shortest witness length; they must agree
+with these on every result, witness and message.
 """
 
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warel import reduct
-from warel.core import CheckResult
-from warel.enumerate import summarize
-from warel.reduct import LabelDisagreement, PairStructure
+from warel.core import CheckResult, classify
+from warel.enumerate import sample_structure, summarize
+from warel.reduct import REPLACEMENT_STEPS, LabelDisagreement, PairStructure
 from warel.suitable import COORDS, build_suitable
 from warel.trails import BoundedUniverse, TripleInfo, build_universe
 
@@ -27,6 +34,66 @@ def _assign(ps, u, v, a):
         ps.label[(u, v)] = a
     elif old != a:
         raise LabelDisagreement(f"pair ({u},{v}) labelled {old} and {a}")
+
+
+def ref_pair_kind(ps, u, v):
+    if u == v:
+        return "identity"
+    hit_xi = (u, v) in ps.xi_pairs
+    hit_base = (u, v) in ps.base_pairs
+    if hit_xi and not hit_base:
+        return "descent"
+    if hit_base and not hit_xi:
+        return "base"
+    return "ambiguous"
+
+
+def ref_classify_triple_kind(ps, trip):
+    uni = ps.universe
+    distinct = sorted(set(trip))
+    if len(distinct) == 1:
+        return "single-point"
+    if len(distinct) == 2:
+        p, q = distinct
+        kind = ref_pair_kind(ps, p, q)
+        if kind == "descent":
+            return "doubled-descent"
+        if kind == "base":
+            return "doubled-base"
+        return "unclassified"
+    kinds = {(p, q): ref_pair_kind(ps, p, q) for p in distinct for q in distinct if p < q}
+    if all(k == "base" for k in kinds.values()):
+        return "three-base"
+    lengths = {p: uni.by_id[p].length for p in distinct}
+    w = max(distinct, key=lambda p: (lengths[p], p))
+    others = [p for p in distinct if p != w]
+    if ps.xi_of.get(w) == frozenset({(w, others[0]), (w, others[1])}):
+        third = ref_pair_kind(ps, *sorted(others))
+        if third == "descent":
+            return "descent-descent"
+        if third == "base":
+            return "descent-base"
+    return "unclassified"
+
+
+def ref_replacement_closure(ps):
+    uni = ps.universe
+    checked = excluded = 0
+    bad = None
+    for trip, info in uni.triples.items():
+        for f, steps in REPLACEMENT_STEPS.items():
+            if info.min_length + steps > uni.bound:
+                excluded += 1
+                continue
+            image = tuple(trip[f[i]] for i in COORDS)
+            checked += 1
+            if image not in uni.triples:
+                bad = (trip, f, image)
+                break
+        if bad:
+            break
+    detail = f"{bad}" if bad else f"checked={checked} excluded={excluded}"
+    return (CheckResult("replacement-closure", bad is None, detail),)
 
 
 def ref_build_pair_structure(A, uni):
@@ -70,7 +137,7 @@ def ref_build_pair_structure(A, uni):
                 if k != l and not (1 << t[3 - k - l]) & ident:
                     ps.base_pairs.add((base[k], base[l]))
     for trip in sorted(uni.triples):
-        ps.lem9_kind[trip] = reduct._classify_triple_kind(ps, trip)
+        ps.lem9_kind[trip] = ref_classify_triple_kind(ps, trip)
     return ps
 
 
@@ -122,6 +189,56 @@ def test_pair_structure_matches_reference(inputs):
         assert ps.xi_pairs == ref.xi_pairs
         assert ps.base_pairs == ref.base_pairs
         assert list(ps.lem9_kind.items()) == list(ref.lem9_kind.items())
+
+
+def test_triple_kinds_cover_every_type(inputs):
+    # the census and a2/pentagon at depth 3 meet every Lemma 9 type, so
+    # the comparison above tests each branch of the classification
+    seen = {k for _, _, ps in inputs for k in ps.lem9_kind.values()}
+    assert set(reduct.LEM9_KINDS) <= seen
+
+
+def test_replacement_closure_matches_reference(inputs):
+    for _, _, ps in inputs:
+        got = reduct.check_replacement_closure(ps)
+        assert got == ref_replacement_closure(ps)
+        assert got[0].holds
+
+
+def test_replacement_closure_names_the_reference_witness(inputs):
+    # deleting a reachable triple makes every triple that demands it as
+    # an image fail; both walks must name the same first failure
+    rng = random.Random(5)
+    failing = 0
+    for A, uni, _ in inputs:
+        for _ in range(8):
+            gone = rng.choice(sorted(uni.triples))
+            triples = {t: info for t, info in uni.triples.items() if t != gone}
+            ps = PairStructure(replace(uni, triples=triples))
+            got = reduct.check_replacement_closure(ps)
+            assert got == ref_replacement_closure(ps), gone
+            failing += not got[0].holds
+    assert failing > 20
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    which=st.sampled_from(["a2", "pentagon", "sample"]),
+    atoms=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bound=st.integers(min_value=1, max_value=4),
+)
+def test_kinds_and_replacements_match_reference_on_draws(a2, pentagon, which, atoms, seed, bound):
+    A = {"a2": a2, "pentagon": pentagon}.get(which) or sample_structure(
+        atoms, random.Random(seed)
+    )
+    if not classify(A).is_wa:
+        return
+    uni = build_universe(build_suitable(A), bound)
+    ps = reduct.build_pair_structure(A, uni)
+    ref = ref_build_pair_structure(A, uni)
+    assert list(ps.lem9_kind.items()) == list(ref.lem9_kind.items())
+    assert reduct.check_replacement_closure(ps) == ref_replacement_closure(ps)
 
 
 def test_pair_disagreement_matches_reference(inputs):

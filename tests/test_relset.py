@@ -73,10 +73,20 @@ def test_reflexivity_is_on_the_field_only():
 
 
 def test_check_rejects_asymmetric():
-    # (0, 1) without (1, 0) has no converse atom, so the facts of the
-    # relativization are not closed under the cycle transforms
-    with pytest.raises(ValueError, match="not closed"):
+    # (0, 1) without (1, 0) would have no converse atom
+    with pytest.raises(ValueError, match=r"not symmetric: \(1, 0\) is missing"):
         atom_structure_of_relativization(Universe(2), frozenset({(0, 0), (0, 1), (1, 1)}))
+    with pytest.raises(ValueError, match=r"not symmetric: \(0, 1\) is missing"):
+        atom_structure_of_relativization(Universe(2), frozenset({(0, 0), (1, 0), (1, 1)}))
+
+
+def test_check_rejects_pairs_outside_the_universe():
+    # a symmetric, reflexive unit on {0, 1, 2} over a universe of size 2
+    e = frozenset({(0, 0), (2, 2), (0, 2), (2, 0)})
+    with pytest.raises(ValueError, match=r"\(0, 2\) lies outside U x U for \|U\| = 2"):
+        atom_structure_of_relativization(Universe(2), e)
+    with pytest.raises(ValueError, match=r"\(-1, -1\) lies outside"):
+        atom_structure_of_relativization(Universe(2), frozenset({(-1, -1), (0, 0)}))
 
 
 def test_atom_structure_of_relativization_roundtrip():

@@ -2,8 +2,10 @@
 
 The reference walk below extends spines by every step, round trips
 included, and reduces each of the three repointings of every spine with
-``reduce_trail``; the pair structure's descent and base pairs are then
-computed through ``point_of``.  The reference reducer is the list-based
+``reduce_trail``, where ``build_universe`` reads each spine's triple off
+its parent's; the pair structure's descent and base pairs are then
+computed through ``point_of``.  Triples and pair lengths must agree in
+insertion order too, since reports iterate them in that order.  The reference reducer is the list-based
 one with scans over the distinguished subsets.
 """
 
@@ -76,7 +78,8 @@ def has_round_trip(nodes, steps):
 
 def ref_universe(S, bound):
     """Every spine up to the bound; returns the universe and the number
-    of round-trip-free spines among those walked."""
+    of round-trip-free spines among those walked.  ``base_triples``
+    records the triple of each length-one spine."""
     uni = BoundedUniverse(S, bound)
     free = 0
     layer = [((t,), ()) for t in range(S.size)]
@@ -87,6 +90,8 @@ def ref_universe(S, bound):
             trip = tuple(
                 uni.intern(reduce_trail(S, Trail(nodes, steps, k))).pid for k in COORDS
             )
+            if length == 1:
+                uni.base_triples.append(trip)
             if trip not in uni.triples:
                 uni.triples[trip] = TripleInfo(nodes[-1], length)
             else:
@@ -136,8 +141,9 @@ def assert_matches_reference(A, bound):
     ref, free = ref_universe(S, bound)
     assert uni.spines_seen == free
     assert uni.by_id == ref.by_id
-    assert uni.triples == ref.triples
-    assert uni.pair_min_length == ref.pair_min_length
+    assert list(uni.triples.items()) == list(ref.triples.items())
+    assert list(uni.pair_min_length.items()) == list(ref.pair_min_length.items())
+    assert uni.base_triples == ref.base_triples
     assert uni.frontier_triples() == ref.frontier_triples()
     ps = reduct.build_pair_structure(A, uni)
     assert ps.xi_of == ref_xi_of(ref)
