@@ -53,12 +53,6 @@ class ComplexAlgebra:
     def compl(self, x: int) -> int:
         return self.full & ~x
 
-    def subst(self, k: int, l: int, x: int) -> int:
-        """Substitution operator: cyl over k of the (k, l) diagonal cut."""
-        if k == l:
-            return x
-        return self.cyl(k, self.diag(k, l) & x)
-
 
 def _sample_subsets(full: int, rng: random.Random, count: int) -> list[int]:
     out = [0, full]

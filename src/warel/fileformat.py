@@ -4,8 +4,9 @@ A structure file has named sections.  ``atoms`` lists atom symbols,
 ``identity`` the subset below the identity, ``converse`` the
 non-self-converse pairs (everything unlisted is self-converse), and
 ``facts`` one composition fact per line written ``z <= x ; y``.  An
-``options`` section may switch on ``autoclose`` to close the facts
-under the cycle transforms.  Example:
+``options`` section may switch on ``autoclose`` (or ``autoclose=true``)
+to close the facts under the cycle transforms; any other option word is
+a parse error.  Example:
 
     atoms: e d
     identity: e
@@ -27,6 +28,7 @@ from typing import Iterable, Optional
 from .core import AtomStructure, CheckResult, StructureError, validate_atom_structure
 
 SECTIONS = ("atoms", "identity", "converse", "facts", "options")
+OPTIONS = ("autoclose",)
 
 
 class ParseError(ValueError):
@@ -74,8 +76,10 @@ def parse_structure(text: str) -> AtomStructure:
             facts.append((parts[2], parts[4], parts[0], line_no))
         elif section_name == "options":
             for w in words:
-                w = w.removesuffix("=true")
-                options.add(w)
+                option = w.removesuffix("=true")
+                if option not in OPTIONS:
+                    raise ParseError(line_no, f"unknown option {w!r}")
+                options.add(option)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)

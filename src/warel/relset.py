@@ -66,8 +66,9 @@ def atom_structure_of_relativization(
 
     Atoms are the single pairs of e; returns the structure together
     with the pair order used for atom indices.  A pair of e outside
-    U x U, or one whose reverse is missing from e, raises
-    ``ValueError`` naming the first such pair in sorted order.
+    U x U, a pair whose reverse is missing from e, or a point of the
+    field without its loop (p, p) raises ``ValueError`` naming the first
+    such pair in sorted order.
     """
     pairs = tuple(sorted(e))
     n = universe.size
@@ -77,6 +78,9 @@ def atom_structure_of_relativization(
     for u, v in pairs:
         if (v, u) not in e:
             raise ValueError(f"unit is not symmetric: {(v, u)} is missing")
+    for p in sorted(field_of(e)):
+        if (p, p) not in e:
+            raise ValueError(f"unit is not reflexive on its field: {(p, p)} is missing")
     index = {p: i for i, p in enumerate(pairs)}
     ident = [index[(u, v)] for u, v in pairs if u == v]
     conv = {index[(u, v)]: index[(v, u)] for u, v in pairs if (v, u) in index}

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,19 +8,61 @@ from hypothesis import strategies as st
 from warel.core import (
     Comp,
     Const,
+    Conv,
     Dom,
     EvalError,
+    Join,
     Meet,
+    Neg,
+    Rng,
     StructureError,
     Var,
+    atom_decided,
     check_equation,
     classify,
     eval_term,
+    free_vars,
     mask_of,
     peirce_orbit,
     validate_atom_structure,
 )
 from warel.enumerate import sample_structure
+
+
+def ref_eval(A, t, env):
+    """Reference term evaluation, lifting composition and converse from
+    atoms at every node."""
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Const):
+        return {"0": 0, "1": A.full, "1'": A.identity, "0'": A.diversity}[t.symbol]
+    if isinstance(t, (Join, Meet, Comp)):
+        a, b = ref_eval(A, t.left, env), ref_eval(A, t.right, env)
+        return a | b if isinstance(t, Join) else a & b if isinstance(t, Meet) else A.compose(a, b)
+    a = ref_eval(A, t.arg, env)
+    ops = {Neg: lambda: A.full & ~a, Conv: lambda: A.conv_el(a), Dom: lambda: A.dom_el(a), Rng: lambda: A.rng_el(a)}
+    return ops[type(t)]()
+
+
+def full_range_witness(A, lhs, rhs, relation="=", ranges=None, guard=None):
+    """Reference for ``check_equation``: the first failing assignment with
+    every variable over its whole range, whatever the terms."""
+    ranges = ranges or {}
+    names = sorted({v for t in (lhs, rhs, guard) if t is not None for v in free_vars(t)})
+
+    def whole(kind):
+        below = A.identity if kind in ("subidentities", "identity-atoms") else A.full
+        els = [m for m in A.elements() if m | below == below]
+        return [m for m in els if bin(m).count("1") == 1] if kind.endswith("atoms") else els
+
+    holds = {"=": lambda a, b: a == b, "<=": lambda a, b: a & ~b == 0, "!=0": lambda a, b: a == 0 or b != 0}
+    for vals in product(*(whole(ranges.get(n, "elements")) for n in names)):
+        env = dict(zip(names, vals))
+        if guard is not None and ref_eval(A, guard, env) == 0:
+            continue
+        if not holds[relation](ref_eval(A, lhs, env), ref_eval(A, rhs, env)):
+            return env
+    return None
 
 
 def test_a1_validates(a1):
@@ -80,22 +123,49 @@ def test_eval_unbound_variable(a2):
 
 def test_check_equation_right_identity_holds(a2):
     lhs = Comp(Var("x"), Const("1'"))
-    assert check_equation(a2, lhs, Var("x"), mode="elements") is None
+    assert check_equation(a2, lhs, Var("x")) is None
 
 
 def test_check_equation_witness_without_identity():
     A = validate_atom_structure(1, [], {}, [(0, 0, 0)])
     lhs = Comp(Var("x"), Const("1'"))
-    w = check_equation(A, lhs, Var("x"), mode="elements")
+    w = check_equation(A, lhs, Var("x"))
     assert w == {"x": 1}
 
 
 def test_check_equation_converse_product_atoms(a2):
-    from warel.core import Conv
-
     lhs = Conv(Comp(Var("x"), Var("y")))
     rhs = Comp(Conv(Var("y")), Conv(Var("x")))
-    assert check_equation(a2, lhs, rhs, mode="atoms") is None
+    assert atom_decided(lhs, rhs)
+    assert check_equation(a2, lhs, rhs) is None
+
+
+def test_atom_decided_range_includes_zero(a2):
+    # x + y <= y first fails at x an atom and y = 0, which a range of
+    # atoms alone would miss.
+    lhs, rhs = Join(Var("x"), Var("y")), Var("y")
+    assert atom_decided(lhs, rhs, "<=")
+    assert check_equation(a2, lhs, rhs, "<=") == full_range_witness(a2, lhs, rhs, "<=") == {"x": 1, "y": 0}
+
+
+def test_complemented_variable_keeps_the_whole_range(a2):
+    # x != 0 implies -x != 0 fails only at x = 1, a join of two atoms.
+    lhs, rhs = Var("x"), Neg(Var("x"))
+    assert not atom_decided(lhs, rhs, "!=0")
+    assert check_equation(a2, lhs, rhs, "!=0") == {"x": a2.full}
+
+
+def test_check_equation_builds_no_element_table():
+    # Terms compose through the atom rows, so a law is checked without
+    # the element table, above TABLE_GUARD atoms too.
+    from warel.core import TABLE_GUARD
+
+    n = TABLE_GUARD + 1
+    A = validate_atom_structure(n, range(n), {}, [(e, e, e) for e in range(n)])
+    x = Var("x")
+    assert check_equation(A, Comp(Const("1'"), x), x) is None
+    assert check_equation(A, Comp(x, x), Const("0"), "<=") == {"x": 1}
+    assert "comp_table" not in vars(A)
 
 
 def test_classify_small(a1, a2, pentagon, two_identities):
@@ -117,7 +187,7 @@ def test_ra4_fast_path_agrees_with_elements(a1, a2, pentagon):
     u = Meet(Var("x"), Const("1'"))
     lhs, rhs = Comp(Comp(u, Const("1")), Const("1")), Comp(u, Const("1"))
     for A in (a1, a2, pentagon):
-        assert classify(A).is_wa == (check_equation(A, lhs, rhs, mode="elements") is None)
+        assert classify(A).is_wa == (full_range_witness(A, lhs, rhs) is None)
 
 
 structure_seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -137,8 +207,6 @@ def test_classification_chain_random(seed, n):
 @settings(max_examples=40, deadline=None)
 @given(seed=structure_seeds, n=st.integers(min_value=1, max_value=3))
 def test_atom_and_element_mode_agree_on_additive_axioms(seed, n):
-    from warel.core import Conv, Join
-
     A = sample_structure(n, random.Random(seed))
     cases = [
         (Comp(Join(Var("x"), Var("y")), Var("z")),
@@ -146,9 +214,7 @@ def test_atom_and_element_mode_agree_on_additive_axioms(seed, n):
         (Conv(Comp(Var("x"), Var("y"))), Comp(Conv(Var("y")), Conv(Var("x")))),
     ]
     for lhs, rhs in cases:
-        atom_verdict = check_equation(A, lhs, rhs, mode="atoms") is None
-        elem_verdict = check_equation(A, lhs, rhs, mode="elements") is None
-        assert atom_verdict == elem_verdict
+        assert check_equation(A, lhs, rhs) == full_range_witness(A, lhs, rhs)
 
 
 @settings(max_examples=40, deadline=None)

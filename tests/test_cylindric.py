@@ -43,12 +43,6 @@ def test_cyl_2_diversity_singleton(s2):
     assert triples_of(s2, got) == {(0, 1, 1), (1, 0, 1), (1, 1, 1)}
 
 
-def test_subst_identity_when_equal(s2):
-    cm = ComplexAlgebra(s2)
-    for x in range(0, cm.full + 1, 7):
-        assert cm.subst(1, 1, x) == x
-
-
 def test_na3_passes(a1, a2, pentagon, two_identities):
     for A in (a1, a2, pentagon, two_identities):
         S = build_suitable(A)

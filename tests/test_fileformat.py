@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from warel.core import AtomStructure
 from warel.fileformat import ParseError, Report, format_structure, parse_structure
 
 A2_TEXT = """
@@ -57,6 +60,31 @@ def test_bad_fact_syntax():
 def test_bad_converse_is_validation_error():
     with pytest.raises(ParseError, match="self-converse"):
         parse_structure("atoms: e d\nidentity: e\nconverse: e d\nfacts:\n")
+
+
+def test_unknown_option_has_line_number():
+    # closed facts: without the check the misspelt option went unnoticed
+    text = "atoms: e\nidentity: e\nfacts:\n  e <= e ; e\noptions: autoclse\n"
+    with pytest.raises(ParseError, match="^line 5: unknown option 'autoclse'$"):
+        parse_structure(text)
+    assert parse_structure(text.replace("autoclse", "autoclose=true")).atom_count == 1
+
+
+# Section heads, atom names, fact and converse punctuation, option words,
+# comments and line breaks, so that soups of them hit every parser branch.
+HEADS = ("atoms:", "identity:", "converse:", "facts:", "options:")
+TOKENS = HEADS + ("e", "d", "r", "s", "<=", ";", ",", "autoclose", "=true", "# note", " ", "\n", "\n  ")
+SOUPS = st.builds(lambda head, rest: head + "".join(rest), st.sampled_from(HEADS), st.lists(st.sampled_from(TOKENS), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SOUPS)
+def test_parser_raises_only_parse_error(text):
+    try:
+        A = parse_structure(text)
+    except ParseError:
+        return
+    assert isinstance(A, AtomStructure)
 
 
 def test_content_before_section():

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warel.core import classify, mask_of, validate_atom_structure
+from test_core import full_range_witness
+from warel.core import Dom, Var, atom_decided, classify, mask_of, validate_atom_structure
 from warel.enumerate import enumerate_structures, sample_structure
-from warel.laws import LAW_INDEX, LAWS, elementary_law_suite
+from warel.laws import LAW_INDEX, LAWS, Row, elementary_law_suite
+
+ROWS = [law for law in LAWS if isinstance(law.check, Row)]
 
 
 def test_thirty_three_laws():
@@ -93,3 +96,51 @@ def test_law_verdicts_and_witnesses_golden():
             failing += not res.holds
     assert failing == 508
     assert h.hexdigest() == LAW_LINES_DIGEST
+
+
+def _decided(law):
+    row = law.check
+    return atom_decided(row.lhs, row.rhs, row.relation, row.guard)
+
+
+def test_which_rows_are_atom_decided():
+    assert len(ROWS) == 28
+    assert [law.name for law in ROWS if not _decided(law)] == [
+        "domain-range-definitions",
+        "domain-range-converse-swap",
+        "domain-range-absorption",
+        "subidentity-own-domain",
+        "range-meets-domain",
+        "subidentity-forces-domain",
+    ]
+
+
+def test_repeated_dom_wrapped_or_complemented_variable_is_not_atom_decided():
+    x, y = Var("x"), Var("y")
+    assert atom_decided(x * y, y * x) and atom_decided(x, x * x, "<=")
+    assert not atom_decided(x * x, x, "<=")
+    assert not atom_decided(Dom(x), x)
+    assert not atom_decided(x, x * x)
+    assert not atom_decided(x, -x, "<=")
+    assert not atom_decided(x * y, y, "!=0", guard=x)
+
+
+def _rows_match_full_range(A):
+    """Every row's witness equals the one found with each variable over its
+    whole range; for the atom-decided rows that is the lemma of laws.py."""
+    for law in ROWS:
+        row = law.check
+        full = full_range_witness(A, row.lhs, row.rhs, row.relation, dict(row.ranges), row.guard)
+        assert row(A) == full, (law.name, A)
+
+
+def test_rows_match_full_range_on_one_and_two_atoms():
+    for n in (1, 2):
+        for A in enumerate_structures(n):
+            _rows_match_full_range(A)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=3))
+def test_rows_match_full_range_on_sampled_structures(seed, n):
+    _rows_match_full_range(sample_structure(n, random.Random(seed)))

@@ -80,6 +80,14 @@ def test_check_rejects_asymmetric():
         atom_structure_of_relativization(Universe(2), frozenset({(0, 0), (1, 0), (1, 1)}))
 
 
+def test_check_rejects_a_unit_not_reflexive_on_its_field():
+    # symmetric, but points 0 and 1 of its field lack their loops
+    with pytest.raises(ValueError, match=r"not reflexive on its field: \(0, 0\) is missing"):
+        atom_structure_of_relativization(Universe(2), frozenset({(0, 1), (1, 0)}))
+    with pytest.raises(ValueError, match=r"not reflexive on its field: \(1, 1\) is missing"):
+        atom_structure_of_relativization(Universe(2), frozenset({(0, 0), (0, 1), (1, 0)}))
+
+
 def test_check_rejects_pairs_outside_the_universe():
     # a symmetric, reflexive unit on {0, 1, 2} over a universe of size 2
     e = frozenset({(0, 0), (2, 2), (0, 2), (2, 0)})
