@@ -45,9 +45,6 @@ class LabellingSystem:
     in_index: dict[tuple[int, int], list[int]] = field(default_factory=dict)
     repairs_done: int = 0
 
-    def points(self) -> list[int]:
-        return sorted(self.stage)
-
     def point_count(self) -> int:
         return len(self.stage)
 
@@ -75,17 +72,25 @@ class LabellingSystem:
         self.in_index.setdefault((v, a), []).append(u)
 
     def has_witness(self, u: int, b: int, c: int, v: int) -> bool:
+        """Some w has (u, w) labelled b and (w, v) labelled c.  Walks the
+        shorter of the two index lists and looks the other edge up in
+        ``label``."""
         outs = self.out_index.get((u, b))
         if not outs:
             return False
         ins = self.in_index.get((v, c))
         if not ins:
             return False
+        label = self.label
         if len(outs) <= len(ins):
-            small, probe = outs, set(ins)
+            for w in outs:
+                if label.get((w, v)) == c:
+                    return True
         else:
-            small, probe = ins, set(outs)
-        return any(w in probe for w in small)
+            for w in ins:
+                if label.get((u, w)) == b:
+                    return True
+        return False
 
     def is_flaw(self, f: Flaw) -> bool:
         u, a, v, b, c = f
@@ -129,20 +134,19 @@ def find_flaws(ls: LabellingSystem, scope: Optional[int] = None) -> list[Flaw]:
 
 
 def _check_triangles_through(ls: LabellingSystem, pts: tuple[int, ...]) -> None:
-    A = ls.algebra
-    for u in pts:
-        for w in pts:
-            aw = ls.label.get((u, w))
+    """Property (v) on every ordered triple (u, w, v) over ``pts``,
+    reading the label matrix of ``pts`` once."""
+    comp = ls.algebra.comp_atoms
+    get = ls.label.get
+    rows = [[get((x, y)) for y in pts] for x in pts]
+    for u, row in zip(pts, rows):
+        for w, aw, wrow in zip(pts, row, rows):
             if aw is None:
                 continue
-            for v in pts:
-                bw = ls.label.get((w, v))
-                if bw is None:
+            for v, bw, cw in zip(pts, wrow, row):
+                if bw is None or cw is None:
                     continue
-                cw = ls.label.get((u, v))
-                if cw is None:
-                    continue
-                if not (1 << cw) & A.comp_atoms[aw][bw]:
+                if not (1 << cw) & comp[aw][bw]:
                     raise ConsistencyError(
                         f"triangle ({u},{w},{v}) labels ({aw},{bw},{cw}) "
                         "violate the composition bound"
@@ -184,17 +188,21 @@ def saturate(
 ) -> LabellingSystem:
     """Run repair passes.  Pass k fixes, in order, every flaw whose
     endpoints were created before pass k; afterwards no flaw has both
-    endpoints at a stage below ``passes``."""
+    endpoints at a stage below ``passes``.  ``max_points`` bounds the
+    points: a repair that would add a point beyond it raises
+    ``GuardExceeded``, and a listed flaw that an earlier repair of the
+    pass already witnessed adds none."""
     if passes < 0:
         raise ValueError("passes must be nonnegative")
     for k in range(ls.passes_done + 1, ls.passes_done + passes + 1):
         for f in find_flaws(ls, scope=k):
+            if not ls.is_flaw(f):
+                continue
             if max_points is not None and ls.point_count() >= max_points:
                 raise GuardExceeded(
                     f"saturation exceeded the point budget {max_points}"
                 )
-            if ls.is_flaw(f):
-                repair(ls, f, stage=k)
+            repair(ls, f, stage=k)
         ls.passes_done = k
     return ls
 
@@ -233,7 +241,7 @@ def verify_representation(ls: LabellingSystem, stage_bound: int) -> tuple[CheckR
             f"stage bound {stage_bound} exceeds completed passes {ls.passes_done}"
         )
     net = Network(ls.algebra, ls.label)
-    partition_ok = sum(map(len, net.images)) == len(net.unit)
+    partition_ok = sum(map(len, net.images)) == len(net.label)
     bad = net.upper_violation()
     stage = ls.stage
     checked, excluded, flaw = net.lower_scan(

@@ -506,10 +506,10 @@ def final_representation(
     )
     return net, (
         CheckResult(
-            "unit-symmetric-reflexive", net.is_symmetric_reflexive(), f"|unit|={len(net.unit)}"
+            "unit-symmetric-reflexive", net.is_symmetric_reflexive(), f"|unit|={len(net.label)}"
         ),
         CheckResult(
-            "atom-images-partition", all(net.images) and total == len(net.unit), f"{total} pairs"
+            "atom-images-partition", all(net.images) and total == len(net.label), f"{total} pairs"
         ),
         CheckResult("identity-to-diagonal", net.identity_is_diagonal()),
         CheckResult("converse-exact", net.converse_is_exact()),

@@ -106,14 +106,34 @@ class Network:
 
     Both representation pipelines end in a network: the labelled pairs
     form the unit, and an element x is represented by the pairs whose
-    label lies below x.  The index, unit, field, atom images and
-    ``facts`` are computed once and cached; ``facts`` comes from one
-    key intersection per labelled pair, shared by the composition
-    checks and by :func:`image_atom_structure`.
+    label lies below x.  The row index, field, atom images and ``facts``
+    are computed once and cached; ``facts`` comes from one key
+    intersection per labelled pair, shared by the composition checks
+    and by :func:`image_atom_structure`.  The checks read the rows and
+    ``label``; ``unit`` and ``succ`` are built only when asked for.
     """
 
     algebra: AtomStructure
     label: PairLabels
+
+    @cached_property
+    def rows(self) -> tuple[Successors, Successors]:
+        """``(out, inn)`` with ``out[u][v] = inn[v][u]`` the label of
+        ``(u, v)``: one row per point with a labelled pair leaving it
+        (``out``) or entering it (``inn``), in ``label`` order, built in
+        one unsorted pass."""
+        out: Successors = {}
+        inn: Successors = {}
+        for (u, v), a in self.label.items():
+            row = out.get(u)
+            if row is None:
+                out[u] = row = {}
+            row[v] = a
+            col = inn.get(v)
+            if col is None:
+                inn[v] = col = {}
+            col[u] = a
+        return out, inn
 
     @cached_property
     def succ(self) -> Successors:
@@ -132,7 +152,8 @@ class Network:
 
     @cached_property
     def field(self) -> frozenset[int]:
-        return field_of(self.unit)
+        out, inn = self.rows
+        return frozenset(out.keys() | inn.keys())
 
     @cached_property
     def images(self) -> tuple[BinRel, ...]:
@@ -169,36 +190,62 @@ class Network:
         """The label triples ``(a, b, c)`` seen on triangles: exactly
         the atoms a, b, c with f(c) meeting f(a) ; f(b) inside the unit.
         Exact over every triangle: the third points w of a labelled pair
-        (u, v) are the key intersection of ``succ[u]`` and ``succ[v]``,
+        (u, v) are the key intersection of ``out[u]`` and ``out[v]``,
         so the same triangles as :meth:`triangles`, found without its
         walk along ``succ[v]``."""
-        succ = self.succ
+        out_rows = self.rows[0]
         out: set[Triple] = set()
         for (u, v), a in self.label.items():
-            su = succ[u]
-            sv = succ.get(v, {})
+            su = out_rows[u]
+            sv = out_rows.get(v)
+            if sv is None:
+                continue
             for w in su.keys() & sv.keys():
                 out.add((a, sv[w], su[w]))
         return frozenset(out)
 
     def is_symmetric_reflexive(self) -> bool:
         """Exact: every pair of the unit has its reverse in the unit, and
-        every point of the field its loop."""
-        unit = self.unit
-        return all((v, u) in unit for u, v in unit) and all(
-            (p, p) in unit for p in self.field
-        )
+        every point of the field its loop.  Symmetry is row against
+        column, ``out[u]`` and ``inn[u]`` having the same points for
+        every point u; then the field is the rows' points."""
+        out, inn = self.rows
+        if out.keys() != inn.keys():
+            return False
+        for u, row in out.items():
+            if u not in row or row.keys() != inn[u].keys():
+                return False
+        return True
 
     def identity_is_diagonal(self) -> bool:
         """Exact: the identity element is represented by the loops on
-        every point of the field."""
-        return self.pairs(self.algebra.identity) == identity_on(self.field)
+        every point of the field.  Every pair with an identity label is
+        a loop, and there are as many of them as points in the field."""
+        ident = self.algebra.identity
+        loops = 0
+        for (u, v), a in self.label.items():
+            if (1 << a) & ident:
+                if u != v:
+                    return False
+                loops += 1
+        return loops == len(self.field)
 
     def converse_is_exact(self) -> bool:
         """Per atom, and so for every element since atom images are
-        disjoint: the image of a~ is the inverse of the image of a."""
+        disjoint: the image of a~ is the inverse of the image of a.
+        Decided on the pairs: each labelled (u, v), label a, has (v, u)
+        labelled a~, so the image of a~ contains the inverse of a's.
+        The reverse inclusion then needs a~~ = a for every atom a whose
+        converse a~ labels some pair; that is checked last, since an
+        ``AtomStructure`` built directly need not have an involutive
+        converse."""
         conv = self.algebra.converse
-        return all(self.images[conv[a]] == rel_inverse(img) for a, img in enumerate(self.images))
+        get = self.label.get
+        for (u, v), a in self.label.items():
+            if get((v, u)) != conv[a]:
+                return False
+        images = self.images
+        return all(conv[b] == a for a, b in enumerate(conv) if images[b])
 
     def upper_violation(self) -> Optional[tuple[int, int, int]]:
         """The first triangle ``(u, v, w)``, in :meth:`triangles` order,
@@ -221,18 +268,22 @@ class Network:
         (u, v), label c, not ``excluded(u, v)`` needs, for every factor
         pair (b, b') of c, a point w with (u, w) labelled b and (w, v)
         labelled b'.  Pairs come in increasing order; excluded pairs are
-        only counted.  Returns ``(checked, excluded, first missing)``,
-        the last as ``(u, c, v, b, b')`` or None."""
+        only counted.  The middle points w are the key intersection of
+        ``out[u]`` and ``inn[v]``.  Returns ``(checked, excluded, first
+        missing)``, the last as ``(u, c, v, b, b')`` or None."""
         factor_pairs = self.algebra.factor_pairs
-        succ = self.succ
+        out, inn = self.rows
         checked = skipped = 0
-        for u, row in succ.items():
-            for v, c in row.items():
+        for u in sorted(out):
+            row = out[u]
+            for v in sorted(row):
+                c = row[v]
                 if excluded(u, v):
                     skipped += 1
                     continue
                 checked += 1
-                through = {(b, succ.get(w, {}).get(v)) for w, b in row.items()}
+                col = inn[v]
+                through = {(row[w], col[w]) for w in row.keys() & col.keys()}
                 for b, b2 in factor_pairs[c]:
                     if (b, b2) not in through:
                         return checked, skipped, (u, c, v, b, b2)

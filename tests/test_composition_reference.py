@@ -6,7 +6,10 @@ walked triangles through adjacency.  On small random label maps,
 consistent or deliberately corrupted, the indexed checks must return
 the same ``(name, holds, detail)``.  ``ref_element_checks`` keeps the
 element-level loops that ``verify_representation`` replaced by per-atom
-certificates; the verdicts must agree on all seven lines.
+certificates; the verdicts must agree on all seven lines.  The
+set-based ``Network`` checks, the triangle check of a repair and the
+witness search of a labelling system are kept here in their old form
+as well.
 """
 
 import re
@@ -17,11 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 from warel import labelling as lb
 from warel import reduct
-from warel.core import classify, validate_atom_structure
+from warel.core import AtomStructure, classify, validate_atom_structure
 from warel.relset import (
     Network,
     Universe,
     atom_structure_of_relativization,
+    field_of,
+    identity_on,
     image_atom_structure,
     rel_inverse,
 )
@@ -84,11 +89,74 @@ def ref_final_lower(A, label, bound, pair_min_length):
     )
 
 
+def ref_images(A, label):
+    return tuple(
+        frozenset(pr for pr, b in label.items() if b == a) for a in range(A.atom_count)
+    )
+
+
+def ref_is_symmetric_reflexive(label):
+    unit = frozenset(label)
+    return all((v, u) in unit for u, v in unit) and all(
+        (p, p) in unit for p in field_of(unit)
+    )
+
+
+def ref_identity_is_diagonal(A, label):
+    images = ref_images(A, label)
+    ident = frozenset().union(*(images[a] for a in range(A.atom_count) if (1 << a) & A.identity))
+    return ident == identity_on(field_of(frozenset(label)))
+
+
+def ref_converse_is_exact(A, label):
+    images = ref_images(A, label)
+    conv = A.converse
+    return all(images[conv[a]] == rel_inverse(img) for a, img in enumerate(images))
+
+
+def ref_final_structural(A, label):
+    """The first four lines of ``final_representation``, from whole sets."""
+    unit = frozenset(label)
+    images = ref_images(A, label)
+    total = sum(map(len, images))
+    return [
+        ("unit-symmetric-reflexive", ref_is_symmetric_reflexive(label), f"|unit|={len(unit)}"),
+        ("atom-images-partition", all(images) and total == len(unit), f"{total} pairs"),
+        ("identity-to-diagonal", ref_identity_is_diagonal(A, label), ""),
+        ("converse-exact", ref_converse_is_exact(A, label), ""),
+    ]
+
+
+def ref_has_witness(ls, u, b, c, v):
+    return any(ls.label.get((u, w)) == b and ls.label.get((w, v)) == c for w in ls.stage)
+
+
+def ref_check_triangles_through(ls, pts):
+    A = ls.algebra
+    for u in pts:
+        for w in pts:
+            aw = ls.label.get((u, w))
+            if aw is None:
+                continue
+            for v in pts:
+                bw = ls.label.get((w, v))
+                if bw is None:
+                    continue
+                cw = ls.label.get((u, v))
+                if cw is None:
+                    continue
+                if not (1 << cw) & A.comp_atoms[aw][bw]:
+                    raise lb.ConsistencyError(
+                        f"triangle ({u},{w},{v}) labels ({aw},{bw},{cw}) "
+                        "violate the composition bound"
+                    )
+
+
 def ref_labelling_upper(ls):
     A = ls.algebra
     bad = None
     for (u, w), a in ls.label.items():
-        for v in ls.points():
+        for v in sorted(ls.stage):
             b = ls.label.get((w, v))
             if b is None:
                 continue
@@ -234,9 +302,10 @@ def test_final_representation_matches_reference(algebra, data):
     min_length = {pr: data.draw(st.integers(1, 4)) for pr in sorted(label)}
     universe = SimpleNamespace(bound=bound, pair_min_length=min_length)
     _, checks = reduct.final_representation(A, SimpleNamespace(label=label, universe=universe))
-    got = _by_name(checks)
-    assert got["composition-upper-exact"] == ref_final_upper(A, label)
-    assert got["composition-lower-nonfrontier"] == ref_final_lower(A, label, bound, min_length)
+    assert [(r.name, r.holds, r.detail) for r in checks] == ref_final_structural(A, label) + [
+        ref_final_upper(A, label),
+        ref_final_lower(A, label, bound, min_length),
+    ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -301,3 +370,81 @@ def test_image_atom_structure_round_trips_relativizations(drawn):
 def test_facts_are_the_triangle_labels(algebra, data):
     net = Network(algebra, data.draw(label_maps(algebra)))
     assert net.facts == {(a, b, c) for _, _, _, a, b, c in net.triangles()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_network_checks_match_reference_on_any_converse(algebra, data):
+    # a directly built AtomStructure need not have an involutive converse;
+    # the per-pair converse check must keep the per-atom meaning there too
+    n = algebra.atom_count
+    conv = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    A = AtomStructure(n, algebra.identity, conv, algebra.cycles)
+    label = data.draw(label_maps(A))
+    net = Network(A, label)
+    assert net.converse_is_exact() == ref_converse_is_exact(A, label)
+    assert net.identity_is_diagonal() == ref_identity_is_diagonal(A, label)
+    assert net.is_symmetric_reflexive() == ref_is_symmetric_reflexive(label)
+    assert net.field == field_of(frozenset(label))
+
+
+def test_converse_check_on_a_non_involution(a2):
+    A = AtomStructure(2, a2.identity, (0, 0), a2.cycles)
+    # every pair's reverse carries the converse label, yet the image of
+    # 0 = conv(1) is not the inverse of the empty image of 1
+    assert not Network(A, {(0, 0): 0}).converse_is_exact()
+    assert not ref_converse_is_exact(A, {(0, 0): 0})
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_has_witness_matches_reference(algebra, data):
+    A = algebra
+    label = data.draw(label_maps(A))
+    n = 1 + max(max(pr) for pr in label) if label else 1
+    ls = _system(A, label, [0] * n)
+    atoms = range(A.atom_count)
+    for u in range(n):
+        for v in range(n):
+            for b in atoms:
+                for c in atoms:
+                    assert ls.has_witness(u, b, c, v) == ref_has_witness(ls, u, b, c, v)
+
+
+def test_has_witness_walks_either_index(pentagon):
+    ls = lb.saturate(lb.initial_system(pentagon), 3)
+    atoms = range(pentagon.atom_count)
+    found = {"outs": 0, "ins": 0}
+    for u in ls.stage:
+        for v in ls.stage:
+            for b in atoms:
+                for c in atoms:
+                    want = ref_has_witness(ls, u, b, c, v)
+                    assert ls.has_witness(u, b, c, v) == want
+                    outs = ls.out_index.get((u, b), [])
+                    ins = ls.in_index.get((v, c), [])
+                    if want and len(outs) != len(ins):
+                        found["outs" if len(outs) < len(ins) else "ins"] += 1
+    assert found["outs"] and found["ins"], found
+
+
+def _raised(check, ls, pts):
+    try:
+        check(ls, pts)
+    except lb.ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_triangle_check_matches_reference(algebra, data):
+    A = algebra
+    label = data.draw(label_maps(A))
+    n = 1 + max(max(pr) for pr in label) if label else 1
+    ls = _system(A, label, [0] * n)
+    point = st.integers(0, n - 1)
+    pts = (data.draw(point), data.draw(point), data.draw(point))
+    assert _raised(lb._check_triangles_through, ls, pts) == _raised(
+        ref_check_triangles_through, ls, pts
+    )

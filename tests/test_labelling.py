@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from test_composition_reference import ref_element_checks
 from warel import labelling as lb
-from warel.core import validate_atom_structure
+from warel.core import GuardExceeded, validate_atom_structure
 from warel.relset import Network
 
 
@@ -102,6 +104,35 @@ def test_point_budget(pentagon):
         lb.saturate(ls, 3, max_points=4)
 
 
+@pytest.mark.parametrize("name, passes", [("a2", 2), ("pentagon", 2), ("pentagon", 3)])
+def test_point_budget_counts_only_added_points(request, name, passes):
+    # flaws listed at the start of a pass that an earlier repair already
+    # witnessed add no point, so they must not trip the budget
+    A = request.getfixturevalue(name)
+    free = lb.saturate(lb.initial_system(A), passes)
+    budget = free.point_count()
+    capped = lb.saturate(lb.initial_system(A), passes, max_points=budget)
+    assert capped.label == free.label and capped.stage == free.stage
+    with pytest.raises(GuardExceeded, match=f"point budget {budget - 1}$"):
+        lb.saturate(lb.initial_system(A), passes, max_points=budget - 1)
+
+
+def test_saturate_memory_is_linear_in_labels(pentagon):
+    # bytes per label stay flat from pass 6 to pass 7 (about 300 B each);
+    # an index keyed by absolute point ids, such as a bitmask per
+    # (point, atom), grows as points squared and roughly doubles here
+    per_label = []
+    for passes in (6, 7):
+        tracemalloc.start()
+        try:
+            ls = lb.saturate(lb.initial_system(pentagon), passes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_label.append(peak / len(ls.label))
+    assert per_label[1] / per_label[0] < 1.2, per_label
+
+
 def test_verify_stage_bound_contract(a2):
     ls = lb.saturate(lb.initial_system(a2), 1)
     with pytest.raises(ValueError, match="stage bound"):
@@ -137,7 +168,7 @@ def test_representation_images(a1, a2):
     rep2 = Network(a2, ls2.label)
     assert {(0, 1), (1, 0)} <= rep2.pairs(2)
     assert rep2.is_symmetric_reflexive()
-    assert rep2.pairs(a2.identity) == frozenset((p, p) for p in ls2.points())
+    assert rep2.pairs(a2.identity) == frozenset((p, p) for p in sorted(ls2.stage))
 
 
 def test_unit_symmetric_reflexive_after_saturation(pentagon):
