@@ -29,9 +29,9 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .core import CheckResult, iter_bits
+from .core import CheckResult
 from .suitable import COORDS, SuitableStructure
 from .trails import BoundedUniverse
 
@@ -320,82 +320,47 @@ def check_functions(S: SuitableStructure) -> tuple[CheckResult, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Bounded relativized set algebra
+# Bounded relativized set algebra, decided on triple signatures
 
 
-@dataclass
-class RelativizedSetAlgebra:
-    """The algebra of subsets of the reachable triple set, with
-    relativized cylindrifications and diagonal constants."""
+class _Group(NamedTuple):
+    """A signature shared by some reachable triples: ``bit`` is
+    ``1 << end`` for the carrier element their trails end at (0 for an
+    end outside the carrier), ``blocks[k]`` the carrier mask of the ends
+    in their k-block (the reachable triples that agree with them off
+    coordinate k), ``diag[k][l]`` whether coordinates k and l agree."""
 
-    universe: BoundedUniverse
-    triples: tuple[tuple[int, int, int], ...]
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int, int], int]:
-        return {t: i for i, t in enumerate(self.triples)}
-
-    @cached_property
-    def full(self) -> int:
-        return (1 << len(self.triples)) - 1
-
-    @cached_property
-    def _cyl_blocks(self) -> tuple[dict[tuple[int, int], int], ...]:
-        # for coordinate k, group triples by the two off-k coordinates
-        out: tuple[dict[tuple[int, int], int], ...] = ({}, {}, {})
-        d0, d1, d2 = out
-        for i, (a, b, c) in enumerate(self.triples):
-            bit = 1 << i
-            d0[b, c] = d0.get((b, c), 0) | bit
-            d1[a, c] = d1.get((a, c), 0) | bit
-            d2[a, b] = d2.get((a, b), 0) | bit
-        return out
-
-    def cyl(self, k: int, x: int) -> int:
-        acc = 0
-        for block in self._cyl_blocks[k].values():
-            if x & block:
-                acc |= block
-        return acc
-
-    @cached_property
-    def _diags(self) -> tuple[tuple[int, int, int], ...]:
-        d01 = d02 = d12 = 0
-        for i, (a, b, c) in enumerate(self.triples):
-            bit = 1 << i
-            if a == b:
-                d01 |= bit
-            if a == c:
-                d02 |= bit
-            if b == c:
-                d12 |= bit
-        full = self.full
-        return ((full, d01, d02), (d01, full, d12), (d02, d12, full))
-
-    def diag(self, k: int, l: int) -> int:
-        return self._diags[k][l]
-
-    def atom_mask(self, end: int) -> int:
-        acc = 0
-        for trip in self.universe.orbit_sets.get(end, ()):
-            acc |= 1 << self.index[trip]
-        return acc
-
-    def orbit_cyl(self, k: int, end: int) -> int:
-        """``cyl(k, atom_mask(end))``: the k-blocks that the orbit of
-        carrier element ``end`` meets are the blocks of its own triples,
-        so their join is read from each triple's off-k coordinates
-        without walking every block of coordinate k."""
-        blocks = self._cyl_blocks[k]
-        i, j = (c for c in COORDS if c != k)
-        acc = 0
-        for trip in self.universe.orbit_sets.get(end, ()):
-            acc |= blocks[trip[i], trip[j]]
-        return acc
+    bit: int
+    frontier: bool
+    blocks: tuple[int, int, int]
+    diag: tuple[tuple[bool, bool, bool], ...]
 
 
-def rc_build(uni: BoundedUniverse) -> RelativizedSetAlgebra:
-    return RelativizedSetAlgebra(uni, tuple(sorted(uni.triples)))
+def _triple_groups(S: SuitableStructure, uni: BoundedUniverse) -> dict[_Group, int]:
+    """The reachable triples counted by signature.  One pass ORs each
+    triple's end bit into its three blocks, each keyed by the two
+    off-k points; a second reads every triple's three block masks.
+    Memory is one mask per block and one entry per distinct signature,
+    not a mask over the triples per block."""
+    bits = {t: 1 << t for t in range(S.size)}
+    b0: dict[tuple[int, int], int] = {}
+    b1: dict[tuple[int, int], int] = {}
+    b2: dict[tuple[int, int], int] = {}
+    for (a, b, c), info in uni.triples.items():
+        bit = bits.get(info.end, 0)
+        b0[b, c] = b0.get((b, c), 0) | bit
+        b1[a, c] = b1.get((a, c), 0) | bit
+        b2[a, b] = b2.get((a, b), 0) | bit
+    counts: dict[tuple, int] = {}
+    bound = uni.bound
+    for (a, b, c), info in uni.triples.items():
+        # frontier as in TripleInfo.is_frontier
+        key = (info.end, info.min_length >= bound, b0[b, c], b1[a, c], b2[a, b], a == b, a == c, b == c)
+        counts[key] = counts.get(key, 0) + 1
+    return {
+        _Group(bits.get(end, 0), fr, (m0, m1, m2), ((True, d01, d02), (d01, True, d12), (d02, d12, True))): n
+        for (end, fr, m0, m1, m2, d01, d02, d12), n in counts.items()
+    }
 
 
 def check_orbit_partition(uni: BoundedUniverse) -> CheckResult:
@@ -419,84 +384,95 @@ def check_complex_vs_relativized(
     non-frontier data (the inward direction is exact; the outward
     witness needs one step of headroom).
 
+    The map sends a carrier subset x to ``image(x)``, the reachable
+    triples whose end lies in x; the relativized algebra cylindrifies
+    a set of triples to the union of the k-blocks it meets.  Every line
+    is decided on the triples' signatures (``_triple_groups``), never
+    on a mask over the triples.  Lemma: for a carrier subset x and a
+    reachable triple t,
+
+    - t lies in ``image(c_k x)`` exactly when its end lies in
+      ``cm.cyl(k, x)``, one memoised call per (k, x);
+    - t lies in the relativized ``c_k(image x)`` exactly when its
+      k-block holds a triple with end in x, that is when the end mask
+      of t's k-block meets x;
+    - t lies in ``image(d_kl)`` exactly when its end lies in
+      ``e_masks[k][l]``, and in the relativized d_kl exactly when
+      t_k == t_l.
+
+    These conditions are constant on a signature group, so each line is
+    a pass over the groups and an exclusion count a sum of group sizes.
+
     ``subsets`` is every singleton, then 0, the full set and
     ``samples`` seeded random subsets.  Quantifier ranges:
 
-    - ``orbit-atoms-disjoint-nonempty``: exact over the carrier.
+    - ``orbit-atoms-disjoint-nonempty``: exact over the carrier.  The
+      orbit atoms are disjoint by construction, each triple having one
+      end; the line asks that every carrier element is some triple's
+      end and that every triple's end lies in the carrier.
     - ``boolean-exact``: x over ``subsets``, but y only over
-      ``subsets[:3]``.  ``image`` is a join by construction, so it
-      preserves joins for every x and y, and complements exactly when
-      the orbit atoms partition the triples (the line above); this
-      line is a cross-check of that construction.
+      ``subsets[:3]``.  An image is named by the carrier mask of the ends
+      it covers, so it preserves joins for every x and y, and complements
+      exactly when no end lies outside the carrier; a cross-check.
     - ``diagonal-exact``: exact over the nine (k, l).
     - ``cylindrification-nonfrontier``: x over ``subsets``;
       singleton-decided, since both sides are joins over the bits of
       x.  Outward misses at frontier triples are excluded and counted.
+
+    A failing line names its first failing instance in loop order.
     """
-    rc = rc_build(uni)
     cm = ComplexAlgebra(S)
     rng = random.Random(seed)
+    groups = _triple_groups(S, uni)
     out: list[CheckResult] = []
 
-    atom_masks = [rc.atom_mask(t) for t in range(S.size)]
-    nonempty = all(m for m in atom_masks)
-    disjoint = True
-    acc = 0
-    for m in atom_masks:
-        if acc & m:
-            disjoint = False
-        acc |= m
-    out.append(
-        CheckResult(
-            "orbit-atoms-disjoint-nonempty", nonempty and disjoint and acc == rc.full
-        )
-    )
+    ends = {g.bit for g in groups}
+    covered, outside = sum(ends), 0 in ends  # distinct powers of two: the sum is the join
+    out.append(CheckResult("orbit-atoms-disjoint-nonempty", covered == cm.full and not outside))
 
-    def image(xmask: int) -> int:
-        m = 0
-        for i in iter_bits(xmask):
-            m |= atom_masks[i]
-        return m
+    def image(x: int) -> int:
+        return x & covered
 
-    subsets = [1 << i for i in range(S.size)] + _sample_subsets(
-        cm.full, rng, samples
-    )
-    ok = all(
-        image(cm.compl(x)) == rc.full & ~image(x) and image(x | y) == image(x) | image(y)
+    subsets = [1 << i for i in range(S.size)] + _sample_subsets(cm.full, rng, samples)
+    ok = not outside and all(
+        image(cm.compl(x)) == covered & ~image(x) and image(x | y) == image(x) | image(y)
         for x in subsets
         for y in subsets[: len(COORDS)]
     )
     out.append(CheckResult("boolean-exact", ok))
 
     bad = next(
-        ((k, l) for k in COORDS for l in COORDS if image(cm.diag(k, l)) != rc.diag(k, l)),
+        ((k, l) for k in COORDS for l in COORDS
+         if any(bool(cm.diag(k, l) & g.bit) != g.diag[k][l] for g in groups)),
         None,
     )
     out.append(CheckResult("diagonal-exact", bad is None, str(bad or "")))
 
-    frontier = uni.frontier_triples()
-    frontier_mask = 0
-    for trip in frontier:
-        frontier_mask |= 1 << rc.index[trip]
-    # rc.cyl is a join over blocks, hence additive: rc.cyl(k, image(x))
-    # is the join of the cylindrified orbit masks of the bits of x
-    atom_cyl = [[rc.orbit_cyl(k, t) for t in range(S.size)] for k in COORDS]
     bad = None
     excluded = 0
     for k in COORDS:
+        rows: dict[tuple[int, int, bool], int] = {}
+        for g, cnt in groups.items():
+            key = (g.bit, g.blocks[k], g.frontier)
+            rows[key] = rows.get(key, 0) + cnt
         for x in subsets:
-            lhs = image(cm.cyl(k, x))
-            rhs = 0
-            for i in iter_bits(x):
-                rhs |= atom_cyl[k][i]
-            if rhs & ~lhs:
-                bad = ("inward", k, x)
-                break
-            missing = lhs & ~rhs
-            if missing & ~frontier_mask:
+            cx = cm.cyl(k, x)
+            outward = False
+            missed = 0
+            for (bit, block, frontier), cnt in rows.items():
+                if block & x:
+                    if not cx & bit:
+                        bad = ("inward", k, x)
+                        break
+                elif cx & bit:
+                    if not frontier:
+                        outward = True
+                    missed += cnt
+            if bad is None and outward:
                 bad = ("outward", k, x)
+            if bad:
                 break
-            excluded += bin(missing & frontier_mask).count("1")
+            excluded += missed
         if bad:
             break
     out.append(

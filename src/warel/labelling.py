@@ -245,7 +245,7 @@ def verify_representation(ls: LabellingSystem, stage_bound: int) -> tuple[CheckR
     bad = net.upper_violation()
     stage = ls.stage
     checked, excluded, flaw = net.lower_scan(
-        lambda u, v: stage[u] >= stage_bound or stage[v] >= stage_bound
+        [(u, v) for u, v in net.label if stage[u] < stage_bound and stage[v] < stage_bound]
     )
     return (
         CheckResult("join-preserved", partition_ok),

@@ -502,7 +502,7 @@ def final_representation(
     total = sum(map(len, net.images))
     bad = net.upper_violation()
     checked, excluded, missing = net.lower_scan(
-        lambda u, v: uni.pair_min_length[(u, v)] + 1 > uni.bound
+        [pr for pr, h in uni.pair_min_length.items() if h < uni.bound]
     )
     return net, (
         CheckResult(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, FrozenSet, Iterable, Iterator, Mapping, Optional
+from typing import FrozenSet, Iterable, Iterator, Mapping, Optional
 
 from .core import AtomStructure, Triple, iter_bits, validate_atom_structure
 
@@ -262,32 +262,43 @@ class Network:
         )
 
     def lower_scan(
-        self, excluded: Callable[[int, int], bool]
+        self, pairs: Iterable[tuple[int, int]]
     ) -> tuple[int, int, Optional[tuple[int, int, int, int, int]]]:
         """Composition lower containment, staged: each labelled pair
-        (u, v), label c, not ``excluded(u, v)`` needs, for every factor
-        pair (b, b') of c, a point w with (u, w) labelled b and (w, v)
-        labelled b'.  Pairs come in increasing order; excluded pairs are
-        only counted.  The middle points w are the key intersection of
-        ``out[u]`` and ``inn[v]``.  Returns ``(checked, excluded, first
-        missing)``, the last as ``(u, c, v, b, b')`` or None."""
+        (u, v) of ``pairs``, label c, needs for every factor pair
+        (b, b') of c a point w with (u, w) labelled b and (w, v)
+        labelled b'; the other labelled pairs are excluded and counted.
+        Pairs come in increasing order.  The middle points w come from
+        the shorter of ``out[u]`` and ``inn[v]``, and the walk stops once
+        every factor pair of c has a witness.  Returns ``(checked,
+        excluded, first missing)``, the last as ``(u, c, v, b, b')``
+        with (b, b') the first factor pair left without a witness, or
+        None; on a miss ``excluded`` counts the excluded pairs below it,
+        from its rank among the labelled pairs."""
         factor_pairs = self.algebra.factor_pairs
         out, inn = self.rows
-        checked = skipped = 0
-        for u in sorted(out):
-            row = out[u]
-            for v in sorted(row):
-                c = row[v]
-                if excluded(u, v):
-                    skipped += 1
-                    continue
-                checked += 1
-                col = inn[v]
-                through = {(row[w], col[w]) for w in row.keys() & col.keys()}
-                for b, b2 in factor_pairs[c]:
-                    if (b, b2) not in through:
-                        return checked, skipped, (u, c, v, b, b2)
-        return checked, skipped, None
+        checked = 0
+        for u, v in sorted(pairs):
+            row, col = out[u], inn[v]
+            c = row[v]
+            checked += 1
+            todo = set(factor_pairs[c])
+            # a w off the other row pairs a label with None, never a factor pair
+            if len(row) <= len(col):
+                for w, b in row.items():
+                    todo.discard((b, col.get(w)))
+                    if not todo:
+                        break
+            else:
+                for w, b2 in col.items():
+                    todo.discard((row.get(w), b2))
+                    if not todo:
+                        break
+            if todo:
+                b, b2 = next(fp for fp in factor_pairs[c] if fp in todo)
+                below = sum(1 for p in self.label if p < (u, v))
+                return checked, below - (checked - 1), (u, c, v, b, b2)
+        return checked, len(self.label) - checked, None
 
 
 def image_atom_structure(net: Network) -> AtomStructure:

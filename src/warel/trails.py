@@ -289,6 +289,12 @@ class BoundedUniverse:
         )
 
 
+# (p, q) positions a new triple offers: all nine at length one, else those holding k
+_PAIR_POSITIONS = {
+    k: [(p, q) for p in COORDS for q in COORDS if k in (None, p, q)] for k in (*COORDS, None)
+}
+
+
 def build_universe(
     S: SuitableStructure,
     bound: int,
@@ -320,6 +326,13 @@ def build_universe(
     triple per point, and the length-one triple per carrier element.
     Triples record the shortest witnessing spine; ones seen only at the
     cap are frontier data.
+
+    ``pair_min_length`` records each ordered pair of points at the
+    length of the first triple holding it.  A new triple longer than one
+    differs from its parent's only at coordinate k, so its pairs
+    (trip[p], trip[q]) with p, q != k came with the parent's triple at
+    no larger length; offering only the five with k in (p, q), in the
+    nested (p, q) order, gives the dict and its order of all nine.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -362,9 +375,8 @@ def build_universe(
             info = uni.triples.get(trip)
             if info is None:
                 uni.triples[trip] = TripleInfo(last, length)
-                for i in trip:
-                    for j in trip:
-                        pair_min.setdefault((i, j), length)
+                for p, q in _PAIR_POSITIONS[None if parent is None else k]:
+                    pair_min.setdefault((trip[p], trip[q]), length)
             elif info.end != last:
                 raise AssertionError(
                     "one coordinate triple reached from two carrier elements"

@@ -9,9 +9,13 @@ element-level loops that ``verify_representation`` replaced by per-atom
 certificates; the verdicts must agree on all seven lines.  The
 set-based ``Network`` checks, the triangle check of a repair and the
 witness search of a labelling system are kept here in their old form
-as well.
+as well.  ``ref_lower_scan`` is the predicate-driven lower scan: it
+walks every labelled pair, asks a predicate whether to skip it, and
+intersects the whole rows ``out[u]`` and ``inn[v]``; ``Network.lower_scan``
+takes the checked pairs themselves and stops a pair's walk early.
 """
 
+import random
 import re
 from types import SimpleNamespace
 
@@ -87,6 +91,26 @@ def ref_final_lower(A, label, bound, pair_min_length):
         bad is None,
         f"checked={checked} excluded={excluded}" + ("" if bad is None else f" missing={bad}"),
     )
+
+
+def ref_lower_scan(net, excluded):
+    factor_pairs = net.algebra.factor_pairs
+    out, inn = net.rows
+    checked = skipped = 0
+    for u in sorted(out):
+        row = out[u]
+        for v in sorted(row):
+            c = row[v]
+            if excluded(u, v):
+                skipped += 1
+                continue
+            checked += 1
+            col = inn[v]
+            through = {(row[w], col[w]) for w in row.keys() & col.keys()}
+            for b, b2 in factor_pairs[c]:
+                if (b, b2) not in through:
+                    return checked, skipped, (u, c, v, b, b2)
+    return checked, skipped, None
 
 
 def ref_images(A, label):
@@ -325,6 +349,40 @@ def test_labelling_checks_match_reference(algebra, data):
     assert by_name["composition-lower-staged"] == lower
     assert [(r.name, r.holds) for r in got] == list(ref_element_checks(ls, stage_bound).items())
     assert all(r.detail == "" for r in got[:5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lower_scan_matches_predicate_scan(algebra, data):
+    label = data.draw(label_maps(algebra))
+    keys = sorted(label)
+    checked = data.draw(st.sets(st.sampled_from(keys))) if keys else set()
+    net = Network(algebra, label)
+    # the scan sorts the pairs itself
+    pairs = data.draw(st.permutations(sorted(checked)))
+    assert net.lower_scan(pairs) == ref_lower_scan(net, lambda u, v: (u, v) not in checked)
+
+
+def test_lower_scan_matches_predicate_scan_on_a_saturated_system(pentagon):
+    ls = lb.saturate(lb.initial_system(pentagon), 3)
+    rng = random.Random(0)
+    keys = sorted(ls.label)
+    outcomes = set()
+    # after three passes every pair between points of stages 0 to 2 has
+    # its witnesses
+    staged = [(u, v) for u, v in keys if ls.stage[u] < 3 and ls.stage[v] < 3]
+    for trial in range(40):
+        label = dict(ls.label)
+        if trial % 2:
+            # relabel one pair: some factor pair may lose its witness
+            pr = rng.choice(keys)
+            label[pr] = rng.randrange(pentagon.atom_count)
+        checked = {pr for pr in (keys if trial % 4 == 3 else staged) if rng.random() < 0.5}
+        net = Network(pentagon, label)
+        got = net.lower_scan(checked)
+        assert got == ref_lower_scan(net, lambda u, v: (u, v) not in checked)
+        outcomes.add(got[2] is None)
+    assert outcomes == {True, False}
 
 
 @settings(max_examples=100, deadline=None)

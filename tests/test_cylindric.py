@@ -1,15 +1,15 @@
+import tracemalloc
+
 import pytest
 
 from warel import cylindric
 from warel.cylindric import (
     ComplexAlgebra,
-    RelativizedSetAlgebra,
     check_complex_vs_relativized,
     check_functions,
     check_mgr2,
     check_na3,
     check_orbit_partition,
-    rc_build,
 )
 from warel.enumerate import summarize
 from warel.suitable import build_suitable
@@ -102,31 +102,31 @@ def test_functions_all_identity_fixed(s2):
 def test_rc_single_atom_covers_everything(a1):
     S = build_suitable(a1)
     uni = build_universe(S, 2)
-    rc = rc_build(uni)
-    assert rc.atom_mask(0) == rc.full
+    groups = cylindric._triple_groups(S, uni)
+    assert {g.bit for g in groups} == {1}
+    assert all(g.blocks == (1, 1, 1) for g in groups)
+    assert sum(groups.values()) == len(uni.triples)
     assert check_orbit_partition(uni).holds
 
 
 def test_rc_atoms_disjoint(s2):
     uni = build_universe(s2, 2)
-    rc = rc_build(uni)
-    acc = 0
-    for t in range(s2.size):
-        m = rc.atom_mask(t)
-        assert m
-        assert not (acc & m)
-        acc |= m
-    assert acc == rc.full
+    groups = cylindric._triple_groups(s2, uni)
+    per_end = {}
+    for g, cnt in groups.items():
+        assert g.bit and g.bit & (g.bit - 1) == 0
+        per_end[g.bit] = per_end.get(g.bit, 0) + cnt
+    assert per_end == {1 << t: len(uni.orbit_sets[t]) for t in range(s2.size)}
 
 
 def test_rc_cylindrification_blocks(s2):
     uni = build_universe(s2, 2)
-    rc = rc_build(uni)
-    for k in (0, 1, 2):
-        x = 1
-        cx = rc.cyl(k, x)
-        assert cx & x == x
-        assert rc.cyl(k, cx) == cx
+    for g in cylindric._triple_groups(s2, uni):
+        for k in (0, 1, 2):
+            # a triple lies in its own k-block
+            assert g.blocks[k] & g.bit == g.bit
+            # the relativized diagonal d_kk is everything
+            assert g.diag[k][k]
 
 
 def test_complex_vs_relativized(a1, a2, pentagon):
@@ -200,15 +200,65 @@ def test_mgr2_names_first_failure(s2, monkeypatch):
     assert not c.holds and c.detail == "(0, 1, 2, 1)"
 
 
+def _patched_groups(monkeypatch, change):
+    """Feed the set-algebra check every signature group after ``change``."""
+    real = cylindric._triple_groups
+
+    def changed(S, uni):
+        out = {}
+        for g, cnt in real(S, uni).items():
+            g = change(g)
+            out[g] = out.get(g, 0) + cnt
+        return out
+
+    monkeypatch.setattr(cylindric, "_triple_groups", changed)
+
+
 def test_diagonal_exact_names_first_failure(s2, monkeypatch):
-    monkeypatch.setattr(RelativizedSetAlgebra, "diag", lambda rc, k, l: 0)
+    # no triple lies in any relativized diagonal, d_00 included
+    no_diag = ((False,) * 3,) * 3
+    _patched_groups(monkeypatch, lambda g: g._replace(diag=no_diag))
     c = _result(check_complex_vs_relativized(s2, build_universe(s2, 3)), "diagonal-exact")
     assert not c.holds and c.detail == "(0, 0)"
 
 
 def test_cylindrification_names_first_failure(s2, monkeypatch):
-    monkeypatch.setattr(RelativizedSetAlgebra, "orbit_cyl", lambda rc, k, end: 0)
+    # every relativized cylinder is empty: each block meets no end
+    _patched_groups(monkeypatch, lambda g: g._replace(blocks=(0, 0, 0)))
     c = _result(
         check_complex_vs_relativized(s2, build_universe(s2, 3)), "cylindrification-nonfrontier"
     )
     assert not c.holds and c.detail == "('outward', 0, 1)"
+
+
+def _setalgebra_peak_per_triple(A, depth):
+    S = build_suitable(A)
+    uni = build_universe(S, depth)
+    tracemalloc.start()
+    try:
+        check_complex_vs_relativized(S, uni)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / len(uni.triples)
+
+
+def test_setalgebra_memory_grows_with_the_triples_not_faster(pentagon):
+    # the check keeps one mask per block and one entry per signature, so
+    # its peak per triple stays flat from depth 3 to depth 4; masks over
+    # the triples for every block would grow it with the universe
+    at3 = _setalgebra_peak_per_triple(pentagon, 3)
+    at4 = _setalgebra_peak_per_triple(pentagon, 4)
+    assert at4 / at3 < 1.5, (at3, at4)
+
+
+def test_cylindrification_names_inward_before_outward(s2, monkeypatch):
+    # complemented block masks break both directions at (0, 1): some
+    # triples enter the relativized cylinder and leave the image, some
+    # non-frontier ones the other way; the inward miss is named
+    full = s2.full_mask
+    _patched_groups(monkeypatch, lambda g: g._replace(blocks=tuple(full & ~b for b in g.blocks)))
+    c = _result(
+        check_complex_vs_relativized(s2, build_universe(s2, 3)), "cylindrification-nonfrontier"
+    )
+    assert not c.holds and c.detail == "('inward', 0, 1)"

@@ -2,35 +2,42 @@
 
 The references are the plain forms of the primitives: a cylindrification
 that joins the blocks a mask meets on every call, with no memo, for both
-``SuitableStructure.t_star`` and ``ComplexAlgebra.cyl``; relativized
-cylindrifications that regroup the triples by their off-k coordinates on
-every call, also for the cylinder of an orbit mask; diagonals recomputed
-per call; and the sampled half of
-``cyl-meet-exchange`` walking all sampled (x, y) pairs.  Under them the
-checks must give the same results, witnesses and messages as under the
-memoised primitives.
+``SuitableStructure.t_star`` and ``ComplexAlgebra.cyl``, and the sampled
+half of ``cyl-meet-exchange`` walking all sampled (x, y) pairs.  Under
+them the checks must give the same results, witnesses and messages as
+under the memoised primitives.
+
+The set-algebra lines have a reference of their own:
+``RefRelativizedSetAlgebra`` keeps the relativized algebra as bitmasks
+over the sorted reachable triples, one mask per cylindrification block,
+and ``ref_check_complex_vs_relativized`` compares images with it mask by
+mask.  ``check_complex_vs_relativized`` decides the same lines on
+per-triple signatures; the two must agree on real universes and on
+corrupted ones.
 """
 
+import dataclasses
 import random
 from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warel import cylindric
+from warel.core import CheckResult, iter_bits
 from warel.cylindric import (
     ComplexAlgebra,
-    RelativizedSetAlgebra,
     check_complex_vs_relativized,
     check_functions,
     check_mgr2,
     check_na3,
-    rc_build,
 )
 from warel.enumerate import summarize
 from warel.suitable import COORDS, SuitableStructure, build_suitable, check_suitable
-from warel.trails import build_universe
+from warel.trails import BoundedUniverse, TripleInfo, build_universe
 
 SEEDS = (0, 1, 2, 3)
 
@@ -51,30 +58,6 @@ def ref_cyl(cm, k, x):
     return acc
 
 
-def ref_rc_cyl(rc, k, x):
-    blocks = {}
-    for i, trip in enumerate(rc.triples):
-        key = tuple(trip[c] for c in COORDS if c != k)
-        blocks[key] = blocks.get(key, 0) | (1 << i)
-    acc = 0
-    for block in blocks.values():
-        if x & block:
-            acc |= block
-    return acc
-
-
-def ref_rc_orbit_cyl(rc, k, end):
-    return ref_rc_cyl(rc, k, rc.atom_mask(end))
-
-
-def ref_rc_diag(rc, k, l):
-    acc = 0
-    for i, trip in enumerate(rc.triples):
-        if trip[k] == trip[l]:
-            acc |= 1 << i
-    return acc
-
-
 def ref_meet_exchange_failures(cm, sampled):
     """Every sampled (k, x, y) with c_k(x . c_k y) != c_k x . c_k y, in
     loop order."""
@@ -92,14 +75,155 @@ def ref_first_meet_exchange_failure(cm, sampled):
     return next(iter(ref_meet_exchange_failures(cm, sampled)), None)
 
 
+# ---------------------------------------------------------------------------
+# The relativized set algebra as bitmasks over the reachable triples
+
+
+@dataclass
+class RefRelativizedSetAlgebra:
+    """The algebra of subsets of the reachable triple set, with
+    relativized cylindrifications and diagonal constants."""
+
+    universe: BoundedUniverse
+    triples: tuple[tuple[int, int, int], ...]
+
+    @cached_property
+    def index(self):
+        return {t: i for i, t in enumerate(self.triples)}
+
+    @cached_property
+    def full(self):
+        return (1 << len(self.triples)) - 1
+
+    @cached_property
+    def cyl_blocks(self):
+        # for coordinate k, group triples by the two off-k coordinates
+        out = ({}, {}, {})
+        d0, d1, d2 = out
+        for i, (a, b, c) in enumerate(self.triples):
+            bit = 1 << i
+            d0[b, c] = d0.get((b, c), 0) | bit
+            d1[a, c] = d1.get((a, c), 0) | bit
+            d2[a, b] = d2.get((a, b), 0) | bit
+        return out
+
+    def cyl(self, k, x):
+        acc = 0
+        for block in self.cyl_blocks[k].values():
+            if x & block:
+                acc |= block
+        return acc
+
+    def diag(self, k, l):
+        acc = 0
+        for i, trip in enumerate(self.triples):
+            if trip[k] == trip[l]:
+                acc |= 1 << i
+        return acc
+
+    def atom_mask(self, end):
+        acc = 0
+        for trip in self.universe.orbit_sets.get(end, ()):
+            acc |= 1 << self.index[trip]
+        return acc
+
+    def orbit_cyl(self, k, end):
+        """``cyl(k, atom_mask(end))``, read from the blocks of the
+        orbit's own triples."""
+        blocks = self.cyl_blocks[k]
+        i, j = (c for c in COORDS if c != k)
+        acc = 0
+        for trip in self.universe.orbit_sets.get(end, ()):
+            acc |= blocks[trip[i], trip[j]]
+        return acc
+
+
+def ref_rc_build(uni):
+    return RefRelativizedSetAlgebra(uni, tuple(sorted(uni.triples)))
+
+
+def ref_check_complex_vs_relativized(S, uni, seed=0, samples=32):
+    """The four set-algebra lines, decided on masks over the triples."""
+    rc = ref_rc_build(uni)
+    cm = ComplexAlgebra(S)
+    rng = random.Random(seed)
+    out = []
+
+    atom_masks = [rc.atom_mask(t) for t in range(S.size)]
+    nonempty = all(m for m in atom_masks)
+    disjoint = True
+    acc = 0
+    for m in atom_masks:
+        if acc & m:
+            disjoint = False
+        acc |= m
+    out.append(
+        CheckResult(
+            "orbit-atoms-disjoint-nonempty", nonempty and disjoint and acc == rc.full
+        )
+    )
+
+    def image(xmask):
+        m = 0
+        for i in iter_bits(xmask):
+            m |= atom_masks[i]
+        return m
+
+    subsets = [1 << i for i in range(S.size)] + cylindric._sample_subsets(
+        cm.full, rng, samples
+    )
+    ok = all(
+        image(cm.compl(x)) == rc.full & ~image(x) and image(x | y) == image(x) | image(y)
+        for x in subsets
+        for y in subsets[: len(COORDS)]
+    )
+    out.append(CheckResult("boolean-exact", ok))
+
+    bad = next(
+        ((k, l) for k in COORDS for l in COORDS if image(cm.diag(k, l)) != rc.diag(k, l)),
+        None,
+    )
+    out.append(CheckResult("diagonal-exact", bad is None, str(bad or "")))
+
+    frontier_mask = 0
+    for trip in uni.frontier_triples():
+        frontier_mask |= 1 << rc.index[trip]
+    # rc.cyl is a join over blocks, hence additive: rc.cyl(k, image(x))
+    # is the join of the cylindrified orbit masks of the bits of x
+    atom_cyl = [[rc.orbit_cyl(k, t) for t in range(S.size)] for k in COORDS]
+    bad = None
+    excluded = 0
+    for k in COORDS:
+        for x in subsets:
+            lhs = image(cm.cyl(k, x))
+            rhs = 0
+            for i in iter_bits(x):
+                rhs |= atom_cyl[k][i]
+            if rhs & ~lhs:
+                bad = ("inward", k, x)
+                break
+            missing = lhs & ~rhs
+            if missing & ~frontier_mask:
+                bad = ("outward", k, x)
+                break
+            excluded += bin(missing & frontier_mask).count("1")
+        if bad:
+            break
+    out.append(
+        CheckResult(
+            "cylindrification-nonfrontier",
+            bad is None,
+            f"frontier exclusions {excluded}" if bad is None else str(bad),
+        )
+    )
+    return tuple(out)
+
+
 @contextmanager
 def reference_primitives(cyl=ref_cyl):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SuitableStructure, "t_star", ref_t_star)
         mp.setattr(ComplexAlgebra, "cyl", cyl)
-        mp.setattr(RelativizedSetAlgebra, "cyl", ref_rc_cyl)
-        mp.setattr(RelativizedSetAlgebra, "orbit_cyl", ref_rc_orbit_cyl)
-        mp.setattr(RelativizedSetAlgebra, "diag", ref_rc_diag)
         mp.setattr(cylindric, "_first_meet_exchange_failure", ref_first_meet_exchange_failure)
         yield
 
@@ -118,11 +242,15 @@ def assert_matches_reference(A, seed, depth=None):
         want = carrier_checks(build_suitable(A), seed)
     assert got == want
     if depth is not None:
-        uni = build_universe(S, depth)
-        got = check_complex_vs_relativized(S, uni, seed=seed)
-        with reference_primitives():
-            want = check_complex_vs_relativized(S, uni, seed=seed)
-        assert got == want
+        assert_setalgebra_matches_reference(S, build_universe(S, depth), seed)
+
+
+def assert_setalgebra_matches_reference(S, uni, seed):
+    got = check_complex_vs_relativized(S, uni, seed=seed)
+    with reference_primitives():
+        want = ref_check_complex_vs_relativized(S, uni, seed=seed)
+    assert got == want
+    return got
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +269,77 @@ def test_census_matches_reference(census, seed):
     assert len(census) == 17
     for A in census:
         assert_matches_reference(A, seed, depth=2)
+
+
+def test_census_depth3_matches_reference(census):
+    for A in census:
+        S = build_suitable(A)
+        assert_setalgebra_matches_reference(S, build_universe(S, 3), seed=0)
+
+
+def test_pentagon_depth4_matches_reference(pentagon):
+    S = build_suitable(pentagon)
+    got = assert_setalgebra_matches_reference(S, build_universe(S, 4), seed=0)
+    assert all(c.holds for c in got), got
+
+
+SETALGEBRA_LINES = (
+    "orbit-atoms-disjoint-nonempty",
+    "boolean-exact",
+    "diagonal-exact",
+    "cylindrification-nonfrontier",
+)
+CORRUPTIONS = ("end", "drop", "min_length")
+
+
+def corrupted(uni, kind, i, end):
+    """A copy of ``uni`` with its i-th triple given the end ``end``,
+    dropped, or with its shortest witness moved across the bound."""
+    triples = dict(uni.triples)
+    trip, info = list(triples.items())[i]
+    if kind == "end":
+        triples[trip] = TripleInfo(end, info.min_length)
+    elif kind == "drop":
+        del triples[trip]
+    else:
+        moved = uni.bound if info.min_length < uni.bound else uni.bound - 1
+        triples[trip] = TripleInfo(info.end, moved)
+    return dataclasses.replace(uni, triples=triples)
+
+
+@pytest.fixture(scope="module")
+def universes(a2, pentagon):
+    out = []
+    for A, depth in ((a2, 3), (pentagon, 2), (pentagon, 3)):
+        S = build_suitable(A)
+        out.append((S, build_universe(S, depth)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupted_universes_match_reference(universes, data):
+    S, uni = data.draw(st.sampled_from(universes))
+    kind = data.draw(st.sampled_from(CORRUPTIONS))
+    i = data.draw(st.integers(0, len(uni.triples) - 1))
+    # an end of S.size lies outside the carrier
+    end = data.draw(st.integers(0, S.size))
+    seed = data.draw(st.sampled_from(SEEDS))
+    assert_setalgebra_matches_reference(S, corrupted(uni, kind, i, end), seed)
+
+
+def test_corruptions_fail_every_line(universes):
+    failed = set()
+    for S, uni in universes:
+        n = len(uni.triples)
+        for kind in CORRUPTIONS:
+            for i in range(0, n, max(1, n // 8)):
+                for end in (i % S.size, S.size):
+                    got = assert_setalgebra_matches_reference(
+                        S, corrupted(uni, kind, i, end), seed=0
+                    )
+                    failed |= {c.name for c in got if not c.holds}
+    assert failed == set(SETALGEBRA_LINES)
 
 
 @st.composite
@@ -180,12 +379,24 @@ def test_t_star_matches_uncached_join(a2, pentagon):
 
 
 def test_orbit_cyl_matches_reference(a2, pentagon, census):
+    # the relativized cylinder of every orbit, counted on the signature
+    # groups by block end masks, is the reference's mask, frontier and all
     for A, depth in ((a2, 3), (pentagon, 3), *((B, 2) for B in census)):
         S = build_suitable(A)
-        rc = rc_build(build_universe(S, depth))
+        uni = build_universe(S, depth)
+        rc = ref_rc_build(uni)
+        groups = cylindric._triple_groups(S, uni)
+        frontier = {rc.index[t] for t in uni.frontier_triples()}
         for k in COORDS:
             for t in range(S.size):
-                assert rc.orbit_cyl(k, t) == ref_rc_cyl(rc, k, rc.atom_mask(t)), (k, t)
+                want = rc.orbit_cyl(k, t)
+                assert want == rc.cyl(k, rc.atom_mask(t))
+                bits = list(iter_bits(want))
+                got = [0, 0]
+                for g, cnt in groups.items():
+                    if g.blocks[k] >> t & 1:
+                        got[g.frontier] += cnt
+                assert got == [len(bits) - len(frontier & set(bits)), len(frontier & set(bits))]
 
 
 def test_complex_algebras_share_the_memo(a2):

@@ -198,3 +198,13 @@ def test_descent_pairs_shorten_names_first_failure(ps2):
     ps.__dict__["xi_of"] = {p: frozenset({(p, p)}), q: frozenset({(q, q)})}
     c = next(c for c in reduct.check_pair_partition(ps) if c.name == "descent-pairs-shorten")
     assert not c.holds and c.detail == str((p, p))
+
+
+def test_pair_lengths_cover_exactly_the_labelled_pairs(pentagon):
+    # final_representation passes the checked pairs as pair_min_length
+    # keys, and counts the rest of the labels as excluded
+    _, census = summarize(3, mod_iso=True)
+    for A, depth in ((pentagon, 3), *((B, 3) for B in census)):
+        uni = build_universe(build_suitable(A), depth)
+        ps = reduct.build_pair_structure(A, uni)
+        assert uni.pair_min_length.keys() == ps.label.keys()

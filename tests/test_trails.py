@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warel.core import GuardExceeded
+from warel.enumerate import summarize
 from warel.suitable import build_suitable
 from warel.trails import (
     InvalidTrail,
@@ -217,3 +218,17 @@ def test_reduce_properties_hypothesis(a2, seed):
     assert len(r) <= len(p)
     assert r.begin == p.begin
     assert reduce_trail(S, r) == r
+
+
+def test_pair_lengths_as_if_every_pair_were_offered(pentagon):
+    # offering all nine ordered pairs of each new triple, in the order
+    # the triples were first met, gives the same dict in the same order
+    _, census = summarize(3, mod_iso=True)
+    for A, depth in ((pentagon, 4), *((B, 3) for B in census)):
+        uni = build_universe(build_suitable(A), depth)
+        want = {}
+        for trip, info in uni.triples.items():
+            for i in trip:
+                for j in trip:
+                    want.setdefault((i, j), info.min_length)
+        assert list(uni.pair_min_length.items()) == list(want.items())
