@@ -9,13 +9,20 @@ satisfies the three-dimensional cylindric axioms with commutativity of
 cylindrifications weakened to its diagonal-guarded form, plus the
 binary merry-go-round substitution identities.
 
-Each check states its quantifier range.  Cylindrification is a join
-over blocks, so an axiom whose sides are additive in a set variable is
-decided by the singletons of that variable; such axioms run over every
-singleton and then over seeded random subsets as a cross-check
-(singleton-decided).  Axioms in the diagonal constants alone are exact,
-as are the singleton identities of :func:`check_functions`, which range
-over the whole carrier.
+Each check states its quantifier range.  Lemma (Jonsson and Tarski):
+``t_star(k, x)`` is the join of the k-blocks that x meets, so
+cylindrification is completely additive, c_k(x + y) = c_k x + c_k y and
+c_k 0 = 0.  An equation whose sides are built from a set variable by
+cylindrifications, joins and meets with constants is then additive in
+that variable, and an inequation with an additive left side and a
+monotone right side is decided the same way: each holds at 0, where
+its left side is 0, and a failure at a union of singletons is a
+failure at one of them.  Such axioms run over the carrier's singletons
+alone (singleton-decided), so the first failing instance in loop order
+is the one a loop over all subsets, singletons first, would name.
+Axioms in the diagonal constants alone are exact, as are the singleton
+identities of :func:`check_functions`, which range over the whole
+carrier.
 
 The bounded set-algebra form relativizes the full algebra on triples
 of universe points to the reachable triple set; the map sending a
@@ -25,11 +32,10 @@ isomorphism up to the frontier.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .core import CheckResult
 from .suitable import COORDS, SuitableStructure
@@ -54,64 +60,34 @@ class ComplexAlgebra:
         return self.full & ~x
 
 
-def _sample_subsets(full: int, rng: random.Random, count: int) -> list[int]:
-    out = [0, full]
-    for _ in range(count):
-        out.append(rng.randrange(full + 1))
-    return out
-
-
-def _first_meet_exchange_failure(
-    cm: ComplexAlgebra, sampled: list[int]
-) -> Optional[tuple[int, int, int]]:
-    """The first (k, x, y) in loop order, x and y over ``sampled``,
-    with c_k(x . c_k y) != c_k x . c_k y.  Each x is tested once per
-    distinct c_k y; the failing y reported is the first whose
-    cylinder value fails."""
-    for k in COORDS:
-        sampled_cyl = [cm.cyl(k, y) for y in sampled]
-        distinct = set(sampled_cyl)
-        for x in sampled:
-            cx = cm.cyl(k, x)
-            failing = {cy for cy in distinct if cm.cyl(k, x & cy) != cx & cy}
-            if failing:
-                y = next(y for y, cy in zip(sampled, sampled_cyl) if cy in failing)
-                return (k, x, y)
-    return None
-
-
-def check_na3(
-    S: SuitableStructure, seed: int = 0, samples: int = 64
-) -> tuple[CheckResult, ...]:
+def check_na3(S: SuitableStructure) -> tuple[CheckResult, ...]:
     """Cylindric axioms with guarded commutativity.
 
-    ``subsets`` is every singleton of the carrier, then 0, the full
-    set and ``samples`` seeded random subsets.  Quantifier ranges:
+    ``singles`` is every singleton of the carrier.  Quantifier ranges,
+    by the additivity lemma of the module docstring:
 
     - ``boolean-part``: structural, the carrier's powerset.
     - ``cyl-zero``: exact, c_k 0 = 0 for each k.
-    - ``cyl-increasing``: x over ``subsets``; singleton-decided, since
-      x <= c_k x is additive in x.
+    - ``cyl-increasing``: x over ``singles``; singleton-decided, since
+      x <= c_k x has an additive left and a monotone right side.
     - ``cyl-meet-exchange``, c_k(x . c_k y) = c_k x . c_k y: x and y
-      over all singleton pairs, which decide it (both sides are
-      additive in x and in y), then over all pairs of the sampled
-      subsets.  A sampled instance depends on y only through c_k y,
-      so it is decided once per distinct value of c_k y; the witness
-      is still the first failing (k, x, y) in loop order.
+      over all singleton pairs; singleton-decided, both sides being
+      additive in x and in y.
     - ``diag-diagonal-full`` and ``diag-composition``: exact, they
       name only the diagonal constants.
-    - ``diag-rigidity``: x over ``subsets``; decided by singletons
-      outright (no two elements of d_kl share a k-block).
-    - ``guarded-commutativity``: x over ``subsets``; singleton-decided.
+    - ``diag-rigidity``: x over ``singles``; decided by singletons
+      outright, since for any x it fails exactly when two elements of
+      d_kl share a k-block, one in x and one outside.
+    - ``guarded-commutativity``, c_l c_k x . d_lm <= c_k c_l x: x over
+      ``singles``; singleton-decided.
 
     A failing axiom names its first failing instance in loop order.
-    The full commutativity of cylindrifications is evaluated over
-    ``subsets`` and reported as a verdict line but never asserted.
+    The full commutativity of cylindrifications, an equation of
+    additive sides, is evaluated over ``singles`` and reported as a
+    verdict line but never asserted.
     """
     cm = ComplexAlgebra(S)
-    rng = random.Random(seed)
     singles = [1 << i for i in range(S.size)]
-    subsets = singles + _sample_subsets(cm.full, rng, samples)
     out: list[CheckResult] = []
 
     out.append(CheckResult("boolean-part", True, "powerset algebra"))
@@ -123,7 +99,7 @@ def check_na3(
         (
             (k, x)
             for k in COORDS
-            for x in subsets
+            for x in singles
             if x | cm.cyl(k, x) != cm.cyl(k, x)
         ),
         None,
@@ -143,8 +119,6 @@ def check_na3(
         ),
         None,
     )
-    if bad is None:
-        bad = _first_meet_exchange_failure(cm, subsets[len(singles) :])
     out.append(CheckResult("cyl-meet-exchange", bad is None, str(bad or "")))
 
     ok = all(cm.diag(k, k) == cm.full for k in COORDS)
@@ -168,7 +142,7 @@ def check_na3(
         (
             (k, l, x)
             for k, l, _ in permutations(COORDS)
-            for x in subsets
+            for x in singles
             if cm.cyl(k, cm.diag(k, l) & x) & cm.cyl(k, cm.diag(k, l) & cm.compl(x))
         ),
         None,
@@ -179,7 +153,7 @@ def check_na3(
         (
             (k, l, x)
             for k, l, m in permutations(COORDS)
-            for x in subsets
+            for x in singles
             if cm.cyl(l, cm.cyl(k, x)) & cm.diag(l, m) & ~cm.cyl(k, cm.cyl(l, x))
         ),
         None,
@@ -190,7 +164,7 @@ def check_na3(
         cm.cyl(k, cm.cyl(l, x)) == cm.cyl(l, cm.cyl(k, x))
         for k in COORDS
         for l in COORDS
-        for x in subsets
+        for x in singles
     )
     out.append(
         CheckResult(
@@ -210,31 +184,27 @@ def _mgr_side(cm: ComplexAlgebra, order: tuple[int, int, int], x: int) -> int:
     return cm.cyl(k, inner)
 
 
-def check_mgr2(
-    S: SuitableStructure, seed: int = 0, samples: int = 64
-) -> tuple[CheckResult, ...]:
+def check_mgr2(S: SuitableStructure) -> tuple[CheckResult, ...]:
     """Binary merry-go-round identities over the complex algebra.
 
     For each arrangement (k, l, m) of the coordinates the two
     substitution chains around the cylindrification agree.  ``mgr2``
-    ranges x over every singleton, then 0, the full set and
-    ``samples`` seeded random subsets; each chain is a composite of
-    cylindrifications and meets with constants, hence additive, so the
-    singletons decide it and the samples cross-check.
-    ``mgr2-featured-instance`` is exact over the carrier's singletons.
-    The ternary variants need four distinct indices and are vacuous in
-    dimension three, so they are reported as skipped.
+    ranges x over every singleton of the carrier; each chain is a
+    composite of cylindrifications and meets with constants, hence
+    additive, so the singletons decide it (the additivity lemma of the
+    module docstring).  ``mgr2-featured-instance`` is exact over the
+    carrier's singletons.  The ternary variants need four distinct
+    indices and are vacuous in dimension three, so they are reported as
+    skipped.
     """
     cm = ComplexAlgebra(S)
-    rng = random.Random(seed)
     singles = [1 << i for i in range(S.size)]
-    subsets = singles + _sample_subsets(cm.full, rng, samples)
     out: list[CheckResult] = []
     bad = next(
         (
             (k, l, m, x)
             for k, l, m in permutations(COORDS)
-            for x in subsets
+            for x in singles
             if _mgr_side(cm, (k, l, m), x) != _mgr_side(cm, (k, m, l), x)
         ),
         None,
@@ -376,8 +346,6 @@ def check_orbit_partition(uni: BoundedUniverse) -> CheckResult:
 def check_complex_vs_relativized(
     S: SuitableStructure,
     uni: BoundedUniverse,
-    seed: int = 0,
-    samples: int = 32,
 ) -> tuple[CheckResult, ...]:
     """The carrier-subset-to-orbit-union map is injective on singletons,
     Boolean and diagonal exact, and commutes with cylindrification on
@@ -403,26 +371,26 @@ def check_complex_vs_relativized(
     These conditions are constant on a signature group, so each line is
     a pass over the groups and an exclusion count a sum of group sizes.
 
-    ``subsets`` is every singleton, then 0, the full set and
-    ``samples`` seeded random subsets.  Quantifier ranges:
+    ``singles`` is every singleton of the carrier.  Quantifier ranges:
 
     - ``orbit-atoms-disjoint-nonempty``: exact over the carrier.  The
       orbit atoms are disjoint by construction, each triple having one
       end; the line asks that every carrier element is some triple's
       end and that every triple's end lies in the carrier.
-    - ``boolean-exact``: x over ``subsets``, but y only over
-      ``subsets[:3]``.  An image is named by the carrier mask of the ends
-      it covers, so it preserves joins for every x and y, and complements
-      exactly when no end lies outside the carrier; a cross-check.
+    - ``boolean-exact``: x and y over ``singles``.  An image is named by
+      the carrier mask of the ends it covers, so it preserves joins for
+      every x and y, and complements exactly when no end lies outside
+      the carrier; the singleton instances cross-check that.
     - ``diagonal-exact``: exact over the nine (k, l).
-    - ``cylindrification-nonfrontier``: x over ``subsets``;
+    - ``cylindrification-nonfrontier``: x over ``singles``;
       singleton-decided, since both sides are joins over the bits of
-      x.  Outward misses at frontier triples are excluded and counted.
+      x: an inward or outward miss at x is one at a singleton below x.
+      Outward misses at frontier triples are excluded and counted, over
+      the singletons.
 
     A failing line names its first failing instance in loop order.
     """
     cm = ComplexAlgebra(S)
-    rng = random.Random(seed)
     groups = _triple_groups(S, uni)
     out: list[CheckResult] = []
 
@@ -433,11 +401,11 @@ def check_complex_vs_relativized(
     def image(x: int) -> int:
         return x & covered
 
-    subsets = [1 << i for i in range(S.size)] + _sample_subsets(cm.full, rng, samples)
+    singles = [1 << i for i in range(S.size)]
     ok = not outside and all(
         image(cm.compl(x)) == covered & ~image(x) and image(x | y) == image(x) | image(y)
-        for x in subsets
-        for y in subsets[: len(COORDS)]
+        for x in singles
+        for y in singles
     )
     out.append(CheckResult("boolean-exact", ok))
 
@@ -455,7 +423,7 @@ def check_complex_vs_relativized(
         for g, cnt in groups.items():
             key = (g.bit, g.blocks[k], g.frontier)
             rows[key] = rows.get(key, 0) + cnt
-        for x in subsets:
+        for x in singles:
             cx = cm.cyl(k, x)
             outward = False
             missed = 0

@@ -211,8 +211,14 @@ def saturate(
 # The induced representation
 
 
-def verify_representation(ls: LabellingSystem, stage_bound: int) -> tuple[CheckResult, ...]:
+def verify_representation(
+    ls: LabellingSystem, stage_bound: int, net: Optional[Network] = None
+) -> tuple[CheckResult, ...]:
     """Verify the map induced by the labels, one path for every system.
+
+    ``net`` is the system's network ``Network(ls.algebra, ls.label)``
+    when the caller already holds it, so its cached rows and images are
+    built once; by default it is built here.
 
     Each line's range:
 
@@ -240,7 +246,8 @@ def verify_representation(ls: LabellingSystem, stage_bound: int) -> tuple[CheckR
         raise ValueError(
             f"stage bound {stage_bound} exceeds completed passes {ls.passes_done}"
         )
-    net = Network(ls.algebra, ls.label)
+    if net is None:
+        net = Network(ls.algebra, ls.label)
     partition_ok = sum(map(len, net.images)) == len(net.label)
     bad = net.upper_violation()
     stage = ls.stage

@@ -24,7 +24,6 @@ repeats the classes of a shorter spine, so those spines add nothing.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -147,46 +146,6 @@ def is_reduced(S: SuitableStructure, p: Trail) -> bool:
     return True
 
 
-def reduce_random_order(S: SuitableStructure, p: Trail, rng: random.Random) -> Trail:
-    """Normalize by applying applicable moves in random order; the tests
-    compare the outcome with :func:`reduce_trail` for confluence."""
-    nodes = list(p.nodes)
-    steps = list(p.steps)
-    pointer = p.pointer
-    while True:
-        moves: list[tuple] = []
-        for i in range(len(nodes) - 2):
-            if nodes[i] == nodes[i + 2] and steps[i] == steps[i + 1]:
-                moves.append(("round", i))
-        if len(nodes) > 1 and steps[-1] != pointer:
-            moves.append(("chop",))
-        if len(nodes) > 1 and steps[-1] == pointer:
-            for l in COORDS:
-                if l != pointer and (
-                    S.in_e(nodes[-1], l, pointer) or S.in_e(nodes[-1], pointer, l)
-                ):
-                    moves.append(("repoint", l))
-        if len(nodes) == 1:
-            for l in COORDS:
-                if l < pointer and (
-                    S.in_e(nodes[0], l, pointer) or S.in_e(nodes[0], pointer, l)
-                ):
-                    moves.append(("repoint", l))
-        if not moves:
-            break
-        mv = moves[rng.randrange(len(moves))]
-        if mv[0] == "round":
-            i = mv[1]
-            del nodes[i + 1 : i + 3]
-            del steps[i : i + 2]
-        elif mv[0] == "chop":
-            del nodes[-1]
-            del steps[-1]
-        else:
-            pointer = mv[1]
-    return Trail(tuple(nodes), tuple(steps), pointer)
-
-
 def trail_converse(p: Trail) -> Trail:
     nodes = tuple(reversed(p.nodes))
     steps = tuple(reversed(p.steps))
@@ -198,25 +157,6 @@ def trail_concat(p: Trail, q: Trail) -> Trail:
     if p.end != q.begin:
         raise InvalidTrail("concatenation needs the end of p to begin q")
     return Trail(p.nodes[:-1] + q.nodes, p.steps + q.steps, q.pointer)
-
-
-def random_trail(
-    S: SuitableStructure, rng: random.Random, max_len: int
-) -> Optional[Trail]:
-    start = rng.randrange(S.size)
-    nodes = [start]
-    steps: list[int] = []
-    target = rng.randint(1, max_len)
-    while len(nodes) < target:
-        choices = [
-            (k, j) for k in COORDS for j in S.neighbors[k][nodes[-1]]
-        ]
-        if not choices:
-            break
-        k, j = choices[rng.randrange(len(choices))]
-        steps.append(k)
-        nodes.append(j)
-    return Trail(tuple(nodes), tuple(steps), rng.randrange(3))
 
 
 # ---------------------------------------------------------------------------

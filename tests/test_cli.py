@@ -103,6 +103,24 @@ def test_report_determinism(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["represent", str(STRUCTURES / "a2.alg"), "--depth", "3"],
+        ["represent", str(STRUCTURES / "pentagon.alg"), "--depth", "3"],
+        ["enumerate", "--atoms", "2", "--pipeline"],
+    ],
+    ids=["a2", "pentagon", "enumerate-2"],
+)
+def test_reports_do_not_depend_on_seed(argv, capsys):
+    outs = []
+    for seed in ("0", "12345"):
+        code = cli.main(["--seed", seed, *argv])
+        outs.append((code, capsys.readouterr().out.encode()))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
 def test_report_file_matches_stdout(tmp_path):
     path = tmp_path / "r.txt"
     out = run_cli("--report", str(path), "check", str(STRUCTURES / "a2.alg"))

@@ -32,14 +32,14 @@ facts:
 """
 
 GOLDEN = {
-    "a2": (0, "0582e7dfff13082f6b86a34ae8ebc2e80e2123feddad8d4e1d81b09e38c2eed3"),
-    "pentagon": (0, "22e0f729cf9849d337a71404eb1d44a76d54d59fb12f05c501bb3044d87532b4"),
-    "wa-not-sa": (1, "37e25ddf4652757d9692e9ffc443d2b79146d70ba61c5e0cd0c3f7bf5a83f3ca"),
+    "a2": (0, "b954a0885280af4191e76dd60a4d97d85df848f52f7f928b2473bc0d7d07ecd6"),
+    "pentagon": (0, "645d7e3f6f90cb1eda5a9bdb1688f57db36f58da89691f0f251397425946f999"),
+    "wa-not-sa": (1, "d5bb5688a4e517abb9c354fdaab1409dcdbe522e060acfcdacd347013df4afa5"),
 }
 
 GOLDEN_PASSES_0 = {
-    "a2": (1, "71bd6da977e9ad4241d608c978bddfed858183b2e3447a063c16554ca33fe137"),
-    "pentagon": (1, "d8d3ac75a34caa445535dd33a64f381ee57960fe9ec597fd3dc6e7f9264758c3"),
+    "a2": (1, "ae0cece74f9eec4ab1d15f9422a82d15a610cce8786cedebfc15b2d5a304222e"),
+    "pentagon": (1, "0cc6eed65250d8dc5f49ac628f0f340e9c13330bcdeebaf250edb578d0ba74c7"),
 }
 
 

@@ -155,6 +155,9 @@ def test_verify_modes_agree(a2, pentagon):
             got = [(r.name, r.holds) for r in lb.verify_representation(ls, passes)]
             assert got == list(ref_element_checks(ls, passes).items())
             assert dict(got)["injective"] == (passes > 0)
+            # a network the caller built gives the same lines, details too
+            net = Network(A, ls.label)
+            assert lb.verify_representation(ls, passes, net=net) == lb.verify_representation(ls, passes)
 
 
 def test_representation_images(a1, a2):

@@ -14,12 +14,12 @@ from warel.trails import (
     build_universe,
     is_reduced,
     make_trail,
-    random_trail,
-    reduce_random_order,
     reduce_trail,
     trail_concat,
     trail_converse,
 )
+
+from test_trails_reference import random_trail, reduce_random_order
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,9 @@ included, and reduces each of the three repointings of every spine with
 its parent's; the pair structure's descent and base pairs are then
 computed through ``point_of``.  Triples and pair lengths must agree in
 insertion order too, since reports iterate them in that order.  The reference reducer is the list-based
-one with scans over the distinguished subsets.
+one with scans over the distinguished subsets.  ``random_trail`` and
+``reduce_random_order`` draw trails and normalize them by moves in random
+order, for the reducer tests here and in ``test_trails.py``.
 """
 
 import random
@@ -23,9 +25,64 @@ from warel.trails import (
     Trail,
     TripleInfo,
     build_universe,
-    random_trail,
     reduce_trail,
 )
+
+
+def random_trail(S, rng, max_len):
+    """A random walk of at most ``max_len`` carrier elements along the
+    coordinate equivalences, with a random pointer."""
+    nodes = [rng.randrange(S.size)]
+    steps = []
+    target = rng.randint(1, max_len)
+    while len(nodes) < target:
+        choices = [(k, j) for k in COORDS for j in S.neighbors[k][nodes[-1]]]
+        if not choices:
+            break
+        k, j = choices[rng.randrange(len(choices))]
+        steps.append(k)
+        nodes.append(j)
+    return Trail(tuple(nodes), tuple(steps), rng.randrange(3))
+
+
+def reduce_random_order(S, p, rng):
+    """Normalize by applying applicable moves in random order; compared
+    with ``reduce_trail`` for confluence."""
+    nodes = list(p.nodes)
+    steps = list(p.steps)
+    pointer = p.pointer
+    while True:
+        moves = []
+        for i in range(len(nodes) - 2):
+            if nodes[i] == nodes[i + 2] and steps[i] == steps[i + 1]:
+                moves.append(("round", i))
+        if len(nodes) > 1 and steps[-1] != pointer:
+            moves.append(("chop",))
+        if len(nodes) > 1 and steps[-1] == pointer:
+            for l in COORDS:
+                if l != pointer and (
+                    S.in_e(nodes[-1], l, pointer) or S.in_e(nodes[-1], pointer, l)
+                ):
+                    moves.append(("repoint", l))
+        if len(nodes) == 1:
+            for l in COORDS:
+                if l < pointer and (
+                    S.in_e(nodes[0], l, pointer) or S.in_e(nodes[0], pointer, l)
+                ):
+                    moves.append(("repoint", l))
+        if not moves:
+            break
+        mv = moves[rng.randrange(len(moves))]
+        if mv[0] == "round":
+            i = mv[1]
+            del nodes[i + 1 : i + 3]
+            del steps[i : i + 2]
+        elif mv[0] == "chop":
+            del nodes[-1]
+            del steps[-1]
+        else:
+            pointer = mv[1]
+    return Trail(tuple(nodes), tuple(steps), pointer)
 
 
 def ref_reduce(S, p):
