@@ -23,7 +23,7 @@ import sys
 import time
 from typing import Optional
 
-from . import labelling, reduct
+from . import labelling, reduct, trails
 from .core import AtomStructure, GuardExceeded, classify
 from .cylindric import (
     check_complex_vs_relativized,
@@ -74,7 +74,7 @@ def _represent_pipeline(
     report: Report, A: AtomStructure, passes: int, depth: int
 ) -> None:
     ls = labelling.initial_system(A)
-    labelling.saturate(ls, passes)
+    labelling.saturate(ls, passes, max_points=trails.POINT_BUDGET)
     report.info("labelling.points", ls.point_count())
     report.info("labelling.labels", len(ls.label))
     net = Network(A, ls.label)

@@ -520,70 +520,71 @@ class CheckResult:
     detail: str = ""
 
 
+Witness = Optional[dict[str, int]]
+
+
+def _first(failing: Iterator[tuple[int, ...]]) -> Witness:
+    """The first atom assignment ``failing`` yields, as masks of x, y, z."""
+    atoms = next(failing, None)
+    return None if atoms is None else {v: 1 << a for v, a in zip("xyz", atoms)}
+
+
+def _unabsorbed(A: AtomStructure, among: int) -> Witness:
+    """The first atom x of ``among`` with (x;1);1 != x;1: w;1 joins row w
+    of ``comp_atoms`` over all atoms, and (x;1);1 joins the w;1 over x;1."""
+    one_row = [_join_row(row, A.full) for row in A.comp_atoms]
+    return _first((x,) for x in iter_bits(among) if _join_row(one_row, one_row[x]) != one_row[x])
+
+
+def _associativity(A: AtomStructure) -> Witness:
+    """(x;y);z joins column z of ``comp_atoms`` over x;y; x;(y;z) joins row x over y;z."""
+    ca = A.comp_atoms
+    cols = [tuple(row[z] for row in ca) for z in range(A.atom_count)]
+    return _first(
+        (x, y, z) for x, y, z in product(range(A.atom_count), repeat=3)
+        if _join_row(cols[z], ca[x][y]) != _join_row(ca[x], ca[y][z]))
+
+
+# The classified laws in report order: name, the verdicts a failure
+# refutes (bit 0 WA, bit 1 SA, bit 2 RA) and the first-witness function.
+_LAWS: tuple[tuple[str, int, Callable[[AtomStructure], Witness]], ...] = (
+    ("ra6", 0b111, lambda A: _first(
+        (x,) for x in range(A.atom_count) if _join_row(A.comp_atoms[x], A.identity) != 1 << x)),
+    ("ra7", 0b111, lambda A: _first((x,) for x in range(A.atom_count) if A.converse[A.converse[x]] != x)),
+    ("ra9", 0b111, lambda A: _first(
+        (x, y) for x, y in product(range(A.atom_count), repeat=2)
+        if A.conv_el(A.comp_atoms[x][y]) != A.comp_atoms[A.converse[y]][A.converse[x]])),
+    ("ra10", 0b111, lambda A: _first(
+        (x, y) for x, y in product(range(A.atom_count), repeat=2)
+        if _join_row(A.comp_atoms[A.converse[x]], A.full & ~A.comp_atoms[x][y]) >> y & 1)),
+    ("ra4", 0b001, lambda A: _unabsorbed(A, A.identity)),
+    ("sa-law", 0b010, lambda A: _unabsorbed(A, A.full)),
+    ("associativity", 0b100, _associativity),
+)
+
+
 @dataclass(frozen=True)
 class ClassReport:
+    """The verdicts of :func:`classify`.  ``failures``, every failing law
+    with its first witness in the order ra6, ra7, ra9, ra10, ra4, sa-law,
+    associativity, is built on first access and cached: a law evaluated
+    for the verdicts is not evaluated again, and each other law ranges
+    over the same atoms as in :func:`classify`."""
+
     is_wa: bool
     is_sa: bool
     is_ra: bool
-    failures: tuple[tuple[str, dict[str, int]], ...]
+    _algebra: AtomStructure = field(repr=False)
+    _evaluated: dict[str, Witness] = field(repr=False)
+
+    @cached_property
+    def failures(self) -> tuple[tuple[str, dict[str, int]], ...]:
+        seen = self._evaluated
+        laws = ((name, seen[name] if name in seen else law(self._algebra)) for name, _, law in _LAWS)
+        return tuple((name, w) for name, w in laws if w is not None)
 
     def failed_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.failures)
-
-
-def _check_ra6_to_ra10(A: AtomStructure) -> list[tuple[str, dict[str, int]]]:
-    """The first failing assignment of each of ra6, ra7, ra9 and ra10, in
-    that order, each law in increasing atom order.  Atom compositions
-    come from ``comp_atoms`` and converse atoms from ``converse``."""
-    rng = range(A.atom_count)
-    ca = A.comp_atoms
-    conv = A.converse
-    one = A.full
-    bit = [1 << a for a in rng]
-    conv_bit = [1 << c for c in conv]
-    conv_rows = [ca[c] for c in conv]
-    laws = (
-        ("ra6", ({"x": bit[x]} for x in rng if _join_row(ca[x], A.identity) != bit[x])),
-        ("ra7", ({"x": bit[x]} for x in rng if conv[conv[x]] != x)),
-        ("ra9", ({"x": bit[x], "y": bit[y]} for x in rng for y in rng
-                 if _join_row(conv_bit, ca[x][y]) != ca[conv[y]][conv[x]])),
-        ("ra10", ({"x": bit[x], "y": bit[y]} for x in rng for y in rng
-                  if _join_row(conv_rows[x], one & ~ca[x][y]) & bit[y])),
-    )
-    fails = []
-    for name, cases in laws:
-        witness = next(cases, None)
-        if witness is not None:
-            fails.append((name, witness))
-    return fails
-
-
-def _first_unabsorbed(one_row: tuple[int, ...], atoms: Iterable[int]) -> Optional[dict[str, int]]:
-    """The first atom a of ``atoms`` with (a;1);1 != a;1, where
-    ``one_row[a]`` is a;1, so that (a;1);1 is ``one_row`` joined over a;1."""
-    for a in atoms:
-        x1 = one_row[a]
-        if _join_row(one_row, x1) != x1:
-            return {"x": 1 << a}
-    return None
-
-
-def _associativity(A: AtomStructure) -> Optional[dict[str, int]]:
-    """(x;y);z joins column z of ``comp_atoms`` over x;y, and x;(y;z)
-    joins row x over y;z."""
-    rng = range(A.atom_count)
-    ca = A.comp_atoms
-    cols = [tuple(row[z] for row in ca) for z in rng]
-    return next(
-        (
-            {"x": 1 << x, "y": 1 << y, "z": 1 << z}
-            for x in rng
-            for y in rng
-            for z in rng
-            if _join_row(cols[z], ca[x][y]) != _join_row(ca[x], ca[y][z])
-        ),
-        None,
-    )
 
 
 def classify(A: AtomStructure) -> ClassReport:
@@ -600,32 +601,29 @@ def classify(A: AtomStructure) -> ClassReport:
     failing assignment is its witness.  That is sound by additivity,
     since every term is additive in each variable, except ra10, which
     over atoms reduces to closure of the facts under the transform
-    (a, b, c) -> (a~, c, b).
+    (a, b, c) -> (a~, c, b).  The laws, in the order they are evaluated:
 
-    - ra4, ((x.1');1);1 = (x.1');1: x over the identity atoms (a
-      diversity atom gives the zero instance).
     - ra6, x;1' = x: atoms x.
     - ra7, x~~ = x: atoms x.
     - ra9, (x;y)~ = y~;x~: atoms x, y.
     - ra10, x~;-(x;y) <= -y: atoms x, y.
+    - ra4, ((x.1');1);1 = (x.1');1: x over the identity atoms (a
+      diversity atom gives the zero instance).
     - sa-law, (x;1);1 = x;1: atoms x.
     - associativity, (x;y);z = x;(y;z): atoms x, y, z.
 
-    WA is decided as ra4, ra6, ra7, ra9 and ra10; SA as ra6, ra7, ra9,
+    WA is decided as ra6, ra7, ra9, ra10 and ra4; SA as ra6, ra7, ra9,
     ra10 and the sa-law; RA as ra6, ra7, ra9, ra10 and associativity.
+    Evaluation stops at the first of ra6, ra7, ra9 and ra10 that fails,
+    with all three verdicts no; otherwise ra4, the sa-law and
+    associativity are evaluated once each.  The report builds its
+    ``failures`` only when they are read (see :class:`ClassReport`).
     """
-    fails = _check_ra6_to_ra10(A)
-    one_row = tuple(_join_row(row, A.full) for row in A.comp_atoms)
-
-    w4 = _first_unabsorbed(one_row, iter_bits(A.identity))
-    wsa = _first_unabsorbed(one_row, range(A.atom_count))
-    wra = _associativity(A)
-
-    base_ok = not fails
-    all_fails = list(fails)
-    for name, witness in (("ra4", w4), ("sa-law", wsa), ("associativity", wra)):
-        if witness is not None:
-            all_fails.append((name, witness))
-    return ClassReport(
-        base_ok and w4 is None, base_ok and wsa is None, base_ok and wra is None, tuple(all_fails)
-    )
+    evaluated: dict[str, Witness] = {}
+    holds = 0b111
+    for name, refutes, law in _LAWS:
+        if holds & refutes:
+            evaluated[name] = witness = law(A)
+            if witness is not None:
+                holds &= ~refutes
+    return ClassReport(bool(holds & 1), bool(holds & 2), bool(holds & 4), A, evaluated)

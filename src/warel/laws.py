@@ -36,12 +36,10 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import or_
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .core import AtomStructure, CheckResult, Const, Dom, Rng, Term, Var, check_equation, classify
-from .core import iter_bits, peirce_orbit
-
-Witness = Optional[dict[str, int]]
+from .core import Witness, iter_bits, peirce_orbit
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,10 @@ from typing import Optional, Sequence
 from .core import GuardExceeded, Triple
 from .suitable import COORDS, SuitableStructure
 
+# The most points a growth stage may create: the trail universe and, in
+# ``represent``, the labelling system's saturation.
+POINT_BUDGET = 500_000
+
 
 class InvalidTrail(ValueError):
     pass
@@ -239,7 +243,7 @@ def build_universe(
     S: SuitableStructure,
     bound: int,
     max_spines: int = 2_000_000,
-    max_points: int = 500_000,
+    max_points: int = POINT_BUDGET,
 ) -> BoundedUniverse:
     """Breadth-first generation of every round-trip-free trail up to the
     length bound.

@@ -3,8 +3,9 @@
 The reference below composes singleton masks through the lifted
 composition and converse, defined here from ``iter_bits``, exactly as
 ``classify`` did before it read its laws from the per-structure atom
-tables.  Both must give the same ``ClassReport``: the same verdicts and
-the same witness dicts, key order included (compared through ``repr``).
+tables.  Both must give the same report: the same verdicts and the
+same failures, witness dicts with their key order included, compared
+field by field (``ClassReport`` builds its failures on first access).
 The reference still tests ra5 and ra8, which ``classify`` skips because
 they hold on every ``AtomStructure``, and it keeps the element-mode ra4
 loop, whose verdicts ``classify`` must match.
@@ -13,16 +14,16 @@ loop, whose verdicts ``classify`` must match.
 import hashlib
 import random
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warel import core
 from warel.core import (
     ELEMENTS_GUARD,
     TABLE_GUARD,
     AtomStructure,
-    ClassReport,
     GuardExceeded,
     classify,
     iter_bits,
@@ -154,7 +155,14 @@ def ref_associativity(A: AtomStructure) -> Optional[dict[str, int]]:
     return None
 
 
-def ref_classify(A: AtomStructure, ra4_elements: bool = False) -> ClassReport:
+class RefReport(NamedTuple):
+    is_wa: bool
+    is_sa: bool
+    is_ra: bool
+    failures: tuple[tuple[str, dict[str, int]], ...]
+
+
+def ref_classify(A: AtomStructure, ra4_elements: bool = False) -> RefReport:
     fails = ref_ra5_to_ra10(A)
     w4 = ref_ra4_elements(A) if ra4_elements else ref_ra4_identity_path(A)
     fails_wa = fails + [("ra4", w4)] if w4 is not None else fails
@@ -166,18 +174,34 @@ def ref_classify(A: AtomStructure, ra4_elements: bool = False) -> ClassReport:
         all_fails.append(("sa-law", wsa))
     if wra is not None:
         all_fails.append(("associativity", wra))
-    return ClassReport(
+    return RefReport(
         base_ok and w4 is None, base_ok and wsa is None, base_ok and wra is None, tuple(all_fails)
     )
 
 
-def verdicts(rep: ClassReport) -> tuple[bool, bool, bool]:
+def verdicts(rep) -> tuple[bool, bool, bool]:
     return rep.is_wa, rep.is_sa, rep.is_ra
 
 
+def failure_items(rep) -> list[tuple[str, list[tuple[str, int]]]]:
+    """The failures with each witness as its item list, so that the
+    variables' order counts too."""
+    return [(name, list(witness.items())) for name, witness in rep.failures]
+
+
+def report_text(rep) -> str:
+    """The report as the ``repr`` of the eager ``ClassReport`` dataclass
+    read when ``GOLDEN_DIGEST`` was recorded."""
+    return (
+        f"ClassReport(is_wa={rep.is_wa!r}, is_sa={rep.is_sa!r}, is_ra={rep.is_ra!r}, "
+        f"failures={rep.failures!r})"
+    )
+
+
 def assert_same_report(A: AtomStructure) -> None:
-    got = classify(A)
-    assert repr(got) == repr(ref_classify(A)), A
+    got, ref = classify(A), ref_classify(A)
+    assert verdicts(got) == verdicts(ref), A
+    assert failure_items(got) == failure_items(ref), A
     assert verdicts(got) == verdicts(ref_classify(A, ra4_elements=True)), A
 
 
@@ -227,7 +251,7 @@ def test_classify_above_table_guard():
     rep = classify(disjoint)
     assert rep.is_ra and rep.failures == ()
     for A in (disjoint, sample_structure(n, rng), sample_structure(n, rng)):
-        assert repr(classify(A)) == repr(ref_classify(A))
+        assert_same_report(A)
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,15 +267,57 @@ def test_compose_and_conv_el_match_iter_bits_definition(seed, n):
 
 
 # sha256 over enumerate_structures(3) of, per structure,
-# repr(classify(A)) + "\n" then repr(ref_classify(A, ra4_elements=True))
-# + "\n", recorded from the reference loops above when ``classify`` still
-# had an element-mode ra4 loop.
+# report_text(classify(A)) + "\n" then
+# report_text(ref_classify(A, ra4_elements=True)) + "\n", recorded from
+# the reference loops above when ``classify`` still had an element-mode
+# ra4 loop.
 GOLDEN_DIGEST = "e49dc9cbc0e6d9fb13b13eca86217594c17e1f704744e2e80595b2f6e4482916"
 
 
 def test_class_reports_golden():
     h = hashlib.sha256()
     for A in exhaustive(3):
-        h.update((repr(classify(A)) + "\n").encode())
-        h.update((repr(ref_classify(A, ra4_elements=True)) + "\n").encode())
+        h.update((report_text(classify(A)) + "\n").encode())
+        h.update((report_text(ref_classify(A, ra4_elements=True)) + "\n").encode())
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+BASE = ("ra6", "ra7", "ra9", "ra10")
+GATES = {"is_wa": BASE + ("ra4",), "is_sa": BASE + ("sa-law",), "is_ra": BASE + ("associativity",)}
+
+
+def test_verdicts_read_off_the_failures_on_every_small_structure():
+    structures = [A for n in (1, 2, 3) for A in exhaustive(n)]
+    assert len(structures) == 4664
+    for A in structures:
+        rep = classify(A)
+        failed = set(rep.failed_names())
+        for verdict, laws in GATES.items():
+            assert getattr(rep, verdict) == failed.isdisjoint(laws), (A, verdict, failed)
+
+
+# Built directly so that it fails all seven classified laws: both atoms
+# are identity atoms, the converse maps both to atom 1, and the facts
+# are not transform-closed.
+ALL_FAIL = AtomStructure(2, 0b11, (1, 1), frozenset({(0, 0, 1), (1, 0, 0), (1, 1, 0)}))
+
+
+def _raising(rows):
+    def law(A):
+        raise AssertionError(f"evaluated a row that must not run on {A}")
+
+    return tuple((name, refutes, law) for name, refutes, _ in rows)
+
+
+def test_classify_stops_at_the_first_failing_base_row(monkeypatch):
+    ref = ref_classify(ALL_FAIL)
+    assert len(ref.failures) == 7
+    laws = core._LAWS
+    monkeypatch.setattr(core, "_LAWS", laws[:1] + _raising(laws[1:]))
+    rep = classify(ALL_FAIL)
+    assert verdicts(rep) == (False, False, False)
+    # ra6 was evaluated for the verdicts and is not evaluated again; the
+    # later rows are evaluated on first access to the failures.
+    monkeypatch.setattr(core, "_LAWS", _raising(laws[:1]) + laws[1:])
+    assert failure_items(rep) == failure_items(ref)
+    assert rep.failures is rep.failures

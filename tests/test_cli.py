@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from warel import cli, labelling, reduct
+from warel import cli, labelling, reduct, trails
 
 ROOT = Path(__file__).resolve().parents[1]
 STRUCTURES = ROOT / "structures"
@@ -147,6 +147,18 @@ def test_enumerate_above_atom_guard_is_a_budget_fail_line():
     assert out.returncode == 3
     assert "enumerate.budget = fail" in out.stdout
     assert "Traceback" not in out.stderr
+
+
+def test_represent_passes_run_under_the_point_budget(monkeypatch, capsys):
+    # pentagon reaches 129 points at 4 passes
+    monkeypatch.setattr(trails, "POINT_BUDGET", 100)
+    code = cli.main(["represent", str(STRUCTURES / "pentagon.alg"), "--passes", "4", "--depth", "2"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.splitlines()[-2:] == [
+        "represent.budget = fail",
+        "witness: saturation exceeded the point budget 100",
+    ]
 
 
 def test_enumerate_pipeline_small():
