@@ -93,9 +93,11 @@ def _represent_pipeline(
     report.extend_results("reduct", reduct.check_reduct_isomorphism(A, S))
 
     uni = build_universe(S, depth)
-    report.info("trails.points", len(uni.by_id))
+    report.info("trails.points", len(uni.lengths))
     report.info("trails.triples", len(uni.triples))
-    report.info("trails.frontier", len(uni.frontier_triples()))
+    report.info(
+        "trails.frontier", sum(info.is_frontier(uni.bound) for info in uni.triples.values())
+    )
     report.extend_results("setalgebra", [check_orbit_partition(uni)])
     report.extend_results("setalgebra", check_complex_vs_relativized(S, uni))
 

@@ -171,13 +171,14 @@ class PairStructure:
         """Each point's pairs to the other repointings of its own trail,
         read off the recorded triple of that trail's spine."""
         uni = self.universe
+        lengths, pointers = uni.lengths, uni.pointers
         out: dict[int, frozenset[tuple[int, int]]] = {}
-        for pt, trip in zip(uni.by_id, uni.own_triples):
-            if pt.length == 1:
-                out[pt.pid] = frozenset()
+        for pid, trip in enumerate(uni.own_triples):
+            if lengths[pid] == 1:
+                out[pid] = frozenset()
                 continue
-            k = pt.trail.pointer
-            out[pt.pid] = frozenset((pt.pid, trip[l]) for l in COORDS if l != k)
+            k = pointers[pid]
+            out[pid] = frozenset((pid, trip[l]) for l in COORDS if l != k)
         return out
 
 
@@ -249,9 +250,8 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> PairStructur
                     continue
                 ps.base_pairs.add((base[k], base[l]))
 
-    lengths = [len(pt.trail) for pt in uni.by_id]
     for trip, _ in ordered:
-        ps.lem9_kind[trip] = _classify_triple_kind(ps, trip, lengths)
+        ps.lem9_kind[trip] = _classify_triple_kind(ps, trip, uni.lengths)
     return ps
 
 
@@ -344,13 +344,13 @@ def check_pair_partition(ps: PairStructure) -> tuple[CheckResult, ...]:
             else f"unclassified {unclassified[:3]}",
         )
     )
-    uni = ps.universe
+    lengths = ps.universe.lengths
     bad = next(
         (
             (u, v)
             for xs in ps.xi_of.values()
             for (u, v) in xs
-            if uni.by_id[v].length >= uni.by_id[u].length
+            if lengths[v] >= lengths[u]
         ),
         None,
     )

@@ -310,15 +310,27 @@ def image_atom_structure(net: Network) -> AtomStructure:
     fact when some triangle carries the labels (a, b, c).  Exact, from
     the ``facts`` the network computes once and caches.  When the map is an
     embedding this reproduces the original structure exactly.
+
+    The converse is found by label lookups: b is the label of the
+    reverse of one pair of a's image, and it is accepted only when every
+    pair of a's image reverses into b and the two images have the same
+    size.  Images are disjoint, so then b's image is exactly the inverse
+    of a's, and no other atom's is.  An empty image maps to the last atom
+    whose image is empty.
     """
-    A, images = net.algebra, net.images
+    A, images, get = net.algebra, net.images, net.label.get
     n = A.atom_count
     ident = [a for a in range(n) if all(u == v for u, v in images[a])]
+    empty = [a for a in range(n) if not images[a]]
     conv = {}
-    inv_index = {rel_inverse(images[a]): a for a in range(n)}
     for a in range(n):
-        b = inv_index.get(images[a])
-        if b is None:
+        img = images[a]
+        if not img:
+            conv[a] = empty[-1]
+            continue
+        u, v = next(iter(img))
+        b = get((v, u))
+        if b is None or len(images[b]) != len(img) or any(get((y, x)) != b for x, y in img):
             raise ValueError(f"converse image of atom {a} is not an atom image")
         conv[a] = b
     return validate_atom_structure(n, ident, conv, net.facts, names=A.names or None)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import GuardExceeded, Triple
 from .suitable import COORDS, SuitableStructure
@@ -181,8 +181,7 @@ class Point:
         return self.trail.begin
 
 
-@dataclass(frozen=True)
-class TripleInfo:
+class TripleInfo(NamedTuple):
     end: int  # carrier element all witnessing trails end at
     min_length: int  # shortest witnessing trail seen
 
@@ -190,27 +189,46 @@ class TripleInfo:
         return self.min_length >= bound
 
 
+Spine = tuple[tuple[int, ...], tuple[int, ...]]  # (nodes, steps)
+
+
 @dataclass
 class BoundedUniverse:
+    """The points and coordinate triples reached by trails up to ``bound``.
+
+    A point is an int pid.  The hot path reads only ints, tuples and
+    lists: per point, ``lengths[pid]`` and ``pointers[pid]`` are the
+    length and pointer of its reduced trail, ``spines[pid]`` that trail's
+    ``(nodes, steps)`` and ``own_triples[pid]`` the triple of that spine;
+    ``base_triples[t]`` is the triple of the length-one spine at carrier
+    element t; ``triples`` and ``pair_min_length`` key the reached
+    triples and ordered point pairs by pids.  ``by_id`` (each pid's
+    :class:`Point`), ``points`` (its inverse, keyed by reduced trail) and
+    ``point_of`` are lazy views built from those lists on first access,
+    for :func:`apply_lq` and the tests.
+    """
+
     S: SuitableStructure
     bound: int
-    points: dict[Trail, Point] = field(default_factory=dict)
-    by_id: list[Point] = field(default_factory=list)
     triples: dict[tuple[int, int, int], TripleInfo] = field(default_factory=dict)
     pair_min_length: dict[tuple[int, int], int] = field(default_factory=dict)
-    # own_triples[pid]: the triple of the spine of the point's reduced
-    # trail; base_triples[t]: the triple of the length-one spine at t
+    lengths: list[int] = field(default_factory=list)
+    pointers: list[int] = field(default_factory=list)
+    spines: list[Spine] = field(default_factory=list)
     own_triples: list[tuple[int, int, int]] = field(default_factory=list)
     base_triples: list[tuple[int, int, int]] = field(default_factory=list)
     spines_seen: int = 0
 
-    def intern(self, reduced: Trail) -> Point:
-        pt = self.points.get(reduced)
-        if pt is None:
-            pt = Point(len(self.by_id), reduced)
-            self.points[reduced] = pt
-            self.by_id.append(pt)
-        return pt
+    @cached_property
+    def by_id(self) -> list[Point]:
+        return [
+            Point(pid, Trail(nodes, steps, pointer))
+            for pid, ((nodes, steps), pointer) in enumerate(zip(self.spines, self.pointers))
+        ]
+
+    @cached_property
+    def points(self) -> dict[Trail, Point]:
+        return {pt.trail: pt for pt in self.by_id}
 
     def point_of(self, p: Trail) -> Point:
         red = reduce_trail(self.S, p)
@@ -264,12 +282,20 @@ def build_universe(
     point at p.  For p = k, if l = ``S.least_repoint[t][k]`` is a
     licensed swap, settling repoints to l != k and then chops, giving
     the parent's point at l; otherwise the trail (spine, k) is already
-    reduced, and it is the only point the spine can add.  Only the
-    length-one spines are settled.  Every point is first met at the
-    spine of its own reduced trail, so the walk records that spine's
-    triple per point, and the length-one triple per carrier element.
-    Triples record the shortest witnessing spine; ones seen only at the
-    cap are frontier data.
+    reduced, and it is the only point the spine can add.  Every point is
+    first met at the spine of its own reduced trail, so the walk records
+    that spine's triple per point, and the length-one triple per carrier
+    element.  Triples record the shortest witnessing spine; ones seen
+    only at the cap are frontier data.
+
+    Fresh-pid lemma: a reduced trail (spine, k) longer than one is met
+    only at its own spine, and the walk visits each spine once, so the
+    point it adds is new.  It takes the next pid with no lookup; its
+    length, pointer k and spine go to ``lengths``, ``pointers`` and
+    ``spines``.  Only the length-one spines are settled: the pointer p
+    of the spine at t settles to ``S.least_reachable[t][p]``, and a
+    local dict of at most three entries per element gives each settled
+    pointer one pid.  No ``Trail`` or ``Point`` object is built.
 
     ``pair_min_length`` records each ordered pair of points at the
     length of the first triple holding it.  A new triple longer than one
@@ -281,8 +307,9 @@ def build_universe(
     if bound < 1:
         raise ValueError("bound must be at least 1")
     uni = BoundedUniverse(S, bound)
-    intern, own, pair_min = uni.intern, uni.own_triples, uni.pair_min_length
-    repoint = S.least_repoint
+    lengths, pointers, spines = uni.lengths, uni.pointers, uni.spines
+    own, triples, pair_min = uni.own_triples, uni.triples, uni.pair_min_length
+    repoint, reach, neighbors = S.least_repoint, S.least_reachable, S.neighbors
     # (nodes, steps, the parent spine's triple; None at length one)
     layer: list[tuple[tuple[int, ...], tuple[int, ...], Optional[Triple]]] = [
         ((t,), (), None) for t in range(S.size)
@@ -292,33 +319,45 @@ def build_universe(
         uni.spines_seen += len(layer)
         if uni.spines_seen > max_spines:
             raise GuardExceeded(f"spine budget {max_spines} exceeded")
+        # one shared TripleInfo per end element in this layer
+        infos = [TripleInfo(t, length) for t in range(S.size)]
         nxt = []
         for nodes, steps, parent in layer:
             last = nodes[-1]
             if parent is None:
-                trip = (
-                    intern(_settle(S, nodes, steps, 0)).pid,
-                    intern(_settle(S, nodes, steps, 1)).pid,
-                    intern(_settle(S, nodes, steps, 2)).pid,
-                )
+                settled: dict[int, int] = {}
+                spine = (nodes, steps)
+                for r in reach[last]:
+                    if r not in settled:
+                        settled[r] = len(lengths)
+                        lengths.append(1)
+                        pointers.append(r)
+                        spines.append(spine)
+                trip = tuple(settled[r] for r in reach[last])
                 uni.base_triples.append(trip)
             else:
                 k = steps[-1]
                 l = repoint[last][k]
-                at_k = parent[l] if l >= 0 else intern(Trail(nodes, steps, k)).pid
+                if l >= 0:
+                    at_k = parent[l]
+                else:
+                    at_k = len(lengths)
+                    lengths.append(length)
+                    pointers.append(k)
+                    spines.append((nodes, steps))
                 if k == 0:
                     trip = (at_k, parent[1], parent[2])
                 elif k == 1:
                     trip = (parent[0], at_k, parent[2])
                 else:
                     trip = (parent[0], parent[1], at_k)
-            if len(uni.by_id) > len(own):
-                if len(uni.by_id) > max_points:
+            if len(lengths) > len(own):
+                if len(lengths) > max_points:
                     raise GuardExceeded(f"point budget {max_points} exceeded")
-                own.extend([trip] * (len(uni.by_id) - len(own)))
-            info = uni.triples.get(trip)
+                own.extend([trip] * (len(lengths) - len(own)))
+            info = triples.get(trip)
             if info is None:
-                uni.triples[trip] = TripleInfo(last, length)
+                triples[trip] = infos[last]
                 for p, q in _PAIR_POSITIONS[None if parent is None else k]:
                     pair_min.setdefault((trip[p], trip[q]), length)
             elif info.end != last:
@@ -326,11 +365,14 @@ def build_universe(
                     "one coordinate triple reached from two carrier elements"
                 )
             if length < bound:
-                back = (steps[-1], nodes[-2]) if steps else None
+                # never straight back along the step just taken; siblings
+                # by one index share their steps tuple
+                bk, bj = (steps[-1], nodes[-2]) if steps else (-1, -1)
                 for k in COORDS:
-                    for j in S.neighbors[k][last]:
-                        if (k, j) != back:
-                            nxt.append((nodes + (j,), steps + (k,), trip))
+                    ks = steps + (k,)
+                    for j in neighbors[k][last]:
+                        if j != bj or k != bk:
+                            nxt.append((nodes + (j,), ks, trip))
         layer = nxt
         length += 1
     return uni

@@ -13,6 +13,9 @@ as well.  ``ref_lower_scan`` is the predicate-driven lower scan: it
 walks every labelled pair, asks a predicate whether to skip it, and
 intersects the whole rows ``out[u]`` and ``inn[v]``; ``Network.lower_scan``
 takes the checked pairs themselves and stops a pair's walk early.
+``ref_image_structure_by_inverse_index`` finds each converse by hashing
+the inverse of every atom image, where ``image_atom_structure`` looks up
+the labels of reversed pairs.
 """
 
 import random
@@ -25,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from warel import labelling as lb
 from warel import reduct
 from warel.core import AtomStructure, classify, validate_atom_structure
+from warel.enumerate import summarize
 from warel.relset import (
     Network,
     Universe,
@@ -34,6 +38,8 @@ from warel.relset import (
     image_atom_structure,
     rel_inverse,
 )
+from warel.suitable import build_suitable
+from warel.trails import build_universe
 
 # ---------------------------------------------------------------------------
 # Reference scans: O(pairs x points) and O(atoms^2) relation compositions
@@ -400,6 +406,63 @@ def test_image_atom_structure_matches_reference(algebra, data):
         return
     got = image_atom_structure(Network(A, label))
     assert (got.identity, got.converse, got.cycles) == (want.identity, want.converse, want.cycles)
+
+
+def ref_image_structure_by_inverse_index(net):
+    """``image_atom_structure`` as it was: each converse found by hashing
+    the inverse of every atom image."""
+    A, images = net.algebra, net.images
+    n = A.atom_count
+    ident = [a for a in range(n) if all(u == v for u, v in images[a])]
+    inv_index = {rel_inverse(images[a]): a for a in range(n)}
+    conv = {}
+    for a in range(n):
+        b = inv_index.get(images[a])
+        if b is None:
+            raise ValueError(f"converse image of atom {a} is not an atom image")
+        conv[a] = b
+    return validate_atom_structure(n, ident, conv, net.facts, names=A.names or None)
+
+
+def _image_outcome(build, net):
+    try:
+        B = build(net)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return B.identity, B.converse, B.cycles
+
+
+@pytest.fixture(scope="module")
+def census_final_networks(a2, pentagon):
+    _, census = summarize(3, mod_iso=True)
+    out = []
+    for A in (a2, pentagon, *census):
+        uni = build_universe(build_suitable(A), 3)
+        out.append(reduct.final_representation(A, reduct.build_pair_structure(A, uni))[0])
+    return out
+
+
+def test_image_converse_lookup_matches_inverse_index(census_final_networks):
+    # the census final networks, then each with one pair relabelled and
+    # with the reverse of one pair dropped
+    rng = random.Random(17)
+    outcomes = set()
+    for net in census_final_networks:
+        A, label = net.algebra, dict(net.label)
+        nets = [net]
+        pairs = sorted(label)
+        for _ in range(6):
+            pr = rng.choice(pairs)
+            relabelled = dict(label)
+            relabelled[pr] = rng.choice([a for a in range(A.atom_count) if a != label[pr]])
+            u, v = rng.choice(pairs)
+            dropped = {p: a for p, a in label.items() if p != (v, u)}
+            nets += [Network(A, relabelled), Network(A, dropped)]
+        for n in nets:
+            got = _image_outcome(image_atom_structure, n)
+            assert got == _image_outcome(ref_image_structure_by_inverse_index, n)
+            outcomes.add(got[0] == "ValueError")
+    assert outcomes == {True, False}
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from warel import reduct
@@ -208,3 +210,24 @@ def test_pair_lengths_cover_exactly_the_labelled_pairs(pentagon):
         uni = build_universe(build_suitable(A), depth)
         ps = reduct.build_pair_structure(A, uni)
         assert uni.pair_min_length.keys() == ps.label.keys()
+
+
+def _universe_and_pairs_peak_per_point(A, depth):
+    S = build_suitable(A)
+    tracemalloc.start()
+    try:
+        uni = build_universe(S, depth)
+        reduct.build_pair_structure(A, uni)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / len(uni.lengths)
+
+
+def test_universe_and_pairs_memory_grow_with_the_points_not_faster(pentagon):
+    # points are ints with one length, pointer and spine entry each, and
+    # the pairs and triples per point stay about level from depth 3 to
+    # depth 4, so the peak per point stays flat
+    at3 = _universe_and_pairs_peak_per_point(pentagon, 3)
+    at4 = _universe_and_pairs_peak_per_point(pentagon, 4)
+    assert at4 / at3 < 1.3, (at3, at4)

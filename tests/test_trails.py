@@ -232,3 +232,18 @@ def test_pair_lengths_as_if_every_pair_were_offered(pentagon):
                 for j in trip:
                     want.setdefault((i, j), info.min_length)
         assert list(uni.pair_min_length.items()) == list(want.items())
+
+
+def test_fresh_pids_never_share_a_reduced_trail(a2, pentagon):
+    # each spine is walked once, so the reduced trail (spine, k) a spine
+    # adds is new: no two pids share a reduced trail, and every pid's
+    # recorded trail is reduced and of its recorded length
+    _, census = summarize(3, mod_iso=True)
+    for A in (a2, pentagon, *census):
+        S = build_suitable(A)
+        for depth in (1, 2, 3, 4):
+            uni = build_universe(S, depth)
+            assert len(uni.points) == len(uni.lengths) == len(uni.by_id)
+            for pt in uni.by_id:
+                assert is_reduced(S, pt.trail)
+                assert len(pt.trail) == uni.lengths[pt.pid]

@@ -3,15 +3,19 @@
 The reference walk below extends spines by every step, round trips
 included, and reduces each of the three repointings of every spine with
 ``reduce_trail``, where ``build_universe`` reads each spine's triple off
-its parent's; the pair structure's descent and base pairs are then
-computed through ``point_of``.  Triples and pair lengths must agree in
-insertion order too, since reports iterate them in that order.  The reference reducer is the list-based
-one with scans over the distinguished subsets.  ``random_trail`` and
-``reduce_random_order`` draw trails and normalize them by moves in random
-order, for the reducer tests here and in ``test_trails.py``.
+its parent's.  It interns every reduced trail through its own
+Trail -> Point dict (``RefUniverse``), where ``build_universe`` gives
+each new point the next int pid.  The pair structure's descent and base
+pairs are then computed through ``point_of``.  Triples and pair lengths
+must agree in insertion order too, since reports iterate them in that
+order.  The reference reducer is the list-based one with scans over the
+distinguished subsets.  ``random_trail`` and ``reduce_random_order``
+draw trails and normalize them by moves in random order, for the reducer
+tests here and in ``test_trails.py``.
 """
 
 import random
+from dataclasses import dataclass, field
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +25,7 @@ from warel.core import classify
 from warel.enumerate import sample_structure
 from warel.suitable import COORDS, build_suitable
 from warel.trails import (
-    BoundedUniverse,
+    Point,
     Trail,
     TripleInfo,
     build_universe,
@@ -133,11 +137,42 @@ def has_round_trip(nodes, steps):
     )
 
 
+@dataclass
+class RefUniverse:
+    """Points as ``Point`` objects interned through a Trail -> Point
+    dict, as ``BoundedUniverse`` kept them before its points became
+    ints."""
+
+    S: object
+    bound: int
+    points: dict = field(default_factory=dict)
+    by_id: list = field(default_factory=list)
+    triples: dict = field(default_factory=dict)
+    pair_min_length: dict = field(default_factory=dict)
+    base_triples: list = field(default_factory=list)
+
+    def intern(self, reduced):
+        pt = self.points.get(reduced)
+        if pt is None:
+            pt = Point(len(self.by_id), reduced)
+            self.points[reduced] = pt
+            self.by_id.append(pt)
+        return pt
+
+    def point_of(self, p):
+        return self.points[reduce_trail(self.S, p)]
+
+    def frontier_triples(self):
+        return frozenset(
+            trip for trip, info in self.triples.items() if info.is_frontier(self.bound)
+        )
+
+
 def ref_universe(S, bound):
     """Every spine up to the bound; returns the universe and the number
     of round-trip-free spines among those walked.  ``base_triples``
     records the triple of each length-one spine."""
-    uni = BoundedUniverse(S, bound)
+    uni = RefUniverse(S, bound)
     free = 0
     layer = [((t,), ()) for t in range(S.size)]
     length = 1
@@ -198,6 +233,8 @@ def assert_matches_reference(A, bound):
     ref, free = ref_universe(S, bound)
     assert uni.spines_seen == free
     assert uni.by_id == ref.by_id
+    assert uni.lengths == [len(pt.trail) for pt in ref.by_id]
+    assert uni.pointers == [pt.trail.pointer for pt in ref.by_id]
     assert list(uni.triples.items()) == list(ref.triples.items())
     assert list(uni.pair_min_length.items()) == list(ref.pair_min_length.items())
     assert uni.base_triples == ref.base_triples
