@@ -151,7 +151,7 @@ def cmd_enumerate(args: argparse.Namespace, report: Report) -> None:
     report.info("enumerate.sa_not_ra", summary.sa_not_ra)
     chain_ok = summary.ra <= summary.sa <= summary.wa
     report.add("enumerate", "classification-chain", chain_ok)
-    if args.classify_only or not args.pipeline:
+    if not args.pipeline:
         return
     for i, A in enumerate(wa_structures):
         S = build_suitable(A)
@@ -190,7 +190,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_enum = sub.add_parser("enumerate", help="generate and classify all structures of a size")
     p_enum.add_argument("--atoms", type=int, required=True)
-    p_enum.add_argument("--classify-only", action="store_true")
     p_enum.add_argument("--pipeline", action="store_true", help="run the construction pipeline on each WA structure")
     p_enum.add_argument("--mod-iso", action="store_true", help="one representative per relabelling class")
     p_enum.set_defaults(func=cmd_enumerate)

@@ -184,7 +184,6 @@ def sample_structure(n: int, rng: random.Random) -> AtomStructure:
 class EnumerationSummary:
     atoms: int
     total: int
-    valid: int
     wa: int
     sa: int
     ra: int
@@ -194,11 +193,10 @@ class EnumerationSummary:
 
 def summarize(n: int, mod_iso: bool = False) -> tuple[EnumerationSummary, list[AtomStructure]]:
     """Counts plus the list of WA structures found."""
-    total = valid = wa = sa = ra = wa_not_sa = sa_not_ra = 0
+    total = wa = sa = ra = wa_not_sa = sa_not_ra = 0
     wa_structures = []
     for A in enumerate_structures(n, mod_iso=mod_iso):
         total += 1
-        valid += 1
         rep = classify(A)
         if rep.is_wa:
             wa += 1
@@ -212,6 +210,6 @@ def summarize(n: int, mod_iso: bool = False) -> tuple[EnumerationSummary, list[A
         if rep.is_sa and not rep.is_ra:
             sa_not_ra += 1
     return (
-        EnumerationSummary(n, total, valid, wa, sa, ra, wa_not_sa, sa_not_ra),
+        EnumerationSummary(n, total, wa, sa, ra, wa_not_sa, sa_not_ra),
         wa_structures,
     )

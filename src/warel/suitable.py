@@ -239,15 +239,6 @@ def check_suitable(S: SuitableStructure) -> tuple[CheckResult, ...]:
     return tuple(out)
 
 
-TRIPLE_KINDS = (
-    "diversity",
-    "identity-at-0",
-    "identity-at-1",
-    "identity-at-2",
-    "all-identity",
-)
-
-
 def classify_triple(S: SuitableStructure, t: Triple) -> tuple[str, Triple]:
     """Kind and forced normal form of a carrier triple.
 

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from warel import cli, labelling, reduct, trails
+from warel.core import TABLE_GUARD
+from warel.fileformat import format_structure
+from warel.relset import Universe, atom_structure_of_relativization
 
 ROOT = Path(__file__).resolve().parents[1]
 STRUCTURES = ROOT / "structures"
@@ -194,6 +197,23 @@ def test_law_suite_above_table_guard_is_a_fail_line(diag11, capsys):
     assert "classify.isWA = yes" in out
     assert "check.budget = fail" in out
     assert elapsed < 1.0
+
+
+def test_represent_decides_the_reduct_above_the_table_guard(tmp_path, capsys):
+    # the relativization to the path 0-1-2-3 plus the loop (4, 4) has 11
+    # atoms, one more than the element composition table allows; the
+    # reduct lines are decided on atoms, so no budget line appears
+    path = {(p, p) for p in range(5)} | {(i, i + 1) for i in range(3)} | {(i + 1, i) for i in range(3)}
+    A, _ = atom_structure_of_relativization(Universe(5), frozenset(path))
+    assert A.atom_count == TABLE_GUARD + 1
+    struct = tmp_path / "path5.alg"
+    struct.write_text(format_structure(A))
+    cli.main(["represent", str(struct), "--depth", "2"])
+    out = capsys.readouterr().out
+    assert "represent.budget" not in out
+    lines = [line for line in out.splitlines() if line.startswith("reduct.")]
+    assert len(lines) == 8
+    assert all(line.endswith("= pass") for line in lines), lines
 
 
 @pytest.mark.parametrize(

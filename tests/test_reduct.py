@@ -9,6 +9,8 @@ from warel.relset import image_atom_structure
 from warel.suitable import build_suitable
 from warel.trails import build_universe
 
+from test_reduct_reference import ref_carrier
+
 
 @pytest.fixture(scope="module")
 def s2(a2):
@@ -35,7 +37,7 @@ def phi(S, xmask):
 
 def test_reduct_compose_with_empty(s2):
     ra = reduct.ra_reduct(s2)
-    for y in ra.carrier():
+    for y in ref_carrier(s2):
         assert ra.compose(0, y) == 0
         assert ra.compose(y, 0) == 0
 
@@ -43,7 +45,7 @@ def test_reduct_compose_with_empty(s2):
 def test_reduct_identity_is_diagonal(s2):
     ra = reduct.ra_reduct(s2)
     assert ra.identity == s2.e_masks[0][1]
-    for x in ra.carrier():
+    for x in ref_carrier(s2):
         assert ra.compose(x, ra.identity) == x
         assert ra.compose(ra.identity, x) == x
 

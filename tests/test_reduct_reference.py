@@ -11,6 +11,12 @@ under test compute each end element's label entries once, type triples
 without sorting, decide each distinct label matrix once and list the
 demanded replacements once per shortest witness length; they must agree
 with these on every result, witness and message.
+
+``ref_check_reduct_closure`` and ``ref_check_reduct_isomorphism`` walk
+every element of the reduct's carrier (``ref_carrier``: every join of
+2-blocks) and every pair of source-algebra elements through the element
+tables.  The checks under test decide the same lines on the 2-blocks
+and on the atoms, and must name the same first witness.
 """
 
 import random
@@ -21,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warel import reduct
-from warel.core import CheckResult, classify
+from warel.core import CheckResult, classify, iter_bits
 from warel.enumerate import sample_structure, summarize
 from warel.reduct import REPLACEMENT_STEPS, LabelDisagreement, PairStructure
 from warel.suitable import COORDS, build_suitable
@@ -156,6 +162,85 @@ def ref_key_property(A, ps):
     return CheckResult("label-composition-bound", True)
 
 
+def ref_carrier(S):
+    blocks = sorted(set(S.blocks[2].values()))
+    out = []
+    for mask in range(1 << len(blocks)):
+        x = 0
+        for i in iter_bits(mask):
+            x |= blocks[i]
+        out.append(x)
+    return sorted(set(out))
+
+
+def ref_check_reduct_closure(S):
+    ra = reduct.ra_reduct(S)
+    carrier = ref_carrier(S)
+    out = []
+    ok = all(ra.is_two_dim(x) for x in carrier)
+    out.append(CheckResult("carrier-two-dimensional", ok))
+    ok = ra.is_two_dim(ra.identity)
+    out.append(CheckResult("identity-two-dimensional", ok))
+    bad = None
+    for x in carrier:
+        if not ra.is_two_dim(ra.converse(x)):
+            bad = ("converse", x)
+            break
+        for y in carrier:
+            if not ra.is_two_dim(ra.compose(x, y)):
+                bad = ("compose", x, y)
+                break
+        if bad:
+            break
+    out.append(CheckResult("operations-closed", bad is None, str(bad or "")))
+    return tuple(out)
+
+
+def ref_check_reduct_isomorphism(A, S):
+    C, V = A.comp_table, A.conv_table
+    ra = reduct.ra_reduct(S)
+    out = []
+
+    def phi(xm):
+        acc = 0
+        for i, t in enumerate(S.elements):
+            if (1 << t[2]) & xm:
+                acc |= 1 << i
+        return acc
+
+    els = list(A.elements())
+    images = [phi(x) for x in els]
+    out.append(CheckResult("injective", len(set(images)) == len(images)))
+    out.append(CheckResult("surjective-onto-reduct", sorted(set(images)) == ref_carrier(S)))
+    # els is every mask in order, so images[m] == phi(m) for any element m
+    out.append(
+        CheckResult(
+            "boolean-preserved",
+            all(
+                images[x | y] == images[x] | images[y]
+                and images[A.full & ~x] == S.full_mask & ~images[x]
+                for x in els
+                for y in els
+            ),
+        )
+    )
+    out.append(CheckResult("identity-preserved", images[A.identity] == ra.identity))
+    bad = None
+    for x in els:
+        if images[V[x]] != ra.converse(images[x]):
+            bad = ("converse", x)
+            break
+        cx = C[x]
+        for y in els:
+            if images[cx[y]] != ra.compose(images[x], images[y]):
+                bad = ("compose", x, y)
+                break
+        if bad:
+            break
+    out.append(CheckResult("operations-preserved", bad is None, str(bad or "")))
+    return tuple(out)
+
+
 def _outcome(build, A, uni):
     """The builder's fields, or the type and message of what it raised."""
     try:
@@ -172,8 +257,12 @@ def _outcome(build, A, uni):
 
 
 @pytest.fixture(scope="module")
-def inputs(a2, pentagon):
-    _, census = summarize(3, mod_iso=True)
+def census():
+    return summarize(3, mod_iso=True)[1]
+
+
+@pytest.fixture(scope="module")
+def inputs(a2, pentagon, census):
     out = []
     for A in (a2, pentagon, *census):
         uni = build_universe(build_suitable(A), 3)
@@ -300,3 +389,64 @@ def test_key_property_matches_reference(inputs):
                 ps.label[pr] = old
             failing += not got.holds
     assert failing > 100
+
+
+def _reduct_results(A, S):
+    return repr((reduct.check_reduct_closure(S), reduct.check_reduct_isomorphism(A, S)))
+
+
+def _reference_results(A, S):
+    return repr((ref_check_reduct_closure(S), ref_check_reduct_isomorphism(A, S)))
+
+
+def test_reduct_checks_match_reference(a1, a2, pentagon, two_identities, census):
+    for A in (a1, a2, pentagon, two_identities, *census):
+        S = build_suitable(A)
+        assert _reduct_results(A, S) == _reference_results(A, S), A.names
+
+
+def _corrupt(A, S, rng):
+    """S with one changed tkey entry, one flipped e_masks bit, or one
+    element whose last coordinate moved, sometimes past the last atom."""
+    kind = rng.choice(["tkey", "e_masks", "third"])
+    i = rng.randrange(S.size)
+    k = rng.choice(COORDS)
+    if kind == "tkey":
+        row = list(S.tkey[k])
+        row[i] = rng.choice([a for a in range(A.atom_count + 1) if a != row[i]])
+        return replace(S, tkey=tuple(tuple(row) if j == k else S.tkey[j] for j in COORDS))
+    if kind == "e_masks":
+        masks = [list(r) for r in S.e_masks]
+        masks[k][rng.choice(COORDS)] ^= 1 << i
+        return replace(S, e_masks=tuple(map(tuple, masks)))
+    elements = list(S.elements)
+    t = elements[i]
+    elements[i] = (t[0], t[1], rng.choice([a for a in range(A.atom_count + 1) if a != t[2]]))
+    return replace(S, elements=tuple(elements))
+
+
+def test_reduct_checks_match_reference_on_corruptions(a1, a2, pentagon, two_identities, census):
+    # every line that can fail fails on some draw, and each failing
+    # operation line names the reference's first witness
+    rng = random.Random(18)
+    failed = set()
+    witnesses = set()
+    for A in (a1, a2, pentagon, two_identities, *census):
+        S = build_suitable(A)
+        for _ in range(24):
+            bad = _corrupt(A, S, rng)
+            got = _reduct_results(A, bad)
+            assert got == _reference_results(A, bad), (A.names, bad)
+            for c in (*reduct.check_reduct_closure(bad), *reduct.check_reduct_isomorphism(A, bad)):
+                if not c.holds:
+                    failed.add(c.name)
+                    witnesses.add(c.detail.split(",")[0])
+    assert failed == {
+        "identity-two-dimensional",
+        "injective",
+        "surjective-onto-reduct",
+        "boolean-preserved",
+        "identity-preserved",
+        "operations-preserved",
+    }
+    assert {"('converse'", "('compose'"} <= witnesses
