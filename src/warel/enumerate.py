@@ -14,12 +14,21 @@ to one.  The exhaustive generator works on masks, by two lemmas:
   transform-closed orbits is in range and transform-closed.  So each
   orbit of each converse is validated once, and every mask over that
   converse yields a valid structure without another check.
-- Isomorph reduction is per mask.  A relabelling p that fixes the
-  identity block setwise maps orbit i of ``conv`` onto an orbit of
-  ``conv_p = p . conv . p^-1``, so it maps masks over ``conv`` to masks
-  over ``conv_p``.  As masks name fact sets one to one, the least
-  ``(identity count, conv_p, image mask)`` over all such p is a complete
-  invariant of the relabelling class.
+- Isomorph reduction is orderly (McKay, *Isomorph-free exhaustive
+  generation*, J. Algorithms 26 (1998)): each relabelling class is
+  decided where it first appears, with nothing stored per class.  A
+  relabelling p that fixes the identity block setwise maps a structure
+  over ``conv`` to one over ``p . conv . p^-1``.  These p act on the
+  movable atoms as their full symmetric group, where two involutions
+  are conjugate exactly when they have the same number of
+  transpositions.  So every converse of a conjugacy class carries
+  members of every relabelling class met over any of them, and the
+  first member of a class lies over the first converse of its
+  conjugacy class in ``involutions`` order.  Over that converse the
+  members of a class are the images of any one of them under the
+  stabilizer, the p with ``p . conv = conv . p``, which permutes the
+  orbits of ``conv``.  As masks name fact sets one to one, the first
+  member is the mask that no stabilizer image undercuts.
 
 No isomorphism reduction is applied by default; with ``mod_iso`` the
 first structure of each relabelling class is kept.
@@ -35,7 +44,6 @@ from typing import Iterator
 from .core import (
     AtomStructure,
     GuardExceeded,
-    Triple,
     _join_row,
     classify,
     peirce_orbit,
@@ -73,39 +81,6 @@ def cycle_orbits(n: int, conv: tuple[int, ...]) -> list[frozenset]:
     return orbits
 
 
-def _mask_images(
-    conv: tuple[int, ...],
-    orbits: list[frozenset],
-    relabellings: list[tuple[int, ...]],
-    orbit_index: dict[tuple[int, ...], dict[Triple, int]],
-) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """The least ``conv_p`` over ``relabellings`` and, for each p that
-    reaches it, the bit of orbit p(orbit i) of ``conv_p`` at index i.
-    ``conv_p`` does not depend on the mask, so the least key over all p
-    is reached only by these p.  ``orbit_index`` caches each converse's
-    triple -> orbit index."""
-    n = len(conv)
-    least = None
-    for p in relabellings:
-        conv_p = [0] * n
-        for a in range(n):
-            conv_p[p[a]] = p[conv[a]]
-        conv_p = tuple(conv_p)
-        if least is None or conv_p < least:
-            least, reaching = conv_p, [p]
-        elif conv_p == least:
-            reaching.append(p)
-    index = orbit_index.get(least)
-    if index is None:
-        index = {t: i for i, orb in enumerate(cycle_orbits(n, least)) for t in orb}
-        orbit_index[least] = index
-    images = []
-    for p in reaching:
-        reps = (next(iter(orb)) for orb in orbits)
-        images.append(tuple(1 << index[p[x], p[y], p[z]] for x, y, z in reps))
-    return least, images
-
-
 def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructure]:
     """All valid structures with n atoms under the fixed labelling, per
     identity count, converse (in ``involutions`` order) and increasing
@@ -119,44 +94,50 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
     orbits is transform-closed.  Masks are walked one at a time, and a
     fact set is built only for a structure that is emitted.
 
-    With ``mod_iso`` a mask is emitted unless an earlier one has the same
-    key, the least ``(identity count, conv_p, image of the mask)`` over
-    the relabellings p that fix the identity block setwise.  p maps the
-    orbits of ``conv`` onto those of ``conv_p``, and for a fixed converse
-    masks and fact sets correspond one to one, so the key is a complete
-    invariant of the relabelling class: each class is emitted once, at
-    its first structure.  Raises ``GuardExceeded`` above ``ATOM_GUARD``
-    atoms.
+    With ``mod_iso`` a converse is walked only if it is the first in
+    ``involutions`` order with its number of transpositions, and a mask
+    over it is emitted only if no image of it under the stabilizer of
+    the converse is smaller.  By the module's second lemma that keeps
+    exactly the first structure of each relabelling class, so the
+    output is the raw sequence with later class members left out.  The
+    stabilizer's orbit images are built once per walked converse and no
+    state is kept per emitted structure.  Raises ``GuardExceeded`` above
+    ``ATOM_GUARD`` atoms.
     """
     if n < 1:
         raise ValueError("atom_count must be at least 1")
     if n > ATOM_GUARD:
         raise GuardExceeded(f"exhaustive enumeration capped at {ATOM_GUARD} atoms, got {n}")
-    emitted: set[tuple] = set()
-    orbit_index: dict[tuple[int, ...], dict[Triple, int]] = {}
     for ident_count in range(n + 1):
         ident = tuple(range(ident_count))
         movable = tuple(range(ident_count, n))
-        relabellings = [
-            head + tail
-            for head in permutations(ident)
-            for tail in permutations(movable)
-        ]
+        if mod_iso:
+            relabellings = [head + tail for head in permutations(ident) for tail in permutations(movable)]
+            walked: set[int] = set()
         for inv in involutions(movable):
+            if mod_iso:
+                # Twice the transposition count names the conjugacy class.
+                moved = sum(a != b for a, b in inv.items())
+                if moved in walked:
+                    continue
+                walked.add(moved)
             conv = tuple(inv.get(a, a) for a in range(n))
             checked = [validate_atom_structure(n, ident, conv, orb) for orb in cycle_orbits(n, conv)]
             identity, converse = checked[0].identity, checked[0].converse
             orbits = [B.cycles for B in checked]
             if mod_iso:
-                least, images = _mask_images(converse, orbits, relabellings, orbit_index)
+                index = {t: i for i, orb in enumerate(orbits) for t in orb}
+                reps = [next(iter(orb)) for orb in orbits]
+                images = {
+                    tuple(1 << index[p[x], p[y], p[z]] for x, y, z in reps)
+                    for p in relabellings
+                    if all(p[conv[a]] == conv[p[a]] for a in range(n))
+                }
             # The last factor is orbit 0, so the index counts masks up.
             choices = product(*((frozenset(), orb) for orb in reversed(orbits)))
             for mask, parts in enumerate(choices):
-                if mod_iso:
-                    key = (ident_count, least, min(_join_row(img, mask) for img in images))
-                    if key in emitted:
-                        continue
-                    emitted.add(key)
+                if mod_iso and any(_join_row(img, mask) < mask for img in images):
+                    continue
                 yield AtomStructure(n, identity, converse, frozenset().union(*parts))
 
 

@@ -110,7 +110,7 @@ class Network:
     are computed once and cached; ``facts`` comes from one key
     intersection per labelled pair, shared by the composition checks
     and by :func:`image_atom_structure`.  The checks read the rows and
-    ``label``; ``unit`` and ``succ`` are built only when asked for.
+    ``label``; ``unit`` is built only when asked for.
     """
 
     algebra: AtomStructure
@@ -134,17 +134,6 @@ class Network:
                 inn[v] = col = {}
             col[u] = a
         return out, inn
-
-    @cached_property
-    def succ(self) -> Successors:
-        """``succ[u][v]`` is the label of ``(u, v)``.  Rows come in
-        increasing source order and list their targets in increasing
-        order, so a walk along ``succ[v]`` meets third points least
-        first."""
-        succ: Successors = {}
-        for (u, v), a in sorted(self.label.items()):
-            succ.setdefault(u, {})[v] = a
-        return succ
 
     @cached_property
     def unit(self) -> BinRel:
@@ -174,13 +163,13 @@ class Network:
 
         Pairs (u, v) come in label order and, for each, third points w
         in increasing order.  Exact: the walk follows adjacency, w
-        ranging over ``succ[v]``, one lookup per labelled path
-        u -> v -> w.
+        ranging over the sorted row ``out[v]``, one lookup per labelled
+        path u -> v -> w.
         """
-        succ = self.succ
+        out = self.rows[0]
         for (u, v), a in self.label.items():
-            su = succ[u]
-            for w, b in succ.get(v, {}).items():
+            su = out[u]
+            for w, b in sorted(out.get(v, {}).items()):
                 c = su.get(w)
                 if c is not None:
                     yield u, v, w, a, b, c
@@ -192,7 +181,7 @@ class Network:
         Exact over every triangle: the third points w of a labelled pair
         (u, v) are the key intersection of ``out[u]`` and ``out[v]``,
         so the same triangles as :meth:`triangles`, found without its
-        walk along ``succ[v]``."""
+        walk along ``out[v]``."""
         out_rows = self.rows[0]
         out: set[Triple] = set()
         for (u, v), a in self.label.items():

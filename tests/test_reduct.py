@@ -120,7 +120,7 @@ def test_key_property_triangles_are_final_triangles(a2, pentagon):
         net, _ = reduct.final_representation(A, ps)
         for trip in uni.triples:
             for x in trip:
-                assert all(y in net.succ[x] for y in trip), (trip, x)
+                assert all(y in net.rows[0][x] for y in trip), (trip, x)
                 for y in trip:
                     for z in trip:
                         abc = (net.label[(x, y)], net.label[(y, z)], net.label[(x, z)])
