@@ -199,7 +199,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     report = Report()
     try:
         args.func(args, report)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except GuardExceeded as exc:

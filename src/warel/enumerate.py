@@ -5,7 +5,7 @@ a0..a(n-1) with the identity atoms first, the converse involution only
 moves non-identity atoms, and the fact set is a union of orbits under
 the six cycle transforms.  For one converse, bit i of an *orbit mask*
 selects orbit i of ``cycle_orbits``; masks and fact sets correspond one
-to one.  The exhaustive generator works on masks, by two lemmas:
+to one.  The exhaustive generator works on masks, by three lemmas:
 
 - Validation is per orbit.  ``validate_atom_structure`` checks that
   every atom is in range, that the converse is an involution fixing the
@@ -29,6 +29,17 @@ to one.  The exhaustive generator works on masks, by two lemmas:
   stabilizer, the p with ``p . conv = conv . p``, which permutes the
   orbits of ``conv``.  As masks name fact sets one to one, the first
   member is the mask that no stabilizer image undercuts.
+- The flip lemma.  Masks are walked counting up, and going from
+  mask - 1 to mask flips exactly orbits 0..t, where t is the index of
+  mask's lowest set bit.  A stabilizer image is a bit permutation of
+  the mask, so it commutes with XOR.  Orbits are disjoint sets of
+  facts, so each bit (x, y, z) of the composition table belongs to
+  exactly one orbit, and the table of a mask is the XOR of its orbits'
+  tables.  So every image of mask, and its table, is the value for
+  mask - 1 XORed with the value for orbits 0..t, a prefix built once
+  per walked converse: one XOR per mask and value, and nothing rebuilt
+  per mask.  This is the Gray-code idea of updating a tuple instead of
+  rebuilding it (Knuth, *TAOCP* 4A, 7.2.1.1), on a counting walk.
 
 No isomorphism reduction is applied by default; with ``mod_iso`` the
 first structure of each relabelling class is kept.
@@ -38,13 +49,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
+from operator import xor
 from typing import Iterator
 
 from .core import (
     AtomStructure,
     GuardExceeded,
-    _join_row,
     classify,
     peirce_orbit,
     validate_atom_structure,
@@ -94,15 +105,22 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
     orbits is transform-closed.  Masks are walked one at a time, and a
     fact set is built only for a structure that is emitted.
 
+    The composition table is kept as one int along the walk, one byte
+    per entry x * n + y (entries are below 2**n <= 16 under
+    ``ATOM_GUARD``), and updated by the module's flip lemma with one
+    XOR per mask.  An emitted structure gets it unpacked as its cached
+    ``comp_atoms``, so nothing rebuilds that table from the cycles.
+
     With ``mod_iso`` a converse is walked only if it is the first in
     ``involutions`` order with its number of transpositions, and a mask
     over it is emitted only if no image of it under the stabilizer of
     the converse is smaller.  By the module's second lemma that keeps
     exactly the first structure of each relabelling class, so the
     output is the raw sequence with later class members left out.  The
-    stabilizer's orbit images are built once per walked converse and no
-    state is kept per emitted structure.  Raises ``GuardExceeded`` above
-    ``ATOM_GUARD`` atoms.
+    images of the current mask are kept in a list, one per stabilizer
+    element, and updated by the flip lemma; the stabilizer holds the
+    identity, so the list is never empty.  No state is kept per emitted
+    structure.  Raises ``GuardExceeded`` above ``ATOM_GUARD`` atoms.
     """
     if n < 1:
         raise ValueError("atom_count must be at least 1")
@@ -125,6 +143,8 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
             checked = [validate_atom_structure(n, ident, conv, orb) for orb in cycle_orbits(n, conv)]
             identity, converse = checked[0].identity, checked[0].converse
             orbits = [B.cycles for B in checked]
+            # tables[t]: the composition table of orbits 0..t, one byte per entry x * n + y.
+            tables = list(accumulate((sum(1 << 8 * (x * n + y) + z for x, y, z in orb) for orb in orbits), xor))
             if mod_iso:
                 index = {t: i for i, orb in enumerate(orbits) for t in orb}
                 reps = [next(iter(orb)) for orb in orbits]
@@ -133,12 +153,25 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
                     for p in relabellings
                     if all(p[conv[a]] == conv[p[a]] for a in range(n))
                 }
+                # pre[t][j]: the image of orbits 0..t under stabilizer element j.
+                pre = list(zip(*(accumulate(img, xor) for img in images)))
+                cur = [0] * len(images)
+            table = 0
             # The last factor is orbit 0, so the index counts masks up.
             choices = product(*((frozenset(), orb) for orb in reversed(orbits)))
             for mask, parts in enumerate(choices):
-                if mod_iso and any(_join_row(img, mask) < mask for img in images):
-                    continue
-                yield AtomStructure(n, identity, converse, frozenset().union(*parts))
+                if mask:
+                    t = (mask & -mask).bit_length() - 1
+                    table ^= tables[t]
+                    if mod_iso:
+                        cur = list(map(xor, cur, pre[t]))
+                        if min(cur) < mask:
+                            continue
+                A = AtomStructure(n, identity, converse, frozenset().union(*parts))
+                packed = table.to_bytes(n * n, "little")
+                # cached_property reads the instance dict first.
+                vars(A)["comp_atoms"] = tuple(tuple(packed[i : i + n]) for i in range(0, n * n, n))
+                yield A
 
 
 def sample_structure(n: int, rng: random.Random) -> AtomStructure:

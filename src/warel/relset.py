@@ -107,8 +107,8 @@ class Network:
     Both representation pipelines end in a network: the labelled pairs
     form the unit, and an element x is represented by the pairs whose
     label lies below x.  The row index, field, atom images and ``facts``
-    are computed once and cached; ``facts`` comes from one key
-    intersection per labelled pair, shared by the composition checks
+    are computed once and cached; ``facts`` walks the shorter of the two
+    rows of each labelled pair, and is shared by the composition checks
     and by :func:`image_atom_structure`.  The checks read the rows and
     ``label``; ``unit`` is built only when asked for.
     """
@@ -179,9 +179,10 @@ class Network:
         """The label triples ``(a, b, c)`` seen on triangles: exactly
         the atoms a, b, c with f(c) meeting f(a) ; f(b) inside the unit.
         Exact over every triangle: the third points w of a labelled pair
-        (u, v) are the key intersection of ``out[u]`` and ``out[v]``,
-        so the same triangles as :meth:`triangles`, found without its
-        walk along ``out[v]``."""
+        (u, v) are the points of ``out[u]`` that are also in ``out[v]``,
+        found by walking the shorter of the two rows and looking each
+        point up in the other, so the same triangles as
+        :meth:`triangles`."""
         out_rows = self.rows[0]
         out: set[Triple] = set()
         for (u, v), a in self.label.items():
@@ -189,8 +190,16 @@ class Network:
             sv = out_rows.get(v)
             if sv is None:
                 continue
-            for w in su.keys() & sv.keys():
-                out.add((a, sv[w], su[w]))
+            if len(su) <= len(sv):
+                for w, c in su.items():
+                    b = sv.get(w)
+                    if b is not None:
+                        out.add((a, b, c))
+            else:
+                for w, b in sv.items():
+                    c = su.get(w)
+                    if c is not None:
+                        out.add((a, b, c))
         return frozenset(out)
 
     def is_symmetric_reflexive(self) -> bool:

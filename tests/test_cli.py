@@ -51,6 +51,16 @@ def test_check_parse_error(tmp_path):
     assert "line 4" in out.stderr
 
 
+@pytest.mark.parametrize("command", ["check", "represent"])
+@pytest.mark.parametrize("path", ["missing.alg", "structures"], ids=["missing", "directory"])
+def test_unreadable_input_is_exit_2(command, path):
+    out = run_cli(command, path)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize(
     "text, line_no",
     [

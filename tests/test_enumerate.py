@@ -7,7 +7,7 @@ from itertools import islice
 import pytest
 
 from test_enumerate_reference import canonical_key
-from warel.core import GuardExceeded, classify
+from warel.core import AtomStructure, GuardExceeded, classify
 from warel.enumerate import (
     EnumerationSummary,
     enumerate_structures,
@@ -80,6 +80,21 @@ def test_mod_iso_memory_does_not_grow_with_classes_emitted():
     finally:
         tracemalloc.stop()
     assert after - before < 10_000, (before, after)
+
+
+@pytest.mark.parametrize("mod_iso", [False, True], ids=["raw", "mod-iso"])
+def test_seeded_comp_atoms_match_the_table_built_from_cycles(mod_iso):
+    """Every emitted structure arrives with ``comp_atoms`` already set,
+    updated by XOR along the mask walk, and it is the table that
+    ``AtomStructure`` builds from the same cycles: every structure at
+    1-3 atoms and the first 20,000 at 4."""
+    walks = [enumerate_structures(n, mod_iso=mod_iso) for n in (1, 2, 3)]
+    walks.append(islice(enumerate_structures(4, mod_iso=mod_iso), 20_000))
+    for walk in walks:
+        for A in walk:
+            assert "comp_atoms" in vars(A)
+            rebuilt = AtomStructure(A.atom_count, A.identity, A.converse, A.cycles)
+            assert A.comp_atoms == rebuilt.comp_atoms, (A.identity, A.converse, sorted(A.cycles))
 
 
 def test_guard():
