@@ -9,7 +9,8 @@ atoms (see :func:`warel.core.classify`), and ``represent`` verifies
 every labelling system through its per-atom certificates (see
 :func:`warel.labelling.verify_representation`), whatever its size.
 Reports are deterministic.  Exit codes: 0 when every requested check
-passed, 1 when some check failed, 2 for unreadable input, 3 when a
+passed, 1 when some check failed, 2 for unreadable input or an
+unwritable ``--report`` path (the report is still printed), 3 when a
 budget ran out (a ``<command>.budget = fail`` line) and 4 when an
 internal consistency check broke (a ``<command>.internal = fail``
 line).
@@ -80,7 +81,6 @@ def _represent_pipeline(
     net = Network(A, ls.label)
     for res in labelling.verify_representation(ls, stage_bound=passes, net=net):
         report.add("labelling", res.name, res.holds, res.detail if not res.holds else "")
-    report.add("labelling", "unit-symmetric-reflexive", net.is_symmetric_reflexive())
     _report_images(report, "labelling", net)
 
     S = build_suitable(A)
@@ -101,13 +101,12 @@ def _represent_pipeline(
     report.extend_results("setalgebra", [check_orbit_partition(uni)])
     report.extend_results("setalgebra", check_complex_vs_relativized(S, uni))
 
-    ps = reduct.build_pair_structure(A, uni)
-    report.extend_results("pairs", reduct.check_pair_partition(ps))
-    report.extend_results("pairs", [reduct.check_key_property(A, ps)])
-    report.extend_results("pairs", reduct.check_replacement_closure(ps))
-    final, checks = reduct.final_representation(A, ps)
-    report.extend_results("final", checks)
-    report.extend_results("final", [reduct.check_chain_agreement(A, ps)])
+    final = reduct.build_pair_structure(A, uni)
+    report.extend_results("pairs", reduct.check_pair_partition(uni, final))
+    report.extend_results("pairs", [reduct.check_key_property(uni, final)])
+    report.extend_results("pairs", reduct.check_replacement_closure(uni))
+    report.extend_results("final", reduct.final_representation(uni, final)[1])
+    report.extend_results("final", [reduct.check_chain_agreement(uni, final)])
     try:
         rebuilt = image_atom_structure(final)
         same = (
@@ -215,8 +214,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     text = report.render()
     sys.stdout.write(text)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
     return code
 
 

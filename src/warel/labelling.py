@@ -240,7 +240,10 @@ def verify_representation(
       the pairs whose points were both created before ``stage_bound``;
       the rest are counted as excluded.
 
-    The five element lines carry no detail.
+    - ``unit-symmetric-reflexive``: exact,
+      :meth:`Network.is_symmetric_reflexive`.
+
+    The five element lines and the unit line carry no detail.
     """
     if stage_bound > ls.passes_done:
         raise ValueError(
@@ -267,4 +270,5 @@ def verify_representation(
             f"checked={checked} excluded={excluded}"
             + ("" if flaw is None else f" flaw={flaw}"),
         ),
+        CheckResult("unit-symmetric-reflexive", net.is_symmetric_reflexive()),
     )

@@ -7,10 +7,14 @@ onto them by sending an element to the set of carrier triples whose
 last coordinate sits below it.
 
 Over a bounded trail universe, every ordered pair of points occurring
-in a reachable coordinate triple gets a well-defined atom label, the
-pair set splits into identity, descent and base pairs, and the label
-map, a :class:`~warel.relset.Network`, turns algebra elements into
-relations over points.  The resulting map is checked to be a Boolean
+in a reachable coordinate triple gets a well-defined atom label.  The
+pair stage returns these labels as a :class:`~warel.relset.Network`,
+the object the labelling pipeline's pair stage ends in too, and every
+later check reads that network and the universe.  The split of the
+pairs into identity, descent and base pairs, and the Lemma 9 types of
+the triples, are read off the universe's per-point lists by the check
+that needs them.  The network turns algebra elements into relations
+over points, and the resulting map is checked to be a Boolean
 embedding respecting identity, converse, and composition up to the
 frontier, which is the bounded form of the full representation
 theorem.
@@ -18,8 +22,8 @@ theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import heapq
+from dataclasses import dataclass
 
 from .core import AtomStructure, CheckResult, iter_bits
 from .cylindric import ComplexAlgebra
@@ -124,35 +128,6 @@ class LabelDisagreement(RuntimeError):
     """Two witnessing trails assigned different atoms to one pair."""
 
 
-@dataclass
-class PairStructure:
-    universe: BoundedUniverse
-    label: dict[tuple[int, int], int] = field(default_factory=dict)
-    identity_pairs: set[tuple[int, int]] = field(default_factory=set)
-    xi_pairs: set[tuple[int, int]] = field(default_factory=set)
-    base_pairs: set[tuple[int, int]] = field(default_factory=set)
-    lem9_kind: dict[tuple[int, int, int], str] = field(default_factory=dict)
-
-    @property
-    def pairs(self) -> set[tuple[int, int]]:
-        return set(self.label)
-
-    @cached_property
-    def xi_of(self) -> dict[int, frozenset[tuple[int, int]]]:
-        """Each point's pairs to the other repointings of its own trail,
-        read off the recorded triple of that trail's spine."""
-        uni = self.universe
-        lengths, pointers = uni.lengths, uni.pointers
-        out: dict[int, frozenset[tuple[int, int]]] = {}
-        for pid, trip in enumerate(uni.own_triples):
-            if lengths[pid] == 1:
-                out[pid] = frozenset()
-                continue
-            k = pointers[pid]
-            out[pid] = frozenset((pid, trip[l]) for l in COORDS if l != k)
-        return out
-
-
 def _label_entries(
     A: AtomStructure, t: tuple[int, int, int]
 ) -> tuple[tuple[tuple[int, int, int], ...], bool]:
@@ -176,9 +151,9 @@ def _label_entries(
     return tuple(entries), True
 
 
-def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> PairStructure:
-    """Labels for every occurring point pair, the three-way pair split,
-    and the six-type classification of every reachable triple.
+def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
+    """The trail pipeline's network: an atom label for every ordered pair
+    of points of a reachable triple.
 
     Exact over every reachable triple, in sorted order; the nine label
     entries and three diagonal agreements are computed once per carrier
@@ -186,12 +161,9 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> PairStructur
     compares its pairs' labels.  A pair given two labels, or a triple
     whose diagonal labels disagree, raises :class:`LabelDisagreement`.
     """
-    ps = PairStructure(uni)
-    label = ps.label
+    label: dict[tuple[int, int], int] = {}
     rows = {t: _label_entries(A, uni.S.elements[t]) for t in uni.orbit_sets}
-    ordered = sorted(uni.triples.items())
-
-    for trip, info in ordered:
+    for trip, info in sorted(uni.triples.items()):
         entries, agree = rows[info.end]
         for i, j, a in entries:
             u, v = trip[i], trip[j]
@@ -200,37 +172,48 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> PairStructur
                 raise LabelDisagreement(f"pair ({u},{v}) labelled {old} and {a}")
         if not agree:
             raise LabelDisagreement(f"diagonal label mismatch at {trip}")
+    return Network(A, label)
 
-    for (u, v) in ps.label:
-        if u == v:
-            ps.identity_pairs.add((u, v))
 
-    for pid, xs in ps.xi_of.items():
-        for pr in xs:
-            ps.xi_pairs.add(pr)
-            ps.xi_pairs.add((pr[1], pr[0]))
+def _partners(uni: BoundedUniverse, pid: int) -> tuple[int, ...]:
+    """A point's descent partners, the other repointings of its reduced
+    trail: the coordinates of its own triple off its pointer, in
+    coordinate order.  A point of length one has none."""
+    if uni.lengths[pid] == 1:
+        return ()
+    k = uni.pointers[pid]
+    trip = uni.own_triples[pid]
+    return trip[:k] + trip[k + 1 :]
 
+
+def _descent_pairs(uni: BoundedUniverse) -> set[tuple[int, int]]:
+    """Each point paired with each of its descent partners, both ways round."""
+    out = set()
+    for pid in range(len(uni.own_triples)):
+        for q in _partners(uni, pid):
+            out.add((pid, q))
+            out.add((q, pid))
+    return out
+
+
+def _base_pairs(A: AtomStructure, uni: BoundedUniverse) -> set[tuple[int, int]]:
+    """The pairs (base[k], base[l]), k != l, of each length-one triple
+    whose third coordinate carries a diversity atom."""
     ident = A.identity
+    out = set()
     for t, base in zip(uni.S.elements, uni.base_triples):
         for k in COORDS:
             for l in COORDS:
-                if k == l:
-                    continue
-                m = 3 - k - l
-                if (1 << t[m]) & ident:
-                    continue
-                ps.base_pairs.add((base[k], base[l]))
-
-    for trip, _ in ordered:
-        ps.lem9_kind[trip] = _classify_triple_kind(ps, trip, uni.lengths)
-    return ps
+                if k != l and not (1 << t[3 - k - l]) & ident:
+                    out.add((base[k], base[l]))
+    return out
 
 
-def _pair_kind(ps: PairStructure, u: int, v: int) -> str:
+def _pair_kind(descent: set, base: set, u: int, v: int) -> str:
     if u == v:
         return "identity"
-    hit_xi = (u, v) in ps.xi_pairs
-    hit_base = (u, v) in ps.base_pairs
+    hit_xi = (u, v) in descent
+    hit_base = (u, v) in base
     if hit_xi and not hit_base:
         return "descent"
     if hit_base and not hit_xi:
@@ -243,28 +226,33 @@ _THIRD = {"descent": "descent-descent", "base": "descent-base"}
 
 
 def _classify_triple_kind(
-    ps: PairStructure, trip: tuple[int, int, int], lengths: list[int]
+    uni: BoundedUniverse, descent: set, base: set, trip: tuple[int, int, int]
 ) -> str:
-    """The Lemma 9 type of a reachable triple.
+    """The Lemma 9 type of a reachable triple, given the universe's
+    descent and base pairs.
 
-    A pair's kind is symmetric, since ``xi_pairs`` and ``base_pairs``
-    hold each pair in both directions, so the points are read in
-    coordinate order and never sorted.  Three distinct points are a
-    descent triple when the longest (ties broken by the larger pid;
-    ``lengths[pid]`` is the point's trail length) has exactly the other
-    two as its descent partners; the kind of the remaining pair then
-    names the type.
+    A pair's kind is symmetric, since both sets hold each pair in both
+    directions, so the points are read in coordinate order and never
+    sorted.  Three distinct points are a descent triple when the longest
+    (ties broken by the larger pid; ``lengths[pid]`` is the point's
+    trail length) has exactly the other two as its descent partners;
+    the kind of the remaining pair then names the type.
     """
     u, v, w = trip
     if u == v or v == w or u == w:
         if u == v == w:
             return "single-point"
-        kind = _pair_kind(ps, u, w) if u == v else _pair_kind(ps, u, v)
+        kind = _pair_kind(descent, base, u, w) if u == v else _pair_kind(descent, base, u, v)
         return _DOUBLED.get(kind, "unclassified")
     # kinds[i]: the pair of the two points other than trip[i]
-    kinds = (_pair_kind(ps, v, w), _pair_kind(ps, u, w), _pair_kind(ps, u, v))
+    kinds = (
+        _pair_kind(descent, base, v, w),
+        _pair_kind(descent, base, u, w),
+        _pair_kind(descent, base, u, v),
+    )
     if kinds[0] == kinds[1] == kinds[2] == "base":
         return "three-base"
+    lengths = uni.lengths
     ku, kv, kw = (lengths[u], u), (lengths[v], v), (lengths[w], w)
     if ku > kv and ku > kw:
         top, a, b, third = u, v, w, kinds[0]
@@ -272,7 +260,7 @@ def _classify_triple_kind(
         top, a, b, third = v, u, w, kinds[1]
     else:
         top, a, b, third = w, u, v, kinds[2]
-    if ps.xi_of.get(top) == {(top, a), (top, b)}:
+    if _partners(uni, top) in ((a, b), (b, a)):
         return _THIRD.get(third, "unclassified")
     return "unclassified"
 
@@ -287,46 +275,59 @@ LEM9_KINDS = (
 )
 
 
-def check_pair_partition(ps: PairStructure) -> tuple[CheckResult, ...]:
-    out = []
-    pairs = ps.pairs
-    parts = [ps.identity_pairs, ps.xi_pairs, ps.base_pairs]
-    union = set().union(*parts)
-    overlaps = (
-        (ps.identity_pairs & ps.xi_pairs)
-        | (ps.identity_pairs & ps.base_pairs)
-        | (ps.xi_pairs & ps.base_pairs)
+def check_pair_partition(uni: BoundedUniverse, net: Network) -> tuple[CheckResult, ...]:
+    """The labelled pairs split exactly into identity pairs (the loops),
+    descent pairs (``_descent_pairs``) and base pairs (``_base_pairs``);
+    every reachable triple has one of the six Lemma 9 types; and every
+    descent partner is shorter than its point.
+
+    Exact.  The pair sets are read off the universe's per-point lists
+    and ``uni.base_triples`` and live only for the check.  The split is
+    exact when the three sets are disjoint, lie in the unit and their
+    sizes add up to its size.  Unclassified triples are named in sorted
+    order, and the first long partner with points ascending, each
+    point's descent pairs in the iteration order of their set."""
+    pairs = net.label.keys()
+    identity = {pr for pr in pairs if pr[0] == pr[1]}
+    descent = _descent_pairs(uni)
+    base = _base_pairs(net.algebra, uni)
+    overlap = identity & descent or identity & base or descent & base
+    exact = (
+        not overlap
+        and pairs >= descent
+        and pairs >= base
+        and len(identity) + len(descent) + len(base) == len(pairs)
     )
-    out.append(
-        CheckResult(
-            "pair-partition-exact",
-            union == pairs and not overlaps,
-            f"|pairs|={len(pairs)} id={len(ps.identity_pairs)} "
-            f"descent={len(ps.xi_pairs)} base={len(ps.base_pairs)}",
-        )
+    unclassified = heapq.nsmallest(
+        3,
+        (t for t in uni.triples if _classify_triple_kind(uni, descent, base, t) == "unclassified"),
     )
-    unclassified = [t for t, k in ps.lem9_kind.items() if k == "unclassified"]
-    out.append(
-        CheckResult(
-            "triple-types-total",
-            not unclassified,
-            f"{len(ps.lem9_kind)} triples classified"
-            if not unclassified
-            else f"unclassified {unclassified[:3]}",
-        )
-    )
-    lengths = ps.universe.lengths
+    lengths = uni.lengths
     bad = next(
         (
             (u, v)
-            for xs in ps.xi_of.values()
-            for (u, v) in xs
+            for pid in range(len(uni.own_triples))
+            for u, v in frozenset((pid, q) for q in _partners(uni, pid))
             if lengths[v] >= lengths[u]
         ),
         None,
     )
-    out.append(CheckResult("descent-pairs-shorten", bad is None, str(bad or "")))
-    return tuple(out)
+    return (
+        CheckResult(
+            "pair-partition-exact",
+            exact,
+            f"|pairs|={len(pairs)} id={len(identity)} "
+            f"descent={len(descent)} base={len(base)}",
+        ),
+        CheckResult(
+            "triple-types-total",
+            not unclassified,
+            f"unclassified {unclassified}"
+            if unclassified
+            else f"{len(uni.triples)} triples classified",
+        ),
+        CheckResult("descent-pairs-shorten", bad is None, str(bad or "")),
+    )
 
 
 def _matrix_holds(comp: list[list[int]], m: tuple[int, ...]) -> bool:
@@ -340,20 +341,20 @@ def _matrix_holds(comp: list[list[int]], m: tuple[int, ...]) -> bool:
     )
 
 
-def check_key_property(A: AtomStructure, ps: PairStructure) -> CheckResult:
+def check_key_property(uni: BoundedUniverse, net: Network) -> CheckResult:
     """label(x,y) ; label(y,z) covers label(x,z) on every permutation of
     every reachable triple.
 
     Exact over every reachable triple, each reading its nine labels from
-    ``ps.label``; each distinct 3x3 label matrix is decided once over
+    ``net.label``; each distinct 3x3 label matrix is decided once over
     its 27 index choices, which range over the same ordered (x, y, z)
     as the triple's points.  The first failing triple, in
     ``uni.triples`` order, is walked again over its points only to name
     the witness."""
-    comp = A.comp_atoms
-    label = ps.label
+    comp = net.algebra.comp_atoms
+    label = net.label
     decided: dict[tuple[int, ...], bool] = {}
-    for trip in ps.universe.triples:
+    for trip in uni.triples:
         u, v, w = trip
         m = (
             label[(u, u)], label[(u, v)], label[(u, w)],
@@ -413,7 +414,7 @@ def _replacement_generators() -> dict[tuple[int, int, int], int]:
 REPLACEMENT_STEPS = _replacement_generators()
 
 
-def check_replacement_closure(ps: PairStructure) -> tuple[CheckResult, ...]:
+def check_replacement_closure(uni: BoundedUniverse) -> tuple[CheckResult, ...]:
     """Every non-permutation image of a reachable triple is reachable,
     given enough headroom: an image needing k replacements is demanded
     only of triples whose shortest witness leaves k steps below the
@@ -422,7 +423,6 @@ def check_replacement_closure(ps: PairStructure) -> tuple[CheckResult, ...]:
     The demanded replacements depend only on a triple's shortest
     witness length h, so they are listed once per h, in
     ``REPLACEMENT_STEPS`` order; a frontier triple demands none."""
-    uni = ps.universe
     bound = uni.bound
     total = len(REPLACEMENT_STEPS)
     demanded: dict[int, list[tuple[int, int, int]]] = {}
@@ -456,9 +456,10 @@ def check_replacement_closure(ps: PairStructure) -> tuple[CheckResult, ...]:
 
 
 def final_representation(
-    A: AtomStructure, ps: PairStructure
+    uni: BoundedUniverse, net: Network
 ) -> tuple[Network, tuple[CheckResult, ...]]:
-    """Build the point representation and verify it.
+    """Verify the point representation, the network of the pair stage;
+    returns it with the checks.
 
     Exactly checked: the unit is symmetric and reflexive on its field,
     atom images partition it, identity goes to the diagonal, converse
@@ -468,8 +469,6 @@ def final_representation(
     shortest witness leaves one step of headroom (the middle point
     comes from a one-step trail extension); exclusions are counted.
     """
-    net = Network(A, ps.label)
-    uni = ps.universe
     total = sum(map(len, net.images))
     bad = net.upper_violation()
     checked, excluded, missing = net.lower_scan(
@@ -494,24 +493,23 @@ def final_representation(
     )
 
 
-def check_chain_agreement(
-    A: AtomStructure, ps: PairStructure
-) -> CheckResult:
+def check_chain_agreement(uni: BoundedUniverse, net: Network) -> CheckResult:
     """Pairs in coordinate positions (0, 1) of reachable triples carry
     exactly the label of the end's last coordinate, and cover every
     label on pairs with three steps of headroom (a coordinate swap
     costs three replacements)."""
-    uni = ps.universe
-    chain: dict[int, set[tuple[int, int]]] = {a: set() for a in range(A.atom_count)}
+    n = net.algebra.atom_count
+    label = net.label
+    chain: dict[int, set[tuple[int, int]]] = {a: set() for a in range(n)}
     for trip, info in uni.triples.items():
         t2 = uni.S.elements[info.end][2]
         chain[t2].add((trip[0], trip[1]))
-    for a in range(A.atom_count):
+    for a in range(n):
         for pr in chain[a]:
-            if ps.label.get(pr) != a:
+            if label.get(pr) != a:
                 return CheckResult("chain-agreement", False, f"{pr} mislabelled")
     excluded = 0
-    for pr, a in ps.label.items():
+    for pr, a in label.items():
         if pr in chain[a]:
             continue
         if uni.pair_min_length[pr] + 3 <= uni.bound:

@@ -28,20 +28,12 @@ Successors = dict[int, dict[int, int]]
 Triangle = tuple[int, int, int, int, int, int]
 
 
-def rel_inverse(r: BinRel) -> BinRel:
-    return frozenset((v, u) for u, v in r)
-
-
 def field_of(r: BinRel) -> frozenset[int]:
     pts = set()
     for u, v in r:
         pts.add(u)
         pts.add(v)
     return frozenset(pts)
-
-
-def identity_on(points: Iterable[int]) -> BinRel:
-    return frozenset((p, p) for p in points)
 
 
 @dataclass(frozen=True)
@@ -104,12 +96,14 @@ def atom_structure_of_relativization(
 class Network:
     """Atom labels on ordered point pairs, at most one label per pair.
 
-    Both representation pipelines end in a network: the labelled pairs
-    form the unit, and an element x is represented by the pairs whose
-    label lies below x.  The row index, field, atom images and ``facts``
-    are computed once and cached; ``facts`` walks the shorter of the two
-    rows of each labelled pair, and is shared by the composition checks
-    and by :func:`image_atom_structure`.  The checks read the rows and
+    Both representation pipelines end in a network: the labelling
+    system's labels are one, and the trail pipeline's pair stage,
+    :func:`warel.reduct.build_pair_structure`, returns one.  The
+    labelled pairs form the unit, and an element x is represented by
+    the pairs whose label lies below x.  The row index, field, atom
+    images and ``facts`` are computed once and cached; ``facts`` walks
+    the shorter of the two rows of each labelled pair, and is shared by
+    the composition checks and by :func:`image_atom_structure`.  The checks read the rows and
     ``label``; ``unit`` is built only when asked for.
     """
 

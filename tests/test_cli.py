@@ -139,6 +139,17 @@ def test_report_file_matches_stdout(tmp_path):
     assert path.read_text() == out.stdout
 
 
+def test_unwritable_report_path_is_exit_2(tmp_path, capsys):
+    # the report is printed before the write fails
+    path = tmp_path / "no" / "such" / "x.txt"
+    code = cli.main(["--report", str(path), "check", str(STRUCTURES / "a1.alg")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "classify.isWA = yes" in out
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.parent.exists()
+
+
 def test_enumerate_counts():
     out = run_cli("enumerate", "--atoms", "2")
     assert out.returncode == 0

@@ -6,7 +6,7 @@ walked triangles through adjacency.  On small random label maps,
 consistent or deliberately corrupted, the indexed checks must return
 the same ``(name, holds, detail)``.  ``ref_element_checks`` keeps the
 element-level loops that ``verify_representation`` replaced by per-atom
-certificates; the verdicts must agree on all seven lines.  The
+certificates; the verdicts must agree on all eight lines.  The
 set-based ``Network`` checks, the triangle check of a repair and the
 witness search of a labelling system are kept here in their old form
 as well.  ``ref_lower_scan`` is the predicate-driven lower scan: it
@@ -34,9 +34,7 @@ from warel.relset import (
     Universe,
     atom_structure_of_relativization,
     field_of,
-    identity_on,
     image_atom_structure,
-    rel_inverse,
 )
 from warel.suitable import build_suitable
 from warel.trails import build_universe
@@ -47,6 +45,14 @@ from warel.trails import build_universe
 
 def rel_compose(r, s):
     return frozenset((u, w) for u, v in r for v2, w in s if v2 == v)
+
+
+def rel_inverse(r):
+    return frozenset((v, u) for u, v in r)
+
+
+def identity_on(points):
+    return frozenset((p, p) for p in points)
 
 
 def ref_final_upper(A, label):
@@ -245,6 +251,7 @@ def ref_element_checks(ls, stage_bound):
             for y in els
         ),
         "composition-lower-staged": ref_labelling_lower(ls, stage_bound)[1],
+        "unit-symmetric-reflexive": ref_is_symmetric_reflexive(ls.label),
     }
 
 
@@ -331,7 +338,7 @@ def test_final_representation_matches_reference(algebra, data):
     bound = data.draw(st.integers(1, 4))
     min_length = {pr: data.draw(st.integers(1, 4)) for pr in sorted(label)}
     universe = SimpleNamespace(bound=bound, pair_min_length=min_length)
-    _, checks = reduct.final_representation(A, SimpleNamespace(label=label, universe=universe))
+    _, checks = reduct.final_representation(universe, Network(A, label))
     assert [(r.name, r.holds, r.detail) for r in checks] == ref_final_structural(A, label) + [
         ref_final_upper(A, label),
         ref_final_lower(A, label, bound, min_length),
@@ -438,7 +445,7 @@ def census_final_networks(a2, pentagon):
     out = []
     for A in (a2, pentagon, *census):
         uni = build_universe(build_suitable(A), 3)
-        out.append(reduct.final_representation(A, reduct.build_pair_structure(A, uni))[0])
+        out.append(reduct.build_pair_structure(A, uni))
     return out
 
 

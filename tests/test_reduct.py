@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,7 @@ def uni2(s2):
 
 
 @pytest.fixture(scope="module")
-def ps2(a2, uni2):
+def net2(a2, uni2):
     return reduct.build_pair_structure(a2, uni2)
 
 
@@ -75,37 +76,40 @@ def test_phi_converse_of_symmetric_atom(a2, s2):
     assert ra.converse(d) == d
 
 
-def test_labels_well_defined(ps2):
+def test_labels_well_defined(a2, net2):
     # build_pair_structure raises on any disagreement; spot-check the
     # diagonal rule: the label of (u, u) is the domain of any outgoing label
-    A = ps2.universe.S.algebra
-    for (u, v), a in ps2.label.items():
-        duu = ps2.label[(u, u)]
-        assert A.dom_atom(a) == 1 << duu
+    assert net2.algebra is a2
+    for (u, v), a in net2.label.items():
+        duu = net2.label[(u, u)]
+        assert a2.dom_atom(a) == 1 << duu
 
 
-def test_diagonal_pairs_are_identity(ps2):
-    for (u, v) in ps2.identity_pairs:
-        assert u == v
-    assert ps2.identity_pairs == {p for p in ps2.pairs if p[0] == p[1]}
+def test_diagonal_pairs_are_identity(a2, uni2, net2):
+    # the identity pairs are the loops: one per point, each labelled
+    # with an identity atom
+    loops = sorted(pr for pr in net2.label if pr[0] == pr[1])
+    assert loops == [(p, p) for p in range(len(uni2.lengths))]
+    assert all((1 << net2.label[pr]) & a2.identity for pr in loops)
 
 
-def test_base_pairs_carry_diversity_labels(a2, s2, ps2):
+def test_base_pairs_carry_diversity_labels(a2, uni2, net2):
     # pairs of distinct points from one-element trails over a diversity
     # triple carry that triple's coordinates as labels
-    assert ps2.base_pairs
-    for (u, v) in ps2.base_pairs:
-        a = ps2.label[(u, v)]
+    base = reduct._base_pairs(a2, uni2)
+    assert base
+    for (u, v) in base:
+        a = net2.label[(u, v)]
         assert not (1 << a) & a2.identity
 
 
-def test_pair_partition(ps2):
-    for c in reduct.check_pair_partition(ps2):
+def test_pair_partition(uni2, net2):
+    for c in reduct.check_pair_partition(uni2, net2):
         assert c.holds, c
 
 
-def test_key_property(a2, ps2):
-    assert reduct.check_key_property(a2, ps2).holds
+def test_key_property(uni2, net2):
+    assert reduct.check_key_property(uni2, net2).holds
 
 
 def test_key_property_triangles_are_final_triangles(a2, pentagon):
@@ -116,8 +120,7 @@ def test_key_property_triangles_are_final_triangles(a2, pentagon):
     _, census = summarize(3, mod_iso=True)
     for A in (a2, pentagon, *census):
         uni = build_universe(build_suitable(A), 3)
-        ps = reduct.build_pair_structure(A, uni)
-        net, _ = reduct.final_representation(A, ps)
+        net = reduct.build_pair_structure(A, uni)
         for trip in uni.triples:
             for x in trip:
                 assert all(y in net.rows[0][x] for y in trip), (trip, x)
@@ -136,17 +139,16 @@ def test_replacement_steps_table():
     assert reduct.REPLACEMENT_STEPS[(1, 0, 0)] == 3  # a swap costs three
 
 
-def test_replacement_closure(a1, a2, pentagon, ps2):
-    assert reduct.check_replacement_closure(ps2)[0].holds
+def test_replacement_closure(a1, pentagon, uni2):
+    assert reduct.check_replacement_closure(uni2)[0].holds
     for A, L in ((a1, 2), (pentagon, 3)):
-        S = build_suitable(A)
-        uni = build_universe(S, L)
-        ps = reduct.build_pair_structure(A, uni)
-        assert reduct.check_replacement_closure(ps)[0].holds
+        uni = build_universe(build_suitable(A), L)
+        assert reduct.check_replacement_closure(uni)[0].holds
 
 
-def test_final_representation_checks(a2, ps2):
-    final, checks = reduct.final_representation(a2, ps2)
+def test_final_representation_checks(a2, uni2, net2):
+    final, checks = reduct.final_representation(uni2, net2)
+    assert final is net2
     for c in checks:
         assert c.holds, c
     assert final.pairs(0) == frozenset()
@@ -156,32 +158,28 @@ def test_final_representation_checks(a2, ps2):
 def test_final_identity_only_unit_on_a1(a1):
     S = build_suitable(a1)
     uni = build_universe(S, 2)
-    ps = reduct.build_pair_structure(a1, uni)
-    final, checks = reduct.final_representation(a1, ps)
+    final, checks = reduct.final_representation(uni, reduct.build_pair_structure(a1, uni))
     assert all(c.holds for c in checks)
     assert final.pairs(a1.identity) == final.unit
 
 
-def test_composition_inclusion_d_with_d(a2, ps2):
-    final, _ = reduct.final_representation(a2, ps2)
+def test_composition_inclusion_d_with_d(a2, net2):
     d = mask_of([1])
-    gd = final.pairs(d)
+    gd = net2.pairs(d)
     composed = {
         (u, w)
         for (u, v1) in gd
         for (v2, w) in gd
         if v1 == v2
     }
-    assert composed & final.unit <= final.pairs(a2.compose(d, d))
+    assert composed & net2.unit <= net2.pairs(a2.compose(d, d))
 
 
 def test_rebuilt_structure_matches(a1, a2, pentagon):
     for A, L in ((a1, 2), (a2, 3), (pentagon, 3)):
         S = build_suitable(A)
         uni = build_universe(S, L)
-        ps = reduct.build_pair_structure(A, uni)
-        final, _ = reduct.final_representation(A, ps)
-        rb = image_atom_structure(final)
+        rb = image_atom_structure(reduct.build_pair_structure(A, uni))
         assert rb.cycles == A.cycles
         assert rb.identity == A.identity
         assert rb.converse == A.converse
@@ -191,16 +189,20 @@ def test_chain_agreement(a1, a2, pentagon):
     for A, L in ((a1, 2), (a2, 3), (a2, 4), (pentagon, 3)):
         S = build_suitable(A)
         uni = build_universe(S, L)
-        ps = reduct.build_pair_structure(A, uni)
-        assert reduct.check_chain_agreement(A, ps).holds
+        assert reduct.check_chain_agreement(uni, reduct.build_pair_structure(A, uni)).holds
 
 
-def test_descent_pairs_shorten_names_first_failure(ps2):
-    # two loops (p, p) as descent pairs both fail; the first is named
-    p, q = 0, 1
-    ps = reduct.PairStructure(ps2.universe, dict(ps2.label))
-    ps.__dict__["xi_of"] = {p: frozenset({(p, p)}), q: frozenset({(q, q)})}
-    c = next(c for c in reduct.check_pair_partition(ps) if c.name == "descent-pairs-shorten")
+def test_descent_pairs_shorten_names_first_failure(uni2, net2):
+    # two points listed as their own descent partners both fail, as a
+    # point is not shorter than itself; the first is named
+    p, q = [pid for pid, n in enumerate(uni2.lengths) if n > 1][:2]
+    own = list(uni2.own_triples)
+    for pid in (p, q):
+        trip = list(own[pid])
+        trip[(uni2.pointers[pid] + 1) % 3] = pid
+        own[pid] = tuple(trip)
+    bad = replace(uni2, own_triples=own)
+    c = next(c for c in reduct.check_pair_partition(bad, net2) if c.name == "descent-pairs-shorten")
     assert not c.holds and c.detail == str((p, p))
 
 
@@ -210,8 +212,7 @@ def test_pair_lengths_cover_exactly_the_labelled_pairs(pentagon):
     _, census = summarize(3, mod_iso=True)
     for A, depth in ((pentagon, 3), *((B, 3) for B in census)):
         uni = build_universe(build_suitable(A), depth)
-        ps = reduct.build_pair_structure(A, uni)
-        assert uni.pair_min_length.keys() == ps.label.keys()
+        assert uni.pair_min_length.keys() == reduct.build_pair_structure(A, uni).label.keys()
 
 
 def _universe_and_pairs_peak_per_point(A, depth):

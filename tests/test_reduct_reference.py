@@ -1,16 +1,20 @@
-"""The pair structure and the reduct checks against per-triple references.
+"""The pair stage and the reduct checks against per-triple references.
 
 ``ref_build_pair_structure`` assigns each reachable triple's nine labels
 one call at a time, recomputing the end element's labels and diagonal
-agreements for every triple, and types each triple by
+agreements for every triple; ``ref_pair_split`` then builds the whole
+identity, descent and base pair sets and types each triple by
 ``ref_classify_triple_kind``, which sorts its points and builds its pair
-kinds and lengths per triple; ``ref_key_property`` walks the 27 ordered
-choices over every triple's points; ``ref_replacement_closure`` tests
-every replacement of every triple against its headroom.  The checks
-under test compute each end element's label entries once, type triples
-without sorting, decide each distinct label matrix once and list the
-demanded replacements once per shortest witness length; they must agree
-with these on every result, witness and message.
+kinds and lengths per triple, and ``ref_check_pair_partition`` decides
+the partition lines on those sets; ``ref_key_property`` walks the 27
+ordered choices over every triple's points; ``ref_replacement_closure``
+tests every replacement of every triple against its headroom.  The
+checks under test compute each end element's label entries once, read
+the pair kinds off the universe's per-point lists inside the partition
+check, type triples without sorting, decide each distinct label matrix
+once and list the demanded replacements once per shortest witness
+length; they must agree with these on every result, witness and
+message, also on universes whose lists were corrupted.
 
 ``ref_check_reduct_closure`` and ``ref_check_reduct_isomorphism`` walk
 every element of the reduct's carrier (``ref_carrier``: every join of
@@ -21,6 +25,7 @@ and on the atoms, and must name the same first witness.
 
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -29,15 +34,16 @@ from hypothesis import strategies as st
 from warel import reduct
 from warel.core import CheckResult, classify, iter_bits
 from warel.enumerate import sample_structure, summarize
-from warel.reduct import REPLACEMENT_STEPS, LabelDisagreement, PairStructure
+from warel.reduct import REPLACEMENT_STEPS, LabelDisagreement
+from warel.relset import Network
 from warel.suitable import COORDS, build_suitable
 from warel.trails import BoundedUniverse, TripleInfo, build_universe
 
 
-def _assign(ps, u, v, a):
-    old = ps.label.get((u, v))
+def _assign(label, u, v, a):
+    old = label.get((u, v))
     if old is None:
-        ps.label[(u, v)] = a
+        label[(u, v)] = a
     elif old != a:
         raise LabelDisagreement(f"pair ({u},{v}) labelled {old} and {a}")
 
@@ -70,7 +76,7 @@ def ref_classify_triple_kind(ps, trip):
     kinds = {(p, q): ref_pair_kind(ps, p, q) for p in distinct for q in distinct if p < q}
     if all(k == "base" for k in kinds.values()):
         return "three-base"
-    lengths = {p: uni.by_id[p].length for p in distinct}
+    lengths = {p: uni.lengths[p] for p in distinct}
     w = max(distinct, key=lambda p: (lengths[p], p))
     others = [p for p in distinct if p != w]
     if ps.xi_of.get(w) == frozenset({(w, others[0]), (w, others[1])}):
@@ -82,8 +88,7 @@ def ref_classify_triple_kind(ps, trip):
     return "unclassified"
 
 
-def ref_replacement_closure(ps):
-    uni = ps.universe
+def ref_replacement_closure(uni):
     checked = excluded = 0
     bad = None
     for trip, info in uni.triples.items():
@@ -103,35 +108,52 @@ def ref_replacement_closure(ps):
 
 
 def ref_build_pair_structure(A, uni):
-    ps = PairStructure(uni)
+    label = {}
     conv = A.converse
     bit = lambda m: m.bit_length() - 1
 
     for trip, info in sorted(uni.triples.items()):
         t0, t1, t2 = uni.S.elements[info.end]
         u, v, w = trip
-        _assign(ps, u, v, t2)
-        _assign(ps, v, u, conv[t2])
-        _assign(ps, v, w, t0)
-        _assign(ps, w, v, conv[t0])
-        _assign(ps, u, w, t1)
-        _assign(ps, w, u, conv[t1])
+        _assign(label, u, v, t2)
+        _assign(label, v, u, conv[t2])
+        _assign(label, v, w, t0)
+        _assign(label, w, v, conv[t0])
+        _assign(label, u, w, t1)
+        _assign(label, w, u, conv[t1])
         du = A.dom_atom(t1)
         if du != A.dom_atom(t2):
             raise LabelDisagreement(f"diagonal label mismatch at {trip}")
-        _assign(ps, u, u, bit(du))
+        _assign(label, u, u, bit(du))
         dv = A.rng_atom(t2)
         if dv != A.dom_atom(t0):
             raise LabelDisagreement(f"diagonal label mismatch at {trip}")
-        _assign(ps, v, v, bit(dv))
+        _assign(label, v, v, bit(dv))
         dw = A.rng_atom(t0)
         if dw != A.rng_atom(t1):
             raise LabelDisagreement(f"diagonal label mismatch at {trip}")
-        _assign(ps, w, w, bit(dw))
+        _assign(label, w, w, bit(dw))
+    return Network(A, label)
 
-    for (u, v) in ps.label:
+
+def ref_pair_split(A, uni, label):
+    """Every pair and triple kind of a labelled universe, as whole sets:
+    the loops, each point's descent pairs to the other coordinates of
+    its own triple, the base pairs and the type of every triple in
+    sorted order."""
+    ps = SimpleNamespace(
+        universe=uni, label=label, xi_of={}, identity_pairs=set(), xi_pairs=set(),
+        base_pairs=set(), lem9_kind={},
+    )
+    for (u, v) in label:
         if u == v:
             ps.identity_pairs.add((u, v))
+    for pid, trip in enumerate(uni.own_triples):
+        if uni.lengths[pid] == 1:
+            ps.xi_of[pid] = frozenset()
+            continue
+        k = uni.pointers[pid]
+        ps.xi_of[pid] = frozenset((pid, trip[l]) for l in COORDS if l != k)
     for pid, xs in ps.xi_of.items():
         for pr in xs:
             ps.xi_pairs.add(pr)
@@ -147,16 +169,54 @@ def ref_build_pair_structure(A, uni):
     return ps
 
 
-def ref_key_property(A, ps):
+def ref_check_pair_partition(ps):
+    pairs = set(ps.label)
+    parts = [ps.identity_pairs, ps.xi_pairs, ps.base_pairs]
+    union = set().union(*parts)
+    overlaps = (
+        (ps.identity_pairs & ps.xi_pairs)
+        | (ps.identity_pairs & ps.base_pairs)
+        | (ps.xi_pairs & ps.base_pairs)
+    )
+    unclassified = [t for t, k in ps.lem9_kind.items() if k == "unclassified"]
+    lengths = ps.universe.lengths
+    bad = next(
+        ((u, v) for xs in ps.xi_of.values() for (u, v) in xs if lengths[v] >= lengths[u]), None
+    )
+    return (
+        CheckResult(
+            "pair-partition-exact",
+            union == pairs and not overlaps,
+            f"|pairs|={len(pairs)} id={len(ps.identity_pairs)} "
+            f"descent={len(ps.xi_pairs)} base={len(ps.base_pairs)}",
+        ),
+        CheckResult(
+            "triple-types-total",
+            not unclassified,
+            f"{len(ps.lem9_kind)} triples classified"
+            if not unclassified
+            else f"unclassified {unclassified[:3]}",
+        ),
+        CheckResult("descent-pairs-shorten", bad is None, str(bad or "")),
+    )
+
+
+def _kinds(A, uni):
+    """Each reachable triple's type from ``reduct``, in sorted order."""
+    descent, base = reduct._descent_pairs(uni), reduct._base_pairs(A, uni)
+    return [(t, reduct._classify_triple_kind(uni, descent, base, t)) for t in sorted(uni.triples)]
+
+
+def ref_key_property(A, uni, label):
     comp = A.comp_atoms
-    for trip in ps.universe.triples:
+    for trip in uni.triples:
         pts = set(trip)
         for x in pts:
             for y in pts:
                 for z in pts:
-                    a = ps.label[(x, y)]
-                    b = ps.label[(y, z)]
-                    c = ps.label[(x, z)]
+                    a = label[(x, y)]
+                    b = label[(y, z)]
+                    c = label[(x, z)]
                     if not (1 << c) & comp[a][b]:
                         return CheckResult("label-composition-bound", False, f"{(x, y, z)}")
     return CheckResult("label-composition-bound", True)
@@ -242,18 +302,12 @@ def ref_check_reduct_isomorphism(A, S):
 
 
 def _outcome(build, A, uni):
-    """The builder's fields, or the type and message of what it raised."""
+    """The builder's labels, or the type and message of what it raised."""
     try:
-        ps = build(A, uni)
+        net = build(A, uni)
     except Exception as exc:  # compared, never swallowed: both sides must match
         return type(exc).__name__, str(exc)
-    return (
-        list(ps.label.items()),
-        ps.identity_pairs,
-        ps.xi_pairs,
-        ps.base_pairs,
-        list(ps.lem9_kind.items()),
-    )
+    return list(net.label.items())
 
 
 @pytest.fixture(scope="module")
@@ -271,26 +325,59 @@ def inputs(a2, pentagon, census):
 
 
 def test_pair_structure_matches_reference(inputs):
-    for A, uni, ps in inputs:
-        ref = ref_build_pair_structure(A, uni)
-        assert list(ps.label.items()) == list(ref.label.items())
-        assert ps.identity_pairs == ref.identity_pairs
-        assert ps.xi_pairs == ref.xi_pairs
-        assert ps.base_pairs == ref.base_pairs
-        assert list(ps.lem9_kind.items()) == list(ref.lem9_kind.items())
+    for A, uni, net in inputs:
+        assert list(net.label.items()) == list(ref_build_pair_structure(A, uni).label.items())
+        ref = ref_pair_split(A, uni, net.label)
+        assert reduct._descent_pairs(uni) == ref.xi_pairs
+        assert reduct._base_pairs(A, uni) == ref.base_pairs
+        assert _kinds(A, uni) == list(ref.lem9_kind.items())
+        assert reduct.check_pair_partition(uni, net) == ref_check_pair_partition(ref)
 
 
 def test_triple_kinds_cover_every_type(inputs):
     # the census and a2/pentagon at depth 3 meet every Lemma 9 type, so
     # the comparison above tests each branch of the classification
-    seen = {k for _, _, ps in inputs for k in ps.lem9_kind.values()}
+    seen = {k for A, uni, _ in inputs for _, k in _kinds(A, uni)}
     assert set(reduct.LEM9_KINDS) <= seen
 
 
+def _corrupt_lists(uni, rng):
+    """A copy of uni with one point's pointer, length or own triple changed."""
+    kind = rng.choice(["pointer", "length", "own"])
+    pid = rng.randrange(len(uni.lengths))
+    if kind == "pointer":
+        pointers = list(uni.pointers)
+        pointers[pid] = rng.choice([k for k in COORDS if k != pointers[pid]])
+        return replace(uni, pointers=pointers)
+    if kind == "length":
+        lengths = list(uni.lengths)
+        lengths[pid] = rng.choice([n for n in range(1, uni.bound + 1) if n != lengths[pid]])
+        return replace(uni, lengths=lengths)
+    own = list(uni.own_triples)
+    trip = list(own[pid])
+    trip[rng.choice(COORDS)] = rng.randrange(len(uni.lengths))
+    own[pid] = tuple(trip)
+    return replace(uni, own_triples=own)
+
+
+def test_pair_partition_matches_reference_on_corrupted_lists(inputs):
+    # each of the three partition lines fails on some corrupted copy,
+    # and every line, verdict and witness, is the reference's
+    rng = random.Random(21)
+    failed = set()
+    for A, uni, net in inputs:
+        for _ in range(12):
+            bad = _corrupt_lists(uni, rng)
+            got = reduct.check_pair_partition(bad, net)
+            assert got == ref_check_pair_partition(ref_pair_split(A, bad, net.label))
+            failed |= {c.name for c in got if not c.holds}
+    assert failed == {"pair-partition-exact", "triple-types-total", "descent-pairs-shorten"}
+
+
 def test_replacement_closure_matches_reference(inputs):
-    for _, _, ps in inputs:
-        got = reduct.check_replacement_closure(ps)
-        assert got == ref_replacement_closure(ps)
+    for _, uni, _ in inputs:
+        got = reduct.check_replacement_closure(uni)
+        assert got == ref_replacement_closure(uni)
         assert got[0].holds
 
 
@@ -303,9 +390,9 @@ def test_replacement_closure_names_the_reference_witness(inputs):
         for _ in range(8):
             gone = rng.choice(sorted(uni.triples))
             triples = {t: info for t, info in uni.triples.items() if t != gone}
-            ps = PairStructure(replace(uni, triples=triples))
-            got = reduct.check_replacement_closure(ps)
-            assert got == ref_replacement_closure(ps), gone
+            bad = replace(uni, triples=triples)
+            got = reduct.check_replacement_closure(bad)
+            assert got == ref_replacement_closure(bad), gone
             failing += not got[0].holds
     assert failing > 20
 
@@ -324,10 +411,11 @@ def test_kinds_and_replacements_match_reference_on_draws(a2, pentagon, which, at
     if not classify(A).is_wa:
         return
     uni = build_universe(build_suitable(A), bound)
-    ps = reduct.build_pair_structure(A, uni)
-    ref = ref_build_pair_structure(A, uni)
-    assert list(ps.lem9_kind.items()) == list(ref.lem9_kind.items())
-    assert reduct.check_replacement_closure(ps) == ref_replacement_closure(ps)
+    net = reduct.build_pair_structure(A, uni)
+    ref = ref_pair_split(A, uni, ref_build_pair_structure(A, uni).label)
+    assert _kinds(A, uni) == list(ref.lem9_kind.items())
+    assert reduct.check_replacement_closure(uni) == ref_replacement_closure(uni)
+    assert reduct.check_pair_partition(uni, net) == ref_check_pair_partition(ref)
 
 
 def test_pair_disagreement_matches_reference(inputs):
@@ -375,18 +463,19 @@ def test_diagonal_mismatch_matches_reference(two_identities):
 def test_key_property_matches_reference(inputs):
     rng = random.Random(11)
     failing = 0
-    for A, uni, ps in inputs:
-        assert reduct.check_key_property(A, ps) == ref_key_property(A, ps)
-        pairs = list(ps.label)
+    for A, uni, net in inputs:
+        label = net.label
+        assert reduct.check_key_property(uni, net) == ref_key_property(A, uni, label)
+        pairs = list(label)
         for _ in range(40):
             pr = rng.choice(pairs)
-            old = ps.label[pr]
-            ps.label[pr] = rng.randrange(A.atom_count)
+            old = label[pr]
+            label[pr] = rng.randrange(A.atom_count)
             try:
-                got = reduct.check_key_property(A, ps)
-                assert got == ref_key_property(A, ps), pr
+                got = reduct.check_key_property(uni, net)
+                assert got == ref_key_property(A, uni, label), pr
             finally:
-                ps.label[pr] = old
+                label[pr] = old
             failing += not got.holds
     assert failing > 100
 

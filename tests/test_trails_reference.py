@@ -5,8 +5,9 @@ included, and reduces each of the three repointings of every spine with
 ``reduce_trail``, where ``build_universe`` reads each spine's triple off
 its parent's.  It interns every reduced trail through its own
 Trail -> Point dict (``RefUniverse``), where ``build_universe`` gives
-each new point the next int pid.  The pair structure's descent and base
-pairs are then computed through ``point_of``.  Triples and pair lengths
+each new point the next int pid.  The descent partners and base pairs
+that ``reduct`` reads off the universe's lists are then computed
+through ``point_of``.  Triples and pair lengths
 must agree in insertion order too, since reports iterate them in that
 order.  The reference reducer is the list-based one with scans over the
 distinguished subsets.  ``random_trail`` and ``reduce_random_order``
@@ -239,9 +240,12 @@ def assert_matches_reference(A, bound):
     assert list(uni.pair_min_length.items()) == list(ref.pair_min_length.items())
     assert uni.base_triples == ref.base_triples
     assert uni.frontier_triples() == ref.frontier_triples()
-    ps = reduct.build_pair_structure(A, uni)
-    assert ps.xi_of == ref_xi_of(ref)
-    assert ps.base_pairs == ref_base_pairs(A, ref)
+    xi_of = ref_xi_of(ref)
+    pids = range(len(uni.lengths))
+    assert {pid: frozenset((pid, q) for q in reduct._partners(uni, pid)) for pid in pids} == xi_of
+    both_ways = {pr for xs in xi_of.values() for u, v in xs for pr in ((u, v), (v, u))}
+    assert reduct._descent_pairs(uni) == both_ways
+    assert reduct._base_pairs(A, uni) == ref_base_pairs(A, ref)
 
 
 @settings(max_examples=15, deadline=None)
