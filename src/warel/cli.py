@@ -65,9 +65,10 @@ def cmd_check(args: argparse.Namespace, report: Report) -> None:
 
 
 def _report_images(report: Report, stage: str, net: Network) -> None:
-    for a, pairs in enumerate(net.images):
-        shown = " ".join(f"({u},{v})" for u, v in heapq.nsmallest(16, pairs))
-        more = "" if len(pairs) <= 16 else f" ... ({len(pairs)} total)"
+    items = net.label.items()
+    for a, size in enumerate(net.sizes):
+        shown = " ".join(f"({u},{v})" for u, v in heapq.nsmallest(16, (pr for pr, b in items if b == a)))
+        more = "" if size <= 16 else f" ... ({size} total)"
         report.info(f"{stage}.image.{net.algebra.atom_name(a)}", shown + more)
 
 

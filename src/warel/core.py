@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -36,9 +35,6 @@ class GuardExceeded(RuntimeError):
 
 
 Triple = tuple[int, int, int]
-
-# Largest atom count whose 4**n element composition table is built.
-TABLE_GUARD = 10
 
 
 def mask_of(atoms: Iterable[int]) -> int:
@@ -139,42 +135,6 @@ class AtomStructure:
         for b, c, a in sorted(self.cycles):
             out[a].append((b, c))
         return tuple(tuple(sorted(p)) for p in out)
-
-    @cached_property
-    def comp_table(self) -> tuple[tuple[int, ...], ...]:
-        """comp_table[x][y] == compose(x, y) for all element masks x, y.
-
-        Built by splitting off the lowest set bit: row x is row
-        x - low(x) joined with the row of that atom, and an atom's row
-        at y is its row at y - low(y) joined with one ``comp_atoms``
-        entry.  4**n entries, so capped at ``TABLE_GUARD`` atoms."""
-        n = self.atom_count
-        if n > TABLE_GUARD:
-            raise GuardExceeded(
-                f"element composition table capped at {TABLE_GUARD} atoms, got {n}"
-            )
-        size = 1 << n
-        atom_rows = []
-        for ca in self.comp_atoms:
-            row = [0] * size
-            for y in range(1, size):
-                low = y & -y
-                row[y] = row[y ^ low] | ca[low.bit_length() - 1]
-            atom_rows.append(row)
-        table = [(0,) * size]
-        for x in range(1, size):
-            low = x & -x
-            table.append(tuple(map(or_, table[x ^ low], atom_rows[low.bit_length() - 1])))
-        return tuple(table)
-
-    @cached_property
-    def conv_table(self) -> tuple[int, ...]:
-        """conv_table[x] == conv_el(x) for all element masks x."""
-        table = [0]
-        for x in range(1, 1 << self.atom_count):
-            low = x & -x
-            table.append(table[x ^ low] | 1 << self.converse[low.bit_length() - 1])
-        return tuple(table)
 
     def compose(self, xm: int, ym: int) -> int:
         acc = 0
@@ -456,7 +416,15 @@ RELATIONS = {
     "!=0": lambda lhs, rhs: not lhs or rhs != 0,
 }
 RANGES = ("elements", "subidentities", "atoms", "identity-atoms")
-ELEMENTS_GUARD = 16
+# Largest atom count at which a variable may range over all 2**n elements.
+ELEMENTS_GUARD = 10
+
+
+def guard_element_range(A: AtomStructure) -> None:
+    """Raise ``GuardExceeded`` when a variable may not range over all
+    elements of A: above ``ELEMENTS_GUARD`` atoms."""
+    if A.atom_count > ELEMENTS_GUARD:
+        raise GuardExceeded(f"element range needs atom_count <= {ELEMENTS_GUARD}, got {A.atom_count}")
 
 
 def _range(A: AtomStructure, kind: str, reduced: bool) -> list[int]:
@@ -469,8 +437,7 @@ def _range(A: AtomStructure, kind: str, reduced: bool) -> list[int]:
         return atoms
     if reduced:
         return [0] + atoms
-    if A.atom_count > ELEMENTS_GUARD:
-        raise GuardExceeded(f"element range needs atom_count <= {ELEMENTS_GUARD}, got {A.atom_count}")
+    guard_element_range(A)
     return [m for m in range(below + 1) if m | below == below]
 
 

@@ -47,7 +47,6 @@ first structure of each relabelling class is kept.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import accumulate, permutations, product
 from operator import xor
@@ -172,26 +171,6 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
                 # cached_property reads the instance dict first.
                 vars(A)["comp_atoms"] = tuple(tuple(packed[i : i + n]) for i in range(0, n * n, n))
                 yield A
-
-
-def sample_structure(n: int, rng: random.Random) -> AtomStructure:
-    """One random validated structure with n atoms."""
-    ident_count = rng.randint(0, n)
-    ident = tuple(range(ident_count))
-    movable = list(range(ident_count, n))
-    rng.shuffle(movable)
-    conv = list(range(n))
-    while len(movable) >= 2 and rng.random() < 0.5:
-        a = movable.pop()
-        b = movable.pop()
-        conv[a] = b
-        conv[b] = a
-    orbits = cycle_orbits(n, tuple(conv))
-    facts: set = set()
-    for orb in orbits:
-        if rng.random() < 0.5:
-            facts |= orb
-    return validate_atom_structure(n, ident, conv, facts)
 
 
 @dataclass(frozen=True)

@@ -217,8 +217,8 @@ def verify_representation(
     """Verify the map induced by the labels, one path for every system.
 
     ``net`` is the system's network ``Network(ls.algebra, ls.label)``
-    when the caller already holds it, so its cached rows and images are
-    built once; by default it is built here.
+    when the caller already holds it, so its cached rows, image sizes
+    and facts are built once; by default it is built here.
 
     Each line's range:
 
@@ -226,7 +226,11 @@ def verify_representation(
       element (pair), decided once on the atom images.  An element's
       image is the union of its atoms' images, so both hold exactly
       when the atom images partition the unit, that is when their sizes
-      add up to the unit's.
+      add up to the unit's.  Lemma: both always hold.  ``label`` maps
+      each pair of the unit to one atom, so the images are disjoint and
+      cover the unit, and ``Network.sizes`` counts the values of that
+      mapping, which sum to its length.  The lines stay in the report,
+      which the benchmark's reference pins.
     - ``injective``: exact for every element pair, since over a
       partition two elements share an image only when some atom image
       is empty.
@@ -251,7 +255,7 @@ def verify_representation(
         )
     if net is None:
         net = Network(ls.algebra, ls.label)
-    partition_ok = sum(map(len, net.images)) == len(net.label)
+    partition_ok = sum(net.sizes) == len(net.label)
     bad = net.upper_violation()
     stage = ls.stage
     checked, excluded, flaw = net.lower_scan(
@@ -260,7 +264,7 @@ def verify_representation(
     return (
         CheckResult("join-preserved", partition_ok),
         CheckResult("complement-preserved", partition_ok),
-        CheckResult("injective", all(net.images)),
+        CheckResult("injective", all(net.sizes)),
         CheckResult("identity-to-diagonal", net.identity_is_diagonal()),
         CheckResult("converse-preserved", net.converse_is_exact()),
         CheckResult("composition-upper", bad is None, "" if bad is None else f"triangle {bad}"),

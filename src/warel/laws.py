@@ -27,19 +27,21 @@ fails where x;y.z is not below their meet.  p = q, r = s is one equation,
 
 Five laws keep a predicate: atomhood is no equation, complete additivity
 ranges over sets of atoms, and the cycle law compares six facts.  Above
-``core.TABLE_GUARD`` (10) atoms the suite raises ``GuardExceeded``.
+``core.ELEMENTS_GUARD`` (10) atoms the suite raises ``GuardExceeded``
+before any law runs, since the element-ranged rows and both
+complete-additivity predicates walk all 2**n elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from operator import or_
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import AtomStructure, CheckResult, Const, Dom, Rng, Term, Var, check_equation, classify
-from .core import Witness, iter_bits, peirce_orbit
+from .core import Witness, guard_element_range, iter_bits, peirce_orbit
 
 
 @dataclass(frozen=True)
@@ -76,23 +78,23 @@ def _all_equal(*pairs: tuple[Term, Term]) -> Term:
     return reduce(or_, ((p & -q) | (-p & q) for p, q in pairs))
 
 
-def _joined(row: Sequence[int], mask: int) -> bool:
-    """Whether ``row[mask]`` is the join of ``row`` over the atoms of mask."""
-    return row[mask] == reduce(or_, (row[1 << a] for a in iter_bits(mask)), 0)
+def _joined(f: Callable[[int], int], mask: int) -> bool:
+    """Whether ``f(mask)`` is the join of ``f`` over the atoms of mask."""
+    return f(mask) == reduce(or_, (f(1 << a) for a in iter_bits(mask)), 0)
 
 
 def _converse_completely_additive(A: AtomStructure) -> Witness:
-    return next(({"X": m} for m in A.elements() if not _joined(A.conv_table, m)), None)
+    return next(({"X": m} for m in A.elements() if not _joined(A.conv_el, m)), None)
 
 
 def _composition_completely_additive(A: AtomStructure) -> Witness:
     # z over atoms: both sides are additive in z, so atoms decide it.
     cases = ((a, m) for a in range(A.atom_count) for m in A.elements())
-    return next(({"z": 1 << a, "X": m} for a, m in cases if not _joined(A.comp_table[1 << a], m)), None)
+    return next(({"z": 1 << a, "X": m} for a, m in cases if not _joined(partial(A.compose, 1 << a), m)), None)
 
 
 def _atom_converse_atom(A: AtomStructure) -> Witness:
-    return next(({"x": 1 << a} for a in range(A.atom_count) if A.conv_table[1 << a].bit_count() != 1), None)
+    return next(({"x": 1 << a} for a in range(A.atom_count) if A.conv_el(1 << a).bit_count() != 1), None)
 
 
 def _cycle_law(A: AtomStructure) -> Witness:
@@ -162,6 +164,6 @@ def elementary_law_suite(A: AtomStructure, require_wa: bool = True) -> tuple[Che
     if require_wa and not (report := classify(A)).is_wa:
         failed = ", ".join(report.failed_names())
         raise ValueError(f"law suite requires a WA structure; failed axioms: {failed}")
-    A.comp_table  # applies the table's atom guard before any law runs
+    guard_element_range(A)
     witnesses = [(law.name, law.check(A)) for law in LAWS]
     return tuple(CheckResult(name, w is None, str(w or "")) for name, w in witnesses)

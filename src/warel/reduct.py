@@ -469,7 +469,7 @@ def final_representation(
     shortest witness leaves one step of headroom (the middle point
     comes from a one-step trail extension); exclusions are counted.
     """
-    total = sum(map(len, net.images))
+    total = sum(net.sizes)
     bad = net.upper_violation()
     checked, excluded, missing = net.lower_scan(
         [pr for pr, h in uni.pair_min_length.items() if h < uni.bound]
@@ -479,7 +479,7 @@ def final_representation(
             "unit-symmetric-reflexive", net.is_symmetric_reflexive(), f"|unit|={len(net.label)}"
         ),
         CheckResult(
-            "atom-images-partition", all(net.images) and total == len(net.label), f"{total} pairs"
+            "atom-images-partition", all(net.sizes) and total == len(net.label), f"{total} pairs"
         ),
         CheckResult("identity-to-diagonal", net.identity_is_diagonal()),
         CheckResult("converse-exact", net.converse_is_exact()),

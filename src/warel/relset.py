@@ -16,11 +16,12 @@ the checks they share, each with its quantifier range, and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Iterable, Iterator, Mapping, Optional
 
-from .core import AtomStructure, Triple, iter_bits, validate_atom_structure
+from .core import AtomStructure, Triple, validate_atom_structure
 
 BinRel = FrozenSet[tuple[int, int]]
 PairLabels = Mapping[tuple[int, int], int]
@@ -100,11 +101,12 @@ class Network:
     system's labels are one, and the trail pipeline's pair stage,
     :func:`warel.reduct.build_pair_structure`, returns one.  The
     labelled pairs form the unit, and an element x is represented by
-    the pairs whose label lies below x.  The row index, field, atom
-    images and ``facts`` are computed once and cached; ``facts`` walks
-    the shorter of the two rows of each labelled pair, and is shared by
-    the composition checks and by :func:`image_atom_structure`.  The checks read the rows and
-    ``label``; ``unit`` is built only when asked for.
+    the pairs whose label lies below x.  ``label`` is the one copy of
+    the pairs: the row index, field, per-atom image ``sizes`` and
+    ``facts`` are read off it once and cached, and :meth:`pairs` filters
+    it.  ``facts`` walks the shorter of the two rows of each labelled
+    pair, and is shared by the composition checks and by
+    :func:`image_atom_structure`.
     """
 
     algebra: AtomStructure
@@ -130,26 +132,20 @@ class Network:
         return out, inn
 
     @cached_property
-    def unit(self) -> BinRel:
-        return frozenset(self.label)
-
-    @cached_property
     def field(self) -> frozenset[int]:
         out, inn = self.rows
         return frozenset(out.keys() | inn.keys())
 
     @cached_property
-    def images(self) -> tuple[BinRel, ...]:
-        """``images[a]``: the pairs labelled with atom ``a``."""
-        out: list[set[tuple[int, int]]] = [set() for _ in range(self.algebra.atom_count)]
-        for pr, a in self.label.items():
-            out[a].add(pr)
-        return tuple(frozenset(ps) for ps in out)
+    def sizes(self) -> tuple[int, ...]:
+        """``sizes[a]``: the number of pairs labelled with atom ``a``."""
+        counts = Counter(self.label.values())
+        return tuple(counts[a] for a in range(self.algebra.atom_count))
 
     def pairs(self, element_mask: int) -> BinRel:
-        """The relation representing an element: the union of the images
-        of its atoms."""
-        return frozenset().union(*(self.images[a] for a in iter_bits(element_mask)))
+        """The relation representing an element: the pairs whose label
+        lies below it."""
+        return frozenset(pr for pr, a in self.label.items() if element_mask >> a & 1)
 
     def triangles(self) -> Iterator[Triangle]:
         """Every triangle ``(u, v, w, a, b, c)``: the pairs (u, v),
@@ -236,8 +232,8 @@ class Network:
         for (u, v), a in self.label.items():
             if get((v, u)) != conv[a]:
                 return False
-        images = self.images
-        return all(conv[b] == a for a, b in enumerate(conv) if images[b])
+        sizes = self.sizes
+        return all(conv[b] == a for a, b in enumerate(conv) if sizes[b])
 
     def upper_violation(self) -> Optional[tuple[int, int, int]]:
         """The first triangle ``(u, v, w)``, in :meth:`triangles` order,
@@ -303,26 +299,32 @@ def image_atom_structure(net: Network) -> AtomStructure:
     the ``facts`` the network computes once and caches.  When the map is an
     embedding this reproduces the original structure exactly.
 
-    The converse is found by label lookups: b is the label of the
-    reverse of one pair of a's image, and it is accepted only when every
-    pair of a's image reverses into b and the two images have the same
+    One pass over ``label`` finds the atoms labelling a pair off the
+    diagonal and, per atom a, the labels of the reverses of a's pairs
+    (None for an unlabelled reverse).  The converse of a is accepted as
+    b when that set is exactly {b} and the two images have the same
     size.  Images are disjoint, so then b's image is exactly the inverse
     of a's, and no other atom's is.  An empty image maps to the last atom
     whose image is empty.
     """
-    A, images, get = net.algebra, net.images, net.label.get
+    A, label, get, sizes = net.algebra, net.label, net.label.get, net.sizes
     n = A.atom_count
-    ident = [a for a in range(n) if all(u == v for u, v in images[a])]
-    empty = [a for a in range(n) if not images[a]]
+    off_diagonal: set[int] = set()
+    reverse: list[set[Optional[int]]] = [set() for _ in range(n)]
+    for (u, v), a in label.items():
+        reverse[a].add(get((v, u)))
+        if u != v:
+            off_diagonal.add(a)
+    ident = [a for a in range(n) if a not in off_diagonal]
+    empty = [a for a in range(n) if not sizes[a]]
     conv = {}
     for a in range(n):
-        img = images[a]
-        if not img:
+        if not sizes[a]:
             conv[a] = empty[-1]
             continue
-        u, v = next(iter(img))
-        b = get((v, u))
-        if b is None or len(images[b]) != len(img) or any(get((y, x)) != b for x, y in img):
+        rev = reverse[a]
+        b = next(iter(rev)) if len(rev) == 1 else None
+        if b is None or sizes[b] != sizes[a]:
             raise ValueError(f"converse image of atom {a} is not an atom image")
         conv[a] = b
     return validate_atom_structure(n, ident, conv, net.facts, names=A.names or None)

@@ -21,15 +21,15 @@ from hypothesis import strategies as st
 
 from warel import core
 from warel.core import (
-    ELEMENTS_GUARD,
-    TABLE_GUARD,
     AtomStructure,
     GuardExceeded,
     classify,
     iter_bits,
     validate_atom_structure,
 )
-from warel.enumerate import enumerate_structures, sample_structure
+from warel.enumerate import enumerate_structures
+
+from test_enumerate_reference import sample_structure
 
 
 def ref_compose(A: AtomStructure, xm: int, ym: int) -> int:
@@ -124,7 +124,7 @@ def ref_ra4_identity_path(A: AtomStructure) -> Optional[dict[str, int]]:
 
 
 def ref_ra4_elements(A: AtomStructure) -> Optional[dict[str, int]]:
-    if A.atom_count > ELEMENTS_GUARD:
+    if A.atom_count > 16:
         raise GuardExceeded("element-mode ra4 check capped at 16 atoms")
     one = A.full
     for xm in range(1 << A.atom_count):
@@ -245,7 +245,7 @@ def test_matches_reference_on_raw(A):
 
 
 def test_classify_above_table_guard():
-    n = TABLE_GUARD + 2
+    n = 12
     rng = random.Random(12)
     disjoint = validate_atom_structure(n, range(n), {}, [(e, e, e) for e in range(n)])
     rep = classify(disjoint)

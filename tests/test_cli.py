@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from warel import cli, labelling, reduct, trails
-from warel.core import TABLE_GUARD
 from warel.fileformat import format_structure
 from warel.relset import Universe, atom_structure_of_relativization
 
@@ -29,12 +28,25 @@ def test_check_a1():
     assert "WA: yes, SA: yes, RA: yes" in out.stdout
 
 
-def test_check_a2_with_laws():
-    out = run_cli("check", str(STRUCTURES / "a2.alg"), "--laws")
-    assert out.returncode == 0
-    assert "classify.isRA = yes" in out.stdout
-    assert out.stdout.count("= fail") == 0
-    assert "laws.cycle-law = pass" in out.stdout
+def write_diagonal(tmp_path, n):
+    """n identity atoms, each only e;e = e: an RA with 2**n elements."""
+    names = " ".join(f"e{i}" for i in range(n))
+    facts = "".join(f"  e{i} <= e{i} ; e{i}\n" for i in range(n))
+    path = tmp_path / f"diag{n}.alg"
+    path.write_text(f"atoms: {names}\nidentity: {names}\nfacts:\n{facts}")
+    return path
+
+
+def test_check_a2_with_laws(tmp_path):
+    # the 10-atom diagonal has the most atoms the law suite takes
+    for path in (STRUCTURES / "a2.alg", write_diagonal(tmp_path, 10)):
+        out = run_cli("check", str(path), "--laws")
+        assert out.returncode == 0
+        assert "classify.isRA = yes" in out.stdout
+        assert out.stdout.count("= fail") == 0
+        laws = [line for line in out.stdout.splitlines() if line.startswith("laws.")]
+        assert len(laws) == 33 and all(line.endswith(" = pass") for line in laws), laws
+        assert "laws.cycle-law = pass" in out.stdout
 
 
 def test_check_reports_failed_axioms():
@@ -193,12 +205,8 @@ def test_enumerate_pipeline_small():
 
 @pytest.fixture
 def diag11(tmp_path):
-    """11 identity atoms, each only e;e = e: WA, but 4**11 element pairs."""
-    names = " ".join(f"e{i}" for i in range(11))
-    facts = "".join(f"  e{i} <= e{i} ; e{i}\n" for i in range(11))
-    big = tmp_path / "diag11.alg"
-    big.write_text(f"atoms: {names}\nidentity: {names}\nfacts:\n{facts}")
-    return big
+    """One atom more than the law suite takes."""
+    return write_diagonal(tmp_path, 11)
 
 
 def test_budget_exceeded_is_a_fail_line(diag11):
@@ -221,11 +229,11 @@ def test_law_suite_above_table_guard_is_a_fail_line(diag11, capsys):
 
 def test_represent_decides_the_reduct_above_the_table_guard(tmp_path, capsys):
     # the relativization to the path 0-1-2-3 plus the loop (4, 4) has 11
-    # atoms, one more than the element composition table allows; the
-    # reduct lines are decided on atoms, so no budget line appears
+    # atoms, one more than a full element range allows; the reduct lines
+    # are decided on atoms, so no budget line appears
     path = {(p, p) for p in range(5)} | {(i, i + 1) for i in range(3)} | {(i + 1, i) for i in range(3)}
     A, _ = atom_structure_of_relativization(Universe(5), frozenset(path))
-    assert A.atom_count == TABLE_GUARD + 1
+    assert A.atom_count == 11
     struct = tmp_path / "path5.alg"
     struct.write_text(format_structure(A))
     cli.main(["represent", str(struct), "--depth", "2"])

@@ -15,7 +15,10 @@ intersects the whole rows ``out[u]`` and ``inn[v]``; ``Network.lower_scan``
 takes the checked pairs themselves and stops a pair's walk early.
 ``ref_image_structure_by_inverse_index`` finds each converse by hashing
 the inverse of every atom image, where ``image_atom_structure`` looks up
-the labels of reversed pairs.
+the labels of reversed pairs.  The image test checks ``Network.sizes``,
+``Network.pairs`` and the report's image lines, which read ``label``,
+against per-atom frozensets of the labelled pairs (``ref_image_lines``
+for the lines).
 """
 
 import random
@@ -25,10 +28,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from warel import cli
 from warel import labelling as lb
 from warel import reduct
-from warel.core import AtomStructure, classify, validate_atom_structure
+from warel.core import AtomStructure, classify, iter_bits, validate_atom_structure
 from warel.enumerate import summarize
+from warel.fileformat import Report
 from warel.relset import (
     Network,
     Universe,
@@ -405,21 +410,41 @@ def test_image_atom_structure_matches_reference(algebra, data):
     label = data.draw(label_maps(A))
     images = {a: frozenset(pr for pr, b in label.items() if b == a) for a in range(A.atom_count)}
     unit = frozenset(label)
+    net = Network(A, label)
+    assert net.sizes == tuple(len(images[a]) for a in range(A.atom_count))
+    for mask in data.draw(st.lists(st.integers(0, A.full), min_size=1, max_size=4)):
+        assert net.pairs(mask) == frozenset().union(*(images[a] for a in iter_bits(mask)))
+    report = Report()
+    cli._report_images(report, "final", net)
+    assert report.lines == ref_image_lines(A, images, "final")
     try:
         want = ref_image_atom_structure(A, images, unit)
     except ValueError as exc:
         with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
-            image_atom_structure(Network(A, label))
+            image_atom_structure(net)
         return
-    got = image_atom_structure(Network(A, label))
+    got = image_atom_structure(net)
     assert (got.identity, got.converse, got.cycles) == (want.identity, want.converse, want.cycles)
+
+
+def ref_image_lines(A, images, stage):
+    """The ``<stage>.image.<atom>`` report lines, from per-atom
+    frozensets: the 16 least pairs, then the total when there are more."""
+    out = []
+    for a in range(A.atom_count):
+        pairs = images[a]
+        shown = " ".join(f"({u},{v})" for u, v in sorted(pairs)[:16])
+        more = "" if len(pairs) <= 16 else f" ... ({len(pairs)} total)"
+        out.append(f"{stage}.image.{A.atom_name(a)} = {shown + more}")
+    return out
 
 
 def ref_image_structure_by_inverse_index(net):
     """``image_atom_structure`` as it was: each converse found by hashing
     the inverse of every atom image."""
-    A, images = net.algebra, net.images
+    A = net.algebra
     n = A.atom_count
+    images = [frozenset(pr for pr, b in net.label.items() if b == a) for a in range(n)]
     ident = [a for a in range(n) if all(u == v for u, v in images[a])]
     inv_index = {rel_inverse(images[a]): a for a in range(n)}
     conv = {}

@@ -26,7 +26,8 @@ from warel.core import (
     peirce_orbit,
     validate_atom_structure,
 )
-from warel.enumerate import sample_structure
+
+from test_enumerate_reference import sample_structure
 
 
 def ref_eval(A, t, env):
@@ -156,16 +157,20 @@ def test_complemented_variable_keeps_the_whole_range(a2):
 
 
 def test_check_equation_builds_no_element_table():
-    # Terms compose through the atom rows, so a law is checked without
-    # the element table, above TABLE_GUARD atoms too.
-    from warel.core import TABLE_GUARD
+    # Terms compose through the atom rows, so an atom-decided law is
+    # checked above ELEMENTS_GUARD atoms too; only a law with a variable
+    # over all 2**n elements refuses there.
+    from warel.core import ELEMENTS_GUARD, GuardExceeded
 
-    n = TABLE_GUARD + 1
-    A = validate_atom_structure(n, range(n), {}, [(e, e, e) for e in range(n)])
+    def diagonal(n):
+        return validate_atom_structure(n, range(n), {}, [(e, e, e) for e in range(n)])
+
     x = Var("x")
+    A = diagonal(ELEMENTS_GUARD + 1)
     assert check_equation(A, Comp(Const("1'"), x), x) is None
-    assert check_equation(A, Comp(x, x), Const("0"), "<=") == {"x": 1}
-    assert "comp_table" not in vars(A)
+    with pytest.raises(GuardExceeded, match="element range needs atom_count <= 10, got 11"):
+        check_equation(A, Comp(x, x), Const("0"), "<=")
+    assert check_equation(diagonal(ELEMENTS_GUARD), Comp(x, x), Const("0"), "<=") == {"x": 1}
 
 
 def test_classify_small(a1, a2, pentagon, two_identities):
@@ -229,25 +234,3 @@ def test_composition_monotone_random(seed, n):
         assert A.compose(x, z) | A.compose(y, z) == A.compose(y, z)
         assert A.compose(z, x) | A.compose(z, y) == A.compose(z, y)
         assert A.conv_el(x) | A.conv_el(y) == A.conv_el(y)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=structure_seeds, n=st.integers(min_value=1, max_value=4))
-def test_element_tables_match_definitions(seed, n):
-    A = sample_structure(n, random.Random(seed))
-    C, V = A.comp_table, A.conv_table
-    assert len(C) == len(V) == 1 << n
-    for x in A.elements():
-        assert V[x] == A.conv_el(x)
-        for y in A.elements():
-            assert C[x][y] == A.compose(x, y), (x, y)
-
-
-def test_comp_table_guarded_above_ten_atoms():
-    from warel.core import TABLE_GUARD, GuardExceeded
-
-    assert TABLE_GUARD == 10
-    n = TABLE_GUARD + 1
-    A = validate_atom_structure(n, range(n), {}, [(e, e, e) for e in range(n)])
-    with pytest.raises(GuardExceeded):
-        A.comp_table

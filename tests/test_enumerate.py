@@ -6,13 +6,12 @@ from itertools import islice
 
 import pytest
 
-from test_enumerate_reference import canonical_key
+from test_enumerate_reference import canonical_key, sample_structure
 from warel.core import AtomStructure, GuardExceeded, classify
 from warel.enumerate import (
     EnumerationSummary,
     enumerate_structures,
     involutions,
-    sample_structure,
     summarize,
 )
 

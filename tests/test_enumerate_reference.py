@@ -4,10 +4,13 @@
 and reduces isomorphs with ``canonical_key``, which sorts every fact under
 each relabelling that fixes the identity block.  ``enumerate_structures``
 must emit the same structures in the same order, in both modes.
+``sample_structure`` draws one random validated structure; the other
+test modules import it from here.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import islice, permutations
 from typing import Iterator
 
@@ -15,6 +18,26 @@ import pytest
 
 from warel.core import AtomStructure, validate_atom_structure
 from warel.enumerate import cycle_orbits, enumerate_structures, involutions
+
+
+def sample_structure(n: int, rng: random.Random) -> AtomStructure:
+    """One random validated structure with n atoms."""
+    ident_count = rng.randint(0, n)
+    ident = tuple(range(ident_count))
+    movable = list(range(ident_count, n))
+    rng.shuffle(movable)
+    conv = list(range(n))
+    while len(movable) >= 2 and rng.random() < 0.5:
+        a = movable.pop()
+        b = movable.pop()
+        conv[a] = b
+        conv[b] = a
+    orbits = cycle_orbits(n, tuple(conv))
+    facts: set = set()
+    for orb in orbits:
+        if rng.random() < 0.5:
+            facts |= orb
+    return validate_atom_structure(n, ident, conv, facts)
 
 
 def canonical_key(A: AtomStructure) -> tuple:

@@ -165,7 +165,7 @@ def test_representation_images(a1, a2):
     rep = Network(a1, ls.label)
     assert rep.pairs(0) == frozenset()
     assert rep.pairs(a1.identity) == frozenset({(0, 0)})
-    assert rep.unit == frozenset({(0, 0)})
+    assert frozenset(rep.label) == frozenset({(0, 0)})
 
     ls2 = lb.saturate(lb.initial_system(a2), 1)
     rep2 = Network(a2, ls2.label)

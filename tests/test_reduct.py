@@ -152,7 +152,7 @@ def test_final_representation_checks(a2, uni2, net2):
     for c in checks:
         assert c.holds, c
     assert final.pairs(0) == frozenset()
-    assert final.pairs(a2.full) == final.unit
+    assert final.pairs(a2.full) == frozenset(final.label)
 
 
 def test_final_identity_only_unit_on_a1(a1):
@@ -160,7 +160,7 @@ def test_final_identity_only_unit_on_a1(a1):
     uni = build_universe(S, 2)
     final, checks = reduct.final_representation(uni, reduct.build_pair_structure(a1, uni))
     assert all(c.holds for c in checks)
-    assert final.pairs(a1.identity) == final.unit
+    assert final.pairs(a1.identity) == frozenset(final.label)
 
 
 def test_composition_inclusion_d_with_d(a2, net2):
@@ -172,7 +172,7 @@ def test_composition_inclusion_d_with_d(a2, net2):
         for (v2, w) in gd
         if v1 == v2
     }
-    assert composed & net2.unit <= net2.pairs(a2.compose(d, d))
+    assert composed & frozenset(net2.label) <= net2.pairs(a2.compose(d, d))
 
 
 def test_rebuilt_structure_matches(a1, a2, pentagon):

@@ -1,13 +1,63 @@
 import pytest
 
-from warel.core import validate_atom_structure
-from warel.suitable import (
-    SuitableStructure,
-    build_suitable,
-    check_suitable,
-    classify_triple,
-    coordinate_transforms,
-)
+from warel.core import AtomStructure, Triple, validate_atom_structure
+from warel.suitable import SuitableStructure, build_suitable, check_suitable
+
+# ---------------------------------------------------------------------------
+# Carrier triple kinds and the coordinate moves: only these tests use them.
+
+
+def classify_triple(S: SuitableStructure, t: Triple) -> tuple[str, Triple]:
+    """Kind and forced normal form of a carrier triple.
+
+    An identity atom at coordinate 2 forces (s0, s0, dom s0); at
+    coordinate 0 it forces (rng s2, s2, s2); at coordinate 1 it forces
+    (s2~, dom s2, s2).  Two identity coordinates force all three equal.
+    """
+    if S.algebra is None:
+        raise ValueError("triple classification needs the source algebra")
+    A = S.algebra
+    if t not in S.index:
+        raise ValueError(f"triple {t} is not in the carrier")
+    s0, s1, s2 = t
+    idm = A.identity
+    flags = tuple(bool((1 << c) & idm) for c in t)
+    n_id = sum(flags)
+    if n_id == 0:
+        return ("diversity", t)
+    if n_id >= 2:
+        if not (s0 == s1 == s2):
+            raise AssertionError(f"two identity coordinates but unequal triple {t}")
+        return ("all-identity", t)
+    atom_bit = lambda m: m.bit_length() - 1
+    if flags[2]:
+        form = (s0, s0, atom_bit(A.dom_atom(s0)))
+        kind = "identity-at-2"
+    elif flags[0]:
+        form = (atom_bit(A.rng_atom(s2)), s2, s2)
+        kind = "identity-at-0"
+    else:
+        form = (A.converse[s2], atom_bit(A.dom_atom(s2)), s2)
+        kind = "identity-at-1"
+    if form != t:
+        raise AssertionError(f"forced form {form} differs from carrier triple {t}")
+    return (kind, form)
+
+
+def coordinate_transforms(A: AtomStructure, t: Triple) -> frozenset[Triple]:
+    """The orbit of a carrier triple under the six coordinate moves."""
+    s0, s1, s2 = t
+    cv = A.converse
+    return frozenset(
+        {
+            (s0, s1, s2),
+            (s1, s0, cv[s2]),
+            (cv[s1], cv[s2], s0),
+            (cv[s2], cv[s1], cv[s0]),
+            (s2, cv[s0], cv[s1]),
+            (cv[s0], s2, s1),
+        }
+    )
 
 
 def test_carrier_a1(a1):

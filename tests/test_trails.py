@@ -6,20 +6,97 @@ from hypothesis import strategies as st
 
 from warel.core import GuardExceeded
 from warel.enumerate import summarize
-from warel.suitable import build_suitable
-from warel.trails import (
-    InvalidTrail,
-    Trail,
-    apply_lq,
-    build_universe,
-    is_reduced,
-    make_trail,
-    reduce_trail,
-    trail_concat,
-    trail_converse,
-)
+from warel.suitable import COORDS, SuitableStructure, build_suitable
+from warel.trails import BoundedUniverse, Point, Trail, build_universe, reduce_trail
 
 from test_trails_reference import random_trail, reduce_random_order
+
+# ---------------------------------------------------------------------------
+# The trail calculus's validating constructor, reducedness test, converse,
+# concatenation and action on points: only these tests use them.
+
+
+class InvalidTrail(ValueError):
+    pass
+
+
+def make_trail(
+    S: SuitableStructure, nodes: tuple[int, ...], steps: tuple[int, ...], pointer: int
+) -> Trail:
+    if not nodes:
+        raise InvalidTrail("a trail needs at least one element")
+    if len(steps) != len(nodes) - 1:
+        raise InvalidTrail("need exactly one step between consecutive elements")
+    if pointer not in COORDS:
+        raise InvalidTrail(f"pointer {pointer} out of range")
+    for i, k in enumerate(steps):
+        if k not in COORDS:
+            raise InvalidTrail(f"step index {k} out of range")
+        if nodes[i] == nodes[i + 1]:
+            raise InvalidTrail(f"consecutive elements equal at position {i}")
+        if not S.related(k, nodes[i], nodes[i + 1]):
+            raise InvalidTrail(
+                f"elements {nodes[i]} and {nodes[i + 1]} are not {k}-related"
+            )
+    for i in nodes:
+        if not 0 <= i < S.size:
+            raise InvalidTrail(f"element index {i} out of range")
+    return Trail(tuple(nodes), tuple(steps), pointer)
+
+
+def is_reduced(S: SuitableStructure, p: Trail) -> bool:
+    if len(p) == 1:
+        return all(
+            p.pointer <= l
+            for l in COORDS
+            if S.in_e(p.nodes[0], p.pointer, l) or S.in_e(p.nodes[0], l, p.pointer)
+        )
+    if p.steps[-1] != p.pointer:
+        return False
+    for l in COORDS:
+        member = S.in_e(p.end, p.pointer, l) or S.in_e(p.end, l, p.pointer)
+        if member != (p.pointer == l):
+            return False
+    for i in range(len(p) - 2):
+        if p.nodes[i] == p.nodes[i + 2] and p.steps[i] == p.steps[i + 1]:
+            return False
+    return True
+
+
+def trail_converse(p: Trail) -> Trail:
+    nodes = tuple(reversed(p.nodes))
+    steps = tuple(reversed(p.steps))
+    return Trail(nodes, steps, p.pointer)
+
+
+def trail_concat(p: Trail, q: Trail) -> Trail:
+    """Defined when p ends where q begins; glues the shared element."""
+    if p.end != q.begin:
+        raise InvalidTrail("concatenation needs the end of p to begin q")
+    return Trail(p.nodes[:-1] + q.nodes, p.steps + q.steps, q.pointer)
+
+
+def apply_lq(uni: BoundedUniverse, q: Trail, u: Point) -> Point:
+    """Act on a point by a trail, within the length budget.
+
+    The trail q moves the class of p to the class of q * p when q ends
+    at the beginning of p, to q~ * p when q merely begins there, and
+    fixes it otherwise.  The action is partial on a bounded universe:
+    the budget |u| + |q| <= bound is enforced, and the inverse action
+    by the converse trail undoes it wherever both stay in budget.
+    """
+    if u.length + len(q) > uni.bound:
+        raise GuardExceeded(
+            f"action needs length {u.length + len(q)} > bound {uni.bound}"
+        )
+    p = u.trail
+    if q.end == p.begin:
+        moved = trail_concat(q, p)
+    elif q.begin == p.begin:
+        moved = trail_concat(trail_converse(q), p)
+    else:
+        return u
+    return uni.point_of(moved)
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from warel import reduct
 from warel.core import classify
-from warel.enumerate import sample_structure
 from warel.suitable import COORDS, build_suitable
 from warel.trails import (
     Point,
@@ -32,6 +31,8 @@ from warel.trails import (
     build_universe,
     reduce_trail,
 )
+
+from test_enumerate_reference import sample_structure
 
 
 def random_trail(S, rng, max_len):
