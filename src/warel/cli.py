@@ -25,7 +25,7 @@ import time
 from typing import Optional
 
 from . import labelling, reduct, trails
-from .core import AtomStructure, GuardExceeded, classify
+from .core import AtomStructure, CheckResult, GuardExceeded, classify
 from .cylindric import (
     check_complex_vs_relativized,
     check_functions,
@@ -37,7 +37,7 @@ from .enumerate import summarize
 from .fileformat import ParseError, Report, parse_structure_file
 from .laws import elementary_law_suite
 from .relset import Network, image_atom_structure
-from .suitable import build_suitable, check_suitable
+from .suitable import SuitableStructure, build_suitable, check_suitable
 from .trails import build_universe
 
 
@@ -72,6 +72,20 @@ def _report_images(report: Report, stage: str, net: Network) -> None:
         report.info(f"{stage}.image.{net.algebra.atom_name(a)}", shown + more)
 
 
+def _carrier_checks(A: AtomStructure, S: SuitableStructure) -> list[tuple[str, tuple[CheckResult, ...]]]:
+    """The checks on the suitable structure S built from A, as
+    ``(stage, results)`` pairs in report order: ``represent`` reports
+    them and ``enumerate --pipeline`` requires them all to pass."""
+    return [
+        ("suitable", check_suitable(S)),
+        ("cylindric", check_na3(S)),
+        ("cylindric", check_mgr2(S)),
+        ("cylindric", check_functions(S)),
+        ("reduct", reduct.check_reduct_closure(S)),
+        ("reduct", reduct.check_reduct_isomorphism(A, S)),
+    ]
+
+
 def _represent_pipeline(
     report: Report, A: AtomStructure, passes: int, depth: int
 ) -> None:
@@ -86,12 +100,8 @@ def _represent_pipeline(
 
     S = build_suitable(A)
     report.info("suitable.carrier", S.size)
-    report.extend_results("suitable", check_suitable(S))
-    report.extend_results("cylindric", check_na3(S))
-    report.extend_results("cylindric", check_mgr2(S))
-    report.extend_results("cylindric", check_functions(S))
-    report.extend_results("reduct", reduct.check_reduct_closure(S))
-    report.extend_results("reduct", reduct.check_reduct_isomorphism(A, S))
+    for stage, results in _carrier_checks(A, S):
+        report.extend_results(stage, results)
 
     uni = build_universe(S, depth)
     report.info("trails.points", len(uni.lengths))
@@ -142,6 +152,8 @@ def cmd_represent(args: argparse.Namespace, report: Report) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace, report: Report) -> None:
+    """``--pipeline`` runs ``represent``'s carrier checks (:func:`_carrier_checks`)
+    on each WA structure: its ``pipeline.wa-NNNN`` line passes when all of them pass."""
     summary, wa_structures = summarize(args.atoms, mod_iso=args.mod_iso)
     report.info("enumerate.total", summary.total)
     report.info("enumerate.wa", summary.wa)
@@ -154,13 +166,8 @@ def cmd_enumerate(args: argparse.Namespace, report: Report) -> None:
     if not args.pipeline:
         return
     for i, A in enumerate(wa_structures):
-        S = build_suitable(A)
-        ok = all(c.holds for c in check_suitable(S))
-        ok = ok and all(c.holds for c in check_na3(S))
-        ok = ok and all(c.holds for c in check_mgr2(S))
-        ok = ok and all(c.holds for c in check_functions(S))
-        ok = ok and all(c.holds for c in reduct.check_reduct_isomorphism(A, S))
-        report.add("pipeline", f"wa-{i:04d}", ok)
+        checks = _carrier_checks(A, build_suitable(A))
+        report.add("pipeline", f"wa-{i:04d}", all(c.holds for _, results in checks for c in results))
 
 
 def main(argv: Optional[list[str]] = None) -> int:

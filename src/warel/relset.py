@@ -45,12 +45,6 @@ class Universe:
         if self.size < 1:
             raise ValueError("universe size must be at least 1")
 
-    def points(self) -> range:
-        return range(self.size)
-
-    def square(self) -> BinRel:
-        return frozenset((u, v) for u in self.points() for v in self.points())
-
 
 def atom_structure_of_relativization(
     universe: Universe, e: BinRel

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations
 from typing import Hashable, Optional
 
 from .core import AtomStructure, CheckResult, Triple, classify
@@ -114,6 +115,39 @@ class SuitableStructure:
             out.append(tuple(row))
         return tuple(out)
 
+    # Axioms (iii)-(v), each decided once: the first failing instance in
+    # loop order, or None.  check_suitable and check_na3 both read them.
+
+    @cached_property
+    def diagonal_failure(self) -> Optional[int]:
+        """(iii): the first k whose E(k, k) is not the whole carrier."""
+        return next((k for k in COORDS if self.e_masks[k][k] != self.full_mask), None)
+
+    @cached_property
+    def saturation_failure(self) -> Optional[tuple[int, int, int]]:
+        """(iv): the first (k, l, m), m neither k nor l, with
+        E(k, l) != t_star(m, E(k, m) & E(m, l))."""
+        e, t = self.e_masks, self.t_star
+        return next(
+            ((k, l, m) for k in COORDS for l in COORDS for m in COORDS
+             if m != k and m != l and e[k][l] != t(m, e[k][m] & e[m][l])),
+            None,
+        )
+
+    @cached_property
+    def rigidity_failure(self) -> Optional[tuple[int, int, int, int]]:
+        """(v): the first (k, l, i, j), k != l, with i < j in E(k, l) and
+        in one k-block.  A bit walk over the k-blocks: i is the lowest bit
+        of any block's part of E(k, l) holding two, j that part's next."""
+        for k, l, _ in permutations(COORDS):
+            e = self.e_masks[k][l]
+            parts = [hit for block in self.blocks[k].values() if (hit := e & block) & (hit - 1)]
+            if parts:
+                hit = min(parts, key=lambda h: h & -h)
+                rest = hit & (hit - 1)
+                return (k, l, (hit & -hit).bit_length() - 1, (rest & -rest).bit_length() - 1)
+        return None
+
     @cached_property
     def _t_star_memo(self) -> tuple[dict[int, int], ...]:
         return tuple({} for _ in COORDS)
@@ -166,7 +200,15 @@ def build_suitable(A: AtomStructure) -> SuitableStructure:
 
 
 def check_suitable(S: SuitableStructure) -> tuple[CheckResult, ...]:
-    """Exhaustive verification of the five suitable-structure axioms."""
+    """Exhaustive verification of the five suitable-structure axioms.
+
+    Lemma: in the complex algebra Cm S the diagonal constant d_kl is
+    E(k, l) and c_k is ``S.t_star(k, .)``, so the cylindric diagonal
+    axioms C5-C7 (Henkin, Monk and Tarski, *Cylindric Algebras I*, 1971),
+    d_kk = 1, d_kl = c_m(d_km . d_ml) and c_k(d_kl . x) . c_k(d_kl . -x)
+    = 0, are axioms (iii)-(v) restated.  Both this check and
+    :func:`warel.cylindric.check_na3` read (iii)-(v) off the structure.
+    """
     out: list[CheckResult] = []
 
     # (i) is structural for this representation: tkey/e_masks are total.
@@ -185,55 +227,22 @@ def check_suitable(S: SuitableStructure) -> tuple[CheckResult, ...]:
     )
     out.append(CheckResult("coordinate-equivalences", ok))
 
-    detail = ""
-    ok = True
-    for k in COORDS:
-        if S.e_masks[k][k] != S.full_mask:
-            ok = False
-            detail = f"diagonal subset {k}{k} is not the whole carrier"
-            break
-    out.append(CheckResult("diagonal-subsets-full", ok, detail))
+    k = S.diagonal_failure
+    detail = "" if k is None else f"diagonal subset {k}{k} is not the whole carrier"
+    out.append(CheckResult("diagonal-subsets-full", k is None, detail))
 
+    bad = S.saturation_failure
     detail = ""
-    ok = True
-    for k in COORDS:
-        for l in COORDS:
-            for m in COORDS:
-                if m == k or m == l:
-                    continue
-                lhs = S.e_masks[k][l]
-                rhs = S.t_star(m, S.e_masks[k][m] & S.e_masks[m][l])
-                if lhs != rhs:
-                    ok = False
-                    diff = (lhs ^ rhs).bit_length() - 1
-                    detail = f"subset ({k},{l}) via {m}: differs at element {diff}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    out.append(CheckResult("saturation-identity", ok, detail))
+    if bad is not None:
+        k, l, m = bad
+        diff = S.e_masks[k][l] ^ S.t_star(m, S.e_masks[k][m] & S.e_masks[m][l])
+        detail = f"subset ({k},{l}) via {m}: differs at element {diff.bit_length() - 1}"
+    out.append(CheckResult("saturation-identity", bad is None, detail))
 
+    bad = S.rigidity_failure
     detail = ""
-    ok = True
-    for k in COORDS:
-        for l in COORDS:
-            if k == l:
-                continue
-            mask = S.e_masks[k][l]
-            for i in range(S.size):
-                if not (mask >> i) & 1:
-                    continue
-                for j in range(i + 1, S.size):
-                    if (mask >> j) & 1 and S.related(k, i, j):
-                        ok = False
-                        detail = f"elements {i},{j} both in subset ({k},{l}) and {k}-related"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    out.append(CheckResult("subset-rigidity", ok, detail))
+    if bad is not None:
+        k, l, i, j = bad
+        detail = f"elements {i},{j} both in subset ({k},{l}) and {k}-related"
+    out.append(CheckResult("subset-rigidity", bad is None, detail))
     return tuple(out)

@@ -11,11 +11,12 @@ sequence.  Three rewrite moves generate an equivalence on trails:
   (c) swap the pointer p for an index l when the last element lies in
       the distinguished subset for (l, p).
 
-Each class contains a unique fully reduced trail, computed here by a
-fixed deterministic strategy (round-trip deletion, then chopping and
-repointing read from per-element tables of the suitable structure) and
-cross-checked by randomized rule order in the tests.  Points of the
-represented universe are these classes; the bounded universe collects
+Each class contains a unique fully reduced trail.  The walk below
+settles chopping and repointing with per-element tables of the suitable
+structure (``least_repoint`` and ``least_reachable``); the tests reduce
+arbitrary trails with the same tables and cross-check them against
+randomized rule order.  Points of the represented universe are these
+classes; the bounded universe collects
 all points and all coordinate triples reachable by trails up to a
 length cap, marking data whose only witnesses sit at the cap as
 frontier.  Its walk covers only round-trip-free spines: a round trip
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .core import GuardExceeded, Triple
 from .suitable import COORDS, SuitableStructure
@@ -52,55 +53,6 @@ class Trail:
     @property
     def end(self) -> int:
         return self.nodes[-1]
-
-    def repoint(self, l: int) -> "Trail":
-        return Trail(self.nodes, self.steps, l)
-
-
-def _delete_round_trips(nodes: list[int], steps: list[int]) -> None:
-    # innermost-first deletion of t -k- s -k- t patterns, to a fixpoint
-    i = 0
-    while i <= len(nodes) - 3:
-        if nodes[i] == nodes[i + 2] and steps[i] == steps[i + 1]:
-            del nodes[i + 1 : i + 3]
-            del steps[i : i + 2]
-            i = max(i - 2, 0)
-        else:
-            i += 1
-
-
-def _settle(
-    S: SuitableStructure, nodes: Sequence[int], steps: Sequence[int], pointer: int
-) -> Trail:
-    # chop and repoint a trail free of round trips until neither applies,
-    # then minimize the pointer of a length-one trail over all reachable
-    # indices; both moves read per-element tables of the structure
-    repoint = S.least_repoint
-    n = len(nodes)
-    while n > 1:
-        if steps[n - 2] != pointer:
-            n -= 1
-            continue
-        l = repoint[nodes[n - 1]][pointer]
-        if l < 0:
-            return Trail(tuple(nodes[:n]), tuple(steps[: n - 1]), pointer)
-        pointer = l
-    return Trail((nodes[0],), (), S.least_reachable[nodes[0]][pointer])
-
-
-def reduce_trail(S: SuitableStructure, p: Trail) -> Trail:
-    """The unique reduced trail equivalent to p.
-
-    Strategy: round-trip deletions to a fixpoint, then alternately
-    delete the last element (when its incoming index differs from the
-    pointer) and repoint to the least index licensed at the last
-    element, and finally minimize the pointer of a length-one trail
-    over all reachable indices.
-    """
-    nodes = list(p.nodes)
-    steps = list(p.steps)
-    _delete_round_trips(nodes, steps)
-    return _settle(S, nodes, steps, p.pointer)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +95,8 @@ class BoundedUniverse:
     ``base_triples[t]`` is the triple of the length-one spine at carrier
     element t; ``triples`` and ``pair_min_length`` key the reached
     triples and ordered point pairs by pids.  ``by_id`` (each pid's
-    :class:`Point`), ``points`` (its inverse, keyed by reduced trail) and
-    ``point_of`` are lazy views built from those lists on first access,
-    for ``perfbench/tracer.py`` and the tests.
+    :class:`Point`) is a lazy view built from those lists on first
+    access, for ``perfbench/tracer.py`` and the tests.
     """
 
     S: SuitableStructure
@@ -165,17 +116,6 @@ class BoundedUniverse:
             Point(pid, Trail(nodes, steps, pointer))
             for pid, ((nodes, steps), pointer) in enumerate(zip(self.spines, self.pointers))
         ]
-
-    @cached_property
-    def points(self) -> dict[Trail, Point]:
-        return {pt.trail: pt for pt in self.by_id}
-
-    def point_of(self, p: Trail) -> Point:
-        red = reduce_trail(self.S, p)
-        pt = self.points.get(red)
-        if pt is None:
-            raise GuardExceeded("trail reduces outside the bounded universe")
-        return pt
 
     @cached_property
     def orbit_sets(self) -> dict[int, frozenset[tuple[int, int, int]]]:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -12,7 +13,7 @@ from warel.cylindric import (
     check_orbit_partition,
 )
 from warel.enumerate import summarize
-from warel.suitable import build_suitable
+from warel.suitable import build_suitable, check_suitable
 from warel.trails import build_universe
 
 
@@ -146,30 +147,43 @@ def _result(results, name):
     return next(c for c in results if c.name == name)
 
 
-def test_diag_composition_names_first_failure(s2, monkeypatch):
-    real = ComplexAlgebra.diag
-    # dropping the (0, 1) diagonal breaks (k, l, m) = (0, 1, 2) and (0, 2, 1)
-    monkeypatch.setattr(
-        ComplexAlgebra, "diag", lambda cm, k, l: 0 if (k, l) == (0, 1) else real(cm, k, l)
-    )
-    cm = ComplexAlgebra(s2)
+def _with_masks(S, masks):
+    """S with its distinguished subsets replaced by ``masks[k][l]``."""
+    return dataclasses.replace(S, e_masks=tuple(tuple(row) for row in masks))
+
+
+def test_diag_composition_names_first_failure(s2):
+    # emptying the (0, 1) subset breaks (k, l, m) = (0, 1, 2) and (0, 2, 1)
+    masks = [list(row) for row in s2.e_masks]
+    masks[0][1] = 0
+    S = _with_masks(s2, masks)
     failing = [
         (k, l, m)
         for k in range(3)
         for l in range(3)
         for m in range(3)
-        if m not in (k, l) and cm.diag(k, l) != cm.cyl(m, cm.diag(k, m) & cm.diag(m, l))
+        if m not in (k, l) and masks[k][l] != S.t_star(m, masks[k][m] & masks[m][l])
     ]
     assert len(failing) >= 2
-    c = _result(check_na3(s2), "diag-composition")
+    c = _result(check_na3(S), "diag-composition")
     assert not c.holds and c.detail == str(failing[0])
+    # the suitable-structure line decides the same statement
+    k, l, m = failing[0]
+    diff = masks[k][l] ^ S.t_star(m, masks[k][m] & masks[m][l])
+    c = _result(check_suitable(S), "saturation-identity")
+    assert not c.holds
+    assert c.detail == f"subset ({k},{l}) via {m}: differs at element {diff.bit_length() - 1}"
 
 
-def test_diag_rigidity_names_first_failure(s2, monkeypatch):
-    monkeypatch.setattr(ComplexAlgebra, "diag", lambda cm, k, l: cm.full)
-    c = _result(check_na3(s2), "diag-rigidity")
-    # every (k, l) fails once the diagonals are full; the first is (0, 1)
+def test_diag_rigidity_names_first_failure(s2):
+    S = _with_masks(s2, [[s2.full_mask] * 3] * 3)
+    c = _result(check_na3(S), "diag-rigidity")
+    # every (k, l) fails once the subsets are full; the first is (0, 1)
     assert not c.holds and c.detail.startswith("(0, 1, ")
+    # elements 0 and 1, (e,e,e) and (e,d,d), share their 0-block
+    assert c.detail == "(0, 1, 1)"
+    c = _result(check_suitable(S), "subset-rigidity")
+    assert not c.holds and c.detail == "elements 0,1 both in subset (0,1) and 0-related"
 
 
 def test_guarded_commutativity_names_first_failure(monkeypatch):

@@ -117,7 +117,7 @@ def ref_check_na3(S, seed=0, samples=64):
         (k, l, x)
         for k, l, _ in permutations(COORDS)
         for x in subsets
-        if cm.cyl(k, cm.diag(k, l) & x) & cm.cyl(k, cm.diag(k, l) & cm.compl(x))
+        if cm.cyl(k, cm.diag(k, l) & x) & cm.cyl(k, cm.diag(k, l) & cm.full & ~x)
     )
     out.append(CheckResult("diag-rigidity", bad is None, str(bad or "")))
     bad = _first(
@@ -257,7 +257,7 @@ def ref_check_complex_vs_relativized(S, uni, seed=0, samples=32):
 
     subsets = [1 << i for i in range(S.size)] + sample_subsets(cm.full, rng, samples)
     ok = all(
-        image(cm.compl(x)) == rc.full & ~image(x) and image(x | y) == image(x) | image(y)
+        image(cm.full & ~x) == rc.full & ~image(x) and image(x | y) == image(x) | image(y)
         for x in subsets
         for y in subsets[: len(COORDS)]
     )

@@ -9,6 +9,11 @@ from warel.relset import (
 )
 
 
+def square(U):
+    """The unit U x U of the full algebra on U."""
+    return frozenset((u, v) for u in range(U.size) for v in range(U.size))
+
+
 def _atoms(U, e):
     """The relativization's atom structure and the atom of each pair."""
     A, pairs = atom_structure_of_relativization(U, e)
@@ -16,13 +21,13 @@ def _atoms(U, e):
 
 
 def test_full_algebra_size_one():
-    A, atom = _atoms(Universe(1), Universe(1).square())
+    A, atom = _atoms(Universe(1), square(Universe(1)))
     assert A.atom_count == 1
     assert A.identity == A.full == atom[(0, 0)]
 
 
 def test_compose_and_inverse_on_two_points():
-    A, atom = _atoms(Universe(2), Universe(2).square())
+    A, atom = _atoms(Universe(2), square(Universe(2)))
     assert A.compose(atom[(0, 1)], atom[(1, 0)]) == atom[(0, 0)]
     assert A.conv_el(atom[(0, 1)]) == atom[(1, 0)]
 
@@ -31,7 +36,7 @@ def test_relativize_to_unit_changes_nothing():
     # relativized to the whole square, every composable pair of pairs
     # composes to exactly the pair the full algebra gives
     U = Universe(2)
-    A, atom = _atoms(U, U.square())
+    A, atom = _atoms(U, square(U))
     for (u, v), x in atom.items():
         for (v2, w), y in atom.items():
             assert A.compose(x, y) == (atom[(u, w)] if v2 == v else 0)
@@ -40,7 +45,7 @@ def test_relativize_to_unit_changes_nothing():
 def test_relativize_clips_composition():
     # Hand composition: (1,0);(0,2) = {(1,2)}, which e removes.
     U = Universe(3)
-    e = frozenset(U.square()) - {(1, 2), (2, 1)}
+    e = square(U) - {(1, 2), (2, 1)}
     A, atom = _atoms(U, e)
     assert A.compose(atom[(1, 0)], atom[(0, 2)]) == 0
     assert A.identity == atom[(0, 0)] | atom[(1, 1)] | atom[(2, 2)]
@@ -55,13 +60,13 @@ def test_identity_relativization_is_ra():
 
 def test_full_relativization_is_ra():
     U = Universe(3)
-    rep = classify(atom_structure_of_relativization(U, frozenset(U.square()))[0])
+    rep = classify(atom_structure_of_relativization(U, square(U))[0])
     assert rep.is_ra
 
 
 def test_clipped_square_is_wa():
     U = Universe(3)
-    e = frozenset(U.square()) - {(1, 2), (2, 1)}
+    e = square(U) - {(1, 2), (2, 1)}
     rep = classify(atom_structure_of_relativization(U, e)[0])
     assert rep.is_wa  # SA/RA outcome is data, not assumed
 
@@ -99,7 +104,7 @@ def test_check_rejects_pairs_outside_the_universe():
 
 def test_atom_structure_of_relativization_roundtrip():
     U = Universe(2)
-    e = frozenset(U.square())
+    e = square(U)
     A, pairs = atom_structure_of_relativization(U, e)
     assert A.atom_count == 4
     assert classify(A).is_ra

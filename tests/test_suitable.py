@@ -1,7 +1,15 @@
-import pytest
+import re
+from dataclasses import replace
 
-from warel.core import AtomStructure, Triple, validate_atom_structure
-from warel.suitable import SuitableStructure, build_suitable, check_suitable
+import pytest
+from hypothesis import given, settings
+
+from warel.core import AtomStructure, CheckResult, Triple, validate_atom_structure
+from warel.cylindric import check_na3
+from warel.enumerate import summarize
+from warel.suitable import COORDS, SuitableStructure, build_suitable, check_suitable
+
+from test_cylindric_reference import hand_built
 
 # ---------------------------------------------------------------------------
 # Carrier triple kinds and the coordinate moves: only these tests use them.
@@ -156,3 +164,134 @@ def test_saturation_witnesses_exist(a2):
         assert w in S.index
         assert S.in_e(S.index[w], 0, 1)
         assert S.related(0, S.index[t], S.index[w])
+
+
+# ---------------------------------------------------------------------------
+# The axiom loops of ``check_suitable`` before axioms (iii)-(v) became
+# shared decisions of the structure: the reference for all five lines.
+
+
+def ref_check_suitable(S: SuitableStructure) -> tuple[CheckResult, ...]:
+    out: list[CheckResult] = []
+    out.append(CheckResult("components-well-typed", True))
+    ok = all(
+        S.related(k, i, i)
+        and all(S.related(k, i, j) == S.related(k, j, i) for j in range(S.size))
+        for k in COORDS
+        for i in range(S.size)
+    )
+    out.append(CheckResult("coordinate-equivalences", ok))
+
+    detail = ""
+    ok = True
+    for k in COORDS:
+        if S.e_masks[k][k] != S.full_mask:
+            ok = False
+            detail = f"diagonal subset {k}{k} is not the whole carrier"
+            break
+    out.append(CheckResult("diagonal-subsets-full", ok, detail))
+
+    detail = ""
+    ok = True
+    for k in COORDS:
+        for l in COORDS:
+            for m in COORDS:
+                if m == k or m == l:
+                    continue
+                lhs = S.e_masks[k][l]
+                rhs = S.t_star(m, S.e_masks[k][m] & S.e_masks[m][l])
+                if lhs != rhs:
+                    ok = False
+                    diff = (lhs ^ rhs).bit_length() - 1
+                    detail = f"subset ({k},{l}) via {m}: differs at element {diff}"
+                    break
+            if not ok:
+                break
+        if not ok:
+            break
+    out.append(CheckResult("saturation-identity", ok, detail))
+
+    detail = ""
+    ok = True
+    for k in COORDS:
+        for l in COORDS:
+            if k == l:
+                continue
+            mask = S.e_masks[k][l]
+            for i in range(S.size):
+                if not (mask >> i) & 1:
+                    continue
+                for j in range(i + 1, S.size):
+                    if (mask >> j) & 1 and S.related(k, i, j):
+                        ok = False
+                        detail = f"elements {i},{j} both in subset ({k},{l}) and {k}-related"
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if not ok:
+            break
+    out.append(CheckResult("subset-rigidity", ok, detail))
+    return tuple(out)
+
+
+# Each suitable axiom (iii)-(v) and the cylindric axiom that restates it.
+TWINS = (
+    ("diagonal-subsets-full", "diag-diagonal-full"),
+    ("saturation-identity", "diag-composition"),
+    ("subset-rigidity", "diag-rigidity"),
+)
+
+
+def twin_detail(c: CheckResult) -> str:
+    """The ``check_na3`` witness that the suitable line c implies."""
+    if c.holds or c.name == "diagonal-subsets-full":
+        return ""
+    nums = [int(n) for n in re.findall(r"\d+", c.detail)]
+    if c.name == "saturation-identity":
+        k, l, m, _ = nums
+        return str((k, l, m))
+    i, _, k, l, _ = nums
+    return str((k, l, 1 << i))
+
+
+def assert_matches_reference(S: SuitableStructure) -> set[str]:
+    """The five lines are the reference's, verdicts and witnesses, and
+    each twin pair agrees; returns the suitable lines that fail."""
+    got = check_suitable(S)
+    assert got == ref_check_suitable(S)
+    lines = {c.name: c for c in got + check_na3(S)}
+    for ours, theirs in TWINS:
+        assert lines[theirs].holds == lines[ours].holds
+        assert lines[theirs].detail == twin_detail(lines[ours])
+    return {ours for ours, _ in TWINS if not lines[ours].holds}
+
+
+def test_hand_built_match_reference():
+    failed = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(S=hand_built())
+    def prop(S):
+        failed.update(assert_matches_reference(S))
+
+    prop()
+    assert failed == {ours for ours, _ in TWINS}
+
+
+def test_flipped_masks_match_reference(a1, a2, pentagon, two_identities):
+    # every built structure with one bit of one distinguished subset
+    # flipped, each bit of each subset in turn
+    failed = set()
+    for A in (a1, a2, pentagon, two_identities, *summarize(3, mod_iso=True)[1]):
+        S = build_suitable(A)
+        assert not assert_matches_reference(S)
+        for k in COORDS:
+            for l in COORDS:
+                for i in range(S.size):
+                    masks = [list(row) for row in S.e_masks]
+                    masks[k][l] ^= 1 << i
+                    bad = replace(S, e_masks=tuple(map(tuple, masks)))
+                    failed |= assert_matches_reference(bad)
+    assert failed == {ours for ours, _ in TWINS}

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from warel.core import GuardExceeded
 from warel.enumerate import summarize
 from warel.suitable import COORDS, SuitableStructure, build_suitable
-from warel.trails import BoundedUniverse, Point, Trail, build_universe, reduce_trail
+from warel.trails import BoundedUniverse, Point, Trail, build_universe
 
-from test_trails_reference import random_trail, reduce_random_order
+from test_trails_reference import random_trail, reduce_random_order, reduce_trail, repoint
 
 # ---------------------------------------------------------------------------
 # The trail calculus's validating constructor, reducedness test, converse,
-# concatenation and action on points: only these tests use them.
+# concatenation, point lookup and action on points: only these tests use
+# them.
 
 
 class InvalidTrail(ValueError):
@@ -76,6 +77,14 @@ def trail_concat(p: Trail, q: Trail) -> Trail:
     return Trail(p.nodes[:-1] + q.nodes, p.steps + q.steps, q.pointer)
 
 
+def point_of(uni: BoundedUniverse, p: Trail) -> Point:
+    """The point of ``uni`` whose reduced trail is p's reduction."""
+    pt = {q.trail: q for q in uni.by_id}.get(reduce_trail(uni.S, p))
+    if pt is None:
+        raise GuardExceeded("trail reduces outside the bounded universe")
+    return pt
+
+
 def apply_lq(uni: BoundedUniverse, q: Trail, u: Point) -> Point:
     """Act on a point by a trail, within the length budget.
 
@@ -96,7 +105,7 @@ def apply_lq(uni: BoundedUniverse, q: Trail, u: Point) -> Point:
         moved = trail_concat(trail_converse(q), p)
     else:
         return u
-    return uni.point_of(moved)
+    return point_of(uni, moved)
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +205,7 @@ def test_universe_a1(a1):
 def test_universe_a2_level_one(s2):
     uni = build_universe(s2, 1)
     ddd = s2.index[(1, 1, 1)]
-    pts = {uni.point_of(Trail((ddd,), (), k)).pid for k in (0, 1, 2)}
+    pts = {point_of(uni, Trail((ddd,), (), k)).pid for k in (0, 1, 2)}
     assert len(pts) == 3
 
 
@@ -225,7 +234,7 @@ def test_apply_lq_identity_case(s2):
     uni = build_universe(s2, 3)
     ddd = s2.index[(1, 1, 1)]
     dde = s2.index[(1, 1, 0)]
-    u = uni.point_of(Trail((ddd,), (), 0))
+    u = point_of(uni, Trail((ddd,), (), 0))
     q_unrelated = Trail((dde,), (), 0)
     # q neither ends nor begins at the beginning of u's trail
     assert apply_lq(uni, q_unrelated, u) == u
@@ -237,7 +246,7 @@ def test_apply_lq_round_trip(s2):
     dde = s2.index[(1, 1, 0)]
     q = make_trail(s2, (dde, ddd), (1,), 0)
     for k in (0, 1, 2):
-        u = uni.point_of(Trail((ddd,), (), k))
+        u = point_of(uni, Trail((ddd,), (), k))
         moved = apply_lq(uni, q, u)
         back = apply_lq(uni, trail_converse(q), moved)
         assert back == u
@@ -249,7 +258,7 @@ def test_apply_lq_headroom_error(s2):
     dde = s2.index[(1, 1, 0)]
     ded = s2.index[(1, 0, 1)]
     long_q = make_trail(s2, (dde, ddd, ded), (1, 2), 0)
-    u = uni.point_of(Trail((ddd,), (), 0))
+    u = point_of(uni, Trail((ddd,), (), 0))
     with pytest.raises(GuardExceeded):
         apply_lq(uni, long_q, u)
 
@@ -276,10 +285,10 @@ def test_orbit_transitivity_bounded(s2):
             for py in ws:
                 q = trail_concat(py, trail_converse(px))
                 for k in (0, 1, 2):
-                    u = uni.point_of(px.repoint(k))
+                    u = point_of(uni, repoint(px, k))
                     if u.length + len(q) > uni.bound:
                         continue
-                    target = uni.point_of(py.repoint(k))
+                    target = point_of(uni, repoint(py, k))
                     assert apply_lq(uni, q, u) == target
                     moved += 1
     assert moved > 0
@@ -320,7 +329,7 @@ def test_fresh_pids_never_share_a_reduced_trail(a2, pentagon):
         S = build_suitable(A)
         for depth in (1, 2, 3, 4):
             uni = build_universe(S, depth)
-            assert len(uni.points) == len(uni.lengths) == len(uni.by_id)
+            assert len({pt.trail for pt in uni.by_id}) == len(uni.lengths) == len(uni.by_id)
             for pt in uni.by_id:
                 assert is_reduced(S, pt.trail)
                 assert len(pt.trail) == uni.lengths[pt.pid]

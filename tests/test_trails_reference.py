@@ -9,10 +9,13 @@ each new point the next int pid.  The descent partners and base pairs
 that ``reduct`` reads off the universe's lists are then computed
 through ``point_of``.  Triples and pair lengths
 must agree in insertion order too, since reports iterate them in that
-order.  The reference reducer is the list-based one with scans over the
+order.  ``reduce_trail`` settles a trail with the per-element tables of
+the suitable structure that ``build_universe`` reads; the reference
+reducer ``ref_reduce`` is the list-based one with scans over the
 distinguished subsets.  ``random_trail`` and ``reduce_random_order``
 draw trails and normalize them by moves in random order, for the reducer
-tests here and in ``test_trails.py``.
+tests here and in ``test_trails.py``, which also reads ``reduce_trail``
+and ``repoint``.
 """
 
 import random
@@ -29,7 +32,6 @@ from warel.trails import (
     Trail,
     TripleInfo,
     build_universe,
-    reduce_trail,
 )
 
 from test_enumerate_reference import sample_structure
@@ -91,10 +93,8 @@ def reduce_random_order(S, p, rng):
     return Trail(tuple(nodes), tuple(steps), pointer)
 
 
-def ref_reduce(S, p):
-    nodes = list(p.nodes)
-    steps = list(p.steps)
-    pointer = p.pointer
+def delete_round_trips(nodes, steps):
+    """Innermost-first deletion of t -k- s -k- t patterns, to a fixpoint."""
     i = 0
     while i <= len(nodes) - 3:
         if nodes[i] == nodes[i + 2] and steps[i] == steps[i + 1]:
@@ -103,6 +103,41 @@ def ref_reduce(S, p):
             i = max(i - 2, 0)
         else:
             i += 1
+
+
+def reduce_trail(S, p):
+    """The unique reduced trail equivalent to p, settled with the
+    per-element tables ``build_universe`` walks with.
+
+    Strategy: round-trip deletions to a fixpoint, then alternately
+    delete the last element (when its incoming index differs from the
+    pointer) and repoint to the least index licensed at the last
+    element (``S.least_repoint``), and finally minimize the pointer of a
+    length-one trail over all reachable indices (``S.least_reachable``).
+    """
+    nodes = list(p.nodes)
+    steps = list(p.steps)
+    delete_round_trips(nodes, steps)
+    pointer = p.pointer
+    n = len(nodes)
+    while n > 1:
+        if steps[n - 2] != pointer:
+            n -= 1
+            continue
+        l = S.least_repoint[nodes[n - 1]][pointer]
+        if l < 0:
+            return Trail(tuple(nodes[:n]), tuple(steps[: n - 1]), pointer)
+        pointer = l
+    return Trail((nodes[0],), (), S.least_reachable[nodes[0]][pointer])
+
+
+def ref_reduce(S, p):
+    """The list-based reducer: scans the distinguished subsets at every
+    move."""
+    nodes = list(p.nodes)
+    steps = list(p.steps)
+    pointer = p.pointer
+    delete_round_trips(nodes, steps)
     while len(nodes) > 1:
         if steps[-1] != pointer:
             del nodes[-1]
@@ -137,6 +172,11 @@ def has_round_trip(nodes, steps):
         nodes[i] == nodes[i + 2] and steps[i] == steps[i + 1]
         for i in range(len(nodes) - 2)
     )
+
+
+def repoint(p, l):
+    """The trail p with its pointer swapped for l."""
+    return Trail(p.nodes, p.steps, l)
 
 
 @dataclass
@@ -213,7 +253,7 @@ def ref_xi_of(uni):
             out[pt.pid] = frozenset()
             continue
         p = pt.trail
-        partners = {uni.point_of(p.repoint(l)).pid for l in COORDS if l != p.pointer}
+        partners = {uni.point_of(repoint(p, l)).pid for l in COORDS if l != p.pointer}
         out[pt.pid] = frozenset((pt.pid, q) for q in partners)
     return out
 
@@ -225,7 +265,7 @@ def ref_base_pairs(A, uni):
             for l in COORDS:
                 if k != l and not (1 << t[3 - k - l]) & A.identity:
                     base = Trail((i,), (), 0)
-                    out.add((uni.point_of(base.repoint(k)).pid, uni.point_of(base.repoint(l)).pid))
+                    out.add((uni.point_of(repoint(base, k)).pid, uni.point_of(repoint(base, l)).pid))
     return out
 
 
