@@ -19,9 +19,9 @@ line).
 from __future__ import annotations
 
 import argparse
-import heapq
 import sys
 import time
+from itertools import islice
 from typing import Optional
 
 from . import labelling, reduct, trails
@@ -65,9 +65,13 @@ def cmd_check(args: argparse.Namespace, report: Report) -> None:
 
 
 def _report_images(report: Report, stage: str, net: Network) -> None:
-    items = net.label.items()
+    # each atom's 16 smallest pairs: the rows, each sorted, are walked in
+    # increasing order only until they are found
+    out = net.rows[0]
+    points = sorted(out)
     for a, size in enumerate(net.sizes):
-        shown = " ".join(f"({u},{v})" for u, v in heapq.nsmallest(16, (pr for pr, b in items if b == a)))
+        pairs = ((u, v) for u in points for v, b in sorted(out[u].items()) if b == a)
+        shown = " ".join(f"({u},{v})" for u, v in islice(pairs, min(16, size)))
         more = "" if size <= 16 else f" ... ({size} total)"
         report.info(f"{stage}.image.{net.algebra.atom_name(a)}", shown + more)
 
@@ -93,7 +97,7 @@ def _represent_pipeline(
     labelling.saturate(ls, passes, max_points=trails.POINT_BUDGET)
     report.info("labelling.points", ls.point_count())
     report.info("labelling.labels", len(ls.label))
-    net = Network(A, ls.label)
+    net = ls.network()
     for res in labelling.verify_representation(ls, stage_bound=passes, net=net):
         report.add("labelling", res.name, res.holds, res.detail if not res.holds else "")
     _report_images(report, "labelling", net)

@@ -136,6 +136,17 @@ class AtomStructure:
             out[a].append((b, c))
         return tuple(tuple(sorted(p)) for p in out)
 
+    def matrix_violation(self, m: tuple[Optional[int], ...]) -> Optional[tuple[int, int, int]]:
+        """The first index choice (x, y, z), x slowest, with all three
+        entries labelled that breaks ``m[3x+z] <= m[3x+y] ; m[3y+z]`` in the
+        3x3 label matrix ``m`` (None for an unlabelled pair), or None."""
+        comp = self.comp_atoms
+        for x, y, z in product(range(3), repeat=3):
+            a, b, c = m[3 * x + y], m[3 * y + z], m[3 * x + z]
+            if None not in (a, b, c) and not (1 << c) & comp[a][b]:
+                return x, y, z
+        return None
+
     def compose(self, xm: int, ym: int) -> int:
         acc = 0
         table = self.comp_atoms

@@ -197,6 +197,9 @@ def check_mgr2(S: SuitableStructure) -> tuple[CheckResult, ...]:
     else:
         bad = None
         for i, t in enumerate(S.elements):
+            if not 0 <= t[2] < S.algebra.atom_count:
+                bad = t  # no converse block to hit
+                break
             lhs = _mgr_side(cm, (2, 0, 1), 1 << i)
             rhs = _mgr_side(cm, (2, 1, 0), 1 << i)
             conv2 = S.algebra.converse[t[2]]
@@ -222,7 +225,8 @@ def check_functions(S: SuitableStructure) -> tuple[CheckResult, ...]:
     """The six singleton identities: cutting the saturation of a single
     carrier element with the right diagonal picks out exactly one
     forced triple.  Exact: each identity is checked on every carrier
-    element."""
+    element; ``spec`` forces its triple from coordinate ``ck``, so an
+    element naming no atom there fails it and is the witness."""
     if S.algebra is None:
         raise ValueError("needs the source algebra")
     A = S.algebra
@@ -254,6 +258,9 @@ def check_functions(S: SuitableStructure) -> tuple[CheckResult, ...]:
     for spec, dk, dl, ck in cases:
         bad = None
         for i, t in enumerate(S.elements):
+            if not 0 <= t[ck] < A.atom_count:
+                bad = t
+                break
             got = cm.diag(dk, dl) & cm.cyl(ck, 1 << i)
             want_triple = forced(spec, t)
             j = S.index.get(want_triple)

@@ -13,10 +13,11 @@ with atom labels on some ordered point pairs, subject to:
 A flaw is a labelled pair (u, v) with label a <= b ; c but no point w
 with (u, w) labelled b and (w, v) labelled c.  Repairing a flaw adds
 one fresh point and five labels; saturation runs repair passes in a
-fixed order.  The labels of a saturated system form a
-:class:`~warel.relset.Network`, a map from algebra elements to relations
-over the points which is an embedding up to the staged guarantees
-checked by :func:`verify_representation`.
+fixed order.  The labels form a :class:`~warel.relset.Network` whose
+rows ``out[u][w] = inn[w][u]`` are the system's only index: a witness
+search walks the shorter of ``out[u]`` and ``inn[v]``, once per pair in
+:func:`find_flaws`.  Its map from algebra elements to relations is an
+embedding up to the staged guarantees of :func:`verify_representation`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import AtomStructure, CheckResult, GuardExceeded, classify, iter_bits
-from .relset import Network
+from .relset import Network, Successors
 
 Flaw = tuple[int, int, int, int, int]  # (u, a, v, b, c)
 
@@ -40,10 +41,12 @@ class LabellingSystem:
     stage: dict[int, int] = field(default_factory=dict)  # point id -> creation pass
     label: dict[tuple[int, int], int] = field(default_factory=dict)
     passes_done: int = 0
-    # out_index[(u, b)] = sorted-insertion list of w with label (u, w) = b
-    out_index: dict[tuple[int, int], list[int]] = field(default_factory=dict)
-    in_index: dict[tuple[int, int], list[int]] = field(default_factory=dict)
+    # the only index of the labels: out[u][w] = inn[w][u] = label[(u, w)]
+    out: Successors = field(default_factory=dict)
+    inn: Successors = field(default_factory=dict)
     repairs_done: int = 0
+    # the 3x3 label matrices that _check_triangles_through has passed
+    passing: set[tuple[Optional[int], ...]] = field(default_factory=set)
 
     def point_count(self) -> int:
         return len(self.stage)
@@ -68,27 +71,30 @@ class LabellingSystem:
         if u == v and not (1 << a) & self.algebra.identity:
             raise ConsistencyError(f"diversity atom {a} labelling ({u}, {u})")
         self.label[(u, v)] = a
-        self.out_index.setdefault((u, a), []).append(v)
-        self.in_index.setdefault((v, a), []).append(u)
+        self.out.setdefault(u, {})[v] = a
+        self.inn.setdefault(v, {})[u] = a
+
+    def network(self) -> Network:
+        """The labels as a :class:`~warel.relset.Network` sharing the
+        system's rows.  Lemma: ``(out, inn)`` is what ``Network.rows``
+        builds from ``label``, key order included: ``_add_label``, the
+        only writer of ``label``, enters each pair in both at once."""
+        net = Network(self.algebra, self.label)
+        vars(net)["rows"] = (self.out, self.inn)
+        return net
 
     def has_witness(self, u: int, b: int, c: int, v: int) -> bool:
         """Some w has (u, w) labelled b and (w, v) labelled c.  Walks the
-        shorter of the two index lists and looks the other edge up in
-        ``label``."""
-        outs = self.out_index.get((u, b))
-        if not outs:
-            return False
-        ins = self.in_index.get((v, c))
-        if not ins:
-            return False
-        label = self.label
-        if len(outs) <= len(ins):
-            for w in outs:
-                if label.get((w, v)) == c:
+        shorter of ``out[u]`` and ``inn[v]`` and looks the other edge up
+        in the other row."""
+        row, col = self.out.get(u, {}), self.inn.get(v, {})
+        if len(row) <= len(col):
+            for w, x in row.items():
+                if x == b and col.get(w) == c:
                     return True
         else:
-            for w in ins:
-                if label.get((u, w)) == b:
+            for w, x in col.items():
+                if x == c and row.get(w) == b:
                     return True
         return False
 
@@ -120,37 +126,32 @@ def initial_system(A: AtomStructure) -> LabellingSystem:
 
 def find_flaws(ls: LabellingSystem, scope: Optional[int] = None) -> list[Flaw]:
     """All flaws, ordered by (u, v, a, b, c); with ``scope`` only those
-    whose endpoints were both created before pass ``scope``."""
+    whose endpoints were both created before pass ``scope``.  Each pair
+    is decided by one walk, :meth:`~warel.relset.Network.unwitnessed`."""
     out: list[Flaw] = []
-    A = ls.algebra
-    for (u, v) in sorted(ls.label):
-        if scope is not None and (ls.stage[u] >= scope or ls.stage[v] >= scope):
-            continue
-        a = ls.label[(u, v)]
-        for b, c in A.factor_pairs[a]:
-            if not ls.has_witness(u, b, c, v):
-                out.append((u, a, v, b, c))
+    net, label, stage = ls.network(), ls.label, ls.stage
+    for (u, v) in sorted(label):
+        if scope is None or (stage[u] < scope and stage[v] < scope):
+            out += [(u, label[(u, v)], v, b, c) for b, c in net.unwitnessed(u, v)]
     return out
 
 
 def _check_triangles_through(ls: LabellingSystem, pts: tuple[int, ...]) -> None:
-    """Property (v) on every ordered triple (u, w, v) over ``pts``,
-    reading the label matrix of ``pts`` once."""
-    comp = ls.algebra.comp_atoms
-    get = ls.label.get
-    rows = [[get((x, y)) for y in pts] for x in pts]
-    for u, row in zip(pts, rows):
-        for w, aw, wrow in zip(pts, row, rows):
-            if aw is None:
-                continue
-            for v, bw, cw in zip(pts, wrow, row):
-                if bw is None or cw is None:
-                    continue
-                if not (1 << cw) & comp[aw][bw]:
-                    raise ConsistencyError(
-                        f"triangle ({u},{w},{v}) labels ({aw},{bw},{cw}) "
-                        "violate the composition bound"
-                    )
+    """Property (v) on every ordered triple (u, w, v) over ``pts``, in
+    that order: each distinct label matrix of ``pts`` is decided once by
+    :meth:`~warel.core.AtomStructure.matrix_violation` and kept in
+    ``ls.passing`` when it passes."""
+    rows = [ls.out.get(x, {}) for x in pts]
+    m = tuple([row.get(y) for row in rows for y in pts])
+    if m not in ls.passing:
+        bad = ls.algebra.matrix_violation(m)
+        if bad is not None:
+            x, y, z = bad
+            raise ConsistencyError(
+                f"triangle ({pts[x]},{pts[y]},{pts[z]}) labels "
+                f"({m[3 * x + y]},{m[3 * y + z]},{m[3 * x + z]}) violate the composition bound"
+            )
+        ls.passing.add(m)
 
 
 def repair(ls: LabellingSystem, f: Flaw, stage: Optional[int] = None) -> LabellingSystem:
@@ -216,9 +217,8 @@ def verify_representation(
 ) -> tuple[CheckResult, ...]:
     """Verify the map induced by the labels, one path for every system.
 
-    ``net`` is the system's network ``Network(ls.algebra, ls.label)``
-    when the caller already holds it, so its cached rows, image sizes
-    and facts are built once; by default it is built here.
+    ``net`` is :meth:`LabellingSystem.network` when the caller holds it,
+    so its cached image sizes and facts are built once.
 
     Each line's range:
 
@@ -254,7 +254,7 @@ def verify_representation(
             f"stage bound {stage_bound} exceeds completed passes {ls.passes_done}"
         )
     if net is None:
-        net = Network(ls.algebra, ls.label)
+        net = ls.network()
     partition_ok = sum(net.sizes) == len(net.label)
     bad = net.upper_violation()
     stage = ls.stage

@@ -330,27 +330,16 @@ def check_pair_partition(uni: BoundedUniverse, net: Network) -> tuple[CheckResul
     )
 
 
-def _matrix_holds(comp: list[list[int]], m: tuple[int, ...]) -> bool:
-    # m[3 * i + j] labels (trip[i], trip[j]); every index choice (x, y, z)
-    # needs m[x][z] <= m[x][y] ; m[y][z]
-    return all(
-        (1 << m[3 * x + z]) & comp[m[3 * x + y]][m[3 * y + z]]
-        for x in COORDS
-        for y in COORDS
-        for z in COORDS
-    )
-
-
 def check_key_property(uni: BoundedUniverse, net: Network) -> CheckResult:
     """label(x,y) ; label(y,z) covers label(x,z) on every permutation of
     every reachable triple.
 
     Exact over every reachable triple, each reading its nine labels from
-    ``net.label``; each distinct 3x3 label matrix is decided once over
-    its 27 index choices, which range over the same ordered (x, y, z)
-    as the triple's points.  The first failing triple, in
-    ``uni.triples`` order, is walked again over its points only to name
-    the witness."""
+    ``net.label``; each distinct 3x3 label matrix is decided once by
+    :meth:`~warel.core.AtomStructure.matrix_violation` over its 27 index
+    choices, which range over the same ordered (x, y, z) as the triple's
+    points.  The first failing triple, in ``uni.triples`` order, is
+    walked again over its points only to name the witness."""
     comp = net.algebra.comp_atoms
     label = net.label
     decided: dict[tuple[int, ...], bool] = {}
@@ -363,7 +352,7 @@ def check_key_property(uni: BoundedUniverse, net: Network) -> CheckResult:
         )
         ok = decided.get(m)
         if ok is None:
-            ok = decided[m] = _matrix_holds(comp, m)
+            ok = decided[m] = net.algebra.matrix_violation(m) is None
         if ok:
             continue
         pts = set(trip)

@@ -243,6 +243,27 @@ class Network:
             if not (1 << c) & comp[a][b]
         )
 
+    def unwitnessed(self, u: int, v: int) -> list[tuple[int, int]]:
+        """The factor pairs (b, b') of the label of (u, v), in order, with
+        no w labelling (u, w) b and (w, v) b': one walk over the shorter of
+        ``out[u]`` and ``inn[v]``, stopped once every pair has a witness."""
+        out, inn = self.rows
+        row, col = out[u], inn[v]
+        fps = self.algebra.factor_pairs[row[v]]
+        todo = set(fps)
+        # a w off the other row pairs a label with None, never a factor pair
+        if len(row) <= len(col):
+            for w, b in row.items():
+                todo.discard((b, col.get(w)))
+                if not todo:
+                    return []
+        else:
+            for w, b2 in col.items():
+                todo.discard((row.get(w), b2))
+                if not todo:
+                    return []
+        return [fp for fp in fps if fp in todo]
+
     def lower_scan(
         self, pairs: Iterable[tuple[int, int]]
     ) -> tuple[int, int, Optional[tuple[int, int, int, int, int]]]:
@@ -250,36 +271,19 @@ class Network:
         (u, v) of ``pairs``, label c, needs for every factor pair
         (b, b') of c a point w with (u, w) labelled b and (w, v)
         labelled b'; the other labelled pairs are excluded and counted.
-        Pairs come in increasing order.  The middle points w come from
-        the shorter of ``out[u]`` and ``inn[v]``, and the walk stops once
-        every factor pair of c has a witness.  Returns ``(checked,
-        excluded, first missing)``, the last as ``(u, c, v, b, b')``
-        with (b, b') the first factor pair left without a witness, or
-        None; on a miss ``excluded`` counts the excluded pairs below it,
-        from its rank among the labelled pairs."""
-        factor_pairs = self.algebra.factor_pairs
-        out, inn = self.rows
+        Pairs come in increasing order, each decided by one
+        :meth:`unwitnessed` walk.  Returns ``(checked, excluded, first
+        missing)``, the last as ``(u, c, v, b, b')`` with (b, b') the
+        first factor pair left without a witness, or None; on a miss
+        ``excluded`` counts the excluded pairs below it, from its rank
+        among the labelled pairs."""
         checked = 0
         for u, v in sorted(pairs):
-            row, col = out[u], inn[v]
-            c = row[v]
             checked += 1
-            todo = set(factor_pairs[c])
-            # a w off the other row pairs a label with None, never a factor pair
-            if len(row) <= len(col):
-                for w, b in row.items():
-                    todo.discard((b, col.get(w)))
-                    if not todo:
-                        break
-            else:
-                for w, b2 in col.items():
-                    todo.discard((row.get(w), b2))
-                    if not todo:
-                        break
-            if todo:
-                b, b2 = next(fp for fp in factor_pairs[c] if fp in todo)
+            missing = self.unwitnessed(u, v)
+            if missing:
                 below = sum(1 for p in self.label if p < (u, v))
-                return checked, below - (checked - 1), (u, c, v, b, b2)
+                return checked, below - (checked - 1), (u, self.label[(u, v)], v, *missing[0])
         return checked, len(self.label) - checked, None
 
 

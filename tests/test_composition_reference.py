@@ -9,10 +9,12 @@ element-level loops that ``verify_representation`` replaced by per-atom
 certificates; the verdicts must agree on all eight lines.  The
 set-based ``Network`` checks, the triangle check of a repair and the
 witness search of a labelling system are kept here in their old form
-as well.  ``ref_lower_scan`` is the predicate-driven lower scan: it
-walks every labelled pair, asks a predicate whether to skip it, and
-intersects the whole rows ``out[u]`` and ``inn[v]``; ``Network.lower_scan``
-takes the checked pairs themselves and stops a pair's walk early.
+as well, and ``ref_find_flaws`` searches the witnesses of each factor
+pair on its own where ``find_flaws`` walks a pair's row once.
+``ref_lower_scan`` is the predicate-driven lower scan: it walks every
+labelled pair, asks a predicate whether to skip it, and intersects the
+whole rows ``out[u]`` and ``inn[v]``; ``Network.lower_scan`` takes the
+checked pairs themselves and stops a pair's walk early.
 ``ref_image_structure_by_inverse_index`` finds each converse by hashing
 the inverse of every atom image, where ``image_atom_structure`` looks up
 the labels of reversed pairs.  The image test checks ``Network.sizes``,
@@ -315,14 +317,23 @@ def label_maps(draw, A):
     return {pr: label[pr] for pr in order}
 
 
+def _fill(ls, label):
+    """Give ``ls`` exactly the labels of ``label`` and their rows, in
+    ``label`` order, with no check of the structural properties."""
+    ls.label.clear()
+    ls.out.clear()
+    ls.inn.clear()
+    for (u, v), a in label.items():
+        ls.label[(u, v)] = a
+        ls.out.setdefault(u, {})[v] = a
+        ls.inn.setdefault(v, {})[u] = a
+
+
 def _system(A, label, stages):
     ls = lb.LabellingSystem(A)
     ls.stage = dict(enumerate(stages))
     ls.passes_done = 2
-    for (u, v), a in label.items():
-        ls.label[(u, v)] = a
-        ls.out_index.setdefault((u, a), []).append(v)
-        ls.in_index.setdefault((v, a), []).append(u)
+    _fill(ls, label)
     return ls
 
 
@@ -567,18 +578,50 @@ def test_has_witness_matches_reference(algebra, data):
 def test_has_witness_walks_either_index(pentagon):
     ls = lb.saturate(lb.initial_system(pentagon), 3)
     atoms = range(pentagon.atom_count)
-    found = {"outs": 0, "ins": 0}
+    found = {"out": 0, "inn": 0}
     for u in ls.stage:
         for v in ls.stage:
             for b in atoms:
                 for c in atoms:
                     want = ref_has_witness(ls, u, b, c, v)
                     assert ls.has_witness(u, b, c, v) == want
-                    outs = ls.out_index.get((u, b), [])
-                    ins = ls.in_index.get((v, c), [])
-                    if want and len(outs) != len(ins):
-                        found["outs" if len(outs) < len(ins) else "ins"] += 1
-    assert found["outs"] and found["ins"], found
+                    row, col = len(ls.out[u]), len(ls.inn[v])
+                    if want and row != col:
+                        found["out" if row < col else "inn"] += 1
+    assert found["out"] and found["inn"], found
+
+
+def ref_find_flaws(ls, scope=None):
+    """The flaw search with one witness search per factor pair."""
+    out = []
+    for u, v in sorted(ls.label):
+        if scope is not None and (ls.stage[u] >= scope or ls.stage[v] >= scope):
+            continue
+        a = ls.label[(u, v)]
+        for b, c in ls.algebra.factor_pairs[a]:
+            if not ls.has_witness(u, b, c, v):
+                out.append((u, a, v, b, c))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_find_flaws_matches_reference(algebra, data):
+    A = algebra
+    label = data.draw(label_maps(A))
+    n = 1 + max(max(pr) for pr in label) if label else 1
+    stages = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    ls = _system(A, label, stages)
+    scope = data.draw(st.none() | st.integers(0, 4))
+    assert lb.find_flaws(ls, scope) == ref_find_flaws(ls, scope)
+
+
+def test_find_flaws_matches_reference_on_saturated_systems(pentagon, two_identities):
+    for A in (pentagon, two_identities):
+        for passes in range(4):
+            ls = lb.saturate(lb.initial_system(A), passes)
+            for scope in (None, *range(passes + 2)):
+                assert lb.find_flaws(ls, scope) == ref_find_flaws(ls, scope)
 
 
 def _raised(check, ls, pts):
@@ -601,3 +644,28 @@ def test_triangle_check_matches_reference(algebra, data):
     assert _raised(lb._check_triangles_through, ls, pts) == _raised(
         ref_check_triangles_through, ls, pts
     )
+
+
+def test_triangle_check_matches_reference_with_a_warm_cache(algebra):
+    # one system for every draw, so matrices passed earlier are decided
+    # from ls.passing; each violating matrix still names the reference's
+    # first triangle
+    A = algebra
+    rng = random.Random(5)
+    ls = _system(A, {}, [0] * 4)
+    outcomes = {"raised": 0, "passed": 0, "cached": 0}
+    for _ in range(600):
+        pts = tuple(rng.randrange(4) for _ in range(3))
+        _fill(ls, {
+            (u, v): rng.randrange(A.atom_count)
+            for u in set(pts) for v in set(pts) if rng.random() < 0.8
+        })
+        cached = len(ls.passing)
+        want = _raised(ref_check_triangles_through, ls, pts)
+        assert _raised(lb._check_triangles_through, ls, pts) == want
+        if want is not None:
+            outcomes["raised"] += 1
+        else:
+            outcomes["passed"] += 1
+            outcomes["cached"] += len(ls.passing) == cached
+    assert all(outcomes.values()), outcomes

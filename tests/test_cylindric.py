@@ -84,6 +84,19 @@ def test_functions_pass(a1, a2, pentagon, two_identities):
             assert c.holds, c
 
 
+def test_atom_past_the_last_fails_its_lines(a2, s2):
+    # an element whose last coordinate names no atom has no converse,
+    # domain or range there: the lines that read it fail and name it
+    t = (*s2.elements[0][:2], a2.atom_count)
+    bad = dataclasses.replace(s2, elements=(t, *s2.elements[1:]))
+    mgr2 = {c.name: c for c in check_mgr2(bad)}["mgr2-featured-instance"]
+    assert (mgr2.holds, mgr2.detail) == (False, str(t))
+    lines = {c.name: c for c in check_functions(bad)}
+    for spec in ("iii", "v"):
+        line = lines[f"singleton-identity-{spec}"]
+        assert (line.holds, line.detail) == (False, str(t))
+
+
 def test_functions_example_values(s2):
     cm = ComplexAlgebra(s2)
     i = s2.index[(1, 1, 1)]

@@ -1,11 +1,15 @@
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from test_composition_reference import ref_element_checks
 from warel import labelling as lb
 from warel.core import GuardExceeded, validate_atom_structure
+from warel.fileformat import parse_structure_file
 from warel.relset import Network
+
+INPUTS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs").glob("*.alg"))
 
 
 def test_initial_system_sizes(a1, a2, two_identities):
@@ -185,3 +189,28 @@ def test_every_nonzero_element_has_pairs_after_one_pass(a2, pentagon):
         rep = Network(A, ls.label)
         for x in range(1, 1 << A.atom_count):
             assert rep.pairs(x), x
+
+
+def _assert_rows_are_built_from_label(ls):
+    # the lemma of LabellingSystem.network: the system's rows are the
+    # ones Network.rows builds from label, rows and keys in the same order
+    built = Network(ls.algebra, dict(ls.label)).rows
+    for mine, want in zip((ls.out, ls.inn), built):
+        assert list(mine) == list(want)
+        for p, row in want.items():
+            assert list(mine[p].items()) == list(row.items())
+    net = ls.network()
+    assert net.rows[0] is ls.out and net.rows[1] is ls.inn
+
+
+@pytest.mark.parametrize("passes", range(1, 7))
+def test_rows_are_the_network_rows_on_pentagon(pentagon, passes):
+    _assert_rows_are_built_from_label(lb.saturate(lb.initial_system(pentagon), passes))
+
+
+def test_rows_are_the_network_rows_on_the_benchmark_inputs():
+    assert len(INPUTS) == 17
+    for path in INPUTS:
+        A = parse_structure_file(str(path))
+        for passes in (1, 2, 3):
+            _assert_rows_are_built_from_label(lb.saturate(lb.initial_system(A), passes))
