@@ -241,8 +241,8 @@ def verify_representation(
       :meth:`Network.upper_violation`; the first bad triangle is the
       witness.
     - ``composition-lower-staged``: staged, ``Network.lower_scan`` on
-      the pairs whose points were both created before ``stage_bound``;
-      the rest are counted as excluded.
+      the pairs whose points were both created before ``stage_bound``
+      (``ls.stage`` below it); the rest are counted as excluded.
 
     - ``unit-symmetric-reflexive``: exact,
       :meth:`Network.is_symmetric_reflexive`.
@@ -257,10 +257,7 @@ def verify_representation(
         net = ls.network()
     partition_ok = sum(net.sizes) == len(net.label)
     bad = net.upper_violation()
-    stage = ls.stage
-    checked, excluded, flaw = net.lower_scan(
-        [(u, v) for u, v in net.label if stage[u] < stage_bound and stage[v] < stage_bound]
-    )
+    checked, excluded, flaw = net.lower_scan(ls.stage, stage_bound)
     return (
         CheckResult("join-preserved", partition_ok),
         CheckResult("complement-preserved", partition_ok),

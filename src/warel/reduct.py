@@ -156,13 +156,14 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
     of points of a reachable triple.
 
     Exact over every reachable triple, in sorted order; the nine label
-    entries and three diagonal agreements are computed once per carrier
-    element of ``uni.orbit_sets``, and each triple only stores or
+    entries and three diagonal agreements are computed once per distinct
+    end of the triples, before the walk, and each triple only stores or
     compares its pairs' labels.  A pair given two labels, or a triple
     whose diagonal labels disagree, raises :class:`LabelDisagreement`.
     """
     label: dict[tuple[int, int], int] = {}
-    rows = {t: _label_entries(A, uni.S.elements[t]) for t in uni.orbit_sets}
+    ends = {info.end for info in uni.triples.values()}
+    rows = {t: _label_entries(A, uni.S.elements[t]) for t in ends}
     for trip, info in sorted(uni.triples.items()):
         entries, agree = rows[info.end]
         for i, j, a in entries:
@@ -457,12 +458,14 @@ def final_representation(
     triangle.  The reverse containment is checked for pairs whose
     shortest witness leaves one step of headroom (the middle point
     comes from a one-step trail extension); exclusions are counted.
+    Headroom is counted in point lengths: by the pair-length lemma of
+    :func:`~warel.trails.build_universe` a pair's shortest witness is
+    as long as its longer point, so a pair is checked when both points
+    are shorter than the bound.
     """
     total = sum(net.sizes)
     bad = net.upper_violation()
-    checked, excluded, missing = net.lower_scan(
-        [pr for pr, h in uni.pair_min_length.items() if h < uni.bound]
-    )
+    checked, excluded, missing = net.lower_scan(uni.lengths, uni.bound)
     return net, (
         CheckResult(
             "unit-symmetric-reflexive", net.is_symmetric_reflexive(), f"|unit|={len(net.label)}"
@@ -486,7 +489,11 @@ def check_chain_agreement(uni: BoundedUniverse, net: Network) -> CheckResult:
     """Pairs in coordinate positions (0, 1) of reachable triples carry
     exactly the label of the end's last coordinate, and cover every
     label on pairs with three steps of headroom (a coordinate swap
-    costs three replacements)."""
+    costs three replacements).  Headroom is counted in point lengths,
+    both points three below the bound: by the pair-length lemma of
+    :func:`~warel.trails.build_universe` that is the pair's shortest
+    witness."""
+    lengths, bound = uni.lengths, uni.bound
     n = net.algebra.atom_count
     label = net.label
     chain: dict[int, set[tuple[int, int]]] = {a: set() for a in range(n)}
@@ -501,7 +508,8 @@ def check_chain_agreement(uni: BoundedUniverse, net: Network) -> CheckResult:
     for pr, a in label.items():
         if pr in chain[a]:
             continue
-        if uni.pair_min_length[pr] + 3 <= uni.bound:
+        u, v = pr
+        if lengths[u] + 3 <= bound and lengths[v] + 3 <= bound:
             return CheckResult("chain-agreement", False, f"{pr} unreachable")
         excluded += 1
     return CheckResult("chain-agreement", True, f"excluded={excluded}")

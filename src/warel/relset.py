@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, Iterator, Mapping, Optional
+from typing import FrozenSet, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import AtomStructure, Triple, validate_atom_structure
 
@@ -97,10 +97,9 @@ class Network:
     labelled pairs form the unit, and an element x is represented by
     the pairs whose label lies below x.  ``label`` is the one copy of
     the pairs: the row index, field, per-atom image ``sizes`` and
-    ``facts`` are read off it once and cached, and :meth:`pairs` filters
-    it.  ``facts`` walks the shorter of the two rows of each labelled
-    pair, and is shared by the composition checks and by
-    :func:`image_atom_structure`.
+    ``facts`` are read off it once and cached.  ``facts`` walks the
+    shorter of the two rows of each labelled pair, and is shared by the
+    composition checks and by :func:`image_atom_structure`.
     """
 
     algebra: AtomStructure
@@ -135,11 +134,6 @@ class Network:
         """``sizes[a]``: the number of pairs labelled with atom ``a``."""
         counts = Counter(self.label.values())
         return tuple(counts[a] for a in range(self.algebra.atom_count))
-
-    def pairs(self, element_mask: int) -> BinRel:
-        """The relation representing an element: the pairs whose label
-        lies below it."""
-        return frozenset(pr for pr, a in self.label.items() if element_mask >> a & 1)
 
     def triangles(self) -> Iterator[Triangle]:
         """Every triangle ``(u, v, w, a, b, c)``: the pairs (u, v),
@@ -265,19 +259,23 @@ class Network:
         return [fp for fp in fps if fp in todo]
 
     def lower_scan(
-        self, pairs: Iterable[tuple[int, int]]
+        self, age: Union[Sequence[int], Mapping[int, int]], bound: int
     ) -> tuple[int, int, Optional[tuple[int, int, int, int, int]]]:
         """Composition lower containment, staged: each labelled pair
-        (u, v) of ``pairs``, label c, needs for every factor pair
-        (b, b') of c a point w with (u, w) labelled b and (w, v)
-        labelled b'; the other labelled pairs are excluded and counted.
-        Pairs come in increasing order, each decided by one
-        :meth:`unwitnessed` walk.  Returns ``(checked, excluded, first
-        missing)``, the last as ``(u, c, v, b, b')`` with (b, b') the
-        first factor pair left without a witness, or None; on a miss
-        ``excluded`` counts the excluded pairs below it, from its rank
-        among the labelled pairs."""
+        (u, v) with both ``age[u]`` and ``age[v]`` below ``bound``,
+        label c, needs for every factor pair (b, b') of c a point w with
+        (u, w) labelled b and (w, v) labelled b'; the other labelled
+        pairs are excluded and counted.  Both pipelines stage the check
+        this way: the labelling system by the stage a point was created
+        at, the trail universe by a point's trail length.  Pairs come in
+        increasing order, each decided by one :meth:`unwitnessed` walk.
+        Returns ``(checked, excluded, first missing)``, the last as
+        ``(u, c, v, b, b')`` with (b, b') the first factor pair left
+        without a witness, or None; on a miss ``excluded`` counts the
+        excluded pairs below it, from its rank among the labelled
+        pairs."""
         checked = 0
+        pairs = [(u, v) for u, v in self.label if age[u] < bound and age[v] < bound]
         for u, v in sorted(pairs):
             checked += 1
             missing = self.unwitnessed(u, v)

@@ -65,10 +65,6 @@ class Point:
     trail: Trail  # the reduced representative
 
     @property
-    def length(self) -> int:
-        return len(self.trail)
-
-    @property
     def begin(self) -> int:
         return self.trail.begin
 
@@ -93,16 +89,21 @@ class BoundedUniverse:
     length and pointer of its reduced trail, ``spines[pid]`` that trail's
     ``(nodes, steps)`` and ``own_triples[pid]`` the triple of that spine;
     ``base_triples[t]`` is the triple of the length-one spine at carrier
-    element t; ``triples`` and ``pair_min_length`` key the reached
-    triples and ordered point pairs by pids.  ``by_id`` (each pid's
-    :class:`Point`) is a lazy view built from those lists on first
-    access, for ``perfbench/tracer.py`` and the tests.
+    element t; ``triples`` keys the reached triples by pids.  ``by_id``
+    (each pid's :class:`Point`) is a lazy view built from those lists on
+    first access, for ``perfbench/tracer.py`` and the tests.
+
+    Nothing is kept per pair: the shortest trail holding a pair (u, v)
+    of a reached triple has length ``max(lengths[u], lengths[v])`` (the
+    pair-length lemma of :func:`build_universe`).  A triple's own
+    ``TripleInfo.min_length`` is kept, since it is not read off its
+    points: a repointed triple reuses points of its parent's, so it can
+    be longer than each of them.
     """
 
     S: SuitableStructure
     bound: int
     triples: dict[tuple[int, int, int], TripleInfo] = field(default_factory=dict)
-    pair_min_length: dict[tuple[int, int], int] = field(default_factory=dict)
     lengths: list[int] = field(default_factory=list)
     pointers: list[int] = field(default_factory=list)
     spines: list[Spine] = field(default_factory=list)
@@ -117,24 +118,10 @@ class BoundedUniverse:
             for pid, ((nodes, steps), pointer) in enumerate(zip(self.spines, self.pointers))
         ]
 
-    @cached_property
-    def orbit_sets(self) -> dict[int, frozenset[tuple[int, int, int]]]:
-        """Triples grouped by the carrier element their trails end at."""
-        out: dict[int, set] = {}
-        for trip, info in self.triples.items():
-            out.setdefault(info.end, set()).add(trip)
-        return {t: frozenset(s) for t, s in out.items()}
-
     def frontier_triples(self) -> frozenset[tuple[int, int, int]]:
         return frozenset(
             trip for trip, info in self.triples.items() if info.is_frontier(self.bound)
         )
-
-
-# (p, q) positions a new triple offers: all nine at length one, else those holding k
-_PAIR_POSITIONS = {
-    k: [(p, q) for p in COORDS for q in COORDS if k in (None, p, q)] for k in (*COORDS, None)
-}
 
 
 def build_universe(
@@ -177,18 +164,26 @@ def build_universe(
     local dict of at most three entries per element gives each settled
     pointer one pid.  No ``Trail`` or ``Point`` object is built.
 
-    ``pair_min_length`` records each ordered pair of points at the
-    length of the first triple holding it.  A new triple longer than one
-    differs from its parent's only at coordinate k, so its pairs
-    (trip[p], trip[q]) with p, q != k came with the parent's triple at
-    no larger length; offering only the five with k in (p, q), in the
-    nested (p, q) order, gives the dict and its order of all nine.
+    Pair-length lemma: the shortest spine whose triple holds a pair
+    (u, v) of points, u = v allowed, has length max(lengths[u],
+    lengths[v]), so no length is stored per pair.  It is no shorter: a
+    spine of length L has only points of trail length at most L, since
+    settling never lengthens a trail.  It is no longer: take the first triple
+    holding the pair, of length L.  If L > 1 it differs from its
+    parent's, of length L - 1, only at coordinate k.  A repointed
+    ``at_k`` is ``parent[l]``, so then every pair of the triple is a
+    pair of the parent's, and the pair came earlier.  So ``at_k`` is a
+    fresh pid of length L and one of u, v.
+
+    The lemma does not hold for triples, which is why ``TripleInfo``
+    keeps ``min_length``: a repointed triple is new at length L while
+    its points, all reused, can each be shorter than L.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     uni = BoundedUniverse(S, bound)
     lengths, pointers, spines = uni.lengths, uni.pointers, uni.spines
-    own, triples, pair_min = uni.own_triples, uni.triples, uni.pair_min_length
+    own, triples = uni.own_triples, uni.triples
     repoint, reach, neighbors = S.least_repoint, S.least_reachable, S.neighbors
     # (nodes, steps, the parent spine's triple; None at length one)
     layer: list[tuple[tuple[int, ...], tuple[int, ...], Optional[Triple]]] = [
@@ -238,8 +233,6 @@ def build_universe(
             info = triples.get(trip)
             if info is None:
                 triples[trip] = infos[last]
-                for p, q in _PAIR_POSITIONS[None if parent is None else k]:
-                    pair_min.setdefault((trip[p], trip[q]), length)
             elif info.end != last:
                 raise AssertionError(
                     "one coordinate triple reached from two carrier elements"

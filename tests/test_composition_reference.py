@@ -13,14 +13,19 @@ as well, and ``ref_find_flaws`` searches the witnesses of each factor
 pair on its own where ``find_flaws`` walks a pair's row once.
 ``ref_lower_scan`` is the predicate-driven lower scan: it walks every
 labelled pair, asks a predicate whether to skip it, and intersects the
-whole rows ``out[u]`` and ``inn[v]``; ``Network.lower_scan`` takes the
-checked pairs themselves and stops a pair's walk early.
+whole rows ``out[u]`` and ``inn[v]``; ``Network.lower_scan`` filters the
+labelled pairs by the ages of their points and stops a pair's walk
+early.  ``ref_final_lower`` gives each pair the length of its longer
+point, as the pair-length lemma of ``build_universe`` says, and asks
+that length for one step of headroom.
 ``ref_image_structure_by_inverse_index`` finds each converse by hashing
 the inverse of every atom image, where ``image_atom_structure`` looks up
 the labels of reversed pairs.  The image test checks ``Network.sizes``,
-``Network.pairs`` and the report's image lines, which read ``label``,
+``pairs_below`` and the report's image lines, which read ``label``,
 against per-atom frozensets of the labelled pairs (``ref_image_lines``
-for the lines).
+for the lines).  ``pairs_below`` is the relation a network represents
+an element by, for the tests here and in ``test_reduct.py`` and
+``test_labelling.py``.
 """
 
 import random
@@ -45,6 +50,12 @@ from warel.relset import (
 )
 from warel.suitable import build_suitable
 from warel.trails import build_universe
+
+def pairs_below(net, element_mask):
+    """The relation representing an element: the pairs whose label lies
+    below it."""
+    return frozenset(pr for pr, a in net.label.items() if element_mask >> a & 1)
+
 
 # ---------------------------------------------------------------------------
 # Reference scans: O(pairs x points) and O(atoms^2) relation compositions
@@ -82,13 +93,13 @@ def ref_final_upper(A, label):
     return ("composition-upper-exact", bad is None, str(bad or ""))
 
 
-def ref_final_lower(A, label, bound, pair_min_length):
+def ref_final_lower(A, label, bound, lengths):
     pts_in_unit = {u for u, _ in label} | {v for _, v in label}
     checked = 0
     excluded = 0
     bad = None
     for (u, v), c in sorted(label.items()):
-        if pair_min_length[(u, v)] + 1 > bound:
+        if max(lengths[u], lengths[v]) + 1 > bound:
             excluded += 1
             continue
         checked += 1
@@ -352,12 +363,13 @@ def test_final_representation_matches_reference(algebra, data):
     A = algebra
     label = data.draw(label_maps(A))
     bound = data.draw(st.integers(1, 4))
-    min_length = {pr: data.draw(st.integers(1, 4)) for pr in sorted(label)}
-    universe = SimpleNamespace(bound=bound, pair_min_length=min_length)
+    n = 1 + max(max(pr) for pr in label) if label else 1
+    lengths = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    universe = SimpleNamespace(bound=bound, lengths=lengths)
     _, checks = reduct.final_representation(universe, Network(A, label))
     assert [(r.name, r.holds, r.detail) for r in checks] == ref_final_structural(A, label) + [
         ref_final_upper(A, label),
-        ref_final_lower(A, label, bound, min_length),
+        ref_final_lower(A, label, bound, lengths),
     ]
 
 
@@ -384,12 +396,13 @@ def test_labelling_checks_match_reference(algebra, data):
 @given(data=st.data())
 def test_lower_scan_matches_predicate_scan(algebra, data):
     label = data.draw(label_maps(algebra))
-    keys = sorted(label)
-    checked = data.draw(st.sets(st.sampled_from(keys))) if keys else set()
+    n = 1 + max(max(pr) for pr in label) if label else 1
+    age = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    bound = data.draw(st.integers(0, 4))
     net = Network(algebra, label)
-    # the scan sorts the pairs itself
-    pairs = data.draw(st.permutations(sorted(checked)))
-    assert net.lower_scan(pairs) == ref_lower_scan(net, lambda u, v: (u, v) not in checked)
+    # a pair is checked when its older point is below the bound
+    got = net.lower_scan(age, bound)
+    assert got == ref_lower_scan(net, lambda u, v: max(age[u], age[v]) >= bound)
 
 
 def test_lower_scan_matches_predicate_scan_on_a_saturated_system(pentagon):
@@ -397,19 +410,19 @@ def test_lower_scan_matches_predicate_scan_on_a_saturated_system(pentagon):
     rng = random.Random(0)
     keys = sorted(ls.label)
     outcomes = set()
-    # after three passes every pair between points of stages 0 to 2 has
-    # its witnesses
-    staged = [(u, v) for u, v in keys if ls.stage[u] < 3 and ls.stage[v] < 3]
     for trial in range(40):
         label = dict(ls.label)
         if trial % 2:
             # relabel one pair: some factor pair may lose its witness
             pr = rng.choice(keys)
             label[pr] = rng.randrange(pentagon.atom_count)
-        checked = {pr for pr in (keys if trial % 4 == 3 else staged) if rng.random() < 0.5}
+        # after three passes every pair between points of stages 0 to 2
+        # has its witnesses; random ages also check pairs of stage 3
+        age = {p: rng.randrange(4) for p in ls.stage} if trial % 4 == 3 else ls.stage
+        bound = rng.randint(0, 4)
         net = Network(pentagon, label)
-        got = net.lower_scan(checked)
-        assert got == ref_lower_scan(net, lambda u, v: (u, v) not in checked)
+        got = net.lower_scan(age, bound)
+        assert got == ref_lower_scan(net, lambda u, v: max(age[u], age[v]) >= bound)
         outcomes.add(got[2] is None)
     assert outcomes == {True, False}
 
@@ -424,7 +437,7 @@ def test_image_atom_structure_matches_reference(algebra, data):
     net = Network(A, label)
     assert net.sizes == tuple(len(images[a]) for a in range(A.atom_count))
     for mask in data.draw(st.lists(st.integers(0, A.full), min_size=1, max_size=4)):
-        assert net.pairs(mask) == frozenset().union(*(images[a] for a in iter_bits(mask)))
+        assert pairs_below(net, mask) == frozenset().union(*(images[a] for a in iter_bits(mask)))
     report = Report()
     cli._report_images(report, "final", net)
     assert report.lines == ref_image_lines(A, images, "final")

@@ -16,6 +16,8 @@ from warel.enumerate import summarize
 from warel.suitable import build_suitable, check_suitable
 from warel.trails import build_universe
 
+from test_trails_reference import triples_by_end
+
 
 @pytest.fixture(scope="module")
 def s2(a2):
@@ -130,7 +132,8 @@ def test_rc_atoms_disjoint(s2):
     for g, cnt in groups.items():
         assert g.bit and g.bit & (g.bit - 1) == 0
         per_end[g.bit] = per_end.get(g.bit, 0) + cnt
-    assert per_end == {1 << t: len(uni.orbit_sets[t]) for t in range(s2.size)}
+    orbits = triples_by_end(uni)
+    assert per_end == {1 << t: len(orbits[t]) for t in range(s2.size)}
 
 
 def test_rc_cylindrification_blocks(s2):

@@ -45,6 +45,8 @@ from warel.enumerate import summarize
 from warel.suitable import COORDS, SuitableStructure, build_suitable, check_suitable
 from warel.trails import BoundedUniverse, TripleInfo, build_universe
 
+from test_trails_reference import triples_by_end
+
 SEEDS = (0, 1, 2, 3)
 
 
@@ -180,6 +182,10 @@ class RefRelativizedSetAlgebra:
         return (1 << len(self.triples)) - 1
 
     @cached_property
+    def orbits(self):
+        return triples_by_end(self.universe)
+
+    @cached_property
     def cyl_blocks(self):
         # for coordinate k, group triples by the two off-k coordinates
         out = ({}, {}, {})
@@ -207,7 +213,7 @@ class RefRelativizedSetAlgebra:
 
     def atom_mask(self, end):
         acc = 0
-        for trip in self.universe.orbit_sets.get(end, ()):
+        for trip in self.orbits.get(end, ()):
             acc |= 1 << self.index[trip]
         return acc
 
@@ -217,7 +223,7 @@ class RefRelativizedSetAlgebra:
         blocks = self.cyl_blocks[k]
         i, j = (c for c in COORDS if c != k)
         acc = 0
-        for trip in self.universe.orbit_sets.get(end, ()):
+        for trip in self.orbits.get(end, ()):
             acc |= blocks[trip[i], trip[j]]
         return acc
 

@@ -10,6 +10,7 @@ from warel.relset import image_atom_structure
 from warel.suitable import build_suitable
 from warel.trails import build_universe
 
+from test_composition_reference import pairs_below
 from test_reduct_reference import ref_carrier
 
 
@@ -151,8 +152,8 @@ def test_final_representation_checks(a2, uni2, net2):
     assert final is net2
     for c in checks:
         assert c.holds, c
-    assert final.pairs(0) == frozenset()
-    assert final.pairs(a2.full) == frozenset(final.label)
+    assert pairs_below(final, 0) == frozenset()
+    assert pairs_below(final, a2.full) == frozenset(final.label)
 
 
 def test_final_identity_only_unit_on_a1(a1):
@@ -160,19 +161,19 @@ def test_final_identity_only_unit_on_a1(a1):
     uni = build_universe(S, 2)
     final, checks = reduct.final_representation(uni, reduct.build_pair_structure(a1, uni))
     assert all(c.holds for c in checks)
-    assert final.pairs(a1.identity) == frozenset(final.label)
+    assert pairs_below(final, a1.identity) == frozenset(final.label)
 
 
 def test_composition_inclusion_d_with_d(a2, net2):
     d = mask_of([1])
-    gd = net2.pairs(d)
+    gd = pairs_below(net2, d)
     composed = {
         (u, w)
         for (u, v1) in gd
         for (v2, w) in gd
         if v1 == v2
     }
-    assert composed & frozenset(net2.label) <= net2.pairs(a2.compose(d, d))
+    assert composed & frozenset(net2.label) <= pairs_below(net2, a2.compose(d, d))
 
 
 def test_rebuilt_structure_matches(a1, a2, pentagon):
@@ -204,15 +205,6 @@ def test_descent_pairs_shorten_names_first_failure(uni2, net2):
     bad = replace(uni2, own_triples=own)
     c = next(c for c in reduct.check_pair_partition(bad, net2) if c.name == "descent-pairs-shorten")
     assert not c.holds and c.detail == str((p, p))
-
-
-def test_pair_lengths_cover_exactly_the_labelled_pairs(pentagon):
-    # final_representation passes the checked pairs as pair_min_length
-    # keys, and counts the rest of the labels as excluded
-    _, census = summarize(3, mod_iso=True)
-    for A, depth in ((pentagon, 3), *((B, 3) for B in census)):
-        uni = build_universe(build_suitable(A), depth)
-        assert uni.pair_min_length.keys() == reduct.build_pair_structure(A, uni).label.keys()
 
 
 def _universe_and_pairs_peak_per_point(A, depth):

@@ -40,6 +40,7 @@ from warel.suitable import COORDS, build_suitable
 from warel.trails import BoundedUniverse, TripleInfo, build_universe
 
 from test_enumerate_reference import sample_structure
+from test_trails_reference import triples_by_end
 
 
 def _assign(label, u, v, a):
@@ -424,7 +425,7 @@ def test_pair_disagreement_matches_reference(inputs):
     rng = random.Random(7)
     raised = 0
     for A, uni, _ in inputs:
-        ends = sorted(uni.orbit_sets)
+        ends = sorted(triples_by_end(uni))
         for _ in range(10):
             trip = rng.choice(sorted(uni.triples))
             info = uni.triples[trip]

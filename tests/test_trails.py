@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warel.core import GuardExceeded
+from warel import reduct
+from warel.core import CheckResult, GuardExceeded
+from warel.cylindric import check_orbit_partition
 from warel.enumerate import summarize
 from warel.suitable import COORDS, SuitableStructure, build_suitable
 from warel.trails import BoundedUniverse, Point, Trail, build_universe
@@ -94,9 +96,9 @@ def apply_lq(uni: BoundedUniverse, q: Trail, u: Point) -> Point:
     the budget |u| + |q| <= bound is enforced, and the inverse action
     by the converse trail undoes it wherever both stay in budget.
     """
-    if u.length + len(q) > uni.bound:
+    if len(u.trail) + len(q) > uni.bound:
         raise GuardExceeded(
-            f"action needs length {u.length + len(q)} > bound {uni.bound}"
+            f"action needs length {len(u.trail) + len(q)} > bound {uni.bound}"
         )
     p = u.trail
     if q.end == p.begin:
@@ -221,13 +223,12 @@ def test_universe_budget(s2):
         build_universe(s2, 3, max_spines=10)
 
 
-def test_orbit_sets_partition(s2, pentagon):
+def test_orbit_partition_holds_and_counts_the_triples(s2, pentagon):
     for S in (s2, build_suitable(pentagon)):
         for L in (2, 3):
             uni = build_universe(S, L)
-            total = sum(len(v) for v in uni.orbit_sets.values())
-            assert total == len(uni.triples)
-            assert set().union(*uni.orbit_sets.values()) == set(uni.triples)
+            want = CheckResult("orbit-partition", True, f"{len(uni.triples)} triples")
+            assert check_orbit_partition(uni) == want
 
 
 def test_apply_lq_identity_case(s2):
@@ -286,7 +287,7 @@ def test_orbit_transitivity_bounded(s2):
                 q = trail_concat(py, trail_converse(px))
                 for k in (0, 1, 2):
                     u = point_of(uni, repoint(px, k))
-                    if u.length + len(q) > uni.bound:
+                    if len(u.trail) + len(q) > uni.bound:
                         continue
                     target = point_of(uni, repoint(py, k))
                     assert apply_lq(uni, q, u) == target
@@ -306,18 +307,26 @@ def test_reduce_properties_hypothesis(a2, seed):
     assert reduce_trail(S, r) == r
 
 
-def test_pair_lengths_as_if_every_pair_were_offered(pentagon):
-    # offering all nine ordered pairs of each new triple, in the order
-    # the triples were first met, gives the same dict in the same order
+def test_pair_lengths_as_if_every_pair_were_offered(a2, pentagon):
+    # the pair-length lemma against its reference: offering all nine
+    # ordered pairs of each new triple, in the order the triples were
+    # first met, gives each pair the length of its shortest triple, and
+    # that is the length of its longer point; the pairs offered are
+    # exactly the labelled pairs final_representation stages by point
+    # length
     _, census = summarize(3, mod_iso=True)
-    for A, depth in ((pentagon, 4), *((B, 3) for B in census)):
+    cases = [(A, d) for A in (a2, pentagon) for d in (1, 2, 3, 4)]
+    cases += [(B, d) for B in census for d in (1, 2, 3)]
+    for A, depth in cases:
         uni = build_universe(build_suitable(A), depth)
-        want = {}
+        offered = {}
         for trip, info in uni.triples.items():
             for i in trip:
                 for j in trip:
-                    want.setdefault((i, j), info.min_length)
-        assert list(uni.pair_min_length.items()) == list(want.items())
+                    offered.setdefault((i, j), info.min_length)
+        lengths = uni.lengths
+        assert offered == {(u, v): max(lengths[u], lengths[v]) for u, v in offered}
+        assert offered.keys() == reduct.build_pair_structure(A, uni).label.keys()
 
 
 def test_fresh_pids_never_share_a_reduced_trail(a2, pentagon):

@@ -7,15 +7,17 @@ its parent's.  It interns every reduced trail through its own
 Trail -> Point dict (``RefUniverse``), where ``build_universe`` gives
 each new point the next int pid.  The descent partners and base pairs
 that ``reduct`` reads off the universe's lists are then computed
-through ``point_of``.  Triples and pair lengths
-must agree in insertion order too, since reports iterate them in that
-order.  ``reduce_trail`` settles a trail with the per-element tables of
+through ``point_of``.  Triples must agree in insertion order too,
+since reports iterate them in that order, and the reference's pair
+lengths, each pair at its first triple, must be the pair-length lemma's
+``max(lengths[u], lengths[v])``.  ``reduce_trail`` settles a trail with the per-element tables of
 the suitable structure that ``build_universe`` reads; the reference
 reducer ``ref_reduce`` is the list-based one with scans over the
 distinguished subsets.  ``random_trail`` and ``reduce_random_order``
 draw trails and normalize them by moves in random order, for the reducer
 tests here and in ``test_trails.py``, which also reads ``reduce_trail``
-and ``repoint``.
+and ``repoint``.  ``triples_by_end`` groups a universe's triples by
+end, for the reference checks that read the orbits.
 """
 
 import random
@@ -210,6 +212,15 @@ class RefUniverse:
         )
 
 
+def triples_by_end(uni):
+    """The reachable triples grouped by the carrier element their trails
+    end at, each group in ``uni.triples`` order."""
+    out = {}
+    for trip, info in uni.triples.items():
+        out.setdefault(info.end, []).append(trip)
+    return out
+
+
 def ref_universe(S, bound):
     """Every spine up to the bound; returns the universe and the number
     of round-trip-free spines among those walked.  ``base_triples``
@@ -249,7 +260,7 @@ def ref_universe(S, bound):
 def ref_xi_of(uni):
     out = {}
     for pt in uni.by_id:
-        if pt.length == 1:
+        if len(pt.trail) == 1:
             out[pt.pid] = frozenset()
             continue
         p = pt.trail
@@ -278,7 +289,10 @@ def assert_matches_reference(A, bound):
     assert uni.lengths == [len(pt.trail) for pt in ref.by_id]
     assert uni.pointers == [pt.trail.pointer for pt in ref.by_id]
     assert list(uni.triples.items()) == list(ref.triples.items())
-    assert list(uni.pair_min_length.items()) == list(ref.pair_min_length.items())
+    lengths = uni.lengths
+    assert ref.pair_min_length == {
+        (u, v): max(lengths[u], lengths[v]) for u, v in ref.pair_min_length
+    }
     assert uni.base_triples == ref.base_triples
     assert uni.frontier_triples() == ref.frontier_triples()
     xi_of = ref_xi_of(ref)
