@@ -207,6 +207,30 @@ def test_descent_pairs_shorten_names_first_failure(uni2, net2):
     assert not c.holds and c.detail == str((p, p))
 
 
+def test_pair_lengths_cover_exactly_the_labelled_pairs(pentagon):
+    # the labelled pairs are the pairs of the reached triples, and
+    # final_representation checks those whose points are both shorter
+    # than the bound and counts the rest of the labels as excluded (the
+    # split is compared where the check runs to the end)
+    _, census = summarize(3, mod_iso=True)
+    held = 0
+    for A, depth in ((pentagon, 3), *((B, 3) for B in census)):
+        uni = build_universe(build_suitable(A), depth)
+        net = reduct.build_pair_structure(A, uni)
+        offered = {(i, j) for trip in uni.triples for i in trip for j in trip}
+        assert offered == net.label.keys()
+        lengths = uni.lengths
+        checked = sum(1 for u, v in offered if max(lengths[u], lengths[v]) < uni.bound)
+        _, checks = reduct.final_representation(uni, net)
+        (lower,) = [c for c in checks if c.name == "composition-lower-nonfrontier"]
+        if lower.holds:
+            held += 1
+            assert lower.detail == f"checked={checked} excluded={len(offered) - checked}"
+        else:
+            assert A is not pentagon, lower
+    assert held > 1
+
+
 def _universe_and_pairs_peak_per_point(A, depth):
     S = build_suitable(A)
     tracemalloc.start()
