@@ -11,9 +11,9 @@ every labelling system through its per-atom certificates (see
 Reports are deterministic.  Exit codes: 0 when every requested check
 passed, 1 when some check failed, 2 for unreadable input or an
 unwritable ``--report`` path (the report is still printed), 3 when a
-budget ran out (a ``<command>.budget = fail`` line) and 4 when an
-internal consistency check broke (a ``<command>.internal = fail``
-line).
+budget or the memory ran out (a ``<command>.budget = fail`` line after
+the lines reported so far) and 4 when an internal consistency check
+broke (a ``<command>.internal = fail`` line).
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except GuardExceeded as exc:
-        report.add(args.command, "budget", False, str(exc))
+    except (GuardExceeded, MemoryError) as exc:
+        report.add(args.command, "budget", False, str(exc) or "out of memory")
         code = 3
     except (labelling.ConsistencyError, reduct.LabelDisagreement) as exc:
         report.add(args.command, "internal", False, str(exc))

@@ -155,8 +155,6 @@ LAWS: tuple[Law, ...] = (
         Row(u, "=", Dom(x), (("u", "identity-atoms"), ("x", "atoms")), guard=u * x)),
 )
 
-LAW_INDEX = {law.name: law for law in LAWS}
-
 
 def elementary_law_suite(A: AtomStructure, require_wa: bool = True) -> tuple[CheckResult, ...]:
     """Run every law; raises if the structure is not WA (the suite is

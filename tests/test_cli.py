@@ -1,3 +1,4 @@
+import resource
 import subprocess
 import sys
 import time
@@ -194,6 +195,25 @@ def test_represent_passes_run_under_the_point_budget(monkeypatch, capsys):
         "represent.budget = fail",
         "witness: saturation exceeded the point budget 100",
     ]
+
+
+def test_out_of_memory_is_a_budget_fail_line():
+    # pentagon at depth 5 peaks near 170 MB; under a 120,000 KiB
+    # address-space cap it runs out of memory while building the trail
+    # pipeline, after the labelling and carrier lines are reported
+    cap = 120_000 * 1024
+    out = subprocess.run(
+        [sys.executable, "-m", "warel.cli", "represent", str(STRUCTURES / "pentagon.alg"), "--depth", "5"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert out.returncode == 3
+    lines = out.stdout.splitlines()
+    assert lines[0] == "represent.precondition-wa = pass"
+    assert lines[-2:] == ["represent.budget = fail", "witness: out of memory"]
+    assert "Traceback" not in out.stderr
 
 
 def test_enumerate_pipeline_small():

@@ -529,9 +529,10 @@ def lossy_cyl(cm, k, x):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_non_additive_cyl_names_the_reference_witness(pentagon, census, seed):
     # under lossy_cyl the sampled reference names a meet-exchange witness
-    # at every seed, while the singleton check gives the line the additive
-    # cylindrification gives: the witness is a join lossy_cyl gets wrong,
-    # which is why the checks rest on the additivity property below
+    # at every seed, while check_na3, which decides the line by its lemma,
+    # gives the line the additive cylindrification gives: the witness is a
+    # join lossy_cyl gets wrong, which is why the lemma and the
+    # singleton-decided checks rest on the block joins of t_star
     for A in (pentagon, census[0]):
         S = build_suitable(A)
         line = "cyl-meet-exchange"

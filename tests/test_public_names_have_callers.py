@@ -1,9 +1,9 @@
-"""Every public top-level function and class, and every public method
-and property of such a class, has a caller outside tests.
+"""Every public top-level function, class and constant, and every public
+method and property of such a class, has a caller outside tests.
 
 A public name (no leading underscore) bound at the top of a module under
-``src/warel`` by ``def`` or ``class``, or by ``def`` in the body of such
-a class, is program code.  If no module under ``src/warel`` or
+``src/warel`` by ``def``, ``class`` or assignment, or by ``def`` in the
+body of such a class, is program code.  If no module under ``src/warel`` or
 ``perfbench`` reads it, and the package does not export it in
 ``__all__``, only the tests call it: it belongs in the tests that use
 it.  A top-level name is read by name or as an attribute; a method or
@@ -30,12 +30,30 @@ def _public(nodes) -> list:
     return [node for node in nodes if isinstance(node, DEFS) and not node.name.startswith("_")]
 
 
-def _public_defs(tree: ast.Module) -> list[tuple[str, str, int, bool]]:
-    """Each public function or class the module defines at its top level,
-    and each public method or property of such a class: the name a
-    caller reads, the name shown (``Class.method`` for a method), the
-    line and whether it is a member of a class."""
+def _assigned(nodes) -> list[tuple[str, int]]:
+    """The public names that assignments among ``nodes`` bind, with their
+    lines: plain and annotated targets, and the names of a tuple target."""
     out = []
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                    out.append((name.id, node.lineno))
+    return out
+
+
+def _public_defs(tree: ast.Module) -> list[tuple[str, str, int, bool]]:
+    """Each public function, class or constant the module binds at its
+    top level, and each public method or property of such a class: the
+    name a caller reads, the name shown (``Class.method`` for a method),
+    the line and whether it is a member of a class."""
+    out = [(name, name, line, False) for name, line in _assigned(tree.body)]
     for node in _public(tree.body):
         out.append((node.name, node.name, node.lineno, False))
         if isinstance(node, ast.ClassDef):

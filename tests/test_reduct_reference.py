@@ -11,16 +11,19 @@ ordered choices over every triple's points; ``ref_replacement_closure``
 tests every replacement of every triple against its headroom.  The
 checks under test compute each end element's label entries once, read
 the pair kinds off the universe's per-point lists inside the partition
-check, type triples without sorting, decide each distinct label matrix
-once and list the demanded replacements once per shortest witness
-length; they must agree with these on every result, witness and
-message, also on universes whose lists were corrupted.
+check, type triples without sorting (``reduct._typed`` must type
+exactly the triples the reference does not call "unclassified"), decide
+each distinct label matrix once and list the demanded replacements
+once per shortest witness length; they must agree with these on every
+result, witness and message, also on universes whose lists were
+corrupted.
 
 ``ref_check_reduct_closure`` and ``ref_check_reduct_isomorphism`` walk
 every element of the reduct's carrier (``ref_carrier``: every join of
 2-blocks) and every pair of source-algebra elements through the element
-tables.  The checks under test decide the same lines on the 2-blocks
-and on the atoms, and must name the same first witness.
+tables.  The checks under test decide ``carrier-two-dimensional`` and
+``operations-closed`` by their lemma and the isomorphism lines on the
+atoms, and must give the same lines and name the same first witness.
 """
 
 import random
@@ -204,10 +207,33 @@ def ref_check_pair_partition(ps):
     )
 
 
-def _kinds(A, uni):
-    """Each reachable triple's type from ``reduct``, in sorted order."""
-    descent, base = reduct._descent_pairs(uni), reduct._base_pairs(A, uni)
-    return [(t, reduct._classify_triple_kind(uni, descent, base, t)) for t in sorted(uni.triples)]
+# The six Lemma 9 types that ``ref_classify_triple_kind`` names.
+LEM9_KINDS = (
+    "descent-descent",
+    "descent-base",
+    "three-base",
+    "doubled-descent",
+    "doubled-base",
+    "single-point",
+)
+
+
+def _descent(uni):
+    """Each point paired with each of its descent partners, both ways round."""
+    return {
+        pr
+        for pid in range(len(uni.own_triples))
+        for q in reduct._partners(uni, pid)
+        for pr in ((pid, q), (q, pid))
+    }
+
+
+def _kinds(A, uni, ref):
+    """Whether ``reduct._typed`` types each reachable triple, and whether
+    the reference gives it a type, in sorted order."""
+    descent, base = _descent(uni), reduct._base_pairs(A, uni)
+    got = [(t, reduct._typed(uni, descent, base, t)) for t in sorted(uni.triples)]
+    return got, [(t, kind != "unclassified") for t, kind in ref.lem9_kind.items()]
 
 
 def ref_key_property(A, uni, label):
@@ -329,17 +355,18 @@ def test_pair_structure_matches_reference(inputs):
     for A, uni, net in inputs:
         assert list(net.label.items()) == list(ref_build_pair_structure(A, uni).label.items())
         ref = ref_pair_split(A, uni, net.label)
-        assert reduct._descent_pairs(uni) == ref.xi_pairs
+        assert _descent(uni) == ref.xi_pairs
         assert reduct._base_pairs(A, uni) == ref.base_pairs
-        assert _kinds(A, uni) == list(ref.lem9_kind.items())
+        got, want = _kinds(A, uni, ref)
+        assert got == want
         assert reduct.check_pair_partition(uni, net) == ref_check_pair_partition(ref)
 
 
 def test_triple_kinds_cover_every_type(inputs):
     # the census and a2/pentagon at depth 3 meet every Lemma 9 type, so
-    # the comparison above tests each branch of the classification
-    seen = {k for A, uni, _ in inputs for _, k in _kinds(A, uni)}
-    assert set(reduct.LEM9_KINDS) <= seen
+    # the comparison above tests each branch of the typing
+    seen = {k for A, uni, net in inputs for k in ref_pair_split(A, uni, net.label).lem9_kind.values()}
+    assert set(LEM9_KINDS) <= seen
 
 
 def _corrupt_lists(uni, rng):
@@ -369,8 +396,11 @@ def test_pair_partition_matches_reference_on_corrupted_lists(inputs):
     for A, uni, net in inputs:
         for _ in range(12):
             bad = _corrupt_lists(uni, rng)
+            ref = ref_pair_split(A, bad, net.label)
+            kinds, want = _kinds(A, bad, ref)
+            assert kinds == want
             got = reduct.check_pair_partition(bad, net)
-            assert got == ref_check_pair_partition(ref_pair_split(A, bad, net.label))
+            assert got == ref_check_pair_partition(ref)
             failed |= {c.name for c in got if not c.holds}
     assert failed == {"pair-partition-exact", "triple-types-total", "descent-pairs-shorten"}
 
@@ -414,7 +444,8 @@ def test_kinds_and_replacements_match_reference_on_draws(a2, pentagon, which, at
     uni = build_universe(build_suitable(A), bound)
     net = reduct.build_pair_structure(A, uni)
     ref = ref_pair_split(A, uni, ref_build_pair_structure(A, uni).label)
-    assert _kinds(A, uni) == list(ref.lem9_kind.items())
+    got, want = _kinds(A, uni, ref)
+    assert got == want
     assert reduct.check_replacement_closure(uni) == ref_replacement_closure(uni)
     assert reduct.check_pair_partition(uni, net) == ref_check_pair_partition(ref)
 

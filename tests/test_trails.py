@@ -11,6 +11,7 @@ from warel.enumerate import summarize
 from warel.suitable import COORDS, SuitableStructure, build_suitable
 from warel.trails import BoundedUniverse, Point, Trail, build_universe
 
+from test_suitable import related
 from test_trails_reference import random_trail, reduce_random_order, reduce_trail, repoint
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,7 @@ def make_trail(
             raise InvalidTrail(f"step index {k} out of range")
         if nodes[i] == nodes[i + 1]:
             raise InvalidTrail(f"consecutive elements equal at position {i}")
-        if not S.related(k, nodes[i], nodes[i + 1]):
+        if not related(S, k, nodes[i], nodes[i + 1]):
             raise InvalidTrail(
                 f"elements {nodes[i]} and {nodes[i + 1]} are not {k}-related"
             )
