@@ -148,6 +148,14 @@ def _label_entries(
     return tuple(entries), True
 
 
+def _matrix_facts(entries: tuple[tuple[int, int, int], ...]) -> set[tuple[int, int, int]]:
+    """The label triples ``(m[x][y], m[y][z], m[x][z])`` of the 27 index
+    choices (x, y, z) over a triple's 3x3 label matrix, given as its nine
+    ``_label_entries``."""
+    m = {(i, j): a for i, j, a in entries}
+    return {(m[x, y], m[y, z], m[x, z]) for x in COORDS for y in COORDS for z in COORDS}
+
+
 def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
     """The trail pipeline's network: an atom label for every ordered pair
     of points of a reachable triple.
@@ -157,6 +165,13 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
     end of the triples, before the walk, and each triple only stores or
     compares its pairs' labels.  A pair given two labels, or a triple
     whose diagonal labels disagree, raises :class:`LabelDisagreement`.
+
+    The network's ``facts`` are seeded from the same per-end entries:
+    by the triangle lemma of :func:`~warel.trails.build_universe` every
+    triangle lies in a reachable triple, whose label matrix is its end's
+    once no pair has two labels, and each of a triple's 27 index choices
+    is a triangle.  So ``facts`` is the union of the ends' matrix facts,
+    at most 27 per end, and no triangle is walked.
     """
     label: dict[tuple[int, int], int] = {}
     ends = {info.end for info in uni.triples.values()}
@@ -170,7 +185,9 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
                 raise LabelDisagreement(f"pair ({u},{v}) labelled {old} and {a}")
         if not agree:
             raise LabelDisagreement(f"diagonal label mismatch at {trip}")
-    return Network(A, label)
+    net = Network(A, label)
+    vars(net)["facts"] = frozenset().union(*(_matrix_facts(entries) for entries, _ in rows.values()))
+    return net
 
 
 def _partners(uni: BoundedUniverse, pid: int) -> tuple[int, ...]:
@@ -289,27 +306,19 @@ def check_key_property(uni: BoundedUniverse, net: Network) -> CheckResult:
     """label(x,y) ; label(y,z) covers label(x,z) on every permutation of
     every reachable triple.
 
-    Exact over every reachable triple, each reading its nine labels from
-    ``net.label``; each distinct 3x3 label matrix is decided once by
-    :meth:`~warel.core.AtomStructure.matrix_violation` over its 27 index
-    choices, which range over the same ordered (x, y, z) as the triple's
-    points.  The first failing triple, in ``uni.triples`` order, is
-    walked again over its points only to name the witness."""
+    Exact over every reachable triple, and decided with
+    ``final.composition-upper-exact``, on ``net.facts``.  Each ordered
+    (x, y, z) over a triple's points is a triangle of ``net``, so the
+    line holds when every fact lies under composition.  On the network
+    of :func:`build_pair_structure` every fact is also read off some
+    triple (the triangle lemma of :func:`~warel.trails.build_universe`),
+    so a failing fact fails the line.  Only then are the triples walked,
+    in ``uni.triples`` order, over their points, to name the witness."""
     comp = net.algebra.comp_atoms
+    if all((1 << c) & comp[a][b] for a, b, c in net.facts):
+        return CheckResult("label-composition-bound", True)
     label = net.label
-    decided: dict[tuple[int, ...], bool] = {}
     for trip in uni.triples:
-        u, v, w = trip
-        m = (
-            label[(u, u)], label[(u, v)], label[(u, w)],
-            label[(v, u)], label[(v, v)], label[(v, w)],
-            label[(w, u)], label[(w, v)], label[(w, w)],
-        )
-        ok = decided.get(m)
-        if ok is None:
-            ok = decided[m] = net.algebra.matrix_violation(m) is None
-        if ok:
-            continue
         pts = set(trip)
         for x in pts:
             for y in pts:
@@ -409,8 +418,12 @@ def final_representation(
     no atom image is empty, identity goes to the diagonal, converse
     to relational inverse, and composition upper containment (composed
     images stay below the image of the composition) over every
-    triangle.  That the atom images cover the unit disjointly is
-    decided by the partition lemma of
+    triangle.  The upper line is decided on ``net.facts``, which
+    :func:`build_pair_structure` seeds per triple end by the triangle
+    lemma of :func:`~warel.trails.build_universe`, so the triangles are
+    walked only on a failure, to name the witness; it is the decision of
+    :func:`check_key_property` too.  That the atom images cover the unit
+    disjointly is decided by the partition lemma of
     :func:`~warel.labelling.verify_representation`, so the
     ``atom-images-partition`` note counts ``len(net.label)``.  The
     reverse containment is checked for pairs whose shortest witness

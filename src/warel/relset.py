@@ -97,9 +97,10 @@ class Network:
     labelled pairs form the unit, and an element x is represented by
     the pairs whose label lies below x.  ``label`` is the one copy of
     the pairs: the row index, field, per-atom image ``sizes`` and
-    ``facts`` are read off it once and cached.  ``facts`` walks the
-    shorter of the two rows of each labelled pair, and is shared by the
-    composition checks and by :func:`image_atom_structure`.
+    ``facts`` are read off it once and cached.  ``facts`` is shared by
+    the composition checks and by :func:`image_atom_structure`.  The
+    trail pipeline's pair stage seeds it from its triples' label
+    matrices; every other network walks its triangles for it.
     """
 
     algebra: AtomStructure
@@ -141,16 +142,14 @@ class Network:
 
         Pairs (u, v) come in label order and, for each, third points w
         in increasing order.  Exact: the walk follows adjacency, w
-        ranging over the sorted row ``out[v]``, one lookup per labelled
-        path u -> v -> w.
+        ranging over the points common to the rows ``out[u]`` and
+        ``out[v]``, and only those are sorted.
         """
         out = self.rows[0]
         for (u, v), a in self.label.items():
-            su = out[u]
-            for w, b in sorted(out.get(v, {}).items()):
-                c = su.get(w)
-                if c is not None:
-                    yield u, v, w, a, b, c
+            su, sv = out[u], out.get(v, {})
+            for w in sorted(su.keys() & sv.keys()):
+                yield u, v, w, a, sv[w], su[w]
 
     @cached_property
     def facts(self) -> frozenset[Triple]:
@@ -160,7 +159,9 @@ class Network:
         (u, v) are the points of ``out[u]`` that are also in ``out[v]``,
         found by walking the shorter of the two rows and looking each
         point up in the other, so the same triangles as
-        :meth:`triangles`."""
+        :meth:`triangles`.  :func:`warel.reduct.build_pair_structure`
+        seeds this cache from its triples instead (its triangle lemma);
+        every other network runs this walk."""
         out_rows = self.rows[0]
         out: set[Triple] = set()
         for (u, v), a in self.label.items():

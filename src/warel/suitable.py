@@ -206,9 +206,11 @@ def check_suitable(S: SuitableStructure) -> tuple[CheckResult, ...]:
     - (ii) ``coordinate-equivalences``: decided by its lemma.  By (i)
       each element has one k-key, and equality of keys is an
       equivalence.
-    - (iii)-(v): exact.  In the complex algebra Cm S the diagonal
-      constant d_kl is E(k, l) and c_k is ``S.t_star(k, .)``, so the
-      cylindric diagonal axioms C5-C7 (Henkin, Monk and Tarski,
+    - (iii)-(v): exact, on a structure that passes (i); otherwise each
+      fails with the detail ``needs axiom (i)``, since they index three
+      key rows and a 3x3 ``e_masks``.  In the complex algebra Cm S the
+      diagonal constant d_kl is E(k, l) and c_k is ``S.t_star(k, .)``,
+      so the cylindric diagonal axioms C5-C7 (Henkin, Monk and Tarski,
       *Cylindric Algebras I*, 1971), d_kk = 1, d_kl = c_m(d_km . d_ml)
       and c_k(d_kl . x) . c_k(d_kl . -x) = 0, are (iii)-(v) restated.
       ``check_na3`` reads the same decisions off the structure.
@@ -225,6 +227,9 @@ def check_suitable(S: SuitableStructure) -> tuple[CheckResult, ...]:
         detail = "" if bad is None else f"subset {bad} leaves the carrier"
     out.append(CheckResult("components-well-typed", not detail, detail))
     out.append(CheckResult("coordinate-equivalences", True))
+    if detail:
+        names = ("diagonal-subsets-full", "saturation-identity", "subset-rigidity")
+        return (*out, *(CheckResult(name, False, "needs axiom (i)") for name in names))
 
     k = S.diagonal_failure
     detail = "" if k is None else f"diagonal subset {k}{k} is not the whole carrier"

@@ -178,6 +178,28 @@ def build_universe(
     The lemma does not hold for triples, which is why ``TripleInfo``
     keeps ``min_length``: a repointed triple is new at length L while
     its points, all reused, can each be shorter than L.
+
+    Triangle lemma: label every pair of points of a reached triple, and
+    call (u, v, w) a triangle when (u, v), (v, w) and (u, w) are
+    labelled.  Every triangle lies in one reached triple.  Two points
+    first: take a labelled pair of distinct points u, v.  If both have
+    length one, the first triple holding the pair has length one, a
+    base triple; each element's base pids are fresh, through the local
+    ``settled`` dict, so no two base triples share a point, and the
+    pair lies in the base triple of either point.  Otherwise, by the
+    pair-length lemma, the longer point is the fresh ``at_k`` of the
+    first triple holding the pair, so the other point lies in the
+    longer point's ``own_triples`` entry.  Two distinct paired points
+    of equal length L >= 2 cannot occur: the other point comes from the
+    parent, whose points are shorter than L.  Three distinct points
+    next: if the longest has length at least two it is unique, by the
+    tie rule just given, and the other two lie in its own triple, where
+    it sits once among two shorter points, so the triangle is a
+    permutation of that triple.  If all three have length one, the
+    three pairs lie in base triples, which share no point, so in one,
+    and the triangle is a permutation of it.  A triangle with a
+    repeated point has at most two points, and lies in any triple
+    holding their pair, or any holding its one point.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")

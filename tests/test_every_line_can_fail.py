@@ -70,6 +70,14 @@ def malformed_structures():
     yield SuitableStructure(elements, ((0, 1, 2),) * 3, ((7, 15, 7), (7, 7, 7), (7, 7, 7)))
 
 
+def misshapen_structures():
+    """Structures breaking axiom (i) by their shape, where axioms
+    (iii)-(v) would index past it: two ``tkey`` rows, or a 3x2
+    ``e_masks``."""
+    yield SuitableStructure(((0, 0, 0), (1, 1, 1)), ((0, 1), (0, 1)), ((3, 3, 3),) * 3)
+    yield SuitableStructure(((0, 0, 0), (1, 1, 1), (2, 2, 2)), ((0, 1, 2),) * 3, ((7, 7),) * 3)
+
+
 def corrupted_structures(a1, a2, pentagon, two_identities):
     """The 504 corruptions of ``test_reduct_reference``, each with its
     source algebra."""
@@ -126,3 +134,21 @@ def test_malformed_structures_fail_axiom_i():
     assert not ref["cyl-increasing"].holds
     got = check_suitable(wide)[0]
     assert (got.holds, got.detail) == (False, "subset (0, 1) leaves the carrier")
+
+
+def test_axiom_i_failures_return_every_suitable_line(a1):
+    # (ii) holds by its lemma; (iii)-(v) are not decided without (i)
+    names = [c.name for c in check_suitable(build_suitable(a1))]
+    details = []
+    for S in (*malformed_structures(), *misshapen_structures()):
+        got = check_suitable(S)
+        assert [c.name for c in got] == names
+        assert got[1].holds
+        assert [(c.holds, c.detail) for c in got[2:]] == [(False, "needs axiom (i)")] * 3
+        details.append(got[0].detail)
+    assert details == [
+        "tkey rows hold [3, 2, 3] keys for 3 elements",
+        "subset (0, 1) leaves the carrier",
+        "tkey rows hold [2, 2] keys for 2 elements",
+        "e_masks is not 3x3",
+    ]

@@ -117,7 +117,7 @@ def test_key_property_triangles_are_final_triangles(a2, pentagon):
     """Every ordered pair of points of a reachable triple is an edge of
     the final network, so each (x, y, z) that ``check_key_property``
     tests is a triangle whose labels are among ``net.facts``: the check
-    re-decides part of ``composition-upper-exact``."""
+    is decided on ``facts``, with ``composition-upper-exact``."""
     _, census = summarize(3, mod_iso=True)
     for A in (a2, pentagon, *census):
         uni = build_universe(build_suitable(A), 3)

@@ -13,8 +13,9 @@ checks under test compute each end element's label entries once, read
 the pair kinds off the universe's per-point lists inside the partition
 check, type triples without sorting (``reduct._typed`` must type
 exactly the triples the reference does not call "unclassified"), decide
-each distinct label matrix once and list the demanded replacements
-once per shortest witness length; they must agree with these on every
+the key property on the network's ``facts``, walking the triples only
+on a failure, and list the demanded replacements once per shortest
+witness length; they must agree with these on every
 result, witness and message, also on universes whose lists were
 corrupted.
 
@@ -35,13 +36,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warel import reduct
-from warel.core import CheckResult, classify, iter_bits
+from warel.core import AtomStructure, CheckResult, classify, iter_bits
 from warel.enumerate import summarize
 from warel.reduct import REPLACEMENT_STEPS, LabelDisagreement
 from warel.relset import Network
 from warel.suitable import COORDS, build_suitable
 from warel.trails import BoundedUniverse, TripleInfo, build_universe
 
+from test_composition_reference import ref_final_upper
 from test_enumerate_reference import sample_structure
 from test_trails_reference import triples_by_end
 
@@ -493,23 +495,101 @@ def test_diagonal_mismatch_matches_reference(two_identities):
 
 
 def test_key_property_matches_reference(inputs):
+    # each mutation gets a network of its own: the line is decided on
+    # ``net.facts``, which a network computes once and caches
     rng = random.Random(11)
     failing = 0
     for A, uni, net in inputs:
-        label = net.label
-        assert reduct.check_key_property(uni, net) == ref_key_property(A, uni, label)
-        pairs = list(label)
+        assert reduct.check_key_property(uni, net) == ref_key_property(A, uni, net.label)
+        pairs = list(net.label)
         for _ in range(40):
+            label = dict(net.label)
             pr = rng.choice(pairs)
-            old = label[pr]
             label[pr] = rng.randrange(A.atom_count)
-            try:
-                got = reduct.check_key_property(uni, net)
-                assert got == ref_key_property(A, uni, label), pr
-            finally:
-                label[pr] = old
+            got = reduct.check_key_property(uni, Network(A, label))
+            assert got == ref_key_property(A, uni, label), pr
             failing += not got.holds
     assert failing > 100
+
+
+# ---------------------------------------------------------------------------
+# The triangle lemma of ``build_universe``: the pair stage seeds its
+# network's ``facts`` from the triples' label matrices, and the walk over
+# every triangle of a network built afresh from the same labels is the
+# reference.
+
+
+def assert_triangles_are_local(A, uni):
+    """The seeded facts are the walked ones, and every triangle on three
+    distinct points is a permutation of its longest point's own triple
+    (a base triple when all three have length one)."""
+    net = reduct.build_pair_structure(A, uni)
+    assert "facts" in vars(net)
+    walked = Network(A, dict(net.label))
+    seen = set()
+    for u, v, w, a, b, c in walked.triangles():
+        seen.add((a, b, c))
+        if u < v < w:  # the unit is symmetric: each point set comes in six orders
+            home = uni.own_triples[max((u, v, w), key=uni.lengths.__getitem__)]
+            assert home in uni.triples and sorted(home) == sorted((u, v, w)), (u, v, w)
+    assert net.facts == walked.facts == seen
+
+
+def test_seeded_facts_are_the_walked_facts(a2, pentagon, census):
+    for A in (a2, pentagon, *census):
+        for depth in (1, 2, 3, 4):
+            assert_triangles_are_local(A, build_universe(build_suitable(A), depth))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_seeded_facts_on_drawn_census_classes(census, data):
+    A = data.draw(st.sampled_from(census))
+    depth = data.draw(st.integers(1, 3))
+    assert_triangles_are_local(A, build_universe(build_suitable(A), depth))
+
+
+def test_hand_built_networks_walk_their_triangles(pentagon):
+    # base points of three carrier elements share no triple; labelling
+    # their pairs r, r and s makes a triangle outside every triple, with
+    # a fact (r, r, s) that r ; r = r forbids
+    uni = build_universe(build_suitable(pentagon), 2)
+    net = reduct.build_pair_structure(pentagon, uni)
+    u, v, w = (base[0] for base in uni.base_triples[:3])
+    label = dict(net.label)
+    for x, y, a in ((u, v, 1), (v, w, 1), (u, w, 2)):
+        assert (x, y) not in label
+        label[(x, y)] = a
+        label[(y, x)] = pentagon.converse[a]
+    hand = Network(pentagon, label)
+    assert "facts" not in vars(hand)
+    assert hand.facts == {(a, b, c) for *_, a, b, c in hand.triangles()}
+    assert hand.facts - net.facts == {(1, 1, 2), (2, 2, 1)}
+    assert set(hand.upper_violation()) == {u, v, w}
+    # no triple holds the triangle, so the walk over the triples finds none
+    assert reduct.check_key_property(uni, hand).holds
+
+
+def test_a_removed_fact_fails_both_lines_with_the_walked_witnesses(pentagon, census):
+    # every fact is some carrier element's cycle, so removing it from the
+    # algebra the pair stage reads fails both lines; the witnesses are
+    # those of the per-pair and the per-triple references
+    failed = 0
+    for A in (pentagon, *census):
+        uni = build_universe(build_suitable(A), 2)
+        for fact in sorted(A.cycles):
+            B = AtomStructure(A.atom_count, A.identity, A.converse, A.cycles - {fact})
+            try:
+                net = reduct.build_pair_structure(B, uni)
+            except LabelDisagreement:
+                continue  # the fact fixed a domain or range atom
+            upper = reduct.final_representation(uni, net)[1][4]
+            assert (upper.name, upper.holds, upper.detail) == ref_final_upper(B, net.label)
+            assert not upper.holds
+            key = reduct.check_key_property(uni, net)
+            assert not key.holds and key == ref_key_property(B, uni, net.label)
+            failed += 1
+    assert failed > 100
 
 
 def _reduct_results(A, S):
