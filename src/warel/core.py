@@ -90,6 +90,13 @@ def peircean_closure(conv: tuple[int, ...], triples: Iterable[Triple]) -> frozen
     return frozenset(out)
 
 
+def matrix_facts(m: Sequence[Optional[int]]) -> set[tuple[Optional[int], ...]]:
+    """The label triples ``(m[3x+y], m[3y+z], m[3x+z])`` of the 27 index
+    choices (x, y, z) over the 3x3 label matrix ``m``, given row by row
+    as :meth:`AtomStructure.matrix_violation` takes it."""
+    return {(m[3 * x + y], m[3 * y + z], m[3 * x + z]) for x, y, z in product(range(3), repeat=3)}
+
+
 @dataclass(frozen=True)
 class AtomStructure:
     """A validated finite atom structure.

@@ -38,7 +38,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .core import CheckResult
-from .suitable import COORDS, SuitableStructure
+from .suitable import COORDS, SuitableStructure, needs_axiom_i
 from .trails import BoundedUniverse
 
 
@@ -85,8 +85,17 @@ def check_na3(S: SuitableStructure) -> tuple[CheckResult, ...]:
     A failing axiom names its first failing instance in loop order.
     The full commutativity of cylindrifications, an equation of
     additive sides, is evaluated over ``singles`` and reported as a
-    verdict line but never asserted.
+    verdict line but never asserted.  On a misshapen structure
+    (``S.misshapen``) every line, the verdict included, fails with
+    ``needs axiom (i)``, as (iii)-(v) do in
+    :func:`warel.suitable.check_suitable`.
     """
+    if S.misshapen:
+        return needs_axiom_i((
+            "boolean-part", "cyl-zero", "cyl-increasing", "cyl-meet-exchange",
+            "diag-diagonal-full", "diag-composition", "diag-rigidity",
+            "guarded-commutativity", "full-commutativity-verdict",
+        ))
     cm = ComplexAlgebra(S)
     singles = [1 << i for i in range(S.size)]
     out: list[CheckResult] = []
@@ -151,8 +160,11 @@ def check_mgr2(S: SuitableStructure) -> tuple[CheckResult, ...]:
     module docstring).  ``mgr2-featured-instance`` is exact over the
     carrier's singletons.  The ternary variants need four distinct
     indices and are vacuous in dimension three, so they are reported as
-    skipped.
+    skipped.  On a misshapen structure every line, ``mgr3`` included,
+    fails with ``needs axiom (i)``, as in :func:`check_na3`.
     """
+    if S.misshapen:
+        return needs_axiom_i(("mgr2", "mgr2-featured-instance", "mgr3"))
     cm = ComplexAlgebra(S)
     singles = [1 << i for i in range(S.size)]
     out: list[CheckResult] = []

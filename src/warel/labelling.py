@@ -18,6 +18,21 @@ rows ``out[u][w] = inn[w][u]`` are the system's only index: a witness
 search walks the shorter of ``out[u]`` and ``inn[v]``, once per pair in
 :func:`find_flaws`.  Its map from algebra elements to relations is an
 embedding up to the staged guarantees of :func:`verify_representation`.
+
+Two lemmas make a system that :func:`initial_system` and :func:`repair`
+built cheap to grow and to check (step-by-step games are local: Hirsch
+and Hodkinson, *Relation Algebras by Games*, 2002):
+
+- Repair locality.  A repair labels only pairs through its fresh point
+  w, and a label never changes once written.  So every triangle of such
+  a system lies over one repair's points (u, v, w), or is an initial
+  loop, and :func:`repair` decides it when it makes it.
+- Repair signatures.  Every check :func:`repair` makes after
+  :meth:`LabellingSystem.is_flaw`, and the five labels it writes, are a
+  function of the signature ``(lab(u,u), a, lab(v,u), lab(v,v), b, c,
+  u == v)`` of the flaw ``(u, a, v, b, c)``, with ``lab`` read from the
+  rows ``out``.  So each signature is decided once, and the system's
+  ``facts`` are read off the label matrices of its signatures.
 """
 
 from __future__ import annotations
@@ -25,10 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import AtomStructure, CheckResult, GuardExceeded, classify, iter_bits
+from .core import AtomStructure, CheckResult, GuardExceeded, classify, iter_bits, matrix_facts
 from .relset import Network, Successors
 
 Flaw = tuple[int, int, int, int, int]  # (u, a, v, b, c)
+# (lab(u,u), a, lab(v,u), lab(v,v), b, c, u == v) of a flaw (u, a, v, b, c)
+Signature = tuple[int, int, int, int, int, int, bool]
+Matrix = tuple[Optional[int], ...]  # the 3x3 labels of three points, row by row
 
 
 class ConsistencyError(RuntimeError):
@@ -46,7 +64,10 @@ class LabellingSystem:
     inn: Successors = field(default_factory=dict)
     repairs_done: int = 0
     # the 3x3 label matrices that _check_triangles_through has passed
-    passing: set[tuple[Optional[int], ...]] = field(default_factory=set)
+    passing: set[Matrix] = field(default_factory=set)
+    # the matrix of (u, v, w) for each repair signature passed so far;
+    # None unless initial_system and repair wrote every label
+    signatures: Optional[dict[Signature, Matrix]] = None
 
     def point_count(self) -> int:
         return len(self.stage)
@@ -77,10 +98,26 @@ class LabellingSystem:
     def network(self) -> Network:
         """The labels as a :class:`~warel.relset.Network` sharing the
         system's rows.  Lemma: ``(out, inn)`` is what ``Network.rows``
-        builds from ``label``, key order included: ``_add_label``, the
-        only writer of ``label``, enters each pair in both at once."""
+        builds from ``label``, key order included: ``_add_label`` and
+        :func:`repair`, the only writers of ``label``, enter each pair
+        in both at once and in the same order.
+
+        A system with ``signatures`` also seeds the network's ``facts``:
+        they are the initial loops' ``(e, e, e)`` together with the 27
+        index choices of each signature's matrix.  Proof: in a triangle
+        on three distinct points, let z be the newest.  Only z's own
+        repair labels pairs between z and older points, so the other
+        two are that repair's u and v, and the triangle is an index
+        choice of its matrix.  A triangle with a repeated point lies in
+        the matrix of any repair through its points, or is an initial
+        loop.  Labels never change once written, so each matrix is
+        final, and each of its index choices is a triangle.  A system
+        built directly has no ``signatures``, and its network walks."""
         net = Network(self.algebra, self.label)
         vars(net)["rows"] = (self.out, self.inn)
+        if self.signatures is not None:
+            loops = {(e, e, e) for e in iter_bits(self.algebra.identity)}
+            vars(net)["facts"] = frozenset(loops.union(*map(matrix_facts, self.signatures.values())))
         return net
 
     def has_witness(self, u: int, b: int, c: int, v: int) -> bool:
@@ -117,7 +154,7 @@ def initial_system(A: AtomStructure) -> LabellingSystem:
         )
     if not A.identity:
         raise ValueError("labelling needs at least one identity atom")
-    ls = LabellingSystem(A)
+    ls = LabellingSystem(A, signatures={})
     for e in iter_bits(A.identity):
         p = ls._add_point(0)
         ls._add_label(p, e, p)
@@ -136,11 +173,11 @@ def find_flaws(ls: LabellingSystem, scope: Optional[int] = None) -> list[Flaw]:
     return out
 
 
-def _check_triangles_through(ls: LabellingSystem, pts: tuple[int, ...]) -> None:
+def _check_triangles_through(ls: LabellingSystem, pts: tuple[int, ...]) -> Matrix:
     """Property (v) on every ordered triple (u, w, v) over ``pts``, in
     that order: each distinct label matrix of ``pts`` is decided once by
     :meth:`~warel.core.AtomStructure.matrix_violation` and kept in
-    ``ls.passing`` when it passes."""
+    ``ls.passing`` when it passes.  Returns the matrix."""
     rows = [ls.out.get(x, {}) for x in pts]
     m = tuple([row.get(y) for row in rows for y in pts])
     if m not in ls.passing:
@@ -152,6 +189,7 @@ def _check_triangles_through(ls: LabellingSystem, pts: tuple[int, ...]) -> None:
                 f"({m[3 * x + y]},{m[3 * y + z]},{m[3 * x + z]}) violate the composition bound"
             )
         ls.passing.add(m)
+    return m
 
 
 def repair(ls: LabellingSystem, f: Flaw, stage: Optional[int] = None) -> LabellingSystem:
@@ -161,6 +199,14 @@ def repair(ls: LabellingSystem, f: Flaw, stage: Optional[int] = None) -> Labelli
     Mutates and returns the system.  Raises if f is not currently a
     flaw, or if any structural property would break (which cannot
     happen over a WA input and signals a bad algebra otherwise).
+
+    In a system with ``signatures`` the checks after the flaw test are
+    decided once per signature (the module's signature lemma): the
+    first repair with a signature runs them all, and a later one only
+    writes its five labels, read off the cached matrix of (u, v, w), in
+    the same order.  The last check reads the new witness w alone: the
+    flaw had no witness before, and only pairs through w change, so it
+    is a flaw afterwards exactly when w does not witness it.
     """
     if not ls.is_flaw(f):
         raise ValueError(f"not a flaw (already witnessed or unlabelled): {f}")
@@ -168,18 +214,35 @@ def repair(ls: LabellingSystem, f: Flaw, stage: Optional[int] = None) -> Labelli
     A = ls.algebra
     if stage is None:
         stage = ls.passes_done + 1
-    rng_b = A.rng_atom(b)
-    if bin(rng_b).count("1") != 1:
-        raise ConsistencyError(f"range of atom {b} is not an atom")
-    w = ls._add_point(stage)
-    ls._add_label(u, b, w)
-    ls._add_label(w, c, v)
-    ls._add_label(w, A.converse[b], u)
-    ls._add_label(v, A.converse[c], w)
-    ls._add_label(w, rng_b.bit_length() - 1, w)
-    _check_triangles_through(ls, (u, v, w))
-    if ls.is_flaw(f):
-        raise ConsistencyError(f"repair did not remove the flaw {f}")
+    known = ls.signatures
+    sig = m = None
+    if known is not None:
+        ru, rv = ls.out[u], ls.out[v]
+        sig = (ru[u], a, rv[u], rv[v], b, c, u == v)
+        m = known.get(sig)
+    if m is None:
+        rng_b = A.rng_atom(b)
+        if bin(rng_b).count("1") != 1:
+            raise ConsistencyError(f"range of atom {b} is not an atom")
+        w = ls._add_point(stage)
+        ls._add_label(u, b, w)
+        ls._add_label(w, c, v)
+        ls._add_label(w, A.converse[b], u)
+        ls._add_label(v, A.converse[c], w)
+        ls._add_label(w, rng_b.bit_length() - 1, w)
+        m = _check_triangles_through(ls, (u, v, w))
+        if ls.out[u].get(w) != b or ls.out[w].get(v) != c:
+            raise ConsistencyError(f"repair did not remove the flaw {f}")
+        if known is not None:
+            known[sig] = m
+    else:
+        w = ls._add_point(stage)
+        label, out, inn = ls.label, ls.out, ls.inn
+        # m is row by row over (u, v, w): m[2] = lab(u,w), m[5] = lab(v,w), ...
+        for x, y, lab in ((u, w, m[2]), (w, v, m[7]), (w, u, m[6]), (v, w, m[5]), (w, w, m[8])):
+            label[x, y] = lab
+            out.setdefault(x, {})[y] = lab
+            inn.setdefault(y, {})[x] = lab
     ls.repairs_done += 1
     return ls
 

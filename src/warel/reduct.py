@@ -25,10 +25,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .core import AtomStructure, CheckResult, iter_bits
+from .core import AtomStructure, CheckResult, iter_bits, matrix_facts
 from .cylindric import ComplexAlgebra
 from .relset import Network
-from .suitable import COORDS, SuitableStructure
+from .suitable import COORDS, SuitableStructure, needs_axiom_i
 from .trails import BoundedUniverse
 
 
@@ -80,7 +80,11 @@ def check_reduct_closure(S: SuitableStructure) -> tuple[CheckResult, ...]:
     Only ``identity-two-dimensional`` is computed.  The other two lines
     are decided by their lemma: the 2-blocks are disjoint, so a join of
     2-blocks is its own c_2, and converse and composition both end in
-    c_2, whose values are such joins."""
+    c_2, whose values are such joins.  On a misshapen structure
+    (``S.misshapen``) every line fails with ``needs axiom (i)``, as in
+    :func:`warel.cylindric.check_na3`."""
+    if S.misshapen:
+        return needs_axiom_i(("carrier-two-dimensional", "identity-two-dimensional", "operations-closed"))
     ra = ra_reduct(S)
     return (
         CheckResult("carrier-two-dimensional", True),
@@ -149,11 +153,12 @@ def _label_entries(
 
 
 def _matrix_facts(entries: tuple[tuple[int, int, int], ...]) -> set[tuple[int, int, int]]:
-    """The label triples ``(m[x][y], m[y][z], m[x][z])`` of the 27 index
-    choices (x, y, z) over a triple's 3x3 label matrix, given as its nine
-    ``_label_entries``."""
-    m = {(i, j): a for i, j, a in entries}
-    return {(m[x, y], m[y, z], m[x, z]) for x in COORDS for y in COORDS for z in COORDS}
+    """:func:`~warel.core.matrix_facts` of a triple's 3x3 label matrix,
+    given as its nine ``_label_entries``."""
+    m = [0] * 9
+    for i, j, a in entries:
+        m[3 * i + j] = a
+    return matrix_facts(m)
 
 
 def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:

@@ -112,6 +112,13 @@ class SuitableStructure:
             out.append(tuple(row))
         return tuple(out)
 
+    @cached_property
+    def misshapen(self) -> bool:
+        """Axiom (i) fails by shape: ``tkey`` has not three rows, or
+        ``e_masks`` is not 3x3.  A check that indexes three key rows and
+        a 3x3 ``e_masks`` decides none of its lines then."""
+        return len(self.tkey) != 3 or [len(row) for row in self.e_masks] != [3] * 3
+
     # Axioms (iii)-(v), each decided once: the first failing instance in
     # loop order, or None.  check_suitable and check_na3 both read them.
 
@@ -196,6 +203,11 @@ def build_suitable(A: AtomStructure) -> SuitableStructure:
     )
 
 
+def needs_axiom_i(names: tuple[str, ...]) -> tuple[CheckResult, ...]:
+    """The lines ``names``, each failed as undecided without axiom (i)."""
+    return tuple(CheckResult(name, False, "needs axiom (i)") for name in names)
+
+
 def check_suitable(S: SuitableStructure) -> tuple[CheckResult, ...]:
     """The five suitable-structure axioms.
 
@@ -228,8 +240,7 @@ def check_suitable(S: SuitableStructure) -> tuple[CheckResult, ...]:
     out.append(CheckResult("components-well-typed", not detail, detail))
     out.append(CheckResult("coordinate-equivalences", True))
     if detail:
-        names = ("diagonal-subsets-full", "saturation-identity", "subset-rigidity")
-        return (*out, *(CheckResult(name, False, "needs axiom (i)") for name in names))
+        return (*out, *needs_axiom_i(("diagonal-subsets-full", "saturation-identity", "subset-rigidity")))
 
     k = S.diagonal_failure
     detail = "" if k is None else f"diagonal subset {k}{k} is not the whole carrier"

@@ -152,3 +152,16 @@ def test_axiom_i_failures_return_every_suitable_line(a1):
         "tkey rows hold [2, 2] keys for 2 elements",
         "e_masks is not 3x3",
     ]
+
+
+def test_misshapen_structures_fail_every_line_needing_axiom_i(a1):
+    # check_suitable's rule, applied to every line of the checks that
+    # index three key rows and a 3x3 e_masks, verdict lines included
+    good = build_suitable(a1)
+    for check in (check_na3, check_mgr2, reduct.check_reduct_closure):
+        names = [c.name for c in check(good)]
+        for S in misshapen_structures():
+            assert S.misshapen and not good.misshapen
+            got = check(S)
+            assert [c.name for c in got] == names
+            assert [(c.holds, c.detail) for c in got] == [(False, "needs axiom (i)")] * len(names)

@@ -1,0 +1,208 @@
+"""Signature-decided repairs and seeded facts against the full repair.
+
+``ref_repair`` is the repair that runs every check on every repair: five
+``_add_label`` calls, ``_check_triangles_through`` on (u, v, w) and a
+whole ``is_flaw`` search afterwards.  ``ref_saturate`` runs the passes of
+``saturate`` with it on a system built directly (``ref_initial``), which
+has no ``signatures``.  ``saturate`` decides each repair signature once
+(the signature lemma of ``warel.labelling``) and must leave the same
+labels, rows (key order included), stages, passing matrices and repair
+count.  Its network's ``facts``, seeded from the signatures' matrices
+(the repair-locality lemma of ``LabellingSystem.network``), must be the
+facts a walk over every triangle finds.  A repair that breaks a
+structural property must raise the reference's ``ConsistencyError``.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_composition_reference import _by_name, _system, ref_labelling_upper
+from warel import labelling as lb
+from warel.core import iter_bits, validate_atom_structure
+from warel.enumerate import summarize
+from warel.relset import Network
+
+
+def ref_initial(A):
+    """``initial_system`` without its WA check and its signatures."""
+    ls = lb.LabellingSystem(A)
+    for e in iter_bits(A.identity):
+        p = ls._add_point(0)
+        ls._add_label(p, e, p)
+    return ls
+
+
+def ref_repair(ls, f, stage=None):
+    if not ls.is_flaw(f):
+        raise ValueError(f"not a flaw (already witnessed or unlabelled): {f}")
+    u, a, v, b, c = f
+    A = ls.algebra
+    if stage is None:
+        stage = ls.passes_done + 1
+    rng_b = A.rng_atom(b)
+    if bin(rng_b).count("1") != 1:
+        raise lb.ConsistencyError(f"range of atom {b} is not an atom")
+    w = ls._add_point(stage)
+    ls._add_label(u, b, w)
+    ls._add_label(w, c, v)
+    ls._add_label(w, A.converse[b], u)
+    ls._add_label(v, A.converse[c], w)
+    ls._add_label(w, rng_b.bit_length() - 1, w)
+    lb._check_triangles_through(ls, (u, v, w))
+    if ls.is_flaw(f):
+        raise lb.ConsistencyError(f"repair did not remove the flaw {f}")
+    ls.repairs_done += 1
+    return ls
+
+
+def ref_saturate(ls, passes):
+    for k in range(ls.passes_done + 1, ls.passes_done + passes + 1):
+        for f in lb.find_flaws(ls, scope=k):
+            if ls.is_flaw(f):
+                ref_repair(ls, f, stage=k)
+        ls.passes_done = k
+    return ls
+
+
+def _state(ls):
+    rows = lambda index: [(p, list(row.items())) for p, row in index.items()]
+    return (
+        list(ls.label.items()), rows(ls.out), rows(ls.inn), list(ls.stage.items()),
+        ls.passing, ls.repairs_done, ls.passes_done,
+    )
+
+
+def assert_saturation_matches_reference(A, passes):
+    """Pass by pass up to ``passes``: the same state as the reference,
+    and seeded facts equal to the walked ones."""
+    ls, ref = lb.initial_system(A), ref_initial(A)
+    for k in range(passes + 1):
+        if k:
+            lb.saturate(ls, 1)
+            ref_saturate(ref, 1)
+        assert _state(ls) == _state(ref), k
+        net = ls.network()
+        assert "facts" in vars(net)
+        assert net.facts == Network(A, dict(ls.label)).facts == ref.network().facts, k
+    return ls
+
+
+@pytest.fixture(scope="module")
+def census():
+    return summarize(3, mod_iso=True)[1]
+
+
+def test_saturate_matches_reference_on_pentagon(pentagon):
+    ls = assert_saturation_matches_reference(pentagon, 6)
+    assert ls.repairs_done == 2048 and len(ls.signatures) == 8
+
+
+def test_saturate_matches_reference_on_small_structures(a1, a2, two_identities):
+    for A in (a1, a2, two_identities):
+        assert_saturation_matches_reference(A, 4)
+
+
+def test_saturate_matches_reference_on_the_census(census):
+    assert len(census) == 17
+    for A in census:
+        assert_saturation_matches_reference(A, 3)
+
+
+def _relabelled(A, perm):
+    """A with atom a renamed perm[a]."""
+    return validate_atom_structure(
+        A.atom_count,
+        [perm[e] for e in iter_bits(A.identity)],
+        {perm[a]: perm[b] for a, b in enumerate(A.converse)},
+        [(perm[x], perm[y], perm[z]) for x, y, z in A.cycles],
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_saturate_matches_reference_on_drawn_census_classes(census, data):
+    # a relabelling reorders the flaws, and so which repair of a
+    # signature comes first
+    A = data.draw(st.sampled_from(census))
+    perm = data.draw(st.permutations(range(A.atom_count)))
+    assert_saturation_matches_reference(_relabelled(A, perm), data.draw(st.integers(1, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Repairs that break a structural property, over non-WA structures
+
+# e1, e2 and a self-converse d with e1 ; d = d: the flaw (0, d, 1, e1, d)
+# labels (0, w) with e1
+IDENTITY_B = validate_atom_structure(
+    3, [0, 1], {}, [(2, 2, 0), (2, 0, 2), (0, 2, 2), (0, 0, 0), (1, 1, 1)]
+)
+# d ; d meets both identity atoms, so the range of d is not an atom
+TWO_RANGES = validate_atom_structure(3, [0, 1], {}, [(2, 2, 0), (2, 2, 1)], auto_close=True)
+# e <= r ; r with r~ = s: repairing (0, e, 0, r, r) labels (w, 0) r, then s
+CLASH = validate_atom_structure(3, [0], [(1, 2)], [(1, 1, 0), (2, 1, 0)], auto_close=True)
+
+FAILING = {
+    "identity-b": (
+        IDENTITY_B, {(0, 0): 1, (1, 1): 0, (0, 1): 2, (1, 0): 2}, (0, 2, 1, 0, 2),
+        "identity atom 0 labelling distinct points 0, 2",
+    ),
+    "range": (TWO_RANGES, {(0, 0): 0}, (0, 0, 0, 2, 2), "range of atom 2 is not an atom"),
+    "u-equals-v-clash": (
+        CLASH, {(0, 0): 0}, (0, 0, 0, 1, 1), "pair (1, 0) would carry two labels 1 and 2",
+    ),
+}
+
+
+def _hand_built(A, label, signatures):
+    ls = lb.LabellingSystem(A, signatures=signatures)
+    for _ in {p for pair in label for p in pair}:
+        ls._add_point(0)
+    for (u, v), a in label.items():
+        ls._add_label(u, a, v)
+    return ls
+
+
+def _raised(ls, repair, f):
+    try:
+        repair(ls, f)
+    except lb.ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("recorded", [False, True])
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_failing_repair_raises_the_reference_message(case, recorded):
+    # a system with signatures runs every check on a signature's first
+    # repair, so it fails as the reference does
+    A, label, f, message = FAILING[case]
+    ls = _hand_built(A, label, {} if recorded else None)
+    assert ls.is_flaw(f)
+    assert _raised(ls, lb.repair, f) == _raised(_hand_built(A, label, None), ref_repair, f) == message
+    assert ls.signatures in (None, {})
+
+
+# ---------------------------------------------------------------------------
+# Systems built directly walk their triangles
+
+
+def test_systems_built_directly_walk_their_triangles(pentagon):
+    ls = lb.saturate(lb.initial_system(pentagon), 2)
+    hand = _system(pentagon, dict(ls.label), list(ls.stage.values()))
+    assert hand.signatures is None
+    net = hand.network()
+    assert "facts" not in vars(net)
+    assert net.facts == ls.network().facts
+
+
+def test_a_breaking_label_fails_composition_upper_with_the_walked_witness(pentagon):
+    ls = lb.saturate(lb.initial_system(pentagon), 3)
+    assert _by_name(lb.verify_representation(ls, 3))["composition-upper"][1]
+    label = dict(ls.label)
+    u, v = next(pair for pair, a in label.items() if a == 1)
+    label[(u, v)], label[(v, u)] = 2, 1  # r and s swapped on one edge
+    hand = _system(pentagon, label, list(ls.stage.values()))
+    got = _by_name(lb.verify_representation(hand, 2))["composition-upper"]
+    witness = Network(pentagon, label).upper_violation()
+    assert witness is not None
+    assert got == ref_labelling_upper(hand) == ("composition-upper", False, f"triangle {witness}")
