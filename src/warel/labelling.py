@@ -19,9 +19,9 @@ search walks the shorter of ``out[u]`` and ``inn[v]``, once per pair in
 :func:`find_flaws`.  Its map from algebra elements to relations is an
 embedding up to the staged guarantees of :func:`verify_representation`.
 
-Two lemmas make a system that :func:`initial_system` and :func:`repair`
-built cheap to grow and to check (step-by-step games are local: Hirsch
-and Hodkinson, *Relation Algebras by Games*, 2002):
+Three lemmas make a system that :func:`initial_system` and
+:func:`repair` built cheap to grow and to check (step-by-step games are
+local: Hirsch and Hodkinson, *Relation Algebras by Games*, 2002):
 
 - Repair locality.  A repair labels only pairs through its fresh point
   w, and a label never changes once written.  So every triangle of such
@@ -33,11 +33,24 @@ and Hodkinson, *Relation Algebras by Games*, 2002):
   u == v)`` of the flaw ``(u, a, v, b, c)``, with ``lab`` read from the
   rows ``out``.  So each signature is decided once, and the system's
   ``facts`` are read off the label matrices of its signatures.
+- Flaw locality.  Let w be a point made in pass k-1 by a repair of
+  ``(u, a, v, b, c)``.  Pass k-1 repairs only flaws between points
+  older than k-1, so at the start of pass k w's rows hold exactly the
+  five labels of its repair, and a witness of a pair through w is one
+  of u, v, w.  Pairs between points older than k-1 are flaw-free after
+  pass k-1, and two points of stage k-1 share no label.  So pass k's
+  flaws are those on the pairs through each such w, a function of the
+  3x3 label matrix of (u, v, w), and so of the repair's signature:
+  :func:`saturate` lists them from a template per signature.  The
+  guard: every stage-(k-1) point must be a repair of pass k-1, which
+  holds when pass k-1 ran in the same :func:`saturate` call and no
+  point had a stage at or above that call's first pass when it began.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .core import AtomStructure, CheckResult, GuardExceeded, classify, iter_bits, matrix_facts
@@ -173,6 +186,13 @@ def find_flaws(ls: LabellingSystem, scope: Optional[int] = None) -> list[Flaw]:
     return out
 
 
+def _signature(ls: LabellingSystem, f: Flaw) -> Signature:
+    """The repair signature of the flaw f, read from the rows."""
+    u, a, v, b, c = f
+    ru, rv = ls.out[u], ls.out[v]
+    return (ru[u], a, rv[u], rv[v], b, c, u == v)
+
+
 def _check_triangles_through(ls: LabellingSystem, pts: tuple[int, ...]) -> Matrix:
     """Property (v) on every ordered triple (u, w, v) over ``pts``, in
     that order: each distinct label matrix of ``pts`` is decided once by
@@ -217,8 +237,7 @@ def repair(ls: LabellingSystem, f: Flaw, stage: Optional[int] = None) -> Labelli
     known = ls.signatures
     sig = m = None
     if known is not None:
-        ru, rv = ls.out[u], ls.out[v]
-        sig = (ru[u], a, rv[u], rv[v], b, c, u == v)
+        sig = _signature(ls, f)
         m = known.get(sig)
     if m is None:
         rng_b = A.rng_atom(b)
@@ -255,20 +274,94 @@ def saturate(
     endpoints at a stage below ``passes``.  ``max_points`` bounds the
     points: a repair that would add a point beyond it raises
     ``GuardExceeded``, and a listed flaw that an earlier repair of the
-    pass already witnessed adds none."""
+    pass already witnessed adds none.
+
+    The first pass of a call lists its flaws with :func:`find_flaws`.  A
+    later pass k of a system with ``signatures`` lists them from the
+    repairs of pass k-1 (the module's flaw-locality lemma): each fresh
+    point's flaws are a template of its repair's signature, computed
+    once per call, and the instances are sorted into :func:`find_flaws`'
+    order.  The guard: the lemma needs every stage-(k-1) point to be a
+    repair of pass k-1, so templates are used only when no point had a
+    stage at or above the call's first pass when the call began (a
+    :func:`repair` outside ``saturate`` can leave one).
+
+    Each listed flaw is tested once, by :func:`repair`, or skipped.  A
+    repair of (u, v) can witness only flaws on (v, u), (u, u) and
+    (v, v), through its fresh point.  So a listed flaw on (x, y) with
+    x < y is still a flaw when its turn comes, and one with x >= y is
+    skipped when a point made earlier in the pass witnesses it
+    (:func:`_witnessed_since`)."""
     if passes < 0:
         raise ValueError("passes must be nonnegative")
-    for k in range(ls.passes_done + 1, ls.passes_done + passes + 1):
-        for f in find_flaws(ls, scope=k):
-            if not ls.is_flaw(f):
+    first = ls.passes_done + 1
+    last = first + passes - 1
+    templated = ls.signatures is not None and max(ls.stage.values(), default=0) < first
+    templates: dict[Signature, tuple[Flaw, ...]] = {}
+    fresh: Optional[list[tuple[int, int, int, Signature]]] = None
+    for k in range(first, last + 1):
+        flaws = find_flaws(ls, scope=k) if fresh is None else _fresh_flaws(ls, fresh, templates)
+        fresh = [] if templated and k < last else None
+        start = ls.point_count()
+        for f in flaws:
+            u, _, v, _, _ = f
+            if u >= v and _witnessed_since(ls.out, start, f):
                 continue
             if max_points is not None and ls.point_count() >= max_points:
                 raise GuardExceeded(
                     f"saturation exceeded the point budget {max_points}"
                 )
+            if fresh is not None:
+                fresh.append((u, v, ls.point_count(), _signature(ls, f)))
             repair(ls, f, stage=k)
         ls.passes_done = k
     return ls
+
+
+def _witnessed_since(out: Successors, start: int, f: Flaw) -> bool:
+    """A point numbered ``start`` or later witnesses the flaw f.  Such a
+    point w is fresh after ``start``, and a repair adds (u, w) to
+    ``out[u]`` only for its fresh w, so these points are the last keys
+    of ``out[u]``: the walk stops at the first older one."""
+    u, _, v, b, c = f
+    for w, x in reversed(out[u].items()):
+        if w < start:
+            return False
+        if x == b and out[w].get(v) == c:
+            return True
+    return False
+
+
+def _flaw_template(A: AtomStructure, m: Matrix, same: bool) -> tuple[Flaw, ...]:
+    """The flaws on the pairs through w of a repair whose points (u, v, w)
+    carry the label matrix ``m``, as (i, a, j, b, c) with i and j indices
+    into (u, v, w), while w's rows hold only that repair's labels: a
+    witness of such a pair is then one of u, v, w.  ``same`` is u == v."""
+    ends = (0, 2) if same else (0, 1, 2)
+    return tuple(
+        (i, m[3 * i + j], j, b, c)
+        for i in ends for j in ends if 2 in (i, j)
+        for b, c in A.factor_pairs[m[3 * i + j]]
+        if not any(m[3 * i + z] == b and m[3 * z + j] == c for z in ends)
+    )
+
+
+def _fresh_flaws(
+    ls: LabellingSystem,
+    fresh: list[tuple[int, int, int, Signature]],
+    templates: dict[Signature, tuple[Flaw, ...]],
+) -> list[Flaw]:
+    """The flaws at the start of a pass, from the (u, v, w, signature) of
+    each repair of the previous pass, in :func:`find_flaws`' order."""
+    flaws: list[Flaw] = []
+    for u, v, w, sig in fresh:
+        template = templates.get(sig)
+        if template is None:
+            template = templates[sig] = _flaw_template(ls.algebra, ls.signatures[sig], sig[6])
+        pts = (u, v, w)
+        flaws += [(pts[i], a, pts[j], b, c) for i, a, j, b, c in template]
+    flaws.sort(key=itemgetter(0, 2, 3, 4))
+    return flaws
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,16 @@ count.  Its network's ``facts``, seeded from the signatures' matrices
 (the repair-locality lemma of ``LabellingSystem.network``), must be the
 facts a walk over every triangle finds.  A repair that breaks a
 structural property must raise the reference's ``ConsistencyError``.
+
+``saturate`` lists a pass's flaws from the previous pass's repairs only
+when both ran in one call (the flaw-locality lemma), so each input is
+also saturated in one call for each pass count and compared with the
+reference, and every listing made from templates must equal
+``find_flaws`` taken at the start of its pass.  A template that leaves a
+flaw unrepaired must fail ``composition-lower-staged``.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +73,25 @@ def ref_saturate(ls, passes):
     return ls
 
 
+def saturate_checking_listings(A, passes):
+    """``saturate(initial_system(A), passes)`` in one call, requiring each
+    pass listed from templates to list ``find_flaws(ls, scope=k)`` taken
+    at the start of pass k; returns the system and those passes."""
+    listed, real = [], lb._fresh_flaws
+
+    def checked(ls, fresh, templates):
+        flaws = real(ls, fresh, templates)
+        k = ls.passes_done + 1
+        assert flaws == lb.find_flaws(ls, scope=k), k
+        listed.append(k)
+        return flaws
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lb, "_fresh_flaws", checked)
+        ls = lb.saturate(lb.initial_system(A), passes)
+    return ls, listed
+
+
 def _state(ls):
     rows = lambda index: [(p, list(row.items())) for p, row in index.items()]
     return (
@@ -74,13 +102,18 @@ def _state(ls):
 
 def assert_saturation_matches_reference(A, passes):
     """Pass by pass up to ``passes``: the same state as the reference,
-    and seeded facts equal to the walked ones."""
+    and seeded facts equal to the walked ones; and the same state from
+    one call of ``saturate`` for each pass count, every pass after the
+    first listed from templates."""
     ls, ref = lb.initial_system(A), ref_initial(A)
     for k in range(passes + 1):
         if k:
             lb.saturate(ls, 1)
             ref_saturate(ref, 1)
         assert _state(ls) == _state(ref), k
+        whole, listed = saturate_checking_listings(A, k)
+        assert listed == list(range(2, k + 1))
+        assert _state(whole) == _state(ref), k
         net = ls.network()
         assert "facts" in vars(net)
         assert net.facts == Network(A, dict(ls.label)).facts == ref.network().facts, k
@@ -106,6 +139,51 @@ def test_saturate_matches_reference_on_the_census(census):
     assert len(census) == 17
     for A in census:
         assert_saturation_matches_reference(A, 3)
+
+
+def test_manual_repairs_at_a_later_stage_turn_templates_off(pentagon):
+    # the points of two repairs made outside saturate at the default stage
+    # 3 are fresh in pass 4 without being repairs of pass 3
+    ls = lb.saturate(lb.initial_system(pentagon), 2)
+    ref = ref_saturate(ref_initial(pentagon), 2)
+    for f in lb.find_flaws(ls, scope=3)[:2]:
+        lb.repair(ls, f)
+        ref_repair(ref, f)
+    assert _state(ls) == _state(ref)
+    lb.saturate(ls, 2)
+    ref_saturate(ref, 2)
+    assert ls.point_count() == 129
+    assert _state(ls) == _state(ref)
+    assert all(r.holds for r in lb.verify_representation(ls, 4))
+
+
+def test_a_listing_that_leaves_a_flaw_fails_composition_lower(pentagon):
+    # a flaw left out of a listing alone is witnessed when its converse
+    # flaw is repaired, so the first template drops a flaw and its
+    # converse (the listings above must equal find_flaws, which catches
+    # either drop)
+    real, conv = lb._flaw_template, pentagon.converse
+    dropped = set()
+
+    def leaky(A, m, same):
+        full = real(A, m, same)
+        if dropped or not full:
+            return full
+        i, a, j, b, c = full[0]
+        dropped.update({(i, a, j, b, c), (j, conv[a], i, conv[c], conv[b])})
+        template = tuple(e for e in full if e not in dropped)
+        assert len(template) == len(full) - 2
+        return template
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lb, "_flaw_template", leaky)
+        ls = lb.saturate(lb.initial_system(pentagon), 4)
+    assert len(dropped) == 2
+    _, holds, detail = _by_name(lb.verify_representation(ls, 4))["composition-lower-staged"]
+    found = re.fullmatch(r"checked=\d+ excluded=\d+ flaw=\((\d+), (\d+), (\d+), (\d+), (\d+)\)", detail)
+    assert not holds and found
+    _, a, _, b, c = map(int, found.groups())
+    assert (a, b, c) in {e[1:2] + e[3:] for e in dropped}
 
 
 def _relabelled(A, perm):
@@ -180,6 +258,18 @@ def test_failing_repair_raises_the_reference_message(case, recorded):
     assert ls.is_flaw(f)
     assert _raised(ls, lb.repair, f) == _raised(_hand_built(A, label, None), ref_repair, f) == message
     assert ls.signatures in (None, {})
+
+
+def test_a_repair_of_a_later_pair_witnesses_its_loop(a2):
+    # without (0, 1), the flaw (1, d, 0, d, d) is not witnessed by a
+    # repair of its converse; its repair witnesses the loop (1, e, 1, d, d)
+    # listed after it, which saturate must skip as the reference does
+    label = {(0, 0): 0, (1, 1): 0, (1, 0): 1}
+    ls, ref = _hand_built(a2, label, None), _hand_built(a2, label, None)
+    assert lb.find_flaws(ls) == [(0, 0, 0, 1, 1), (1, 1, 0, 1, 1), (1, 0, 1, 1, 1)]
+    lb.saturate(ls, 2)
+    ref_saturate(ref, 2)
+    assert _state(ls) == _state(ref)
 
 
 # ---------------------------------------------------------------------------
