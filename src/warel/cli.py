@@ -19,6 +19,7 @@ broke (a ``<command>.internal = fail`` line).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from itertools import islice
@@ -174,7 +175,11 @@ def cmd_enumerate(args: argparse.Namespace, report: Report) -> None:
         report.add("pipeline", f"wa-{i:04d}", all(c.holds for _, results in checks for c in results))
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.  Each command
+    names its function by ``command``; :func:`main` looks it up when it
+    runs, so the parser holds no function."""
     parser = argparse.ArgumentParser(
         prog="warel",
         description="finite weakly associative relation algebras: checks and representations",
@@ -191,25 +196,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_check = sub.add_parser("check", help="validate a structure file and classify it as WA, SA and RA")
     p_check.add_argument("file")
     p_check.add_argument("--laws", action="store_true", help="also run the elementary-law suite")
-    p_check.set_defaults(func=cmd_check)
 
     p_rep = sub.add_parser("represent", help="run both representation pipelines")
     p_rep.add_argument("file")
     p_rep.add_argument("--passes", type=int, default=2, help="saturation passes")
     p_rep.add_argument("--depth", type=int, default=3, help="trail length bound")
-    p_rep.set_defaults(func=cmd_represent)
 
     p_enum = sub.add_parser("enumerate", help="generate and classify all structures of a size")
     p_enum.add_argument("--atoms", type=int, required=True)
     p_enum.add_argument("--pipeline", action="store_true", help="run the construction pipeline on each WA structure")
     p_enum.add_argument("--mod-iso", action="store_true", help="one representative per relabelling class")
-    p_enum.set_defaults(func=cmd_enumerate)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
+    run = {"check": cmd_check, "represent": cmd_represent, "enumerate": cmd_enumerate}[args.command]
     started = time.monotonic()
     report = Report()
     try:
-        args.func(args, report)
+        run(args, report)
     except (ParseError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

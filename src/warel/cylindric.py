@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from typing import NamedTuple
 
 from .core import CheckResult
@@ -286,21 +286,29 @@ def _triple_groups(S: SuitableStructure, uni: BoundedUniverse) -> dict[_Group, i
     triple's end bit into its three blocks, each keyed by the two
     off-k points; a second reads every triple's three block masks.
     Memory is one mask per block and one entry per distinct signature,
-    not a mask over the triples per block."""
+    not a mask over the triples per block.  A block of the points x, y
+    is keyed by the int ``x * N + y``, N one more than every pid of a
+    triple, so each key is a distinct int and no pair is built."""
+    triples = uni.triples
     bits = {t: 1 << t for t in range(S.size)}
-    b0: dict[tuple[int, int], int] = {}
-    b1: dict[tuple[int, int], int] = {}
-    b2: dict[tuple[int, int], int] = {}
-    for (a, b, c), info in uni.triples.items():
+    N = 1 + max(chain.from_iterable(triples), default=0)
+    b0: dict[int, int] = {}
+    b1: dict[int, int] = {}
+    b2: dict[int, int] = {}
+    for (a, b, c), info in triples.items():
         bit = bits.get(info.end, 0)
-        b0[b, c] = b0.get((b, c), 0) | bit
-        b1[a, c] = b1.get((a, c), 0) | bit
-        b2[a, b] = b2.get((a, b), 0) | bit
+        aN, bN = a * N, b * N
+        b0[bN + c] = b0.get(bN + c, 0) | bit
+        b1[aN + c] = b1.get(aN + c, 0) | bit
+        b2[aN + b] = b2.get(aN + b, 0) | bit
     counts: dict[tuple, int] = {}
     bound = uni.bound
-    for (a, b, c), info in uni.triples.items():
+    for (a, b, c), info in triples.items():
+        aN = a * N
         # frontier as in TripleInfo.is_frontier
-        key = (info.end, info.min_length >= bound, b0[b, c], b1[a, c], b2[a, b], a == b, a == c, b == c)
+        key = (
+            info.end, info.min_length >= bound, b0[b * N + c], b1[aN + c], b2[aN + b], a == b, a == c, b == c
+        )
         counts[key] = counts.get(key, 0) + 1
     return {
         _Group(bits.get(end, 0), fr, (m0, m1, m2), ((True, d01, d02), (d01, True, d12), (d02, d12, True))): n

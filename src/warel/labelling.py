@@ -187,10 +187,17 @@ def find_flaws(ls: LabellingSystem, scope: Optional[int] = None) -> list[Flaw]:
 
 
 def _signature(ls: LabellingSystem, f: Flaw) -> Signature:
-    """The repair signature of the flaw f, read from the rows."""
+    """The repair signature of the flaw f, read from the rows.  A system
+    built directly can lack a label the signature reads (the loops on u
+    and v, or (v, u)); that raises :class:`ConsistencyError`."""
     u, a, v, b, c = f
-    ru, rv = ls.out[u], ls.out[v]
-    return (ru[u], a, rv[u], rv[v], b, c, u == v)
+    try:
+        ru, rv = ls.out[u], ls.out[v]
+        return (ru[u], a, rv[u], rv[v], b, c, u == v)
+    except KeyError:
+        raise ConsistencyError(
+            f"flaw {f} has no repair signature: ({u},{u}), ({v},{u}) or ({v},{v}) is unlabelled"
+        ) from None
 
 
 def _check_triangles_through(ls: LabellingSystem, pts: tuple[int, ...]) -> Matrix:

@@ -177,15 +177,41 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
     once no pair has two labels, and each of a triple's 27 index choices
     is a triangle.  So ``facts`` is the union of the ends' matrix facts,
     at most 27 per end, and no triangle is walked.
+
+    The walk over a triple whose end agrees is one chain of nine
+    ``setdefault`` comparisons, in entry order; only a triple whose chain
+    breaks, or whose end disagrees, runs the entries one by one, which
+    names the pair and its two labels.
     """
     label: dict[tuple[int, int], int] = {}
-    ends = {info.end for info in uni.triples.values()}
+    put = label.setdefault
+    triples = uni.triples
+    ends = {info.end for info in triples.values()}
     rows = {t: _label_entries(A, uni.S.elements[t]) for t in ends}
-    for trip, info in sorted(uni.triples.items()):
-        entries, agree = rows[info.end]
+    # an agreeing end's nine labels, in entry order
+    nine = {t: tuple(a for _, _, a in entries) for t, (entries, agree) in rows.items() if agree}
+    for trip in sorted(triples):
+        end = triples[trip].end
+        labs = nine.get(end)
+        if labs is not None:
+            x, y, z = trip
+            a01, a10, a12, a21, a02, a20, d0, d1, d2 = labs
+            if (
+                put((x, y), a01) == a01
+                and put((y, x), a10) == a10
+                and put((y, z), a12) == a12
+                and put((z, y), a21) == a21
+                and put((x, z), a02) == a02
+                and put((z, x), a20) == a20
+                and put((x, x), d0) == d0
+                and put((y, y), d1) == d1
+                and put((z, z), d2) == d2
+            ):
+                continue
+        entries, agree = rows[end]
         for i, j, a in entries:
             u, v = trip[i], trip[j]
-            old = label.setdefault((u, v), a)
+            old = put((u, v), a)
             if old != a:
                 raise LabelDisagreement(f"pair ({u},{v}) labelled {old} and {a}")
         if not agree:
@@ -262,33 +288,56 @@ def check_pair_partition(uni: BoundedUniverse, net: Network) -> tuple[CheckResul
 
     Exact.  The pair sets are read off the universe's per-point lists
     and ``uni.base_triples`` and live only for the check; one walk over
-    the points builds the descent pairs and finds the first long
-    partner, with points ascending and each point's descent pairs in
-    the iteration order of their set.  The split is exact when the three
-    sets are disjoint, lie in the unit and their sizes add up to its
-    size.  Untyped triples are named, as unclassified, in sorted order."""
-    lengths = uni.lengths
+    the points builds the descent pairs, looks each up in the unit while
+    it is fresh (in point order, not in the set's hash order) and finds
+    the first point with a partner that is not shorter.  Only that
+    point's descent pairs are then built as a set, whose iteration order
+    names the witness pair.  The split is exact when the three sets are
+    disjoint, lie in the unit and their sizes add up to its size.
+    Untyped triples are named, as unclassified, in sorted order."""
+    lengths, label = uni.lengths, net.label
     descent = set()
+    add = descent.add
+    labelled = True
+    first = None
+    for pid, (trip, n, k) in enumerate(zip(uni.own_triples, lengths, uni.pointers)):
+        if n == 1:
+            continue
+        if k == 0:
+            _, p, q = trip
+        elif k == 1:
+            p, _, q = trip
+        else:
+            p, q, _ = trip
+        dp, pd, dq, qd = (pid, p), (p, pid), (pid, q), (q, pid)
+        add(dp)
+        add(pd)
+        add(dq)
+        add(qd)
+        if labelled and not (dp in label and pd in label and dq in label and qd in label):
+            labelled = False
+        if first is None and (lengths[p] >= n or lengths[q] >= n):
+            first = pid
     bad = None
-    for pid in range(len(uni.own_triples)):
-        for u, v in frozenset((pid, q) for q in _partners(uni, pid)):
-            descent.add((u, v))
-            descent.add((v, u))
-            if bad is None and lengths[v] >= lengths[u]:
-                bad = (u, v)
-    pairs = net.label.keys()
+    if first is not None:
+        bad = next(
+            (u, v)
+            for u, v in frozenset((first, q) for q in _partners(uni, first))
+            if lengths[v] >= lengths[u]
+        )
+    pairs = label.keys()
     identity = {pr for pr in pairs if pr[0] == pr[1]}
     base = _base_pairs(net.algebra, uni)
     overlap = identity & descent or identity & base or descent & base
     exact = (
         not overlap
-        and pairs >= descent
+        and labelled
         and pairs >= base
         and len(identity) + len(descent) + len(base) == len(pairs)
     )
-    unclassified = heapq.nsmallest(
-        3, (t for t in uni.triples if not _typed(uni, descent, base, t))
-    )
+    unclassified = [t for t in uni.triples if not _typed(uni, descent, base, t)]
+    if unclassified:
+        unclassified = heapq.nsmallest(3, unclassified)
     return (
         CheckResult(
             "pair-partition-exact",
@@ -467,24 +516,31 @@ def check_chain_agreement(uni: BoundedUniverse, net: Network) -> CheckResult:
     costs three replacements).  Headroom is counted in point lengths,
     both points three below the bound: by the pair-length lemma of
     :func:`~warel.trails.build_universe` that is the pair's shortest
-    witness."""
+    witness.
+
+    One walk over the triples checks each chain pair's label against its
+    end's last atom and collects the chain pairs in one set.  Chain-count
+    lemma: once every chain pair carries its end's atom, a labelled pair
+    lies in the chain of its own label exactly when it is a chain pair,
+    so the pairs outside their label's chain number ``len(label) -
+    len(chain)``.  Only the pairs with headroom are walked, off the rows
+    of the points with headroom.  A failing line names the first failing
+    pair in these walks' order."""
     lengths, bound = uni.lengths, uni.bound
-    n = net.algebra.atom_count
     label = net.label
-    chain: dict[int, set[tuple[int, int]]] = {a: set() for a in range(n)}
-    for trip, info in uni.triples.items():
-        t2 = uni.S.elements[info.end][2]
-        chain[t2].add((trip[0], trip[1]))
-    for a in range(n):
-        for pr in chain[a]:
-            if label.get(pr) != a:
-                return CheckResult("chain-agreement", False, f"{pr} mislabelled")
-    excluded = 0
-    for pr, a in label.items():
-        if pr in chain[a]:
-            continue
-        u, v = pr
-        if lengths[u] + 3 <= bound and lengths[v] + 3 <= bound:
-            return CheckResult("chain-agreement", False, f"{pr} unreachable")
-        excluded += 1
-    return CheckResult("chain-agreement", True, f"excluded={excluded}")
+    get = label.get
+    last = [t[2] for t in uni.S.elements]
+    chain: set[tuple[int, int]] = set()
+    add = chain.add
+    for (x, y, _), info in uni.triples.items():
+        pr = (x, y)
+        if get(pr) != last[info.end]:
+            return CheckResult("chain-agreement", False, f"{pr} mislabelled")
+        add(pr)
+    if min(lengths, default=bound) + 3 <= bound:
+        for u, row in net.rows[0].items():
+            if lengths[u] + 3 <= bound:
+                for v in row:
+                    if lengths[v] + 3 <= bound and (u, v) not in chain:
+                        return CheckResult("chain-agreement", False, f"{(u, v)} unreachable")
+    return CheckResult("chain-agreement", True, f"excluded={len(label) - len(chain)}")

@@ -196,31 +196,41 @@ class Network:
 
     def identity_is_diagonal(self) -> bool:
         """Exact: the identity element is represented by the loops on
-        every point of the field.  Every pair with an identity label is
-        a loop, and there are as many of them as points in the field."""
+        every point of the field.
+
+        Decided by counting.  Identity-count lemma: the loops with an
+        identity label are among the pairs with an identity label, so
+        when both number ``len(field)`` every identity-labelled pair is a
+        loop, one on each point of the field; conversely, when the image
+        is the diagonal, both sets are that diagonal.  The pairs are
+        counted off ``sizes``, the loops with one lookup per row."""
         ident = self.algebra.identity
+        pairs = sum(n for a, n in enumerate(self.sizes) if (1 << a) & ident)
         loops = 0
-        for (u, v), a in self.label.items():
-            if (1 << a) & ident:
-                if u != v:
-                    return False
+        for u, row in self.rows[0].items():
+            a = row.get(u)
+            if a is not None and (1 << a) & ident:
                 loops += 1
-        return loops == len(self.field)
+        return pairs == loops == len(self.field)
 
     def converse_is_exact(self) -> bool:
         """Per atom, and so for every element since atom images are
         disjoint: the image of a~ is the inverse of the image of a.
-        Decided on the pairs: each labelled (u, v), label a, has (v, u)
-        labelled a~, so the image of a~ contains the inverse of a's.
-        The reverse inclusion then needs a~~ = a for every atom a whose
-        converse a~ labels some pair; that is checked last, since an
-        ``AtomStructure`` built directly need not have an involutive
-        converse."""
+        Decided on the rows: each labelled (u, v), label a, has (v, u),
+        read as ``inn[u][v]``, labelled a~, so the image of a~ contains
+        the inverse of a's.  The reverse inclusion then needs a~~ = a
+        for every atom a whose converse a~ labels some pair; that is
+        checked last, since an ``AtomStructure`` built directly need not
+        have an involutive converse."""
         conv = self.algebra.converse
-        get = self.label.get
-        for (u, v), a in self.label.items():
-            if get((v, u)) != conv[a]:
+        out, inn = self.rows
+        for u, row in out.items():
+            col = inn.get(u)
+            if col is None:
                 return False
+            for v, a in row.items():
+                if col.get(v) != conv[a]:
+                    return False
         sizes = self.sizes
         return all(conv[b] == a for a, b in enumerate(conv) if sizes[b])
 
@@ -268,7 +278,8 @@ class Network:
         (u, w) labelled b and (w, v) labelled b'; the other labelled
         pairs are excluded and counted.  Both pipelines stage the check
         this way: the labelling system by the stage a point was created
-        at, the trail universe by a point's trail length.  Pairs come in
+        at, the trail universe by a point's trail length.  The pairs are
+        read off the rows of the points below the bound and come in
         increasing order, each decided by one :meth:`unwitnessed` walk.
         Returns ``(checked, excluded, first missing)``, the last as
         ``(u, c, v, b, b')`` with (b, b') the first factor pair left
@@ -276,7 +287,7 @@ class Network:
         excluded pairs below it, from its rank among the labelled
         pairs."""
         checked = 0
-        pairs = [(u, v) for u, v in self.label if age[u] < bound and age[v] < bound]
+        pairs = [(u, v) for u, row in self.rows[0].items() if age[u] < bound for v in row if age[v] < bound]
         for u, v in sorted(pairs):
             checked += 1
             missing = self.unwitnessed(u, v)
@@ -296,22 +307,25 @@ def image_atom_structure(net: Network) -> AtomStructure:
     the ``facts`` the network computes once and caches.  When the map is an
     embedding this reproduces the original structure exactly.
 
-    One pass over ``label`` finds the atoms labelling a pair off the
-    diagonal and, per atom a, the labels of the reverses of a's pairs
-    (None for an unlabelled reverse).  The converse of a is accepted as
-    b when that set is exactly {b} and the two images have the same
-    size.  Images are disjoint, so then b's image is exactly the inverse
-    of a's, and no other atom's is.  An empty image maps to the last atom
-    whose image is empty.
+    One pass over the rows finds the atoms labelling a pair off the
+    diagonal and, per atom a, the labels of the reverses of a's pairs,
+    read from ``inn[u]`` (None for an unlabelled reverse).  The converse
+    of a is accepted as b when that set is exactly {b} and the two images
+    have the same size.  Images are disjoint, so then b's image is
+    exactly the inverse of a's, and no other atom's is.  An empty image
+    maps to the last atom whose image is empty.
     """
-    A, label, get, sizes = net.algebra, net.label, net.label.get, net.sizes
+    A, sizes = net.algebra, net.sizes
+    out, inn = net.rows
     n = A.atom_count
     off_diagonal: set[int] = set()
     reverse: list[set[Optional[int]]] = [set() for _ in range(n)]
-    for (u, v), a in label.items():
-        reverse[a].add(get((v, u)))
-        if u != v:
-            off_diagonal.add(a)
+    for u, row in out.items():
+        col = inn.get(u, {})
+        for v, a in row.items():
+            reverse[a].add(col.get(v))
+            if u != v:
+                off_diagonal.add(a)
     ident = [a for a in range(n) if a not in off_diagonal]
     empty = [a for a in range(n) if not sizes[a]]
     conv = {}

@@ -146,6 +146,25 @@ def test_reports_do_not_depend_on_seed(argv, capsys):
     assert outs[0][0] == 0
 
 
+def test_main_calls_in_one_process_match_separate_runs(capsys):
+    # the parser is built once per process: no call may see an earlier
+    # call's command or options (--laws and --passes fall back to their
+    # defaults in the later calls)
+    argvs = [
+        ["check", str(STRUCTURES / "a2.alg"), "--laws"],
+        ["represent", str(STRUCTURES / "a2.alg"), "--passes", "1", "--depth", "2"],
+        ["enumerate", "--atoms", "2"],
+        ["check", str(STRUCTURES / "a1.alg")],
+        ["represent", str(STRUCTURES / "pentagon.alg"), "--depth", "2"],
+    ]
+    together = []
+    for argv in argvs:
+        code = cli.main(argv)
+        together.append((code, capsys.readouterr().out))
+    separate = [run_cli(*argv) for argv in argvs]
+    assert together == [(out.returncode, out.stdout) for out in separate]
+
+
 def test_report_file_matches_stdout(tmp_path):
     path = tmp_path / "r.txt"
     out = run_cli("--report", str(path), "check", str(STRUCTURES / "a2.alg"))

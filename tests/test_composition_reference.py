@@ -573,6 +573,46 @@ def test_converse_check_on_a_non_involution(a2):
     assert not ref_converse_is_exact(A, {(0, 0): 0})
 
 
+# a2 has the identity e = 0 and the diversity atom d = 1
+IDENTITY_COUNT_CASES = {
+    "diagonal": ({(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, True),
+    # two identity pairs on two field points, but one is off the diagonal
+    "identity-off-diagonal": ({(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1}, False),
+    "point-without-loop": ({(0, 0): 0, (0, 1): 1, (1, 0): 1}, False),
+    "loop-with-diversity-label": ({(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDENTITY_COUNT_CASES))
+def test_identity_count_edge_cases(a2, case):
+    label, holds = IDENTITY_COUNT_CASES[case]
+    assert Network(a2, label).identity_is_diagonal() == ref_identity_is_diagonal(a2, label) == holds
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_identity_count_matches_reference_when_identity_leaves_the_diagonal(algebra, data):
+    # identity loops on every point and diversity labels elsewhere, then
+    # some loops relabelled by a diversity atom and as many other pairs
+    # by an identity atom: the identity pairs still number the field's
+    # points, and only their places tell the check that they fail
+    A = algebra
+    ident = [a for a in range(A.atom_count) if (1 << a) & A.identity]
+    diverse = [a for a in range(A.atom_count) if not (1 << a) & A.identity]
+    n = data.draw(st.integers(2, 5))
+    label = {(u, u): data.draw(st.sampled_from(ident)) for u in range(n)}
+    off = [(u, v) for u in range(n) for v in range(n) if u != v]
+    label.update((pr, data.draw(st.sampled_from(diverse))) for pr in off if data.draw(st.booleans()))
+    moved = data.draw(st.integers(0, n))
+    for u in data.draw(st.permutations(range(n)))[:moved]:
+        label[u, u] = data.draw(st.sampled_from(diverse))
+    for pr in data.draw(st.permutations(off))[:moved]:
+        label[pr] = data.draw(st.sampled_from(ident))
+    order = data.draw(st.permutations(sorted(label)))
+    label = {pr: label[pr] for pr in order}
+    assert Network(A, label).identity_is_diagonal() == ref_identity_is_diagonal(A, label)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_has_witness_matches_reference(algebra, data):

@@ -19,6 +19,12 @@ witness length; they must agree with these on every
 result, witness and message, also on universes whose lists were
 corrupted.
 
+``ref_chain_agreement`` is the chain-agreement check as a walk over
+per-atom chain sets.  ``check_chain_agreement`` fills one chain set and
+counts the exclusions by its lemma; on networks with one pair
+relabelled, dropped or added it must give the reference's verdict and
+count, and name a pair the reference rejects for the same reason.
+
 ``ref_check_reduct_closure`` and ``ref_check_reduct_isomorphism`` walk
 every element of the reduct's carrier (``ref_carrier``: every join of
 2-blocks) and every pair of source-algebra elements through the element
@@ -28,6 +34,8 @@ atoms, and must give the same lines and name the same first witness.
 """
 
 import random
+from ast import literal_eval
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -113,6 +121,52 @@ def ref_replacement_closure(uni):
             break
     detail = f"{bad}" if bad else f"checked={checked} excluded={excluded}"
     return (CheckResult("replacement-closure", bad is None, detail),)
+
+
+def ref_chain_sets(uni, n):
+    """Per atom a, the pairs (t0, t1) of the reachable triples whose end's
+    last coordinate is a."""
+    chain = {a: set() for a in range(n)}
+    for trip, info in uni.triples.items():
+        chain[uni.S.elements[info.end][2]].add((trip[0], trip[1]))
+    return chain
+
+
+def ref_chain_agreement(uni, net):
+    """``check_chain_agreement`` as a walk over per-atom sets: first every
+    chain pair against its atom, then every labelled pair outside its own
+    label's chain."""
+    lengths, bound = uni.lengths, uni.bound
+    label = net.label
+    chain = ref_chain_sets(uni, net.algebra.atom_count)
+    for a in chain:
+        for pr in chain[a]:
+            if label.get(pr) != a:
+                return CheckResult("chain-agreement", False, f"{pr} mislabelled")
+    excluded = 0
+    for pr, a in label.items():
+        if pr in chain[a]:
+            continue
+        u, v = pr
+        if lengths[u] + 3 <= bound and lengths[v] + 3 <= bound:
+            return CheckResult("chain-agreement", False, f"{pr} unreachable")
+        excluded += 1
+    return CheckResult("chain-agreement", True, f"excluded={excluded}")
+
+
+def ref_chain_rejects(uni, net):
+    """Every pair that :func:`ref_chain_agreement` can name, by kind."""
+    lengths, bound = uni.lengths, uni.bound
+    label = net.label
+    chain = ref_chain_sets(uni, net.algebra.atom_count)
+    return {
+        "mislabelled": {pr for a in chain for pr in chain[a] if label.get(pr) != a},
+        "unreachable": {
+            (u, v)
+            for (u, v), a in label.items()
+            if (u, v) not in chain[a] and lengths[u] + 3 <= bound and lengths[v] + 3 <= bound
+        },
+    }
 
 
 def ref_build_pair_structure(A, uni):
@@ -428,6 +482,59 @@ def test_replacement_closure_names_the_reference_witness(inputs):
             assert got == ref_replacement_closure(bad), gone
             failing += not got[0].holds
     assert failing > 20
+
+
+def _corrupt_label(net, uni, rng):
+    """A copy of net's labels with one pair relabelled, dropped or added.
+    Half the added pairs join two points with three steps of headroom,
+    the only pairs whose absence from the chains can fail the line."""
+    label = dict(net.label)
+    kind = rng.choice(["relabel", "drop", "add"])
+    if kind == "add":
+        short = [p for p, n in enumerate(uni.lengths) if n + 3 <= uni.bound]
+        pool = short if short and rng.random() < 0.5 else range(len(uni.lengths))
+        u, v = rng.choice(pool), rng.choice(pool)
+        if (u, v) not in label:
+            label[u, v] = rng.randrange(net.algebra.atom_count)
+        return label
+    pr = rng.choice(list(label))
+    if kind == "drop":
+        del label[pr]
+    else:
+        label[pr] = (label[pr] + rng.randrange(1, net.algebra.atom_count)) % net.algebra.atom_count
+    return label
+
+
+def test_chain_agreement_matches_reference_on_corrupted_networks(a2, pentagon, census):
+    # depths 2 to 5, each only while the network one depth shallower has
+    # at most 3,000 pairs, which keeps the test to seconds (the largest
+    # census network has 109k pairs at depth 4 and 1.4 million at depth
+    # 5): 684 corrupted networks, 84 of them at depth 5.  A failing line
+    # names a pair the reference also rejects, for the same reason; a
+    # passing line counts the same exclusions.
+    rng = random.Random(31)
+    kinds = Counter()
+    for A in (a2, pentagon, *census):
+        pairs = 0
+        for depth in (2, 3, 4, 5):
+            if pairs > 3_000:
+                break
+            uni = build_universe(build_suitable(A), depth)
+            net = reduct.build_pair_structure(A, uni)
+            pairs = len(net.label)
+            assert reduct.check_chain_agreement(uni, net) == ref_chain_agreement(uni, net)
+            for _ in range(12):
+                bad = Network(A, _corrupt_label(net, uni, rng))
+                got, want = reduct.check_chain_agreement(uni, bad), ref_chain_agreement(uni, bad)
+                assert got.holds == want.holds
+                if got.holds:
+                    assert got == want
+                    continue
+                pair, kind = got.detail.rsplit(" ", 1)
+                assert want.detail.endswith(kind)
+                assert literal_eval(pair) in ref_chain_rejects(uni, bad)[kind]
+                kinds[kind] += 1
+    assert kinds["mislabelled"] > 0 and kinds["unreachable"] > 0, kinds
 
 
 @settings(max_examples=15, deadline=None)

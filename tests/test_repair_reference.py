@@ -272,6 +272,19 @@ def test_a_repair_of_a_later_pair_witnesses_its_loop(a2):
     assert _state(ls) == _state(ref)
 
 
+def test_a_flaw_without_its_converse_label_raises_a_consistency_error(a2):
+    # the system above, given signatures: the signature of (1, d, 0, d, d)
+    # reads the label of (0, 1), which is missing; that is an internal
+    # consistency error (exit 4 from the command line), not a KeyError,
+    # and the repair adds no point
+    ls = _hand_built(a2, {(0, 0): 0, (1, 1): 0, (1, 0): 1}, {})
+    f = (1, 1, 0, 1, 1)
+    assert ls.is_flaw(f)
+    with pytest.raises(lb.ConsistencyError, match=re.escape(f"flaw {f} has no repair signature")):
+        lb.repair(ls, f)
+    assert ls.point_count() == 2 and ls.signatures == {}
+
+
 # ---------------------------------------------------------------------------
 # Systems built directly walk their triangles
 
