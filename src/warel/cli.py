@@ -26,7 +26,7 @@ from itertools import islice
 from typing import Optional
 
 from . import labelling, reduct, trails
-from .core import AtomStructure, CheckResult, GuardExceeded, classify
+from .core import AtomStructure, CheckResult, ConsistencyError, GuardExceeded, classify
 from .cylindric import (
     check_complex_vs_relativized,
     check_functions,
@@ -62,7 +62,7 @@ def cmd_check(args: argparse.Namespace, report: Report) -> None:
         if not is_wa:
             report.add("laws", "precondition-wa", False, "law suite needs a WA input")
             return
-        report.extend_results("laws", elementary_law_suite(A, require_wa=False))
+        report.extend_results("laws", elementary_law_suite(A))
 
 
 def _report_images(report: Report, stage: str, net: Network) -> None:
@@ -223,7 +223,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GuardExceeded, MemoryError) as exc:
         report.add(args.command, "budget", False, str(exc) or "out of memory")
         code = 3
-    except (labelling.ConsistencyError, reduct.LabelDisagreement) as exc:
+    except ConsistencyError as exc:
         report.add(args.command, "internal", False, str(exc))
         code = 4
     else:

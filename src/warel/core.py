@@ -34,7 +34,14 @@ class GuardExceeded(RuntimeError):
     """Raised when a quantifier range or growth budget is too large."""
 
 
+class ConsistencyError(RuntimeError):
+    """Raised when an internal consistency check breaks: a labelling
+    repair breaks a structural property, a pair gets two atom labels, or
+    a coordinate triple is reached from two carrier elements."""
+
+
 Triple = tuple[int, int, int]
+Matrix = tuple[Optional[int], ...]  # the 3x3 labels of three points, row by row, None unlabelled
 
 
 def mask_of(atoms: Iterable[int]) -> int:
@@ -90,10 +97,9 @@ def peircean_closure(conv: tuple[int, ...], triples: Iterable[Triple]) -> frozen
     return frozenset(out)
 
 
-def matrix_facts(m: Sequence[Optional[int]]) -> set[tuple[Optional[int], ...]]:
+def matrix_facts(m: Matrix) -> set[tuple[Optional[int], ...]]:
     """The label triples ``(m[3x+y], m[3y+z], m[3x+z])`` of the 27 index
-    choices (x, y, z) over the 3x3 label matrix ``m``, given row by row
-    as :meth:`AtomStructure.matrix_violation` takes it."""
+    choices (x, y, z) over the 3x3 label matrix ``m``."""
     return {(m[3 * x + y], m[3 * y + z], m[3 * x + z]) for x, y, z in product(range(3), repeat=3)}
 
 
@@ -143,7 +149,7 @@ class AtomStructure:
             out[a].append((b, c))
         return tuple(tuple(sorted(p)) for p in out)
 
-    def matrix_violation(self, m: tuple[Optional[int], ...]) -> Optional[tuple[int, int, int]]:
+    def matrix_violation(self, m: Matrix) -> Optional[tuple[int, int, int]]:
         """The first index choice (x, y, z), x slowest, with all three
         entries labelled that breaks ``m[3x+z] <= m[3x+y] ; m[3y+z]`` in the
         3x3 label matrix ``m`` (None for an unlabelled pair), or None."""
@@ -187,12 +193,6 @@ class AtomStructure:
     def atom_ranges(self) -> tuple[int, ...]:
         """atom_ranges[a] == rng_el(1 << a) for every atom a."""
         return tuple(self.rng_el(1 << a) for a in range(self.atom_count))
-
-    def dom_atom(self, a: int) -> int:
-        return self.atom_domains[a]
-
-    def rng_atom(self, a: int) -> int:
-        return self.atom_ranges[a]
 
     def elements(self) -> range:
         return range(1 << self.atom_count)

@@ -1,13 +1,15 @@
 """Complex algebras of suitable structures and their set-algebra form.
 
-The complex algebra lives on the powerset of the carrier (bitmasks
-here): cylindrification along coordinate k saturates a set under the
-k-th equivalence (``SuitableStructure.t_star``, memoised per coordinate
-on the structure), and the diagonal constants are the distinguished
-subsets.  Over a carrier built from a WA atom structure this algebra
-satisfies the three-dimensional cylindric axioms with commutativity of
-cylindrifications weakened to its diagonal-guarded form, plus the
-binary merry-go-round substitution identities.
+The complex algebra Cm S lives on the powerset of the carrier (bitmasks
+here), and its operations are the structure's own: the cylindrification
+c_k is ``S.t_star(k, .)``, which saturates a set under the k-th
+equivalence (memoised per coordinate on the structure), and the
+diagonal constant d_kl is the distinguished subset ``S.e_masks[k][l]``.
+Each check binds ``c, d = S.t_star, S.e_masks``.  Over a carrier built
+from a WA atom structure this algebra satisfies the three-dimensional
+cylindric axioms with commutativity of cylindrifications weakened to
+its diagonal-guarded form, plus the binary merry-go-round substitution
+identities.
 
 Each check states its quantifier range.  Lemma (Jonsson and Tarski):
 ``t_star(k, x)`` is the join of the k-blocks that x meets, so
@@ -32,29 +34,12 @@ isomorphism up to the frontier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, permutations
 from typing import NamedTuple
 
 from .core import CheckResult
 from .suitable import COORDS, SuitableStructure, needs_axiom_i
 from .trails import BoundedUniverse
-
-
-@dataclass(frozen=True)
-class ComplexAlgebra:
-    S: SuitableStructure
-
-    @cached_property
-    def full(self) -> int:
-        return self.S.full_mask
-
-    def cyl(self, k: int, x: int) -> int:
-        return self.S.t_star(k, x)
-
-    def diag(self, k: int, l: int) -> int:
-        return self.S.e_masks[k][l]
 
 
 def check_na3(S: SuitableStructure) -> tuple[CheckResult, ...]:
@@ -96,7 +81,7 @@ def check_na3(S: SuitableStructure) -> tuple[CheckResult, ...]:
             "diag-diagonal-full", "diag-composition", "diag-rigidity",
             "guarded-commutativity", "full-commutativity-verdict",
         ))
-    cm = ComplexAlgebra(S)
+    c, d = S.t_star, S.e_masks
     singles = [1 << i for i in range(S.size)]
     out: list[CheckResult] = []
 
@@ -119,14 +104,14 @@ def check_na3(S: SuitableStructure) -> tuple[CheckResult, ...]:
             (k, l, x)
             for k, l, m in permutations(COORDS)
             for x in singles
-            if cm.cyl(l, cm.cyl(k, x)) & cm.diag(l, m) & ~cm.cyl(k, cm.cyl(l, x))
+            if c(l, c(k, x)) & d[l][m] & ~c(k, c(l, x))
         ),
         None,
     )
     out.append(CheckResult("guarded-commutativity", bad is None, str(bad or "")))
 
     commutes = all(
-        cm.cyl(k, cm.cyl(l, x)) == cm.cyl(l, cm.cyl(k, x))
+        c(k, c(l, x)) == c(l, c(k, x))
         for k in COORDS
         for l in COORDS
         for x in singles
@@ -141,12 +126,13 @@ def check_na3(S: SuitableStructure) -> tuple[CheckResult, ...]:
     return tuple(out)
 
 
-def _mgr_side(cm: ComplexAlgebra, order: tuple[int, int, int], x: int) -> int:
+def _mgr_side(S: SuitableStructure, order: tuple[int, int, int], x: int) -> int:
+    c, d = S.t_star, S.e_masks
     k, l, m = order
-    inner = cm.diag(m, k) & cm.cyl(k, x)
-    inner = cm.diag(l, m) & cm.cyl(m, inner)
-    inner = cm.diag(k, l) & cm.cyl(l, inner)
-    return cm.cyl(k, inner)
+    inner = d[m][k] & c(k, x)
+    inner = d[l][m] & c(m, inner)
+    inner = d[k][l] & c(l, inner)
+    return c(k, inner)
 
 
 def check_mgr2(S: SuitableStructure) -> tuple[CheckResult, ...]:
@@ -165,7 +151,6 @@ def check_mgr2(S: SuitableStructure) -> tuple[CheckResult, ...]:
     """
     if S.misshapen:
         return needs_axiom_i(("mgr2", "mgr2-featured-instance", "mgr3"))
-    cm = ComplexAlgebra(S)
     singles = [1 << i for i in range(S.size)]
     out: list[CheckResult] = []
     bad = next(
@@ -173,7 +158,7 @@ def check_mgr2(S: SuitableStructure) -> tuple[CheckResult, ...]:
             (k, l, m, x)
             for k, l, m in permutations(COORDS)
             for x in singles
-            if _mgr_side(cm, (k, l, m), x) != _mgr_side(cm, (k, m, l), x)
+            if _mgr_side(S, (k, l, m), x) != _mgr_side(S, (k, m, l), x)
         ),
         None,
     )
@@ -187,8 +172,8 @@ def check_mgr2(S: SuitableStructure) -> tuple[CheckResult, ...]:
             if not 0 <= t[2] < S.algebra.atom_count:
                 bad = t  # no converse block to hit
                 break
-            lhs = _mgr_side(cm, (2, 0, 1), 1 << i)
-            rhs = _mgr_side(cm, (2, 1, 0), 1 << i)
+            lhs = _mgr_side(S, (2, 0, 1), 1 << i)
+            rhs = _mgr_side(S, (2, 1, 0), 1 << i)
             conv2 = S.algebra.converse[t[2]]
             expect = 0
             for j, s in enumerate(S.elements):
@@ -217,21 +202,22 @@ def check_functions(S: SuitableStructure) -> tuple[CheckResult, ...]:
     if S.algebra is None:
         raise ValueError("needs the source algebra")
     A = S.algebra
-    cm = ComplexAlgebra(S)
-    bit = lambda m: m.bit_length() - 1
+    c, d = S.t_star, S.e_masks
+    dom = [m.bit_length() - 1 for m in A.atom_domains]
+    rng = [m.bit_length() - 1 for m in A.atom_ranges]
 
     def forced(spec: str, t: tuple[int, int, int]) -> tuple[int, int, int]:
         if spec == "i":
-            return (t[0], t[0], bit(A.dom_atom(t[0])))
+            return (t[0], t[0], dom[t[0]])
         if spec == "ii":
-            return (t[1], t[1], bit(A.dom_atom(t[1])))
+            return (t[1], t[1], dom[t[1]])
         if spec == "iii":
-            return (bit(A.rng_atom(t[2])), t[2], t[2])
+            return (rng[t[2]], t[2], t[2])
         if spec == "iv":
-            return (bit(A.rng_atom(t[1])), t[1], t[1])
+            return (rng[t[1]], t[1], t[1])
         if spec == "v":
-            return (A.converse[t[2]], bit(A.dom_atom(t[2])), t[2])
-        return (t[0], bit(A.rng_atom(t[0])), A.converse[t[0]])
+            return (A.converse[t[2]], dom[t[2]], t[2])
+        return (t[0], rng[t[0]], A.converse[t[0]])
 
     cases = [
         ("i", 1, 0, 0),
@@ -248,7 +234,7 @@ def check_functions(S: SuitableStructure) -> tuple[CheckResult, ...]:
             if not 0 <= t[ck] < A.atom_count:
                 bad = t
                 break
-            got = cm.diag(dk, dl) & cm.cyl(ck, 1 << i)
+            got = d[dk][dl] & c(ck, 1 << i)
             want_triple = forced(spec, t)
             j = S.index.get(want_triple)
             if j is None or got != 1 << j:
@@ -344,7 +330,7 @@ def check_complex_vs_relativized(
     reachable triple t,
 
     - t lies in ``image(c_k x)`` exactly when its end lies in
-      ``cm.cyl(k, x)``, one memoised call per (k, x);
+      ``c(k, x)``, one memoised call per (k, x);
     - t lies in the relativized ``c_k(image x)`` exactly when its
       k-block holds a triple with end in x, that is when the end mask
       of t's k-block meets x;
@@ -376,19 +362,19 @@ def check_complex_vs_relativized(
 
     A failing line names its first failing instance in loop order.
     """
-    cm = ComplexAlgebra(S)
+    c, d = S.t_star, S.e_masks
     groups = _triple_groups(S, uni)
     out: list[CheckResult] = []
 
     ends = {g.bit for g in groups}
     covered, outside = sum(ends), 0 in ends  # distinct powers of two: the sum is the join
-    out.append(CheckResult("orbit-atoms-disjoint-nonempty", covered == cm.full and not outside))
+    out.append(CheckResult("orbit-atoms-disjoint-nonempty", covered == S.full_mask and not outside))
 
     out.append(CheckResult("boolean-exact", not outside))
 
     bad = next(
         ((k, l) for k in COORDS for l in COORDS
-         if any(bool(cm.diag(k, l) & g.bit) != g.diag[k][l] for g in groups)),
+         if any(bool(d[k][l] & g.bit) != g.diag[k][l] for g in groups)),
         None,
     )
     out.append(CheckResult("diagonal-exact", bad is None, str(bad or "")))
@@ -402,7 +388,7 @@ def check_complex_vs_relativized(
             key = (g.bit, g.blocks[k], g.frontier)
             rows[key] = rows.get(key, 0) + cnt
         for x in singles:
-            cx = cm.cyl(k, x)
+            cx = c(k, x)
             outward = False
             missed = 0
             for (bit, block, frontier), cnt in rows.items():

@@ -53,31 +53,26 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
 
-from .core import AtomStructure, CheckResult, GuardExceeded, classify, iter_bits, matrix_facts
+from .core import (
+    AtomStructure, CheckResult, ConsistencyError, GuardExceeded, Matrix, classify, iter_bits, matrix_facts
+)
 from .relset import Network, Successors
 
 Flaw = tuple[int, int, int, int, int]  # (u, a, v, b, c)
 # (lab(u,u), a, lab(v,u), lab(v,v), b, c, u == v) of a flaw (u, a, v, b, c)
 Signature = tuple[int, int, int, int, int, int, bool]
-Matrix = tuple[Optional[int], ...]  # the 3x3 labels of three points, row by row
-
-
-class ConsistencyError(RuntimeError):
-    """A repair broke one of the structural properties (i)-(v)."""
 
 
 @dataclass
 class LabellingSystem:
     algebra: AtomStructure
-    stage: dict[int, int] = field(default_factory=dict)  # point id -> creation pass
+    stage: list[int] = field(default_factory=list)  # stage[pid]: the pass that created the point
     label: dict[tuple[int, int], int] = field(default_factory=dict)
     passes_done: int = 0
     # the only index of the labels: out[u][w] = inn[w][u] = label[(u, w)]
     out: Successors = field(default_factory=dict)
     inn: Successors = field(default_factory=dict)
     repairs_done: int = 0
-    # the 3x3 label matrices that _check_triangles_through has passed
-    passing: set[Matrix] = field(default_factory=set)
     # the matrix of (u, v, w) for each repair signature passed so far;
     # None unless initial_system and repair wrote every label
     signatures: Optional[dict[Signature, Matrix]] = None
@@ -86,9 +81,8 @@ class LabellingSystem:
         return len(self.stage)
 
     def _add_point(self, stage: int) -> int:
-        pid = len(self.stage)
-        self.stage[pid] = stage
-        return pid
+        self.stage.append(stage)
+        return len(self.stage) - 1
 
     def _add_label(self, u: int, a: int, v: int) -> None:
         old = self.label.get((u, v))
@@ -202,20 +196,18 @@ def _signature(ls: LabellingSystem, f: Flaw) -> Signature:
 
 def _check_triangles_through(ls: LabellingSystem, pts: tuple[int, ...]) -> Matrix:
     """Property (v) on every ordered triple (u, w, v) over ``pts``, in
-    that order: each distinct label matrix of ``pts`` is decided once by
-    :meth:`~warel.core.AtomStructure.matrix_violation` and kept in
-    ``ls.passing`` when it passes.  Returns the matrix."""
+    that order, decided on the label matrix of ``pts`` by
+    :meth:`~warel.core.AtomStructure.matrix_violation`.  Returns the
+    matrix."""
     rows = [ls.out.get(x, {}) for x in pts]
     m = tuple([row.get(y) for row in rows for y in pts])
-    if m not in ls.passing:
-        bad = ls.algebra.matrix_violation(m)
-        if bad is not None:
-            x, y, z = bad
-            raise ConsistencyError(
-                f"triangle ({pts[x]},{pts[y]},{pts[z]}) labels "
-                f"({m[3 * x + y]},{m[3 * y + z]},{m[3 * x + z]}) violate the composition bound"
-            )
-        ls.passing.add(m)
+    bad = ls.algebra.matrix_violation(m)
+    if bad is not None:
+        x, y, z = bad
+        raise ConsistencyError(
+            f"triangle ({pts[x]},{pts[y]},{pts[z]}) labels "
+            f"({m[3 * x + y]},{m[3 * y + z]},{m[3 * x + z]}) violate the composition bound"
+        )
     return m
 
 
@@ -247,7 +239,7 @@ def repair(ls: LabellingSystem, f: Flaw, stage: Optional[int] = None) -> Labelli
         sig = _signature(ls, f)
         m = known.get(sig)
     if m is None:
-        rng_b = A.rng_atom(b)
+        rng_b = A.atom_ranges[b]
         if bin(rng_b).count("1") != 1:
             raise ConsistencyError(f"range of atom {b} is not an atom")
         w = ls._add_point(stage)
@@ -303,7 +295,7 @@ def saturate(
         raise ValueError("passes must be nonnegative")
     first = ls.passes_done + 1
     last = first + passes - 1
-    templated = ls.signatures is not None and max(ls.stage.values(), default=0) < first
+    templated = ls.signatures is not None and max(ls.stage, default=0) < first
     templates: dict[Signature, tuple[Flaw, ...]] = {}
     fresh: Optional[list[tuple[int, int, int, Signature]]] = None
     for k in range(first, last + 1):

@@ -1,10 +1,13 @@
 """Relation-algebraic reducts and the final relativized representation.
 
-The two-dimensional elements of the complex algebra (fixpoints of the
-last cylindrification) carry relation-algebra operations defined by
-diagonal-guarded cylindrification terms; the source algebra embeds
-onto them by sending an element to the set of carrier triples whose
-last coordinate sits below it.
+The two-dimensional elements of the complex algebra Cm S (fixpoints of
+the last cylindrification c_2) carry relation-algebra operations defined
+by diagonal-guarded cylindrification terms, with c_k = ``S.t_star(k, .)``
+and d_kl = ``S.e_masks[k][l]``: the identity is d_01, the converse of x
+is c_2(d_20 . c_0(d_01 . c_1(d_12 . x))), and the composite of x and y
+is c_2(c_1(d_12 . x) . c_0(d_02 . y)).  The source algebra embeds onto
+them by sending an element to the set of carrier triples whose last
+coordinate sits below it.
 
 Over a bounded trail universe, every ordered pair of points occurring
 in a reachable coordinate triple gets a well-defined atom label.  The
@@ -23,10 +26,8 @@ theorem.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
-from .core import AtomStructure, CheckResult, iter_bits, matrix_facts
-from .cylindric import ComplexAlgebra
+from .core import AtomStructure, CheckResult, ConsistencyError, Matrix, iter_bits, matrix_facts
 from .relset import Network
 from .suitable import COORDS, SuitableStructure, needs_axiom_i
 from .trails import BoundedUniverse
@@ -36,30 +37,14 @@ from .trails import BoundedUniverse
 # The two-dimensional reduct
 
 
-@dataclass(frozen=True)
-class Reduct:
-    cm: ComplexAlgebra
-
-    @property
-    def identity(self) -> int:
-        return self.cm.diag(0, 1)
-
-    def is_two_dim(self, x: int) -> bool:
-        return self.cm.cyl(2, x) == x
-
-    def compose(self, x: int, y: int) -> int:
-        cm = self.cm
-        return cm.cyl(2, cm.cyl(1, cm.diag(1, 2) & x) & cm.cyl(0, cm.diag(0, 2) & y))
-
-    def converse(self, x: int) -> int:
-        cm = self.cm
-        inner = cm.cyl(1, cm.diag(1, 2) & x)
-        inner = cm.cyl(0, cm.diag(0, 1) & inner)
-        return cm.cyl(2, cm.diag(2, 0) & inner)
+def _converse(S: SuitableStructure, x: int) -> int:
+    c, d = S.t_star, S.e_masks
+    return c(2, d[2][0] & c(0, d[0][1] & c(1, d[1][2] & x)))
 
 
-def ra_reduct(S: SuitableStructure) -> Reduct:
-    return Reduct(ComplexAlgebra(S))
+def _compose(S: SuitableStructure, x: int, y: int) -> int:
+    c, d = S.t_star, S.e_masks
+    return c(2, c(1, d[1][2] & x) & c(0, d[0][2] & y))
 
 
 def _first_failure(xs, converse_ok, compose_ok):
@@ -85,10 +70,10 @@ def check_reduct_closure(S: SuitableStructure) -> tuple[CheckResult, ...]:
     :func:`warel.cylindric.check_na3`."""
     if S.misshapen:
         return needs_axiom_i(("carrier-two-dimensional", "identity-two-dimensional", "operations-closed"))
-    ra = ra_reduct(S)
+    identity = S.e_masks[0][1]
     return (
         CheckResult("carrier-two-dimensional", True),
-        CheckResult("identity-two-dimensional", ra.is_two_dim(ra.identity)),
+        CheckResult("identity-two-dimensional", S.t_star(2, identity) == identity),
         CheckResult("operations-closed", True),
     )
 
@@ -106,17 +91,16 @@ def check_reduct_isomorphism(A: AtomStructure, S: SuitableStructure) -> tuple[Ch
     ascending over every element pair first fails at a pair of atoms."""
     img = [sum(1 << i for i, t in enumerate(S.elements) if t[2] == a) for a in range(A.atom_count)]
     phi = lambda m: sum(img[a] for a in iter_bits(m))
-    ra = ra_reduct(S)
     bad = _first_failure(
         [1 << a for a in range(A.atom_count)],
-        lambda x: phi(A.conv_el(x)) == ra.converse(phi(x)),
-        lambda x, y: phi(A.comp_atoms[x.bit_length() - 1][y.bit_length() - 1]) == ra.compose(phi(x), phi(y)),
+        lambda x: phi(A.conv_el(x)) == _converse(S, phi(x)),
+        lambda x, y: phi(A.comp_atoms[x.bit_length() - 1][y.bit_length() - 1]) == _compose(S, phi(x), phi(y)),
     )
     return (
         CheckResult("injective", all(img)),
         CheckResult("surjective-onto-reduct", {m for m in img if m} == set(S.blocks[2].values())),
         CheckResult("boolean-preserved", sum(img) == S.full_mask),
-        CheckResult("identity-preserved", phi(A.identity) == ra.identity),
+        CheckResult("identity-preserved", phi(A.identity) == S.e_masks[0][1]),
         CheckResult("operations-preserved", bad is None, str(bad or "")),
     )
 
@@ -125,77 +109,58 @@ def check_reduct_isomorphism(A: AtomStructure, S: SuitableStructure) -> tuple[Ch
 # Pair labels over a bounded universe
 
 
-class LabelDisagreement(RuntimeError):
-    """Two witnessing trails assigned different atoms to one pair."""
+# The entries of a label matrix in the order a triple's pairs are
+# labelled: (0,1), (1,0), (1,2), (2,1), (0,2), (2,0), then the loops.
+_ORDER = (1, 3, 5, 7, 2, 6, 0, 4, 8)
 
 
-def _label_entries(
-    A: AtomStructure, t: tuple[int, int, int]
-) -> tuple[tuple[tuple[int, int, int], ...], bool]:
-    """The ``(i, j, label)`` entries that a triple ending at the carrier
-    element with atoms t gives its pairs ``(trip[i], trip[j])``, in
-    assignment order, and whether the three diagonal labels agree.  When
-    one does not, the entries stop at the diagonal where it fails."""
-    conv = A.converse
+def _end_matrix(A: AtomStructure, t: tuple[int, int, int]) -> Matrix:
+    """The 3x3 label matrix, row by row, that a triple ending at the
+    carrier element with atoms t gives its points.  Each loop's label is
+    the domain or range atom of the two atoms that meet there; from the
+    first loop whose two labels disagree the loops are None."""
+    conv, dom, rng = A.converse, A.atom_domains, A.atom_ranges
     t0, t1, t2 = t
-    entries = [
-        (0, 1, t2), (1, 0, conv[t2]), (1, 2, t0), (2, 1, conv[t0]), (0, 2, t1), (2, 0, conv[t1])
-    ]
-    for k, d, other in (
-        (0, A.dom_atom(t1), A.dom_atom(t2)),
-        (1, A.rng_atom(t2), A.dom_atom(t0)),
-        (2, A.rng_atom(t0), A.rng_atom(t1)),
-    ):
-        if d != other:
-            return tuple(entries), False
-        entries.append((k, k, d.bit_length() - 1))
-    return tuple(entries), True
-
-
-def _matrix_facts(entries: tuple[tuple[int, int, int], ...]) -> set[tuple[int, int, int]]:
-    """:func:`~warel.core.matrix_facts` of a triple's 3x3 label matrix,
-    given as its nine ``_label_entries``."""
-    m = [0] * 9
-    for i, j, a in entries:
-        m[3 * i + j] = a
-    return matrix_facts(m)
+    loops = [None, None, None]
+    for k, (x, y) in enumerate(((dom[t1], dom[t2]), (rng[t2], dom[t0]), (rng[t0], rng[t1]))):
+        if x != y:
+            break
+        loops[k] = x.bit_length() - 1
+    d0, d1, d2 = loops
+    return (d0, t2, t1, conv[t2], d1, t0, conv[t1], conv[t0], d2)
 
 
 def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
     """The trail pipeline's network: an atom label for every ordered pair
     of points of a reachable triple.
 
-    Exact over every reachable triple, in sorted order; the nine label
-    entries and three diagonal agreements are computed once per distinct
-    end of the triples, before the walk, and each triple only stores or
-    compares its pairs' labels.  A pair given two labels, or a triple
-    whose diagonal labels disagree, raises :class:`LabelDisagreement`.
+    Exact over every reachable triple, in sorted order; the label matrix
+    of each distinct end of the triples (``_end_matrix``) is computed
+    once, before the walk, and each triple only stores or compares its
+    pairs' labels.  A pair given two labels, or a triple whose diagonal
+    labels disagree, raises :class:`~warel.core.ConsistencyError`.
 
-    The network's ``facts`` are seeded from the same per-end entries:
+    The network's ``facts`` are seeded from the same per-end matrices:
     by the triangle lemma of :func:`~warel.trails.build_universe` every
     triangle lies in a reachable triple, whose label matrix is its end's
     once no pair has two labels, and each of a triple's 27 index choices
     is a triangle.  So ``facts`` is the union of the ends' matrix facts,
     at most 27 per end, and no triangle is walked.
 
-    The walk over a triple whose end agrees is one chain of nine
-    ``setdefault`` comparisons, in entry order; only a triple whose chain
-    breaks, or whose end disagrees, runs the entries one by one, which
-    names the pair and its two labels.
+    The walk over a triple whose end's matrix is full is one chain of
+    nine ``setdefault`` comparisons, in ``_ORDER``; only a triple whose
+    chain breaks, or whose end's loops disagree, runs the entries one by
+    one, which names the pair and its two labels.
     """
     label: dict[tuple[int, int], int] = {}
     put = label.setdefault
     triples = uni.triples
-    ends = {info.end for info in triples.values()}
-    rows = {t: _label_entries(A, uni.S.elements[t]) for t in ends}
-    # an agreeing end's nine labels, in entry order
-    nine = {t: tuple(a for _, _, a in entries) for t, (entries, agree) in rows.items() if agree}
+    matrices = {t: _end_matrix(A, uni.S.elements[t]) for t in {info.end for info in triples.values()}}
     for trip in sorted(triples):
-        end = triples[trip].end
-        labs = nine.get(end)
-        if labs is not None:
+        m = matrices[triples[trip].end]
+        if None not in m:
             x, y, z = trip
-            a01, a10, a12, a21, a02, a20, d0, d1, d2 = labs
+            d0, a01, a02, a10, d1, a12, a20, a21, d2 = m
             if (
                 put((x, y), a01) == a01
                 and put((y, x), a10) == a10
@@ -208,16 +173,16 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
                 and put((z, z), d2) == d2
             ):
                 continue
-        entries, agree = rows[end]
-        for i, j, a in entries:
-            u, v = trip[i], trip[j]
+        for i in _ORDER:
+            a = m[i]
+            if a is None:
+                raise ConsistencyError(f"diagonal label mismatch at {trip}")
+            u, v = trip[i // 3], trip[i % 3]
             old = put((u, v), a)
             if old != a:
-                raise LabelDisagreement(f"pair ({u},{v}) labelled {old} and {a}")
-        if not agree:
-            raise LabelDisagreement(f"diagonal label mismatch at {trip}")
+                raise ConsistencyError(f"pair ({u},{v}) labelled {old} and {a}")
     net = Network(A, label)
-    vars(net)["facts"] = frozenset().union(*(_matrix_facts(entries) for entries, _ in rows.values()))
+    vars(net)["facts"] = frozenset().union(*map(matrix_facts, matrices.values()))
     return net
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterator, Mapping, Optional, Sequence, Union
+from typing import FrozenSet, Iterator, Mapping, Optional, Sequence
 
 from .core import AtomStructure, Triple, validate_atom_structure
 
@@ -270,7 +270,7 @@ class Network:
         return [fp for fp in fps if fp in todo]
 
     def lower_scan(
-        self, age: Union[Sequence[int], Mapping[int, int]], bound: int
+        self, age: Sequence[int], bound: int
     ) -> tuple[int, int, Optional[tuple[int, int, int, int, int]]]:
         """Composition lower containment, staged: each labelled pair
         (u, v) with both ``age[u]`` and ``age[v]`` below ``bound``,

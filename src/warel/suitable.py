@@ -158,8 +158,9 @@ class SuitableStructure:
 
     def t_star(self, k: int, mask: int) -> int:
         """The join of the k-blocks that ``mask`` meets: the k-th
-        cylindrification.  Memoised per coordinate, so every complex
-        algebra and reduct over this structure shares the results."""
+        cylindrification c_k of the complex algebra.  Memoised per
+        coordinate, so every check over this structure shares the
+        results."""
         memo = self._t_star_memo[k]
         try:
             return memo[mask]
@@ -183,8 +184,6 @@ def build_suitable(A: AtomStructure) -> SuitableStructure:
             + ", ".join(report.failed_names())
         )
     elements = tuple(sorted((y, z, x) for (x, y, z) in A.cycles))
-    if len(elements) != len(A.cycles):
-        raise AssertionError("carrier size must match the fact count")
     tkey = tuple(tuple(t[k] for t in elements) for k in COORDS)
     masks = [[0, 0, 0] for _ in COORDS]
     for k in COORDS:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .core import GuardExceeded, Triple
+from .core import ConsistencyError, GuardExceeded, Triple
 from .suitable import COORDS, SuitableStructure
 
 # The most points a growth stage may create: the trail universe and, in
@@ -256,9 +256,7 @@ def build_universe(
             if info is None:
                 triples[trip] = infos[last]
             elif info.end != last:
-                raise AssertionError(
-                    "one coordinate triple reached from two carrier elements"
-                )
+                raise ConsistencyError("one coordinate triple reached from two carrier elements")
             if length < bound:
                 # never straight back along the step just taken; siblings
                 # by one index share their steps tuple

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from warel import cli, labelling, reduct, trails
+from warel import cli, trails
+from warel.core import ConsistencyError
 from warel.fileformat import format_structure
 from warel.relset import Universe, atom_structure_of_relativization
 
@@ -48,6 +49,14 @@ def test_check_a2_with_laws(tmp_path):
         laws = [line for line in out.stdout.splitlines() if line.startswith("laws.")]
         assert len(laws) == 33 and all(line.endswith(" = pass") for line in laws), laws
         assert "laws.cycle-law = pass" in out.stdout
+
+
+def test_check_laws_refuses_a_non_wa_input(capsys):
+    # the suite runs on any structure: check --laws alone refuses non-WA input
+    code = cli.main(["check", str(STRUCTURES / "no_identity.alg"), "--laws"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("laws.")] == ["laws.precondition-wa = fail"]
 
 
 def test_check_reports_failed_axioms():
@@ -286,8 +295,9 @@ def test_represent_decides_the_reduct_above_the_table_guard(tmp_path, capsys):
 @pytest.mark.parametrize(
     "target, error",
     [
-        ("warel.labelling.saturate", labelling.ConsistencyError),
-        ("warel.reduct.build_pair_structure", reduct.LabelDisagreement),
+        ("warel.labelling.saturate", ConsistencyError),
+        ("warel.cli.build_universe", ConsistencyError),
+        ("warel.reduct.build_pair_structure", ConsistencyError),
     ],
 )
 def test_internal_error_is_a_fail_line(monkeypatch, capsys, target, error):

@@ -5,7 +5,6 @@ import pytest
 
 from warel import cylindric
 from warel.cylindric import (
-    ComplexAlgebra,
     check_complex_vs_relativized,
     check_functions,
     check_mgr2,
@@ -29,20 +28,17 @@ def triples_of(S, mask):
 
 
 def test_cyl_empty(s2):
-    cm = ComplexAlgebra(s2)
     for k in (0, 1, 2):
-        assert cm.cyl(k, 0) == 0
+        assert s2.t_star(k, 0) == 0
 
 
 def test_diag_01_a2(s2):
-    cm = ComplexAlgebra(s2)
-    assert triples_of(s2, cm.diag(0, 1)) == {(0, 0, 0), (1, 1, 0)}
+    assert triples_of(s2, s2.e_masks[0][1]) == {(0, 0, 0), (1, 1, 0)}
 
 
 def test_cyl_2_diversity_singleton(s2):
-    cm = ComplexAlgebra(s2)
     i = s2.index[(1, 1, 1)]
-    got = cm.cyl(2, 1 << i)
+    got = s2.t_star(2, 1 << i)
     assert triples_of(s2, got) == {(0, 1, 1), (1, 0, 1), (1, 1, 1)}
 
 
@@ -70,10 +66,9 @@ def test_mgr2_featured_instance_value(s2):
     # coordinate d~ = d
     from warel.cylindric import _mgr_side
 
-    cm = ComplexAlgebra(s2)
     i = s2.index[(1, 1, 1)]
-    lhs = _mgr_side(cm, (2, 0, 1), 1 << i)
-    rhs = _mgr_side(cm, (2, 1, 0), 1 << i)
+    lhs = _mgr_side(s2, (2, 0, 1), 1 << i)
+    rhs = _mgr_side(s2, (2, 1, 0), 1 << i)
     expected = {(0, 1, 1), (1, 0, 1), (1, 1, 1)}
     assert triples_of(s2, lhs) == expected
     assert triples_of(s2, rhs) == expected
@@ -100,19 +95,18 @@ def test_atom_past_the_last_fails_its_lines(a2, s2):
 
 
 def test_functions_example_values(s2):
-    cm = ComplexAlgebra(s2)
+    c, d = s2.t_star, s2.e_masks
     i = s2.index[(1, 1, 1)]
-    got_i = cm.diag(1, 0) & cm.cyl(0, 1 << i)
+    got_i = d[1][0] & c(0, 1 << i)
     assert triples_of(s2, got_i) == {(1, 1, 0)}
-    got_iii = cm.diag(1, 2) & cm.cyl(2, 1 << i)
+    got_iii = d[1][2] & c(2, 1 << i)
     assert triples_of(s2, got_iii) == {(0, 1, 1)}
 
 
 def test_functions_all_identity_fixed(s2):
-    cm = ComplexAlgebra(s2)
     i = s2.index[(0, 0, 0)]
     for dk, dl, ck in [(1, 0, 0), (0, 1, 1), (1, 2, 2), (2, 1, 1), (0, 2, 2), (2, 0, 0)]:
-        assert cm.diag(dk, dl) & cm.cyl(ck, 1 << i) == 1 << i
+        assert s2.e_masks[dk][dl] & s2.t_star(ck, 1 << i) == 1 << i
 
 
 def test_rc_single_atom_covers_everything(a1):
@@ -202,20 +196,20 @@ def test_diag_rigidity_names_first_failure(s2):
     assert not c.holds and c.detail == "elements 0,1 both in subset (0,1) and 0-related"
 
 
-def test_guarded_commutativity_names_first_failure(monkeypatch):
+def test_guarded_commutativity_names_first_failure():
     # the first mod-iso WA 3-atom structure does not commute; with full
     # diagonals the guard is void and its failing (k, l) show
     _, census = summarize(3, mod_iso=True)
     S = build_suitable(census[0])
     assert _result(check_na3(S), "full-commutativity-verdict").detail == "does not commute"
-    monkeypatch.setattr(ComplexAlgebra, "diag", lambda cm, k, l: cm.full)
-    cm = ComplexAlgebra(S)
+    S = _with_masks(S, [[S.full_mask] * 3] * 3)
+    c = S.t_star
     failing = {
         (k, l)
         for k in range(3)
         for l in range(3)
         if k != l
-        and any(cm.cyl(l, cm.cyl(k, 1 << i)) != cm.cyl(k, cm.cyl(l, 1 << i)) for i in range(S.size))
+        and any(c(l, c(k, 1 << i)) != c(k, c(l, 1 << i)) for i in range(S.size))
     }
     assert len(failing) >= 2
     c = _result(check_na3(S), "guarded-commutativity")
@@ -225,7 +219,7 @@ def test_guarded_commutativity_names_first_failure(monkeypatch):
 
 def test_mgr2_names_first_failure(s2, monkeypatch):
     # the two chains read different middle indices, so every instance fails
-    monkeypatch.setattr(cylindric, "_mgr_side", lambda cm, order, x: order[1])
+    monkeypatch.setattr(cylindric, "_mgr_side", lambda S, order, x: order[1])
     c = _result(check_mgr2(s2), "mgr2")
     assert not c.holds and c.detail == "(0, 1, 2, 1)"
 

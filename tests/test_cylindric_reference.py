@@ -4,8 +4,8 @@ The checks range every singleton-decided axiom over the carrier's
 singletons alone.  The references keep the earlier loops, which also ran
 over 0, the full set and seeded random subsets, on the plain primitives:
 a cylindrification that joins the blocks a mask meets on every call,
-with no memo, for both ``SuitableStructure.t_star`` and
-``ComplexAlgebra.cyl``, and a ``cyl-meet-exchange`` that walks all
+with no memo, for ``SuitableStructure.t_star``, the c_k of the complex
+algebra, and a ``cyl-meet-exchange`` that walks all
 sampled (x, y) pairs.  Cylindrification is additive, so the singletons
 decide those axioms: at every seed the checks must give the same names,
 verdicts and witnesses as the references, and only the count in the
@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 from warel import cylindric
 from warel.core import CheckResult, iter_bits
 from warel.cylindric import (
-    ComplexAlgebra,
     check_complex_vs_relativized,
     check_functions,
     check_mgr2,
@@ -58,26 +57,19 @@ def ref_t_star(S, k, mask):
     return out
 
 
-def ref_cyl(cm, k, x):
-    acc = 0
-    for block in sorted(set(cm.S.blocks[k].values())):
-        if x & block:
-            acc |= block
-    return acc
-
-
 def sample_subsets(full, rng, count):
     return [0, full] + [rng.randrange(full + 1) for _ in range(count)]
 
 
-def ref_first_meet_exchange_failure(cm, sampled):
+def ref_first_meet_exchange_failure(S, sampled):
     """The first sampled (k, x, y) with c_k(x . c_k y) != c_k x . c_k y,
     in loop order."""
+    c = S.t_star
     for k in COORDS:
-        sampled_cyl = [cm.cyl(k, x) for x in sampled]
+        sampled_cyl = [c(k, x) for x in sampled]
         for x, cx in zip(sampled, sampled_cyl):
             for y, cy in zip(sampled, sampled_cyl):
-                if cm.cyl(k, x & cy) != cx & cy:
+                if c(k, x & cy) != cx & cy:
                     return (k, x, y)
     return None
 
@@ -89,48 +81,48 @@ def _first(instances):
 def ref_check_na3(S, seed=0, samples=64):
     """``check_na3`` with x (and y) over every singleton, then 0, the
     full set and ``samples`` seeded random subsets."""
-    cm = ComplexAlgebra(S)
+    c, d, full = S.t_star, S.e_masks, S.full_mask
     singles = [1 << i for i in range(S.size)]
-    subsets = singles + sample_subsets(cm.full, random.Random(seed), samples)
+    subsets = singles + sample_subsets(full, random.Random(seed), samples)
     out = [CheckResult("boolean-part", True, "powerset algebra")]
-    out.append(CheckResult("cyl-zero", all(cm.cyl(k, 0) == 0 for k in COORDS)))
-    bad = _first((k, x) for k in COORDS for x in subsets if x | cm.cyl(k, x) != cm.cyl(k, x))
+    out.append(CheckResult("cyl-zero", all(c(k, 0) == 0 for k in COORDS)))
+    bad = _first((k, x) for k in COORDS for x in subsets if x | c(k, x) != c(k, x))
     out.append(CheckResult("cyl-increasing", bad is None, str(bad or "")))
     bad = _first(
         (k, x, y)
         for k in COORDS
         for x in singles
         for y in singles
-        if cm.cyl(k, x & cm.cyl(k, y)) != cm.cyl(k, x) & cm.cyl(k, y)
+        if c(k, x & c(k, y)) != c(k, x) & c(k, y)
     )
     if bad is None:
-        bad = ref_first_meet_exchange_failure(cm, subsets[len(singles) :])
+        bad = ref_first_meet_exchange_failure(S, subsets[len(singles) :])
     out.append(CheckResult("cyl-meet-exchange", bad is None, str(bad or "")))
-    out.append(CheckResult("diag-diagonal-full", all(cm.diag(k, k) == cm.full for k in COORDS)))
+    out.append(CheckResult("diag-diagonal-full", all(d[k][k] == full for k in COORDS)))
     bad = _first(
         (k, l, m)
         for k in COORDS
         for l in COORDS
         for m in COORDS
-        if m not in (k, l) and cm.diag(k, l) != cm.cyl(m, cm.diag(k, m) & cm.diag(m, l))
+        if m not in (k, l) and d[k][l] != c(m, d[k][m] & d[m][l])
     )
     out.append(CheckResult("diag-composition", bad is None, str(bad or "")))
     bad = _first(
         (k, l, x)
         for k, l, _ in permutations(COORDS)
         for x in subsets
-        if cm.cyl(k, cm.diag(k, l) & x) & cm.cyl(k, cm.diag(k, l) & cm.full & ~x)
+        if c(k, d[k][l] & x) & c(k, d[k][l] & full & ~x)
     )
     out.append(CheckResult("diag-rigidity", bad is None, str(bad or "")))
     bad = _first(
         (k, l, x)
         for k, l, m in permutations(COORDS)
         for x in subsets
-        if cm.cyl(l, cm.cyl(k, x)) & cm.diag(l, m) & ~cm.cyl(k, cm.cyl(l, x))
+        if c(l, c(k, x)) & d[l][m] & ~c(k, c(l, x))
     )
     out.append(CheckResult("guarded-commutativity", bad is None, str(bad or "")))
     commutes = all(
-        cm.cyl(k, cm.cyl(l, x)) == cm.cyl(l, cm.cyl(k, x))
+        c(k, c(l, x)) == c(l, c(k, x))
         for k in COORDS
         for l in COORDS
         for x in subsets
@@ -147,16 +139,15 @@ def ref_check_mgr2(S, seed=0, samples=64):
     """``check_mgr2`` with x over every singleton, then 0, the full set
     and ``samples`` seeded random subsets; the other lines are exact and
     taken from the check."""
-    cm = ComplexAlgebra(S)
     subsets = [1 << i for i in range(S.size)] + sample_subsets(
-        cm.full, random.Random(seed), samples
+        S.full_mask, random.Random(seed), samples
     )
     side = cylindric._mgr_side
     bad = _first(
         (k, l, m, x)
         for k, l, m in permutations(COORDS)
         for x in subsets
-        if side(cm, (k, l, m), x) != side(cm, (k, m, l), x)
+        if side(S, (k, l, m), x) != side(S, (k, m, l), x)
     )
     return (CheckResult("mgr2", bad is None, str(bad or "")),) + check_mgr2(S)[1:]
 
@@ -237,7 +228,7 @@ def ref_check_complex_vs_relativized(S, uni, seed=0, samples=32):
     with x over every singleton, then 0, the full set and ``samples``
     seeded random subsets."""
     rc = ref_rc_build(uni)
-    cm = ComplexAlgebra(S)
+    c, d, full = S.t_star, S.e_masks, S.full_mask
     rng = random.Random(seed)
     out = []
 
@@ -261,16 +252,16 @@ def ref_check_complex_vs_relativized(S, uni, seed=0, samples=32):
             m |= atom_masks[i]
         return m
 
-    subsets = [1 << i for i in range(S.size)] + sample_subsets(cm.full, rng, samples)
+    subsets = [1 << i for i in range(S.size)] + sample_subsets(full, rng, samples)
     ok = all(
-        image(cm.full & ~x) == rc.full & ~image(x) and image(x | y) == image(x) | image(y)
+        image(full & ~x) == rc.full & ~image(x) and image(x | y) == image(x) | image(y)
         for x in subsets
         for y in subsets[: len(COORDS)]
     )
     out.append(CheckResult("boolean-exact", ok))
 
     bad = next(
-        ((k, l) for k in COORDS for l in COORDS if image(cm.diag(k, l)) != rc.diag(k, l)),
+        ((k, l) for k in COORDS for l in COORDS if image(d[k][l]) != rc.diag(k, l)),
         None,
     )
     out.append(CheckResult("diagonal-exact", bad is None, str(bad or "")))
@@ -285,7 +276,7 @@ def ref_check_complex_vs_relativized(S, uni, seed=0, samples=32):
     excluded = 0
     for k in COORDS:
         for x in subsets:
-            lhs = image(cm.cyl(k, x))
+            lhs = image(c(k, x))
             rhs = 0
             for i in iter_bits(x):
                 rhs |= atom_cyl[k][i]
@@ -310,10 +301,9 @@ def ref_check_complex_vs_relativized(S, uni, seed=0, samples=32):
 
 
 @contextmanager
-def reference_primitives(cyl=ref_cyl):
+def reference_primitives(cyl=ref_t_star):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SuitableStructure, "t_star", ref_t_star)
-        mp.setattr(ComplexAlgebra, "cyl", cyl)
+        mp.setattr(SuitableStructure, "t_star", cyl)
         yield
 
 
@@ -511,16 +501,17 @@ def test_orbit_cyl_matches_reference(a2, pentagon, census):
 
 
 def test_complex_algebras_share_the_memo(a2):
+    # every check reads c_k as S.t_star, so all share one memo per S
     S = build_suitable(a2)
-    ComplexAlgebra(S).cyl(1, 5)
+    S.t_star(1, 5)
     assert S._t_star_memo[1] == {5: ref_t_star(S, 1, 5)}
-    assert ComplexAlgebra(S).cyl(1, 5) == ref_t_star(S, 1, 5)
+    assert S.t_star(1, 5) == ref_t_star(S, 1, 5)
 
 
-def lossy_cyl(cm, k, x):
+def lossy_cyl(S, k, x):
     """Cylindrification along coordinate 2 that drops the lowest bit of
     a two-element mask: right on singletons, not additive beyond."""
-    out = ref_cyl(cm, k, x)
+    out = ref_t_star(S, k, x)
     if k == 2 and bin(x).count("1") == 2:
         out &= ~(x & -x)
     return out
@@ -540,16 +531,15 @@ def test_non_additive_cyl_names_the_reference_witness(pentagon, census, seed):
         with reference_primitives(cyl=lossy_cyl):
             want = next(c for c in ref_check_na3(S, seed=seed) if c.name == line)
             got = next(c for c in check_na3(S) if c.name == line)
-            cm = ComplexAlgebra(S)
-            sampled = sample_subsets(cm.full, random.Random(seed), 64)
-            witness = ref_first_meet_exchange_failure(cm, sampled)
+            sampled = sample_subsets(S.full_mask, random.Random(seed), 64)
+            witness = ref_first_meet_exchange_failure(S, sampled)
         assert witness is not None and witness[2] != sampled[0]
         assert not want.holds and want.detail == str(witness)
         assert got == exact
         k, x, y = witness
-        joins = (x, y, x & lossy_cyl(cm, k, y))
+        joins = (x, y, x & lossy_cyl(S, k, y))
         assert any(
-            lossy_cyl(cm, k, m) != _join(lossy_cyl(cm, k, 1 << i) for i in iter_bits(m))
+            lossy_cyl(S, k, m) != _join(lossy_cyl(S, k, 1 << i) for i in iter_bits(m))
             for m in joins
         )
 
@@ -570,18 +560,17 @@ def additivity_property(cyl):
     @settings(max_examples=200, deadline=None)
     @given(S=hand_built(), data=st.data())
     def prop(S, data):
-        cm = ComplexAlgebra(S)
-        masks = st.one_of(st.integers(0, S.size - 1).map(lambda i: 1 << i), st.integers(0, cm.full))
+        masks = st.one_of(st.integers(0, S.size - 1).map(lambda i: 1 << i), st.integers(0, S.full_mask))
         x, y = data.draw(masks), data.draw(masks)
         for k in COORDS:
-            assert cyl(cm, k, 0) == 0
-            assert cyl(cm, k, x | y) == cyl(cm, k, x) | cyl(cm, k, y)
+            assert cyl(S, k, 0) == 0
+            assert cyl(S, k, x | y) == cyl(S, k, x) | cyl(S, k, y)
 
     return prop
 
 
 def test_t_star_is_additive():
-    additivity_property(ComplexAlgebra.cyl)()
+    additivity_property(SuitableStructure.t_star)()
 
 
 def test_lossy_cyl_fails_additivity():

@@ -44,9 +44,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warel import reduct
-from warel.core import AtomStructure, CheckResult, classify, iter_bits
+from warel.core import AtomStructure, CheckResult, ConsistencyError, classify, iter_bits
 from warel.enumerate import summarize
-from warel.reduct import REPLACEMENT_STEPS, LabelDisagreement
+from warel.reduct import REPLACEMENT_STEPS
 from warel.relset import Network
 from warel.suitable import COORDS, build_suitable
 from warel.trails import BoundedUniverse, TripleInfo, build_universe
@@ -61,7 +61,7 @@ def _assign(label, u, v, a):
     if old is None:
         label[(u, v)] = a
     elif old != a:
-        raise LabelDisagreement(f"pair ({u},{v}) labelled {old} and {a}")
+        raise ConsistencyError(f"pair ({u},{v}) labelled {old} and {a}")
 
 
 def ref_pair_kind(ps, u, v):
@@ -183,17 +183,17 @@ def ref_build_pair_structure(A, uni):
         _assign(label, w, v, conv[t0])
         _assign(label, u, w, t1)
         _assign(label, w, u, conv[t1])
-        du = A.dom_atom(t1)
-        if du != A.dom_atom(t2):
-            raise LabelDisagreement(f"diagonal label mismatch at {trip}")
+        du = A.atom_domains[t1]
+        if du != A.atom_domains[t2]:
+            raise ConsistencyError(f"diagonal label mismatch at {trip}")
         _assign(label, u, u, bit(du))
-        dv = A.rng_atom(t2)
-        if dv != A.dom_atom(t0):
-            raise LabelDisagreement(f"diagonal label mismatch at {trip}")
+        dv = A.atom_ranges[t2]
+        if dv != A.atom_domains[t0]:
+            raise ConsistencyError(f"diagonal label mismatch at {trip}")
         _assign(label, v, v, bit(dv))
-        dw = A.rng_atom(t0)
-        if dw != A.rng_atom(t1):
-            raise LabelDisagreement(f"diagonal label mismatch at {trip}")
+        dw = A.atom_ranges[t0]
+        if dw != A.atom_ranges[t1]:
+            raise ConsistencyError(f"diagonal label mismatch at {trip}")
         _assign(label, w, w, bit(dw))
     return Network(A, label)
 
@@ -319,20 +319,20 @@ def ref_carrier(S):
 
 
 def ref_check_reduct_closure(S):
-    ra = reduct.ra_reduct(S)
+    is_two_dim = lambda x: S.t_star(2, x) == x
     carrier = ref_carrier(S)
     out = []
-    ok = all(ra.is_two_dim(x) for x in carrier)
+    ok = all(is_two_dim(x) for x in carrier)
     out.append(CheckResult("carrier-two-dimensional", ok))
-    ok = ra.is_two_dim(ra.identity)
+    ok = is_two_dim(S.e_masks[0][1])
     out.append(CheckResult("identity-two-dimensional", ok))
     bad = None
     for x in carrier:
-        if not ra.is_two_dim(ra.converse(x)):
+        if not is_two_dim(reduct._converse(S, x)):
             bad = ("converse", x)
             break
         for y in carrier:
-            if not ra.is_two_dim(ra.compose(x, y)):
+            if not is_two_dim(reduct._compose(S, x, y)):
                 bad = ("compose", x, y)
                 break
         if bad:
@@ -342,7 +342,6 @@ def ref_check_reduct_closure(S):
 
 
 def ref_check_reduct_isomorphism(A, S):
-    ra = reduct.ra_reduct(S)
     out = []
 
     def phi(xm):
@@ -368,14 +367,14 @@ def ref_check_reduct_isomorphism(A, S):
             ),
         )
     )
-    out.append(CheckResult("identity-preserved", images[A.identity] == ra.identity))
+    out.append(CheckResult("identity-preserved", images[A.identity] == S.e_masks[0][1]))
     bad = None
     for x in els:
-        if images[A.conv_el(x)] != ra.converse(images[x]):
+        if images[A.conv_el(x)] != reduct._converse(S, images[x]):
             bad = ("converse", x)
             break
         for y in els:
-            if images[A.compose(x, y)] != ra.compose(images[x], images[y]):
+            if images[A.compose(x, y)] != reduct._compose(S, images[x], images[y]):
                 bad = ("compose", x, y)
                 break
         if bad:
@@ -574,7 +573,7 @@ def test_pair_disagreement_matches_reference(inputs):
             moved = replace(uni, triples=triples)
             got = _outcome(reduct.build_pair_structure, A, moved)
             assert got == _outcome(ref_build_pair_structure, A, moved)
-            raised += got[0] == "LabelDisagreement"
+            raised += got[0] == "ConsistencyError"
     assert raised > 50
 
 
@@ -596,7 +595,7 @@ def test_diagonal_mismatch_matches_reference(two_identities):
         uni = BoundedUniverse(S, 1, triples={t: TripleInfo(e, 1) for t, e in case.items()})
         got = _outcome(reduct.build_pair_structure, A, uni)
         assert got == _outcome(ref_build_pair_structure, A, uni), case
-        if got[0] == "LabelDisagreement":
+        if got[0] == "ConsistencyError":
             seen.add(got[1].split(" at ")[0] if "diagonal" in got[1] else "pair")
     assert seen == {"diagonal label mismatch", "pair"}
 
@@ -688,7 +687,7 @@ def test_a_removed_fact_fails_both_lines_with_the_walked_witnesses(pentagon, cen
             B = AtomStructure(A.atom_count, A.identity, A.converse, A.cycles - {fact})
             try:
                 net = reduct.build_pair_structure(B, uni)
-            except LabelDisagreement:
+            except ConsistencyError:
                 continue  # the fact fixed a domain or range atom
             upper = reduct.final_representation(uni, net)[1][4]
             assert (upper.name, upper.holds, upper.detail) == ref_final_upper(B, net.label)

@@ -6,8 +6,7 @@ whole ``is_flaw`` search afterwards.  ``ref_saturate`` runs the passes of
 ``saturate`` with it on a system built directly (``ref_initial``), which
 has no ``signatures``.  ``saturate`` decides each repair signature once
 (the signature lemma of ``warel.labelling``) and must leave the same
-labels, rows (key order included), stages, passing matrices and repair
-count.  Its network's ``facts``, seeded from the signatures' matrices
+labels, rows (key order included), stages and repair count.  Its network's ``facts``, seeded from the signatures' matrices
 (the repair-locality lemma of ``LabellingSystem.network``), must be the
 facts a walk over every triangle finds.  A repair that breaks a
 structural property must raise the reference's ``ConsistencyError``.
@@ -48,7 +47,7 @@ def ref_repair(ls, f, stage=None):
     A = ls.algebra
     if stage is None:
         stage = ls.passes_done + 1
-    rng_b = A.rng_atom(b)
+    rng_b = A.atom_ranges[b]
     if bin(rng_b).count("1") != 1:
         raise lb.ConsistencyError(f"range of atom {b} is not an atom")
     w = ls._add_point(stage)
@@ -95,8 +94,8 @@ def saturate_checking_listings(A, passes):
 def _state(ls):
     rows = lambda index: [(p, list(row.items())) for p, row in index.items()]
     return (
-        list(ls.label.items()), rows(ls.out), rows(ls.inn), list(ls.stage.items()),
-        ls.passing, ls.repairs_done, ls.passes_done,
+        list(ls.label.items()), rows(ls.out), rows(ls.inn), list(ls.stage),
+        ls.repairs_done, ls.passes_done,
     )
 
 
@@ -291,7 +290,7 @@ def test_a_flaw_without_its_converse_label_raises_a_consistency_error(a2):
 
 def test_systems_built_directly_walk_their_triangles(pentagon):
     ls = lb.saturate(lb.initial_system(pentagon), 2)
-    hand = _system(pentagon, dict(ls.label), list(ls.stage.values()))
+    hand = _system(pentagon, dict(ls.label), list(ls.stage))
     assert hand.signatures is None
     net = hand.network()
     assert "facts" not in vars(net)
@@ -304,7 +303,7 @@ def test_a_breaking_label_fails_composition_upper_with_the_walked_witness(pentag
     label = dict(ls.label)
     u, v = next(pair for pair, a in label.items() if a == 1)
     label[(u, v)], label[(v, u)] = 2, 1  # r and s swapped on one edge
-    hand = _system(pentagon, label, list(ls.stage.values()))
+    hand = _system(pentagon, label, list(ls.stage))
     got = _by_name(lb.verify_representation(hand, 2))["composition-upper"]
     witness = Network(pentagon, label).upper_violation()
     assert witness is not None

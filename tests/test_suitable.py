@@ -45,13 +45,13 @@ def classify_triple(S: SuitableStructure, t: Triple) -> tuple[str, Triple]:
         return ("all-identity", t)
     atom_bit = lambda m: m.bit_length() - 1
     if flags[2]:
-        form = (s0, s0, atom_bit(A.dom_atom(s0)))
+        form = (s0, s0, atom_bit(A.atom_domains[s0]))
         kind = "identity-at-2"
     elif flags[0]:
-        form = (atom_bit(A.rng_atom(s2)), s2, s2)
+        form = (atom_bit(A.atom_ranges[s2]), s2, s2)
         kind = "identity-at-0"
     else:
-        form = (A.converse[s2], atom_bit(A.dom_atom(s2)), s2)
+        form = (A.converse[s2], atom_bit(A.atom_domains[s2]), s2)
         kind = "identity-at-1"
     if form != t:
         raise AssertionError(f"forced form {form} differs from carrier triple {t}")
@@ -166,7 +166,7 @@ def test_saturation_witnesses_exist(a2):
     A = a2
     bit = lambda m: m.bit_length() - 1
     for t in S.elements:
-        w = (t[0], t[0], bit(A.dom_atom(t[0])))
+        w = (t[0], t[0], bit(A.atom_domains[t[0]]))
         assert w in S.index
         assert S.in_e(S.index[w], 0, 1)
         assert related(S, 0, S.index[t], S.index[w])

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warel import reduct
-from warel.core import CheckResult, GuardExceeded
+from warel.core import CheckResult, ConsistencyError, GuardExceeded
 from warel.cylindric import check_orbit_partition
 from warel.enumerate import summarize
 from warel.suitable import COORDS, SuitableStructure, build_suitable
-from warel.trails import BoundedUniverse, Point, Trail, build_universe
+from warel.trails import BoundedUniverse, Point, Trail, TripleInfo, build_universe
 
 from test_suitable import related
 from test_trails_reference import random_trail, reduce_random_order, reduce_trail, repoint
@@ -222,6 +222,22 @@ def test_universe_monotone(s2):
 def test_universe_budget(s2):
     with pytest.raises(GuardExceeded):
         build_universe(s2, 3, max_spines=10)
+
+
+def test_a_triple_reached_from_two_elements_raises():
+    # two elements in one block of every coordinate, both in E(0, 1) and
+    # E(1, 0), which breaks rigidity (axiom (v)): element 0's base triple
+    # (0, 0, 1) repeats pointers 0 and 1, and the spine from element 0 to
+    # element 1 by step 0 repoints to 1 and reaches that triple again
+    full = 0b11
+    S = SuitableStructure(
+        ((0, 0, 0), (1, 1, 1)), ((0, 0),) * 3, ((full, full, 0), (full, full, 0), (0, 0, full))
+    )
+    assert build_universe(S, 1).triples == {
+        (0, 0, 1): TripleInfo(0, 1), (2, 2, 3): TripleInfo(1, 1)
+    }
+    with pytest.raises(ConsistencyError, match="one coordinate triple reached from two carrier elements"):
+        build_universe(S, 2)
 
 
 def test_orbit_partition_holds_and_counts_the_triples(s2, pentagon):
