@@ -25,7 +25,7 @@ import time
 from itertools import islice
 from typing import Optional
 
-from . import labelling, reduct, trails
+from . import labelling, reduct
 from .core import AtomStructure, CheckResult, ConsistencyError, GuardExceeded, classify
 from .cylindric import (
     check_complex_vs_relativized,
@@ -95,11 +95,11 @@ def _represent_pipeline(
     report: Report, A: AtomStructure, passes: int, depth: int
 ) -> None:
     ls = labelling.initial_system(A)
-    labelling.saturate(ls, passes, max_points=trails.POINT_BUDGET)
+    labelling.saturate(ls, passes)
     report.info("labelling.points", ls.point_count())
     report.info("labelling.labels", len(ls.label))
     net = ls.network()
-    for res in labelling.verify_representation(ls, stage_bound=passes, net=net):
+    for res in labelling.verify_representation(ls, net):
         report.add("labelling", res.name, res.holds, res.detail if not res.holds else "")
     _report_images(report, "labelling", net)
 

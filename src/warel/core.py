@@ -40,6 +40,14 @@ class ConsistencyError(RuntimeError):
     a coordinate triple is reached from two carrier elements."""
 
 
+# The growth budgets, read by each stage when it runs, so one patch of
+# either reaches every stage: the most points that saturation
+# (:func:`warel.labelling.saturate`) or the trail universe
+# (:func:`warel.trails.build_universe`) may create, and the most
+# round-trip-free spines the universe may walk.
+POINT_BUDGET = 500_000
+SPINE_BUDGET = 2_000_000
+
 Triple = tuple[int, int, int]
 Matrix = tuple[Optional[int], ...]  # the 3x3 labels of three points, row by row, None unlabelled
 
@@ -201,13 +209,15 @@ class AtomStructure:
 def validate_atom_structure(
     atom_count: int,
     identity_atoms: Iterable[int],
-    converse: Mapping[int, int] | Iterable[tuple[int, int]] | tuple[int, ...],
+    converse: Mapping[int, int],
     facts: Iterable[Triple],
     auto_close: bool = False,
     names: Optional[Iterable[str]] = None,
 ) -> AtomStructure:
     """Check raw data and build an :class:`AtomStructure`.
 
+    ``converse`` maps atoms to their converses; an atom it leaves out is
+    its own converse, and each entry a: b also sets b's converse to a.
     With ``auto_close`` the fact set is replaced by its closure under
     the six cycle transforms, plus the self-cycle (e, e, e) for every
     identity atom e (without which e ; 1' = e is unsatisfiable).
@@ -222,23 +232,11 @@ def validate_atom_structure(
         return a
 
     conv = list(range(atom_count))
-    if isinstance(converse, Mapping):
-        pairs = list(converse.items())
-        full_map = False
-    else:
-        seq = list(converse)
-        if seq and isinstance(seq[0], int):
-            pairs = list(enumerate(seq))  # type: ignore[arg-type]
-            full_map = True
-        else:
-            pairs = [(a, b) for a, b in seq]  # type: ignore[misc]
-            full_map = False
-    for a, b in pairs:
+    for a, b in converse.items():
         _chk(a, "converse atom")
         _chk(b, "converse atom")
         conv[a] = b
-        if not full_map:
-            conv[b] = a
+        conv[b] = a
     for a in range(atom_count):
         if conv[conv[a]] != a:
             raise StructureError(f"converse is not an involution at atom {a}")

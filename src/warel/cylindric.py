@@ -167,6 +167,10 @@ def check_mgr2(S: SuitableStructure) -> tuple[CheckResult, ...]:
     if S.algebra is None:
         out.append(CheckResult("mgr2-featured-instance", True, "skipped, no source algebra"))
     else:
+        # the carrier mask of each last coordinate
+        block: dict[int, int] = {}
+        for i, t in enumerate(S.elements):
+            block[t[2]] = block.get(t[2], 0) | 1 << i
         bad = None
         for i, t in enumerate(S.elements):
             if not 0 <= t[2] < S.algebra.atom_count:
@@ -174,11 +178,7 @@ def check_mgr2(S: SuitableStructure) -> tuple[CheckResult, ...]:
                 break
             lhs = _mgr_side(S, (2, 0, 1), 1 << i)
             rhs = _mgr_side(S, (2, 1, 0), 1 << i)
-            conv2 = S.algebra.converse[t[2]]
-            expect = 0
-            for j, s in enumerate(S.elements):
-                if s[2] == conv2:
-                    expect |= 1 << j
+            expect = block.get(S.algebra.converse[t[2]], 0)
             if lhs != expect or rhs != expect:
                 bad = (t, lhs, rhs, expect)
                 break
@@ -194,59 +194,47 @@ def check_mgr2(S: SuitableStructure) -> tuple[CheckResult, ...]:
 
 
 def check_functions(S: SuitableStructure) -> tuple[CheckResult, ...]:
-    """The six singleton identities: cutting the saturation of a single
-    carrier element with the right diagonal picks out exactly one
-    forced triple.  Exact: each identity is checked on every carrier
-    element; ``spec`` forces its triple from coordinate ``ck``, so an
-    element naming no atom there fails it and is the witness."""
+    """The six singleton identities: cutting the saturation c_k of a
+    single carrier element with the diagonal d_kl picks out exactly one
+    triple, forced by the element's atom at coordinate k.  A table row
+    is an identity's name, the (k, l) of its d_kl, the k of its c_k and
+    the triple forced by each atom.  Exact: each identity is checked on
+    every carrier element; an element naming no atom at coordinate k
+    fails it and is the witness.  On a misshapen structure every line
+    fails with ``needs axiom (i)``, as in :func:`check_na3`."""
     if S.algebra is None:
         raise ValueError("needs the source algebra")
     A = S.algebra
-    c, d = S.t_star, S.e_masks
+    c, d, conv = S.t_star, S.e_masks, A.converse
     dom = [m.bit_length() - 1 for m in A.atom_domains]
     rng = [m.bit_length() - 1 for m in A.atom_ranges]
-
-    def forced(spec: str, t: tuple[int, int, int]) -> tuple[int, int, int]:
-        if spec == "i":
-            return (t[0], t[0], dom[t[0]])
-        if spec == "ii":
-            return (t[1], t[1], dom[t[1]])
-        if spec == "iii":
-            return (rng[t[2]], t[2], t[2])
-        if spec == "iv":
-            return (rng[t[1]], t[1], t[1])
-        if spec == "v":
-            return (A.converse[t[2]], dom[t[2]], t[2])
-        return (t[0], rng[t[0]], A.converse[t[0]])
-
-    cases = [
-        ("i", 1, 0, 0),
-        ("ii", 0, 1, 1),
-        ("iii", 1, 2, 2),
-        ("iv", 2, 1, 1),
-        ("v", 0, 2, 2),
-        ("vi", 2, 0, 0),
-    ]
+    atoms = range(A.atom_count)
+    dom_loops, rng_loops = [(a, a, dom[a]) for a in atoms], [(rng[a], a, a) for a in atoms]
+    table = (
+        ("i", (1, 0), 0, dom_loops),
+        ("ii", (0, 1), 1, dom_loops),
+        ("iii", (1, 2), 2, rng_loops),
+        ("iv", (2, 1), 1, rng_loops),
+        ("v", (0, 2), 2, [(conv[a], dom[a], a) for a in atoms]),
+        ("vi", (2, 0), 0, [(a, rng[a], conv[a]) for a in atoms]),
+    )
+    names = tuple(f"singleton-identity-{row[0]}" for row in table)
+    if S.misshapen:
+        return needs_axiom_i(names)
     out = []
-    for spec, dk, dl, ck in cases:
+    for name, (_, (k, l), ck, forced) in zip(names, table):
         bad = None
         for i, t in enumerate(S.elements):
             if not 0 <= t[ck] < A.atom_count:
                 bad = t
                 break
-            got = d[dk][dl] & c(ck, 1 << i)
-            want_triple = forced(spec, t)
-            j = S.index.get(want_triple)
+            got = d[k][l] & c(ck, 1 << i)
+            want = forced[t[ck]]
+            j = S.index.get(want)
             if j is None or got != 1 << j:
-                bad = (t, got, want_triple)
+                bad = (t, got, want)
                 break
-        out.append(
-            CheckResult(
-                f"singleton-identity-{spec}",
-                bad is None,
-                str(bad or ""),
-            )
-        )
+        out.append(CheckResult(name, bad is None, str(bad or "")))
     return tuple(out)
 
 

@@ -139,7 +139,7 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
                     continue
                 walked.add(moved)
             conv = tuple(inv.get(a, a) for a in range(n))
-            checked = [validate_atom_structure(n, ident, conv, orb) for orb in cycle_orbits(n, conv)]
+            checked = [validate_atom_structure(n, ident, inv, orb) for orb in cycle_orbits(n, conv)]
             identity, converse = checked[0].identity, checked[0].converse
             orbits = [B.cycles for B in checked]
             # tables[t]: the composition table of orbits 0..t, one byte per entry x * n + y.

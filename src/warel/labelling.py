@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
 
+from . import core
 from .core import (
     AtomStructure, CheckResult, ConsistencyError, GuardExceeded, Matrix, classify, iter_bits, matrix_facts
 )
@@ -211,9 +212,11 @@ def _check_triangles_through(ls: LabellingSystem, pts: tuple[int, ...]) -> Matri
     return m
 
 
-def repair(ls: LabellingSystem, f: Flaw, stage: Optional[int] = None) -> LabellingSystem:
+def repair(ls: LabellingSystem, f: Flaw) -> LabellingSystem:
     """Fix one flaw by adding a fresh point w and the five labels
-    (u,b,w), (w,c,v), (w,b~,u), (v,c~,w), (w, rng b, w).
+    (u,b,w), (w,c,v), (w,b~,u), (v,c~,w), (w, rng b, w).  The point's
+    stage is ``ls.passes_done + 1``, the pass under way inside
+    :func:`saturate`.
 
     Mutates and returns the system.  Raises if f is not currently a
     flaw, or if any structural property would break (which cannot
@@ -231,8 +234,7 @@ def repair(ls: LabellingSystem, f: Flaw, stage: Optional[int] = None) -> Labelli
         raise ValueError(f"not a flaw (already witnessed or unlabelled): {f}")
     u, a, v, b, c = f
     A = ls.algebra
-    if stage is None:
-        stage = ls.passes_done + 1
+    stage = ls.passes_done + 1
     known = ls.signatures
     sig = m = None
     if known is not None:
@@ -265,15 +267,13 @@ def repair(ls: LabellingSystem, f: Flaw, stage: Optional[int] = None) -> Labelli
     return ls
 
 
-def saturate(
-    ls: LabellingSystem, passes: int, max_points: Optional[int] = None
-) -> LabellingSystem:
+def saturate(ls: LabellingSystem, passes: int) -> LabellingSystem:
     """Run repair passes.  Pass k fixes, in order, every flaw whose
     endpoints were created before pass k; afterwards no flaw has both
-    endpoints at a stage below ``passes``.  ``max_points`` bounds the
-    points: a repair that would add a point beyond it raises
-    ``GuardExceeded``, and a listed flaw that an earlier repair of the
-    pass already witnessed adds none.
+    endpoints at a stage below ``passes``.  ``core.POINT_BUDGET``, read
+    when the call starts, bounds the points: a repair that would add a
+    point beyond it raises ``GuardExceeded``, and a listed flaw that an
+    earlier repair of the pass already witnessed adds none.
 
     The first pass of a call lists its flaws with :func:`find_flaws`.  A
     later pass k of a system with ``signatures`` lists them from the
@@ -293,6 +293,7 @@ def saturate(
     (:func:`_witnessed_since`)."""
     if passes < 0:
         raise ValueError("passes must be nonnegative")
+    max_points = core.POINT_BUDGET
     first = ls.passes_done + 1
     last = first + passes - 1
     templated = ls.signatures is not None and max(ls.stage, default=0) < first
@@ -306,13 +307,13 @@ def saturate(
             u, _, v, _, _ = f
             if u >= v and _witnessed_since(ls.out, start, f):
                 continue
-            if max_points is not None and ls.point_count() >= max_points:
+            if ls.point_count() >= max_points:
                 raise GuardExceeded(
                     f"saturation exceeded the point budget {max_points}"
                 )
             if fresh is not None:
                 fresh.append((u, v, ls.point_count(), _signature(ls, f)))
-            repair(ls, f, stage=k)
+            repair(ls, f)
         ls.passes_done = k
     return ls
 
@@ -367,13 +368,12 @@ def _fresh_flaws(
 # The induced representation
 
 
-def verify_representation(
-    ls: LabellingSystem, stage_bound: int, net: Optional[Network] = None
-) -> tuple[CheckResult, ...]:
+def verify_representation(ls: LabellingSystem, net: Network) -> tuple[CheckResult, ...]:
     """Verify the map induced by the labels, one path for every system.
 
-    ``net`` is :meth:`LabellingSystem.network` when the caller holds it,
-    so its cached image sizes and facts are built once.
+    ``net`` is the network of the labels, :meth:`LabellingSystem.network`
+    in ``represent``, which also prints its images, so its cached image
+    sizes and facts are built once.
 
     Each line's range:
 
@@ -394,22 +394,18 @@ def verify_representation(
       :meth:`Network.upper_violation`; the first bad triangle is the
       witness.
     - ``composition-lower-staged``: staged, ``Network.lower_scan`` on
-      the pairs whose points were both created before ``stage_bound``
-      (``ls.stage`` below it); the rest are counted as excluded.
+      the pairs whose points were both created before the last
+      completed pass (``ls.stage`` below ``ls.passes_done``), which
+      :func:`saturate` leaves without flaws; the rest are counted as
+      excluded.
 
     - ``unit-symmetric-reflexive``: exact,
       :meth:`Network.is_symmetric_reflexive`.
 
     The five element lines and the unit line carry no detail.
     """
-    if stage_bound > ls.passes_done:
-        raise ValueError(
-            f"stage bound {stage_bound} exceeds completed passes {ls.passes_done}"
-        )
-    if net is None:
-        net = ls.network()
     bad = net.upper_violation()
-    checked, excluded, flaw = net.lower_scan(ls.stage, stage_bound)
+    checked, excluded, flaw = net.lower_scan(ls.stage, ls.passes_done)
     return (
         CheckResult("join-preserved", True),
         CheckResult("complement-preserved", True),

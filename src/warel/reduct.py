@@ -88,7 +88,13 @@ def check_reduct_isomorphism(A: AtomStructure, S: SuitableStructure) -> tuple[Ch
     nonzero joins of either family), and Boolean iff they cover the
     carrier.  The operation equations have additive sides, so a mask
     failing one fails it at an atom no larger than itself, and a loop
-    ascending over every element pair first fails at a pair of atoms."""
+    ascending over every element pair first fails at a pair of atoms.
+    On a misshapen structure every line fails with ``needs axiom (i)``,
+    as in :func:`check_reduct_closure`."""
+    if S.misshapen:
+        return needs_axiom_i((
+            "injective", "surjective-onto-reduct", "boolean-preserved", "identity-preserved", "operations-preserved",
+        ))
     img = [sum(1 << i for i, t in enumerate(S.elements) if t[2] == a) for a in range(A.atom_count)]
     phi = lambda m: sum(img[a] for a in iter_bits(m))
     bad = _first_failure(

@@ -29,12 +29,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
+from . import core
 from .core import ConsistencyError, GuardExceeded, Triple
 from .suitable import COORDS, SuitableStructure
-
-# The most points a growth stage may create: the trail universe and, in
-# ``represent``, the labelling system's saturation.
-POINT_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -124,14 +121,10 @@ class BoundedUniverse:
         )
 
 
-def build_universe(
-    S: SuitableStructure,
-    bound: int,
-    max_spines: int = 2_000_000,
-    max_points: int = POINT_BUDGET,
-) -> BoundedUniverse:
+def build_universe(S: SuitableStructure, bound: int) -> BoundedUniverse:
     """Breadth-first generation of every round-trip-free trail up to the
-    length bound.
+    length bound, under the budgets ``core.SPINE_BUDGET`` and
+    ``core.POINT_BUDGET``, read when the walk starts.
 
     Pointer choice never affects a trail's coordinate triple, so the
     walk enumerates node/step spines and records the points of the
@@ -139,7 +132,7 @@ def build_universe(
     t -k- s -k- t has the classes of the spine without it, two steps
     shorter and already walked, so it adds no point, triple or length;
     the walk never steps straight back along the step it came by, and
-    ``spines_seen`` and ``max_spines`` count round-trip-free spines (a
+    ``spines_seen`` and the spine budget count round-trip-free spines (a
     layer that would pass the budget is refused before it is walked).
 
     Each spine's triple is read off its parent's (the spine without its
@@ -203,6 +196,7 @@ def build_universe(
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    max_spines, max_points = core.SPINE_BUDGET, core.POINT_BUDGET
     uni = BoundedUniverse(S, bound)
     lengths, pointers, spines = uni.lengths, uni.pointers, uni.spines
     own, triples = uni.own_triples, uni.triples

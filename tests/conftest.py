@@ -1,6 +1,8 @@
 import pytest
 
 from warel.core import validate_atom_structure
+from warel.enumerate import summarize
+from warel.suitable import build_suitable
 
 
 @pytest.fixture(scope="session")
@@ -35,8 +37,20 @@ def pentagon():
     return validate_atom_structure(
         3,
         [0],
-        [(1, 2)],
+        {1: 2},
         [(1, 1, 1), (1, 2, 0), (1, 0, 1)],
         auto_close=True,
         names=["e", "r", "s"],
     )
+
+
+@pytest.fixture(scope="session")
+def census():
+    """The 17 WA classes of the 3-atom mod-iso census, in enumeration order."""
+    return summarize(3, mod_iso=True)[1]
+
+
+@pytest.fixture(scope="session")
+def s2(a2):
+    """The suitable structure built from a2."""
+    return build_suitable(a2)

@@ -1,3 +1,4 @@
+import re
 import resource
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from warel import cli, trails
+from warel import cli, core
 from warel.core import ConsistencyError
 from warel.fileformat import format_structure
 from warel.relset import Universe, atom_structure_of_relativization
@@ -215,7 +216,7 @@ def test_enumerate_above_atom_guard_is_a_budget_fail_line():
 
 def test_represent_passes_run_under_the_point_budget(monkeypatch, capsys):
     # pentagon reaches 129 points at 4 passes
-    monkeypatch.setattr(trails, "POINT_BUDGET", 100)
+    monkeypatch.setattr(core, "POINT_BUDGET", 100)
     code = cli.main(["represent", str(STRUCTURES / "pentagon.alg"), "--passes", "4", "--depth", "2"])
     out = capsys.readouterr().out
     assert code == 3
@@ -223,6 +224,37 @@ def test_represent_passes_run_under_the_point_budget(monkeypatch, capsys):
         "represent.budget = fail",
         "witness: saturation exceeded the point budget 100",
     ]
+
+
+@pytest.mark.parametrize(
+    "budget, witness",
+    [("POINT_BUDGET", "point budget 100 exceeded"), ("SPINE_BUDGET", "spine budget 100 exceeded")],
+)
+def test_one_budget_patch_reaches_the_trail_universe(monkeypatch, capsys, budget, witness):
+    # with no saturation pass, the budget trips in the trail universe:
+    # pentagon reaches 8,779 points at depth 4
+    monkeypatch.setattr(core, budget, 100)
+    code = cli.main(["represent", str(STRUCTURES / "pentagon.alg"), "--passes", "0", "--depth", "4"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "trails.points" not in out
+    assert out.splitlines()[-2:] == ["represent.budget = fail", f"witness: {witness}"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["represent", str(STRUCTURES / "a2.alg"), "--passes", "1", "--depth", "2"], 0),
+        (["represent", str(ROOT / "perfbench" / "inputs" / "wa00.alg")], 1),
+    ],
+)
+def test_timings_add_one_trailing_line(capsys, argv, code):
+    assert cli.main(argv) == code
+    untimed = capsys.readouterr().out
+    assert cli.main(["--timings", *argv]) == code
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert lines == untimed.splitlines()
+    assert re.fullmatch(r"timing\.total_seconds = \d+\.\d{3}", last), last
 
 
 def test_out_of_memory_is_a_budget_fail_line():

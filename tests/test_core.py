@@ -86,12 +86,12 @@ def test_a2_autoclose_matches_hand_transforms(a2):
 
 def test_identity_atom_must_be_self_converse():
     with pytest.raises(StructureError, match="self-converse"):
-        validate_atom_structure(2, [0], [(0, 1)], [])
+        validate_atom_structure(2, [0], {0: 1}, [])
 
 
 def test_non_involutive_converse_rejected():
     with pytest.raises(StructureError, match="involution"):
-        validate_atom_structure(3, [], (1, 2, 0), [])
+        validate_atom_structure(3, [], {0: 1, 1: 2, 2: 0}, [])
 
 
 def test_unclosed_facts_rejected_without_autoclose():

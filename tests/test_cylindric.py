@@ -1,8 +1,6 @@
 import dataclasses
 import tracemalloc
 
-import pytest
-
 from warel import cylindric
 from warel.cylindric import (
     check_complex_vs_relativized,
@@ -11,16 +9,10 @@ from warel.cylindric import (
     check_na3,
     check_orbit_partition,
 )
-from warel.enumerate import summarize
 from warel.suitable import build_suitable, check_suitable
 from warel.trails import build_universe
 
 from test_trails_reference import triples_by_end
-
-
-@pytest.fixture(scope="module")
-def s2(a2):
-    return build_suitable(a2)
 
 
 def triples_of(S, mask):
@@ -196,10 +188,9 @@ def test_diag_rigidity_names_first_failure(s2):
     assert not c.holds and c.detail == "elements 0,1 both in subset (0,1) and 0-related"
 
 
-def test_guarded_commutativity_names_first_failure():
+def test_guarded_commutativity_names_first_failure(census):
     # the first mod-iso WA 3-atom structure does not commute; with full
     # diagonals the guard is void and its failing (k, l) show
-    _, census = summarize(3, mod_iso=True)
     S = build_suitable(census[0])
     assert _result(check_na3(S), "full-commutativity-verdict").detail == "does not commute"
     S = _with_masks(S, [[S.full_mask] * 3] * 3)

@@ -40,7 +40,6 @@ from warel.cylindric import (
     check_mgr2,
     check_na3,
 )
-from warel.enumerate import summarize
 from warel.suitable import COORDS, SuitableStructure, build_suitable, check_suitable
 from warel.trails import BoundedUniverse, TripleInfo, build_universe
 
@@ -352,11 +351,6 @@ def assert_setalgebra_matches_reference(S, uni, seed):
         assert_same_verdicts(got, ref_check_complex_vs_relativized(S, uni, seed=seed))
         assert got == ref_check_complex_vs_relativized(S, uni, samples=0)
     return got
-
-
-@pytest.fixture(scope="module")
-def census():
-    return summarize(3, mod_iso=True)[1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

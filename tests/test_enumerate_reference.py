@@ -37,7 +37,7 @@ def sample_structure(n: int, rng: random.Random) -> AtomStructure:
     for orb in orbits:
         if rng.random() < 0.5:
             facts |= orb
-    return validate_atom_structure(n, ident, conv, facts)
+    return validate_atom_structure(n, ident, dict(enumerate(conv)), facts)
 
 
 def canonical_key(A: AtomStructure) -> tuple:
@@ -72,7 +72,7 @@ def ref_enumerate(n: int, mod_iso: bool = False) -> Iterator[AtomStructure]:
                 for i, orb in enumerate(orbits):
                     if (mask >> i) & 1:
                         facts |= orb
-                A = validate_atom_structure(n, ident, conv, facts)
+                A = validate_atom_structure(n, ident, inv, facts)
                 if mod_iso:
                     key = canonical_key(A)
                     if key in emitted:
@@ -98,4 +98,4 @@ def test_same_first_structures_at_four_atoms(mod_iso):
 def test_every_structure_validates_as_itself(mod_iso):
     for A in enumerate_structures(3, mod_iso):
         ident = [a for a in range(A.atom_count) if A.identity >> a & 1]
-        assert A == validate_atom_structure(A.atom_count, ident, A.converse, A.cycles)
+        assert A == validate_atom_structure(A.atom_count, ident, dict(enumerate(A.converse)), A.cycles)

@@ -14,11 +14,11 @@ run over the same fixtures, and must never fail a structural line.
 """
 
 import random
+from dataclasses import replace
 
 from warel import reduct
 from warel.cli import _carrier_checks
-from warel.cylindric import check_mgr2, check_na3
-from warel.enumerate import summarize
+from warel.cylindric import check_functions, check_mgr2, check_na3
 from warel.suitable import COORDS, SuitableStructure, build_suitable, check_suitable
 
 from test_cylindric_reference import ref_check_na3
@@ -78,11 +78,11 @@ def misshapen_structures():
     yield SuitableStructure(((0, 0, 0), (1, 1, 1), (2, 2, 2)), ((0, 1, 2),) * 3, ((7, 7),) * 3)
 
 
-def corrupted_structures(a1, a2, pentagon, two_identities):
+def corrupted_structures(a1, a2, pentagon, two_identities, census):
     """The 504 corruptions of ``test_reduct_reference``, each with its
     source algebra."""
     rng = random.Random(18)
-    for A in (a1, a2, pentagon, two_identities, *summarize(3, mod_iso=True)[1]):
+    for A in (a1, a2, pentagon, two_identities, *census):
         S = build_suitable(A)
         for _ in range(24):
             yield A, _corrupt(A, S, rng)
@@ -96,7 +96,7 @@ def reference_results(S):
     return (*ref_check_suitable(S), *ref_check_na3(S, samples=0), *ref_check_reduct_closure(S))
 
 
-def test_every_carrier_line_can_fail(a1, a2, pentagon, two_identities):
+def test_every_carrier_line_can_fail(a1, a2, pentagon, two_identities, census):
     S2 = build_suitable(a2)
     lines = {c.name for _, results in _carrier_checks(a2, S2) for c in results}
     assert set(STRUCTURAL) <= lines
@@ -109,7 +109,7 @@ def test_every_carrier_line_can_fail(a1, a2, pentagon, two_identities):
         if results[0].holds:  # the references assume axiom (i)
             ref_failed |= {c.name for c in reference_results(S) if not c.holds}
     corruptions = 0
-    for A, S in corrupted_structures(a1, a2, pentagon, two_identities):
+    for A, S in corrupted_structures(a1, a2, pentagon, two_identities, census):
         corruptions += 1
         # every check decides every corruption, an element whose last
         # coordinate moved past the last atom included
@@ -154,14 +154,24 @@ def test_axiom_i_failures_return_every_suitable_line(a1):
     ]
 
 
-def test_misshapen_structures_fail_every_line_needing_axiom_i(a1):
+def _assert_every_line_needs_axiom_i(check, good, misshapen):
+    names = [c.name for c in check(good)]
+    for S in misshapen:
+        assert S.misshapen and not good.misshapen
+        got = check(S)
+        assert [c.name for c in got] == names
+        assert [(c.holds, c.detail) for c in got] == [(False, "needs axiom (i)")] * len(names)
+
+
+def test_misshapen_structures_fail_every_line_needing_axiom_i(a1, pentagon):
     # check_suitable's rule, applied to every line of the checks that
     # index three key rows and a 3x3 e_masks, verdict lines included
     good = build_suitable(a1)
     for check in (check_na3, check_mgr2, reduct.check_reduct_closure):
-        names = [c.name for c in check(good)]
-        for S in misshapen_structures():
-            assert S.misshapen and not good.misshapen
-            got = check(S)
-            assert [c.name for c in got] == names
-            assert [(c.holds, c.detail) for c in got] == [(False, "needs axiom (i)")] * len(names)
+        _assert_every_line_needs_axiom_i(check, good, misshapen_structures())
+    # the checks that need a source algebra: pentagon's built structure
+    # with two key rows, or with two rows of e_masks
+    built = build_suitable(pentagon)
+    misshapen = (replace(built, tkey=built.tkey[:2]), replace(built, e_masks=built.e_masks[:2]))
+    for check in (check_functions, lambda S: reduct.check_reduct_isomorphism(pentagon, S)):
+        _assert_every_line_needs_axiom_i(check, built, misshapen)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from test_composition_reference import pairs_below, ref_element_checks
+from warel import core
 from warel import labelling as lb
 from warel.core import GuardExceeded, validate_atom_structure
 from warel.fileformat import parse_structure_file
@@ -100,25 +101,26 @@ def test_saturate_determinism(pentagon):
     assert one.label == two.label and one.stage == two.stage
 
 
-def test_point_budget(pentagon):
-    from warel.core import GuardExceeded
-
+def test_point_budget(pentagon, monkeypatch):
+    monkeypatch.setattr(core, "POINT_BUDGET", 4)
     ls = lb.initial_system(pentagon)
     with pytest.raises(GuardExceeded):
-        lb.saturate(ls, 3, max_points=4)
+        lb.saturate(ls, 3)
 
 
 @pytest.mark.parametrize("name, passes", [("a2", 2), ("pentagon", 2), ("pentagon", 3)])
-def test_point_budget_counts_only_added_points(request, name, passes):
+def test_point_budget_counts_only_added_points(request, monkeypatch, name, passes):
     # flaws listed at the start of a pass that an earlier repair already
     # witnessed add no point, so they must not trip the budget
     A = request.getfixturevalue(name)
     free = lb.saturate(lb.initial_system(A), passes)
     budget = free.point_count()
-    capped = lb.saturate(lb.initial_system(A), passes, max_points=budget)
+    monkeypatch.setattr(core, "POINT_BUDGET", budget)
+    capped = lb.saturate(lb.initial_system(A), passes)
     assert capped.label == free.label and capped.stage == free.stage
+    monkeypatch.setattr(core, "POINT_BUDGET", budget - 1)
     with pytest.raises(GuardExceeded, match=f"point budget {budget - 1}$"):
-        lb.saturate(lb.initial_system(A), passes, max_points=budget - 1)
+        lb.saturate(lb.initial_system(A), passes)
 
 
 def test_saturate_memory_is_linear_in_labels(pentagon):
@@ -137,16 +139,10 @@ def test_saturate_memory_is_linear_in_labels(pentagon):
     assert per_label[1] / per_label[0] < 1.2, per_label
 
 
-def test_verify_stage_bound_contract(a2):
-    ls = lb.saturate(lb.initial_system(a2), 1)
-    with pytest.raises(ValueError, match="stage bound"):
-        lb.verify_representation(ls, 2)
-
-
 def test_verify_full_passes(a1, a2, pentagon):
     for A in (a1, a2, pentagon):
         ls = lb.saturate(lb.initial_system(A), 2)
-        for res in lb.verify_representation(ls, 2):
+        for res in lb.verify_representation(ls, ls.network()):
             assert res.holds, res
 
 
@@ -156,12 +152,13 @@ def test_verify_modes_agree(a2, pentagon):
     for A in (a2, pentagon):
         for passes in (0, 1, 2):
             ls = lb.saturate(lb.initial_system(A), passes)
-            got = [(r.name, r.holds) for r in lb.verify_representation(ls, passes)]
+            got = [(r.name, r.holds) for r in lb.verify_representation(ls, ls.network())]
             assert got == list(ref_element_checks(ls, passes).items())
             assert dict(got)["injective"] == (passes > 0)
-            # a network the caller built gives the same lines, details too
+            # a network built from the labels alone, which walks its facts,
+            # gives the same lines as the system's own, details too
             net = Network(A, ls.label)
-            assert lb.verify_representation(ls, passes, net=net) == lb.verify_representation(ls, passes)
+            assert lb.verify_representation(ls, net) == lb.verify_representation(ls, ls.network())
 
 
 def test_representation_images(a1, a2):

@@ -5,18 +5,12 @@ import pytest
 
 from warel import reduct
 from warel.core import mask_of
-from warel.enumerate import summarize
 from warel.relset import image_atom_structure
 from warel.suitable import build_suitable
 from warel.trails import build_universe
 
 from test_composition_reference import pairs_below
 from test_reduct_reference import ref_carrier
-
-
-@pytest.fixture(scope="module")
-def s2(a2):
-    return build_suitable(a2)
 
 
 @pytest.fixture(scope="module")
@@ -110,12 +104,11 @@ def test_key_property(uni2, net2):
     assert reduct.check_key_property(uni2, net2).holds
 
 
-def test_key_property_triangles_are_final_triangles(a2, pentagon):
+def test_key_property_triangles_are_final_triangles(a2, pentagon, census):
     """Every ordered pair of points of a reachable triple is an edge of
     the final network, so each (x, y, z) that ``check_key_property``
     tests is a triangle whose labels are among ``net.facts``: the check
     is decided on ``facts``, with ``composition-upper-exact``."""
-    _, census = summarize(3, mod_iso=True)
     for A in (a2, pentagon, *census):
         uni = build_universe(build_suitable(A), 3)
         net = reduct.build_pair_structure(A, uni)
@@ -204,12 +197,11 @@ def test_descent_pairs_shorten_names_first_failure(uni2, net2):
     assert not c.holds and c.detail == str((p, p))
 
 
-def test_pair_lengths_cover_exactly_the_labelled_pairs(pentagon):
+def test_pair_lengths_cover_exactly_the_labelled_pairs(pentagon, census):
     # the labelled pairs are the pairs of the reached triples, and
     # final_representation checks those whose points are both shorter
     # than the bound and counts the rest of the labels as excluded (the
     # split is compared where the check runs to the end)
-    _, census = summarize(3, mod_iso=True)
     held = 0
     for A, depth in ((pentagon, 3), *((B, 3) for B in census)):
         uni = build_universe(build_suitable(A), depth)

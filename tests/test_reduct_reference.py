@@ -45,7 +45,6 @@ from hypothesis import strategies as st
 
 from warel import reduct
 from warel.core import AtomStructure, CheckResult, ConsistencyError, classify, iter_bits
-from warel.enumerate import summarize
 from warel.reduct import REPLACEMENT_STEPS
 from warel.relset import Network
 from warel.suitable import COORDS, build_suitable
@@ -390,11 +389,6 @@ def _outcome(build, A, uni):
     except Exception as exc:  # compared, never swallowed: both sides must match
         return type(exc).__name__, str(exc)
     return list(net.label.items())
-
-
-@pytest.fixture(scope="module")
-def census():
-    return summarize(3, mod_iso=True)[1]
 
 
 @pytest.fixture(scope="module")

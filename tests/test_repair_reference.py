@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from test_composition_reference import _by_name, _system, ref_labelling_upper
 from warel import labelling as lb
 from warel.core import iter_bits, validate_atom_structure
-from warel.enumerate import summarize
 from warel.relset import Network
 
 
@@ -40,17 +39,15 @@ def ref_initial(A):
     return ls
 
 
-def ref_repair(ls, f, stage=None):
+def ref_repair(ls, f):
     if not ls.is_flaw(f):
         raise ValueError(f"not a flaw (already witnessed or unlabelled): {f}")
     u, a, v, b, c = f
     A = ls.algebra
-    if stage is None:
-        stage = ls.passes_done + 1
     rng_b = A.atom_ranges[b]
     if bin(rng_b).count("1") != 1:
         raise lb.ConsistencyError(f"range of atom {b} is not an atom")
-    w = ls._add_point(stage)
+    w = ls._add_point(ls.passes_done + 1)
     ls._add_label(u, b, w)
     ls._add_label(w, c, v)
     ls._add_label(w, A.converse[b], u)
@@ -67,7 +64,7 @@ def ref_saturate(ls, passes):
     for k in range(ls.passes_done + 1, ls.passes_done + passes + 1):
         for f in lb.find_flaws(ls, scope=k):
             if ls.is_flaw(f):
-                ref_repair(ls, f, stage=k)
+                ref_repair(ls, f)
         ls.passes_done = k
     return ls
 
@@ -119,11 +116,6 @@ def assert_saturation_matches_reference(A, passes):
     return ls
 
 
-@pytest.fixture(scope="module")
-def census():
-    return summarize(3, mod_iso=True)[1]
-
-
 def test_saturate_matches_reference_on_pentagon(pentagon):
     ls = assert_saturation_matches_reference(pentagon, 6)
     assert ls.repairs_done == 2048 and len(ls.signatures) == 8
@@ -153,7 +145,8 @@ def test_manual_repairs_at_a_later_stage_turn_templates_off(pentagon):
     ref_saturate(ref, 2)
     assert ls.point_count() == 129
     assert _state(ls) == _state(ref)
-    assert all(r.holds for r in lb.verify_representation(ls, 4))
+    assert ls.passes_done == 4
+    assert all(r.holds for r in lb.verify_representation(ls, ls.network()))
 
 
 def test_a_listing_that_leaves_a_flaw_fails_composition_lower(pentagon):
@@ -178,7 +171,7 @@ def test_a_listing_that_leaves_a_flaw_fails_composition_lower(pentagon):
         mp.setattr(lb, "_flaw_template", leaky)
         ls = lb.saturate(lb.initial_system(pentagon), 4)
     assert len(dropped) == 2
-    _, holds, detail = _by_name(lb.verify_representation(ls, 4))["composition-lower-staged"]
+    _, holds, detail = _by_name(lb.verify_representation(ls, ls.network()))["composition-lower-staged"]
     found = re.fullmatch(r"checked=\d+ excluded=\d+ flaw=\((\d+), (\d+), (\d+), (\d+), (\d+)\)", detail)
     assert not holds and found
     _, a, _, b, c = map(int, found.groups())
@@ -216,7 +209,7 @@ IDENTITY_B = validate_atom_structure(
 # d ; d meets both identity atoms, so the range of d is not an atom
 TWO_RANGES = validate_atom_structure(3, [0, 1], {}, [(2, 2, 0), (2, 2, 1)], auto_close=True)
 # e <= r ; r with r~ = s: repairing (0, e, 0, r, r) labels (w, 0) r, then s
-CLASH = validate_atom_structure(3, [0], [(1, 2)], [(1, 1, 0), (2, 1, 0)], auto_close=True)
+CLASH = validate_atom_structure(3, [0], {1: 2}, [(1, 1, 0), (2, 1, 0)], auto_close=True)
 
 FAILING = {
     "identity-b": (
@@ -299,12 +292,12 @@ def test_systems_built_directly_walk_their_triangles(pentagon):
 
 def test_a_breaking_label_fails_composition_upper_with_the_walked_witness(pentagon):
     ls = lb.saturate(lb.initial_system(pentagon), 3)
-    assert _by_name(lb.verify_representation(ls, 3))["composition-upper"][1]
+    assert _by_name(lb.verify_representation(ls, ls.network()))["composition-upper"][1]
     label = dict(ls.label)
     u, v = next(pair for pair, a in label.items() if a == 1)
     label[(u, v)], label[(v, u)] = 2, 1  # r and s swapped on one edge
     hand = _system(pentagon, label, list(ls.stage))
-    got = _by_name(lb.verify_representation(hand, 2))["composition-upper"]
+    got = _by_name(lb.verify_representation(hand, hand.network()))["composition-upper"]
     witness = Network(pentagon, label).upper_violation()
     assert witness is not None
     assert got == ref_labelling_upper(hand) == ("composition-upper", False, f"triangle {witness}")

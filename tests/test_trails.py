@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warel import reduct
+from warel import core, reduct
 from warel.core import CheckResult, ConsistencyError, GuardExceeded
 from warel.cylindric import check_orbit_partition
-from warel.enumerate import summarize
 from warel.suitable import COORDS, SuitableStructure, build_suitable
 from warel.trails import BoundedUniverse, Point, Trail, TripleInfo, build_universe
 
@@ -109,11 +108,6 @@ def apply_lq(uni: BoundedUniverse, q: Trail, u: Point) -> Point:
     else:
         return u
     return point_of(uni, moved)
-
-
-@pytest.fixture(scope="module")
-def s2(a2):
-    return build_suitable(a2)
 
 
 def test_make_trail_validates(s2):
@@ -219,9 +213,10 @@ def test_universe_monotone(s2):
     assert trip_counts == sorted(trip_counts)
 
 
-def test_universe_budget(s2):
+def test_universe_budget(s2, monkeypatch):
+    monkeypatch.setattr(core, "SPINE_BUDGET", 10)
     with pytest.raises(GuardExceeded):
-        build_universe(s2, 3, max_spines=10)
+        build_universe(s2, 3)
 
 
 def test_a_triple_reached_from_two_elements_raises():
@@ -324,14 +319,13 @@ def test_reduce_properties_hypothesis(a2, seed):
     assert reduce_trail(S, r) == r
 
 
-def test_pair_lengths_as_if_every_pair_were_offered(a2, pentagon):
+def test_pair_lengths_as_if_every_pair_were_offered(a2, pentagon, census):
     # the pair-length lemma against its reference: offering all nine
     # ordered pairs of each new triple, in the order the triples were
     # first met, gives each pair the length of its shortest triple, and
     # that is the length of its longer point; the pairs offered are
     # exactly the labelled pairs final_representation stages by point
     # length
-    _, census = summarize(3, mod_iso=True)
     cases = [(A, d) for A in (a2, pentagon) for d in (1, 2, 3, 4)]
     cases += [(B, d) for B in census for d in (1, 2, 3)]
     for A, depth in cases:
@@ -346,11 +340,10 @@ def test_pair_lengths_as_if_every_pair_were_offered(a2, pentagon):
         assert offered.keys() == reduct.build_pair_structure(A, uni).label.keys()
 
 
-def test_fresh_pids_never_share_a_reduced_trail(a2, pentagon):
+def test_fresh_pids_never_share_a_reduced_trail(a2, pentagon, census):
     # each spine is walked once, so the reduced trail (spine, k) a spine
     # adds is new: no two pids share a reduced trail, and every pid's
     # recorded trail is reduced and of its recorded length
-    _, census = summarize(3, mod_iso=True)
     for A in (a2, pentagon, *census):
         S = build_suitable(A)
         for depth in (1, 2, 3, 4):
