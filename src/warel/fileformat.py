@@ -53,7 +53,6 @@ def parse_structure(text: str) -> AtomStructure:
     options: set[str] = set()
 
     def feed(section_name: str, payload: str, line_no: int) -> None:
-        nonlocal atoms
         words = payload.split()
         if section_name == "atoms":
             atoms.extend(words)

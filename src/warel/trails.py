@@ -26,44 +26,11 @@ repeats the classes of a shorter spine, so those spines add nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from . import core
 from .core import ConsistencyError, GuardExceeded, Triple
 from .suitable import COORDS, SuitableStructure
-
-
-@dataclass(frozen=True)
-class Trail:
-    nodes: tuple[int, ...]  # indices into the carrier
-    steps: tuple[int, ...]  # one fewer than nodes
-    pointer: int
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def begin(self) -> int:
-        return self.nodes[0]
-
-    @property
-    def end(self) -> int:
-        return self.nodes[-1]
-
-
-# ---------------------------------------------------------------------------
-# Bounded universe
-
-
-@dataclass(frozen=True)
-class Point:
-    pid: int
-    trail: Trail  # the reduced representative
-
-    @property
-    def begin(self) -> int:
-        return self.trail.begin
 
 
 class TripleInfo(NamedTuple):
@@ -74,21 +41,17 @@ class TripleInfo(NamedTuple):
         return self.min_length >= bound
 
 
-Spine = tuple[tuple[int, ...], tuple[int, ...]]  # (nodes, steps)
-
-
 @dataclass
 class BoundedUniverse:
     """The points and coordinate triples reached by trails up to ``bound``.
 
-    A point is an int pid.  The hot path reads only ints, tuples and
-    lists: per point, ``lengths[pid]`` and ``pointers[pid]`` are the
-    length and pointer of its reduced trail, ``spines[pid]`` that trail's
-    ``(nodes, steps)`` and ``own_triples[pid]`` the triple of that spine;
+    A point is an int pid, and no trail is stored.  The hot path reads
+    only ints, tuples and lists: per point, ``lengths[pid]`` and
+    ``pointers[pid]`` are the length and pointer of its reduced trail
+    and ``own_triples[pid]`` the triple of that trail's spine;
     ``base_triples[t]`` is the triple of the length-one spine at carrier
     element t; ``triples`` keys the reached triples by pids.  ``by_id``
-    (each pid's :class:`Point`) is a lazy view built from those lists on
-    first access, for ``perfbench/tracer.py`` and the tests.
+    is the range of pids, a count view for ``perfbench/tracer.py``.
 
     Nothing is kept per pair: the shortest trail holding a pair (u, v)
     of a reached triple has length ``max(lengths[u], lengths[v])`` (the
@@ -103,17 +66,13 @@ class BoundedUniverse:
     triples: dict[tuple[int, int, int], TripleInfo] = field(default_factory=dict)
     lengths: list[int] = field(default_factory=list)
     pointers: list[int] = field(default_factory=list)
-    spines: list[Spine] = field(default_factory=list)
     own_triples: list[tuple[int, int, int]] = field(default_factory=list)
     base_triples: list[tuple[int, int, int]] = field(default_factory=list)
     spines_seen: int = 0
 
-    @cached_property
-    def by_id(self) -> list[Point]:
-        return [
-            Point(pid, Trail(nodes, steps, pointer))
-            for pid, ((nodes, steps), pointer) in enumerate(zip(self.spines, self.pointers))
-        ]
+    @property
+    def by_id(self) -> range:
+        return range(len(self.lengths))
 
     def frontier_triples(self) -> frozenset[tuple[int, int, int]]:
         return frozenset(
@@ -151,11 +110,10 @@ def build_universe(S: SuitableStructure, bound: int) -> BoundedUniverse:
     Fresh-pid lemma: a reduced trail (spine, k) longer than one is met
     only at its own spine, and the walk visits each spine once, so the
     point it adds is new.  It takes the next pid with no lookup; its
-    length, pointer k and spine go to ``lengths``, ``pointers`` and
-    ``spines``.  Only the length-one spines are settled: the pointer p
-    of the spine at t settles to ``S.least_reachable[t][p]``, and a
-    local dict of at most three entries per element gives each settled
-    pointer one pid.  No ``Trail`` or ``Point`` object is built.
+    length and pointer k go to ``lengths`` and ``pointers``.  Only the
+    length-one spines are settled: the pointer p of the spine at t
+    settles to ``S.least_reachable[t][p]``, and a local dict of at most
+    three entries per element gives each settled pointer one pid.
 
     Pair-length lemma: the shortest spine whose triple holds a pair
     (u, v) of points, u = v allowed, has length max(lengths[u],
@@ -198,12 +156,13 @@ def build_universe(S: SuitableStructure, bound: int) -> BoundedUniverse:
         raise ValueError("bound must be at least 1")
     max_spines, max_points = core.SPINE_BUDGET, core.POINT_BUDGET
     uni = BoundedUniverse(S, bound)
-    lengths, pointers, spines = uni.lengths, uni.pointers, uni.spines
+    lengths, pointers = uni.lengths, uni.pointers
     own, triples = uni.own_triples, uni.triples
     repoint, reach, neighbors = S.least_repoint, S.least_reachable, S.neighbors
-    # (nodes, steps, the parent spine's triple; None at length one)
-    layer: list[tuple[tuple[int, ...], tuple[int, ...], Optional[Triple]]] = [
-        ((t,), (), None) for t in range(S.size)
+    # (last element, the one before it, last step, the parent spine's
+    # triple); -1, -1 and None at length one
+    layer: list[tuple[int, int, int, Optional[Triple]]] = [
+        (t, -1, -1, None) for t in range(S.size)
     ]
     length = 1
     while layer:
@@ -213,21 +172,17 @@ def build_universe(S: SuitableStructure, bound: int) -> BoundedUniverse:
         # one shared TripleInfo per end element in this layer
         infos = [TripleInfo(t, length) for t in range(S.size)]
         nxt = []
-        for nodes, steps, parent in layer:
-            last = nodes[-1]
+        for last, before, k, parent in layer:
             if parent is None:
                 settled: dict[int, int] = {}
-                spine = (nodes, steps)
                 for r in reach[last]:
                     if r not in settled:
                         settled[r] = len(lengths)
                         lengths.append(1)
                         pointers.append(r)
-                        spines.append(spine)
                 trip = tuple(settled[r] for r in reach[last])
                 uni.base_triples.append(trip)
             else:
-                k = steps[-1]
                 l = repoint[last][k]
                 if l >= 0:
                     at_k = parent[l]
@@ -235,7 +190,6 @@ def build_universe(S: SuitableStructure, bound: int) -> BoundedUniverse:
                     at_k = len(lengths)
                     lengths.append(length)
                     pointers.append(k)
-                    spines.append((nodes, steps))
                 if k == 0:
                     trip = (at_k, parent[1], parent[2])
                 elif k == 1:
@@ -252,14 +206,11 @@ def build_universe(S: SuitableStructure, bound: int) -> BoundedUniverse:
             elif info.end != last:
                 raise ConsistencyError("one coordinate triple reached from two carrier elements")
             if length < bound:
-                # never straight back along the step just taken; siblings
-                # by one index share their steps tuple
-                bk, bj = (steps[-1], nodes[-2]) if steps else (-1, -1)
-                for k in COORDS:
-                    ks = steps + (k,)
-                    for j in neighbors[k][last]:
-                        if j != bj or k != bk:
-                            nxt.append((nodes + (j,), ks, trip))
+                # never straight back along the step just taken
+                for step in COORDS:
+                    for j in neighbors[step][last]:
+                        if j != before or step != k:
+                            nxt.append((j, last, step, trip))
         layer = nxt
         length += 1
     return uni

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from dataclasses import replace
 
@@ -222,6 +223,10 @@ def test_pair_lengths_cover_exactly_the_labelled_pairs(pentagon, census):
 
 def _universe_and_pairs_peak_per_point(A, depth):
     S = build_suitable(A)
+    # a full collection empties CPython's tuple free lists; a tuple taken
+    # from them is not traced, which would hide up to 2,000 tuples of each
+    # size from the smaller depth
+    gc.collect()
     tracemalloc.start()
     try:
         uni = build_universe(S, depth)
@@ -233,7 +238,7 @@ def _universe_and_pairs_peak_per_point(A, depth):
 
 
 def test_universe_and_pairs_memory_grow_with_the_points_not_faster(pentagon):
-    # points are ints with one length, pointer and spine entry each, and
+    # points are ints with one length, pointer and own triple each, and
     # the pairs and triples per point stay about level from depth 3 to
     # depth 4, so the peak per point stays flat
     at3 = _universe_and_pairs_peak_per_point(pentagon, 3)

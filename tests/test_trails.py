@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,26 @@ from warel import core, reduct
 from warel.core import CheckResult, ConsistencyError, GuardExceeded
 from warel.cylindric import check_orbit_partition
 from warel.suitable import COORDS, SuitableStructure, build_suitable
-from warel.trails import BoundedUniverse, Point, Trail, TripleInfo, build_universe
+from warel.trails import TripleInfo, build_universe
 
 from test_suitable import related
-from test_trails_reference import random_trail, reduce_random_order, reduce_trail, repoint
+from test_trails_reference import (
+    Point,
+    RefUniverse,
+    Trail,
+    assert_matches_reference,
+    random_trail,
+    reduce_random_order,
+    reduce_trail,
+    repoint,
+)
 
 # ---------------------------------------------------------------------------
 # The trail calculus's validating constructor, reducedness test, converse,
 # concatenation, point lookup and action on points: only these tests use
-# them.
+# them.  ``build_universe`` stores no trails, so the lookups and actions
+# run on the reference universe, each after it is checked to match
+# ``build_universe`` on the same input and bound.
 
 
 class InvalidTrail(ValueError):
@@ -79,15 +92,15 @@ def trail_concat(p: Trail, q: Trail) -> Trail:
     return Trail(p.nodes[:-1] + q.nodes, p.steps + q.steps, q.pointer)
 
 
-def point_of(uni: BoundedUniverse, p: Trail) -> Point:
+def point_of(uni: RefUniverse, p: Trail) -> Point:
     """The point of ``uni`` whose reduced trail is p's reduction."""
-    pt = {q.trail: q for q in uni.by_id}.get(reduce_trail(uni.S, p))
+    pt = uni.points.get(reduce_trail(uni.S, p))
     if pt is None:
         raise GuardExceeded("trail reduces outside the bounded universe")
     return pt
 
 
-def apply_lq(uni: BoundedUniverse, q: Trail, u: Point) -> Point:
+def apply_lq(uni: RefUniverse, q: Trail, u: Point) -> Point:
     """Act on a point by a trail, within the length budget.
 
     The trail q moves the class of p to the class of q * p when q ends
@@ -199,10 +212,10 @@ def test_universe_a1(a1):
     assert set(uni.triples) == {(0, 0, 0)}
 
 
-def test_universe_a2_level_one(s2):
-    uni = build_universe(s2, 1)
+def test_universe_a2_level_one(a2, s2):
+    ref = assert_matches_reference(a2, 1)
     ddd = s2.index[(1, 1, 1)]
-    pts = {point_of(uni, Trail((ddd,), (), k)).pid for k in (0, 1, 2)}
+    pts = {point_of(ref, Trail((ddd,), (), k)).pid for k in (0, 1, 2)}
     assert len(pts) == 3
 
 
@@ -211,6 +224,23 @@ def test_universe_monotone(s2):
     assert sizes == sorted(sizes)
     trip_counts = [len(build_universe(s2, L).triples) for L in (1, 2, 3)]
     assert trip_counts == sorted(trip_counts)
+
+
+def test_universe_retains_no_trail_per_point(pentagon):
+    # per point the universe keeps a length, a pointer and its own
+    # triple, and the walk's layers are gone when it returns: it retains
+    # under 300 bytes a point (about 230, triples and their keys
+    # included).  The collection empties the tuple free lists, whose
+    # tuples tracemalloc would not count.
+    S = build_suitable(pentagon)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        uni = build_universe(S, 4)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / len(uni.lengths) < 300, (retained, len(uni.lengths))
 
 
 def test_universe_budget(s2, monkeypatch):
@@ -243,8 +273,8 @@ def test_orbit_partition_holds_and_counts_the_triples(s2, pentagon):
             assert check_orbit_partition(uni) == want
 
 
-def test_apply_lq_identity_case(s2):
-    uni = build_universe(s2, 3)
+def test_apply_lq_identity_case(a2, s2):
+    uni = assert_matches_reference(a2, 3)
     ddd = s2.index[(1, 1, 1)]
     dde = s2.index[(1, 1, 0)]
     u = point_of(uni, Trail((ddd,), (), 0))
@@ -253,8 +283,8 @@ def test_apply_lq_identity_case(s2):
     assert apply_lq(uni, q_unrelated, u) == u
 
 
-def test_apply_lq_round_trip(s2):
-    uni = build_universe(s2, 4)
+def test_apply_lq_round_trip(a2, s2):
+    uni = assert_matches_reference(a2, 4)
     ddd = s2.index[(1, 1, 1)]
     dde = s2.index[(1, 1, 0)]
     q = make_trail(s2, (dde, ddd), (1,), 0)
@@ -265,8 +295,8 @@ def test_apply_lq_round_trip(s2):
         assert back == u
 
 
-def test_apply_lq_headroom_error(s2):
-    uni = build_universe(s2, 2)
+def test_apply_lq_headroom_error(a2, s2):
+    uni = assert_matches_reference(a2, 2)
     ddd = s2.index[(1, 1, 1)]
     dde = s2.index[(1, 1, 0)]
     ded = s2.index[(1, 0, 1)]
@@ -276,10 +306,10 @@ def test_apply_lq_headroom_error(s2):
         apply_lq(uni, long_q, u)
 
 
-def test_orbit_transitivity_bounded(s2):
+def test_orbit_transitivity_bounded(a2):
     # triples of trails ending at the same element are mutually
     # reachable by in-budget actions
-    uni = build_universe(s2, 3)
+    uni = assert_matches_reference(a2, 3)
     S = uni.S
     # collect short witnessing trails per end
     witnesses: dict[int, list[Trail]] = {}
@@ -342,13 +372,13 @@ def test_pair_lengths_as_if_every_pair_were_offered(a2, pentagon, census):
 
 def test_fresh_pids_never_share_a_reduced_trail(a2, pentagon, census):
     # each spine is walked once, so the reduced trail (spine, k) a spine
-    # adds is new: no two pids share a reduced trail, and every pid's
-    # recorded trail is reduced and of its recorded length
+    # adds is new: the pids match the reference's, one per reduced
+    # trail, and every pid's trail is reduced and of its recorded length
     for A in (a2, pentagon, *census):
-        S = build_suitable(A)
         for depth in (1, 2, 3, 4):
-            uni = build_universe(S, depth)
-            assert len({pt.trail for pt in uni.by_id}) == len(uni.lengths) == len(uni.by_id)
-            for pt in uni.by_id:
-                assert is_reduced(S, pt.trail)
-                assert len(pt.trail) == uni.lengths[pt.pid]
+            ref = assert_matches_reference(A, depth)
+            lengths = build_universe(ref.S, depth).lengths
+            assert len({pt.trail for pt in ref.by_id}) == len(lengths) == len(ref.by_id)
+            for pt in ref.by_id:
+                assert is_reduced(ref.S, pt.trail)
+                assert len(pt.trail) == lengths[pt.pid]

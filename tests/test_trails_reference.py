@@ -10,7 +10,11 @@ that ``reduct`` reads off the universe's lists are then computed
 through ``point_of``.  Triples must agree in insertion order too,
 since reports iterate them in that order, and the reference's pair
 lengths, each pair at its first triple, must be the pair-length lemma's
-``max(lengths[u], lengths[v])``.  ``reduce_trail`` settles a trail with the per-element tables of
+``max(lengths[u], lengths[v])``.  ``build_universe`` stores no trail,
+so a pid is matched with the reference's trail through its length,
+pointer and own triple (the triple of its trail's spine).  ``Trail`` and
+``Point`` live here, for these walks and the ones in ``test_trails.py``.
+``reduce_trail`` settles a trail with the per-element tables of
 the suitable structure that ``build_universe`` reads; the reference
 reducer ``ref_reduce`` is the list-based one with scans over the
 distinguished subsets.  ``random_trail`` and ``reduce_random_order``
@@ -29,14 +33,33 @@ from hypothesis import strategies as st
 from warel import reduct
 from warel.core import classify
 from warel.suitable import COORDS, build_suitable
-from warel.trails import (
-    Point,
-    Trail,
-    TripleInfo,
-    build_universe,
-)
+from warel.trails import TripleInfo, build_universe
 
 from test_enumerate_reference import sample_structure
+
+
+@dataclass(frozen=True)
+class Trail:
+    nodes: tuple[int, ...]  # indices into the carrier
+    steps: tuple[int, ...]  # one fewer than nodes
+    pointer: int
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def begin(self) -> int:
+        return self.nodes[0]
+
+    @property
+    def end(self) -> int:
+        return self.nodes[-1]
+
+
+@dataclass(frozen=True)
+class Point:
+    pid: int
+    trail: Trail  # the reduced representative
 
 
 def random_trail(S, rng, max_len):
@@ -280,14 +303,23 @@ def ref_base_pairs(A, uni):
     return out
 
 
+def ref_own_triple(uni, trail):
+    """The triple of the spine of ``trail``: its points at the three
+    pointers."""
+    return tuple(uni.point_of(repoint(trail, k)).pid for k in COORDS)
+
+
 def assert_matches_reference(A, bound):
+    """Check ``build_universe`` on A against the reference walk, and
+    return the reference universe, whose pids are the same."""
     S = build_suitable(A)
     uni = build_universe(S, bound)
     ref, free = ref_universe(S, bound)
     assert uni.spines_seen == free
-    assert uni.by_id == ref.by_id
+    assert list(uni.by_id) == [pt.pid for pt in ref.by_id]
     assert uni.lengths == [len(pt.trail) for pt in ref.by_id]
     assert uni.pointers == [pt.trail.pointer for pt in ref.by_id]
+    assert uni.own_triples == [ref_own_triple(ref, pt.trail) for pt in ref.by_id]
     assert list(uni.triples.items()) == list(ref.triples.items())
     lengths = uni.lengths
     assert ref.pair_min_length == {
@@ -299,6 +331,7 @@ def assert_matches_reference(A, bound):
     pids = range(len(uni.lengths))
     assert {pid: frozenset((pid, q) for q in reduct._partners(uni, pid)) for pid in pids} == xi_of
     assert reduct._base_pairs(A, uni) == ref_base_pairs(A, ref)
+    return ref
 
 
 @settings(max_examples=15, deadline=None)
