@@ -16,10 +16,9 @@ collections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -38,6 +37,20 @@ class ConsistencyError(RuntimeError):
     """Raised when an internal consistency check breaks: a labelling
     repair breaks a structural property, a pair gets two atom labels, or
     a coordinate triple is reached from two carrier elements."""
+
+
+class Frozen:
+    """A base for values that refuse assignment.  ``__init__`` sets the
+    fields with ``object.__setattr__``; a ``cached_property`` writes the
+    instance dict, so a subclass with a ``__dict__`` still caches."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # The growth budgets, read by each stage when it runs, so one patch of
@@ -111,20 +124,37 @@ def matrix_facts(m: Matrix) -> set[tuple[Optional[int], ...]]:
     return {(m[3 * x + y], m[3 * y + z], m[3 * x + z]) for x, y, z in product(range(3), repeat=3)}
 
 
-@dataclass(frozen=True)
-class AtomStructure:
+class AtomStructure(Frozen):
     """A validated finite atom structure.
 
     ``identity`` is a bitmask of identity atoms, ``converse`` the
     involution as an index tuple, and ``cycles`` the transform-closed
-    set of composition facts (x, y, z) with z <= x ; y.
+    set of composition facts (x, y, z) with z <= x ; y.  Equality and
+    hash ignore ``names``.
     """
 
-    atom_count: int
-    identity: int
-    converse: tuple[int, ...]
-    cycles: frozenset[Triple]
-    names: tuple[str, ...] = field(default=(), compare=False)
+    def __init__(
+        self, atom_count: int, identity: int, converse: tuple[int, ...], cycles: frozenset[Triple],
+        names: tuple[str, ...] = (),
+    ) -> None:
+        put = object.__setattr__
+        put(self, "atom_count", atom_count)
+        put(self, "identity", identity)
+        put(self, "converse", converse)
+        put(self, "cycles", cycles)
+        put(self, "names", names)
+
+    def _key(self) -> tuple:
+        return self.atom_count, self.identity, self.converse, self.cycles
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is AtomStructure else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"AtomStructure{self._key() + (self.names,)!r}"
 
     def atom_name(self, a: int) -> str:
         if self.names:
@@ -283,11 +313,29 @@ def validate_atom_structure(
 # Terms
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Frozen):
     """A term of the complex algebra.  Operators build terms, binding ; before
     . before +: ``p | q`` join, ``p & q`` meet, ``p * q`` composition,
-    ``-p`` complement and ``~p`` converse."""
+    ``-p`` complement and ``~p`` converse.  Each subclass names its fields
+    in ``__slots__``; terms with equal fields are equal."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._key()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
 
     def __or__(self, other: Term) -> Term:
         return Join(self, other)
@@ -305,52 +353,40 @@ class Term:
         return Conv(self)
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    symbol: str  # one of '0', '1', "0'", "1'"
+    __slots__ = ("symbol",)  # one of '0', '1', "0'", "1'"
 
 
-@dataclass(frozen=True)
 class Join(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Meet(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Comp(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Neg(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Conv(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Dom(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Rng(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
 def _compile(A: AtomStructure, t: Term, names: Sequence[str]) -> Callable[[Sequence[int]], int]:
@@ -493,8 +529,7 @@ def check_equation(
 # Check results and classification
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verdict: a named statement, whether it holds, and a detail
     (the witness when it fails, a note when it holds)."""
 
@@ -546,19 +581,24 @@ _LAWS: tuple[tuple[str, int, Callable[[AtomStructure], Witness]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(Frozen):
     """The verdicts of :func:`classify`.  ``failures``, every failing law
     with its first witness in the order ra6, ra7, ra9, ra10, ra4, sa-law,
     associativity, is built on first access and cached: a law evaluated
     for the verdicts is not evaluated again, and each other law ranges
     over the same atoms as in :func:`classify`."""
 
-    is_wa: bool
-    is_sa: bool
-    is_ra: bool
-    _algebra: AtomStructure = field(repr=False)
-    _evaluated: dict[str, Witness] = field(repr=False)
+    def __init__(self, is_wa: bool, is_sa: bool, is_ra: bool, algebra: AtomStructure,
+                 evaluated: dict[str, Witness]) -> None:
+        put = object.__setattr__
+        put(self, "is_wa", is_wa)
+        put(self, "is_sa", is_sa)
+        put(self, "is_ra", is_ra)
+        put(self, "_algebra", algebra)
+        put(self, "_evaluated", evaluated)
+
+    def __repr__(self) -> str:
+        return f"ClassReport(is_wa={self.is_wa!r}, is_sa={self.is_sa!r}, is_ra={self.is_ra!r})"
 
     @cached_property
     def failures(self) -> tuple[tuple[str, dict[str, int]], ...]:

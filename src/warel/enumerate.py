@@ -47,10 +47,9 @@ first structure of each relabelling class is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, permutations, product
 from operator import xor
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (
     AtomStructure,
@@ -116,10 +115,17 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
     the converse is smaller.  By the module's second lemma that keeps
     exactly the first structure of each relabelling class, so the
     output is the raw sequence with later class members left out.  The
-    images of the current mask are kept in a list, one per stabilizer
-    element, and updated by the flip lemma; the stabilizer holds the
-    identity, so the list is never empty.  No state is kept per emitted
-    structure.  Raises ``GuardExceeded`` above ``ATOM_GUARD`` atoms.
+    images of the current mask are kept in one int ``cur``, field j of
+    k + 1 bits holding the image under stabilizer element j, for k
+    orbits, and updated by the flip lemma with one XOR per mask; the
+    stabilizer holds the identity, so there is at least one field.  The
+    test reads every field at once.  With G the top (guard) bit of each
+    field and ONES the low bit, ``(cur | G) - mask * ONES`` subtracts
+    mask from 2**k + image in each field; since mask < 2**k no field
+    borrows from the next, and a field loses its guard bit exactly when
+    its image is below mask.  So ``... & G != G`` is ``min(images) <
+    mask``.  No state is kept per emitted structure.  Raises
+    ``GuardExceeded`` above ``ATOM_GUARD`` atoms.
     """
     if n < 1:
         raise ValueError("atom_count must be at least 1")
@@ -152,9 +158,16 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
                     for p in relabellings
                     if all(p[conv[a]] == conv[p[a]] for a in range(n))
                 }
-                # pre[t][j]: the image of orbits 0..t under stabilizer element j.
-                pre = list(zip(*(accumulate(img, xor) for img in images)))
-                cur = [0] * len(images)
+                # Field j of pre[t]: the image of orbits 0..t under stabilizer
+                # element j, one (k + 1)-bit field per element, top bit guard.
+                width = len(orbits) + 1
+                ones = sum(1 << width * j for j in range(len(images)))
+                guards = ones << width - 1
+                pre = [
+                    sum(image << width * j for j, image in enumerate(col))
+                    for col in zip(*(accumulate(img, xor) for img in images))
+                ]
+                cur = 0
             table = 0
             # The last factor is orbit 0, so the index counts masks up.
             choices = product(*((frozenset(), orb) for orb in reversed(orbits)))
@@ -163,8 +176,8 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
                     t = (mask & -mask).bit_length() - 1
                     table ^= tables[t]
                     if mod_iso:
-                        cur = list(map(xor, cur, pre[t]))
-                        if min(cur) < mask:
+                        cur ^= pre[t]
+                        if ((cur | guards) - mask * ones) & guards != guards:
                             continue
                 A = AtomStructure(n, identity, converse, frozenset().union(*parts))
                 packed = table.to_bytes(n * n, "little")
@@ -173,8 +186,7 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
                 yield A
 
 
-@dataclass(frozen=True)
-class EnumerationSummary:
+class EnumerationSummary(NamedTuple):
     atoms: int
     total: int
     wa: int

@@ -22,7 +22,6 @@ flags produce byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .core import AtomStructure, CheckResult, StructureError, validate_atom_structure
@@ -151,10 +150,10 @@ def format_structure(A: AtomStructure) -> str:
 # Reports
 
 
-@dataclass
 class Report:
-    lines: list[str] = field(default_factory=list)
-    failures: int = 0
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.failures = 0
 
     def add(self, stage: str, check: str, ok: bool, witness: str = "") -> None:
         self.lines.append(f"{stage}.{check} = {'pass' if ok else 'fail'}")

@@ -49,7 +49,6 @@ local: Hirsch and Hodkinson, *Relation Algebras by Games*, 2002):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
 
@@ -64,19 +63,19 @@ Flaw = tuple[int, int, int, int, int]  # (u, a, v, b, c)
 Signature = tuple[int, int, int, int, int, int, bool]
 
 
-@dataclass
 class LabellingSystem:
-    algebra: AtomStructure
-    stage: list[int] = field(default_factory=list)  # stage[pid]: the pass that created the point
-    label: dict[tuple[int, int], int] = field(default_factory=dict)
-    passes_done: int = 0
-    # the only index of the labels: out[u][w] = inn[w][u] = label[(u, w)]
-    out: Successors = field(default_factory=dict)
-    inn: Successors = field(default_factory=dict)
-    repairs_done: int = 0
-    # the matrix of (u, v, w) for each repair signature passed so far;
-    # None unless initial_system and repair wrote every label
-    signatures: Optional[dict[Signature, Matrix]] = None
+    def __init__(self, algebra: AtomStructure, signatures: Optional[dict[Signature, Matrix]] = None) -> None:
+        self.algebra = algebra
+        self.stage: list[int] = []  # stage[pid]: the pass that created the point
+        self.label: dict[tuple[int, int], int] = {}
+        self.passes_done = 0
+        # the only index of the labels: out[u][w] = inn[w][u] = label[(u, w)]
+        self.out: Successors = {}
+        self.inn: Successors = {}
+        self.repairs_done = 0
+        # the matrix of (u, v, w) for each repair signature passed so far;
+        # None unless initial_system and repair wrote every label
+        self.signatures = signatures
 
     def point_count(self) -> int:
         return len(self.stage)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
 from operator import or_
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import AtomStructure, CheckResult, Const, Dom, Rng, Term, Var, check_equation
 from .core import Witness, guard_element_range, iter_bits, peirce_orbit
@@ -55,8 +55,7 @@ class Law:
 ZERO, ONE, ID = Const("0"), Const("1"), Const("1'")
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """"guard != 0 implies lhs relation rhs"; unlisted variables range over all elements."""
 
     lhs: Term

@@ -17,11 +17,10 @@ the checks they share, each with its quantifier range, and
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Iterator, Mapping, Optional, Sequence
 
-from .core import AtomStructure, Triple, validate_atom_structure
+from .core import AtomStructure, Frozen, Triple, validate_atom_structure
 
 BinRel = FrozenSet[tuple[int, int]]
 PairLabels = Mapping[tuple[int, int], int]
@@ -37,13 +36,11 @@ def field_of(r: BinRel) -> frozenset[int]:
     return frozenset(pts)
 
 
-@dataclass(frozen=True)
-class Universe:
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
+class Universe(Frozen):
+    def __init__(self, size: int) -> None:
+        if size < 1:
             raise ValueError("universe size must be at least 1")
+        object.__setattr__(self, "size", size)
 
 
 def atom_structure_of_relativization(
@@ -87,8 +84,7 @@ def atom_structure_of_relativization(
 # Labelled point pairs
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(Frozen):
     """Atom labels on ordered point pairs, at most one label per pair.
 
     Both representation pipelines end in a network: the labelling
@@ -103,8 +99,9 @@ class Network:
     matrices; every other network walks its triangles for it.
     """
 
-    algebra: AtomStructure
-    label: PairLabels
+    def __init__(self, algebra: AtomStructure, label: PairLabels) -> None:
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "label", label)
 
     @cached_property
     def rows(self) -> tuple[Successors, Successors]:

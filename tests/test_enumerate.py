@@ -5,6 +5,8 @@ from collections import deque
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_enumerate_reference import canonical_key, sample_structure
 from warel.core import AtomStructure, GuardExceeded, classify
@@ -22,6 +24,22 @@ def test_involution_counts():
     assert len(list(involutions((0, 1)))) == 2
     assert len(list(involutions((0, 1, 2)))) == 4
     assert len(list(involutions((0, 1, 2, 3)))) == 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_undercut_test_is_min_below_mask(data):
+    """The mod-iso walk's test on its packed images: with one (k + 1)-bit
+    field per image, G the top (guard) bit of each field and ONES the low
+    bit, ``((cur | G) - mask * ONES) & G != G`` iff ``min(images) < mask``."""
+    k = data.draw(st.integers(1, 20))
+    images = data.draw(st.lists(st.integers(0, 2**k - 1), min_size=1, max_size=24))
+    mask = data.draw(st.integers(0, 2**k - 1))
+    width = k + 1
+    ones = sum(1 << width * j for j in range(len(images)))
+    guards = ones << width - 1
+    cur = sum(image << width * j for j, image in enumerate(images))
+    assert (((cur | guards) - mask * ones) & guards != guards) == (min(images) < mask)
 
 
 def test_single_atom_enumeration():
