@@ -4,6 +4,9 @@ Three commands: ``check`` classifies a structure file as WA, SA and RA
 (optionally running the elementary-law suite), ``represent`` runs both
 representation pipelines with staged verification, and ``enumerate``
 generates all structures with a given atom count and classifies them.
+Loading this module loads ``core``, ``fileformat`` and the pipeline
+modules; ``check --laws`` imports :mod:`warel.laws` and ``enumerate``
+:mod:`warel.enumerate` when they run, so ``represent`` compiles neither.
 Every verdict has one decision path: ``check`` decides the laws over
 atoms (see :func:`warel.core.classify`), and ``represent`` verifies
 every labelling system through its per-atom certificates (see
@@ -34,9 +37,7 @@ from .cylindric import (
     check_na3,
     check_orbit_partition,
 )
-from .enumerate import summarize
 from .fileformat import ParseError, Report, parse_structure_file
-from .laws import elementary_law_suite
 from .relset import Network, image_atom_structure
 from .suitable import SuitableStructure, build_suitable, check_suitable
 from .trails import build_universe
@@ -62,6 +63,8 @@ def cmd_check(args: argparse.Namespace, report: Report) -> None:
         if not is_wa:
             report.add("laws", "precondition-wa", False, "law suite needs a WA input")
             return
+        from .laws import elementary_law_suite
+
         report.extend_results("laws", elementary_law_suite(A))
 
 
@@ -159,6 +162,8 @@ def cmd_represent(args: argparse.Namespace, report: Report) -> None:
 def cmd_enumerate(args: argparse.Namespace, report: Report) -> None:
     """``--pipeline`` runs ``represent``'s carrier checks (:func:`_carrier_checks`)
     on each WA structure: its ``pipeline.wa-NNNN`` line passes when all of them pass."""
+    from .enumerate import summarize
+
     summary, wa_structures = summarize(args.atoms, mod_iso=args.mod_iso)
     report.info("enumerate.total", summary.total)
     report.info("enumerate.wa", summary.wa)

@@ -5,7 +5,11 @@ structure whose complex algebra classifies as WA; a failure indicates a
 non-WA input or an implementation bug.  Each witness is the first failing
 assignment: variables in name order, values in ascending mask order.
 
-Twenty-eight laws are rows, decided by ``core.check_equation``:
+The term language of the rows (:class:`Term`, :func:`check_equation`)
+lives here: the suite is its only caller, so only ``check --laws``
+compiles it.
+
+Twenty-eight laws are rows, decided by :func:`check_equation`:
 
 - Atom-decided rows (unguarded, additive lhs, monotone rhs, additive for
   '='): element variables range over 0 and the atoms, subidentity ones
@@ -27,7 +31,7 @@ fails where x;y.z is not below their meet.  p = q, r = s is one equation,
 
 Five laws keep a predicate: atomhood is no equation, complete additivity
 ranges over sets of atoms, and the cycle law compares six facts.  Above
-``core.ELEMENTS_GUARD`` (10) atoms the suite raises ``GuardExceeded``
+``ELEMENTS_GUARD`` (10) atoms the suite raises ``GuardExceeded``
 before any law runs, since the element-ranged rows and both
 complete-additivity predicates walk all 2**n elements.
 """
@@ -38,10 +42,225 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
 from operator import or_
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .core import AtomStructure, CheckResult, Const, Dom, Rng, Term, Var, check_equation
-from .core import Witness, guard_element_range, iter_bits, peirce_orbit
+from .core import AtomStructure, CheckResult, Frozen, GuardExceeded, Witness, iter_bits, peirce_orbit
+
+
+class EvalError(ValueError):
+    """Raised for unbound variables or malformed terms."""
+
+
+class Term(Frozen):
+    """A term of the complex algebra.  Operators build terms, binding ; before
+    . before +: ``p | q`` join, ``p & q`` meet, ``p * q`` composition,
+    ``-p`` complement and ``~p`` converse.  Each subclass names its fields
+    in ``__slots__``; terms with equal fields are equal."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._key()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+
+    def __or__(self, other: Term) -> Term:
+        return Join(self, other)
+
+    def __and__(self, other: Term) -> Term:
+        return Meet(self, other)
+
+    def __mul__(self, other: Term) -> Term:
+        return Comp(self, other)
+
+    def __neg__(self) -> Term:
+        return Neg(self)
+
+    def __invert__(self) -> Term:
+        return Conv(self)
+
+
+class Var(Term):
+    __slots__ = ("name",)
+
+
+class Const(Term):
+    __slots__ = ("symbol",)  # one of '0', '1', "0'", "1'"
+
+
+class Join(Term):
+    __slots__ = ("left", "right")
+
+
+class Meet(Term):
+    __slots__ = ("left", "right")
+
+
+class Comp(Term):
+    __slots__ = ("left", "right")
+
+
+class Neg(Term):
+    __slots__ = ("arg",)
+
+
+class Conv(Term):
+    __slots__ = ("arg",)
+
+
+class Dom(Term):
+    __slots__ = ("arg",)
+
+
+class Rng(Term):
+    __slots__ = ("arg",)
+
+
+def _compile(A: AtomStructure, t: Term, names: Sequence[str]) -> Callable[[Sequence[int]], int]:
+    """t as a function of the values of the variables ``names``, in order.
+
+    Composition and converse are ``A.compose`` and ``A.conv_el``, lifted
+    from atoms.  Domain and range unfold by definition: dom x = x ; x~ . 1'
+    and rng x = x~ ; x . 1'.
+    """
+    if isinstance(t, Var):
+        if t.name not in names:
+            raise EvalError(f"unbound variable {t.name!r}")
+        i = names.index(t.name)
+        return lambda vals: vals[i]
+    if isinstance(t, Const):
+        consts = {"0": 0, "1": A.full, "1'": A.identity, "0'": A.diversity}
+        if t.symbol not in consts:
+            raise EvalError(f"unknown constant {t.symbol!r}")
+        c = consts[t.symbol]
+        return lambda vals: c
+    if isinstance(t, (Dom, Rng)):
+        a = t.arg
+        return _compile(A, (a * ~a if isinstance(t, Dom) else ~a * a) & Const("1'"), names)
+    if isinstance(t, (Neg, Conv)):
+        f, full, conv = _compile(A, t.arg, names), A.full, A.conv_el
+        if isinstance(t, Neg):
+            return lambda vals: full & ~f(vals)
+        return lambda vals: conv(f(vals))
+    if isinstance(t, (Join, Meet, Comp)):
+        left, right = _compile(A, t.left, names), _compile(A, t.right, names)
+        if isinstance(t, Join):
+            return lambda vals: left(vals) | right(vals)
+        if isinstance(t, Meet):
+            return lambda vals: left(vals) & right(vals)
+        compose = A.compose
+        return lambda vals: compose(left(vals), right(vals))
+    raise EvalError(f"not a term: {t!r}")
+
+
+def eval_term(A: AtomStructure, t: Term, env: Mapping[str, int]) -> int:
+    """Evaluate a term to an element bitmask."""
+    return _compile(A, t, tuple(env))(tuple(env.values()))
+
+
+def _occurrences(t: Term, above: frozenset[type] = frozenset()) -> Iterator[tuple[str, frozenset[type]]]:
+    """Each variable occurrence in t, with the operator classes above it."""
+    if isinstance(t, Var):
+        yield t.name, above
+    elif isinstance(t, (Join, Meet, Comp)):
+        yield from _occurrences(t.left, above | {type(t)})
+        yield from _occurrences(t.right, above | {type(t)})
+    elif isinstance(t, (Neg, Conv, Dom, Rng)):
+        yield from _occurrences(t.arg, above | {type(t)})
+
+
+def free_vars(t: Term) -> tuple[str, ...]:
+    return tuple(sorted({name for name, _ in _occurrences(t)}))
+
+
+def atom_decided(lhs: Term, rhs: Term, relation: str = "=", guard: Term = Const("1")) -> bool:
+    """Whether 0 and the atoms decide the law (see :func:`check_equation`):
+    its guard has no variable, its lhs is additive (every variable at most
+    once, never under a complement, domain or range), and its rhs is
+    monotone (no variable under a complement), or additive for '='."""
+
+    def additive(t: Term) -> bool:
+        occ = list(_occurrences(t))
+        return len({name for name, _ in occ}) == len(occ) and not any(above & {Neg, Dom, Rng} for _, above in occ)
+
+    monotone = all(Neg not in above for _, above in _occurrences(rhs))
+    return not free_vars(guard) and additive(lhs) and (additive(rhs) if relation == "=" else monotone)
+
+
+# Each relation as a test on the element masks of lhs and rhs; '!=0'
+# reads "lhs != 0 implies rhs != 0".
+RELATIONS = {
+    "=": lambda lhs, rhs: lhs == rhs,
+    "<=": lambda lhs, rhs: lhs | rhs == rhs,
+    "!=0": lambda lhs, rhs: not lhs or rhs != 0,
+}
+RANGES = ("elements", "subidentities", "atoms", "identity-atoms")
+# Largest atom count at which a variable may range over all 2**n elements.
+ELEMENTS_GUARD = 10
+
+
+def guard_element_range(A: AtomStructure) -> None:
+    """Raise ``GuardExceeded`` when a variable may not range over all
+    elements of A: above ``ELEMENTS_GUARD`` atoms."""
+    if A.atom_count > ELEMENTS_GUARD:
+        raise GuardExceeded(f"element range needs atom_count <= {ELEMENTS_GUARD}, got {A.atom_count}")
+
+
+def _range(A: AtomStructure, kind: str, reduced: bool) -> list[int]:
+    """The values of one variable, in ascending mask order."""
+    if kind not in RANGES:
+        raise ValueError(f"unknown range {kind!r}")
+    below = A.identity if kind in ("subidentities", "identity-atoms") else A.full
+    atoms = [1 << a for a in iter_bits(below)]
+    if kind.endswith("atoms"):
+        return atoms
+    if reduced:
+        return [0] + atoms
+    guard_element_range(A)
+    return [m for m in range(below + 1) if m | below == below]
+
+
+def check_equation(
+    A: AtomStructure,
+    lhs: Term,
+    rhs: Term,
+    relation: str = "=",
+    ranges: Optional[Mapping[str, str]] = None,
+    guard: Term = Const("1"),
+) -> Optional[dict[str, int]]:
+    """The first assignment at which "guard != 0 implies lhs relation
+    rhs" fails, or None if the law holds.
+
+    ``relation`` is a key of ``RELATIONS``; each variable ranges over its
+    entry of ``ranges``, one of ``RANGES``, all elements by default.  The
+    witness is the lexicographically first failing assignment: variables
+    in name order, values in ascending mask order.  An :func:`atom_decided`
+    law finds it with its element and subidentity variables over 0 and
+    the atoms of their range only: ``compose`` and ``conv_el`` are joins
+    over atoms, so a failure where x is a join of atoms is a failure where
+    x is one of them, a smaller mask.  A full element range above
+    ``ELEMENTS_GUARD`` atoms raises ``GuardExceeded``.
+    """
+    test = RELATIONS[relation]
+    vs = sorted({v for t in (lhs, rhs, guard) for v in free_vars(t)})
+    reduced = atom_decided(lhs, rhs, relation, guard)
+    values = [_range(A, (ranges or {}).get(v, "elements"), reduced) for v in vs]
+    left, right, cond = (_compile(A, t, vs) for t in (lhs, rhs, guard))
+    for vals in product(*values):
+        if cond(vals) and not test(left(vals), right(vals)):
+            return dict(zip(vs, vals))
+    return None
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ theorem.
 
 from __future__ import annotations
 
-import heapq
-
 from .core import AtomStructure, CheckResult, ConsistencyError, Matrix, iter_bits, matrix_facts
 from .relset import Network
 from .suitable import COORDS, SuitableStructure, needs_axiom_i
@@ -306,9 +304,7 @@ def check_pair_partition(uni: BoundedUniverse, net: Network) -> tuple[CheckResul
         and pairs >= base
         and len(identity) + len(descent) + len(base) == len(pairs)
     )
-    unclassified = [t for t in uni.triples if not _typed(uni, descent, base, t)]
-    if unclassified:
-        unclassified = heapq.nsmallest(3, unclassified)
+    unclassified = sorted(t for t in uni.triples if not _typed(uni, descent, base, t))[:3]
     return (
         CheckResult(
             "pair-partition-exact",

@@ -6,6 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warel.core import (
+    StructureError,
+    classify,
+    mask_of,
+    peirce_orbit,
+    validate_atom_structure,
+)
+from warel.laws import (
     Comp,
     Const,
     Conv,
@@ -15,16 +22,11 @@ from warel.core import (
     Meet,
     Neg,
     Rng,
-    StructureError,
     Var,
     atom_decided,
     check_equation,
-    classify,
     eval_term,
     free_vars,
-    mask_of,
-    peirce_orbit,
-    validate_atom_structure,
 )
 
 from test_enumerate_reference import sample_structure
@@ -160,7 +162,8 @@ def test_check_equation_builds_no_element_table():
     # Terms compose through the atom rows, so an atom-decided law is
     # checked above ELEMENTS_GUARD atoms too; only a law with a variable
     # over all 2**n elements refuses there.
-    from warel.core import ELEMENTS_GUARD, GuardExceeded
+    from warel.core import GuardExceeded
+    from warel.laws import ELEMENTS_GUARD
 
     def diagonal(n):
         return validate_atom_structure(n, range(n), {}, [(e, e, e) for e in range(n)])

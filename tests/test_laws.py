@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from test_core import full_range_witness
 from test_enumerate_reference import sample_structure
-from warel.core import Dom, Var, atom_decided, classify, mask_of
+from warel.core import classify, mask_of
 from warel.enumerate import enumerate_structures
-from warel.laws import LAWS, Row, elementary_law_suite
+from warel.laws import LAWS, Dom, Row, Var, atom_decided, elementary_law_suite
 
 LAW_INDEX = {law.name: law for law in LAWS}
 ROWS = [law for law in LAWS if isinstance(law.check, Row)]

@@ -454,6 +454,25 @@ def test_pair_partition_matches_reference_on_corrupted_lists(inputs):
     assert failed == {"pair-partition-exact", "triple-types-total", "descent-pairs-shorten"}
 
 
+def test_triple_types_detail_names_the_three_smallest_unclassified(inputs):
+    # on corrupted copies with more than three unclassified triples, the
+    # failing line names the three smallest, in increasing order
+    rng = random.Random(22)
+    seen = 0
+    for A, uni, net in inputs:
+        for _ in range(6):
+            bad = _corrupt_lists(uni, rng)
+            ref = ref_pair_split(A, bad, net.label)
+            unclassified = {t for t, k in ref.lem9_kind.items() if k == "unclassified"}
+            if len(unclassified) <= 3:
+                continue
+            line = reduct.check_pair_partition(bad, net)[1]
+            assert line.name == "triple-types-total" and not line.holds
+            assert literal_eval(line.detail.removeprefix("unclassified ")) == sorted(unclassified)[:3]
+            seen += 1
+    assert seen >= 3
+
+
 def test_replacement_closure_matches_reference(inputs):
     for _, uni, _ in inputs:
         got = reduct.check_replacement_closure(uni)

@@ -14,10 +14,10 @@ from importlib import import_module
 import pytest
 
 import warel
-from warel.core import AtomStructure, CheckResult, Var, classify
+from warel.core import AtomStructure, CheckResult, classify
 from warel.fileformat import Report
 from warel.labelling import LabellingSystem
-from warel.laws import Law
+from warel.laws import Law, Var
 from warel.relset import Network, Universe
 from warel.suitable import SuitableStructure
 from warel.trails import BoundedUniverse
