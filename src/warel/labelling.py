@@ -103,11 +103,11 @@ class LabellingSystem:
         self.inn.setdefault(v, {})[u] = a
 
     def network(self) -> Network:
-        """The labels as a :class:`~warel.relset.Network` sharing the
-        system's rows.  Lemma: ``(out, inn)`` is what ``Network.rows``
-        builds from ``label``, key order included: ``_add_label`` and
-        :func:`repair`, the only writers of ``label``, enter each pair
-        in both at once and in the same order.
+        """The labels as a :class:`~warel.relset.Network` built on the
+        system's own rows.  Lemma: ``(out, inn)`` holds exactly the
+        pairs and labels of ``label``, each row in ``label`` order:
+        ``_add_label`` and :func:`repair`, the only writers of ``label``,
+        enter each pair in all three at once.
 
         A system with ``signatures`` also seeds the network's ``facts``:
         they are the initial loops' ``(e, e, e)`` together with the 27
@@ -120,8 +120,7 @@ class LabellingSystem:
         loop.  Labels never change once written, so each matrix is
         final, and each of its index choices is a triangle.  A system
         built directly has no ``signatures``, and its network walks."""
-        net = Network(self.algebra, self.label)
-        vars(net)["rows"] = (self.out, self.inn)
+        net = Network(self.algebra, self.out, self.inn)
         if self.signatures is not None:
             loops = {(e, e, e) for e in iter_bits(self.algebra.identity)}
             vars(net)["facts"] = frozenset(loops.union(*map(matrix_facts, self.signatures.values())))

@@ -26,7 +26,7 @@ theorem.
 from __future__ import annotations
 
 from .core import AtomStructure, CheckResult, ConsistencyError, Matrix, iter_bits, matrix_facts
-from .relset import Network
+from .relset import Network, Successors
 from .suitable import COORDS, SuitableStructure, needs_axiom_i
 from .trails import BoundedUniverse
 
@@ -136,7 +136,7 @@ def _end_matrix(A: AtomStructure, t: tuple[int, int, int]) -> Matrix:
 
 def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
     """The trail pipeline's network: an atom label for every ordered pair
-    of points of a reachable triple.
+    of points of a reachable triple, written straight into its rows.
 
     Exact over every reachable triple, in sorted order; the label matrix
     of each distinct end of the triples (``_end_matrix``) is computed
@@ -152,12 +152,12 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
     at most 27 per end, and no triangle is walked.
 
     The walk over a triple whose end's matrix is full is one chain of
-    nine ``setdefault`` comparisons, in ``_ORDER``; only a triple whose
-    chain breaks, or whose end's loops disagree, runs the entries one by
-    one, which names the pair and its two labels.
+    nine ``setdefault`` comparisons on the ``out`` rows, in ``_ORDER``;
+    only a triple whose chain breaks, or whose end's loops disagree, runs
+    the entries one by one, which names the pair and its two labels.
+    One pass over the rows then fills the ``inn`` columns.
     """
-    label: dict[tuple[int, int], int] = {}
-    put = label.setdefault
+    out: Successors = {}
     triples = uni.triples
     matrices = {t: _end_matrix(A, uni.S.elements[t]) for t in {info.end for info in triples.values()}}
     for trip in sorted(triples):
@@ -165,16 +165,17 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
         if None not in m:
             x, y, z = trip
             d0, a01, a02, a10, d1, a12, a20, a21, d2 = m
+            ox, oy, oz = out.setdefault(x, {}), out.setdefault(y, {}), out.setdefault(z, {})
             if (
-                put((x, y), a01) == a01
-                and put((y, x), a10) == a10
-                and put((y, z), a12) == a12
-                and put((z, y), a21) == a21
-                and put((x, z), a02) == a02
-                and put((z, x), a20) == a20
-                and put((x, x), d0) == d0
-                and put((y, y), d1) == d1
-                and put((z, z), d2) == d2
+                ox.setdefault(y, a01) == a01
+                and oy.setdefault(x, a10) == a10
+                and oy.setdefault(z, a12) == a12
+                and oz.setdefault(y, a21) == a21
+                and ox.setdefault(z, a02) == a02
+                and oz.setdefault(x, a20) == a20
+                and ox.setdefault(x, d0) == d0
+                and oy.setdefault(y, d1) == d1
+                and oz.setdefault(z, d2) == d2
             ):
                 continue
         for i in _ORDER:
@@ -182,10 +183,14 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
             if a is None:
                 raise ConsistencyError(f"diagonal label mismatch at {trip}")
             u, v = trip[i // 3], trip[i % 3]
-            old = put((u, v), a)
+            old = out.setdefault(u, {}).setdefault(v, a)
             if old != a:
                 raise ConsistencyError(f"pair ({u},{v}) labelled {old} and {a}")
-    net = Network(A, label)
+    inn: Successors = {}
+    for u, row in out.items():
+        for v, a in row.items():
+            inn.setdefault(v, {})[u] = a
+    net = Network(A, out, inn)
     vars(net)["facts"] = frozenset().union(*map(matrix_facts, matrices.values()))
     return net
 
@@ -257,14 +262,15 @@ def check_pair_partition(uni: BoundedUniverse, net: Network) -> tuple[CheckResul
 
     Exact.  The pair sets are read off the universe's per-point lists
     and ``uni.base_triples`` and live only for the check; one walk over
-    the points builds the descent pairs, looks each up in the unit while
+    the points builds the descent pairs, looks each up in the rows while
     it is fresh (in point order, not in the set's hash order) and finds
     the first point with a partner that is not shorter.  Only that
     point's descent pairs are then built as a set, whose iteration order
     names the witness pair.  The split is exact when the three sets are
     disjoint, lie in the unit and their sizes add up to its size.
     Untyped triples are named, as unclassified, in sorted order."""
-    lengths, label = uni.lengths, net.label
+    lengths, out = uni.lengths, net.rows[0]
+    get = out.get
     descent = set()
     add = descent.add
     labelled = True
@@ -283,7 +289,7 @@ def check_pair_partition(uni: BoundedUniverse, net: Network) -> tuple[CheckResul
         add(pd)
         add(dq)
         add(qd)
-        if labelled and not (dp in label and pd in label and dq in label and qd in label):
+        if labelled and not (p in get(pid, ()) and q in out[pid] and pid in get(p, ()) and pid in get(q, ())):
             labelled = False
         if first is None and (lengths[p] >= n or lengths[q] >= n):
             first = pid
@@ -294,22 +300,22 @@ def check_pair_partition(uni: BoundedUniverse, net: Network) -> tuple[CheckResul
             for u, v in frozenset((first, q) for q in _partners(uni, first))
             if lengths[v] >= lengths[u]
         )
-    pairs = label.keys()
-    identity = {pr for pr in pairs if pr[0] == pr[1]}
+    pairs = sum(net.sizes)
+    identity = {(u, u) for u, row in out.items() if u in row}
     base = _base_pairs(net.algebra, uni)
     overlap = identity & descent or identity & base or descent & base
     exact = (
         not overlap
         and labelled
-        and pairs >= base
-        and len(identity) + len(descent) + len(base) == len(pairs)
+        and all(v in get(u, ()) for u, v in base)
+        and len(identity) + len(descent) + len(base) == pairs
     )
     unclassified = sorted(t for t in uni.triples if not _typed(uni, descent, base, t))[:3]
     return (
         CheckResult(
             "pair-partition-exact",
             exact,
-            f"|pairs|={len(pairs)} id={len(identity)} "
+            f"|pairs|={pairs} id={len(identity)} "
             f"descent={len(descent)} base={len(base)}",
         ),
         CheckResult(
@@ -338,15 +344,15 @@ def check_key_property(uni: BoundedUniverse, net: Network) -> CheckResult:
     comp = net.algebra.comp_atoms
     if all((1 << c) & comp[a][b] for a, b, c in net.facts):
         return CheckResult("label-composition-bound", True)
-    label = net.label
+    out = net.rows[0]
     for trip in uni.triples:
         pts = set(trip)
         for x in pts:
             for y in pts:
                 for z in pts:
-                    a = label[(x, y)]
-                    b = label[(y, z)]
-                    c = label[(x, z)]
+                    a = out[x][y]
+                    b = out[y][z]
+                    c = out[x][z]
                     if not (1 << c) & comp[a][b]:
                         return CheckResult(
                             "label-composition-bound", False, f"{(x, y, z)}"
@@ -445,8 +451,8 @@ def final_representation(
     walked only on a failure, to name the witness; it is the decision of
     :func:`check_key_property` too.  That the atom images cover the unit
     disjointly is decided by the partition lemma of
-    :func:`~warel.labelling.verify_representation`, so the
-    ``atom-images-partition`` note counts ``len(net.label)``.  The
+    :func:`~warel.labelling.verify_representation`; its note and the
+    ``|unit|`` count the labelled pairs, ``sum(net.sizes)``.  The
     reverse containment is checked for pairs whose shortest witness
     leaves one step of headroom (the middle point comes from a one-step
     trail extension); exclusions are counted.
@@ -457,13 +463,10 @@ def final_representation(
     """
     bad = net.upper_violation()
     checked, excluded, missing = net.lower_scan(uni.lengths, uni.bound)
+    pairs = sum(net.sizes)
     return net, (
-        CheckResult(
-            "unit-symmetric-reflexive", net.is_symmetric_reflexive(), f"|unit|={len(net.label)}"
-        ),
-        CheckResult(
-            "atom-images-partition", all(net.sizes), f"{len(net.label)} pairs"
-        ),
+        CheckResult("unit-symmetric-reflexive", net.is_symmetric_reflexive(), f"|unit|={pairs}"),
+        CheckResult("atom-images-partition", all(net.sizes), f"{pairs} pairs"),
         CheckResult("identity-to-diagonal", net.identity_is_diagonal()),
         CheckResult("converse-exact", net.converse_is_exact()),
         CheckResult("composition-upper-exact", bad is None, str(bad or "")),
@@ -489,25 +492,24 @@ def check_chain_agreement(uni: BoundedUniverse, net: Network) -> CheckResult:
     end's last atom and collects the chain pairs in one set.  Chain-count
     lemma: once every chain pair carries its end's atom, a labelled pair
     lies in the chain of its own label exactly when it is a chain pair,
-    so the pairs outside their label's chain number ``len(label) -
+    so the pairs outside their label's chain number ``sum(net.sizes) -
     len(chain)``.  Only the pairs with headroom are walked, off the rows
     of the points with headroom.  A failing line names the first failing
     pair in these walks' order."""
     lengths, bound = uni.lengths, uni.bound
-    label = net.label
-    get = label.get
+    out = net.rows[0]
+    empty: dict[int, int] = {}
     last = [t[2] for t in uni.S.elements]
     chain: set[tuple[int, int]] = set()
     add = chain.add
     for (x, y, _), info in uni.triples.items():
-        pr = (x, y)
-        if get(pr) != last[info.end]:
-            return CheckResult("chain-agreement", False, f"{pr} mislabelled")
-        add(pr)
+        if out.get(x, empty).get(y) != last[info.end]:
+            return CheckResult("chain-agreement", False, f"{(x, y)} mislabelled")
+        add((x, y))
     if min(lengths, default=bound) + 3 <= bound:
-        for u, row in net.rows[0].items():
+        for u, row in out.items():
             if lengths[u] + 3 <= bound:
                 for v in row:
                     if lengths[v] + 3 <= bound and (u, v) not in chain:
                         return CheckResult("chain-agreement", False, f"{(u, v)} unreachable")
-    return CheckResult("chain-agreement", True, f"excluded={len(label) - len(chain)}")
+    return CheckResult("chain-agreement", True, f"excluded={sum(net.sizes) - len(chain)}")

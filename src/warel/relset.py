@@ -9,18 +9,18 @@ live, and :func:`atom_structure_of_relativization` presents such a
 relativization by atoms so the axiom classifier can be run on it.
 
 A :class:`Network` is the object both representation pipelines end in:
-atom labels on the pairs of a symmetric, reflexive unit.  It carries
-the checks they share, each with its quantifier range, and
-:func:`image_atom_structure` reads an atom structure back off it.
+atom labels on the pairs of a symmetric, reflexive unit, kept once in
+its rows.  It carries the checks they share, each with its quantifier
+range, and :func:`image_atom_structure` reads an atom structure back off it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Mapping
 from functools import cached_property
-from typing import FrozenSet, Iterator, Mapping, Optional, Sequence
+from typing import FrozenSet, Iterator, Optional, Sequence
 
-from .core import AtomStructure, Frozen, Triple, validate_atom_structure
+from .core import AtomStructure, Frozen, Triple, iter_bits, validate_atom_structure
 
 BinRel = FrozenSet[tuple[int, int]]
 PairLabels = Mapping[tuple[int, int], int]
@@ -84,6 +84,22 @@ def atom_structure_of_relativization(
 # Labelled point pairs
 
 
+class _Labels(Mapping):
+    """``{(u, v): label}`` read through the rows ``out``; no copy."""
+
+    def __init__(self, out: Successors) -> None:
+        self._out = out
+
+    def __getitem__(self, pair: tuple[int, int]) -> int:
+        return self._out.get(pair[0], {})[pair[1]]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((u, v) for u, row in self._out.items() for v in row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._out.values()))
+
+
 class Network(Frozen):
     """Atom labels on ordered point pairs, at most one label per pair.
 
@@ -91,36 +107,24 @@ class Network(Frozen):
     system's labels are one, and the trail pipeline's pair stage,
     :func:`warel.reduct.build_pair_structure`, returns one.  The
     labelled pairs form the unit, and an element x is represented by
-    the pairs whose label lies below x.  ``label`` is the one copy of
-    the pairs: the row index, field, per-atom image ``sizes`` and
-    ``facts`` are read off it once and cached.  ``facts`` is shared by
-    the composition checks and by :func:`image_atom_structure`.  The
-    trail pipeline's pair stage seeds it from its triples' label
-    matrices; every other network walks its triangles for it.
+    the pairs whose label lies below x.  The rows ``(out, inn)``, with
+    ``out[u][v] = inn[v][u]`` the label of (u, v), one row per point
+    with a pair leaving (``out``) or entering it (``inn``), are the one
+    copy of the labels; ``label`` is a read-only view of them, keyed by
+    pair, that copies nothing.  The field, ``facts`` and ``_walk`` are
+    read off the rows once and cached.  ``facts`` is shared by the
+    composition checks and by :func:`image_atom_structure`; the trail
+    pipeline's pair stage seeds it from its triples' label matrices,
+    every other network walks its triangles for it.
     """
 
-    def __init__(self, algebra: AtomStructure, label: PairLabels) -> None:
+    def __init__(self, algebra: AtomStructure, out: Successors, inn: Successors) -> None:
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "rows", (out, inn))
 
-    @cached_property
-    def rows(self) -> tuple[Successors, Successors]:
-        """``(out, inn)`` with ``out[u][v] = inn[v][u]`` the label of
-        ``(u, v)``: one row per point with a labelled pair leaving it
-        (``out``) or entering it (``inn``), in ``label`` order, built in
-        one unsorted pass."""
-        out: Successors = {}
-        inn: Successors = {}
-        for (u, v), a in self.label.items():
-            row = out.get(u)
-            if row is None:
-                out[u] = row = {}
-            row[v] = a
-            col = inn.get(v)
-            if col is None:
-                inn[v] = col = {}
-            col[u] = a
-        return out, inn
+    @property
+    def label(self) -> PairLabels:
+        return _Labels(self.rows[0])
 
     @cached_property
     def field(self) -> frozenset[int]:
@@ -128,16 +132,36 @@ class Network(Frozen):
         return frozenset(out.keys() | inn.keys())
 
     @cached_property
+    def _walk(self) -> tuple[tuple[int, ...], list[set[Optional[int]]], tuple[int, ...]]:
+        """``(sizes, reverse, loops)``, from one walk over the rows:
+        ``sizes[a]`` pairs and ``loops[a]`` loops carry atom a, and
+        ``reverse[a]`` holds the labels of the reverses of a's pairs,
+        read from ``inn[u]``, with None for an unlabelled reverse."""
+        out, inn = self.rows
+        n = self.algebra.atom_count
+        sizes, loops = [0] * n, [0] * n
+        reverse: list[set[Optional[int]]] = [set() for _ in range(n)]
+        empty: dict[int, int] = {}
+        for u, row in out.items():
+            get = inn.get(u, empty).get
+            for v, a in row.items():
+                sizes[a] += 1
+                reverse[a].add(get(v))
+            a = row.get(u)
+            if a is not None:
+                loops[a] += 1
+        return tuple(sizes), reverse, tuple(loops)
+
+    @property
     def sizes(self) -> tuple[int, ...]:
         """``sizes[a]``: the number of pairs labelled with atom ``a``."""
-        counts = Counter(self.label.values())
-        return tuple(counts[a] for a in range(self.algebra.atom_count))
+        return self._walk[0]
 
     def triangles(self) -> Iterator[Triangle]:
         """Every triangle ``(u, v, w, a, b, c)``: the pairs (u, v),
         (v, w) and (u, w) are labelled a, b and c.
 
-        Pairs (u, v) come in label order and, for each, third points w
+        Pairs (u, v) come in row order and, for each, third points w
         in increasing order.  Exact: the walk follows adjacency, w
         ranging over the points common to the rows ``out[u]`` and
         ``out[v]``, and only those are sorted.
@@ -180,16 +204,11 @@ class Network(Frozen):
 
     def is_symmetric_reflexive(self) -> bool:
         """Exact: every pair of the unit has its reverse in the unit, and
-        every point of the field its loop.  Symmetry is row against
-        column, ``out[u]`` and ``inn[u]`` having the same points for
-        every point u; then the field is the rows' points."""
-        out, inn = self.rows
-        if out.keys() != inn.keys():
-            return False
-        for u, row in out.items():
-            if u not in row or row.keys() != inn[u].keys():
-                return False
-        return True
+        every point of the field its loop.  Read off ``_walk``: no reverse
+        label is None, so the ``out`` rows' points are the field, and the
+        loops, at most one a row, number the rows."""
+        _, reverse, loops = self._walk
+        return not any(None in rev for rev in reverse) and sum(loops) == len(self.rows[0])
 
     def identity_is_diagonal(self) -> bool:
         """Exact: the identity element is represented by the loops on
@@ -199,36 +218,25 @@ class Network(Frozen):
         identity label are among the pairs with an identity label, so
         when both number ``len(field)`` every identity-labelled pair is a
         loop, one on each point of the field; conversely, when the image
-        is the diagonal, both sets are that diagonal.  The pairs are
-        counted off ``sizes``, the loops with one lookup per row."""
-        ident = self.algebra.identity
-        pairs = sum(n for a, n in enumerate(self.sizes) if (1 << a) & ident)
-        loops = 0
-        for u, row in self.rows[0].items():
-            a = row.get(u)
-            if a is not None and (1 << a) & ident:
-                loops += 1
-        return pairs == loops == len(self.field)
+        is the diagonal, both sets are that diagonal.  Both are counted
+        off ``_walk``'s ``sizes`` and ``loops``."""
+        ident = list(iter_bits(self.algebra.identity))
+        sizes, _, loops = self._walk
+        return sum(sizes[a] for a in ident) == sum(loops[a] for a in ident) == len(self.field)
 
     def converse_is_exact(self) -> bool:
         """Per atom, and so for every element since atom images are
         disjoint: the image of a~ is the inverse of the image of a.
-        Decided on the rows: each labelled (u, v), label a, has (v, u),
-        read as ``inn[u][v]``, labelled a~, so the image of a~ contains
-        the inverse of a's.  The reverse inclusion then needs a~~ = a
-        for every atom a whose converse a~ labels some pair; that is
-        checked last, since an ``AtomStructure`` built directly need not
-        have an involutive converse."""
+        Decided on ``_walk``: every labelled (u, v), label a, has (v, u)
+        labelled a~, that is ``reverse[a] <= {a~}``, so the image of a~
+        contains the inverse of a's.  The reverse inclusion then needs
+        a~~ = a for every atom a whose converse a~ labels some pair; that
+        is checked last, since an ``AtomStructure`` built directly need
+        not have an involutive converse."""
         conv = self.algebra.converse
-        out, inn = self.rows
-        for u, row in out.items():
-            col = inn.get(u)
-            if col is None:
-                return False
-            for v, a in row.items():
-                if col.get(v) != conv[a]:
-                    return False
-        sizes = self.sizes
+        sizes, reverse, _ = self._walk
+        if not all(rev <= {conv[a]} for a, rev in enumerate(reverse)):
+            return False
         return all(conv[b] == a for a, b in enumerate(conv) if sizes[b])
 
     def upper_violation(self) -> Optional[tuple[int, int, int]]:
@@ -291,7 +299,7 @@ class Network(Frozen):
             if missing:
                 below = sum(1 for p in self.label if p < (u, v))
                 return checked, below - (checked - 1), (u, self.label[(u, v)], v, *missing[0])
-        return checked, len(self.label) - checked, None
+        return checked, sum(self.sizes) - checked, None
 
 
 def image_atom_structure(net: Network) -> AtomStructure:
@@ -304,26 +312,17 @@ def image_atom_structure(net: Network) -> AtomStructure:
     the ``facts`` the network computes once and caches.  When the map is an
     embedding this reproduces the original structure exactly.
 
-    One pass over the rows finds the atoms labelling a pair off the
-    diagonal and, per atom a, the labels of the reverses of a's pairs,
-    read from ``inn[u]`` (None for an unlabelled reverse).  The converse
-    of a is accepted as b when that set is exactly {b} and the two images
-    have the same size.  Images are disjoint, so then b's image is
-    exactly the inverse of a's, and no other atom's is.  An empty image
-    maps to the last atom whose image is empty.
+    The walk the network shares with its checks gives the rest: an atom
+    is an identity atom when all its pairs are loops, and the converse
+    of a is b when the reverses of a's pairs are all labelled b and the
+    two images have the same size.  Images are disjoint, so then b's
+    image is exactly the inverse of a's, and no other atom's is.  An
+    empty image maps to the last atom whose image is empty.
     """
-    A, sizes = net.algebra, net.sizes
-    out, inn = net.rows
+    A = net.algebra
+    sizes, reverse, loops = net._walk
     n = A.atom_count
-    off_diagonal: set[int] = set()
-    reverse: list[set[Optional[int]]] = [set() for _ in range(n)]
-    for u, row in out.items():
-        col = inn.get(u, {})
-        for v, a in row.items():
-            reverse[a].add(col.get(v))
-            if u != v:
-                off_diagonal.add(a)
-    ident = [a for a in range(n) if a not in off_diagonal]
+    ident = [a for a in range(n) if sizes[a] == loops[a]]
     empty = [a for a in range(n) if not sizes[a]]
     conv = {}
     for a in range(n):

@@ -25,7 +25,11 @@ the labels of reversed pairs.  The image test checks ``Network.sizes``,
 against per-atom frozensets of the labelled pairs (``ref_image_lines``
 for the lines).  ``pairs_below`` is the relation a network represents
 an element by, for the tests here and in ``test_reduct.py`` and
-``test_labelling.py``.
+``test_labelling.py``.  ``network`` builds a network's rows from a label
+map, for every test module that makes networks by hand.  The walk over
+a network's triangles takes the pairs in row order, so the references
+that name the first bad triangle (``ref_final_upper``,
+``ref_labelling_upper``) take them in ``row_order``.
 """
 
 import random
@@ -49,6 +53,32 @@ from warel.relset import (
 )
 from warel.suitable import build_suitable
 from warel.trails import build_universe
+
+def network(A, label):
+    """The network of a label map, on rows built from it: each point's
+    pairs in ``label`` order, as ``LabellingSystem.network`` and the
+    pair stage keep them."""
+    out, inn = {}, {}
+    for (u, v), a in label.items():
+        out.setdefault(u, {})[v] = a
+        inn.setdefault(v, {})[u] = a
+    return Network(A, out, inn)
+
+
+def labels(net):
+    """A network's labels as a dict, read off its rows in row order."""
+    return {(u, v): a for u, row in net.rows[0].items() for v, a in row.items()}
+
+
+def row_order(label):
+    """The pairs of ``label`` in the order a network's rows hold them:
+    grouped by their first point, the points in order of first
+    appearance, and each group in ``label`` order."""
+    first = {}
+    for u, _ in label:
+        first.setdefault(u, len(first))
+    return sorted(label, key=lambda pr: first[pr[0]])
+
 
 def pairs_below(net, element_mask):
     """The relation representing an element: the pairs whose label lies
@@ -76,8 +106,9 @@ def ref_final_upper(A, label):
     pts_in_unit = {u for u, _ in label} | {v for _, v in label}
     comp = A.comp_atoms
     bad = None
-    for (u, v), a in label.items():
-        for w in pts_in_unit:
+    for u, v in row_order(label):
+        a = label[(u, v)]
+        for w in sorted(pts_in_unit):
             b = label.get((v, w))
             if b is None:
                 continue
@@ -208,7 +239,8 @@ def ref_check_triangles_through(ls, pts):
 def ref_labelling_upper(ls):
     A = ls.algebra
     bad = None
-    for (u, w), a in ls.label.items():
+    for u, w in row_order(ls.label):
+        a = ls.label[(u, w)]
         for v in range(ls.point_count()):
             b = ls.label.get((w, v))
             if b is None:
@@ -365,7 +397,7 @@ def test_final_representation_matches_reference(algebra, data):
     n = 1 + max(max(pr) for pr in label) if label else 1
     lengths = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     universe = SimpleNamespace(bound=bound, lengths=lengths)
-    _, checks = reduct.final_representation(universe, Network(A, label))
+    _, checks = reduct.final_representation(universe, network(A, label))
     assert [(r.name, r.holds, r.detail) for r in checks] == ref_final_structural(A, label) + [
         ref_final_upper(A, label),
         ref_final_lower(A, label, bound, lengths),
@@ -398,7 +430,7 @@ def test_lower_scan_matches_predicate_scan(algebra, data):
     n = 1 + max(max(pr) for pr in label) if label else 1
     age = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     bound = data.draw(st.integers(0, 4))
-    net = Network(algebra, label)
+    net = network(algebra, label)
     # a pair is checked when its older point is below the bound
     got = net.lower_scan(age, bound)
     assert got == ref_lower_scan(net, lambda u, v: max(age[u], age[v]) >= bound)
@@ -419,7 +451,7 @@ def test_lower_scan_matches_predicate_scan_on_a_saturated_system(pentagon):
         # has its witnesses; random ages also check pairs of stage 3
         age = [rng.randrange(4) for _ in range(ls.point_count())] if trial % 4 == 3 else ls.stage
         bound = rng.randint(0, 4)
-        net = Network(pentagon, label)
+        net = network(pentagon, label)
         got = net.lower_scan(age, bound)
         assert got == ref_lower_scan(net, lambda u, v: max(age[u], age[v]) >= bound)
         outcomes.add(got[2] is None)
@@ -433,7 +465,7 @@ def test_image_atom_structure_matches_reference(algebra, data):
     label = data.draw(label_maps(A))
     images = {a: frozenset(pr for pr, b in label.items() if b == a) for a in range(A.atom_count)}
     unit = frozenset(label)
-    net = Network(A, label)
+    net = network(A, label)
     assert net.sizes == tuple(len(images[a]) for a in range(A.atom_count))
     for mask in data.draw(st.lists(st.integers(0, A.full), min_size=1, max_size=4)):
         assert pairs_below(net, mask) == frozenset().union(*(images[a] for a in iter_bits(mask)))
@@ -502,7 +534,7 @@ def test_image_converse_lookup_matches_inverse_index(census_final_networks):
     rng = random.Random(17)
     outcomes = set()
     for net in census_final_networks:
-        A, label = net.algebra, dict(net.label)
+        A, label = net.algebra, labels(net)
         nets = [net]
         pairs = sorted(label)
         for _ in range(6):
@@ -511,7 +543,7 @@ def test_image_converse_lookup_matches_inverse_index(census_final_networks):
             relabelled[pr] = rng.choice([a for a in range(A.atom_count) if a != label[pr]])
             u, v = rng.choice(pairs)
             dropped = {p: a for p, a in label.items() if p != (v, u)}
-            nets += [Network(A, relabelled), Network(A, dropped)]
+            nets += [network(A, relabelled), network(A, dropped)]
         for n in nets:
             got = _image_outcome(image_atom_structure, n)
             assert got == _image_outcome(ref_image_structure_by_inverse_index, n)
@@ -536,14 +568,14 @@ def test_image_atom_structure_round_trips_relativizations(drawn):
     universe, unit = drawn
     A, pairs = atom_structure_of_relativization(universe, unit)
     assert classify(A).is_wa
-    rebuilt = image_atom_structure(Network(A, {p: i for i, p in enumerate(pairs)}))
+    rebuilt = image_atom_structure(network(A, {p: i for i, p in enumerate(pairs)}))
     assert (rebuilt.identity, rebuilt.converse, rebuilt.cycles) == (A.identity, A.converse, A.cycles)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_facts_are_the_triangle_labels(algebra, data):
-    net = Network(algebra, data.draw(label_maps(algebra)))
+    net = network(algebra, data.draw(label_maps(algebra)))
     assert net.facts == {(a, b, c) for _, _, _, a, b, c in net.triangles()}
 
 
@@ -556,18 +588,97 @@ def test_network_checks_match_reference_on_any_converse(algebra, data):
     conv = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
     A = AtomStructure(n, algebra.identity, conv, algebra.cycles)
     label = data.draw(label_maps(A))
-    net = Network(A, label)
+    net = network(A, label)
     assert net.converse_is_exact() == ref_converse_is_exact(A, label)
     assert net.identity_is_diagonal() == ref_identity_is_diagonal(A, label)
     assert net.is_symmetric_reflexive() == ref_is_symmetric_reflexive(label)
     assert net.field == field_of(frozenset(label))
 
 
+CORRUPTIONS = (
+    "none", "deleted-pair", "one-way-pair", "incoming-only-point", "missing-loop", "diversity-loop", "non-involutive",
+)
+
+
+@st.composite
+def corrupted_label_maps(draw, A):
+    """``(kind, algebra, label)``: a label map on at most five points whose
+    loops carry identity atoms and whose other pairs carry diversity
+    atoms, the reverse of each pair its converse, in a drawn order, with
+    at most one corruption of ``kind``: a labelled pair deleted, a pair
+    added without its reverse, a new point with only incoming pairs, a
+    loop deleted, a loop relabelled by a diversity atom, or the map read
+    in a copy of the algebra whose converse is no involution."""
+    conv = A.converse
+    atoms = st.integers(0, A.atom_count - 1)
+    diverse = [a for a in range(A.atom_count) if not (1 << a) & A.identity]
+    n = draw(st.integers(1, 5))
+    label = {(u, u): draw(st.sampled_from(list(iter_bits(A.identity)))) for u in range(n)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if diverse and draw(st.booleans()):
+                a = draw(st.sampled_from(diverse))
+                label[(u, v)], label[(v, u)] = a, conv[a]
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    if kind == "deleted-pair":
+        del label[draw(st.sampled_from(sorted(label)))]
+    elif kind == "one-way-pair":
+        # the second point is new when the map has only one
+        u, v = draw(st.permutations(range(max(n, 2))))[:2]
+        label[(u, v)] = draw(atoms)
+        label.pop((v, u), None)
+    elif kind == "incoming-only-point":
+        for u in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            label[(u, n)] = draw(atoms)
+    elif kind == "missing-loop":
+        u = draw(st.integers(0, n - 1))
+        del label[(u, u)]
+    elif kind == "diversity-loop" and diverse:
+        u = draw(st.integers(0, n - 1))
+        label[(u, u)] = draw(st.sampled_from(diverse))
+    elif kind == "non-involutive":
+        a = draw(atoms)
+        b = draw(atoms.filter(lambda b: b != conv[a]))
+        A = AtomStructure(A.atom_count, A.identity, conv[:a] + (b,) + conv[a + 1 :], A.cycles)
+    order = draw(st.permutations(sorted(label)))
+    return kind, A, {pr: label[pr] for pr in order}
+
+
+def _rebuilt(build, *args):
+    """The rebuilt structure by value, or the type and message raised."""
+    try:
+        B = build(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return B.identity, B.converse, B.cycles
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_shared_walk_matches_the_references_on_one_corruption(algebra, census, data):
+    # the four lines read off the network's one walk over its rows, and
+    # the sizes it counts, against the whole-set references, on maps that
+    # are converse-consistent but for one corruption
+    A = data.draw(st.sampled_from([algebra, *census]))
+    kind, A, label = data.draw(corrupted_label_maps(A))
+    net = network(A, label)
+    images = ref_images(A, label)
+    assert net.sizes == tuple(map(len, images))
+    assert net.is_symmetric_reflexive() == ref_is_symmetric_reflexive(label)
+    assert net.converse_is_exact() == ref_converse_is_exact(A, label)
+    assert net.identity_is_diagonal() == ref_identity_is_diagonal(A, label)
+    assert _rebuilt(image_atom_structure, net) == _rebuilt(
+        ref_image_atom_structure, A, images, frozenset(label)
+    )
+    if kind == "none":
+        assert net.is_symmetric_reflexive() and net.converse_is_exact() and net.identity_is_diagonal()
+
+
 def test_converse_check_on_a_non_involution(a2):
     A = AtomStructure(2, a2.identity, (0, 0), a2.cycles)
     # every pair's reverse carries the converse label, yet the image of
     # 0 = conv(1) is not the inverse of the empty image of 1
-    assert not Network(A, {(0, 0): 0}).converse_is_exact()
+    assert not network(A, {(0, 0): 0}).converse_is_exact()
     assert not ref_converse_is_exact(A, {(0, 0): 0})
 
 
@@ -584,7 +695,7 @@ IDENTITY_COUNT_CASES = {
 @pytest.mark.parametrize("case", sorted(IDENTITY_COUNT_CASES))
 def test_identity_count_edge_cases(a2, case):
     label, holds = IDENTITY_COUNT_CASES[case]
-    assert Network(a2, label).identity_is_diagonal() == ref_identity_is_diagonal(a2, label) == holds
+    assert network(a2, label).identity_is_diagonal() == ref_identity_is_diagonal(a2, label) == holds
 
 
 @settings(max_examples=100, deadline=None)
@@ -608,7 +719,7 @@ def test_identity_count_matches_reference_when_identity_leaves_the_diagonal(alge
         label[pr] = data.draw(st.sampled_from(ident))
     order = data.draw(st.permutations(sorted(label)))
     label = {pr: label[pr] for pr in order}
-    assert Network(A, label).identity_is_diagonal() == ref_identity_is_diagonal(A, label)
+    assert network(A, label).identity_is_diagonal() == ref_identity_is_diagonal(A, label)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,12 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from test_composition_reference import pairs_below, ref_element_checks
+from test_composition_reference import network, pairs_below, ref_element_checks
 from warel import core
 from warel import labelling as lb
 from warel.core import GuardExceeded, validate_atom_structure
 from warel.fileformat import parse_structure_file
-from warel.relset import Network
 
 INPUTS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs").glob("*.alg"))
 
@@ -157,19 +156,19 @@ def test_verify_modes_agree(a2, pentagon):
             assert dict(got)["injective"] == (passes > 0)
             # a network built from the labels alone, which walks its facts,
             # gives the same lines as the system's own, details too
-            net = Network(A, ls.label)
+            net = network(A, ls.label)
             assert lb.verify_representation(ls, net) == lb.verify_representation(ls, ls.network())
 
 
 def test_representation_images(a1, a2):
     ls = lb.saturate(lb.initial_system(a1), 1)
-    rep = Network(a1, ls.label)
+    rep = network(a1, ls.label)
     assert pairs_below(rep, 0) == frozenset()
     assert pairs_below(rep, a1.identity) == frozenset({(0, 0)})
     assert frozenset(rep.label) == frozenset({(0, 0)})
 
     ls2 = lb.saturate(lb.initial_system(a2), 1)
-    rep2 = Network(a2, ls2.label)
+    rep2 = network(a2, ls2.label)
     assert {(0, 1), (1, 0)} <= pairs_below(rep2, 2)
     assert rep2.is_symmetric_reflexive()
     assert pairs_below(rep2, a2.identity) == frozenset((p, p) for p in range(ls2.point_count()))
@@ -177,21 +176,21 @@ def test_representation_images(a1, a2):
 
 def test_unit_symmetric_reflexive_after_saturation(pentagon):
     ls = lb.saturate(lb.initial_system(pentagon), 2)
-    assert Network(pentagon, ls.label).is_symmetric_reflexive()
+    assert network(pentagon, ls.label).is_symmetric_reflexive()
 
 
 def test_every_nonzero_element_has_pairs_after_one_pass(a2, pentagon):
     for A in (a2, pentagon):
         ls = lb.saturate(lb.initial_system(A), 1)
-        rep = Network(A, ls.label)
+        rep = network(A, ls.label)
         for x in range(1, 1 << A.atom_count):
             assert pairs_below(rep, x), x
 
 
 def _assert_rows_are_built_from_label(ls):
     # the lemma of LabellingSystem.network: the system's rows are the
-    # ones Network.rows builds from label, rows and keys in the same order
-    built = Network(ls.algebra, dict(ls.label)).rows
+    # ones built from label, rows and keys in the same order
+    built = network(ls.algebra, dict(ls.label)).rows
     for mine, want in zip((ls.out, ls.inn), built):
         assert list(mine) == list(want)
         for p, row in want.items():

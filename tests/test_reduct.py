@@ -244,3 +244,22 @@ def test_universe_and_pairs_memory_grow_with_the_points_not_faster(pentagon):
     at3 = _universe_and_pairs_peak_per_point(pentagon, 3)
     at4 = _universe_and_pairs_peak_per_point(pentagon, 4)
     assert at4 / at3 < 1.3, (at3, at4)
+
+
+def test_pair_stage_keeps_one_copy_of_the_labels(pentagon):
+    # the rows are the network's only copy of its labels: with both of
+    # them built, the pair stage retains under 170 bytes a labelled pair,
+    # an entry in a row and one in a column and the rows themselves; a
+    # tuple-keyed dict of the labels beside them would push it past 200
+    uni = build_universe(build_suitable(pentagon), 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = reduct.build_pair_structure(pentagon, uni)
+        net.rows
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    pairs = sum(net.sizes)
+    assert pairs == len(net.label)
+    assert retained / pairs < 170, (retained, pairs)

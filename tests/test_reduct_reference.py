@@ -46,11 +46,10 @@ from hypothesis import strategies as st
 from warel import reduct
 from warel.core import AtomStructure, CheckResult, ConsistencyError, classify, iter_bits
 from warel.reduct import REPLACEMENT_STEPS
-from warel.relset import Network
 from warel.suitable import COORDS, build_suitable
 from warel.trails import BoundedUniverse, TripleInfo, build_universe
 
-from test_composition_reference import ref_final_upper
+from test_composition_reference import labels, network, ref_final_upper
 from test_enumerate_reference import sample_structure
 from test_trails_reference import triples_by_end
 
@@ -136,7 +135,7 @@ def ref_chain_agreement(uni, net):
     chain pair against its atom, then every labelled pair outside its own
     label's chain."""
     lengths, bound = uni.lengths, uni.bound
-    label = net.label
+    label = labels(net)
     chain = ref_chain_sets(uni, net.algebra.atom_count)
     for a in chain:
         for pr in chain[a]:
@@ -156,7 +155,7 @@ def ref_chain_agreement(uni, net):
 def ref_chain_rejects(uni, net):
     """Every pair that :func:`ref_chain_agreement` can name, by kind."""
     lengths, bound = uni.lengths, uni.bound
-    label = net.label
+    label = labels(net)
     chain = ref_chain_sets(uni, net.algebra.atom_count)
     return {
         "mislabelled": {pr for a in chain for pr in chain[a] if label.get(pr) != a},
@@ -194,7 +193,7 @@ def ref_build_pair_structure(A, uni):
         if dw != A.atom_ranges[t1]:
             raise ConsistencyError(f"diagonal label mismatch at {trip}")
         _assign(label, w, w, bit(dw))
-    return Network(A, label)
+    return network(A, label)
 
 
 def ref_pair_split(A, uni, label):
@@ -500,7 +499,7 @@ def _corrupt_label(net, uni, rng):
     """A copy of net's labels with one pair relabelled, dropped or added.
     Half the added pairs join two points with three steps of headroom,
     the only pairs whose absence from the chains can fail the line."""
-    label = dict(net.label)
+    label = labels(net)
     kind = rng.choice(["relabel", "drop", "add"])
     if kind == "add":
         short = [p for p, n in enumerate(uni.lengths) if n + 3 <= uni.bound]
@@ -536,7 +535,7 @@ def test_chain_agreement_matches_reference_on_corrupted_networks(a2, pentagon, c
             pairs = len(net.label)
             assert reduct.check_chain_agreement(uni, net) == ref_chain_agreement(uni, net)
             for _ in range(12):
-                bad = Network(A, _corrupt_label(net, uni, rng))
+                bad = network(A, _corrupt_label(net, uni, rng))
                 got, want = reduct.check_chain_agreement(uni, bad), ref_chain_agreement(uni, bad)
                 assert got.holds == want.holds
                 if got.holds:
@@ -620,12 +619,13 @@ def test_key_property_matches_reference(inputs):
     failing = 0
     for A, uni, net in inputs:
         assert reduct.check_key_property(uni, net) == ref_key_property(A, uni, net.label)
-        pairs = list(net.label)
+        unchanged = labels(net)
+        pairs = list(unchanged)
         for _ in range(40):
-            label = dict(net.label)
+            label = dict(unchanged)
             pr = rng.choice(pairs)
             label[pr] = rng.randrange(A.atom_count)
-            got = reduct.check_key_property(uni, Network(A, label))
+            got = reduct.check_key_property(uni, network(A, label))
             assert got == ref_key_property(A, uni, label), pr
             failing += not got.holds
     assert failing > 100
@@ -644,7 +644,7 @@ def assert_triangles_are_local(A, uni):
     (a base triple when all three have length one)."""
     net = reduct.build_pair_structure(A, uni)
     assert "facts" in vars(net)
-    walked = Network(A, dict(net.label))
+    walked = network(A, labels(net))
     seen = set()
     for u, v, w, a, b, c in walked.triangles():
         seen.add((a, b, c))
@@ -680,7 +680,7 @@ def test_hand_built_networks_walk_their_triangles(pentagon):
         assert (x, y) not in label
         label[(x, y)] = a
         label[(y, x)] = pentagon.converse[a]
-    hand = Network(pentagon, label)
+    hand = network(pentagon, label)
     assert "facts" not in vars(hand)
     assert hand.facts == {(a, b, c) for *_, a, b, c in hand.triangles()}
     assert hand.facts - net.facts == {(1, 1, 2), (2, 2, 1)}

@@ -1,8 +1,8 @@
 import pytest
 
+from test_composition_reference import network
 from warel.core import classify
 from warel.relset import (
-    Network,
     Universe,
     atom_structure_of_relativization,
     image_atom_structure,
@@ -108,7 +108,7 @@ def test_atom_structure_of_relativization_roundtrip():
     A, pairs = atom_structure_of_relativization(U, e)
     assert A.atom_count == 4
     assert classify(A).is_ra
-    rebuilt = image_atom_structure(Network(A, {p: i for i, p in enumerate(pairs)}))
+    rebuilt = image_atom_structure(network(A, {p: i for i, p in enumerate(pairs)}))
     assert rebuilt.cycles == A.cycles
     assert rebuilt.identity == A.identity
     assert rebuilt.converse == A.converse

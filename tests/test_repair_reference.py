@@ -24,10 +24,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_composition_reference import _by_name, _system, ref_labelling_upper
+from test_composition_reference import _by_name, _system, network, ref_labelling_upper
 from warel import labelling as lb
 from warel.core import iter_bits, validate_atom_structure
-from warel.relset import Network
 
 
 def ref_initial(A):
@@ -112,7 +111,7 @@ def assert_saturation_matches_reference(A, passes):
         assert _state(whole) == _state(ref), k
         net = ls.network()
         assert "facts" in vars(net)
-        assert net.facts == Network(A, dict(ls.label)).facts == ref.network().facts, k
+        assert net.facts == network(A, dict(ls.label)).facts == ref.network().facts, k
     return ls
 
 
@@ -298,6 +297,6 @@ def test_a_breaking_label_fails_composition_upper_with_the_walked_witness(pentag
     label[(u, v)], label[(v, u)] = 2, 1  # r and s swapped on one edge
     hand = _system(pentagon, label, list(ls.stage))
     got = _by_name(lb.verify_representation(hand, hand.network()))["composition-upper"]
-    witness = Network(pentagon, label).upper_violation()
+    witness = network(pentagon, label).upper_violation()
     assert witness is not None
     assert got == ref_labelling_upper(hand) == ("composition-upper", False, f"triangle {witness}")

@@ -14,11 +14,12 @@ from importlib import import_module
 import pytest
 
 import warel
+from test_composition_reference import network
 from warel.core import AtomStructure, CheckResult, classify
 from warel.fileformat import Report
 from warel.labelling import LabellingSystem
 from warel.laws import Law, Var
-from warel.relset import Network, Universe
+from warel.relset import Universe
 from warel.suitable import SuitableStructure
 from warel.trails import BoundedUniverse
 
@@ -35,7 +36,7 @@ def test_the_dataclasses_are_the_replaced_classes():
 
 
 def test_immutable_values_refuse_assignment(a2):
-    net = Network(a2, {(0, 0): 0})
+    net = network(a2, {(0, 0): 0})
     rep = classify(a2)
     for value, name in (
         (a2, "identity"), (rep, "is_wa"), (net, "label"), (Universe(2), "size"),
