@@ -13,11 +13,11 @@ with atom labels on some ordered point pairs, subject to:
 A flaw is a labelled pair (u, v) with label a <= b ; c but no point w
 with (u, w) labelled b and (w, v) labelled c.  Repairing a flaw adds
 one fresh point and five labels; saturation runs repair passes in a
-fixed order.  The labels form a :class:`~warel.relset.Network` whose
-rows ``out[u][w] = inn[w][u]`` are the system's only index: a witness
-search walks the shorter of ``out[u]`` and ``inn[v]``, once per pair in
-:func:`find_flaws`.  Its map from algebra elements to relations is an
-embedding up to the staged guarantees of :func:`verify_representation`.
+fixed order.  The labels form a :class:`~warel.relset.Network`; its
+rows ``out[u][w] = inn[w][u]`` are their one store, ``label`` a view of
+them.  A witness search walks the shorter of ``out[u]`` and ``inn[v]``,
+once per pair in :func:`find_flaws`.  The map from elements to relations
+is an embedding up to the staged guarantees of :func:`verify_representation`.
 
 Three lemmas make a system that :func:`initial_system` and
 :func:`repair` built cheap to grow and to check (step-by-step games are
@@ -56,7 +56,7 @@ from . import core
 from .core import (
     AtomStructure, CheckResult, ConsistencyError, GuardExceeded, Matrix, classify, iter_bits, matrix_facts
 )
-from .relset import Network, Successors
+from .relset import LabelView, Network, Successors
 
 Flaw = tuple[int, int, int, int, int]  # (u, a, v, b, c)
 # (lab(u,u), a, lab(v,u), lab(v,v), b, c, u == v) of a flaw (u, a, v, b, c)
@@ -67,15 +67,18 @@ class LabellingSystem:
     def __init__(self, algebra: AtomStructure, signatures: Optional[dict[Signature, Matrix]] = None) -> None:
         self.algebra = algebra
         self.stage: list[int] = []  # stage[pid]: the pass that created the point
-        self.label: dict[tuple[int, int], int] = {}
         self.passes_done = 0
-        # the only index of the labels: out[u][w] = inn[w][u] = label[(u, w)]
+        # the one store of the labels: out[u][w] = inn[w][u] = label of (u, w)
         self.out: Successors = {}
         self.inn: Successors = {}
         self.repairs_done = 0
         # the matrix of (u, v, w) for each repair signature passed so far;
         # None unless initial_system and repair wrote every label
         self.signatures = signatures
+
+    @property
+    def label(self) -> LabelView:
+        return LabelView(self.out)
 
     def point_count(self) -> int:
         return len(self.stage)
@@ -85,7 +88,7 @@ class LabellingSystem:
         return len(self.stage) - 1
 
     def _add_label(self, u: int, a: int, v: int) -> None:
-        old = self.label.get((u, v))
+        old = self.out.get(u, {}).get(v)
         if old is not None:
             if old != a:
                 raise ConsistencyError(
@@ -98,16 +101,12 @@ class LabellingSystem:
             )
         if u == v and not (1 << a) & self.algebra.identity:
             raise ConsistencyError(f"diversity atom {a} labelling ({u}, {u})")
-        self.label[(u, v)] = a
         self.out.setdefault(u, {})[v] = a
         self.inn.setdefault(v, {})[u] = a
 
     def network(self) -> Network:
         """The labels as a :class:`~warel.relset.Network` built on the
-        system's own rows.  Lemma: ``(out, inn)`` holds exactly the
-        pairs and labels of ``label``, each row in ``label`` order:
-        ``_add_label`` and :func:`repair`, the only writers of ``label``,
-        enter each pair in all three at once.
+        system's own rows, the one store of the labels.
 
         A system with ``signatures`` also seeds the network's ``facts``:
         they are the initial loops' ``(e, e, e)`` together with the 27
@@ -143,7 +142,7 @@ class LabellingSystem:
 
     def is_flaw(self, f: Flaw) -> bool:
         u, a, v, b, c = f
-        if self.label.get((u, v)) != a:
+        if self.out.get(u, {}).get(v) != a:
             return False
         if not (1 << a) & self.algebra.comp_atoms[b][c]:
             return False
@@ -169,14 +168,17 @@ def initial_system(A: AtomStructure) -> LabellingSystem:
 
 def find_flaws(ls: LabellingSystem, scope: Optional[int] = None) -> list[Flaw]:
     """All flaws, ordered by (u, v, a, b, c); with ``scope`` only those
-    whose endpoints were both created before pass ``scope``.  Each pair
+    whose endpoints were both created before pass ``scope``.  A pair
+    (u, v) is the entry v of the row ``out[u]``, so the sorted points,
+    each with its sorted row, give the pairs in (u, v) order.  Each pair
     is decided by one walk, :meth:`~warel.relset.Network.unwitnessed`."""
-    out: list[Flaw] = []
-    net, label, stage = ls.network(), ls.label, ls.stage
-    for (u, v) in sorted(label):
-        if scope is None or (stage[u] < scope and stage[v] < scope):
-            out += [(u, label[(u, v)], v, b, c) for b, c in net.unwitnessed(u, v)]
-    return out
+    flaws: list[Flaw] = []
+    net, out, stage = ls.network(), ls.out, ls.stage
+    bound = float("inf") if scope is None else scope
+    for u in sorted(p for p in out if stage[p] < bound):
+        row = out[u]
+        flaws += [(u, row[v], v, b, c) for v in sorted(row) if stage[v] < bound for b, c in net.unwitnessed(u, v)]
+    return flaws
 
 
 def _signature(ls: LabellingSystem, f: Flaw) -> Signature:
@@ -255,10 +257,9 @@ def repair(ls: LabellingSystem, f: Flaw) -> LabellingSystem:
             known[sig] = m
     else:
         w = ls._add_point(stage)
-        label, out, inn = ls.label, ls.out, ls.inn
+        out, inn = ls.out, ls.inn
         # m is row by row over (u, v, w): m[2] = lab(u,w), m[5] = lab(v,w), ...
         for x, y, lab in ((u, w, m[2]), (w, v, m[7]), (w, u, m[6]), (v, w, m[5]), (w, w, m[8])):
-            label[x, y] = lab
             out.setdefault(x, {})[y] = lab
             inn.setdefault(y, {})[x] = lab
     ls.repairs_done += 1
@@ -378,10 +379,10 @@ def verify_representation(ls: LabellingSystem, net: Network) -> tuple[CheckResul
     - ``join-preserved`` and ``complement-preserved``: exact for every
       element (pair), decided by their lemma.  An element's image is the
       union of its atoms' images, so both hold exactly when the atom
-      images partition the unit.  The partition lemma: ``label`` maps
-      each pair of the unit to one atom, so the images are disjoint and
-      cover the unit.  The lines stay in the report, which the
-      benchmark's reference pins.
+      images partition the unit.  The partition lemma: each ``out[u]``
+      is a dict, so a pair of the unit carries one label, and the images
+      are disjoint and cover the unit.  The lines stay in the report,
+      which the benchmark's reference pins.
     - ``injective``: exact for every element pair, since over a
       partition two elements share an image only when some atom image
       is empty.

@@ -23,7 +23,6 @@ from typing import FrozenSet, Iterator, Optional, Sequence
 from .core import AtomStructure, Frozen, Triple, iter_bits, validate_atom_structure
 
 BinRel = FrozenSet[tuple[int, int]]
-PairLabels = Mapping[tuple[int, int], int]
 Successors = dict[int, dict[int, int]]
 Triangle = tuple[int, int, int, int, int, int]
 
@@ -84,7 +83,7 @@ def atom_structure_of_relativization(
 # Labelled point pairs
 
 
-class _Labels(Mapping):
+class LabelView(Mapping):
     """``{(u, v): label}`` read through the rows ``out``; no copy."""
 
     def __init__(self, out: Successors) -> None:
@@ -123,8 +122,8 @@ class Network(Frozen):
         object.__setattr__(self, "rows", (out, inn))
 
     @property
-    def label(self) -> PairLabels:
-        return _Labels(self.rows[0])
+    def label(self) -> LabelView:
+        return LabelView(self.rows[0])
 
     @cached_property
     def field(self) -> frozenset[int]:

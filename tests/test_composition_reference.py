@@ -360,13 +360,11 @@ def label_maps(draw, A):
 
 
 def _fill(ls, label):
-    """Give ``ls`` exactly the labels of ``label`` and their rows, in
+    """Give ``ls`` exactly the labels of ``label``, its rows filled in
     ``label`` order, with no check of the structural properties."""
-    ls.label.clear()
     ls.out.clear()
     ls.inn.clear()
     for (u, v), a in label.items():
-        ls.label[(u, v)] = a
         ls.out.setdefault(u, {})[v] = a
         ls.inn.setdefault(v, {})[u] = a
 

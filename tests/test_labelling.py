@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from pathlib import Path
 
@@ -123,7 +124,7 @@ def test_point_budget_counts_only_added_points(request, monkeypatch, name, passe
 
 
 def test_saturate_memory_is_linear_in_labels(pentagon):
-    # bytes per label stay flat from pass 6 to pass 7 (about 300 B each);
+    # bytes per label stay flat from pass 6 to pass 7 (about 170 B each);
     # an index keyed by absolute point ids, such as a bitmask per
     # (point, atom), grows as points squared and roughly doubles here
     per_label = []
@@ -136,6 +137,23 @@ def test_saturate_memory_is_linear_in_labels(pentagon):
             tracemalloc.stop()
         per_label.append(peak / len(ls.label))
     assert per_label[1] / per_label[0] < 1.2, per_label
+
+
+def test_labelling_keeps_one_copy_of_the_labels(pentagon):
+    # the rows are the system's only copy of its labels: saturation
+    # retains under 190 bytes a label, an entry in a row and one in a
+    # column, the rows themselves and the points' stages; a tuple-keyed
+    # dict of the labels beside them pushes it to about 240
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ls = lb.saturate(lb.initial_system(pentagon), 7)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert "label" not in vars(ls)
+    labels = len(ls.label)
+    assert retained / labels < 190, (retained, labels)
 
 
 def test_verify_full_passes(a1, a2, pentagon):
@@ -187,21 +205,23 @@ def test_every_nonzero_element_has_pairs_after_one_pass(a2, pentagon):
             assert pairs_below(rep, x), x
 
 
-def _assert_rows_are_built_from_label(ls):
-    # the lemma of LabellingSystem.network: the system's rows are the
-    # ones built from label, rows and keys in the same order
-    built = network(ls.algebra, dict(ls.label)).rows
-    for mine, want in zip((ls.out, ls.inn), built):
-        assert list(mine) == list(want)
-        for p, row in want.items():
-            assert list(mine[p].items()) == list(row.items())
+def _assert_rows_are_the_one_store(ls):
+    # the rows are the system's one store of its labels: inn is the
+    # transpose of out, label reads its pairs off out, and the network
+    # is built on the same two dicts
+    transpose = {}
+    for u, row in ls.out.items():
+        for v, a in row.items():
+            transpose.setdefault(v, {})[u] = a
+    assert transpose == ls.inn
+    assert dict(ls.label) == {(u, v): a for u, row in ls.out.items() for v, a in row.items()}
     net = ls.network()
     assert net.rows[0] is ls.out and net.rows[1] is ls.inn
 
 
 @pytest.mark.parametrize("passes", range(1, 7))
 def test_rows_are_the_network_rows_on_pentagon(pentagon, passes):
-    _assert_rows_are_built_from_label(lb.saturate(lb.initial_system(pentagon), passes))
+    _assert_rows_are_the_one_store(lb.saturate(lb.initial_system(pentagon), passes))
 
 
 def test_rows_are_the_network_rows_on_the_benchmark_inputs():
@@ -209,4 +229,4 @@ def test_rows_are_the_network_rows_on_the_benchmark_inputs():
     for path in INPUTS:
         A = parse_structure_file(str(path))
         for passes in (1, 2, 3):
-            _assert_rows_are_built_from_label(lb.saturate(lb.initial_system(A), passes))
+            _assert_rows_are_the_one_store(lb.saturate(lb.initial_system(A), passes))
