@@ -226,6 +226,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (GuardExceeded, MemoryError) as exc:
+        # the traceback holds the failed run's frames and all they built;
+        # let that go, so that the report has memory to take its line
+        exc.__traceback__ = None
         report.add(args.command, "budget", False, str(exc) or "out of memory")
         code = 3
     except ConsistencyError as exc:

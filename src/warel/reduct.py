@@ -15,8 +15,9 @@ pair stage returns these labels as a :class:`~warel.relset.Network`,
 the object the labelling pipeline's pair stage ends in too, and every
 later check reads that network and the universe.  The split of the
 pairs into identity, descent and base pairs, and the Lemma 9 types of
-the triples, are read off the universe's per-point lists by the check
-that needs them.  The network turns algebra elements into relations
+the triples, are read off the universe's per-point lists and base
+triples by the check that needs them, which builds no set of identity
+or descent pairs.  The network turns algebra elements into relations
 over points, and the resulting map is checked to be a Boolean
 embedding respecting identity, converse, and composition up to the
 frontier, which is the bounded form of the full representation
@@ -195,15 +196,19 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
     return net
 
 
+# The coordinates off each pointer: a point's descent partners.
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+
+
 def _partners(uni: BoundedUniverse, pid: int) -> tuple[int, ...]:
     """A point's descent partners, the other repointings of its reduced
     trail: the coordinates of its own triple off its pointer, in
     coordinate order.  A point of length one has none."""
     if uni.lengths[pid] == 1:
         return ()
-    k = uni.pointers[pid]
+    i, j = _OTHERS[uni.pointers[pid]]
     trip = uni.own_triples[pid]
-    return trip[:k] + trip[k + 1 :]
+    return trip[i], trip[j]
 
 
 def _base_pairs(A: AtomStructure, uni: BoundedUniverse) -> set[tuple[int, int]]:
@@ -219,112 +224,107 @@ def _base_pairs(A: AtomStructure, uni: BoundedUniverse) -> set[tuple[int, int]]:
     return out
 
 
-def _typed(uni: BoundedUniverse, descent: set, base: set, trip: tuple[int, int, int]) -> bool:
-    """Whether a reachable triple has one of the six Lemma 9 types, given
-    the universe's descent and base pairs.
-
-    A pair of distinct points is of one kind when it lies in exactly one
-    of the two sets; both hold each pair both ways round, so the points
-    are never sorted.  The types: a single point; a doubled point whose
-    pair is of one kind (doubled-descent, doubled-base); three points
-    whose pairs are all base pairs only (three-base); or three points
-    whose longest (ties broken by the larger pid) has the other two as
-    its descent partners, and whose remaining pair is of one kind
-    (descent-descent, descent-base).
-    """
-    u, v, w = trip
-    if u == v or v == w or u == w:
-        if u == v == w:
-            return True
-        pair = (u, w) if u == v else (u, v)
-        return (pair in descent) != (pair in base)
-    if (v, w) in base and (u, w) in base and (u, v) in base and not (
-        (v, w) in descent or (u, w) in descent or (u, v) in descent
-    ):
-        return True
-    lengths = uni.lengths
-    ku, kv, kw = (lengths[u], u), (lengths[v], v), (lengths[w], w)
-    if ku > kv and ku > kw:
-        top, a, b = u, v, w
-    elif kv > kw:
-        top, a, b = v, u, w
-    else:
-        top, a, b = w, u, v
-    return _partners(uni, top) in ((a, b), (b, a)) and ((a, b) in descent) != ((a, b) in base)
+def _untyped(uni: BoundedUniverse, base: set[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """The reachable triples with none of the six Lemma 9 types, in
+    ``uni.triples`` order.  A pair of distinct points is of one kind when
+    it is exactly one of a descent pair (one point is a descent partner
+    of the other) and a base pair.  The types: a single point; a doubled
+    point whose pair is of one kind (doubled-descent, doubled-base);
+    three points whose pairs are all base pairs only (three-base); or
+    three points whose longest (ties broken by the larger pid) has the
+    other two as its descent partners, and whose remaining pair is of
+    one kind (descent-descent, descent-base).  Those two partners make
+    descent pairs, ruling out three-base, so one pair decides, read off
+    the per-point lists with no call; only a triple whose three pairs
+    are base pairs looks up its points' partners."""
+    lengths, pointers, own = uni.lengths, uni.pointers, uni.own_triples
+    scale = len(lengths)
+    untyped = []
+    for trip in uni.triples:
+        u, v, w = trip
+        if u == v or v == w or u == w:
+            if u == v == w:
+                continue
+            x, y = (u, w) if u == v else (u, v)
+        else:
+            ku, kv, kw = lengths[u] * scale + u, lengths[v] * scale + v, lengths[w] * scale + w
+            top, x, y = (u, v, w) if ku > kv and ku > kw else (v, u, w) if kv > kw else (w, u, v)
+            t, (i, j) = own[top], _OTHERS[pointers[top]]
+            if lengths[top] == 1 or not (t[i] == x and t[j] == y or t[i] == y and t[j] == x):
+                if not ((v, w) in base and (u, w) in base and (u, v) in base) or any(
+                    r != s and r in trip for s in trip for r in _partners(uni, s)
+                ):
+                    untyped.append(trip)
+                continue
+        tx, ty = own[x], own[y]
+        ix, jx = _OTHERS[pointers[x]]
+        iy, jy = _OTHERS[pointers[y]]
+        descent = lengths[x] != 1 and y in (tx[ix], tx[jx]) or lengths[y] != 1 and x in (ty[iy], ty[jy])
+        if descent == ((x, y) in base):
+            untyped.append(trip)
+    return untyped
 
 
 def check_pair_partition(uni: BoundedUniverse, net: Network) -> tuple[CheckResult, ...]:
     """The labelled pairs split exactly into identity pairs (the loops),
     descent pairs (each point paired with each of its descent partners,
     both ways round) and base pairs (``_base_pairs``); every reachable
-    triple has one of the six Lemma 9 types (``_typed``); and every
+    triple has one of the six Lemma 9 types (``_untyped``); and every
     descent partner is shorter than its point.
 
-    Exact.  The pair sets are read off the universe's per-point lists
-    and ``uni.base_triples`` and live only for the check; one walk over
-    the points builds the descent pairs, looks each up in the rows while
-    it is fresh (in point order, not in the set's hash order) and finds
-    the first point with a partner that is not shorter.  Only that
-    point's descent pairs are then built as a set, whose iteration order
-    names the witness pair.  The split is exact when the three sets are
-    disjoint, lie in the unit and their sizes add up to its size.
-    Untyped triples are named, as unclassified, in sorted order."""
+    Exact, with no set of loops or descent pairs.  Membership: (x, y)
+    is a descent pair exactly when y is one of x's partners or x one of
+    y's.  One walk over the points checks that each descent pair is
+    labelled, finds the first point with a partner that is not shorter
+    (its pairs, as a set, name the witness in their iteration order) and
+    counts D, the pairs (pid, r) over each point's distinct partners.
+    By inclusion-exclusion there are 2|D| - |D & reversed D| descent
+    pairs; the meet counts each pid that is a partner of its partner r,
+    once when r = pid.  Count lemma: when every partner is shorter, the
+    meet is empty and no point is its own partner, so no loop is a
+    descent pair; only otherwise are the points walked again, for the
+    meet and, per point, the identity-descent overlap.  The identity
+    count is the loops of ``net._walk``.  Per base pair: it is labelled,
+    not a loop (an identity-base overlap, or unlabelled) and not a
+    descent pair (a descent-base overlap).  The split is exact when the
+    kinds are disjoint and their sizes add up to the unit's.  Untyped
+    triples are named, as unclassified, in sorted order."""
     lengths, out = uni.lengths, net.rows[0]
     get = out.get
-    descent = set()
-    add = descent.add
-    labelled = True
-    first = None
+    partnered, mutual, looped, labelled, first, bad = 0, 0, False, True, None, None
     for pid, (trip, n, k) in enumerate(zip(uni.own_triples, lengths, uni.pointers)):
         if n == 1:
             continue
-        if k == 0:
-            _, p, q = trip
-        elif k == 1:
-            p, _, q = trip
-        else:
-            p, q, _ = trip
-        dp, pd, dq, qd = (pid, p), (p, pid), (pid, q), (q, pid)
-        add(dp)
-        add(pd)
-        add(dq)
-        add(qd)
+        i, j = _OTHERS[k]
+        p, q = trip[i], trip[j]
+        partnered += 1 if p == q else 2
         if labelled and not (p in get(pid, ()) and q in out[pid] and pid in get(p, ()) and pid in get(q, ())):
             labelled = False
         if first is None and (lengths[p] >= n or lengths[q] >= n):
             first = pid
-    bad = None
     if first is not None:
-        bad = next(
-            (u, v)
-            for u, v in frozenset((first, q) for q in _partners(uni, first))
-            if lengths[v] >= lengths[u]
-        )
-    pairs = sum(net.sizes)
-    identity = {(u, u) for u, row in out.items() if u in row}
+        witness = frozenset((first, q) for q in _partners(uni, first))
+        bad = next((u, v) for u, v in witness if lengths[v] >= lengths[u])
+        for pid in range(len(lengths)):
+            for r in set(_partners(uni, pid)):
+                if pid in _partners(uni, r):
+                    mutual += 1
+                    looped = looped or (r == pid and pid in get(pid, ()))
+    descent, pairs, loops = 2 * partnered - mutual, sum(net.sizes), sum(net._walk[2])
     base = _base_pairs(net.algebra, uni)
-    overlap = identity & descent or identity & base or descent & base
     exact = (
-        not overlap
+        not looped
         and labelled
-        and all(v in get(u, ()) for u, v in base)
-        and len(identity) + len(descent) + len(base) == pairs
+        and all(
+            u != v and v in get(u, ()) and v not in _partners(uni, u) and u not in _partners(uni, v) for u, v in base
+        )
+        and loops + descent + len(base) == pairs
     )
-    unclassified = sorted(t for t in uni.triples if not _typed(uni, descent, base, t))[:3]
+    unclassified = sorted(_untyped(uni, base))[:3]
+    typed = f"unclassified {unclassified}" if unclassified else f"{len(uni.triples)} triples classified"
     return (
-        CheckResult(
-            "pair-partition-exact",
-            exact,
-            f"|pairs|={pairs} id={len(identity)} "
-            f"descent={len(descent)} base={len(base)}",
-        ),
-        CheckResult(
-            "triple-types-total",
-            not unclassified,
-            f"unclassified {unclassified}"
-            if unclassified
-            else f"{len(uni.triples)} triples classified",
-        ),
+        CheckResult("pair-partition-exact", exact, f"|pairs|={pairs} id={loops} descent={descent} base={len(base)}"),
+        CheckResult("triple-types-total", not unclassified, typed),
         CheckResult("descent-pairs-shorten", bad is None, str(bad or "")),
     )
 

@@ -263,3 +263,23 @@ def test_pair_stage_keeps_one_copy_of_the_labels(pentagon):
     pairs = sum(net.sizes)
     assert pairs == len(net.label)
     assert retained / pairs < 170, (retained, pairs)
+
+
+def test_pair_partition_keeps_no_pair_set(pentagon):
+    # the partition check reads each point's descent partners off the
+    # universe's lists and counts the loops off the network's walk, so
+    # it builds no set of point pairs: its peak stays under 150 bytes a
+    # point, where a set of the four descent pairs of each point and one
+    # of the loops beside it would take about 600
+    uni = build_universe(build_suitable(pentagon), 4)
+    net = reduct.build_pair_structure(pentagon, uni)
+    net.sizes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        checks = reduct.check_pair_partition(uni, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.holds for c in checks), checks
+    assert peak / len(uni.lengths) < 150, (peak, len(uni.lengths))

@@ -10,9 +10,10 @@ the partition lines on those sets; ``ref_key_property`` walks the 27
 ordered choices over every triple's points; ``ref_replacement_closure``
 tests every replacement of every triple against its headroom.  The
 checks under test compute each end element's label entries once, read
-the pair kinds off the universe's per-point lists inside the partition
-check, type triples without sorting (``reduct._typed`` must type
-exactly the triples the reference does not call "unclassified"), decide
+the pair kinds off each point's descent partners inside the partition
+check, with no set of descent pairs or loops, type triples without
+sorting (``reduct._untyped`` must leave out exactly the triples the
+reference calls "unclassified"), decide
 the key property on the network's ``facts``, walking the triples only
 on a failure, and list the demanded replacements once per shortest
 witness length; they must agree with these on every
@@ -283,10 +284,10 @@ def _descent(uni):
 
 
 def _kinds(A, uni, ref):
-    """Whether ``reduct._typed`` types each reachable triple, and whether
-    the reference gives it a type, in sorted order."""
-    descent, base = _descent(uni), reduct._base_pairs(A, uni)
-    got = [(t, reduct._typed(uni, descent, base, t)) for t in sorted(uni.triples)]
+    """Whether ``reduct._untyped`` leaves each reachable triple out, and
+    whether the reference gives it a type, in sorted order."""
+    untyped = set(reduct._untyped(uni, reduct._base_pairs(A, uni)))
+    got = [(t, t not in untyped) for t in sorted(uni.triples)]
     return got, [(t, kind != "unclassified") for t, kind in ref.lem9_kind.items()]
 
 
