@@ -29,12 +29,14 @@ carrier.
 The bounded set-algebra form relativizes the full algebra on triples
 of universe points to the reachable triple set; the map sending a
 carrier subset to the union of its orbit sets is verified to be an
-isomorphism up to the frontier.
+isomorphism up to the frontier.  Its lines are decided on signature
+groups of triples; cylindrification is exact over every singleton of
+the carrier, decided per group by a lemma, with no loop over them.
 """
 
 from __future__ import annotations
 
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from typing import NamedTuple
 
 from .core import CheckResult
@@ -69,7 +71,8 @@ def check_na3(S: SuitableStructure) -> tuple[CheckResult, ...]:
 
     A failing axiom names its first failing instance in loop order.
     The full commutativity of cylindrifications, an equation of
-    additive sides, is evaluated over ``singles`` and reported as a
+    additive sides, is evaluated over ``singles`` and the pairs k < l
+    (k = l is trivial, and (l, k) restates (k, l)) and reported as a
     verdict line but never asserted.  On a misshapen structure
     (``S.misshapen``) every line, the verdict included, fails with
     ``needs axiom (i)``, as (iii)-(v) do in
@@ -111,10 +114,7 @@ def check_na3(S: SuitableStructure) -> tuple[CheckResult, ...]:
     out.append(CheckResult("guarded-commutativity", bad is None, str(bad or "")))
 
     commutes = all(
-        c(k, c(l, x)) == c(l, c(k, x))
-        for k in COORDS
-        for l in COORDS
-        for x in singles
+        c(k, c(l, x)) == c(l, c(k, x)) for k, l in combinations(COORDS, 2) for x in singles
     )
     out.append(
         CheckResult(
@@ -315,21 +315,28 @@ def check_complex_vs_relativized(
     a set of triples to the union of the k-blocks it meets.  Every line
     is decided on the triples' signatures (``_triple_groups``), never
     on a mask over the triples.  Lemma: for a carrier subset x and a
-    reachable triple t,
+    reachable triple t of signature group g,
 
     - t lies in ``image(c_k x)`` exactly when its end lies in
-      ``c(k, x)``, one memoised call per (k, x);
+      ``c(k, x)``.  For a singleton x that is when x lies in
+      ``c(k, g.bit)``: the k-blocks partition the carrier, so sharing
+      one with the end is symmetric; an end outside the carrier has
+      bit 0, lies in no ``c(k, x)``, and ``c(k, 0) = 0``.
     - t lies in the relativized ``c_k(image x)`` exactly when its
-      k-block holds a triple with end in x, that is when the end mask
-      of t's k-block meets x;
+      k-block holds a triple with end in x, that is when
+      ``g.blocks[k]``, the end mask of t's k-block, meets x;
     - t lies in ``image(d_kl)`` exactly when its end lies in
       ``e_masks[k][l]``, and in the relativized d_kl exactly when
       t_k == t_l.
 
-    These conditions are constant on a signature group, so each line is
-    a pass over the groups and an exclusion count a sum of group sizes.
+    These conditions are constant on a group, so each line is a pass
+    over the groups and an exclusion count a sum of group sizes.  In
+    particular the singletons that g misses inward (in the relativized
+    cylinder, not in the image of the cylinder) are the bits of
+    ``g.blocks[k] & ~c(k, g.bit)``, and those it misses outward the
+    bits of ``c(k, g.bit) & ~g.blocks[k]``.
 
-    ``singles`` is every singleton of the carrier.  Quantifier ranges:
+    Quantifier ranges:
 
     - ``orbit-atoms-disjoint-nonempty``: exact over the carrier.  The
       orbit atoms are disjoint by construction, each triple having one
@@ -342,13 +349,15 @@ def check_complex_vs_relativized(
       are those whose end lies outside the carrier, so it preserves
       complements exactly when there are none.
     - ``diagonal-exact``: exact over the nine (k, l).
-    - ``cylindrification-nonfrontier``: x over ``singles``;
-      singleton-decided, since both sides are joins over the bits of
-      x: an inward or outward miss at x is one at a singleton below x.
-      Outward misses at frontier triples are excluded and counted, over
-      the singletons.
+    - ``cylindrification-nonfrontier``: exact over every singleton of
+      the carrier, decided per group by the lemma, one pass over the
+      groups per k; singleton-decided, both sides being joins over the
+      bits of x.  An outward miss at a frontier group is excluded and
+      counted once per triple; at any other group it fails the line.
 
-    A failing line names its first failing instance in loop order.
+    A failing line names its first failing instance in loop order; the
+    cylindrification line's is the first k with a miss, then its
+    lowest missed x, inward if some group misses x inward.
     """
     c, d = S.t_star, S.e_masks
     groups = _triple_groups(S, uni)
@@ -369,31 +378,18 @@ def check_complex_vs_relativized(
 
     bad = None
     excluded = 0
-    singles = [1 << i for i in range(S.size)]
     for k in COORDS:
-        rows: dict[tuple[int, int, bool], int] = {}
+        inward = outward = 0
         for g, cnt in groups.items():
-            key = (g.bit, g.blocks[k], g.frontier)
-            rows[key] = rows.get(key, 0) + cnt
-        for x in singles:
-            cx = c(k, x)
-            outward = False
-            missed = 0
-            for (bit, block, frontier), cnt in rows.items():
-                if block & x:
-                    if not cx & bit:
-                        bad = ("inward", k, x)
-                        break
-                elif cx & bit:
-                    if not frontier:
-                        outward = True
-                    missed += cnt
-            if bad is None and outward:
-                bad = ("outward", k, x)
-            if bad:
-                break
-            excluded += missed
-        if bad:
+            cg, block = c(k, g.bit), g.blocks[k]
+            inward |= block & ~cg
+            if g.frontier:
+                excluded += cnt * (cg & ~block).bit_count()
+            else:
+                outward |= cg & ~block
+        if missed := inward | outward:
+            x = missed & -missed
+            bad = ("inward" if inward & x else "outward", k, x)
             break
     out.append(
         CheckResult(

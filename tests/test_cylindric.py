@@ -1,6 +1,8 @@
 import dataclasses
 import tracemalloc
 
+import pytest
+
 from warel import cylindric
 from warel.cylindric import (
     check_complex_vs_relativized,
@@ -244,6 +246,28 @@ def test_cylindrification_names_first_failure(s2, monkeypatch):
         check_complex_vs_relativized(s2, build_universe(s2, 3)), "cylindrification-nonfrontier"
     )
     assert not c.holds and c.detail == "('outward', 0, 1)"
+
+
+@pytest.mark.parametrize(
+    "change, want",
+    [
+        # non-frontier triples ending in the 2-block of the top element
+        # leave the relativized 2-cylinder of {top}
+        (lambda b, top: b & ~top, "outward"),
+        # triples whose end is not 2-related to the top element enter it
+        (lambda b, top: b | top, "inward"),
+    ],
+    ids=("drop-top", "add-top"),
+)
+def test_cylindrification_names_the_first_failing_coordinate(s2, monkeypatch, change, want):
+    # a patch at coordinate 2 alone leaves k = 0 and 1 passing, so the
+    # line names k = 2, and the top element its only missed singleton
+    top = 1 << (s2.size - 1)
+    _patched_groups(monkeypatch, lambda g: g._replace(blocks=(*g.blocks[:2], change(g.blocks[2], top))))
+    c = _result(
+        check_complex_vs_relativized(s2, build_universe(s2, 3)), "cylindrification-nonfrontier"
+    )
+    assert not c.holds and c.detail == str((want, 2, top))
 
 
 def _setalgebra_peak_per_triple(A, depth):
