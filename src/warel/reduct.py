@@ -11,7 +11,9 @@ coordinate sits below it.
 
 Over a bounded trail universe, every ordered pair of points occurring
 in a reachable coordinate triple gets a well-defined atom label.  The
-pair stage returns these labels as a :class:`~warel.relset.Network`,
+pair stage writes each point's labels once and decides their
+consistency once per walk step of the carrier, with no pass over the
+triples.  It returns the labels as a :class:`~warel.relset.Network`,
 the object the labelling pipeline's pair stage ends in too, and every
 later check reads that network and the universe.  The split of the
 pairs into identity, descent and base pairs, and the Lemma 9 types of
@@ -25,6 +27,8 @@ theorem.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from .core import AtomStructure, CheckResult, ConsistencyError, Matrix, iter_bits, matrix_facts
 from .relset import Network, Successors
@@ -135,64 +139,109 @@ def _end_matrix(A: AtomStructure, t: tuple[int, int, int]) -> Matrix:
     return (d0, t2, t1, conv[t2], d1, t0, conv[t1], conv[t0], d2)
 
 
+def _steps_agree(S: SuitableStructure, matrices: list[Matrix]) -> bool:
+    """Every walk step (before, k, last), ``last`` in
+    ``S.neighbors[k][before]``, agrees: the matrix of last equals the
+    matrix of before at each entry that the step's triple shares with its
+    parent's.  Coordinate k holds the parent's point at
+    l = ``S.least_repoint[last][k]``, or, at l = -1, a fresh point, whose
+    pairs are not shared."""
+    repoint = S.least_repoint
+    for before, m in enumerate(matrices):
+        for k, near in enumerate(S.neighbors):
+            for last in near[before]:
+                # where each coordinate's point sits in the parent's triple
+                at = [repoint[last][k] if i == k else i for i in COORDS]
+                shared = [(i, j) for i in COORDS for j in COORDS if -1 not in (at[i], at[j])]
+                if any(matrices[last][3 * i + j] != m[3 * at[i] + at[j]] for i, j in shared):
+                    return False
+    return True
+
+
+def _point_rows(uni: BoundedUniverse, matrices: list[Matrix]) -> Optional[tuple[Successors, Successors]]:
+    """The rows ``(out, inn)``: each base triple's element matrix, then,
+    in pid order, each longer point's loop and its four pairs with its
+    descent partners, off its own triple's matrix; None on a clash."""
+    out: Successors = {}
+    inn: Successors = {}
+    for m, trip in zip(matrices, uni.base_triples):
+        for e, a in enumerate(m):
+            u, v = trip[e // 3], trip[e % 3]
+            if out.setdefault(u, {}).setdefault(v, a) != a:
+                return None
+            inn.setdefault(v, {})[u] = a
+    # per element and pointer k: the loop, then pid to p, q and p, q to pid
+    five = [
+        [(m[4 * k], m[3 * k + i], m[3 * k + j], m[3 * i + k], m[3 * j + k]) for k, (i, j) in enumerate(_OTHERS)]
+        for m in matrices
+    ]
+    triples = uni.triples
+    for trip, k, n in zip(uni.own_triples, uni.pointers, uni.lengths):
+        if n == 1:
+            continue
+        d, a, b, c, e = five[triples[trip].end][k]
+        i, j = _OTHERS[k]
+        pid, p, q = trip[k], trip[i], trip[j]
+        if p == q and (a != b or c != e):
+            return None
+        out[pid], inn[pid] = {pid: d, p: a, q: b}, {pid: d, p: c, q: e}
+        out[p][pid], out[q][pid], inn[p][pid], inn[q][pid] = c, e, a, b
+    return out, inn
+
+
 def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
     """The trail pipeline's network: an atom label for every ordered pair
     of points of a reachable triple, written straight into its rows.
 
-    Exact over every reachable triple, in sorted order; the label matrix
-    of each distinct end of the triples (``_end_matrix``) is computed
-    once, before the walk, and each triple only stores or compares its
-    pairs' labels.  A pair given two labels, or a triple whose diagonal
-    labels disagree, raises :class:`~warel.core.ConsistencyError`.
+    A triple ending at carrier element t gives its pairs the entries of
+    M[t] = ``_end_matrix``.  The rows are written per point, with no pass
+    over ``uni.triples`` (``_point_rows``), once ``_steps_agree`` has
+    decided label consistency per walk step of the carrier.
 
-    The network's ``facts`` are seeded from the same per-end matrices:
-    by the triangle lemma of :func:`~warel.trails.build_universe` every
-    triangle lies in a reachable triple, whose label matrix is its end's
-    once no pair has two labels, and each of a triple's 27 index choices
-    is a triangle.  So ``facts`` is the union of the ends' matrix facts,
-    at most 27 per end, and no triangle is walked.
+    Locality lemma, for a universe made by
+    :func:`~warel.trails.build_universe`: no pair gets two labels and no
+    loop is None exactly when no M[t] has a None loop, every step agrees
+    (none is walked at bound 1) and no write gives a pair two labels;
+    the rows then hold every triple's labels.  Proof: every element ends
+    its base triple.  A step's triple is its parent's with coordinate k
+    replaced, so a shared entry names one pair in both.  Take a pair
+    whose longer point is u and walk back along parents from a triple
+    holding it: u is carried back to its own spine, where it is fresh
+    (the fresh-pid lemma), or to its base spine, and the other point, no
+    longer than u, is fresh at none of these longer spines.  So every
+    triple on that chain holds both points, and step agreement carries
+    the label written at its first triple to all of them.  Conversely,
+    from bound 2 every step is walked from the length-one spines, so a
+    step that disagrees gives a pair two labels; a write clashes only
+    inside one triple, a base triple or the own triple of a fresh point
+    whose two partners are one point.
 
-    The walk over a triple whose end's matrix is full is one chain of
-    nine ``setdefault`` comparisons on the ``out`` rows, in ``_ORDER``;
-    only a triple whose chain breaks, or whose end's loops disagree, runs
-    the entries one by one, which names the pair and its two labels.
-    One pass over the rows then fills the ``inn`` columns.
+    On a clash the triples are walked in sorted order, entry by entry in
+    ``_ORDER``, and the first pair given two labels, or the first triple
+    with a None loop, raises :class:`~warel.core.ConsistencyError`.
+    ``facts`` is the union of the elements' matrix facts: by the triangle
+    lemma of :func:`~warel.trails.build_universe` every triangle is an
+    index choice of a reachable triple, which carries its end's matrix.
     """
-    out: Successors = {}
     triples = uni.triples
-    matrices = {t: _end_matrix(A, uni.S.elements[t]) for t in {info.end for info in triples.values()}}
-    for trip in sorted(triples):
-        m = matrices[triples[trip].end]
-        if None not in m:
-            x, y, z = trip
-            d0, a01, a02, a10, d1, a12, a20, a21, d2 = m
-            ox, oy, oz = out.setdefault(x, {}), out.setdefault(y, {}), out.setdefault(z, {})
-            if (
-                ox.setdefault(y, a01) == a01
-                and oy.setdefault(x, a10) == a10
-                and oy.setdefault(z, a12) == a12
-                and oz.setdefault(y, a21) == a21
-                and ox.setdefault(z, a02) == a02
-                and oz.setdefault(x, a20) == a20
-                and ox.setdefault(x, d0) == d0
-                and oy.setdefault(y, d1) == d1
-                and oz.setdefault(z, d2) == d2
-            ):
-                continue
-        for i in _ORDER:
-            a = m[i]
-            if a is None:
-                raise ConsistencyError(f"diagonal label mismatch at {trip}")
-            u, v = trip[i // 3], trip[i % 3]
-            old = out.setdefault(u, {}).setdefault(v, a)
-            if old != a:
-                raise ConsistencyError(f"pair ({u},{v}) labelled {old} and {a}")
-    inn: Successors = {}
-    for u, row in out.items():
-        for v, a in row.items():
-            inn.setdefault(v, {})[u] = a
-    net = Network(A, out, inn)
-    vars(net)["facts"] = frozenset().union(*map(matrix_facts, matrices.values()))
+    matrices = [_end_matrix(A, t) for t in uni.S.elements]
+    rows = None
+    if not any(None in m for m in matrices) and (uni.bound < 2 or _steps_agree(uni.S, matrices)):
+        rows = _point_rows(uni, matrices)
+    if rows is None:
+        out: Successors = {}
+        for trip in sorted(triples):
+            m = matrices[triples[trip].end]
+            for e in _ORDER:
+                a, u, v = m[e], trip[e // 3], trip[e % 3]
+                if a is None:
+                    raise ConsistencyError(f"diagonal label mismatch at {trip}")
+                old = out.setdefault(u, {}).setdefault(v, a)
+                if old != a:
+                    raise ConsistencyError(f"pair ({u},{v}) labelled {old} and {a}")
+        raise ConsistencyError("pair labels clash off the reachable triples")
+    net = Network(A, *rows)
+    vars(net)["facts"] = frozenset().union(*map(matrix_facts, matrices))
     return net
 
 
@@ -446,7 +495,7 @@ def final_representation(
     to relational inverse, and composition upper containment (composed
     images stay below the image of the composition) over every
     triangle.  The upper line is decided on ``net.facts``, which
-    :func:`build_pair_structure` seeds per triple end by the triangle
+    :func:`build_pair_structure` seeds from the carrier by the triangle
     lemma of :func:`~warel.trails.build_universe`, so the triangles are
     walked only on a failure, to name the witness; it is the decision of
     :func:`check_key_property` too.  That the atom images cover the unit

@@ -113,7 +113,7 @@ class Network(Frozen):
     pair, that copies nothing.  The field, ``facts`` and ``_walk`` are
     read off the rows once and cached.  ``facts`` is shared by the
     composition checks and by :func:`image_atom_structure`; the trail
-    pipeline's pair stage seeds it from its triples' label matrices,
+    pipeline's pair stage seeds it from the carrier's label matrices,
     every other network walks its triangles for it.
     """
 
@@ -180,8 +180,8 @@ class Network(Frozen):
         found by walking the shorter of the two rows and looking each
         point up in the other, so the same triangles as
         :meth:`triangles`.  :func:`warel.reduct.build_pair_structure`
-        seeds this cache from its triples instead (its triangle lemma);
-        every other network runs this walk."""
+        seeds this cache from the carrier's label matrices instead (its
+        triangle lemma); every other network runs this walk."""
         out_rows = self.rows[0]
         out: set[Triple] = set()
         for (u, v), a in self.label.items():

@@ -70,8 +70,9 @@ def test_phi_converse_of_symmetric_atom(a2, s2):
 
 
 def test_labels_well_defined(a2, net2):
-    # build_pair_structure raises on any disagreement; spot-check the
-    # diagonal rule: the label of (u, u) is the domain of any outgoing label
+    # build_pair_structure raises on any disagreement, decided once per
+    # walk step of the carrier; spot-check the diagonal rule: the label
+    # of (u, u) is the domain of any outgoing label
     assert net2.algebra is a2
     for (u, v), a in net2.label.items():
         duu = net2.label[(u, u)]
@@ -283,3 +284,24 @@ def test_pair_partition_keeps_no_pair_set(pentagon):
         tracemalloc.stop()
     assert all(c.holds for c in checks), checks
     assert peak / len(uni.lengths) < 150, (peak, len(uni.lengths))
+
+
+class _Unwalkable(dict):
+    """A dict that answers lookups but refuses every walk over itself."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the triples were walked")
+
+    __iter__ = keys = values = items = _refuse
+
+
+def test_pair_stage_makes_no_pass_over_the_triples(pentagon, census):
+    # on a consistent universe the pair stage writes each point's labels
+    # off its own triple, looked up by key, and decides consistency per
+    # walk step of the carrier: it never walks ``uni.triples``
+    for A in (pentagon, *census):
+        for depth in (1, 2, 3):
+            uni = build_universe(build_suitable(A), depth)
+            want = reduct.build_pair_structure(A, uni)
+            got = reduct.build_pair_structure(A, replace(uni, triples=_Unwalkable(uni.triples)))
+            assert got.rows == want.rows and got.facts == want.facts

@@ -9,7 +9,12 @@ kinds and lengths per triple, and ``ref_check_pair_partition`` decides
 the partition lines on those sets; ``ref_key_property`` walks the 27
 ordered choices over every triple's points; ``ref_replacement_closure``
 tests every replacement of every triple against its headroom.  The
-checks under test compute each end element's label entries once, read
+pair stage under test writes each point's labels once and decides their
+consistency once per walk step of the carrier; its rows, ``inn`` and
+``facts`` must equal the reference's as dicts, and it must raise what
+the reference raises, with the same message, on atom structures with a
+fact removed and on hand-built carriers run through ``build_universe``.
+The checks under test compute each end element's label entries once, read
 the pair kinds off each point's descent partners inside the partition
 check, with no set of descent pairs or loops, type triples without
 sorting (``reduct._untyped`` must leave out exactly the triples the
@@ -47,12 +52,11 @@ from hypothesis import strategies as st
 from warel import reduct
 from warel.core import AtomStructure, CheckResult, ConsistencyError, classify, iter_bits
 from warel.reduct import REPLACEMENT_STEPS
-from warel.suitable import COORDS, build_suitable
-from warel.trails import BoundedUniverse, TripleInfo, build_universe
+from warel.suitable import COORDS, SuitableStructure, build_suitable
+from warel.trails import build_universe
 
 from test_composition_reference import labels, network, ref_final_upper
 from test_enumerate_reference import sample_structure
-from test_trails_reference import triples_by_end
 
 
 def _assign(label, u, v, a):
@@ -383,12 +387,13 @@ def ref_check_reduct_isomorphism(A, S):
 
 
 def _outcome(build, A, uni):
-    """The builder's labels, or the type and message of what it raised."""
+    """The builder's rows ``(out, inn)``, compared as dicts, or the type
+    and message of what it raised."""
     try:
         net = build(A, uni)
     except Exception as exc:  # compared, never swallowed: both sides must match
         return type(exc).__name__, str(exc)
-    return list(net.label.items())
+    return net.rows
 
 
 @pytest.fixture(scope="module")
@@ -401,8 +406,11 @@ def inputs(a2, pentagon, census):
 
 
 def test_pair_structure_matches_reference(inputs):
+    # the rows come in pid order, the reference's in sorted-triple order,
+    # so rows, columns and facts are compared as dicts and sets
     for A, uni, net in inputs:
-        assert list(net.label.items()) == list(ref_build_pair_structure(A, uni).label.items())
+        want = ref_build_pair_structure(A, uni)
+        assert net.rows == want.rows and net.facts == want.facts
         ref = ref_pair_split(A, uni, net.label)
         assert _descent(uni) == ref.xi_pairs
         assert reduct._base_pairs(A, uni) == ref.base_pairs
@@ -571,46 +579,157 @@ def test_kinds_and_replacements_match_reference_on_draws(a2, pentagon, which, at
     assert reduct.check_pair_partition(uni, net) == ref_check_pair_partition(ref)
 
 
-def test_pair_disagreement_matches_reference(inputs):
-    # moving a triple to another end element relabels its pairs, which
-    # clash with the labels other triples gave them
-    rng = random.Random(7)
-    raised = 0
-    for A, uni, _ in inputs:
-        ends = sorted(triples_by_end(uni))
-        for _ in range(10):
-            trip = rng.choice(sorted(uni.triples))
-            info = uni.triples[trip]
-            triples = dict(uni.triples)
-            triples[trip] = TripleInfo(rng.choice(ends), info.min_length)
-            moved = replace(uni, triples=triples)
-            got = _outcome(reduct.build_pair_structure, A, moved)
-            assert got == _outcome(ref_build_pair_structure, A, moved)
-            raised += got[0] == "ConsistencyError"
+def _removed_fact_cases(structures, depths):
+    """(B, uni): each structure's universe at each depth, read through the
+    structure with one composition fact removed, in sorted order.  A
+    removed fact can change a domain or range atom, so the loops'
+    labels; the universe is still one that ``build_universe`` made."""
+    for A in structures:
+        for depth in depths:
+            uni = build_universe(build_suitable(A), depth)
+            for fact in sorted(A.cycles):
+                yield AtomStructure(A.atom_count, A.identity, A.converse, A.cycles - {fact}), uni
+
+
+def _message_kind(outcome):
+    return outcome[1].split(" at ")[0] if "diagonal" in outcome[1] else "pair"
+
+
+def test_pair_disagreement_matches_reference(pentagon, census):
+    # a removed fact relabels loops, which then clash across walk steps
+    # or inside a triple, or leave a loop unlabelled
+    raised, kinds = 0, set()
+    for B, uni in _removed_fact_cases((pentagon, *census), (2, 3)):
+        got = _outcome(reduct.build_pair_structure, B, uni)
+        assert got == _outcome(ref_build_pair_structure, B, uni)
+        if got[0] == "ConsistencyError":
+            raised += 1
+            kinds.add(_message_kind(got))
     assert raised > 50
+    assert kinds == {"diagonal label mismatch", "pair"}
+
+
+def hand_carrier(A, elements, masks=None, tkey=None):
+    """A suitable structure on any atom triples: unless ``masks`` and
+    ``tkey`` are given, masked by the identity atoms of their third
+    coordinates and keyed by their coordinates, as ``build_suitable``
+    masks and keys the cycles."""
+    n = len(elements)
+    if masks is None:
+        masks = [
+            [(1 << n) - 1 if k == l else sum(1 << i for i, t in enumerate(elements) if (1 << t[3 - k - l]) & A.identity)
+             for l in COORDS]
+            for k in COORDS
+        ]
+    if tkey is None:
+        tkey = [[t[k] for t in elements] for k in COORDS]
+    return SuitableStructure(tuple(elements), tuple(map(tuple, tkey)), tuple(map(tuple, masks)), algebra=A)
+
+
+def _carrier_cases(A, bound=2):
+    """(uni, elements): the universe of every one- and two-element
+    carrier over the atom triples of A, skipping those whose walk reaches
+    one triple from two carrier elements."""
+    n = A.atom_count
+    triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    for elements in [[t] for t in triples] + [[t, s] for i, t in enumerate(triples) for s in triples[i + 1:]]:
+        try:
+            yield build_universe(hand_carrier(A, elements), bound), elements
+        except ConsistencyError:
+            continue
 
 
 def test_diagonal_mismatch_matches_reference(two_identities):
-    # every atom triple as the end of one triple over points (0, 1, 2),
-    # (0, 0, 1) or (0, 1, 1), and every pair of them as the ends of
-    # (0, 1, 2) and (0, 3, 4), which share the loop (0, 0): with two
-    # identity atoms the diagonal labels of many disagree, and a
-    # diagonal label can clash with one given to the same pair before
+    # every atom triple, and every pair of them, as a hand-built carrier:
+    # with two identity atoms the loops of many disagree inside a triple,
+    # and a loop can clash with one given to the same point at another
+    # step of the walk
     A = two_identities
-    n = A.atom_count
-    elements = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-    S = replace(build_suitable(A), elements=tuple(elements))
-    ends = range(len(elements))
-    cases = [{trip: e} for trip in ((0, 1, 2), (0, 0, 1), (0, 1, 1)) for e in ends]
-    cases += [{(0, 1, 2): e, (0, 3, 4): f} for e in ends for f in ends]
-    seen = set()
-    for case in cases:
-        uni = BoundedUniverse(S, 1, triples={t: TripleInfo(e, 1) for t, e in case.items()})
+    kinds = set()
+    for uni, elements in _carrier_cases(A):
         got = _outcome(reduct.build_pair_structure, A, uni)
-        assert got == _outcome(ref_build_pair_structure, A, uni), case
+        assert got == _outcome(ref_build_pair_structure, A, uni), elements
         if got[0] == "ConsistencyError":
-            seen.add(got[1].split(" at ")[0] if "diagonal" in got[1] else "pair")
-    assert seen == {"diagonal label mismatch", "pair"}
+            kinds.add(_message_kind(got))
+    assert kinds == {"diagonal label mismatch", "pair"}
+
+
+def _clash_site(A, uni):
+    """Where the pair stage finds a clash: a None loop, a walk step that
+    disagrees, a base triple's write or a fresh point's write; None when
+    it finds none."""
+    matrices = [reduct._end_matrix(A, t) for t in uni.S.elements]
+    if any(None in m for m in matrices):
+        return "loop"
+    if uni.bound >= 2 and not reduct._steps_agree(uni.S, matrices):
+        return "step"
+    bases_only = replace(uni, lengths=[], pointers=[], own_triples=[])
+    if reduct._point_rows(bases_only, matrices) is None:
+        return "base write"
+    return "point write" if reduct._point_rows(uni, matrices) is None else None
+
+
+def test_each_clash_site_is_reached_and_exact(pentagon, two_identities, census):
+    # the pair stage raises exactly when one of its sites finds a clash,
+    # with the reference's message.  Three hand-built carriers have one
+    # clash each, where no other site sees it; none is in a mask off the
+    # diagonal unless said.  In ``loop``, the element (e1, e1, e2) has
+    # loops that disagree.  In ``step``, (e, e, e) and (r, r, r) share a
+    # 0-block, so a step at coordinate 0 makes a fresh point and keeps
+    # the pair at coordinates 1 and 2, labelled e and then r; at bound 1
+    # no step is walked and nothing clashes.  In ``fresh``, (e, r, r),
+    # in the masks E(1, 2) and E(2, 1), settles coordinates 1 and 2 to
+    # one base point, and a step at coordinate 0 to (e, r, s) makes a
+    # fresh point paired with that one point as r and as s.
+    e, r, s = range(3)
+    diagonal = lambda n: [[(1 << n) - 1 if k == l else 0 for l in COORDS] for k in COORDS]
+    loop = build_universe(hand_carrier(two_identities, [(0, 0, 1)], diagonal(1)), 2)
+    shared = hand_carrier(pentagon, [(e, e, e), (r, r, r)], diagonal(2), [[0, 0], [0, 1], [0, 1]])
+    step = build_universe(shared, 2)
+    one = [[3, 0, 0], [0, 3, 1], [0, 1, 3]]
+    fresh = build_universe(hand_carrier(pentagon, [(e, r, r), (e, r, s)], one), 2)
+    cases = [(two_identities, loop), (pentagon, step), (pentagon, build_universe(shared, 1)), (pentagon, fresh)]
+    cases += [(two_identities, uni) for uni, _ in _carrier_cases(two_identities)]
+    cases += [(pentagon, uni) for uni, _ in _carrier_cases(pentagon)]
+    cases += list(_removed_fact_cases((pentagon, *census[:6]), (1, 2)))
+    sites = Counter()
+    for A, uni in cases:
+        site = _clash_site(A, uni)
+        got = _outcome(reduct.build_pair_structure, A, uni)
+        assert got == _outcome(ref_build_pair_structure, A, uni)
+        assert (got[0] == "ConsistencyError") == (site is not None), (site, got)
+        sites[site] += 1
+    assert [_clash_site(A, uni) for A, uni in cases[:4]] == ["loop", "step", None, "point write"]
+    # the table is exact on its own: (e, r, e), in the mask E(1, 0),
+    # repoints a step at coordinate 0 from (e, e, e) to the point at 1,
+    # and only the entries through the repointed coordinate disagree
+    # (the base write of (e, r, e) clashes too)
+    repointed = hand_carrier(pentagon, [(e, e, e), (e, r, e)], [[3, 0, 0], [2, 3, 0], [0, 0, 3]])
+    assert repointed.least_repoint[1][0] == 1
+    assert not reduct._steps_agree(repointed, [reduct._end_matrix(pentagon, t) for t in repointed.elements])
+    assert set(sites) == {"loop", "step", "base write", "point write", None}, sites
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pair_rows_match_reference_on_drawn_census_classes(census, data):
+    A = data.draw(st.sampled_from(census))
+    uni = build_universe(build_suitable(A), data.draw(st.integers(1, 4)))
+    net, want = reduct.build_pair_structure(A, uni), ref_build_pair_structure(A, uni)
+    assert net.rows == want.rows and net.facts == want.facts
+
+
+def test_a_universe_off_the_lemma_premise_still_raises(pentagon):
+    # lists that no walk makes: a base triple of a diversity element
+    # whose three points are one clashes in the write, though no triple
+    # holds it; the walk over the triples then names no pair, and the
+    # stage raises all the same
+    uni = build_universe(build_suitable(pentagon), 2)
+    t = next(i for i, el in enumerate(uni.S.elements) if el[2] not in iter_bits(pentagon.identity))
+    x = uni.base_triples[t][0]
+    bad = replace(uni, base_triples=[*uni.base_triples[:t], (x, x, x), *uni.base_triples[t + 1:]])
+    with pytest.raises(ConsistencyError, match="clash off the reachable triples"):
+        reduct.build_pair_structure(pentagon, bad)
 
 
 def test_key_property_matches_reference(inputs):
@@ -634,7 +753,7 @@ def test_key_property_matches_reference(inputs):
 
 # ---------------------------------------------------------------------------
 # The triangle lemma of ``build_universe``: the pair stage seeds its
-# network's ``facts`` from the triples' label matrices, and the walk over
+# network's ``facts`` from the carrier's label matrices, and the walk over
 # every triangle of a network built afresh from the same labels is the
 # reference.
 
