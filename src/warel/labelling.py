@@ -226,9 +226,9 @@ def repair(ls: LabellingSystem, f: Flaw) -> LabellingSystem:
     decided once per signature (the module's signature lemma): the
     first repair with a signature runs them all, and a later one only
     writes its five labels, read off the cached matrix of (u, v, w), in
-    the same order.  The last check reads the new witness w alone: the
-    flaw had no witness before, and only pairs through w change, so it
-    is a flaw afterwards exactly when w does not witness it.
+    the same order.  Afterwards w witnesses the flaw: ``_add_label``
+    never overwrites a label, so (u, w) keeps b and (w, v) keeps c, or
+    a write raises (as when u = v and c~ is not b).
     """
     if not ls.is_flaw(f):
         raise ValueError(f"not a flaw (already witnessed or unlabelled): {f}")
@@ -251,8 +251,6 @@ def repair(ls: LabellingSystem, f: Flaw) -> LabellingSystem:
         ls._add_label(v, A.converse[c], w)
         ls._add_label(w, rng_b.bit_length() - 1, w)
         m = _check_triangles_through(ls, (u, v, w))
-        if ls.out[u].get(w) != b or ls.out[w].get(v) != c:
-            raise ConsistencyError(f"repair did not remove the flaw {f}")
         if known is not None:
             known[sig] = m
     else:

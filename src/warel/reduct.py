@@ -12,7 +12,7 @@ coordinate sits below it.
 Over a bounded trail universe, every ordered pair of points occurring
 in a reachable coordinate triple gets a well-defined atom label.  The
 pair stage writes each point's labels once and decides their
-consistency once per walk step of the carrier, with no pass over the
+consistency from those writes on a keyed carrier, with no pass over the
 triples.  It returns the labels as a :class:`~warel.relset.Network`,
 the object the labelling pipeline's pair stage ends in too, and every
 later check reads that network and the universe.  The split of the
@@ -127,35 +127,17 @@ def _end_matrix(A: AtomStructure, t: tuple[int, int, int]) -> Matrix:
     """The 3x3 label matrix, row by row, that a triple ending at the
     carrier element with atoms t gives its points.  Each loop's label is
     the domain or range atom of the two atoms that meet there; from the
-    first loop whose two labels disagree the loops are None."""
+    first loop whose two masks disagree or are not one atom (as an
+    ``AtomStructure`` built directly allows), the loops are None."""
     conv, dom, rng = A.converse, A.atom_domains, A.atom_ranges
     t0, t1, t2 = t
     loops = [None, None, None]
     for k, (x, y) in enumerate(((dom[t1], dom[t2]), (rng[t2], dom[t0]), (rng[t0], rng[t1]))):
-        if x != y:
+        if x != y or not x or x & (x - 1):
             break
         loops[k] = x.bit_length() - 1
     d0, d1, d2 = loops
     return (d0, t2, t1, conv[t2], d1, t0, conv[t1], conv[t0], d2)
-
-
-def _steps_agree(S: SuitableStructure, matrices: list[Matrix]) -> bool:
-    """Every walk step (before, k, last), ``last`` in
-    ``S.neighbors[k][before]``, agrees: the matrix of last equals the
-    matrix of before at each entry that the step's triple shares with its
-    parent's.  Coordinate k holds the parent's point at
-    l = ``S.least_repoint[last][k]``, or, at l = -1, a fresh point, whose
-    pairs are not shared."""
-    repoint = S.least_repoint
-    for before, m in enumerate(matrices):
-        for k, near in enumerate(S.neighbors):
-            for last in near[before]:
-                # where each coordinate's point sits in the parent's triple
-                at = [repoint[last][k] if i == k else i for i in COORDS]
-                shared = [(i, j) for i in COORDS for j in COORDS if -1 not in (at[i], at[j])]
-                if any(matrices[last][3 * i + j] != m[3 * at[i] + at[j]] for i, j in shared):
-                    return False
-    return True
 
 
 def _point_rows(uni: BoundedUniverse, matrices: list[Matrix]) -> Optional[tuple[Successors, Successors]]:
@@ -194,42 +176,56 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
     of points of a reachable triple, written straight into its rows.
 
     A triple ending at carrier element t gives its pairs the entries of
-    M[t] = ``_end_matrix``.  The rows are written per point, with no pass
-    over ``uni.triples`` (``_point_rows``), once ``_steps_agree`` has
-    decided label consistency per walk step of the carrier.
+    M[t] = ``_end_matrix``.  On a keyed carrier, whose k-key is each
+    element's atom at coordinate k (``S.tkey == tuple(zip(*S.elements))``,
+    as :func:`~warel.suitable.build_suitable` makes), with no None loop
+    in any M[t], the rows are written per point, with no pass over
+    ``uni.triples`` (``_point_rows``).
 
     Locality lemma, for a universe made by
     :func:`~warel.trails.build_universe`: no pair gets two labels and no
-    loop is None exactly when no M[t] has a None loop, every step agrees
-    (none is walked at bound 1) and no write gives a pair two labels;
-    the rows then hold every triple's labels.  Proof: every element ends
-    its base triple.  A step's triple is its parent's with coordinate k
+    loop is None exactly when no M[t] has a None loop, every walk step
+    (before, k, last), ``last`` in ``S.neighbors[k][before]``, agrees
+    (M[last] equals M[before] at each entry that the step's triple
+    shares with its parent's) and no write gives a pair two labels; the
+    rows then hold every triple's labels.  Proof: every element ends its
+    base triple.  A step's triple is its parent's with coordinate k
     replaced, so a shared entry names one pair in both.  Take a pair
     whose longer point is u and walk back along parents from a triple
     holding it: u is carried back to its own spine, where it is fresh
     (the fresh-pid lemma), or to its base spine, and the other point, no
     longer than u, is fresh at none of these longer spines.  So every
     triple on that chain holds both points, and step agreement carries
-    the label written at its first triple to all of them.  Conversely,
-    from bound 2 every step is walked from the length-one spines, so a
-    step that disagrees gives a pair two labels; a write clashes only
-    inside one triple, a base triple or the own triple of a fresh point
-    whose two partners are one point.
+    the label written at its first triple to all of them.  Conversely, a
+    write clashes only inside one triple.
 
-    On a clash the triples are walked in sorted order, entry by entry in
+    Step lemma: on a keyed carrier every step agrees once no M[t] has a
+    None loop and no base write clashes.  The entries off coordinate k
+    are t[k], its converse and the loops at its domain and range, equal
+    for before and last, which share their atom at k; a fresh step
+    shares only those.  A step repointed to l = ``S.least_repoint[last][k]``
+    shares all nine, k reading the parent's point at l.  Coordinates k
+    and l of last settle to one base point, so its base write makes
+    M[last] unchanged when k is read as l: each entry is one off k.
+
+    Otherwise the triples are walked in sorted order, entry by entry in
     ``_ORDER``, and the first pair given two labels, or the first triple
-    with a None loop, raises :class:`~warel.core.ConsistencyError`.
+    with a None loop, raises :class:`~warel.core.ConsistencyError`.  If
+    none does, an unkeyed carrier (only ever hand-built) gets the walk's
+    rows, and a keyed one, off the lemmas' premise, raises all the same.
     ``facts`` is the union of the elements' matrix facts: by the triangle
     lemma of :func:`~warel.trails.build_universe` every triangle is an
     index choice of a reachable triple, which carries its end's matrix.
     """
-    triples = uni.triples
-    matrices = [_end_matrix(A, t) for t in uni.S.elements]
+    triples, S = uni.triples, uni.S
+    matrices = [_end_matrix(A, t) for t in S.elements]
+    keyed = S.tkey == tuple(zip(*S.elements))
     rows = None
-    if not any(None in m for m in matrices) and (uni.bound < 2 or _steps_agree(uni.S, matrices)):
+    if keyed and not any(None in m for m in matrices):
         rows = _point_rows(uni, matrices)
     if rows is None:
         out: Successors = {}
+        inn: Successors = {}
         for trip in sorted(triples):
             m = matrices[triples[trip].end]
             for e in _ORDER:
@@ -239,7 +235,10 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
                 old = out.setdefault(u, {}).setdefault(v, a)
                 if old != a:
                     raise ConsistencyError(f"pair ({u},{v}) labelled {old} and {a}")
-        raise ConsistencyError("pair labels clash off the reachable triples")
+                inn.setdefault(v, {})[u] = a
+        if keyed:
+            raise ConsistencyError("pair labels clash off the reachable triples")
+        rows = out, inn
     net = Network(A, *rows)
     vars(net)["facts"] = frozenset().union(*map(matrix_facts, matrices))
     return net

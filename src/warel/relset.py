@@ -112,9 +112,7 @@ class Network(Frozen):
     copy of the labels; ``label`` is a read-only view of them, keyed by
     pair, that copies nothing.  The field, ``facts`` and ``_walk`` are
     read off the rows once and cached.  ``facts`` is shared by the
-    composition checks and by :func:`image_atom_structure`; the trail
-    pipeline's pair stage seeds it from the carrier's label matrices,
-    every other network walks its triangles for it.
+    composition checks and by :func:`image_atom_structure`.
     """
 
     def __init__(self, algebra: AtomStructure, out: Successors, inn: Successors) -> None:
@@ -173,33 +171,14 @@ class Network(Frozen):
 
     @cached_property
     def facts(self) -> frozenset[Triple]:
-        """The label triples ``(a, b, c)`` seen on triangles: exactly
+        """The label triples ``(a, b, c)`` of :meth:`triangles`: exactly
         the atoms a, b, c with f(c) meeting f(a) ; f(b) inside the unit.
-        Exact over every triangle: the third points w of a labelled pair
-        (u, v) are the points of ``out[u]`` that are also in ``out[v]``,
-        found by walking the shorter of the two rows and looking each
-        point up in the other, so the same triangles as
-        :meth:`triangles`.  :func:`warel.reduct.build_pair_structure`
-        seeds this cache from the carrier's label matrices instead (its
-        triangle lemma); every other network runs this walk."""
-        out_rows = self.rows[0]
-        out: set[Triple] = set()
-        for (u, v), a in self.label.items():
-            su = out_rows[u]
-            sv = out_rows.get(v)
-            if sv is None:
-                continue
-            if len(su) <= len(sv):
-                for w, c in su.items():
-                    b = sv.get(w)
-                    if b is not None:
-                        out.add((a, b, c))
-            else:
-                for w, b in sv.items():
-                    c = su.get(w)
-                    if c is not None:
-                        out.add((a, b, c))
-        return frozenset(out)
+        Both pipelines seed this cache instead, by a lemma
+        (:func:`warel.reduct.build_pair_structure` from the carrier's
+        label matrices, :meth:`warel.labelling.LabellingSystem.network`
+        from its repair signatures), so only a network built directly
+        walks its triangles for it."""
+        return frozenset((a, b, c) for *_, a, b, c in self.triangles())
 
     def is_symmetric_reflexive(self) -> bool:
         """Exact: every pair of the unit has its reverse in the unit, and

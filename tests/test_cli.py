@@ -10,7 +10,9 @@ import pytest
 from warel import cli, core
 from warel.core import ConsistencyError
 from warel.fileformat import format_structure
-from warel.relset import Universe, atom_structure_of_relativization
+from warel.relset import Network, Universe, atom_structure_of_relativization
+
+from test_labelling import INPUTS
 
 ROOT = Path(__file__).resolve().parents[1]
 STRUCTURES = ROOT / "structures"
@@ -364,3 +366,17 @@ def test_represent_rejects_bad_bounds_before_any_stage(monkeypatch, capsys, flag
     assert code == 2
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_represent_never_walks_a_networks_triangles(monkeypatch, capsys):
+    # both pipelines seed their networks' facts, and every census input
+    # passes composition-upper, so no run names a triangle witness: with
+    # the walk refused, each run still ends in its report
+    def refused(self):
+        raise AssertionError("a network walked its triangles")
+
+    monkeypatch.setattr(Network, "triangles", refused)
+    assert len(INPUTS) == 17
+    codes = [cli.main(["represent", str(path), "--passes", "2", "--depth", "3"]) for path in INPUTS]
+    assert "composition-upper-exact = fail" not in capsys.readouterr().out
+    assert codes.count(0) == 13 and codes.count(1) == 4, codes

@@ -6,11 +6,13 @@ import pytest
 
 from warel import reduct
 from warel.core import mask_of
+from warel.fileformat import parse_structure_file
 from warel.relset import image_atom_structure
 from warel.suitable import build_suitable
 from warel.trails import build_universe
 
 from test_composition_reference import pairs_below
+from test_labelling import INPUTS
 from test_reduct_reference import ref_carrier
 
 
@@ -70,9 +72,9 @@ def test_phi_converse_of_symmetric_atom(a2, s2):
 
 
 def test_labels_well_defined(a2, net2):
-    # build_pair_structure raises on any disagreement, decided once per
-    # walk step of the carrier; spot-check the diagonal rule: the label
-    # of (u, u) is the domain of any outgoing label
+    # build_pair_structure raises on any disagreement, decided from its
+    # per-point writes on this keyed carrier; spot-check the diagonal
+    # rule: the label of (u, u) is the domain of any outgoing label
     assert net2.algebra is a2
     for (u, v), a in net2.label.items():
         duu = net2.label[(u, u)]
@@ -295,11 +297,12 @@ class _Unwalkable(dict):
     __iter__ = keys = values = items = _refuse
 
 
-def test_pair_stage_makes_no_pass_over_the_triples(pentagon, census):
-    # on a consistent universe the pair stage writes each point's labels
-    # off its own triple, looked up by key, and decides consistency per
-    # walk step of the carrier: it never walks ``uni.triples``
-    for A in (pentagon, *census):
+def test_pair_stage_makes_no_pass_over_the_triples(a2, pentagon):
+    # on a consistent universe over a keyed carrier the pair stage writes
+    # each point's labels off its own triple, looked up by key, and
+    # decides consistency from those writes: it never walks ``uni.triples``
+    assert len(INPUTS) == 17
+    for A in (a2, pentagon, *map(parse_structure_file, INPUTS)):
         for depth in (1, 2, 3):
             uni = build_universe(build_suitable(A), depth)
             want = reduct.build_pair_structure(A, uni)

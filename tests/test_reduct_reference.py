@@ -9,11 +9,14 @@ kinds and lengths per triple, and ``ref_check_pair_partition`` decides
 the partition lines on those sets; ``ref_key_property`` walks the 27
 ordered choices over every triple's points; ``ref_replacement_closure``
 tests every replacement of every triple against its headroom.  The
-pair stage under test writes each point's labels once and decides their
-consistency once per walk step of the carrier; its rows, ``inn`` and
-``facts`` must equal the reference's as dicts, and it must raise what
-the reference raises, with the same message, on atom structures with a
-fact removed and on hand-built carriers run through ``build_universe``.
+pair stage under test writes each point's labels once and, on a carrier
+keyed by its coordinates, decides their consistency from those writes;
+its rows, ``inn`` and ``facts`` must equal the reference's as dicts, and
+it must raise what the reference raises, with the same message, on atom
+structures with a fact removed and on hand-built carriers run through
+``build_universe``.  ``ref_steps_agree``, the per-step table the stage
+no longer runs, checks its step lemma on every raw keyed carrier of one
+to three atoms and on drawn ones.
 The checks under test compute each end element's label entries once, read
 the pair kinds off each point's descent partners inside the partition
 check, with no set of descent pairs or loops, type triples without
@@ -51,6 +54,7 @@ from hypothesis import strategies as st
 
 from warel import reduct
 from warel.core import AtomStructure, CheckResult, ConsistencyError, classify, iter_bits
+from warel.enumerate import enumerate_structures
 from warel.reduct import REPLACEMENT_STEPS
 from warel.suitable import COORDS, SuitableStructure, build_suitable
 from warel.trails import build_universe
@@ -175,7 +179,9 @@ def ref_chain_rejects(uni, net):
 def ref_build_pair_structure(A, uni):
     label = {}
     conv = A.converse
-    bit = lambda m: m.bit_length() - 1
+    # a loop's label is its domain or range atom; a mask of no atom or of
+    # two (an AtomStructure built directly allows both) labels nothing
+    bit = lambda m: m.bit_length() - 1 if m and not m & (m - 1) else None
 
     for trip, info in sorted(uni.triples.items()):
         t0, t1, t2 = uni.S.elements[info.end]
@@ -187,15 +193,15 @@ def ref_build_pair_structure(A, uni):
         _assign(label, u, w, t1)
         _assign(label, w, u, conv[t1])
         du = A.atom_domains[t1]
-        if du != A.atom_domains[t2]:
+        if du != A.atom_domains[t2] or bit(du) is None:
             raise ConsistencyError(f"diagonal label mismatch at {trip}")
         _assign(label, u, u, bit(du))
         dv = A.atom_ranges[t2]
-        if dv != A.atom_domains[t0]:
+        if dv != A.atom_domains[t0] or bit(dv) is None:
             raise ConsistencyError(f"diagonal label mismatch at {trip}")
         _assign(label, v, v, bit(dv))
         dw = A.atom_ranges[t0]
-        if dw != A.atom_ranges[t1]:
+        if dw != A.atom_ranges[t1] or bit(dw) is None:
             raise ConsistencyError(f"diagonal label mismatch at {trip}")
         _assign(label, w, w, bit(dw))
     return network(A, label)
@@ -596,8 +602,9 @@ def _message_kind(outcome):
 
 
 def test_pair_disagreement_matches_reference(pentagon, census):
-    # a removed fact relabels loops, which then clash across walk steps
-    # or inside a triple, or leave a loop unlabelled
+    # a removed fact empties a domain or range, here always of one
+    # identity atom, so a loop's two masks disagree or hold no atom: both
+    # raise a diagonal mismatch, and no pair clashes on a loop
     raised, kinds = 0, set()
     for B, uni in _removed_fact_cases((pentagon, *census), (2, 3)):
         got = _outcome(reduct.build_pair_structure, B, uni)
@@ -606,7 +613,7 @@ def test_pair_disagreement_matches_reference(pentagon, census):
             raised += 1
             kinds.add(_message_kind(got))
     assert raised > 50
-    assert kinds == {"diagonal label mismatch", "pair"}
+    assert kinds == {"diagonal label mismatch"}
 
 
 def hand_carrier(A, elements, masks=None, tkey=None):
@@ -654,15 +661,38 @@ def test_diagonal_mismatch_matches_reference(two_identities):
     assert kinds == {"diagonal label mismatch", "pair"}
 
 
+def ref_steps_agree(S, matrices):
+    """Every walk step (before, k, last), ``last`` in
+    ``S.neighbors[k][before]``, agrees: the matrix of last equals the
+    matrix of before at each entry that the step's triple shares with its
+    parent's.  Coordinate k holds the parent's point at
+    l = ``S.least_repoint[last][k]``, or, at l = -1, a fresh point, whose
+    pairs are not shared."""
+    repoint = S.least_repoint
+    for before, m in enumerate(matrices):
+        for k, near in enumerate(S.neighbors):
+            for last in near[before]:
+                # where each coordinate's point sits in the parent's triple
+                at = [repoint[last][k] if i == k else i for i in COORDS]
+                shared = [(i, j) for i in COORDS for j in COORDS if -1 not in (at[i], at[j])]
+                if any(matrices[last][3 * i + j] != m[3 * at[i] + at[j]] for i, j in shared):
+                    return False
+    return True
+
+
+def _keyed(S):
+    return S.tkey == tuple(zip(*S.elements))
+
+
 def _clash_site(A, uni):
-    """Where the pair stage finds a clash: a None loop, a walk step that
-    disagrees, a base triple's write or a fresh point's write; None when
-    it finds none."""
+    """Where the pair stage decides a clash: an unkeyed carrier, whose
+    triples it walks, or on a keyed one a None loop, a base triple's
+    write or a fresh point's write; None when a keyed carrier has none."""
+    if not _keyed(uni.S):
+        return "unkeyed"
     matrices = [reduct._end_matrix(A, t) for t in uni.S.elements]
     if any(None in m for m in matrices):
         return "loop"
-    if uni.bound >= 2 and not reduct._steps_agree(uni.S, matrices):
-        return "step"
     bases_only = replace(uni, lengths=[], pointers=[], own_triples=[])
     if reduct._point_rows(bases_only, matrices) is None:
         return "base write"
@@ -670,17 +700,19 @@ def _clash_site(A, uni):
 
 
 def test_each_clash_site_is_reached_and_exact(pentagon, two_identities, census):
-    # the pair stage raises exactly when one of its sites finds a clash,
-    # with the reference's message.  Three hand-built carriers have one
-    # clash each, where no other site sees it; none is in a mask off the
-    # diagonal unless said.  In ``loop``, the element (e1, e1, e2) has
-    # loops that disagree.  In ``step``, (e, e, e) and (r, r, r) share a
-    # 0-block, so a step at coordinate 0 makes a fresh point and keeps
-    # the pair at coordinates 1 and 2, labelled e and then r; at bound 1
-    # no step is walked and nothing clashes.  In ``fresh``, (e, r, r),
-    # in the masks E(1, 2) and E(2, 1), settles coordinates 1 and 2 to
-    # one base point, and a step at coordinate 0 to (e, r, s) makes a
-    # fresh point paired with that one point as r and as s.
+    # the pair stage raises on a keyed carrier exactly when one of its
+    # sites finds a clash, and on every carrier with the reference's
+    # message.  Hand-built carriers, none in a mask off the diagonal
+    # unless said: in ``loop``, the element (e1, e1, e2) has loops that
+    # disagree.  In ``step``, (e, e, e) and (r, r, r) share a 0-block
+    # though their atoms at 0 differ, so the carrier is unkeyed; a step at
+    # coordinate 0 makes a fresh point and keeps the pair at coordinates
+    # 1 and 2, labelled e and then r, and the walk over the triples finds
+    # it; at bound 1 no step is walked and the walk returns the rows.  In
+    # ``fresh``, (e, r, r), in the masks E(1, 2) and E(2, 1), settles
+    # coordinates 1 and 2 to one base point, and a step at coordinate 0 to
+    # (e, r, s) makes a fresh point paired with that one point as r and
+    # as s.
     e, r, s = range(3)
     diagonal = lambda n: [[(1 << n) - 1 if k == l else 0 for l in COORDS] for k in COORDS]
     loop = build_universe(hand_carrier(two_identities, [(0, 0, 1)], diagonal(1)), 2)
@@ -692,22 +724,97 @@ def test_each_clash_site_is_reached_and_exact(pentagon, two_identities, census):
     cases += [(two_identities, uni) for uni, _ in _carrier_cases(two_identities)]
     cases += [(pentagon, uni) for uni, _ in _carrier_cases(pentagon)]
     cases += list(_removed_fact_cases((pentagon, *census[:6]), (1, 2)))
-    sites = Counter()
+    sites, raised = Counter(), []
     for A, uni in cases:
         site = _clash_site(A, uni)
         got = _outcome(reduct.build_pair_structure, A, uni)
         assert got == _outcome(ref_build_pair_structure, A, uni)
-        assert (got[0] == "ConsistencyError") == (site is not None), (site, got)
+        raised.append(got[0] == "ConsistencyError")
+        if site != "unkeyed":
+            assert raised[-1] == (site is not None), (site, got)
         sites[site] += 1
-    assert [_clash_site(A, uni) for A, uni in cases[:4]] == ["loop", "step", None, "point write"]
-    # the table is exact on its own: (e, r, e), in the mask E(1, 0),
+    assert [_clash_site(A, uni) for A, uni in cases[:4]] == ["loop", "unkeyed", "unkeyed", "point write"]
+    assert raised[:4] == [True, True, False, True]
+    # the step table is exact on its own: (e, r, e), in the mask E(1, 0),
     # repoints a step at coordinate 0 from (e, e, e) to the point at 1,
-    # and only the entries through the repointed coordinate disagree
-    # (the base write of (e, r, e) clashes too)
+    # and only the entries through the repointed coordinate disagree; the
+    # base write of (e, r, e) clashes too, as the step lemma says
     repointed = hand_carrier(pentagon, [(e, e, e), (e, r, e)], [[3, 0, 0], [2, 3, 0], [0, 0, 3]])
     assert repointed.least_repoint[1][0] == 1
-    assert not reduct._steps_agree(repointed, [reduct._end_matrix(pentagon, t) for t in repointed.elements])
-    assert set(sites) == {"loop", "step", "base write", "point write", None}, sites
+    assert not ref_steps_agree(repointed, [reduct._end_matrix(pentagon, t) for t in repointed.elements])
+    assert _clash_site(pentagon, build_universe(repointed, 1)) == "base write"
+    assert set(sites) == {"unkeyed", "loop", "base write", "point write", None}, sites
+
+
+def _step_clash(A, S):
+    """Whether a walk step of the keyed carrier S disagrees; asserts the
+    step lemma of ``build_pair_structure``: then some element matrix has
+    a None loop or some base write clashes."""
+    matrices = [reduct._end_matrix(A, t) for t in S.elements]
+    if ref_steps_agree(S, matrices):
+        return False
+    bases = build_universe(S, 1)
+    assert any(None in m for m in matrices) or reduct._point_rows(bases, matrices) is None, S
+    return True
+
+
+@pytest.fixture(scope="module")
+def raw_keyed_carriers():
+    """(A, S) for every raw structure of 1 to 3 atoms with a fact: S is
+    the carrier ``build_suitable`` would make, keyed and masked by the
+    coordinates of the cycles, built with no WA check."""
+    return [
+        (A, hand_carrier(A, sorted((y, z, x) for x, y, z in A.cycles)))
+        for n in (1, 2, 3)
+        for A in enumerate_structures(n)
+        if A.cycles
+    ]
+
+
+def test_step_lemma_on_every_raw_keyed_carrier(raw_keyed_carriers):
+    # the lemma is what lets the stage skip the step table: on all 4,650
+    # carriers, 3,128 of them with a step that disagrees
+    carriers = raw_keyed_carriers
+    assert all(_keyed(S) for _, S in carriers)
+    assert (len(carriers), sum(_step_clash(A, S) for A, S in carriers)) == (4650, 3128)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_step_lemma_on_drawn_keyed_carriers(data):
+    # any atom triples, keyed by their coordinates, under random masks;
+    # where the walk to bound 2 is well defined the stage gives the
+    # reference's outcome too
+    A = sample_structure(data.draw(st.integers(1, 3)), random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    n = A.atom_count
+    atoms = st.tuples(*[st.integers(0, n - 1)] * 3)
+    elements = data.draw(st.lists(atoms, min_size=1, max_size=5, unique=True))
+    full = (1 << len(elements)) - 1
+    masks = [[data.draw(st.integers(0, full)) for _ in COORDS] for _ in COORDS]
+    S = hand_carrier(A, elements, masks)
+    _step_clash(A, S)
+    try:
+        uni = build_universe(S, 2)
+    except ConsistencyError:
+        return  # one triple reached from two carrier elements
+    assert _outcome(reduct.build_pair_structure, A, uni) == _outcome(ref_build_pair_structure, A, uni)
+
+
+def test_no_network_carries_a_label_outside_the_atoms(raw_keyed_carriers):
+    # an atom whose domain or range holds no atom, or two, would label a
+    # loop -1 or an arbitrary atom; the stage raises a diagonal mismatch
+    # instead, as the reference does
+    returned = raised = 0
+    for A, S in raw_keyed_carriers:
+        for depth in (1, 2):
+            try:
+                net = reduct.build_pair_structure(A, build_universe(S, depth))
+            except ConsistencyError:
+                raised += 1
+                continue
+            assert all(a in range(A.atom_count) for row in net.rows[0].values() for a in row.values()), A
+            returned += 1
+    assert returned > 100 and raised > 9000, (returned, raised)
 
 
 @settings(max_examples=25, deadline=None)
