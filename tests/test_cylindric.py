@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +12,11 @@ from warel.cylindric import (
     check_na3,
     check_orbit_partition,
 )
+from warel.fileformat import parse_structure_file
 from warel.suitable import build_suitable, check_suitable
-from warel.trails import build_universe
+from warel.trails import TripleInfo, build_universe
 
+import test_cylindric_reference as reference
 from test_trails_reference import triples_by_end
 
 
@@ -106,7 +109,7 @@ def test_functions_all_identity_fixed(s2):
 def test_rc_single_atom_covers_everything(a1):
     S = build_suitable(a1)
     uni = build_universe(S, 2)
-    groups = cylindric._triple_groups(S, uni)
+    groups = reference.triple_groups(S, uni)
     assert {g.bit for g in groups} == {1}
     assert all(g.blocks == (1, 1, 1) for g in groups)
     assert sum(groups.values()) == len(uni.triples)
@@ -115,7 +118,7 @@ def test_rc_single_atom_covers_everything(a1):
 
 def test_rc_atoms_disjoint(s2):
     uni = build_universe(s2, 2)
-    groups = cylindric._triple_groups(s2, uni)
+    groups = reference.triple_groups(s2, uni)
     per_end = {}
     for g, cnt in groups.items():
         assert g.bit and g.bit & (g.bit - 1) == 0
@@ -126,7 +129,7 @@ def test_rc_atoms_disjoint(s2):
 
 def test_rc_cylindrification_blocks(s2):
     uni = build_universe(s2, 2)
-    for g in cylindric._triple_groups(s2, uni):
+    for g in reference.triple_groups(s2, uni):
         for k in (0, 1, 2):
             # a triple lies in its own k-block
             assert g.blocks[k] & g.bit == g.bit
@@ -218,8 +221,8 @@ def test_mgr2_names_first_failure(s2, monkeypatch):
 
 
 def _patched_groups(monkeypatch, change):
-    """Feed the set-algebra check every signature group after ``change``."""
-    real = cylindric._triple_groups
+    """Feed the group reference every signature group after ``change``."""
+    real = reference.triple_groups
 
     def changed(S, uni):
         out = {}
@@ -228,23 +231,23 @@ def _patched_groups(monkeypatch, change):
             out[g] = out.get(g, 0) + cnt
         return out
 
-    monkeypatch.setattr(cylindric, "_triple_groups", changed)
+    monkeypatch.setattr(reference, "triple_groups", changed)
 
 
-def test_diagonal_exact_names_first_failure(s2, monkeypatch):
-    # no triple lies in any relativized diagonal, d_00 included
-    no_diag = ((False,) * 3,) * 3
-    _patched_groups(monkeypatch, lambda g: g._replace(diag=no_diag))
-    c = _result(check_complex_vs_relativized(s2, build_universe(s2, 3)), "diagonal-exact")
+def test_diagonal_exact_names_first_failure(s2):
+    # a triple whose end lies outside the carrier lies in the relativized
+    # d_00, which is every triple, but in no image, d_00's included
+    uni = build_universe(s2, 3)
+    trip, info = next(iter(uni.triples.items()))
+    bad = dataclasses.replace(uni, triples={**uni.triples, trip: TripleInfo(s2.size, info.min_length)})
+    c = _result(check_complex_vs_relativized(s2, bad), "diagonal-exact")
     assert not c.holds and c.detail == "(0, 0)"
 
 
 def test_cylindrification_names_first_failure(s2, monkeypatch):
     # every relativized cylinder is empty: each block meets no end
     _patched_groups(monkeypatch, lambda g: g._replace(blocks=(0, 0, 0)))
-    c = _result(
-        check_complex_vs_relativized(s2, build_universe(s2, 3)), "cylindrification-nonfrontier"
-    )
+    c = _result(reference.ref_check_on_groups(s2, build_universe(s2, 3)), "cylindrification-nonfrontier")
     assert not c.holds and c.detail == "('outward', 0, 1)"
 
 
@@ -264,13 +267,13 @@ def test_cylindrification_names_the_first_failing_coordinate(s2, monkeypatch, ch
     # line names k = 2, and the top element its only missed singleton
     top = 1 << (s2.size - 1)
     _patched_groups(monkeypatch, lambda g: g._replace(blocks=(*g.blocks[:2], change(g.blocks[2], top))))
-    c = _result(
-        check_complex_vs_relativized(s2, build_universe(s2, 3)), "cylindrification-nonfrontier"
-    )
+    c = _result(reference.ref_check_on_groups(s2, build_universe(s2, 3)), "cylindrification-nonfrontier")
     assert not c.holds and c.detail == str((want, 2, top))
 
 
-def _setalgebra_peak_per_triple(A, depth):
+def _setalgebra_peak(A, depth):
+    """The traced peak of the set-algebra check, in bytes, and the
+    number of triples it read."""
     S = build_suitable(A)
     uni = build_universe(S, depth)
     tracemalloc.start()
@@ -279,16 +282,23 @@ def _setalgebra_peak_per_triple(A, depth):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / len(uni.triples)
+    return peak, len(uni.triples)
 
 
 def test_setalgebra_memory_grows_with_the_triples_not_faster(pentagon):
-    # the check keeps one mask per block and one entry per signature, so
-    # its peak per triple stays flat from depth 3 to depth 4; masks over
-    # the triples for every block would grow it with the universe
-    at3 = _setalgebra_peak_per_triple(pentagon, 3)
-    at4 = _setalgebra_peak_per_triple(pentagon, 4)
+    # the check keeps one entry per signature, so its peak per triple
+    # does not grow from depth 3 to depth 4; masks over the triples for
+    # every block would grow it with the universe
+    at3, at4 = (peak / n for peak, n in (_setalgebra_peak(pentagon, d) for d in (3, 4)))
     assert at4 / at3 < 1.5, (at3, at4)
+
+
+def test_setalgebra_builds_no_block():
+    # wa09 at depth 4 has 29,973 triples; a check that built their
+    # blocks peaked at 4,372 KiB, one that reads only signatures at 7
+    A = parse_structure_file(Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "wa09.alg")
+    peak, _ = _setalgebra_peak(A, 4)
+    assert peak < 64 * 1024, peak
 
 
 def test_cylindrification_names_inward_before_outward(s2, monkeypatch):
@@ -297,7 +307,5 @@ def test_cylindrification_names_inward_before_outward(s2, monkeypatch):
     # non-frontier ones the other way; the inward miss is named
     full = s2.full_mask
     _patched_groups(monkeypatch, lambda g: g._replace(blocks=tuple(full & ~b for b in g.blocks)))
-    c = _result(
-        check_complex_vs_relativized(s2, build_universe(s2, 3)), "cylindrification-nonfrontier"
-    )
+    c = _result(reference.ref_check_on_groups(s2, build_universe(s2, 3)), "cylindrification-nonfrontier")
     assert not c.holds and c.detail == "('inward', 0, 1)"

@@ -12,35 +12,43 @@ verdicts and witnesses as the references, and only the count in the
 ``frontier exclusions`` note may differ.  Under the plain primitives the
 checks must give exactly what they give under the memoised ones.
 
-The set-algebra lines have a reference of their own:
+The set-algebra lines have two references of their own.
 ``RefRelativizedSetAlgebra`` keeps the relativized algebra as bitmasks
 over the sorted reachable triples, one mask per cylindrification block,
 and ``ref_check_complex_vs_relativized`` compares images with it mask by
-mask.  ``check_complex_vs_relativized`` decides the same lines on
-signature groups of triples, the cylindrification line by a per-group
-lemma with no loop over the singletons; the two must agree on real
-universes and on corrupted ones, exactly over the singletons.
+mask.  ``ref_check_on_groups`` decides the same lines on signature
+groups of triples (``triple_groups``), each group carrying the end
+masks of its three blocks, the cylindrification line by a per-group
+lemma.  ``check_complex_vs_relativized`` builds no block: it decides
+the Boolean and diagonal lines on end and diagonal signatures and the
+cylindrification line by the block and k-step lemmas of the trail walk.
+On real universes all three agree exactly over the singletons, the
+count of excluded frontier instances included, and the group reference
+finds no miss the lemmas rule out.  On corrupted universes, which the
+walk never makes, the two references agree exactly, both fail every
+line, and the check fails the three lines it decides exactly.
 """
-
 import dataclasses
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warel import cylindric
-from warel.core import CheckResult, iter_bits
+from warel.core import CheckResult, classify, iter_bits
 from warel.cylindric import (
     check_complex_vs_relativized,
     check_functions,
     check_mgr2,
     check_na3,
 )
+from warel.enumerate import enumerate_structures
 from warel.suitable import COORDS, SuitableStructure, build_suitable, check_suitable
 from warel.trails import BoundedUniverse, TripleInfo, build_universe
 
@@ -226,7 +234,10 @@ def ref_rc_build(uni):
 def ref_check_complex_vs_relativized(S, uni, seed=0, samples=32):
     """The four set-algebra lines, decided on masks over the triples,
     with x over every singleton, then 0, the full set and ``samples``
-    seeded random subsets."""
+    seeded random subsets.  The cylindrification line fails at the first
+    inward miss, or outward miss at a triple off the frontier; it counts
+    as excluded every frontier triple of ``image(c_k x)`` outside
+    ``image(x)``, missed or not."""
     rc = ref_rc_build(uni)
     c, d, full = S.t_star, S.e_masks, S.full_mask
     rng = random.Random(seed)
@@ -287,9 +298,113 @@ def ref_check_complex_vs_relativized(S, uni, seed=0, samples=32):
             if missing & ~frontier_mask:
                 bad = ("outward", k, x)
                 break
-            excluded += bin(missing & frontier_mask).count("1")
+            excluded += bin(lhs & ~image(x) & frontier_mask).count("1")
         if bad:
             break
+    out.append(
+        CheckResult(
+            "cylindrification-nonfrontier",
+            bad is None,
+            f"frontier exclusions {excluded}" if bad is None else str(bad),
+        )
+    )
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# The set-algebra lines decided on signature groups of triples
+
+
+class Group(NamedTuple):
+    """A signature shared by some reachable triples: ``bit`` is
+    ``1 << end`` for the carrier element their trails end at (0 for an
+    end outside the carrier), ``blocks[k]`` the carrier mask of the ends
+    in their k-block (the reachable triples that agree with them off
+    coordinate k), ``diag[k][l]`` whether coordinates k and l agree."""
+
+    bit: int
+    frontier: bool
+    blocks: tuple[int, int, int]
+    diag: tuple[tuple[bool, bool, bool], ...]
+
+
+def triple_groups(S, uni):
+    """The reachable triples counted by signature.  One pass ORs each
+    triple's end bit into its three blocks, each keyed by the two
+    off-k points; a second reads every triple's three block masks.  A
+    block of the points x, y is keyed by the int ``x * N + y``, N one
+    more than every pid of a triple."""
+    triples = uni.triples
+    bits = {t: 1 << t for t in range(S.size)}
+    N = 1 + max(chain.from_iterable(triples), default=0)
+    b0, b1, b2 = {}, {}, {}
+    for (a, b, c), info in triples.items():
+        bit = bits.get(info.end, 0)
+        b0[b * N + c] = b0.get(b * N + c, 0) | bit
+        b1[a * N + c] = b1.get(a * N + c, 0) | bit
+        b2[a * N + b] = b2.get(a * N + b, 0) | bit
+    counts = {}
+    for (a, b, c), info in triples.items():
+        key = (
+            info.end, info.is_frontier(uni.bound), b0[b * N + c], b1[a * N + c], b2[a * N + b],
+            a == b, a == c, b == c,
+        )
+        counts[key] = counts.get(key, 0) + 1
+    return {
+        Group(bits.get(end, 0), fr, (m0, m1, m2), ((True, d01, d02), (d01, True, d12), (d02, d12, True))): n
+        for (end, fr, m0, m1, m2, d01, d02, d12), n in counts.items()
+    }
+
+
+def group_misses(S, groups, k):
+    """The carrier masks of the singletons that some group misses at
+    coordinate k: inward (in the relativized cylinder of the group's
+    k-block, not in the image of the cylinder of its end), and outward
+    at a group off the frontier."""
+    inward = outward = 0
+    for g in groups:
+        cg, block = S.t_star(k, g.bit), g.blocks[k]
+        inward |= block & ~cg
+        if not g.frontier:
+            outward |= cg & ~block
+    return inward, outward
+
+
+def ref_check_on_groups(S, uni):
+    """The four set-algebra lines decided on ``triple_groups``, exactly
+    over the carrier's singletons.  For a singleton x and a triple of
+    group g, the triple lies in ``image(c_k x)`` exactly when x lies in
+    ``c(k, g.bit)``, and in the relativized c_k(image x) exactly when
+    ``g.blocks[k]`` meets x; in ``image(d_kl)`` exactly when g's end lies
+    in ``e_masks[k][l]``, and in the relativized d_kl when
+    ``g.diag[k][l]``.  The cylindrification line names the first k with
+    a miss, then its lowest missed x, inward if some group misses x
+    inward; its exclusions are the frontier triples' singletons
+    x != {end} inside ``c(k, g.bit)``."""
+    c, d = S.t_star, S.e_masks
+    groups = triple_groups(S, uni)
+    ends = {g.bit for g in groups}
+    covered, outside = sum(ends), 0 in ends
+    out = [
+        CheckResult("orbit-atoms-disjoint-nonempty", covered == S.full_mask and not outside),
+        CheckResult("boolean-exact", not outside),
+    ]
+    bad = _first(
+        (k, l) for k in COORDS for l in COORDS
+        if any(bool(d[k][l] & g.bit) != g.diag[k][l] for g in groups)
+    )
+    out.append(CheckResult("diagonal-exact", bad is None, str(bad or "")))
+    bad = None
+    for k in COORDS:
+        inward, outward = group_misses(S, groups, k)
+        if missed := inward | outward:
+            x = missed & -missed
+            bad = ("inward" if inward & x else "outward", k, x)
+            break
+    excluded = sum(
+        cnt * (c(k, g.bit).bit_count() - 1)
+        for g, cnt in groups.items() if g.frontier and g.bit for k in COORDS
+    )
     out.append(
         CheckResult(
             "cylindrification-nonfrontier",
@@ -344,14 +459,30 @@ def assert_matches_reference(A, seed, depth=None):
 
 
 def assert_setalgebra_matches_reference(S, uni, seed):
-    """The check gives the sampled reference's verdicts and witnesses,
-    and exactly the reference over the singletons, 0 and the full set,
-    exclusion count included (0 and the full set exclude nothing)."""
+    """On a universe the walk made, the check gives the sampled
+    reference's verdicts and witnesses, and exactly the reference over
+    the singletons, 0 and the full set, exclusion count included (0 and
+    the full set exclude nothing), which is exactly the group
+    reference."""
     got = check_complex_vs_relativized(S, uni)
     with reference_primitives():
         assert_same_verdicts(got, ref_check_complex_vs_relativized(S, uni, seed=seed))
-        assert got == ref_check_complex_vs_relativized(S, uni, samples=0)
+        assert got == ref_check_complex_vs_relativized(S, uni, samples=0) == ref_check_on_groups(S, uni)
     return got
+
+
+def assert_corrupted_matches_reference(S, bad, seed):
+    """On a corrupted universe the two references agree exactly, and
+    the check gives the three exactly decided lines of the reference
+    (the sampled one's verdicts and witnesses too).  Returns the
+    check's lines and the reference's."""
+    got = check_complex_vs_relativized(S, bad)
+    with reference_primitives():
+        want = ref_check_complex_vs_relativized(S, bad, samples=0)
+        assert ref_check_on_groups(S, bad) == want
+        assert_same_verdicts(got[:3], ref_check_complex_vs_relativized(S, bad, seed=seed)[:3])
+    assert got[:3] == want[:3]
+    return got, want
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -406,8 +537,9 @@ def corrupted(uni, kind, i, end):
 @pytest.fixture(scope="module")
 def universes(a2, pentagon, census):
     out = []
-    # census[0] is WA but not SA: its Cm S does not commute
-    for A, depth in ((a2, 3), (pentagon, 2), (pentagon, 3), (census[0], 2)):
+    # census[0] is WA but not SA: its Cm S does not commute; at depth 1
+    # each element ends one triple, so a dropped one empties its orbit
+    for A, depth in ((a2, 1), (a2, 3), (pentagon, 2), (pentagon, 3), (census[0], 2)):
         S = build_suitable(A)
         out.append((S, build_universe(S, depth)))
     return out
@@ -422,21 +554,24 @@ def test_corrupted_universes_match_reference(universes, data):
     # an end of S.size lies outside the carrier
     end = data.draw(st.integers(0, S.size))
     seed = data.draw(st.sampled_from(SEEDS))
-    assert_setalgebra_matches_reference(S, corrupted(uni, kind, i, end), seed)
+    assert_corrupted_matches_reference(S, corrupted(uni, kind, i, end), seed)
 
 
 def test_corruptions_fail_every_line(universes):
-    failed = set()
+    # the references fail all four lines; the check fails the three it
+    # decides exactly, and holds the cylindrification line by the walk's
+    # lemmas, which a corrupted copy does not satisfy
+    failed, failed_ref = set(), set()
     for S, uni in universes:
         n = len(uni.triples)
         for kind in CORRUPTIONS:
             for i in range(0, n, max(1, n // 8)):
                 for end in (i % S.size, S.size):
-                    got = assert_setalgebra_matches_reference(
-                        S, corrupted(uni, kind, i, end), seed=0
-                    )
+                    got, want = assert_corrupted_matches_reference(S, corrupted(uni, kind, i, end), seed=0)
                     failed |= {c.name for c in got if not c.holds}
-    assert failed == set(SETALGEBRA_LINES)
+                    failed_ref |= {c.name for c in want if not c.holds}
+    assert failed_ref == set(SETALGEBRA_LINES)
+    assert failed == set(SETALGEBRA_LINES[:3])
 
 
 @st.composite
@@ -482,7 +617,7 @@ def test_orbit_cyl_matches_reference(a2, pentagon, census):
         S = build_suitable(A)
         uni = build_universe(S, depth)
         rc = ref_rc_build(uni)
-        groups = cylindric._triple_groups(S, uni)
+        groups = triple_groups(S, uni)
         frontier = {rc.index[t] for t in uni.frontier_triples()}
         for k in COORDS:
             for t in range(S.size):
@@ -494,6 +629,40 @@ def test_orbit_cyl_matches_reference(a2, pentagon, census):
                     if g.blocks[k] >> t & 1:
                         got[g.frontier] += cnt
                 assert got == [len(bits) - len(frontier & set(bits)), len(frontier & set(bits))]
+
+
+def raw_wa_universes():
+    """Every raw WA structure of one to three atoms, relabellings
+    included, at depths 1 to 4: 116 universes."""
+    raw = [A for n in (1, 2, 3) for A in enumerate_structures(n) if classify(A).is_wa]
+    assert len(raw) == 29
+    for A in raw:
+        S = build_suitable(A)
+        for depth in (1, 2, 3, 4):
+            yield S, build_universe(S, depth)
+
+
+def assert_lemmas_hold(S, uni):
+    """The group reference finds no inward miss and no outward miss off
+    the frontier, the misses the block and k-step lemmas rule out, and
+    the check gives exactly its lines."""
+    groups = triple_groups(S, uni)
+    assert [group_misses(S, groups, k) for k in COORDS] == [(0, 0)] * 3
+    assert check_complex_vs_relativized(S, uni) == ref_check_on_groups(S, uni)
+
+
+def test_lemmas_hold_on_every_raw_wa_structure():
+    for S, uni in raw_wa_universes():
+        assert_lemmas_hold(S, uni)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_lemmas_hold_on_drawn_structures(a2, pentagon, census, data):
+    # pentagon has four atoms, past the raw structures above
+    A = data.draw(st.sampled_from([a2, pentagon, *census]))
+    S = build_suitable(A)
+    assert_lemmas_hold(S, build_universe(S, data.draw(st.integers(1, 4))))
 
 
 def test_complex_algebras_share_the_memo(a2):

@@ -32,14 +32,14 @@ facts:
 """
 
 GOLDEN = {
-    "a2": (0, "b954a0885280af4191e76dd60a4d97d85df848f52f7f928b2473bc0d7d07ecd6"),
-    "pentagon": (0, "645d7e3f6f90cb1eda5a9bdb1688f57db36f58da89691f0f251397425946f999"),
-    "wa-not-sa": (1, "d5bb5688a4e517abb9c354fdaab1409dcdbe522e060acfcdacd347013df4afa5"),
+    "a2": (0, "67238b9025ad7a2b79ac9bdc11dd1847cd2fe15681af5c13493c887a6a8f0db7"),
+    "pentagon": (0, "7e980062b02cf7fe289b3d6d4acf3a75675ad6afb74fee535bc5dde9cf38cd70"),
+    "wa-not-sa": (1, "25deb6fad925d1212e21d4bad977eae3c10f37c2ea329498d1d7548b1d918097"),
 }
 
 GOLDEN_PASSES_0 = {
-    "a2": (1, "ae0cece74f9eec4ab1d15f9422a82d15a610cce8786cedebfc15b2d5a304222e"),
-    "pentagon": (1, "0cc6eed65250d8dc5f49ac628f0f340e9c13330bcdeebaf250edb578d0ba74c7"),
+    "a2": (1, "337bdedfd9fc291c3169983819e1631a7316c63a1ce74cae954d4588eef8f517"),
+    "pentagon": (1, "9e2770f4f54227f7522162e1b36f7895a3313ef4edb97a46ecb656b0fb98b460"),
 }
 
 

@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,24 @@ def test_universe_monotone(s2):
     assert sizes == sorted(sizes)
     trip_counts = [len(build_universe(s2, L).triples) for L in (1, 2, 3)]
     assert trip_counts == sorted(trip_counts)
+
+
+def test_frontier_is_the_tail_of_the_walk_order(a1, a2, pentagon, census):
+    # the walk is breadth first, so the triples new in the layer at the
+    # bound, the last one walked, are exactly the frontier, and
+    # frontier_ends counts them per end
+    for A in (a1, a2, pentagon, *census):
+        S = build_suitable(A)
+        for depth in (1, 2, 3, 4):
+            uni = build_universe(S, depth)
+            flags = [info.is_frontier(depth) for info in uni.triples.values()]
+            assert flags == sorted(flags)
+            ends = Counter(info.end for info in uni.triples.values() if info.is_frontier(depth))
+            assert uni.frontier_ends == [ends[t] for t in range(S.size)]
+            assert depth > 1 or sum(uni.frontier_ends) == len(uni.triples)
+    # a1's one element has no neighbour: the walk ends at length one,
+    # below the bound, with no frontier
+    assert build_universe(build_suitable(a1), 2).frontier_ends == [0]
 
 
 def test_universe_retains_no_trail_per_point(pentagon):
