@@ -112,13 +112,13 @@ def _represent_pipeline(
         report.extend_results(stage, results)
 
     uni = build_universe(S, depth)
+    final = reduct.build_pair_structure(A, uni)  # decides the premise of the lines below
     report.info("trails.points", len(uni.lengths))
     report.info("trails.triples", len(uni.triples))
     report.info("trails.frontier", sum(uni.frontier_ends))
     report.extend_results("setalgebra", [check_orbit_partition(uni)])
     report.extend_results("setalgebra", check_complex_vs_relativized(S, uni))
 
-    final = reduct.build_pair_structure(A, uni)
     report.extend_results("pairs", reduct.check_pair_partition(uni, final))
     report.extend_results("pairs", [reduct.check_key_property(uni, final)])
     report.extend_results("pairs", reduct.check_replacement_closure(uni))

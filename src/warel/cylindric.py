@@ -284,16 +284,10 @@ def check_complex_vs_relativized(
       lie in one k-block of S.  The triples of a k-block share the
       ordered pair of their points off k, and a triple ending at e gives
       that pair the label e[k] (:func:`~warel.reduct._end_matrix`: the
-      pair (1, 2) gets t_0, (0, 2) gets t_1 and (0, 1) gets t_2).  When
-      no pair is labelled twice, their ends share the atom at k, their
-      k-key on this keyed carrier, so one k-block of S holds them.  By
-      the step and locality lemmas of
-      :func:`~warel.reduct.build_pair_structure`, no pair is labelled
-      twice when no end's matrix has a None loop and no write of the
-      pair stage clashes, its base writes first; otherwise that stage
-      raises ``ConsistencyError`` later in the same run, which then ends
-      with ``represent.internal = fail`` and exit 4.  So no run that
-      exits 0 rests on a false premise, and the report keeps its order.
+      pair (1, 2) gets t_0, (0, 2) gets t_1 and (0, 1) gets t_2).  Under
+      the pair stage's premise (:func:`~warel.reduct.build_pair_structure`,
+      decided before this line), no pair is labelled twice, so their ends
+      share the atom at k, their k-key, and one k-block of S holds them.
     - *Outward, the k-step lemma*: a non-frontier triple t with end e
       has, for each e' != e in ``c(k, 1 << e)``, a triple in its k-block
       that ends at e'.  t is first reached at its shortest spine, shorter

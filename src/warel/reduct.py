@@ -11,9 +11,10 @@ coordinate sits below it.
 
 Over a bounded trail universe, every ordered pair of points occurring
 in a reachable coordinate triple gets a well-defined atom label.  The
-pair stage writes each point's labels once and decides their
-consistency from those writes on a keyed carrier, with no pass over the
-triples.  It returns the labels as a :class:`~warel.relset.Network`,
+pair stage writes each point's labels once, with no pass over the
+triples, and decides the one premise that the lemmas of the pair and
+set-algebra checks rest on (:func:`build_pair_structure`).  It returns
+the labels as a :class:`~warel.relset.Network`,
 the object the labelling pipeline's pair stage ends in too, and every
 later check reads that network and the universe.  The split of the
 pairs into identity, descent and base pairs, and the Lemma 9 types of
@@ -118,11 +119,6 @@ def check_reduct_isomorphism(A: AtomStructure, S: SuitableStructure) -> tuple[Ch
 # Pair labels over a bounded universe
 
 
-# The entries of a label matrix in the order a triple's pairs are
-# labelled: (0,1), (1,0), (1,2), (2,1), (0,2), (2,0), then the loops.
-_ORDER = (1, 3, 5, 7, 2, 6, 0, 4, 8)
-
-
 def _end_matrix(A: AtomStructure, t: tuple[int, int, int]) -> Matrix:
     """The 3x3 label matrix, row by row, that a triple ending at the
     carrier element with atoms t gives its points.  Each loop's label is
@@ -173,72 +169,80 @@ def _point_rows(uni: BoundedUniverse, matrices: list[Matrix]) -> Optional[tuple[
 
 def build_pair_structure(A: AtomStructure, uni: BoundedUniverse) -> Network:
     """The trail pipeline's network: an atom label for every ordered pair
-    of points of a reachable triple, written straight into its rows.
+    of points of a reachable triple, written per point into its rows
+    (``_point_rows``), with no pass over ``uni.triples``.  A triple ending
+    at carrier element t gives its pairs the entries of M[t] =
+    ``_end_matrix``.
 
-    A triple ending at carrier element t gives its pairs the entries of
-    M[t] = ``_end_matrix``.  On a keyed carrier, whose k-key is each
-    element's atom at coordinate k (``S.tkey == tuple(zip(*S.elements))``,
-    as :func:`~warel.suitable.build_suitable` makes), with no None loop
-    in any M[t], the rows are written per point, with no pass over
-    ``uni.triples`` (``_point_rows``).
+    The pair stage's premise, decided here before the network is
+    returned, a failing part raising :class:`~warel.core.ConsistencyError`:
+    the carrier is keyed, each element's k-key being its atom at
+    coordinate k (``S.tkey == tuple(zip(*S.elements))``), no M[t] has a
+    None loop, and no write gives a pair two labels.  It is proved for a
+    WA atom structure and its carrier from
+    :func:`~warel.suitable.build_suitable`, the cycles t, t1 <= t2 ; t0:
+
+    - *Keyed*: by construction.
+    - *No None loop*: by the identity law and ra9, distinct identity
+      atoms compose to 0, and a <= e ; b for an identity atom e only when
+      a = b, so e ; 1 holds the atoms whose domain holds e.  Domains and
+      ranges are nonempty (the identity and cycle laws).  If a's range
+      held e and e', then e' <= a~ ; a <= (e ; 1) ; 1 = e ; 1 by WA's ra4,
+      against e ; e' = 0.  By ra4, t1 <= (dom t2 ; 1) ; 1 = dom t2 ; 1, so
+      dom t1 = dom t2; the converse cycle gives rng t1 = rng t0, and
+      t0 <= t2~ ; t1 gives dom t0 = rng t2.  So each loop is one atom.
+    - *No clash*: if t has an identity atom e at m, M[t] is unchanged
+      when k is read as l, {k, l, m} = {0, 1, 2}: their pair and loops
+      are e, and the identity law equates their other entries (t1 <=
+      e ; t0 gives t1 = t0 at m = 2).  Two identity atoms of a cycle force
+      the third.  By induction along the walk, coordinates i != j of a
+      reached triple ending at t hold one point only when t has an
+      identity atom at 3 - i - j: base coordinates settle together by
+      swaps, each licensed by one; a k-step keeps the parent's points off
+      k and its end's atom at k; a repointed k takes the parent's point at
+      l, licensed at 3 - k - l, and at the third coordinate too when that
+      point is also there; a fresh one is new.  So no reached triple
+      gives a pair two labels, and a write clashes only inside one: base
+      triples share no point, and each longer point is written once.
 
     Locality lemma, for a universe made by
     :func:`~warel.trails.build_universe`: no pair gets two labels and no
     loop is None exactly when no M[t] has a None loop, every walk step
     (before, k, last), ``last`` in ``S.neighbors[k][before]``, agrees
     (M[last] equals M[before] at each entry that the step's triple
-    shares with its parent's) and no write gives a pair two labels; the
-    rows then hold every triple's labels.  Proof: every element ends its
-    base triple.  A step's triple is its parent's with coordinate k
-    replaced, so a shared entry names one pair in both.  Take a pair
-    whose longer point is u and walk back along parents from a triple
-    holding it: u is carried back to its own spine, where it is fresh
-    (the fresh-pid lemma), or to its base spine, and the other point, no
-    longer than u, is fresh at none of these longer spines.  So every
-    triple on that chain holds both points, and step agreement carries
-    the label written at its first triple to all of them.  Conversely, a
-    write clashes only inside one triple.
+    shares with its parent's) and no write clashes; the rows then hold
+    every triple's labels.  Proof: every element ends its base triple.
+    A step's triple is its parent's with coordinate k replaced, so a
+    shared entry names one pair in both.  Take a pair whose longer point
+    is u and walk back along parents from a triple holding it: u is
+    carried back to its own spine, where it is fresh (the fresh-pid
+    lemma), or to its base spine, and the other point, no longer than u,
+    is fresh at none of these longer spines.  So every triple on that
+    chain holds both points, and step agreement carries the label
+    written at its first triple to all of them.
 
-    Step lemma: on a keyed carrier every step agrees once no M[t] has a
-    None loop and no base write clashes.  The entries off coordinate k
-    are t[k], its converse and the loops at its domain and range, equal
-    for before and last, which share their atom at k; a fresh step
-    shares only those.  A step repointed to l = ``S.least_repoint[last][k]``
-    shares all nine, k reading the parent's point at l.  Coordinates k
-    and l of last settle to one base point, so its base write makes
-    M[last] unchanged when k is read as l: each entry is one off k.
+    Step lemma: under the premise, its base writes sufficing for the
+    third part, every step agrees.  The entries off k are t[k], its
+    converse and the loops at its domain and range, equal for before and
+    last, which share their atom at k; a fresh step shares only those.
+    A step repointed to l = ``S.least_repoint[last][k]`` shares all
+    nine, k reading the parent's point at l, and M[last] is unchanged
+    when k is read as l, as both settle to one point of its base triple.
 
-    Otherwise the triples are walked in sorted order, entry by entry in
-    ``_ORDER``, and the first pair given two labels, or the first triple
-    with a None loop, raises :class:`~warel.core.ConsistencyError`.  If
-    none does, an unkeyed carrier (only ever hand-built) gets the walk's
-    rows, and a keyed one, off the lemmas' premise, raises all the same.
     ``facts`` is the union of the elements' matrix facts: by the triangle
     lemma of :func:`~warel.trails.build_universe` every triangle is an
     index choice of a reachable triple, which carries its end's matrix.
     """
-    triples, S = uni.triples, uni.S
+    S = uni.S
+    if S.tkey != tuple(zip(*S.elements)):
+        raise ConsistencyError("the pair stage needs a carrier keyed by its atoms")
     matrices = [_end_matrix(A, t) for t in S.elements]
-    keyed = S.tkey == tuple(zip(*S.elements))
-    rows = None
-    if keyed and not any(None in m for m in matrices):
-        rows = _point_rows(uni, matrices)
+    for i, m in enumerate(matrices):
+        if None in m:
+            raise ConsistencyError(f"diagonal label mismatch at carrier element {i} {S.elements[i]}")
+    rows = _point_rows(uni, matrices)
     if rows is None:
-        out: Successors = {}
-        inn: Successors = {}
-        for trip in sorted(triples):
-            m = matrices[triples[trip].end]
-            for e in _ORDER:
-                a, u, v = m[e], trip[e // 3], trip[e % 3]
-                if a is None:
-                    raise ConsistencyError(f"diagonal label mismatch at {trip}")
-                old = out.setdefault(u, {}).setdefault(v, a)
-                if old != a:
-                    raise ConsistencyError(f"pair ({u},{v}) labelled {old} and {a}")
-                inn.setdefault(v, {})[u] = a
-        if keyed:
-            raise ConsistencyError("pair labels clash off the reachable triples")
-        rows = out, inn
+        raise ConsistencyError("pair labels clash in one triple's writes, or a clash off the reachable triples")
     net = Network(A, *rows)
     vars(net)["facts"] = frozenset().union(*map(matrix_facts, matrices))
     return net
@@ -258,7 +262,8 @@ def check_pair_partition(uni: BoundedUniverse, net: Network) -> tuple[CheckResul
 
     Pair-kind lemma, for a universe made by
     :func:`~warel.trails.build_universe` over a carrier of
-    :func:`~warel.suitable.build_suitable`: every pair of distinct
+    :func:`~warel.suitable.build_suitable`, under the pair stage's
+    premise (:func:`build_pair_structure`): every pair of distinct
     points of a reached triple is exactly one of a descent pair and a
     base pair.  Proof: if its longer point u has length two or more, it
     is the fresh point of its own spine (the pair-length lemma), and the

@@ -1,20 +1,39 @@
-"""Byte-for-byte pins of full ``represent`` reports.
+"""Full ``represent`` reports, pinned as committed text.
 
-Each digest in ``GOLDEN`` is the sha256 of everything ``warel represent
-FILE --passes 2 --depth 3`` prints, and each in ``GOLDEN_PASSES_0`` of
-``--passes 0 --depth 3``, where the unsaturated labelling fails
-``labelling.injective``.  A change that alters a report line on purpose
-must update the digest here and say why.
+Each file ``tests/golden/NAME.txt`` is everything one ``warel represent``
+run prints, and ``EXIT_CODES[NAME]`` is its exit code.  The five
+``--depth 3`` runs are checked here: ``--passes 2``, and ``--passes 0``,
+where the unsaturated labelling fails ``labelling.injective``.  The other
+four are CI's probes, which run under address-space caps and ``diff``
+their output against the same files.  A change that alters a report line
+on purpose updates the file, and shows as a diff of report lines.
 """
 
-import hashlib
+import difflib
 from pathlib import Path
 
 import pytest
 
 from warel.cli import main
 
-STRUCTURES = Path(__file__).resolve().parents[1] / "structures"
+ROOT = Path(__file__).resolve().parents[1]
+STRUCTURES = ROOT / "structures"
+GOLDEN = ROOT / "tests" / "golden"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+
+EXIT_CODES = {
+    "a2-depth3": 0,
+    "pentagon-depth3": 0,
+    "wa-not-sa-depth3": 1,
+    "a2-passes0-depth3": 1,
+    "pentagon-passes0-depth3": 1,
+    # CI's probes: bash -e fails the step on any other exit code
+    "pentagon-depth5": 0,
+    "wa09-depth4": 0,
+    "wa09-depth5": 0,
+    "pentagon-passes8": 0,
+}
+CI_PROBES = ("pentagon-depth5", "wa09-depth4", "wa09-depth5", "pentagon-passes8")
 
 # Weakly associative but not semi-associative: the trail representation
 # misses a factor pair of the identity on a pair of equal points.
@@ -31,21 +50,19 @@ facts:
   e <= s ; s
 """
 
-GOLDEN = {
-    "a2": (0, "67238b9025ad7a2b79ac9bdc11dd1847cd2fe15681af5c13493c887a6a8f0db7"),
-    "pentagon": (0, "7e980062b02cf7fe289b3d6d4acf3a75675ad6afb74fee535bc5dde9cf38cd70"),
-    "wa-not-sa": (1, "25deb6fad925d1212e21d4bad977eae3c10f37c2ea329498d1d7548b1d918097"),
-}
-
-GOLDEN_PASSES_0 = {
-    "a2": (1, "337bdedfd9fc291c3169983819e1631a7316c63a1ce74cae954d4588eef8f517"),
-    "pentagon": (1, "9e2770f4f54227f7522162e1b36f7895a3313ef4edb97a46ecb656b0fb98b460"),
-}
-
 
 def _represent(path, capsys, passes="2"):
     code = main(["represent", str(path), "--passes", passes, "--depth", "3"])
     return code, capsys.readouterr().out
+
+
+def assert_golden(name, code, out):
+    """The run printed the committed report ``name`` and exited with its
+    code; a differing report fails with a unified diff of its lines."""
+    want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    diff = difflib.unified_diff(want.splitlines(True), out.splitlines(True), f"golden/{name}.txt", "this run")
+    assert out == want, "".join(diff)
+    assert code == EXIT_CODES[name]
 
 
 @pytest.fixture
@@ -57,15 +74,14 @@ def wa_not_sa_file(tmp_path):
 
 @pytest.mark.parametrize("name", ["a2", "pentagon"])
 def test_sample_reports_are_pinned(name, capsys):
-    code, out = _represent(STRUCTURES / f"{name}.alg", capsys)
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[name]
+    assert_golden(f"{name}-depth3", *_represent(STRUCTURES / f"{name}.alg", capsys))
 
 
 @pytest.mark.parametrize("name", ["a2", "pentagon"])
 def test_unsaturated_reports_are_pinned(name, capsys):
     code, out = _represent(STRUCTURES / f"{name}.alg", capsys, passes="0")
     assert "labelling.injective = fail\nlabelling.identity-to-diagonal" in out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_PASSES_0[name]
+    assert_golden(f"{name}-passes0-depth3", code, out)
 
 
 def test_wa_not_sa_report_is_pinned(wa_not_sa_file, capsys):
@@ -73,4 +89,13 @@ def test_wa_not_sa_report_is_pinned(wa_not_sa_file, capsys):
     failing = [line for line in out.splitlines() if line.endswith("= fail")]
     assert failing == ["final.composition-lower-nonfrontier = fail"]
     assert "witness: checked=39 excluded=48 missing=(13, 0, 13, 2, 2)" in out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN["wa-not-sa"]
+    assert_golden("wa-not-sa-depth3", code, out)
+
+
+def test_every_golden_report_is_checked():
+    # each committed report has its exit code here, and each CI probe
+    # diffs its output against its own
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(EXIT_CODES)
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    for name in CI_PROBES:
+        assert f"diff tests/golden/{name}.txt {name}.txt" in workflow, name

@@ -1,0 +1,84 @@
+"""The lemma index: each lemma that decides a report line or lets a stage
+skip a walk, the function whose docstring proves it, and the tests that
+check it against a reference loop.
+
+An entry fails when its function is missing, when that function's
+docstring does not state the lemma by the phrase given, or when one of
+its tests is missing, so a refactor cannot drop a proof or a reference
+test unnoticed.
+"""
+
+import importlib
+
+import pytest
+
+# name: (the function whose docstring proves it, the phrase that states
+# it there, the tests that check it, as module::function)
+LEMMAS = {
+    "pair-stage-premise": (
+        "warel.reduct.build_pair_structure",
+        "The pair stage's premise",
+        (
+            "test_reduct_reference::test_pair_stage_premise_on_every_raw_wa_structure",
+            "test_reduct_reference::test_each_clash_site_is_reached_and_exact",
+            "test_reduct_reference::test_a_universe_off_the_lemma_premise_still_raises",
+            "test_cli::test_internal_error_is_a_fail_line",
+        ),
+    ),
+    "locality": (
+        "warel.reduct.build_pair_structure",
+        "Locality lemma",
+        (
+            "test_reduct_reference::test_pair_structure_matches_reference",
+            "test_reduct_reference::test_pair_rows_match_reference_on_drawn_census_classes",
+            "test_reduct_reference::test_diagonal_mismatch_matches_reference",
+        ),
+    ),
+    "step": (
+        "warel.reduct.build_pair_structure",
+        "Step lemma",
+        (
+            "test_reduct_reference::test_step_lemma_on_every_raw_keyed_carrier",
+            "test_reduct_reference::test_step_lemma_on_drawn_keyed_carriers",
+        ),
+    ),
+    "pair-kind": (
+        "warel.reduct.check_pair_partition",
+        "Pair-kind lemma",
+        (
+            "test_reduct_reference::test_pair_kind_premise_on_every_raw_wa_structure",
+            "test_reduct_reference::test_kinds_and_replacements_match_reference_on_draws",
+        ),
+    ),
+    "block": (
+        "warel.cylindric.check_complex_vs_relativized",
+        "the block lemma",
+        (
+            "test_cylindric_reference::test_lemmas_hold_on_every_raw_wa_structure",
+            "test_cylindric_reference::test_lemmas_hold_on_drawn_structures",
+        ),
+    ),
+    "k-step": (
+        "warel.cylindric.check_complex_vs_relativized",
+        "the k-step lemma",
+        (
+            "test_cylindric_reference::test_lemmas_hold_on_every_raw_wa_structure",
+            "test_cylindric_reference::test_lemmas_hold_on_drawn_structures",
+        ),
+    ),
+}
+
+
+def _lookup(module, name):
+    return getattr(importlib.import_module(module), name, None)
+
+
+@pytest.mark.parametrize("name", LEMMAS)
+def test_each_lemma_has_its_proof_and_its_tests(name):
+    proof, phrase, tests = LEMMAS[name]
+    func = _lookup(*proof.rsplit(".", 1))
+    assert func is not None, f"{name}: {proof} is missing"
+    assert phrase in func.__doc__, f"{name}: the docstring of {proof} does not state it"
+    assert tests, name
+    for test in tests:
+        assert callable(_lookup(*test.split("::"))), f"{name}: {test} is missing"

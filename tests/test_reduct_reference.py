@@ -9,14 +9,15 @@ kinds and lengths per triple, and ``ref_check_pair_partition`` decides
 the partition lines on those sets; ``ref_key_property`` walks the 27
 ordered choices over every triple's points; ``ref_replacement_closure``
 tests every replacement of every triple against its headroom.  The
-pair stage under test writes each point's labels once and, on a carrier
-keyed by its coordinates, decides their consistency from those writes;
-its rows, ``inn`` and ``facts`` must equal the reference's as dicts, and
-it must raise what the reference raises, with the same message, on atom
-structures with a fact removed and on hand-built carriers run through
-``build_universe``.  ``ref_steps_agree``, the per-step table the stage
-no longer runs, checks its step lemma on every raw keyed carrier of one
-to three atoms and on drawn ones.
+pair stage under test writes each point's labels once and decides its
+premise from those writes: on a carrier keyed by its coordinates it must
+raise ``ConsistencyError`` exactly when the reference raises, and
+otherwise give the reference's rows, ``inn`` and ``facts``, compared as
+dicts, on atom structures with a fact removed and on hand-built carriers
+run through ``build_universe``; on an unkeyed hand-built carrier it must
+raise.  ``ref_steps_agree``, the per-step table the stage never runs,
+checks its step lemma on every raw keyed carrier of one to three atoms
+and on drawn ones.
 The checks under test compute each end element's label entries once,
 decide the partition lines by the pair-kind lemma, counting each kind of
 pair off the universe's lists with no pass over the triples, decide the
@@ -62,6 +63,7 @@ from warel.suitable import COORDS, SuitableStructure, build_suitable
 from warel.trails import build_universe
 
 from test_composition_reference import labels, network, ref_final_upper
+from test_cylindric_reference import raw_wa_universes
 from test_enumerate_reference import sample_structure
 from test_trails_reference import list_base_pairs, list_partners
 
@@ -408,6 +410,19 @@ def _outcome(build, A, uni):
     return net.rows
 
 
+def assert_stage_matches_reference(A, uni):
+    """Asserts that, on a keyed carrier, the stage raises the reference's
+    exception exactly when the reference raises, and otherwise gives its
+    rows; returns the reference's outcome.  The stage decides its premise
+    from its writes, so its message names no walk's first witness."""
+    got, want = _outcome(reduct.build_pair_structure, A, uni), _outcome(ref_build_pair_structure, A, uni)
+    if isinstance(want[0], str):
+        assert got[0] == want[0], (got, want)
+    else:
+        assert got == want
+    return want
+
+
 @pytest.fixture(scope="module")
 def inputs(a2, pentagon, census):
     out = []
@@ -639,14 +654,14 @@ def _message_kind(outcome):
 def test_pair_disagreement_matches_reference(pentagon, census):
     # a removed fact empties a domain or range, here always of one
     # identity atom, so a loop's two masks disagree or hold no atom: both
-    # raise a diagonal mismatch, and no pair clashes on a loop
+    # raise, the reference a diagonal mismatch, and no pair clashes on a
+    # loop
     raised, kinds = 0, set()
     for B, uni in _removed_fact_cases((pentagon, *census), (2, 3)):
-        got = _outcome(reduct.build_pair_structure, B, uni)
-        assert got == _outcome(ref_build_pair_structure, B, uni)
-        if got[0] == "ConsistencyError":
+        want = assert_stage_matches_reference(B, uni)
+        if want[0] == "ConsistencyError":
             raised += 1
-            kinds.add(_message_kind(got))
+            kinds.add(_message_kind(want))
     assert raised > 50
     assert kinds == {"diagonal label mismatch"}
 
@@ -689,10 +704,9 @@ def test_diagonal_mismatch_matches_reference(two_identities):
     A = two_identities
     kinds = set()
     for uni, elements in _carrier_cases(A):
-        got = _outcome(reduct.build_pair_structure, A, uni)
-        assert got == _outcome(ref_build_pair_structure, A, uni), elements
-        if got[0] == "ConsistencyError":
-            kinds.add(_message_kind(got))
+        want = assert_stage_matches_reference(A, uni)
+        if want[0] == "ConsistencyError":
+            kinds.add(_message_kind(want))
     assert kinds == {"diagonal label mismatch", "pair"}
 
 
@@ -720,9 +734,9 @@ def _keyed(S):
 
 
 def _clash_site(A, uni):
-    """Where the pair stage decides a clash: an unkeyed carrier, whose
-    triples it walks, or on a keyed one a None loop, a base triple's
-    write or a fresh point's write; None when a keyed carrier has none."""
+    """Where the pair stage's premise fails: an unkeyed carrier, or on a
+    keyed one a None loop, a base triple's write or a fresh point's
+    write; None when a keyed carrier has none."""
     if not _keyed(uni.S):
         return "unkeyed"
     matrices = [reduct._end_matrix(A, t) for t in uni.S.elements]
@@ -735,15 +749,16 @@ def _clash_site(A, uni):
 
 
 def test_each_clash_site_is_reached_and_exact(pentagon, two_identities, census):
-    # the pair stage raises on a keyed carrier exactly when one of its
-    # sites finds a clash, and on every carrier with the reference's
-    # message.  Hand-built carriers, none in a mask off the diagonal
-    # unless said: in ``loop``, the element (e1, e1, e2) has loops that
-    # disagree.  In ``step``, (e, e, e) and (r, r, r) share a 0-block
-    # though their atoms at 0 differ, so the carrier is unkeyed; a step at
-    # coordinate 0 makes a fresh point and keeps the pair at coordinates
-    # 1 and 2, labelled e and then r, and the walk over the triples finds
-    # it; at bound 1 no step is walked and the walk returns the rows.  In
+    # the pair stage raises exactly when one of its sites finds its
+    # premise failing: on an unkeyed carrier always, on a keyed one
+    # exactly when the reference raises.  Hand-built carriers, none in a
+    # mask off the diagonal unless said: in ``loop``, the element
+    # (e1, e1, e2) has loops that disagree.  In ``step``, (e, e, e) and
+    # (r, r, r) share a 0-block though their atoms at 0 differ, so the
+    # carrier is unkeyed; a step at coordinate 0 makes a fresh point and
+    # keeps the pair at coordinates 1 and 2, labelled e and then r, and
+    # the reference's walk over the triples finds it; at bound 1 no step
+    # is walked and the reference returns the rows.  In
     # ``fresh``, (e, r, r), in the masks E(1, 2) and E(2, 1), settles
     # coordinates 1 and 2 to one base point, and a step at coordinate 0 to
     # (e, r, s) makes a fresh point paired with that one point as r and
@@ -762,11 +777,14 @@ def test_each_clash_site_is_reached_and_exact(pentagon, two_identities, census):
     sites, raised = Counter(), []
     for A, uni in cases:
         site = _clash_site(A, uni)
-        got = _outcome(reduct.build_pair_structure, A, uni)
-        assert got == _outcome(ref_build_pair_structure, A, uni)
-        raised.append(got[0] == "ConsistencyError")
-        if site != "unkeyed":
-            assert raised[-1] == (site is not None), (site, got)
+        if site == "unkeyed":
+            with pytest.raises(ConsistencyError):
+                reduct.build_pair_structure(A, uni)
+            want = _outcome(ref_build_pair_structure, A, uni)
+        else:
+            want = assert_stage_matches_reference(A, uni)
+            assert (want[0] == "ConsistencyError") == (site is not None), (site, want)
+        raised.append(want[0] == "ConsistencyError")
         sites[site] += 1
     assert [_clash_site(A, uni) for A, uni in cases[:4]] == ["loop", "unkeyed", "unkeyed", "point write"]
     assert raised[:4] == [True, True, False, True]
@@ -806,6 +824,23 @@ def raw_keyed_carriers():
     ]
 
 
+def test_pair_stage_premise_on_every_raw_wa_structure():
+    # the three parts of the premise that ``build_pair_structure`` proves
+    # for a WA structure, on its 116 universes of depths 1 to 4: the
+    # carrier is keyed; every domain and range is one atom, so no loop is
+    # None; and, the induction of the no-clash part, two coordinates of a
+    # reached triple hold one point only when its end has an identity
+    # atom at the third
+    for S, uni in raw_wa_universes():
+        A = S.algebra
+        assert all(m and not m & (m - 1) for m in (*A.atom_domains, *A.atom_ranges)), A
+        assert _keyed(S) and not any(None in reduct._end_matrix(A, t) for t in S.elements)
+        for trip, info in uni.triples.items():
+            t = S.elements[info.end]
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                assert trip[i] != trip[j] or (1 << t[3 - i - j]) & A.identity, (A, trip, t)
+
+
 def test_step_lemma_on_every_raw_keyed_carrier(raw_keyed_carriers):
     # the lemma is what lets the stage skip the step table: on all 4,650
     # carriers, 3,128 of them with a step that disagrees
@@ -818,8 +853,8 @@ def test_step_lemma_on_every_raw_keyed_carrier(raw_keyed_carriers):
 @given(data=st.data())
 def test_step_lemma_on_drawn_keyed_carriers(data):
     # any atom triples, keyed by their coordinates, under random masks;
-    # where the walk to bound 2 is well defined the stage gives the
-    # reference's outcome too
+    # where the walk to bound 2 is well defined the stage raises exactly
+    # when the reference does, and otherwise gives its rows
     A = sample_structure(data.draw(st.integers(1, 3)), random.Random(data.draw(st.integers(0, 2**32 - 1))))
     n = A.atom_count
     atoms = st.tuples(*[st.integers(0, n - 1)] * 3)
@@ -832,7 +867,7 @@ def test_step_lemma_on_drawn_keyed_carriers(data):
         uni = build_universe(S, 2)
     except ConsistencyError:
         return  # one triple reached from two carrier elements
-    assert _outcome(reduct.build_pair_structure, A, uni) == _outcome(ref_build_pair_structure, A, uni)
+    assert_stage_matches_reference(A, uni)
 
 
 def test_no_network_carries_a_label_outside_the_atoms(raw_keyed_carriers):
