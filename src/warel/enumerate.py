@@ -5,7 +5,7 @@ a0..a(n-1) with the identity atoms first, the converse involution only
 moves non-identity atoms, and the fact set is a union of orbits under
 the six cycle transforms.  For one converse, bit i of an *orbit mask*
 selects orbit i of ``cycle_orbits``; masks and fact sets correspond one
-to one.  The exhaustive generator works on masks, by three lemmas:
+to one.  The exhaustive generator works on masks, by four lemmas:
 
 - Validation is per orbit.  ``validate_atom_structure`` checks that
   every atom is in range, that the converse is an involution fixing the
@@ -40,6 +40,25 @@ to one.  The exhaustive generator works on masks, by three lemmas:
   per walked converse: one XOR per mask and value, and nothing rebuilt
   per mask.  This is the Gray-code idea of updating a tuple instead of
   rebuilding it (Knuth, *TAOCP* 4A, 7.2.1.1), on a counting walk.
+- The identity-law lemma.  ra6, x;1' = x, is the first law ``classify``
+  evaluates, and its failure refutes WA, SA and RA together.  Over atoms
+  x;1' is the set of z with a fact (x, e, z), e an identity atom, so ra6
+  holds iff for every atom x that set is exactly {x}.  Call ``bad`` the
+  orbits that hold a fact (x, e, z) with e an identity atom and z != x,
+  and ``needs[x]`` those that hold a fact (x, e, x) with e an identity
+  atom.  Then ra6 holds on a mask iff ``mask & bad`` is 0 and
+  ``mask & needs[x]`` is not 0 for every atom x.  Proof: a mask's fact
+  set is the union of the orbits it selects, and each fact lies in
+  exactly one orbit, so a fact is in the set iff the mask selects its
+  orbit.  If the mask selects an orbit of ``bad``, its fact (x, e, z)
+  puts z != x in x;1', and ra6 fails at x.  If it selects no orbit of
+  ``needs[x]``, no fact (x, e, x) is in the set, so x is not in x;1'
+  and ra6 fails at x.  Otherwise, for each x, a selected orbit of
+  ``needs[x]`` puts x in x;1', and any fact (x, e, z) of the set with
+  z != x would lie in a selected orbit of ``bad``, of which there is
+  none; so x;1' = {x}.  With no identity atom every ``needs[x]`` is 0,
+  so no mask passes, as x;0 = 0 != x.  Both masks are built once per
+  walked converse from its orbits, and the test reads no fact.
 
 No isomorphism reduction is applied by default; with ``mod_iso`` the
 first structure of each relabelling class is kept.
@@ -47,9 +66,9 @@ first structure of each relabelling class is kept.
 
 from __future__ import annotations
 
-from itertools import accumulate, permutations, product
+from itertools import accumulate, permutations
 from operator import xor
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     AtomStructure,
@@ -90,7 +109,9 @@ def cycle_orbits(n: int, conv: tuple[int, ...]) -> list[frozenset]:
     return orbits
 
 
-def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructure]:
+def enumerate_structures(
+    n: int, mod_iso: bool = False, *, identity_law: bool = False
+) -> Iterator[Optional[AtomStructure]]:
     """All valid structures with n atoms under the fixed labelling, per
     identity count, converse (in ``involutions`` order) and increasing
     orbit mask.
@@ -124,7 +145,15 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
     mask from 2**k + image in each field; since mask < 2**k no field
     borrows from the next, and a field loses its guard bit exactly when
     its image is below mask.  So ``... & G != G`` is ``min(images) <
-    mask``.  No state is kept per emitted structure.  Raises
+    mask``: this is the packed orderly test.  No state is kept per
+    emitted structure.
+
+    With ``identity_law`` each emitted mask is also tested for ra6 by
+    the module's identity-law lemma, on ``bad`` and ``needs`` built
+    once per walked converse, and a mask that fails it yields None in
+    place of its structure, with no fact set built.  The items come in
+    the same order and number as without it, and the structures among
+    them are exactly those on which ``classify`` gets past ra6.  Raises
     ``GuardExceeded`` above ``ATOM_GUARD`` atoms.
     """
     if n < 1:
@@ -168,10 +197,22 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
                     for col in zip(*(accumulate(img, xor) for img in images))
                 ]
                 cur = 0
+            if identity_law:
+                # The identity-law lemma's masks; the identity atoms are 0..ident_count - 1.
+                bad = 0
+                needs = [0] * n
+                for i, orb in enumerate(orbits):
+                    for x, e, z in orb:
+                        if e < ident_count:
+                            if z == x:
+                                needs[x] |= 1 << i
+                            else:
+                                bad |= 1 << i
+            # The top orbit first: a frozenset's iteration order depends on
+            # the order its facts arrive, so this fixes one for every fact set.
+            top_down = [(1 << i, orbits[i]) for i in reversed(range(len(orbits)))]
             table = 0
-            # The last factor is orbit 0, so the index counts masks up.
-            choices = product(*((frozenset(), orb) for orb in reversed(orbits)))
-            for mask, parts in enumerate(choices):
+            for mask in range(1 << len(orbits)):
                 if mask:
                     t = (mask & -mask).bit_length() - 1
                     table ^= tables[t]
@@ -179,7 +220,11 @@ def enumerate_structures(n: int, mod_iso: bool = False) -> Iterator[AtomStructur
                         cur ^= pre[t]
                         if ((cur | guards) - mask * ones) & guards != guards:
                             continue
-                A = AtomStructure(n, identity, converse, frozenset().union(*parts))
+                if identity_law and (mask & bad or not all(mask & need for need in needs)):
+                    yield None
+                    continue
+                cycles = frozenset().union(*(orb for bit, orb in top_down if mask & bit))
+                A = AtomStructure(n, identity, converse, cycles)
                 packed = table.to_bytes(n * n, "little")
                 # cached_property reads the instance dict first.
                 vars(A)["comp_atoms"] = tuple(tuple(packed[i : i + n]) for i in range(0, n * n, n))
@@ -197,11 +242,24 @@ class EnumerationSummary(NamedTuple):
 
 
 def summarize(n: int, mod_iso: bool = False) -> tuple[EnumerationSummary, list[AtomStructure]]:
-    """Counts plus the list of WA structures found."""
+    """Counts plus the list of WA structures found, in walk order.
+
+    ``total`` counts every structure of ``enumerate_structures(n,
+    mod_iso)``, but only those that pass ra6 are built and classified:
+    the walk runs with ``identity_law``, which yields None for each
+    structure on which ra6 fails.  The counts are exact, because ra6 is
+    the first law ``classify`` evaluates and its failure makes all three
+    verdicts no, so a structure left out adds to none of the other
+    counts; and by the module's identity-law lemma the structures left
+    out are exactly those.  At four atoms mod-iso that classifies 373
+    of the 791,592 classes.
+    """
     total = wa = sa = ra = wa_not_sa = sa_not_ra = 0
     wa_structures = []
-    for A in enumerate_structures(n, mod_iso=mod_iso):
+    for A in enumerate_structures(n, mod_iso=mod_iso, identity_law=True):
         total += 1
+        if A is None:
+            continue
         rep = classify(A)
         if rep.is_wa:
             wa += 1

@@ -2,7 +2,7 @@ import gc
 import random
 import tracemalloc
 from collections import deque
-from itertools import islice
+from itertools import dropwhile, islice, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +112,34 @@ def test_seeded_comp_atoms_match_the_table_built_from_cycles(mod_iso):
             assert "comp_atoms" in vars(A)
             rebuilt = AtomStructure(A.atom_count, A.identity, A.converse, A.cycles)
             assert A.comp_atoms == rebuilt.comp_atoms, (A.identity, A.converse, sorted(A.cycles))
+
+
+@pytest.mark.parametrize("mod_iso", [False, True], ids=["raw", "mod-iso"])
+def test_identity_law_walk_leaves_out_exactly_the_ra6_failures(mod_iso):
+    """With ``identity_law`` the walk yields, item by item, None where
+    ``classify`` finds ra6 failing, and the default walk's structure with
+    its ``comp_atoms`` seeded elsewhere: every item at 1-3 atoms and the
+    first 20,000 at 4.  Those 20,000 all lack an identity atom, so
+    mod-iso also checks the 20,000 items after the last such class."""
+
+    def paired(n):
+        return zip_longest(enumerate_structures(n, mod_iso), enumerate_structures(n, mod_iso, identity_law=True))
+
+    walks = [paired(n) for n in (1, 2, 3)]
+    four = paired(4)
+    walks.append(islice(four, 20_000))
+    if mod_iso:
+        walks.append(islice(dropwhile(lambda pair: not pair[0].identity, four), 20_000))
+    passed = 0
+    for walk in walks:
+        for A, B in walk:
+            failures = classify(A).failures
+            if failures and failures[0][0] == "ra6":
+                assert B is None, (A.identity, A.converse, sorted(A.cycles))
+            else:
+                assert B == A and "comp_atoms" in vars(B) and B.comp_atoms == A.comp_atoms
+                passed += 1
+    assert passed > 0
 
 
 def test_guard():

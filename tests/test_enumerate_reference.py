@@ -4,6 +4,9 @@
 and reduces isomorphs with ``canonical_key``, which sorts every fact under
 each relabelling that fixes the identity block.  ``enumerate_structures``
 must emit the same structures in the same order, in both modes.
+``ref_summarize`` classifies every structure of the default walk;
+``summarize`` classifies only those that pass ra6, by the identity-law
+lemma, and must give the same counts and WA list.
 ``sample_structure`` draws one random validated structure; the other
 test modules import it from here.
 """
@@ -16,8 +19,8 @@ from typing import Iterator
 
 import pytest
 
-from warel.core import AtomStructure, validate_atom_structure
-from warel.enumerate import cycle_orbits, enumerate_structures, involutions
+from warel.core import AtomStructure, classify, validate_atom_structure
+from warel.enumerate import EnumerationSummary, cycle_orbits, enumerate_structures, involutions, summarize
 
 
 def sample_structure(n: int, rng: random.Random) -> AtomStructure:
@@ -79,6 +82,29 @@ def ref_enumerate(n: int, mod_iso: bool = False) -> Iterator[AtomStructure]:
                         continue
                     emitted.add(key)
                 yield A
+
+
+def ref_summarize(n: int, mod_iso: bool = False) -> tuple[EnumerationSummary, list[AtomStructure]]:
+    """The counts and WA list of ``summarize``, with every structure of
+    ``enumerate_structures(n, mod_iso)`` classified."""
+    total = sa = ra = wa_not_sa = sa_not_ra = 0
+    wa = []
+    for A in enumerate_structures(n, mod_iso):
+        rep = classify(A)
+        total += 1
+        if rep.is_wa:
+            wa.append(A)
+        sa += rep.is_sa
+        ra += rep.is_ra
+        wa_not_sa += rep.is_wa and not rep.is_sa
+        sa_not_ra += rep.is_sa and not rep.is_ra
+    return EnumerationSummary(n, total, len(wa), sa, ra, wa_not_sa, sa_not_ra), wa
+
+
+@pytest.mark.parametrize("mod_iso", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_summarize_matches_reference(n, mod_iso):
+    assert summarize(n, mod_iso) == ref_summarize(n, mod_iso)
 
 
 @pytest.mark.parametrize("mod_iso", [False, True])

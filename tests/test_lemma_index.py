@@ -124,6 +124,32 @@ LEMMAS = {
             "test_reduct_reference::test_chain_agreement_matches_reference_on_corrupted_networks",
         ),
     ),
+    "flip": (
+        "warel.enumerate.enumerate_structures",
+        "flip lemma",
+        (
+            "test_enumerate::test_seeded_comp_atoms_match_the_table_built_from_cycles",
+            "test_enumerate_reference::test_same_structures_in_the_same_order",
+            "test_enumerate_reference::test_same_first_structures_at_four_atoms",
+        ),
+    ),
+    "packed-orderly": (
+        "warel.enumerate.enumerate_structures",
+        "the packed orderly test",
+        (
+            "test_enumerate::test_packed_undercut_test_is_min_below_mask",
+            "test_enumerate_reference::test_same_structures_in_the_same_order",
+            "test_enumerate_reference::test_same_first_structures_at_four_atoms",
+        ),
+    ),
+    "identity-law": (
+        "warel.enumerate.enumerate_structures",
+        "identity-law lemma",
+        (
+            "test_enumerate::test_identity_law_walk_leaves_out_exactly_the_ra6_failures",
+            "test_enumerate_reference::test_summarize_matches_reference",
+        ),
+    ),
 }
 
 

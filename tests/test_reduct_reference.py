@@ -63,10 +63,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warel import reduct
-from warel.core import AtomStructure, CheckResult, ConsistencyError, classify, iter_bits, validate_atom_structure
+from warel.core import AtomStructure, CheckResult, ConsistencyError, classify, iter_bits
 from warel.enumerate import enumerate_structures
 from warel.reduct import REPLACEMENT_STEPS
-from warel.relset import Universe, atom_structure_of_relativization
 from warel.suitable import COORDS, SuitableStructure, build_suitable
 from warel.trails import build_universe
 
@@ -629,27 +628,10 @@ def test_replacement_and_chain_reach_on_every_raw_wa_structure():
         assert_replacement_and_chain_reach(S.algebra, uni)
 
 
-def _group_algebra(n, add):
-    """The complex algebra of a group on range(n) with identity 0, by atoms."""
-    inverse = {x: next(y for y in range(n) if add(x, y) == 0) for x in range(n)}
-    return validate_atom_structure(n, [0], inverse, [(x, y, add(x, y)) for x in range(n) for y in range(n)])
-
-
-# WA structures of four and five atoms, past the raw structures above:
-# the cyclic groups of order 4 and 5, the Klein group, and the full
-# relation algebra on two points
-PAST_RAW = (
-    _group_algebra(4, lambda x, y: (x + y) % 4),
-    _group_algebra(5, lambda x, y: (x + y) % 5),
-    _group_algebra(4, lambda x, y: x ^ y),
-    atom_structure_of_relativization(Universe(2), frozenset((u, v) for u in range(2) for v in range(2)))[0],
-)
-
-
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_replacement_and_chain_reach_on_drawn_structures(data):
-    A = data.draw(st.sampled_from(PAST_RAW))
+def test_replacement_and_chain_reach_on_drawn_structures(past_raw, data):
+    A = data.draw(st.sampled_from(past_raw))
     assert classify(A).is_wa
     assert_replacement_and_chain_reach(A, build_universe(build_suitable(A), data.draw(st.integers(1, 4))))
 
