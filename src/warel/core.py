@@ -219,6 +219,20 @@ class AtomStructure(Frozen):
         return self.compose(self.conv_el(xm), xm) & self.identity
 
     @cached_property
+    def class_report(self) -> ClassReport:
+        """The report of :func:`classify`, evaluated on first access, so a
+        command that classifies A in several stages evaluates the law
+        table once."""
+        evaluated: dict[str, Witness] = {}
+        holds = 0b111
+        for name, refutes, law in _LAWS:
+            if holds & refutes:
+                evaluated[name] = witness = law(self)
+                if witness is not None:
+                    holds &= ~refutes
+        return ClassReport(bool(holds & 1), bool(holds & 2), bool(holds & 4), self, evaluated)
+
+    @cached_property
     def atom_domains(self) -> tuple[int, ...]:
         """atom_domains[a] == dom_el(1 << a) for every atom a."""
         return tuple(self.dom_el(1 << a) for a in range(self.atom_count))
@@ -421,12 +435,11 @@ def classify(A: AtomStructure) -> ClassReport:
     with all three verdicts no; otherwise ra4, the sa-law and
     associativity are evaluated once each.  The report builds its
     ``failures`` only when they are read (see :class:`ClassReport`).
+
+    The report is cached on A as :attr:`AtomStructure.class_report`, so
+    ``represent``'s precondition, :func:`~warel.labelling.initial_system`
+    and :func:`~warel.suitable.build_suitable`, and ``enumerate
+    --pipeline``'s :func:`~warel.enumerate.summarize` and
+    ``build_suitable``, share one evaluation per structure.
     """
-    evaluated: dict[str, Witness] = {}
-    holds = 0b111
-    for name, refutes, law in _LAWS:
-        if holds & refutes:
-            evaluated[name] = witness = law(A)
-            if witness is not None:
-                holds &= ~refutes
-    return ClassReport(bool(holds & 1), bool(holds & 2), bool(holds & 4), A, evaluated)
+    return A.class_report

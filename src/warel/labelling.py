@@ -31,8 +31,10 @@ local: Hirsch and Hodkinson, *Relation Algebras by Games*, 2002):
   :meth:`LabellingSystem.is_flaw`, and the five labels it writes, are a
   function of the signature ``(lab(u,u), a, lab(v,u), lab(v,v), b, c,
   u == v)`` of the flaw ``(u, a, v, b, c)``, with ``lab`` read from the
-  rows ``out``.  So each signature is decided once, and the system's
-  ``facts`` are read off the label matrices of its signatures.
+  rows ``out``.  So each signature is decided once: a later repair
+  with it writes its labels straight from the cached matrix
+  (:func:`_write_repair`), and the system's ``facts`` are read off the
+  label matrices of its signatures.
 - Flaw locality.  Let w be a point made in pass k-1 by a repair of
   ``(u, a, v, b, c)``.  Pass k-1 repairs only flaws between points
   older than k-1, so at the start of pass k w's rows hold exactly the
@@ -41,7 +43,9 @@ local: Hirsch and Hodkinson, *Relation Algebras by Games*, 2002):
   pass k-1, and two points of stage k-1 share no label.  So pass k's
   flaws are those on the pairs through each such w, a function of the
   3x3 label matrix of (u, v, w), and so of the repair's signature:
-  :func:`saturate` lists them from a template per signature.  The
+  :func:`saturate` lists them from a template per signature, and each
+  template entry carries its flaw's own signature, read off the same
+  matrix (the child-signature lemma of :func:`_flaw_template`).  The
   guard: every stage-(k-1) point must be a repair of pass k-1, which
   holds when pass k-1 ran in the same :func:`saturate` call and no
   point had a stage at or above that call's first pass when it began.
@@ -61,6 +65,11 @@ from .relset import LabelView, Network, Successors
 Flaw = tuple[int, int, int, int, int]  # (u, a, v, b, c)
 # (lab(u,u), a, lab(v,u), lab(v,v), b, c, u == v) of a flaw (u, a, v, b, c)
 Signature = tuple[int, int, int, int, int, int, bool]
+# a flaw listed by saturate, with its signature when the listing knows it
+Listed = tuple[int, int, int, int, int, Optional[Signature]]
+# the flaws through a repair's fresh point, as (i, a, j, b, c, signature)
+# with i and j indices into its (u, v, w): see _flaw_template
+Template = tuple[tuple[int, int, int, int, int, Signature], ...]
 
 
 class LabellingSystem:
@@ -224,44 +233,60 @@ def repair(ls: LabellingSystem, f: Flaw) -> LabellingSystem:
 
     In a system with ``signatures`` the checks after the flaw test are
     decided once per signature (the module's signature lemma): the
-    first repair with a signature runs them all, and a later one only
-    writes its five labels, read off the cached matrix of (u, v, w), in
-    the same order.  Afterwards w witnesses the flaw: ``_add_label``
-    never overwrites a label, so (u, w) keeps b and (w, v) keeps c, or
-    a write raises (as when u = v and c~ is not b).
+    first repair with a signature runs them all and caches the matrix
+    of (u, v, w), and a later one only writes its five labels, read off
+    that matrix by :func:`_write_repair`.  Afterwards w witnesses the
+    flaw: ``_add_label`` never overwrites a label, so (u, w) keeps b and
+    (w, v) keeps c, or a write raises (as when u = v and c~ is not b).
+    :func:`saturate` calls this only for a signature's first repair.
     """
     if not ls.is_flaw(f):
         raise ValueError(f"not a flaw (already witnessed or unlabelled): {f}")
-    u, a, v, b, c = f
-    A = ls.algebra
-    stage = ls.passes_done + 1
     known = ls.signatures
     sig = m = None
     if known is not None:
         sig = _signature(ls, f)
         m = known.get(sig)
-    if m is None:
-        rng_b = A.atom_ranges[b]
-        if bin(rng_b).count("1") != 1:
-            raise ConsistencyError(f"range of atom {b} is not an atom")
-        w = ls._add_point(stage)
-        ls._add_label(u, b, w)
-        ls._add_label(w, c, v)
-        ls._add_label(w, A.converse[b], u)
-        ls._add_label(v, A.converse[c], w)
-        ls._add_label(w, rng_b.bit_length() - 1, w)
-        m = _check_triangles_through(ls, (u, v, w))
-        if known is not None:
-            known[sig] = m
-    else:
-        w = ls._add_point(stage)
-        out, inn = ls.out, ls.inn
-        # m is row by row over (u, v, w): m[2] = lab(u,w), m[5] = lab(v,w), ...
-        for x, y, lab in ((u, w, m[2]), (w, v, m[7]), (w, u, m[6]), (v, w, m[5]), (w, w, m[8])):
-            out.setdefault(x, {})[y] = lab
-            inn.setdefault(y, {})[x] = lab
+    if m is not None:
+        _write_repair(ls, f, m)
+        return ls
+    u, a, v, b, c = f
+    A = ls.algebra
+    rng_b = A.atom_ranges[b]
+    if bin(rng_b).count("1") != 1:
+        raise ConsistencyError(f"range of atom {b} is not an atom")
+    w = ls._add_point(ls.passes_done + 1)
+    ls._add_label(u, b, w)
+    ls._add_label(w, c, v)
+    ls._add_label(w, A.converse[b], u)
+    ls._add_label(v, A.converse[c], w)
+    ls._add_label(w, rng_b.bit_length() - 1, w)
+    m = _check_triangles_through(ls, (u, v, w))
+    if known is not None:
+        known[sig] = m
     ls.repairs_done += 1
     return ls
+
+
+def _write_repair(ls: LabellingSystem, f: Flaw, m: Matrix) -> None:
+    """The repair of the flaw f whose signature has the cached matrix m:
+    a fresh point w at stage ``ls.passes_done + 1`` and its five labels,
+    read off m, with the rows' keys in the order of :func:`repair`'s
+    writes (u,w), (w,v), (w,u), (v,w), (w,w): w's own rows list v, u, w
+    and u, v, w.  No check runs; the signature lemma says they all
+    passed on the signature's first repair.  The rows of u and v exist,
+    since f's signature reads their loops."""
+    u, _, v, _, _ = f
+    w = ls._add_point(ls.passes_done + 1)
+    out, inn = ls.out, ls.inn
+    # m is row by row over (u, v, w): m[2] = lab(u,w), m[5] = lab(v,w), ...
+    out[u][w] = m[2]
+    out[v][w] = m[5]
+    out[w] = {v: m[7], u: m[6], w: m[8]}
+    inn[u][w] = m[6]
+    inn[v][w] = m[7]
+    inn[w] = {u: m[2], v: m[5], w: m[8]}
+    ls.repairs_done += 1
 
 
 def saturate(ls: LabellingSystem, passes: int) -> LabellingSystem:
@@ -277,40 +302,71 @@ def saturate(ls: LabellingSystem, passes: int) -> LabellingSystem:
     repairs of pass k-1 (the module's flaw-locality lemma): each fresh
     point's flaws are a template of its repair's signature, computed
     once per call, and the instances are sorted into :func:`find_flaws`'
-    order.  The guard: the lemma needs every stage-(k-1) point to be a
-    repair of pass k-1, so templates are used only when no point had a
-    stage at or above the call's first pass when the call began (a
+    order, each with its own signature (:func:`_flaw_template`).  The
+    guard: the lemma needs every stage-(k-1) point to be a repair of
+    pass k-1, so templates are used only when no point had a stage at
+    or above the call's first pass when the call began (a
     :func:`repair` outside ``saturate`` can leave one).
 
-    Each listed flaw is tested once, by :func:`repair`, or skipped.  A
-    repair of (u, v) can witness only flaws on (v, u), (u, u) and
-    (v, v), through its fresh point.  So a listed flaw on (x, y) with
-    x < y is still a flaw when its turn comes, and one with x >= y is
-    skipped when a point made earlier in the pass witnesses it
-    (:func:`_witnessed_since`)."""
+    The listing lemma: a listed flaw is still a flaw when its turn
+    comes exactly when ``_witnessed_since`` does not skip it, so no
+    listed flaw is tested again.  Proof.  At the start of pass k
+    the listing is exactly the flaws between points of stage below k:
+    :func:`find_flaws` scans every such pair, and a template listing
+    equals that scan by flaw locality.  Two facts hold through the
+    pass.  A label never changes, and each label the pass writes is on
+    a pair through a point it made, so the labels between older points,
+    and with them every older point's verdict as a witness of a listed
+    flaw, stay as they were.  And the repair of (u, v) through its fresh
+    point w labels (x, w) and (w, y) only for x, y in {u, v, w}, so of
+    the listed pairs w can witness only (u, v) itself, for that flaw
+    alone since (u, w) and (w, v) carry its b and c, and (v, u), (u, u)
+    and (v, v).  The pass repairs in increasing (u, v) order, so a flaw
+    on (x, y) with x < y is never one of these for an earlier repair:
+    (x, y) = (v, u) would need (u, v) > (x, y).  It is still a flaw.  For
+    x >= y the only possible witnesses are the points made since the
+    pass started, which ``_witnessed_since`` walks exactly.
+
+    So a flaw whose signature has a cached matrix is written straight
+    from it (:func:`_write_repair`); only a signature's first repair
+    goes through :func:`repair`, with the flaw test and every check.
+    In a system without ``signatures`` every repair does."""
     if passes < 0:
         raise ValueError("passes must be nonnegative")
     max_points = core.POINT_BUDGET
     first = ls.passes_done + 1
     last = first + passes - 1
-    templated = ls.signatures is not None and max(ls.stage, default=0) < first
-    templates: dict[Signature, tuple[Flaw, ...]] = {}
+    known = ls.signatures
+    templated = known is not None and max(ls.stage, default=0) < first
+    templates: dict[Signature, Template] = {}
     fresh: Optional[list[tuple[int, int, int, Signature]]] = None
     for k in range(first, last + 1):
-        flaws = find_flaws(ls, scope=k) if fresh is None else _fresh_flaws(ls, fresh, templates)
+        if fresh is None:
+            listed: list[Listed] = [f + (None,) for f in find_flaws(ls, scope=k)]
+        else:
+            listed = _fresh_flaws(ls, fresh, templates)
         fresh = [] if templated and k < last else None
         start = ls.point_count()
-        for f in flaws:
-            u, _, v, _, _ = f
+        for u, a, v, b, c, sig in listed:
+            f = (u, a, v, b, c)
             if u >= v and _witnessed_since(ls.out, start, f):
                 continue
-            if ls.point_count() >= max_points:
+            w = ls.point_count()
+            if w >= max_points:
                 raise GuardExceeded(
                     f"saturation exceeded the point budget {max_points}"
                 )
+            m = None
+            if known is not None:
+                if sig is None:
+                    sig = _signature(ls, f)
+                m = known.get(sig)
             if fresh is not None:
-                fresh.append((u, v, ls.point_count(), _signature(ls, f)))
-            repair(ls, f)
+                fresh.append((u, v, w, sig))
+            if m is None:
+                repair(ls, f)
+            else:
+                _write_repair(ls, f, m)
         ls.passes_done = k
     return ls
 
@@ -329,14 +385,25 @@ def _witnessed_since(out: Successors, start: int, f: Flaw) -> bool:
     return False
 
 
-def _flaw_template(A: AtomStructure, m: Matrix, same: bool) -> tuple[Flaw, ...]:
+def _flaw_template(A: AtomStructure, m: Matrix, same: bool) -> Template:
     """The flaws on the pairs through w of a repair whose points (u, v, w)
-    carry the label matrix ``m``, as (i, a, j, b, c) with i and j indices
-    into (u, v, w), while w's rows hold only that repair's labels: a
-    witness of such a pair is then one of u, v, w.  ``same`` is u == v."""
+    carry the label matrix ``m``, as (i, a, j, b, c, sig) with i and j
+    indices into (u, v, w), while w's rows hold only that repair's
+    labels: a witness of such a pair is then one of u, v, w.  ``same``
+    is u == v.
+
+    The child-signature lemma: ``sig`` is the signature of the flaw
+    (x, a, y, b, c) with x, y the points at i and j, at any time after
+    the repair, namely ``(m[4i], a, m[3j+i], m[4j], b, c, i == j)``.
+    The three labels a signature reads, lab(x,x), lab(y,x) and lab(y,y),
+    are entries of the matrix of (u, v, w): ``m`` holds lab(p, q) at
+    ``3p' + q'`` for the indices p', q' of p and q.  A label never
+    changes once written, so they are still those entries.  And x = y
+    exactly when i = j, since u, v and w are distinct, or, when u = v,
+    the ends taken are only u and w."""
     ends = (0, 2) if same else (0, 1, 2)
     return tuple(
-        (i, m[3 * i + j], j, b, c)
+        (i, m[3 * i + j], j, b, c, (m[4 * i], m[3 * i + j], m[3 * j + i], m[4 * j], b, c, i == j))
         for i in ends for j in ends if 2 in (i, j)
         for b, c in A.factor_pairs[m[3 * i + j]]
         if not any(m[3 * i + z] == b and m[3 * z + j] == c for z in ends)
@@ -346,17 +413,18 @@ def _flaw_template(A: AtomStructure, m: Matrix, same: bool) -> tuple[Flaw, ...]:
 def _fresh_flaws(
     ls: LabellingSystem,
     fresh: list[tuple[int, int, int, Signature]],
-    templates: dict[Signature, tuple[Flaw, ...]],
-) -> list[Flaw]:
-    """The flaws at the start of a pass, from the (u, v, w, signature) of
-    each repair of the previous pass, in :func:`find_flaws`' order."""
-    flaws: list[Flaw] = []
+    templates: dict[Signature, Template],
+) -> list[Listed]:
+    """The flaws at the start of a pass, each with its signature, from
+    the (u, v, w, signature) of each repair of the previous pass, in
+    :func:`find_flaws`' order."""
+    flaws: list[Listed] = []
     for u, v, w, sig in fresh:
         template = templates.get(sig)
         if template is None:
             template = templates[sig] = _flaw_template(ls.algebra, ls.signatures[sig], sig[6])
         pts = (u, v, w)
-        flaws += [(pts[i], a, pts[j], b, c) for i, a, j, b, c in template]
+        flaws += [(pts[i], a, pts[j], b, c, child) for i, a, j, b, c, child in template]
     flaws.sort(key=itemgetter(0, 2, 3, 4))
     return flaws
 

@@ -3,6 +3,7 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,27 @@ def test_check_a1():
     out = run_cli("check", str(STRUCTURES / "a1.alg"))
     assert out.returncode == 0
     assert "WA: yes, SA: yes, RA: yes" in out.stdout
+
+
+def test_each_command_evaluates_the_law_table_once_per_structure(monkeypatch):
+    # represent classifies in its precondition, initial_system and
+    # build_suitable, and enumerate --pipeline in summarize and
+    # build_suitable: all of them read the report cached on the structure
+    calls = Counter()
+
+    def counted(name, law):
+        return lambda A: calls.update([name]) or law(A)
+
+    laws = tuple((name, refutes, counted(name, law)) for name, refutes, law in core._LAWS)
+    monkeypatch.setattr(core, "_LAWS", laws)
+    assert cli.main(["represent", str(STRUCTURES / "pentagon.alg"), "--passes", "1", "--depth", "1"]) == 0
+    assert calls == {name: 1 for name, _, _ in laws}
+    calls.clear()
+    assert cli.main(["enumerate", "--atoms", "2", "--mod-iso"]) == 0
+    alone = Counter(calls)
+    calls.clear()
+    assert cli.main(["enumerate", "--atoms", "2", "--mod-iso", "--pipeline"]) == 0
+    assert calls == alone and alone["ra4"] > 0
 
 
 def write_diagonal(tmp_path, n):

@@ -190,6 +190,16 @@ def test_classify_no_identity_fails_ra6():
     assert ("ra6", {"x": 1}) in rep.failures
 
 
+def test_classify_caches_its_report_on_the_structure():
+    A = validate_atom_structure(1, [], {}, [(0, 0, 0)])
+    before = repr(A)
+    rep = classify(A)
+    assert classify(A) is rep is A.class_report
+    assert repr(rep) == "ClassReport(is_wa=False, is_sa=False, is_ra=False)"
+    assert repr(A) == before
+    assert A == validate_atom_structure(1, [], {}, [(0, 0, 0)])
+
+
 def test_ra4_fast_path_agrees_with_elements(a1, a2, pentagon):
     # ra4, ((x.1');1);1 = (x.1');1, with x over all elements
     u = Meet(Var("x"), Const("1'"))

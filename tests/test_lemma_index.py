@@ -1,6 +1,6 @@
 """The lemma index: each lemma that decides a report line or lets a stage
-skip a walk, the function whose docstring proves it, and the tests that
-check it against a reference loop.
+skip a walk, the function or module whose docstring proves it, and the
+tests that check it against a reference loop.
 
 An entry fails when its function is missing, when that function's
 docstring does not state the lemma by the phrase given, or when one of
@@ -12,8 +12,8 @@ import importlib
 
 import pytest
 
-# name: (the function whose docstring proves it, the phrase that states
-# it there, the tests that check it, as module::function)
+# name: (the function or module whose docstring proves it, the phrase
+# that states it there, the tests that check it, as module::function)
 LEMMAS = {
     "pair-stage-premise": (
         "warel.reduct.build_pair_structure",
@@ -150,6 +150,52 @@ LEMMAS = {
             "test_enumerate_reference::test_summarize_matches_reference",
         ),
     ),
+    "repair-locality": (
+        "warel.labelling",
+        "Repair locality.",
+        (
+            "test_repair_reference::test_saturate_matches_reference_on_pentagon",
+            "test_repair_reference::test_systems_built_directly_walk_their_triangles",
+            "test_repair_reference::test_a_breaking_label_fails_composition_upper_with_the_walked_witness",
+        ),
+    ),
+    "repair-signatures": (
+        "warel.labelling",
+        "Repair signatures.",
+        (
+            "test_repair_reference::test_saturate_matches_reference_on_pentagon",
+            "test_repair_reference::test_saturate_matches_reference_on_the_census",
+            "test_repair_reference::test_saturate_matches_reference_on_sampled_four_atom_classes",
+            "test_repair_reference::test_failing_repair_raises_the_reference_message",
+        ),
+    ),
+    "flaw-locality": (
+        "warel.labelling",
+        "Flaw locality.",
+        (
+            "test_repair_reference::test_saturate_matches_reference_on_the_census",
+            "test_repair_reference::test_manual_repairs_at_a_later_stage_turn_templates_off",
+            "test_repair_reference::test_a_listing_that_leaves_a_flaw_fails_composition_lower",
+        ),
+    ),
+    "listing": (
+        "warel.labelling.saturate",
+        "The listing lemma",
+        (
+            "test_repair_reference::test_saturate_tests_a_flaw_only_on_a_signature_s_first_repair",
+            "test_repair_reference::test_saturate_matches_reference_on_small_structures",
+            "test_repair_reference::test_saturate_matches_reference_on_sampled_four_atom_classes",
+            "test_repair_reference::test_a_repair_of_a_later_pair_witnesses_its_loop",
+        ),
+    ),
+    "child-signature": (
+        "warel.labelling._flaw_template",
+        "The child-signature lemma",
+        (
+            "test_repair_reference::test_carried_signatures_are_read_off_the_rows_at_their_turn",
+            "test_repair_reference::test_saturate_matches_reference_on_pentagon",
+        ),
+    ),
 }
 
 
@@ -157,10 +203,19 @@ def _lookup(module, name):
     return getattr(importlib.import_module(module), name, None)
 
 
+def _proof(path):
+    """The module named ``path``, whose docstring may prove a lemma, or
+    else the top-level name that ``path`` ends in."""
+    try:
+        return importlib.import_module(path)
+    except ModuleNotFoundError:
+        return _lookup(*path.rsplit(".", 1))
+
+
 @pytest.mark.parametrize("name", LEMMAS)
 def test_each_lemma_has_its_proof_and_its_tests(name):
     proof, phrase, tests = LEMMAS[name]
-    func = _lookup(*proof.rsplit(".", 1))
+    func = _proof(proof)
     assert func is not None, f"{name}: {proof} is missing"
     assert phrase in func.__doc__, f"{name}: the docstring of {proof} does not state it"
     assert tests, name

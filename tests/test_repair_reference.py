@@ -15,8 +15,15 @@ structural property must raise the reference's ``ConsistencyError``.
 when both ran in one call (the flaw-locality lemma), so each input is
 also saturated in one call for each pass count and compared with the
 reference, and every listing made from templates must equal
-``find_flaws`` taken at the start of its pass.  A template that leaves a
-flaw unrepaired must fail ``composition-lower-staged``.
+``find_flaws`` taken at the start of its pass, each flaw carrying its
+own signature (the child-signature lemma of ``_flaw_template``).  A
+template that leaves a flaw unrepaired must fail
+``composition-lower-staged``.
+
+``saturate`` writes a repair whose signature is known straight from its
+matrix, with no flaw test (the listing lemma of ``saturate``): its
+signatures must be first met in the order of the reference's repairs,
+and the flaw test must run once per new signature.
 """
 
 import re
@@ -27,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 from test_composition_reference import _by_name, _system, network, ref_labelling_upper
 from warel import labelling as lb
 from warel.core import iter_bits, validate_atom_structure
+from warel.enumerate import summarize
 
 
 def ref_initial(A):
@@ -59,10 +67,15 @@ def ref_repair(ls, f):
     return ls
 
 
-def ref_saturate(ls, passes):
+def ref_saturate(ls, passes, signatures=None):
+    """Every pass tests every listed flaw again before repairing it.
+    ``signatures``, when given, collects each repaired flaw's signature,
+    read off the rows just before its repair."""
     for k in range(ls.passes_done + 1, ls.passes_done + passes + 1):
         for f in lb.find_flaws(ls, scope=k):
             if ls.is_flaw(f):
+                if signatures is not None:
+                    signatures.append(lb._signature(ls, f))
                 ref_repair(ls, f)
         ls.passes_done = k
     return ls
@@ -77,7 +90,8 @@ def saturate_checking_listings(A, passes):
     def checked(ls, fresh, templates):
         flaws = real(ls, fresh, templates)
         k = ls.passes_done + 1
-        assert flaws == lb.find_flaws(ls, scope=k), k
+        assert [f[:5] for f in flaws] == lb.find_flaws(ls, scope=k), k
+        assert [f[5] for f in flaws] == [lb._signature(ls, f[:5]) for f in flaws], k
         listed.append(k)
         return flaws
 
@@ -97,18 +111,21 @@ def _state(ls):
 
 def assert_saturation_matches_reference(A, passes):
     """Pass by pass up to ``passes``: the same state as the reference,
-    and seeded facts equal to the walked ones; and the same state from
-    one call of ``saturate`` for each pass count, every pass after the
-    first listed from templates."""
-    ls, ref = lb.initial_system(A), ref_initial(A)
+    signatures first met in the order of the reference's repairs, and
+    seeded facts equal to the walked ones; and the same state and
+    signatures from one call of ``saturate`` for each pass count, every
+    pass after the first listed from templates."""
+    ls, ref, sigs = lb.initial_system(A), ref_initial(A), []
     for k in range(passes + 1):
         if k:
             lb.saturate(ls, 1)
-            ref_saturate(ref, 1)
+            ref_saturate(ref, 1, sigs)
         assert _state(ls) == _state(ref), k
+        assert list(ls.signatures) == list(dict.fromkeys(sigs)), k
         whole, listed = saturate_checking_listings(A, k)
         assert listed == list(range(2, k + 1))
         assert _state(whole) == _state(ref), k
+        assert list(whole.signatures) == list(ls.signatures), k
         net = ls.network()
         assert "facts" in vars(net)
         assert net.facts == network(A, dict(ls.label)).facts == ref.network().facts, k
@@ -120,8 +137,8 @@ def test_saturate_matches_reference_on_pentagon(pentagon):
     assert ls.repairs_done == 2048 and len(ls.signatures) == 8
 
 
-def test_saturate_matches_reference_on_small_structures(a1, a2, two_identities):
-    for A in (a1, a2, two_identities):
+def test_saturate_matches_reference_on_small_structures(a1, a2, two_identities, past_raw):
+    for A in (a1, a2, two_identities, *past_raw):
         assert_saturation_matches_reference(A, 4)
 
 
@@ -129,6 +146,69 @@ def test_saturate_matches_reference_on_the_census(census):
     assert len(census) == 17
     for A in census:
         assert_saturation_matches_reference(A, 3)
+
+
+def test_saturate_matches_reference_on_sampled_four_atom_classes():
+    wa = summarize(4, mod_iso=True)[1]
+    assert len(wa) == 325
+    for A in wa[::25]:  # 13 classes, fixed
+        assert_saturation_matches_reference(A, 3)
+
+
+def test_carried_signatures_are_read_off_the_rows_at_their_turn(pentagon, past_raw):
+    # a templated listing carries each flaw's signature; when the flaw's
+    # turn comes, the repair or the write through its cached matrix must
+    # see the same signature in the rows
+    real_fresh, real_repair, real_write = lb._fresh_flaws, lb.repair, lb._write_repair
+    carried, turns = {}, []
+
+    def fresh_flaws(ls, fresh, templates):
+        flaws = real_fresh(ls, fresh, templates)
+        carried.clear()
+        carried.update((f[:5], f[5]) for f in flaws)
+        return flaws
+
+    def at_turn(ls, f):
+        if f in carried:
+            assert carried[f] == lb._signature(ls, f), f
+            turns.append(f)
+
+    def repair(ls, f):
+        at_turn(ls, f)
+        return real_repair(ls, f)
+
+    def write(ls, f, m):
+        at_turn(ls, f)
+        assert ls.signatures[lb._signature(ls, f)] is m, f
+        real_write(ls, f, m)
+
+    later = {}
+    for A in (pentagon, *past_raw):
+        first = lb.saturate(lb.initial_system(A), 1).repairs_done
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lb, "_fresh_flaws", fresh_flaws)
+            mp.setattr(lb, "repair", repair)
+            mp.setattr(lb, "_write_repair", write)
+            ls = lb.saturate(lb.initial_system(A), 4)
+        later[A] = len(turns)
+        assert len(turns) == ls.repairs_done - first, A
+        turns.clear()
+    # the full relation algebra on two points has no flaw after pass 1
+    assert list(later.values()) == [126, 42, 252, 42, 0]
+
+
+def test_saturate_tests_a_flaw_only_on_a_signature_s_first_repair(pentagon, monkeypatch):
+    # the listing lemma: a later repair with a known signature writes its
+    # labels with no flaw test; calling saturate again meets no new one
+    calls, real = [], lb.LabellingSystem.is_flaw
+    monkeypatch.setattr(lb.LabellingSystem, "is_flaw", lambda ls, f: calls.append(f) or real(ls, f))
+    ls = lb.saturate(lb.initial_system(pentagon), 6)
+    assert ls.repairs_done == 2048
+    assert len(calls) == len(ls.signatures) == 8
+    calls.clear()
+    lb.saturate(ls, 1)
+    assert ls.repairs_done == 2048 + 6144
+    assert len(calls) == len(ls.signatures) - 8
 
 
 def test_manual_repairs_at_a_later_stage_turn_templates_off(pentagon):
@@ -160,9 +240,9 @@ def test_a_listing_that_leaves_a_flaw_fails_composition_lower(pentagon):
         full = real(A, m, same)
         if dropped or not full:
             return full
-        i, a, j, b, c = full[0]
+        i, a, j, b, c, _ = full[0]
         dropped.update({(i, a, j, b, c), (j, conv[a], i, conv[c], conv[b])})
-        template = tuple(e for e in full if e not in dropped)
+        template = tuple(e for e in full if e[:5] not in dropped)
         assert len(template) == len(full) - 2
         return template
 
