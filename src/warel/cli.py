@@ -220,15 +220,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     report = Report()
     try:
         run(args, report)
-    except (ParseError, ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (GuardExceeded, MemoryError) as exc:
-        # the traceback holds the failed run's frames and all they built;
+        # matched first, before any other clause can need memory; the
+        # traceback holds the failed run's frames and all they built:
         # let that go, so that the report has memory to take its line
         exc.__traceback__ = None
         report.add(args.command, "budget", False, str(exc) or "out of memory")
         code = 3
+    except (ParseError, ValueError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     except ConsistencyError as exc:
         report.add(args.command, "internal", False, str(exc))
         code = 4

@@ -11,10 +11,10 @@ cylindric axioms with commutativity of cylindrifications weakened to
 its diagonal-guarded form, plus the binary merry-go-round substitution
 identities.
 
-Each check states its quantifier range.  Lemma (Jonsson and Tarski):
-``t_star(k, x)`` is the join of the k-blocks that x meets, so
-cylindrification is completely additive, c_k(x + y) = c_k x + c_k y and
-c_k 0 = 0.  An equation whose sides are built from a set variable by
+Each check states its quantifier range.  The additivity lemma (Jonsson
+and Tarski): ``t_star(k, x)`` is the join of the k-blocks that x meets,
+so cylindrification is completely additive, c_k(x + y) = c_k x + c_k y
+and c_k 0 = 0.  An equation whose sides are built from a set variable by
 cylindrifications, joins and meets with constants is then additive in
 that variable, and an inequation with an additive left side and a
 monotone right side is decided the same way: each holds at 0, where
@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .core import CheckResult
-from .suitable import COORDS, SuitableStructure, needs_axiom_i
+from .suitable import COORDS, SuitableStructure
 from .trails import BoundedUniverse
 
 
@@ -73,17 +73,8 @@ def check_na3(S: SuitableStructure) -> tuple[CheckResult, ...]:
     The full commutativity of cylindrifications, an equation of
     additive sides, is evaluated over ``singles`` and the pairs k < l
     (k = l is trivial, and (l, k) restates (k, l)) and reported as a
-    verdict line but never asserted.  On a misshapen structure
-    (``S.misshapen``) every line, the verdict included, fails with
-    ``needs axiom (i)``, as (iii)-(v) do in
-    :func:`warel.suitable.check_suitable`.
+    verdict line but never asserted.
     """
-    if S.misshapen:
-        return needs_axiom_i((
-            "boolean-part", "cyl-zero", "cyl-increasing", "cyl-meet-exchange",
-            "diag-diagonal-full", "diag-composition", "diag-rigidity",
-            "guarded-commutativity", "full-commutativity-verdict",
-        ))
     c, d = S.t_star, S.e_masks
     singles = [1 << i for i in range(S.size)]
     out: list[CheckResult] = []
@@ -146,11 +137,8 @@ def check_mgr2(S: SuitableStructure) -> tuple[CheckResult, ...]:
     module docstring).  ``mgr2-featured-instance`` is exact over the
     carrier's singletons.  The ternary variants need four distinct
     indices and are vacuous in dimension three, so they are reported as
-    skipped.  On a misshapen structure every line, ``mgr3`` included,
-    fails with ``needs axiom (i)``, as in :func:`check_na3`.
+    skipped.
     """
-    if S.misshapen:
-        return needs_axiom_i(("mgr2", "mgr2-featured-instance", "mgr3"))
     singles = [1 << i for i in range(S.size)]
     out: list[CheckResult] = []
     bad = next(
@@ -200,8 +188,7 @@ def check_functions(S: SuitableStructure) -> tuple[CheckResult, ...]:
     is an identity's name, the (k, l) of its d_kl, the k of its c_k and
     the triple forced by each atom.  Exact: each identity is checked on
     every carrier element; an element naming no atom at coordinate k
-    fails it and is the witness.  On a misshapen structure every line
-    fails with ``needs axiom (i)``, as in :func:`check_na3`."""
+    fails it and is the witness."""
     if S.algebra is None:
         raise ValueError("needs the source algebra")
     A = S.algebra
@@ -218,11 +205,8 @@ def check_functions(S: SuitableStructure) -> tuple[CheckResult, ...]:
         ("v", (0, 2), 2, [(conv[a], dom[a], a) for a in atoms]),
         ("vi", (2, 0), 0, [(a, rng[a], conv[a]) for a in atoms]),
     )
-    names = tuple(f"singleton-identity-{row[0]}" for row in table)
-    if S.misshapen:
-        return needs_axiom_i(names)
     out = []
-    for name, (_, (k, l), ck, forced) in zip(names, table):
+    for suffix, (k, l), ck, forced in table:
         bad = None
         for i, t in enumerate(S.elements):
             if not 0 <= t[ck] < A.atom_count:
@@ -234,7 +218,7 @@ def check_functions(S: SuitableStructure) -> tuple[CheckResult, ...]:
             if j is None or got != 1 << j:
                 bad = (t, got, want)
                 break
-        out.append(CheckResult(name, bad is None, str(bad or "")))
+        out.append(CheckResult(f"singleton-identity-{suffix}", bad is None, str(bad or "")))
     return tuple(out)
 
 

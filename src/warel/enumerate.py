@@ -14,12 +14,12 @@ to one.  The exhaustive generator works on masks, by four lemmas:
   transform-closed orbits is in range and transform-closed.  So each
   orbit of each converse is validated once, and every mask over that
   converse yields a valid structure without another check.
-- Isomorph reduction is orderly (McKay, *Isomorph-free exhaustive
-  generation*, J. Algorithms 26 (1998)): each relabelling class is
-  decided where it first appears, with nothing stored per class.  A
-  relabelling p that fixes the identity block setwise maps a structure
-  over ``conv`` to one over ``p . conv . p^-1``.  These p act on the
-  movable atoms as their full symmetric group, where two involutions
+- The orderly lemma: isomorph reduction is orderly (McKay, *Isomorph-free
+  exhaustive generation*, J. Algorithms 26 (1998)): each relabelling
+  class is decided where it first appears, with nothing stored per
+  class.  A relabelling p fixing the identity block setwise maps a
+  structure over ``conv`` to one over ``p . conv . p^-1``.  These p act on
+  the movable atoms as their full symmetric group, where two involutions
   are conjugate exactly when they have the same number of
   transpositions.  So every converse of a conjugacy class carries
   members of every relabelling class met over any of them, and the
@@ -133,7 +133,7 @@ def enumerate_structures(
     With ``mod_iso`` a converse is walked only if it is the first in
     ``involutions`` order with its number of transpositions, and a mask
     over it is emitted only if no image of it under the stabilizer of
-    the converse is smaller.  By the module's second lemma that keeps
+    the converse is smaller.  By the module's orderly lemma that keeps
     exactly the first structure of each relabelling class, so the
     output is the raw sequence with later class members left out.  The
     images of the current mask are kept in one int ``cur``, field j of

@@ -15,9 +15,11 @@ with (u, w) labelled b and (w, v) labelled c.  Repairing a flaw adds
 one fresh point and five labels; saturation runs repair passes in a
 fixed order.  The labels form a :class:`~warel.relset.Network`; its
 rows ``out[u][w] = inn[w][u]`` are their one store, ``label`` a view of
-them.  A witness search walks the shorter of ``out[u]`` and ``inn[v]``,
-once per pair in :func:`find_flaws`.  The map from elements to relations
-is an embedding up to the staged guarantees of :func:`verify_representation`.
+them.  The one witness search is :meth:`~warel.relset.Network.unwitnessed`,
+a walk over the shorter of ``out[u]`` and ``inn[v]``, made once per pair
+by :func:`find_flaws` and read by :meth:`LabellingSystem.is_flaw`.  The
+map from elements to relations is an embedding up to the staged
+guarantees of :func:`verify_representation`.
 
 Three lemmas make a system that :func:`initial_system` and
 :func:`repair` built cheap to grow and to check (step-by-step games are
@@ -31,10 +33,11 @@ local: Hirsch and Hodkinson, *Relation Algebras by Games*, 2002):
   :meth:`LabellingSystem.is_flaw`, and the five labels it writes, are a
   function of the signature ``(lab(u,u), a, lab(v,u), lab(v,v), b, c,
   u == v)`` of the flaw ``(u, a, v, b, c)``, with ``lab`` read from the
-  rows ``out``.  So each signature is decided once: a later repair
-  with it writes its labels straight from the cached matrix
-  (:func:`_write_repair`), and the system's ``facts`` are read off the
-  label matrices of its signatures.
+  rows ``out``.  So each signature is decided once: :func:`repair`
+  records its matrix, and :func:`saturate` alone tells a known
+  signature from a new one, writing a known one's labels straight from
+  the cached matrix (:func:`_write_repair`).  The system's ``facts``
+  are read off the label matrices of its signatures.
 - Flaw locality.  Let w be a point made in pass k-1 by a repair of
   ``(u, a, v, b, c)``.  Pass k-1 repairs only flaws between points
   older than k-1, so at the start of pass k w's rows hold exactly the
@@ -134,28 +137,13 @@ class LabellingSystem:
             vars(net)["facts"] = frozenset(loops.union(*map(matrix_facts, self.signatures.values())))
         return net
 
-    def has_witness(self, u: int, b: int, c: int, v: int) -> bool:
-        """Some w has (u, w) labelled b and (w, v) labelled c.  Walks the
-        shorter of ``out[u]`` and ``inn[v]`` and looks the other edge up
-        in the other row."""
-        row, col = self.out.get(u, {}), self.inn.get(v, {})
-        if len(row) <= len(col):
-            for w, x in row.items():
-                if x == b and col.get(w) == c:
-                    return True
-        else:
-            for w, x in col.items():
-                if x == c and row.get(w) == b:
-                    return True
-        return False
-
     def is_flaw(self, f: Flaw) -> bool:
+        """(u, v) carries a, and no point witnesses its factor pair (b, c)
+        (:meth:`~warel.relset.Network.unwitnessed`)."""
         u, a, v, b, c = f
         if self.out.get(u, {}).get(v) != a:
             return False
-        if not (1 << a) & self.algebra.comp_atoms[b][c]:
-            return False
-        return not self.has_witness(u, b, c, v)
+        return (b, c) in Network(self.algebra, self.out, self.inn).unwitnessed(u, v)
 
 
 def initial_system(A: AtomStructure) -> LabellingSystem:
@@ -180,9 +168,10 @@ def find_flaws(ls: LabellingSystem, scope: Optional[int] = None) -> list[Flaw]:
     whose endpoints were both created before pass ``scope``.  A pair
     (u, v) is the entry v of the row ``out[u]``, so the sorted points,
     each with its sorted row, give the pairs in (u, v) order.  Each pair
-    is decided by one walk, :meth:`~warel.relset.Network.unwitnessed`."""
+    is decided by one walk, :meth:`~warel.relset.Network.unwitnessed`,
+    on a bare network of the rows, with no ``facts`` seeded."""
     flaws: list[Flaw] = []
-    net, out, stage = ls.network(), ls.out, ls.stage
+    net, out, stage = Network(ls.algebra, ls.out, ls.inn), ls.out, ls.stage
     bound = float("inf") if scope is None else scope
     for u in sorted(p for p in out if stage[p] < bound):
         row = out[u]
@@ -231,25 +220,18 @@ def repair(ls: LabellingSystem, f: Flaw) -> LabellingSystem:
     flaw, or if any structural property would break (which cannot
     happen over a WA input and signals a bad algebra otherwise).
 
-    In a system with ``signatures`` the checks after the flaw test are
-    decided once per signature (the module's signature lemma): the
-    first repair with a signature runs them all and caches the matrix
-    of (u, v, w), and a later one only writes its five labels, read off
-    that matrix by :func:`_write_repair`.  Afterwards w witnesses the
-    flaw: ``_add_label`` never overwrites a label, so (u, w) keeps b and
+    Every call runs the flaw test and every check.  In a system with
+    ``signatures`` it then records the matrix of (u, v, w) under the
+    flaw's signature (the module's signature lemma); only
+    :func:`saturate` reads that table, and it calls this for a
+    signature's first repair alone.  Afterwards w witnesses the flaw:
+    ``_add_label`` never overwrites a label, so (u, w) keeps b and
     (w, v) keeps c, or a write raises (as when u = v and c~ is not b).
-    :func:`saturate` calls this only for a signature's first repair.
     """
     if not ls.is_flaw(f):
         raise ValueError(f"not a flaw (already witnessed or unlabelled): {f}")
     known = ls.signatures
-    sig = m = None
-    if known is not None:
-        sig = _signature(ls, f)
-        m = known.get(sig)
-    if m is not None:
-        _write_repair(ls, f, m)
-        return ls
+    sig = None if known is None else _signature(ls, f)
     u, a, v, b, c = f
     A = ls.algebra
     rng_b = A.atom_ranges[b]
@@ -328,9 +310,9 @@ def saturate(ls: LabellingSystem, passes: int) -> LabellingSystem:
     pass started, which ``_witnessed_since`` walks exactly.
 
     So a flaw whose signature has a cached matrix is written straight
-    from it (:func:`_write_repair`); only a signature's first repair
-    goes through :func:`repair`, with the flaw test and every check.
-    In a system without ``signatures`` every repair does."""
+    from it (:func:`_write_repair`), here alone; only a signature's
+    first repair goes through :func:`repair`, with the flaw test and
+    every check.  In a system without ``signatures`` every repair does."""
     if passes < 0:
         raise ValueError("passes must be nonnegative")
     max_points = core.POINT_BUDGET

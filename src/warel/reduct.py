@@ -34,7 +34,7 @@ from typing import Optional
 
 from .core import AtomStructure, CheckResult, ConsistencyError, Matrix, iter_bits, matrix_facts
 from .relset import Network, Successors
-from .suitable import COORDS, SuitableStructure, needs_axiom_i
+from .suitable import COORDS, SuitableStructure
 from .trails import BoundedUniverse
 
 
@@ -70,11 +70,7 @@ def check_reduct_closure(S: SuitableStructure) -> tuple[CheckResult, ...]:
     Only ``identity-two-dimensional`` is computed.  The other two lines
     are decided by their lemma: the 2-blocks are disjoint, so a join of
     2-blocks is its own c_2, and converse and composition both end in
-    c_2, whose values are such joins.  On a misshapen structure
-    (``S.misshapen``) every line fails with ``needs axiom (i)``, as in
-    :func:`warel.cylindric.check_na3`."""
-    if S.misshapen:
-        return needs_axiom_i(("carrier-two-dimensional", "identity-two-dimensional", "operations-closed"))
+    c_2, whose values are such joins."""
     identity = S.e_masks[0][1]
     return (
         CheckResult("carrier-two-dimensional", True),
@@ -93,13 +89,7 @@ def check_reduct_isomorphism(A: AtomStructure, S: SuitableStructure) -> tuple[Ch
     nonzero joins of either family), and Boolean iff they cover the
     carrier.  The operation equations have additive sides, so a mask
     failing one fails it at an atom no larger than itself, and a loop
-    ascending over every element pair first fails at a pair of atoms.
-    On a misshapen structure every line fails with ``needs axiom (i)``,
-    as in :func:`check_reduct_closure`."""
-    if S.misshapen:
-        return needs_axiom_i((
-            "injective", "surjective-onto-reduct", "boolean-preserved", "identity-preserved", "operations-preserved",
-        ))
+    ascending over every element pair first fails at a pair of atoms."""
     img = [sum(1 << i for i, t in enumerate(S.elements) if t[2] == a) for a in range(A.atom_count)]
     phi = lambda m: sum(img[a] for a in iter_bits(m))
     bad = _first_failure(

@@ -30,15 +30,26 @@ class SuitableStructure:
 
     ``tkey[k][i]`` is the block key of element i under the k-th
     equivalence; ``e_masks[k][l]`` is a bitmask over element indices.
-    Hand-built instances may violate the axioms; ``check_suitable``
-    tells.  Instances built by :func:`build_suitable` also carry the
-    source algebra and use actual atom triples as elements.
+    A shape other than three ``tkey`` rows and a 3x3 ``e_masks`` raises
+    ``ValueError`` when the structure is made, so every check may index
+    them.  Hand-built instances of that shape may still violate the
+    axioms; ``check_suitable`` tells.  Instances built by
+    :func:`build_suitable` also carry the source algebra and use actual
+    atom triples as elements.
     """
 
     elements: tuple[Triple, ...]
     tkey: tuple[tuple[Hashable, ...], ...]
     e_masks: tuple[tuple[int, int, int], ...]
     algebra: Optional[AtomStructure] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        shape = [len(row) for row in self.e_masks]
+        if len(self.tkey) != 3 or shape != [3] * 3:
+            raise ValueError(
+                f"a suitable structure needs three tkey rows and a 3x3 e_masks, "
+                f"not {len(self.tkey)} tkey rows and e_masks rows of lengths {shape}"
+            )
 
     @cached_property
     def index(self) -> dict[Triple, int]:
@@ -111,13 +122,6 @@ class SuitableStructure:
                 row.append(min(reach))
             out.append(tuple(row))
         return tuple(out)
-
-    @cached_property
-    def misshapen(self) -> bool:
-        """Axiom (i) fails by shape: ``tkey`` has not three rows, or
-        ``e_masks`` is not 3x3.  A check that indexes three key rows and
-        a 3x3 ``e_masks`` decides none of its lines then."""
-        return len(self.tkey) != 3 or [len(row) for row in self.e_masks] != [3] * 3
 
     # Axioms (iii)-(v), each decided once: the first failing instance in
     # loop order, or None.  check_suitable and check_na3 both read them.
@@ -202,24 +206,19 @@ def build_suitable(A: AtomStructure) -> SuitableStructure:
     )
 
 
-def needs_axiom_i(names: tuple[str, ...]) -> tuple[CheckResult, ...]:
-    """The lines ``names``, each failed as undecided without axiom (i)."""
-    return tuple(CheckResult(name, False, "needs axiom (i)") for name in names)
-
-
 def check_suitable(S: SuitableStructure) -> tuple[CheckResult, ...]:
     """The five suitable-structure axioms.
 
-    - (i) ``components-well-typed``: exact.  ``tkey`` has three rows of
-      one key per element, and ``e_masks`` is 3x3 with each mask inside
-      the carrier.  The lemmas here and in
+    - (i) ``components-well-typed``: exact.  Each of the three ``tkey``
+      rows holds one key per element, and each mask of the 3x3
+      ``e_masks`` lies inside the carrier.  The lemmas here and in
       :func:`warel.cylindric.check_na3` rest on it.
     - (ii) ``coordinate-equivalences``: decided by its lemma.  By (i)
       each element has one k-key, and equality of keys is an
       equivalence.
     - (iii)-(v): exact, on a structure that passes (i); otherwise each
-      fails with the detail ``needs axiom (i)``, since they index three
-      key rows and a 3x3 ``e_masks``.  In the complex algebra Cm S the
+      fails with the detail ``needs axiom (i)``, since they read each
+      key row and each mask as ranging over the carrier.  In the complex algebra Cm S the
       diagonal constant d_kl is E(k, l) and c_k is ``S.t_star(k, .)``,
       so the cylindric diagonal axioms C5-C7 (Henkin, Monk and Tarski,
       *Cylindric Algebras I*, 1971), d_kk = 1, d_kl = c_m(d_km . d_ml)
@@ -231,15 +230,14 @@ def check_suitable(S: SuitableStructure) -> tuple[CheckResult, ...]:
     rows = [len(row) for row in S.tkey]
     if rows != [S.size] * 3:
         detail = f"tkey rows hold {rows} keys for {S.size} elements"
-    elif [len(row) for row in S.e_masks] != [3] * 3:
-        detail = "e_masks is not 3x3"
     else:
         bad = next(((k, l) for k in COORDS for l in COORDS if S.e_masks[k][l] & ~S.full_mask), None)
         detail = "" if bad is None else f"subset {bad} leaves the carrier"
     out.append(CheckResult("components-well-typed", not detail, detail))
     out.append(CheckResult("coordinate-equivalences", True))
     if detail:
-        return (*out, *needs_axiom_i(("diagonal-subsets-full", "saturation-identity", "subset-rigidity")))
+        names = ("diagonal-subsets-full", "saturation-identity", "subset-rigidity")
+        return (*out, *(CheckResult(name, False, "needs axiom (i)") for name in names))
 
     k = S.diagonal_failure
     detail = "" if k is None else f"diagonal subset {k}{k} is not the whole carrier"

@@ -7,10 +7,13 @@ consistent or deliberately corrupted, the indexed checks must return
 the same ``(name, holds, detail)``.  ``ref_element_checks`` keeps the
 element-level loops that ``verify_representation`` replaced by per-atom
 certificates; the verdicts must agree on all eight lines.  The
-set-based ``Network`` checks, the triangle check of a repair and the
-witness search of a labelling system are kept here in their old form
-as well, and ``ref_find_flaws`` searches the witnesses of each factor
-pair on its own where ``find_flaws`` walks a pair's row once.
+set-based ``Network`` checks and the triangle check of a repair are
+kept here in their old form as well.  ``ref_has_witness`` tries every
+point as the witness of one factor pair.  ``ref_labelling_lower`` and
+``ref_find_flaws`` search with it, one factor pair at a time, where
+``find_flaws`` walks a pair's row once; ``Network.unwitnessed``, the one
+witness search, and ``LabellingSystem.is_flaw``, which reads it, are
+checked against it.
 ``ref_lower_scan`` is the predicate-driven lower scan: it walks every
 labelled pair, asks a predicate whether to skip it, and intersects the
 whole rows ``out[u]`` and ``inn[v]``; ``Network.lower_scan`` filters the
@@ -267,7 +270,7 @@ def ref_labelling_lower(ls, stage_bound):
             continue
         checked += 1
         for b, c in A.factor_pairs[a]:
-            if not ls.has_witness(u, b, c, v):
+            if not ref_has_witness(ls, u, b, c, v):
                 bad = (u, a, v, b, c)
                 break
         if bad:
@@ -722,7 +725,9 @@ def test_identity_count_matches_reference_when_identity_leaves_the_diagonal(alge
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_has_witness_matches_reference(algebra, data):
+def test_is_flaw_matches_reference(algebra, data):
+    # a flaw: (u, v) carries a, (b, c) is a factor pair of a, and the
+    # point-by-point search finds no witness
     A = algebra
     label = data.draw(label_maps(A))
     n = 1 + max(max(pr) for pr in label) if label else 1
@@ -730,24 +735,28 @@ def test_has_witness_matches_reference(algebra, data):
     atoms = range(A.atom_count)
     for u in range(n):
         for v in range(n):
-            for b in atoms:
-                for c in atoms:
-                    assert ls.has_witness(u, b, c, v) == ref_has_witness(ls, u, b, c, v)
+            for a in atoms:
+                for b in atoms:
+                    for c in atoms:
+                        want = (
+                            label.get((u, v)) == a
+                            and (b, c) in A.factor_pairs[a]
+                            and not ref_has_witness(ls, u, b, c, v)
+                        )
+                        assert ls.is_flaw((u, a, v, b, c)) == want
 
 
-def test_has_witness_walks_either_index(pentagon):
+def test_unwitnessed_walks_either_index(pentagon):
     ls = lb.saturate(lb.initial_system(pentagon), 3)
-    atoms = range(pentagon.atom_count)
+    net = ls.network()
     found = {"out": 0, "inn": 0}
-    for u in range(ls.point_count()):
-        for v in range(ls.point_count()):
-            for b in atoms:
-                for c in atoms:
-                    want = ref_has_witness(ls, u, b, c, v)
-                    assert ls.has_witness(u, b, c, v) == want
-                    row, col = len(ls.out[u]), len(ls.inn[v])
-                    if want and row != col:
-                        found["out" if row < col else "inn"] += 1
+    for (u, v), a in ls.label.items():
+        fps = pentagon.factor_pairs[a]
+        want = [(b, c) for b, c in fps if not ref_has_witness(ls, u, b, c, v)]
+        assert net.unwitnessed(u, v) == want
+        row, col = len(ls.out[u]), len(ls.inn[v])
+        if len(want) < len(fps) and row != col:
+            found["out" if row < col else "inn"] += 1
     assert found["out"] and found["inn"], found
 
 
@@ -759,7 +768,7 @@ def ref_find_flaws(ls, scope=None):
             continue
         a = ls.label[(u, v)]
         for b, c in ls.algebra.factor_pairs[a]:
-            if not ls.has_witness(u, b, c, v):
+            if not ref_has_witness(ls, u, b, c, v):
                 out.append((u, a, v, b, c))
     return out
 

@@ -14,11 +14,14 @@ run over the same fixtures, and must never fail a structural line.
 """
 
 import random
+import re
 from dataclasses import replace
+
+import pytest
 
 from warel import reduct
 from warel.cli import _carrier_checks
-from warel.cylindric import check_functions, check_mgr2, check_na3
+from warel.cylindric import check_mgr2, check_na3
 from warel.suitable import COORDS, SuitableStructure, build_suitable, check_suitable
 
 from test_cylindric_reference import ref_check_na3
@@ -70,12 +73,12 @@ def malformed_structures():
     yield SuitableStructure(elements, ((0, 1, 2),) * 3, ((7, 15, 7), (7, 7, 7), (7, 7, 7)))
 
 
-def misshapen_structures():
-    """Structures breaking axiom (i) by their shape, where axioms
-    (iii)-(v) would index past it: two ``tkey`` rows, or a 3x2
+def misshapen_shapes():
+    """The arguments of two structures of a shape that
+    ``SuitableStructure`` refuses: two ``tkey`` rows, or a 3x2
     ``e_masks``."""
-    yield SuitableStructure(((0, 0, 0), (1, 1, 1)), ((0, 1), (0, 1)), ((3, 3, 3),) * 3)
-    yield SuitableStructure(((0, 0, 0), (1, 1, 1), (2, 2, 2)), ((0, 1, 2),) * 3, ((7, 7),) * 3)
+    yield ((0, 0, 0), (1, 1, 1)), ((0, 1), (0, 1)), ((3, 3, 3),) * 3
+    yield ((0, 0, 0), (1, 1, 1), (2, 2, 2)), ((0, 1, 2),) * 3, ((7, 7),) * 3
 
 
 def corrupted_structures(a1, a2, pentagon, two_identities, census):
@@ -140,7 +143,7 @@ def test_axiom_i_failures_return_every_suitable_line(a1):
     # (ii) holds by its lemma; (iii)-(v) are not decided without (i)
     names = [c.name for c in check_suitable(build_suitable(a1))]
     details = []
-    for S in (*malformed_structures(), *misshapen_structures()):
+    for S in malformed_structures():
         got = check_suitable(S)
         assert [c.name for c in got] == names
         assert got[1].holds
@@ -149,29 +152,18 @@ def test_axiom_i_failures_return_every_suitable_line(a1):
     assert details == [
         "tkey rows hold [3, 2, 3] keys for 3 elements",
         "subset (0, 1) leaves the carrier",
-        "tkey rows hold [2, 2] keys for 2 elements",
-        "e_masks is not 3x3",
     ]
 
 
-def _assert_every_line_needs_axiom_i(check, good, misshapen):
-    names = [c.name for c in check(good)]
-    for S in misshapen:
-        assert S.misshapen and not good.misshapen
-        got = check(S)
-        assert [c.name for c in got] == names
-        assert [(c.holds, c.detail) for c in got] == [(False, "needs axiom (i)")] * len(names)
-
-
-def test_misshapen_structures_fail_every_line_needing_axiom_i(a1, pentagon):
-    # check_suitable's rule, applied to every line of the checks that
-    # index three key rows and a 3x3 e_masks, verdict lines included
-    good = build_suitable(a1)
-    for check in (check_na3, check_mgr2, reduct.check_reduct_closure):
-        _assert_every_line_needs_axiom_i(check, good, misshapen_structures())
-    # the checks that need a source algebra: pentagon's built structure
-    # with two key rows, or with two rows of e_masks
+def test_misshapen_structures_are_refused_when_made(pentagon):
+    # every check indexes three key rows and a 3x3 e_masks, so no
+    # structure of another shape is made: hand-built, or pentagon's built
+    # structure with two key rows or two rows of e_masks
     built = build_suitable(pentagon)
-    misshapen = (replace(built, tkey=built.tkey[:2]), replace(built, e_masks=built.e_masks[:2]))
-    for check in (check_functions, lambda S: reduct.check_reduct_isomorphism(pentagon, S)):
-        _assert_every_line_needs_axiom_i(check, built, misshapen)
+    made = [lambda args=args: SuitableStructure(*args) for args in misshapen_shapes()]
+    made += [lambda: replace(built, tkey=built.tkey[:2]), lambda: replace(built, e_masks=built.e_masks[:2])]
+    shapes = ["2 tkey rows and e_masks rows of lengths [3, 3, 3]", "3 tkey rows and e_masks rows of lengths [2, 2, 2]",
+              "2 tkey rows and e_masks rows of lengths [3, 3, 3]", "3 tkey rows and e_masks rows of lengths [3, 3]"]
+    for make, shape in zip(made, shapes, strict=True):
+        with pytest.raises(ValueError, match=re.escape(f"three tkey rows and a 3x3 e_masks, not {shape}")):
+            make()

@@ -5,10 +5,15 @@ tests that check it against a reference loop.
 An entry fails when its function is missing, when that function's
 docstring does not state the lemma by the phrase given, or when one of
 its tests is missing, so a refactor cannot drop a proof or a reference
-test unnoticed.
+test unnoticed.  And a docstring under ``src/warel`` that cites a lemma
+by name, as "the <name> lemma", must name one that an entry's phrase
+states, so a lemma cannot be cited without an entry.
 """
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +193,42 @@ LEMMAS = {
             "test_repair_reference::test_a_repair_of_a_later_pair_witnesses_its_loop",
         ),
     ),
+    "partition": (
+        "warel.labelling.verify_representation",
+        "The partition lemma",
+        (
+            "test_composition_reference::test_labelling_checks_match_reference",
+            "test_composition_reference::test_final_representation_matches_reference",
+        ),
+    ),
+    "identity-count": (
+        "warel.relset.Network.identity_is_diagonal",
+        "Identity-count lemma",
+        (
+            "test_composition_reference::test_identity_count_edge_cases",
+            "test_composition_reference::test_identity_count_matches_reference_when_identity_leaves_the_diagonal",
+            "test_composition_reference::test_network_checks_match_reference_on_any_converse",
+        ),
+    ),
+    "additivity": (
+        "warel.cylindric",
+        "The additivity lemma",
+        (
+            "test_cylindric_reference::test_t_star_is_additive",
+            "test_cylindric_reference::test_lossy_cyl_fails_additivity",
+            "test_cylindric_reference::test_non_additive_cyl_names_the_reference_witness",
+            "test_cylindric_reference::test_small_inputs_match_reference",
+            "test_cylindric_reference::test_hand_built_match_reference",
+        ),
+    ),
+    "orderly": (
+        "warel.enumerate",
+        "The orderly lemma: isomorph reduction is orderly",
+        (
+            "test_enumerate_reference::test_same_structures_in_the_same_order",
+            "test_enumerate_reference::test_same_first_structures_at_four_atoms",
+        ),
+    ),
     "child-signature": (
         "warel.labelling._flaw_template",
         "The child-signature lemma",
@@ -204,12 +245,19 @@ def _lookup(module, name):
 
 
 def _proof(path):
-    """The module named ``path``, whose docstring may prove a lemma, or
-    else the top-level name that ``path`` ends in."""
-    try:
-        return importlib.import_module(path)
-    except ModuleNotFoundError:
-        return _lookup(*path.rsplit(".", 1))
+    """What ``path`` names, whose docstring may prove a lemma: the
+    longest prefix of it that is a module, then the attributes after it,
+    so a module, a function or a method."""
+    parts = path.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[i:]:
+            found = getattr(found, name, None)
+        return found
+    return None
 
 
 @pytest.mark.parametrize("name", LEMMAS)
@@ -221,3 +269,37 @@ def test_each_lemma_has_its_proof_and_its_tests(name):
     assert tests, name
     for test in tests:
         assert callable(_lookup(*test.split("::"))), f"{name}: {test} is missing"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "warel"
+# "the lemma", "its lemma": no name; "Lemma 9" is the paper's
+UNNAMED = {"a", "an", "the", "its", "their", "this", "that"}
+CITED = re.compile(r"([A-Za-z][\w'-]*) [Ll]emma\b(?! \d)")
+
+
+def _words(text):
+    return " ".join(text.lower().replace("-", " ").split())
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node)
+            if doc:
+                yield " ".join(doc.split())
+
+
+def test_every_lemma_cited_by_name_has_an_entry():
+    phrases = [_words(phrase) for _, phrase, _ in LEMMAS.values()]
+    cited = {}
+    for path in sorted(SRC.glob("*.py")):
+        for doc in _docstrings(ast.parse(path.read_text(encoding="utf-8"))):
+            for name in CITED.findall(doc):
+                if name.lower() not in UNNAMED:
+                    cited.setdefault(_words(name), path.name)
+    assert "additivity" in cited and "orderly" in cited, sorted(cited)
+    missing = {
+        name: where for name, where in cited.items()
+        if not any(re.search(rf"\b{re.escape(name)}", phrase) for phrase in phrases)
+    }
+    assert not missing, missing
