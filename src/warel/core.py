@@ -16,7 +16,7 @@ collections.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -211,6 +211,14 @@ class AtomStructure(Frozen):
             acc |= 1 << conv[low.bit_length() - 1]
             xm ^= low
         return acc
+
+    @cached_property
+    def _memo(self) -> tuple[Callable[[int, int], int], Callable[[int], int]]:
+        """``compose`` and ``conv_el`` memoized on their argument masks,
+        made on first use and kept as long as the structure; it holds only
+        the values computed.  The law suite reads them here (the memo lemma
+        of :mod:`warel.laws`)."""
+        return cache(self.compose), cache(self.conv_el)
 
     def dom_el(self, xm: int) -> int:
         return self.compose(xm, self.conv_el(xm)) & self.identity

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from warel.core import (
     peirce_orbit,
     validate_atom_structure,
 )
+from warel.fileformat import parse_structure_file
 from warel.laws import (
+    LAWS,
     Comp,
     Const,
     Conv,
@@ -22,12 +26,15 @@ from warel.laws import (
     Meet,
     Neg,
     Rng,
+    Row,
     Var,
     atom_decided,
     check_equation,
+    elementary_law_suite,
     eval_term,
     free_vars,
 )
+from warel.relset import Universe, atom_structure_of_relativization
 
 from test_enumerate_reference import sample_structure
 
@@ -247,3 +254,66 @@ def test_composition_monotone_random(seed, n):
         assert A.compose(x, z) | A.compose(y, z) == A.compose(y, z)
         assert A.compose(z, x) | A.compose(z, y) == A.compose(z, y)
         assert A.conv_el(x) | A.conv_el(y) == A.conv_el(y)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# The law-suite workload's two relativizations: the full square on 2
+# points (4 atoms) and the diagonal of 3 points with one symmetric edge (5).
+LAW_SUITE_UNITS = (
+    (Universe(2), frozenset((u, v) for u in range(2) for v in range(2))),
+    (Universe(3), frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)})),
+)
+
+
+def _memo_inputs():
+    """The 17 benchmark inputs, the 4 sample structures and the two
+    law-suite relativizations, grouped by atom count."""
+    paths = sorted((ROOT / "perfbench" / "inputs").glob("wa*.alg"))
+    paths += [ROOT / "structures" / f"{name}.alg" for name in ("a1", "a2", "no_identity", "pentagon")]
+    structures = [parse_structure_file(str(path)) for path in paths]
+    structures += [atom_structure_of_relativization(*unit)[0] for unit in LAW_SUITE_UNITS]
+    groups = {}
+    for A in structures:
+        groups.setdefault(A.atom_count, []).append(A)
+    return groups
+
+
+def test_rows_through_the_memo_match_the_unmemoized_reference():
+    # The structures of one atom count take turns, row by row, and their
+    # composition tables differ: a memo keyed by the masks alone and
+    # shared across structures would hand one structure's products to
+    # the next.  The reference evaluates every node with A.compose.
+    groups = _memo_inputs()
+    assert sum(map(len, groups.values())) == 23
+    assert len({A.comp_atoms for A in groups[3]}) > 1
+    rows = [(law.name, law.check) for law in LAWS if isinstance(law.check, Row)]
+    assert len(rows) == 28
+    for group in groups.values():
+        for name, row in rows:
+            args = (row.lhs, row.rhs, row.relation, dict(row.ranges), row.guard)
+            for A in group:
+                assert check_equation(A, *args) == full_range_witness(A, *args), (name, A)
+
+
+def test_suite_passes_on_nine_and_ten_atoms_in_little_memory():
+    # The relativization of the full square on 3 points, as committed in
+    # structures/square3.alg, and the 10-atom diagonal, the most atoms
+    # the suite takes.  The memos of compose and conv_el hold only the
+    # mask pairs the suite meets, 6,502 and 11,816 products: the traced
+    # peak of a whole suite measured 0.93-0.95 MB on the square and
+    # 1.91-1.95 MB on the diagonal (Python 3.10, 3.11 and 3.12), and each
+    # bound leaves 10% above the highest.  At the 150 bytes a product
+    # that makes, a memo of every mask pair (2**20 at 10 atoms) would take
+    # about 160 MB.
+    square3 = parse_structure_file(str(ROOT / "structures" / "square3.alg"))
+    assert square3 == atom_structure_of_relativization(Universe(3), frozenset(product(range(3), repeat=2)))[0]
+    diagonal = validate_atom_structure(10, range(10), {}, [(e, e, e) for e in range(10)])
+    for A, bound in ((square3, 1_050_000), (diagonal, 2_150_000)):
+        tracemalloc.start()
+        try:
+            results = elementary_law_suite(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 33 and all(r.holds for r in results), [r for r in results if not r.holds]
+        assert peak < bound, (A.atom_count, peak)

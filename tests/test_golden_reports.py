@@ -1,11 +1,13 @@
-"""Full ``represent`` reports, pinned as committed text.
+"""Full ``represent`` and ``check --laws`` reports, pinned as committed text.
 
-Each file ``tests/golden/NAME.txt`` is everything one ``warel represent``
-run prints, and ``EXIT_CODES[NAME]`` is its exit code.  The five
-``--depth 3`` runs are checked here: ``--passes 2``, and ``--passes 0``,
-where the unsaturated labelling fails ``labelling.injective``.  The other
-four are CI's probes, which run under address-space caps and ``diff``
-their output against the same files.  A change that alters a report line
+Each file ``tests/golden/NAME.txt`` is everything one ``warel`` run
+prints, and ``EXIT_CODES[NAME]`` is its exit code.  The five
+``represent --depth 3`` runs are checked here: ``--passes 2``, and
+``--passes 0``, where the unsaturated labelling fails
+``labelling.injective``; so is ``check --laws`` on the 9-atom full
+square.  The other four are CI's represent probes; CI runs all five
+probes under address-space caps and ``diff``s their output against the
+same files.  A change that alters a report line
 on purpose updates the file, and shows as a diff of report lines.
 """
 
@@ -32,8 +34,9 @@ EXIT_CODES = {
     "wa09-depth4": 0,
     "wa09-depth5": 0,
     "pentagon-passes8": 0,
+    "square3-laws": 0,
 }
-CI_PROBES = ("pentagon-depth5", "wa09-depth4", "wa09-depth5", "pentagon-passes8")
+CI_PROBES = ("pentagon-depth5", "wa09-depth4", "wa09-depth5", "pentagon-passes8", "square3-laws")
 
 # Weakly associative but not semi-associative: the trail representation
 # misses a factor pair of the identity on a pair of equal points.
@@ -90,6 +93,13 @@ def test_wa_not_sa_report_is_pinned(wa_not_sa_file, capsys):
     assert failing == ["final.composition-lower-nonfrontier = fail"]
     assert "witness: checked=39 excluded=48 missing=(13, 0, 13, 2, 2)" in out
     assert_golden("wa-not-sa-depth3", code, out)
+
+
+def test_law_suite_report_on_the_full_square_is_pinned(capsys):
+    code = main(["check", str(STRUCTURES / "square3.alg"), "--laws"])
+    out = capsys.readouterr().out
+    assert "classify.isRA = yes" in out and out.count(" = pass") == 34
+    assert_golden("square3-laws", code, out)
 
 
 def test_every_golden_report_is_checked():

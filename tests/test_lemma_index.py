@@ -229,6 +229,15 @@ LEMMAS = {
             "test_enumerate_reference::test_same_first_structures_at_four_atoms",
         ),
     ),
+    "memo": (
+        "warel.laws",
+        "The memo lemma",
+        (
+            "test_core::test_rows_through_the_memo_match_the_unmemoized_reference",
+            "test_laws::test_rows_match_full_range_on_one_and_two_atoms",
+            "test_laws::test_rows_match_full_range_on_sampled_structures",
+        ),
+    ),
     "child-signature": (
         "warel.labelling._flaw_template",
         "The child-signature lemma",
