@@ -213,7 +213,8 @@ def atom_decided(lhs: Term, rhs: Term, relation: str = "=", guard: Term = Const(
 def _analysed(lhs: Term, rhs: Term, relation: str, guard: Term) -> tuple[tuple[str, ...], bool]:
     """The law's variables in name order and its :func:`atom_decided`
     verdict, which its terms alone decide: cached, so a row is analysed
-    once however many structures it is checked on."""
+    once however many structures it is checked on, and each check hashes
+    its terms once."""
     names = tuple(sorted({v for t in (lhs, rhs, guard) for v in free_vars(t)}))
     return names, atom_decided(lhs, rhs, relation, guard)
 
