@@ -214,10 +214,8 @@ class AtomStructure(Frozen):
 
     @cached_property
     def _memo(self) -> tuple[Callable[[int, int], int], Callable[[int], int]]:
-        """``compose`` and ``conv_el`` memoized on their argument masks,
-        made on first use and kept as long as the structure; it holds only
-        the values computed.  The law suite reads them here (the memo lemma
-        of :mod:`warel.laws`)."""
+        """``compose`` and ``conv_el`` memoized on their argument masks for
+        the law suite (the memo lemma of :mod:`warel.laws`)."""
         return cache(self.compose), cache(self.conv_el)
 
     def dom_el(self, xm: int) -> int:

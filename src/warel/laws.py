@@ -38,19 +38,17 @@ complete-additivity predicates walk all 2**n elements.
 The memo lemma: ``compose`` and ``conv_el`` are pure functions of the
 structure and their argument masks, so a memo of them keyed by the masks
 returns on a hit what the call would, and no verdict or witness moves.
-Every composition and converse the suite evaluates, in compiled terms and
-in both complete-additivity predicates, reads ``AtomStructure._memo``.
-Its scope is one structure, not one row, since the rows share most of
-their mask pairs; it is never shared across structures, whose cycles
-differ.  It is made on first use, lives as long as the structure and
-holds only the values computed.  A row's variables and atom-decided
-verdict depend on its terms alone, so each row is analysed once.
+The compiled terms and converse-completely-additive read
+``AtomStructure._memo``.  Its scope is one structure, not one row, since
+the rows share most of their mask pairs; it is never shared across
+structures, whose cycles differ.  It is made on first use, lives as long
+as the structure and holds only the values computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from itertools import product
 from operator import or_
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -142,8 +140,8 @@ def _compile(A: AtomStructure, t: Term, names: Sequence[str]) -> Callable[[Seque
     """t as a function of the values of the variables ``names``, in order.
 
     Composition and converse are ``A.compose`` and ``A.conv_el``, lifted
-    from atoms, through A's memo of them (the memo lemma).  Domain and
-    range unfold by definition: dom x = x ; x~ . 1' and rng x = x~ ; x . 1'.
+    from atoms, read through A's memo (the memo lemma).  Domain and range
+    unfold by definition: dom x = x ; x~ . 1' and rng x = x~ ; x . 1'.
     """
     if isinstance(t, Var):
         if t.name not in names:
@@ -209,16 +207,6 @@ def atom_decided(lhs: Term, rhs: Term, relation: str = "=", guard: Term = Const(
     return not free_vars(guard) and additive(lhs) and (additive(rhs) if relation == "=" else monotone)
 
 
-@cache
-def _analysed(lhs: Term, rhs: Term, relation: str, guard: Term) -> tuple[tuple[str, ...], bool]:
-    """The law's variables in name order and its :func:`atom_decided`
-    verdict, which its terms alone decide: cached, so a row is analysed
-    once however many structures it is checked on, and each check hashes
-    its terms once."""
-    names = tuple(sorted({v for t in (lhs, rhs, guard) for v in free_vars(t)}))
-    return names, atom_decided(lhs, rhs, relation, guard)
-
-
 # Each relation as a test on the element masks of lhs and rhs; '!=0'
 # reads "lhs != 0 implies rhs != 0".
 RELATIONS = {
@@ -271,16 +259,12 @@ def check_equation(
     the atoms of their range only: ``compose`` and ``conv_el`` are joins
     over atoms, so a failure where x is a join of atoms is a failure where
     x is one of them, a smaller mask.  A full element range above
-    ``ELEMENTS_GUARD`` atoms raises ``GuardExceeded``.
-
-    Compositions and converses are read from A's memo, which lives as
-    long as A and so spans calls; by the memo lemma of :mod:`warel.laws`
-    its values, and so the loop and its witness, are those the calls
-    would give.  The variables and the atom-decided verdict are worked
-    out once per law.
+    ``ELEMENTS_GUARD`` atoms raises ``GuardExceeded``.  Compositions and
+    converses come from A's memo, kept across calls (the memo lemma).
     """
     test = RELATIONS[relation]
-    vs, reduced = _analysed(lhs, rhs, relation, guard)
+    vs = sorted({v for t in (lhs, rhs, guard) for v in free_vars(t)})
+    reduced = atom_decided(lhs, rhs, relation, guard)
     values = [_range(A, (ranges or {}).get(v, "elements"), reduced) for v in vs]
     left, right, cond = (_compile(A, t, vs) for t in (lhs, rhs, guard))
     for vals in product(*values):
@@ -333,8 +317,8 @@ def _converse_completely_additive(A: AtomStructure) -> Witness:
 
 def _composition_completely_additive(A: AtomStructure) -> Witness:
     # z over atoms: both sides are additive in z, so atoms decide it.
-    compose, cases = A._memo[0], ((a, m) for a in range(A.atom_count) for m in A.elements())
-    return next(({"z": 1 << a, "X": m} for a, m in cases if not _joined(partial(compose, 1 << a), m)), None)
+    cases = ((a, m) for a in range(A.atom_count) for m in A.elements())
+    return next(({"z": 1 << a, "X": m} for a, m in cases if not _joined(partial(A.compose, 1 << a), m)), None)
 
 
 def _atom_converse_atom(A: AtomStructure) -> Witness:

@@ -299,16 +299,15 @@ def test_suite_passes_on_nine_and_ten_atoms_in_little_memory():
     # The relativization of the full square on 3 points, as committed in
     # structures/square3.alg, and the 10-atom diagonal, the most atoms
     # the suite takes.  The memos of compose and conv_el hold only the
-    # mask pairs the suite meets, 6,502 and 11,816 products: the traced
-    # peak of a whole suite measured 0.93-0.95 MB on the square and
-    # 1.91-1.95 MB on the diagonal (Python 3.10, 3.11 and 3.12), and each
-    # bound leaves 10% above the highest.  At the 150 bytes a product
-    # that makes, a memo of every mask pair (2**20 at 10 atoms) would take
-    # about 160 MB.
+    # masks the suite meets, 2,826 and 3,170 values: the traced peak of a
+    # whole suite measured 336,328-358,971 bytes on the square and
+    # 392,830-406,368 on the diagonal (Python 3.10, 3.11 and 3.12), and
+    # each bound leaves 10% above the highest.  A memo of every mask pair
+    # (2**20 at 10 atoms) would take over 100 MB.
     square3 = parse_structure_file(str(ROOT / "structures" / "square3.alg"))
     assert square3 == atom_structure_of_relativization(Universe(3), frozenset(product(range(3), repeat=2)))[0]
     diagonal = validate_atom_structure(10, range(10), {}, [(e, e, e) for e in range(10)])
-    for A, bound in ((square3, 1_050_000), (diagonal, 2_150_000)):
+    for A, bound in ((square3, 395_000), (diagonal, 447_000)):
         tracemalloc.start()
         try:
             results = elementary_law_suite(A)
